@@ -68,6 +68,6 @@ for k in (2, 3, 4, 5, 6, 8, 10):
 
 print(
     "\nDecoupling and reachable-set computation dominate and grow with the\n"
-    "dimension; the safety check stays nearly flat because each step is one\n"
-    "small LP whose size depends only on the predicate and the unsafe rows."
+    "dimension; the safety check stays nearly flat because it is one product\n"
+    "with the predicate's vertices plus a small LP for each step left over."
 )

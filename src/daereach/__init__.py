@@ -5,7 +5,8 @@ lifted to autonomous form, decoupled into one ODE subsystem plus
 algebraic-constraint subsystems through a projector matrix chain
 (tractability index 1 to 3), checked for initial-set consistency, and
 propagated in discrete time as star sets.  Safety against a linear unsafe
-set reduces to one small linear feasibility problem per time step, and an
+set reduces to one small linear feasibility problem per time step, run
+only where the predicate's vertices cannot prove the step safe, and an
 unsafe verdict comes with a concrete counterexample trace.
 """
 
@@ -25,6 +26,7 @@ from .decoupling import (
     MatrixChain,
     compute_index_and_chain,
     decouple,
+    decouple_system,
     make_admissible,
 )
 from .errors import (
@@ -120,6 +122,7 @@ __all__ = [
     "compute_index_and_chain",
     "compute_reach",
     "decouple",
+    "decouple_system",
     "feasibility_check",
     "load_directions",
     "load_initial_star",

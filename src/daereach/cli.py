@@ -7,7 +7,9 @@ and writes machine-readable artifacts into the output directory:
 * ``trace.csv`` -- verify mode, when the verdict is unsafe
 * ``reach.csv`` -- reach mode; per-step star basis entries
 * ``bounds.csv`` -- reach/verify modes when ``--directions`` is given;
-  per-step min/max of each direction over the coefficient polytope
+  per-step min/max of each direction over the coefficient polytope, read
+  off the predicate's vertices when it is a bounded polytope with few
+  vertices and solved as two LPs per direction and step otherwise
 
 Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 3 inconsistent initial set, 4 index above 3, 5 irregular pencil,
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import lp
 from .consistency import build_consistent_matrix, check_initial_star
-from .decoupling import compute_index_and_chain, decouple, make_admissible
+from .decoupling import compute_index_and_chain, decouple_system
 from .errors import (
     DaeError,
     DimensionMismatchError,
@@ -190,18 +192,17 @@ def _write_trace(out_dir, times, trace, n_orig):
     _write_csv(out_dir / "trace.csv", header, rows)
 
 
-def _write_reach(out_dir, times, stars):
-    dim, width = stars[0].dim, stars[0].width
+def _write_reach(out_dir, times, bases):
+    steps, dim, width = bases.shape
     header = ["time"] + [f"v{r}_{c}" for c in range(width) for r in range(dim)]
-    rows = (
-        np.concatenate([[t], star.V.T.ravel()]) for t, star in zip(times, stars)
-    )
-    _write_csv(out_dir / "reach.csv", header, rows)
+    columns = bases.transpose(0, 2, 1).reshape(steps, -1)  # column-major per step
+    _write_csv(out_dir / "reach.csv", header, np.column_stack([times, columns]))
 
 
-def _write_bounds(out_dir, times, stars, directions, tol):
+def _write_bounds(out_dir, times, reach, directions, tol):
     """Per-step extrema of each direction row over the coefficient polytope."""
-    dim = stars[0].dim
+    bases, predicate = reach.bases, reach.initial
+    dim = bases.shape[1]
     q, cols = directions.shape
     if cols < dim:
         directions = np.hstack([directions, np.zeros((q, dim - cols))])
@@ -212,19 +213,25 @@ def _write_bounds(out_dir, times, stars, directions, tol):
     header = ["time"]
     for i in range(q):
         header += [f"dir{i}_min", f"dir{i}_max"]
-    rows = []
-    for t, star in zip(times, stars):
-        row = [t]
-        projected = directions @ star.V
-        for i in range(q):
-            lo = lp.solve_lp(projected[i], star.C, star.d, tol=tol.feasibility_tol)
-            hi = lp.solve_lp(-projected[i], star.C, star.d, tol=tol.feasibility_tol)
-            if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
-                raise NumericalFailureError(
-                    f"direction {i} is unbounded or failed at time {t}"
-                )
-            row += [lo.objective, -hi.objective]
-        rows.append(row)
+    projected = directions @ bases  # (steps, q, k)
+    extrema = np.empty(projected.shape[:2] + (2,))
+    vertices = predicate.vertices_within(len(bases), tol)
+    if vertices is not None:
+        values = projected @ vertices.T
+        extrema[..., 0] = values.min(axis=2)
+        extrema[..., 1] = values.max(axis=2)
+    else:
+        C, d, ftol = predicate.C, predicate.d, tol.feasibility_tol
+        for t, step, row in zip(times, projected, extrema):
+            for i in range(q):
+                lo = lp.solve_lp(step[i], C, d, tol=ftol)
+                hi = lp.solve_lp(-step[i], C, d, tol=ftol)
+                if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
+                    raise NumericalFailureError(
+                        f"direction {i} is unbounded or failed at time {t}"
+                    )
+                row[i] = lo.objective, -hi.objective
+    rows = np.column_stack([times, extrema.reshape(len(bases), 2 * q)])
     _write_csv(out_dir / "bounds.csv", header, rows)
 
 
@@ -247,10 +254,7 @@ def run_job(cfg):
         return EXIT_OK
 
     if cfg.mode == "decouple":
-        chain = make_admissible(
-            compute_index_and_chain(autonomous, tol, regularity_seed=cfg.seed), tol
-        )
-        dec = decouple(chain, tol=tol)
+        dec = decouple_system(autonomous, tol, regularity_seed=cfg.seed)
         document = {
             "index": dec.mu,
             "N": {str(i): [list(map(float, r)) for r in dec.N[i]] for i in dec.N},
@@ -271,10 +275,7 @@ def run_job(cfg):
     theta0 = load_initial_star(cfg.init_path, system.n, autonomous.m_orig)
 
     if cfg.mode == "check-consistency":
-        chain = make_admissible(
-            compute_index_and_chain(autonomous, tol, regularity_seed=cfg.seed), tol
-        )
-        dec = decouple(chain, tol=tol)
+        dec = decouple_system(autonomous, tol, regularity_seed=cfg.seed)
         cert = check_initial_star(build_consistent_matrix(dec), theta0, tol)
         payload.update(
             {
@@ -309,13 +310,13 @@ def run_job(cfg):
         directions = load_directions(cfg.directions_path)
 
     if cfg.mode == "reach":
-        _write_reach(out_dir, times, reach.stars)
+        _write_reach(out_dir, times, reach.bases)
         if directions is not None:
-            _write_bounds(out_dir, times, reach.stars, directions, tol)
-        payload["num_stars"] = len(reach.stars)
+            _write_bounds(out_dir, times, reach, directions, tol)
+        payload["num_stars"] = len(reach.bases)
         timings["total_s"] = time.perf_counter() - started
         _write_verdict(out_dir, payload, timings)
-        print(f"reach: {len(reach.stars)} stars written")
+        print(f"reach: {len(reach.bases)} stars written")
         return EXIT_OK
 
     # verify
@@ -332,12 +333,14 @@ def run_job(cfg):
             "first_unsafe_time": None
             if outcome.first_unsafe_step is None
             else outcome.first_unsafe_step * cfg.time_step,
+            "lp_calls": outcome.lp_calls,
+            "screened_steps": outcome.screened_steps,
         }
     )
     if not outcome.is_safe:
         _write_trace(out_dir, times, outcome.unsafe_trace, autonomous.n_orig)
     if directions is not None:
-        _write_bounds(out_dir, times, reach.stars, directions, tol)
+        _write_bounds(out_dir, times, reach, directions, tol)
     timings["total_s"] = time.perf_counter() - started
     _write_verdict(out_dir, payload, timings)
     print(f"verdict: {outcome.status}")

@@ -41,6 +41,7 @@ __all__ = [
     "compute_index_and_chain",
     "make_admissible",
     "decouple",
+    "decouple_system",
 ]
 
 MAX_SUPPORTED_INDEX = 3
@@ -271,3 +272,14 @@ def decouple(chain, b=None, tol=DEFAULT_TOLERANCES):
     return DecoupledSystem(
         mu=chain.mu, N=N, M=M, L3=L3, L4=L4, Z4=Z4, projectors=projectors, chain=chain
     )
+
+
+def decouple_system(sys, tol=DEFAULT_TOLERANCES, regularity_seed=None):
+    """The decoupled form of an autonomous DAE: chain, admissible
+    correction and decoupling in one call.
+
+    Raises what :func:`compute_index_and_chain`, :func:`make_admissible`
+    and :func:`decouple` raise.
+    """
+    chain = compute_index_and_chain(sys, tol, regularity_seed=regularity_seed)
+    return decouple(make_admissible(chain, tol), tol=tol)

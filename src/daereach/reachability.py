@@ -4,19 +4,21 @@ Only the ODE subsystem needs integrating: its basis is pushed through
 time column by column, and one fixed matrix then lifts every ODE basis
 back to a full DAE state basis.  The predicate never changes, so the
 reachable set at each step is a star sharing the initial star's
-constraint matrices.
+constraint matrices, and the whole result is one array of bases plus
+that one predicate.
 """
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .consistency import build_consistent_matrix, check_initial_star
-from .decoupling import compute_index_and_chain, decouple, make_admissible
+from .decoupling import decouple_system
 from .errors import InconsistentInitialSetError
 from .linalg import DEFAULT_TOLERANCES, matrix_exponential
+from .starset import StarSet
 
 __all__ = [
     "TRANSITION_MATRIX",
@@ -72,19 +74,26 @@ class ReachSettings:
 class ReachResult:
     """Reachable set of an autonomous DAE over a fixed time grid.
 
-    ``stars[j]`` is the state set at ``j * time_step``; all stars share the
-    initial predicate.  ``ode_basis[j]`` is the ODE-subsystem basis the
-    star was lifted from and ``psi`` the lifting matrix, kept for
+    ``bases[j]`` is the state basis at ``j * time_step``, an array of shape
+    ``(num_steps + 1, n, k)``; every step shares the predicate of
+    ``initial``, the initial star.  ``ode_basis[j]`` is the ODE-subsystem
+    basis that ``bases[j]`` was lifted from by ``psi``, kept for
     introspection and reconstruction tests.
     """
 
-    stars: list
+    bases: np.ndarray
+    initial: StarSet
     psi: np.ndarray
-    ode_basis: list
+    ode_basis: np.ndarray
     settings: ReachSettings
     decoupled: object = field(repr=False, default=None)
     certificate: object = field(repr=False, default=None)
     timings: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def stars(self):
+        """One :class:`StarSet` per step, built on first access and kept."""
+        return tuple(self.initial.with_basis(basis) for basis in self.bases)
 
 
 def build_psi(dec):
@@ -102,7 +111,8 @@ def build_psi(dec):
 
 
 def propagate_basis(dec, theta1_0, settings):
-    """Bases of the ODE subsystem at every time-grid instant.
+    """Bases of the ODE subsystem at every time-grid instant, shape
+    ``(num_steps + 1, n, k)``.
 
     ``theta1_0`` is the initial star already projected onto the ODE
     subsystem.  Columns evolve independently under ``x_1' = N[1] x_1``;
@@ -115,10 +125,15 @@ def propagate_basis(dec, theta1_0, settings):
     steps = settings.num_steps
     if settings.propagation_mode == TRANSITION_MATRIX:
         phi = matrix_exponential(n1, settings.time_step)
-        bases = [v0]
-        for _ in range(steps):
-            bases.append(phi @ bases[-1])
+        bases = np.empty((steps + 1,) + v0.shape)
+        bases[0] = v0
+        for j in range(steps):
+            np.matmul(phi, bases[j], out=bases[j + 1])
         return bases
+    # imported here: scipy.integrate is about a third of the package's
+    # import time, and only this mode needs it
+    from scipy.integrate import solve_ivp
+
     times = settings.times
     columns = []
     for i in range(v0.shape[1]):
@@ -135,22 +150,21 @@ def propagate_basis(dec, theta1_0, settings):
             raise RuntimeError(f"basis column {i} integration failed: {sol.message}")
         columns.append(sol.y)
     stacked = np.stack(columns, axis=-1)  # (n, steps + 1, k)
-    return [stacked[:, j, :] for j in range(steps + 1)]
+    return np.ascontiguousarray(stacked.transpose(1, 0, 2))
 
 
 def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES, regularity_seed=None):
     """Reachable set of an autonomous DAE from a consistent initial star.
 
-    Pipeline: compute the chain and index, correct the projectors,
-    decouple, verify that the initial star lies in the consistent space
-    (raising :class:`InconsistentInitialSetError` with the certificate
-    otherwise), project the basis onto the ODE subsystem, propagate, and
-    lift every propagated basis back to the full state.
+    Pipeline: decouple (chain, admissible projectors, subsystem
+    coefficients), verify that the initial star lies in the consistent
+    space (raising :class:`InconsistentInitialSetError` with the
+    certificate otherwise), project the basis onto the ODE subsystem,
+    propagate, and lift every propagated basis back to the full state in
+    one batched product.
     """
     started = time.perf_counter()
-    chain = compute_index_and_chain(sys, tol, regularity_seed=regularity_seed)
-    chain = make_admissible(chain, tol)
-    dec = decouple(chain, tol=tol)
+    dec = decouple_system(sys, tol, regularity_seed=regularity_seed)
     gamma = build_consistent_matrix(dec)
     certificate = check_initial_star(gamma, theta0, tol)
     decouple_seconds = time.perf_counter() - started
@@ -161,10 +175,12 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES, regularity_seed
     theta1_0 = theta0.linear_image(dec.projectors[1])
     ode_basis = propagate_basis(dec, theta1_0, settings)
     psi = build_psi(dec)
-    stars = [theta0.with_basis(psi @ basis) for basis in ode_basis]
+    bases = psi @ ode_basis
+    bases.flags.writeable = ode_basis.flags.writeable = False  # shared by star views
     reach_seconds = time.perf_counter() - started
     return ReachResult(
-        stars=stars,
+        bases=bases,
+        initial=theta0,
         psi=psi,
         ode_basis=ode_basis,
         settings=settings,

@@ -2,9 +2,13 @@
 
 At each time step the unsafe condition ``G x <= f`` is pulled back through
 the star basis and stacked with the coefficient predicate; the step is
-unsafe iff the combined inequality system is feasible.  A feasible
-coefficient vector is a genuine witness: replaying it through every star
-basis yields a concrete simulation trace ending in the unsafe set.
+unsafe iff the combined inequality system is feasible.  When the shared
+predicate is a bounded polytope with few vertices, the support function
+of every pulled-back row at every step comes from one product with the
+vertex matrix, and a step whose row minimum already exceeds ``f`` is
+skipped without an LP.  A feasible coefficient vector is a genuine
+witness: replaying it through every star basis yields a concrete
+simulation trace ending in the unsafe set.
 """
 
 from dataclasses import dataclass
@@ -70,6 +74,9 @@ class VerificationOutcome:
     ``unsafe`` outcomes carry the first feasible step, the witnessing
     coefficient vector, and the full trace ``x_j = V_j alpha`` over every
     step (one row per time instant).  ``safe`` outcomes carry none.
+    ``lp_calls`` counts the per-step feasibility LPs solved and
+    ``screened_steps`` the steps proven safe by the vertex screen instead;
+    together they cover every step examined before the scan stopped.
     """
 
     status: str
@@ -77,6 +84,8 @@ class VerificationOutcome:
     alpha_feasible: np.ndarray | None = None
     unsafe_trace: np.ndarray | None = None
     unsafe_steps: tuple = ()
+    lp_calls: int = 0
+    screened_steps: int = 0
 
     @property
     def is_safe(self):
@@ -129,28 +138,60 @@ def _recheck(alpha, Gbar, fbar, ftol, step):
         )
 
 
-def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
-    """Check every reachable star against the unsafe set.
+def _screen(H, f, vertices, num_rows, tol):
+    """Steps not proven safe by the vertices, in time order.
 
-    Walks the steps in time order and, at the first feasible step, fixes
-    the witnessing coefficients, re-validates them outside the solver,
-    and reconstructs the trace through all steps.  ``find_all`` keeps
+    ``H`` holds the pulled-back unsafe rows, shape ``(steps, q, k)``, and
+    ``num_rows`` counts the rows of each step's feasibility problem.  A
+    step is proven safe when some row's minimum over the vertices exceeds
+    its bound by more than the slack the feasibility kernel may take
+    (``100 * feasibility_tol`` per row of the problem, relative to the
+    row's scale), so no step the kernel would call feasible is skipped.
+    """
+    values = H @ vertices.T  # (steps, q, vertices)
+    scale = np.maximum(
+        np.maximum(1.0, np.abs(f)),
+        np.abs(H).sum(axis=2) * max(1.0, np.abs(vertices).max()),
+    )
+    margin = 100.0 * tol.feasibility_tol * num_rows * scale
+    proven = np.any(values.min(axis=2) > f + margin, axis=1)
+    return np.flatnonzero(~proven).tolist()
+
+
+def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
+    """Check every reachable step against the unsafe set.
+
+    Screens all steps at once against the predicate's vertices when
+    :meth:`StarSet.vertices_within` provides them, then walks the steps
+    left over in time order: at the first feasible step it fixes the
+    witnessing coefficients, re-validates them outside the solver, and
+    reconstructs the trace through all steps.  ``find_all`` keeps
     scanning after the first hit and records every unsafe step index.
     ``kernel`` substitutes a different feasibility backend with the same
     call shape as :func:`feasibility_check`.
     """
     kernel = feasibility_check if kernel is None else kernel
-    stars = reach.stars
-    dim = stars[0].dim
-    G = unsafe.extended(dim)
+    bases = reach.bases
+    C, d = reach.initial.C, reach.initial.d
+    G = unsafe.extended(bases.shape[1])
     f = unsafe.f
+    H = G @ bases  # (steps, q, k)
 
+    steps = len(bases)
+    vertices = reach.initial.vertices_within(steps, tol)
+    if vertices is None:
+        candidates = range(steps)
+    else:
+        candidates = _screen(H, f, vertices, len(f) + len(d), tol)
+
+    fbar = np.concatenate([f, d])
     first_hit = None
     alpha = None
     hits = []
-    for j, star in enumerate(stars):
-        Gbar = np.vstack([G @ star.V, star.C])
-        fbar = np.concatenate([f, star.d])
+    lp_calls = 0
+    for j in candidates:
+        Gbar = np.vstack([H[j], C])
+        lp_calls += 1
         try:
             candidate = kernel(Gbar, fbar, tol)
         except NumericalFailureError as exc:
@@ -165,13 +206,15 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
             if not find_all:
                 break
 
+    examined = steps if find_all or first_hit is None else first_hit + 1
+    counters = {"lp_calls": lp_calls, "screened_steps": examined - lp_calls}
     if first_hit is None:
-        return VerificationOutcome(status=SAFE)
-    trace = np.array([star.V @ alpha for star in stars])
+        return VerificationOutcome(status=SAFE, **counters)
     return VerificationOutcome(
         status=UNSAFE,
         first_unsafe_step=first_hit,
         alpha_feasible=alpha,
-        unsafe_trace=trace,
+        unsafe_trace=bases @ alpha,
         unsafe_steps=tuple(hits),
+        **counters,
     )

@@ -6,6 +6,7 @@ makes the representation cheap to push through linear dynamics.
 """
 
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -108,9 +109,7 @@ class StarSet:
         """
         C, d = self.C, self.d
         p, k = C.shape
-        combos = 1
-        for i in range(k):
-            combos = combos * (p - i) // (i + 1)
+        combos = comb(p, k)
         if combos > _MAX_VERTEX_COMBINATIONS:
             raise ValueError(
                 f"vertex enumeration over {combos} constraint subsets refused"
@@ -132,6 +131,28 @@ class StarSet:
         vertices = np.array(found)
         _, unique = np.unique(np.round(vertices, 9), axis=0, return_index=True)
         return vertices[np.sort(unique)]
+
+    def vertices_within(self, budget, tol=DEFAULT_TOLERANCES):
+        """The coefficient polytope's vertices, or ``None`` when they are
+        not a cheap or sound stand-in for LPs over the predicate.
+
+        Over a bounded nonempty polytope the minimum and maximum of any
+        linear function are attained at a vertex, so one product with the
+        vertex matrix gives the exact support function in every direction.
+        The vertices are returned only when enumeration visits at most
+        ``budget`` constraint subsets and the predicate is proven bounded
+        (``2k`` LPs); an unbounded predicate still has vertices (``alpha
+        >= 1`` has ``alpha = 1``), but its support function does not come
+        from them.
+        """
+        p, k = self.C.shape
+        if comb(p, k) > min(budget, _MAX_VERTEX_COMBINATIONS):
+            return None
+        try:
+            self._assert_bounded(tol)
+            return self.coefficient_vertices(tol)
+        except UnboundedPredicateError:  # unbounded, or no vertices at all
+            return None
 
     def _assert_bounded(self, tol):
         ftol = tol.feasibility_tol

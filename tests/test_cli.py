@@ -51,6 +51,7 @@ class TestVerifyMode:
         assert verdict["status"] == "unsafe"
         assert verdict["index"] == 2
         assert set(verdict["timings"]) >= {"decouple_s", "reach_s", "safety_s"}
+        assert (verdict["lp_calls"], verdict["screened_steps"]) == (1, 166)
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1001  # header plus one row per instant
         assert lines[0].startswith("time,x0,x1,x2,x3,u0,u1")
@@ -75,6 +76,7 @@ class TestVerifyMode:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["status"] == "safe"
         assert verdict["first_unsafe_step"] is None
+        assert (verdict["lp_calls"], verdict["screened_steps"]) == (0, 1001)
         assert not (out / "trace.csv").exists()
 
     def test_adaptive_propagation_matches_expm_verdict(self, tmp_path, benchmark_files):
@@ -218,6 +220,66 @@ class TestOtherModes:
         lo, hi = first[1], first[2]
         assert lo == pytest.approx(0.1 * 5 / np.sqrt(95), abs=1e-9)
         assert hi == pytest.approx(0.2 * 5 / np.sqrt(95), abs=1e-9)
+
+
+def cut_box_predicate():
+    """The bundled box with one corner cut off: five vertex subsets' worth."""
+    star = rotating_masses_initial_star()
+    return np.vstack([star.C, [[1.0, 1.0]]]), np.concatenate([star.d, [1.3]])
+
+
+def twelve_gon_predicate():
+    """Twelve constraints on two coefficients: C(12, 2) = 66 vertex subsets."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+    C = np.column_stack([np.cos(angles), np.sin(angles)])
+    return C, C @ np.array([0.15, 1.1]) + 0.05
+
+
+class TestBoundsAgainstLps:
+    @pytest.mark.parametrize("predicate", [cut_box_predicate, twelve_gon_predicate])
+    def test_bounds_match_per_step_lps(self, tmp_path, rotating_masses_auto, predicate):
+        # 21 instants: the cut box takes the vertex path, the 12-gon the
+        # per-step LPs; both must give the LP extrema
+        from daereach import ReachSettings, StarSet, compute_reach, lp
+
+        C, d = predicate()
+        star = StarSet(rotating_masses_initial_star().V, C, d)
+        init = tmp_path / "init.json"
+        save_initial_star(init, star)
+        D = np.vstack([np.eye(4)[2], np.random.default_rng(8).normal(size=4)])
+        directions = tmp_path / "directions.json"
+        directions.write_text(json.dumps({"D": D.tolist()}))
+        out = tmp_path / "out"
+        code = run(
+            [
+                "--model", "builtin:rotating-masses",
+                "--init", str(init),
+                "--mode", "reach",
+                "--time-step", "0.1",
+                "--time-bound", "2.0",
+                "--directions", str(directions),
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
+
+        reach = compute_reach(rotating_masses_auto, star, ReachSettings(0.1, 20))
+        takes_vertices = reach.initial.vertices_within(len(reach.bases)) is not None
+        assert takes_vertices == (predicate is cut_box_predicate)
+        D_ext = np.hstack([D, np.zeros((2, 2))])
+        expected = []
+        for V in reach.bases:
+            row = []
+            for h in D_ext @ V:
+                row += [
+                    lp.solve_lp(h, C, d).objective,
+                    -lp.solve_lp(-h, C, d).objective,
+                ]
+            expected.append(row)
+        expected = np.array(expected)
+        assert rows.shape == (21, 5)
+        np.testing.assert_allclose(rows[:, 1:], expected, rtol=1e-9, atol=1e-9)
 
 
 class TestErrorPaths:

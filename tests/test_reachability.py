@@ -151,6 +151,21 @@ class TestComputeReach:
             assert star.C is rotating_masses_star.C
             assert star.d is rotating_masses_star.d
 
+    def test_stars_are_views_built_once_on_demand(
+        self, rotating_masses_auto, rotating_masses_star
+    ):
+        from daereach import UnsafeSpec, verify
+
+        settings = ReachSettings(time_step=0.1, num_steps=10)
+        reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
+        assert reach.bases.shape == (11, 6, 2)
+        verify(reach, UnsafeSpec([[0, 0, 1, 0]], [-0.9]))
+        assert "stars" not in vars(reach)  # verification reads the arrays
+        assert reach.stars is reach.stars
+        for basis, star in zip(reach.bases, reach.stars):
+            assert np.shares_memory(star.V, reach.bases)
+            assert np.array_equal(star.V, basis)
+
     def test_zero_basis_stays_zero(self, rotating_masses_auto):
         star = StarSet(
             np.zeros((6, 1)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])

@@ -7,8 +7,11 @@ from daereach import (
     ReachSettings,
     StarSet,
     UnsafeSpec,
+    build_consistent_matrix,
     compute_reach,
+    decouple_system,
     feasibility_check,
+    rotating_masses_initial_star,
     scipy_feasibility_kernel,
     verify,
 )
@@ -239,3 +242,115 @@ class TestSamplingOracleAgreement:
         ]:
             outcome = verify(reach, UnsafeSpec([[1.0, 0.0]], [threshold]))
             assert outcome.status == expected
+
+
+def reference_verify(reach, unsafe):
+    """The unscreened scan: one kernel call at every step, in time order."""
+    hits, alpha = [], None
+    for j, star in enumerate(reach.stars):
+        Gbar = np.vstack([unsafe.extended(star.dim) @ star.V, star.C])
+        fbar = np.concatenate([unsafe.f, star.d])
+        candidate = feasibility_check(Gbar, fbar)
+        if candidate is not None:
+            hits.append(j)
+            alpha = candidate if alpha is None else alpha
+    return hits, alpha
+
+
+def assert_matches_reference(outcome, reach, unsafe):
+    hits, alpha = reference_verify(reach, unsafe)
+    assert outcome.status == ("unsafe" if hits else "safe")
+    assert outcome.unsafe_steps == tuple(hits)
+    assert outcome.first_unsafe_step == (hits[0] if hits else None)
+    if hits:
+        assert np.array_equal(outcome.alpha_feasible, alpha)
+
+
+def random_polytope(rng, width, cuts):
+    """A box around the origin cut by random halfspaces that keep a known
+    interior point; bounded and nonempty by construction."""
+    C = [np.eye(width), -np.eye(width)]
+    d = [rng.uniform(0.5, 1.5, size=width), rng.uniform(0.5, 1.5, size=width)]
+    centre = rng.uniform(-0.3, 0.3, size=width)
+    for _ in range(cuts):
+        row = rng.normal(size=width)
+        C.append(row[None, :])
+        d.append([row @ centre + rng.uniform(0.05, 1.0)])
+    return np.vstack(C), np.concatenate(d)
+
+
+class TestVertexScreen:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_find_all_matches_unscreened_scan(self, seed):
+        # random index-1-3 systems, bounded polytope predicates and unsafe
+        # sets whose bounds sit inside the range the steps sweep, so the
+        # screen proves some steps safe and leaves others to the kernel
+        from oracles import CanonicalDae, box_star
+
+        rng = np.random.default_rng(3100 + seed)
+        index = 1 + seed % 3
+        ws = CanonicalDae(rng, int(rng.integers(2, 4)), [index])
+        auto = AutonomousDae(ws.E, ws.A)
+        gamma = build_consistent_matrix(decouple_system(auto))
+        width = 2 + seed % 2
+        basis = box_star(rng, gamma, auto.n, width).V
+        C, d = random_polytope(rng, width, cuts=int(rng.integers(0, 3)))
+        reach = compute_reach(auto, StarSet(basis, C, d), ReachSettings(0.05, 60))
+        vertices = reach.initial.vertices_within(len(reach.bases))
+        assert vertices is not None
+
+        q = 1 + seed % 3
+        G = rng.normal(size=(q, auto.n))
+        lowest = (G @ reach.bases @ vertices.T).min(axis=2)  # (steps, q)
+        f = np.array([rng.uniform(row.min(), row.max()) for row in lowest.T])
+        if seed % 4 == 0:  # a bound exactly on one step's support value
+            f[0] = lowest[int(rng.integers(len(lowest))), 0]
+        unsafe = UnsafeSpec(G, f, on_original_state=False)
+
+        outcome = verify(reach, unsafe, find_all=True)
+        assert_matches_reference(outcome, reach, unsafe)
+        assert outcome.lp_calls + outcome.screened_steps == len(reach.bases)
+        first = verify(reach, unsafe)
+        assert first.first_unsafe_step == outcome.first_unsafe_step
+        if first.first_unsafe_step is not None:
+            assert np.array_equal(first.alpha_feasible, outcome.alpha_feasible)
+
+    def test_unbounded_predicate_takes_the_lp_path(self):
+        E = np.diag([1.0, 0.0])
+        auto = AutonomousDae(E, np.eye(2))
+        star = StarSet(np.array([[1.0], [0.0]]), np.array([[-1.0]]), np.array([-1.0]))
+        reach = compute_reach(auto, star, ReachSettings(0.1, 5))
+        assert reach.initial.vertices_within(len(reach.bases)) is None
+        for G, f in (([[-1.0, 0.0]], [-5.0]), ([[1.0, 0.0]], [0.5])):
+            unsafe = UnsafeSpec(G, f)
+            outcome = verify(reach, unsafe, find_all=True)
+            assert outcome.screened_steps == 0
+            assert outcome.lp_calls == len(reach.bases)
+            assert_matches_reference(outcome, reach, unsafe)
+
+    def test_many_vertex_subsets_take_the_lp_path(self, rotating_masses_auto):
+        # 12 constraints on 2 coefficients give C(12, 2) = 66 subsets, more
+        # than the 21 instants, so enumerating them is not worth it
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        C = np.column_stack([np.cos(angles), np.sin(angles)])
+        d = C @ np.array([0.15, 1.1]) + 0.05
+        star = StarSet(rotating_masses_initial_star().V, C, d)
+        reach = compute_reach(rotating_masses_auto, star, ReachSettings(0.1, 20))
+        assert reach.initial.vertices_within(len(reach.bases)) is None
+        assert reach.initial.vertices_within(66) is not None
+        for f in (-0.45, -0.55):
+            unsafe = UnsafeSpec([[0, 0, 1, 0]], [f])
+            outcome = verify(reach, unsafe, find_all=True)
+            assert outcome.screened_steps == 0
+            assert outcome.lp_calls == len(reach.bases)
+            assert_matches_reference(outcome, reach, unsafe)
+
+    def test_counters_on_the_rotating_masses(self, benchmark_reach):
+        unsafe = verify(benchmark_reach, UnsafeSpec([[0, 0, 1, 0]], [-0.9]))
+        assert (unsafe.first_unsafe_step, unsafe.lp_calls, unsafe.screened_steps) == (
+            166,
+            1,
+            166,
+        )
+        safe = verify(benchmark_reach, UnsafeSpec([[0, 0, 0, 1]], [-1.0]))
+        assert (safe.lp_calls, safe.screened_steps) == (0, 1001)
