@@ -13,11 +13,13 @@ and writes machine-readable artifacts into the output directory:
 
 Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 3 inconsistent initial set, 4 index above 3, 5 irregular pencil,
-6 numerical failure.
+6 numerical failure.  A failed run leaves an error verdict, never one
+from an earlier run in the same directory.
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -164,6 +166,23 @@ def config_from_args(args):
     )
 
 
+def _check_numbers(cfg):
+    """:class:`ParseError` for a numeric argument outside its domain."""
+    positive = {
+        "--time-step": cfg.time_step,
+        "--time-bound": cfg.time_bound,
+        "--abs-tol": cfg.abs_tol,
+        "--rel-tol": cfg.rel_tol,
+    }
+    for flag, value in positive.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ParseError(f"must be positive and finite, got {value!r}", field=flag)
+    if not math.isfinite(cfg.time_bound / cfg.time_step):
+        raise ParseError("the step count overflows", field="--time-bound")
+    if cfg.seed < 0:
+        raise ParseError(f"must be non-negative, got {cfg.seed!r}", field="--seed")
+
+
 def _format(value):
     return f"{value:.17g}"
 
@@ -226,21 +245,29 @@ def _write_bounds(out_dir, times, reach, directions, tol):
             for i in range(q):
                 lo = lp.solve_lp(step[i], C, d, tol=ftol)
                 hi = lp.solve_lp(-step[i], C, d, tol=ftol)
-                if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
-                    raise NumericalFailureError(
-                        f"direction {i} is unbounded or failed at time {t}"
+                if lp.UNBOUNDED in (lo.status, hi.status):
+                    raise UnboundedPredicateError(
+                        f"direction {i} is unbounded over the predicate at time {t}"
                     )
+                if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
+                    raise NumericalFailureError(f"direction {i} failed at time {t}")
                 row[i] = lo.objective, -hi.objective
     rows = np.column_stack([times, extrema.reshape(len(bases), 2 * q)])
     _write_csv(out_dir / "bounds.csv", header, rows)
 
 
 def run_job(cfg):
-    """Execute one configured run; returns the process exit code."""
+    """Execute one configured run; returns the process exit code.
+
+    Removes any earlier ``verdict.json`` from the output directory first,
+    so a run that raises leaves none unless it wrote its own.
+    """
     tol = DEFAULT_TOLERANCES
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "verdict.json").unlink(missing_ok=True)
     started = time.perf_counter()
+    _check_numbers(cfg)
 
     system, inputs = load_model(cfg.model_path)
     autonomous = to_autonomous(system, inputs)
@@ -359,11 +386,16 @@ def _classify(exc):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = config_from_args(args)
+    started = time.perf_counter()
     try:
         return run_job(cfg)
     except DaeError as exc:
         label, code = _classify(exc)
-        print(json.dumps({"error": label, "message": str(exc)}), file=sys.stderr)
+        error = {"error": label, "message": str(exc)}
+        print(json.dumps(error), file=sys.stderr)
+        out_dir = Path(cfg.output_dir)
+        if not (out_dir / "verdict.json").exists():  # else the run wrote its own
+            _write_verdict(out_dir, error, {"total_s": time.perf_counter() - started})
         return code
 
 

@@ -7,10 +7,12 @@ Starting from an autonomous pair ``(E, A)`` the chain
 
 with ``Q_j`` a projector onto ``Ker(E_j)`` and ``P_j = I - Q_j``,
 terminates at the first nonsingular ``E_mu``; ``mu`` is the tractability
-index.  Plain orthogonal kernel projectors generally violate the
-admissibility property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled
-forms rely on, so they are corrected index-by-index (index 1 needs no
-correction) and the chain is rebuilt with the corrected projectors.
+index.  One SVD per chain matrix gives its kernel projector and, through
+it, its rank decision; each chain inverts its terminal matrix once.
+Plain orthogonal kernel projectors generally violate the admissibility
+property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
+so they are corrected index-by-index (index 1 needs no correction) and
+the chain is rebuilt with the corrected projectors.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices.
@@ -18,6 +20,7 @@ Only indices 1 through 3 are supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
-    is_nonsingular,
+    numerical_rank,
     orthogonal_null_projector,
     solve_inverse,
 )
@@ -52,10 +55,12 @@ class MatrixChain:
     """The chain matrices and projectors up to the terminal index.
 
     ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu), and
-    ``Q_seq``/``P_seq`` have length ``mu``.  ``admissible`` records whether
-    the projectors satisfy ``Q_j Q_i = 0`` for ``j > i``; the chain built
-    from raw orthogonal projectors is kept on ``raw`` after correction so
-    both stages stay inspectable.
+    ``Q_seq``/``P_seq`` have length ``mu``.  ``terminal_inverse`` is
+    ``E_mu^{-1}``, computed once after the chain's own rank decision proved
+    ``E_mu`` nonsingular.  ``admissible`` records whether the projectors
+    satisfy ``Q_j Q_i = 0`` for ``j > i``; the chain built from raw
+    orthogonal projectors is kept on ``raw`` after correction so both
+    stages stay inspectable.
     """
 
     E_seq: list
@@ -63,17 +68,13 @@ class MatrixChain:
     Q_seq: list
     P_seq: list
     mu: int
+    terminal_inverse: np.ndarray = field(repr=False)
     admissible: bool = False
     raw: "MatrixChain | None" = field(default=None, repr=False)
 
     @property
     def n(self):
         return self.E_seq[0].shape[0]
-
-    @property
-    def terminal(self):
-        """The nonsingular matrix ending the chain."""
-        return self.E_seq[self.mu]
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,13 @@ class DecoupledSystem:
         Derivative terms of the constraint subsystems are eliminated
         analytically using the ODE dynamics, so each component ``x_i(t)``
         of a solution equals ``maps[i] @ x_1(t)``; their sum is the
-        reachable-set projector.
+        reachable-set projector.  Built on the first call; later calls
+        return the same dict, so Gamma and psi share one set of maps.
         """
+        return self._maps
+
+    @cached_property
+    def _maps(self):
         n1 = self.N[1]
         maps = {1: np.eye(self.n)}
         maps[2] = self.N[2]
@@ -136,6 +142,10 @@ def _extend(E_seq, A_seq, Q_seq, P_seq, Q):
     A_seq.append(A_seq[-1] @ P)
 
 
+def _inverse(E):
+    return np.linalg.solve(E, np.eye(E.shape[0]))
+
+
 def compute_index_and_chain(
     sys, tol=DEFAULT_TOLERANCES, regularity_trials=5, regularity_seed=None
 ):
@@ -153,31 +163,21 @@ def compute_index_and_chain(
             "det(sE - A) vanished at every sample point; the pencil has no "
             "unique solution for any initial condition"
         )
-    if is_nonsingular(sys.E, tol):
-        raise NonsingularEError(
-            "E is nonsingular: the system is an ODE and needs no decoupling"
-        )
     E_seq, A_seq, Q_seq, P_seq = [sys.E], [sys.A], [], []
-    for j in range(MAX_SUPPORTED_INDEX):
-        _extend(E_seq, A_seq, Q_seq, P_seq, orthogonal_null_projector(E_seq[-1], tol))
-        if is_nonsingular(E_seq[-1], tol):
-            return MatrixChain(E_seq, A_seq, Q_seq, P_seq, mu=j + 1)
+    for mu in range(MAX_SUPPORTED_INDEX + 1):
+        Q = orthogonal_null_projector(E_seq[-1], tol)
+        if not Q.any():  # the kernel basis has no columns: E_mu is nonsingular
+            if mu == 0:
+                raise NonsingularEError(
+                    "E is nonsingular: the system is an ODE and needs no decoupling"
+                )
+            return MatrixChain(E_seq, A_seq, Q_seq, P_seq, mu, _inverse(E_seq[-1]))
+        if mu < MAX_SUPPORTED_INDEX:
+            _extend(E_seq, A_seq, Q_seq, P_seq, Q)
     raise IndexTooHighError(
         f"E_{MAX_SUPPORTED_INDEX} is still singular; the tractability index "
         f"exceeds {MAX_SUPPORTED_INDEX}, which is unsupported"
     )
-
-
-def _rebuild(E0, A0, projectors, tol):
-    E_seq, A_seq, Q_seq, P_seq = [E0], [A0], [], []
-    for Q in projectors:
-        _extend(E_seq, A_seq, Q_seq, P_seq, Q)
-    if not is_nonsingular(E_seq[-1], tol):
-        raise SingularMatrixError(
-            "chain rebuilt with corrected projectors has a singular terminal "
-            "matrix; the index classification is unreliable at this tolerance"
-        )
-    return E_seq, A_seq, Q_seq, P_seq
 
 
 def make_admissible(chain, tol=DEFAULT_TOLERANCES):
@@ -188,35 +188,38 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     A_1``; for index 3 the kernel projector of an intermediate rebuilt
     chain supplies the corrected ``Q_2``.  Each corrected projector still
     projects onto the kernel of its (rebuilt) chain matrix; the returned
-    chain is rebuilt from scratch with the corrected projectors and keeps
-    the original on ``.raw``.
+    chain is extended one corrected projector at a time and keeps the
+    original on ``.raw``.  One rank check of its terminal matrix proves the
+    inverse it carries.
     """
     if chain.admissible:
         return chain
     if chain.mu == 1:
         return replace(chain, admissible=True, raw=chain)
 
-    E0, A0 = chain.E_seq[0], chain.A_seq[0]
-    Q0 = chain.Q_seq[0]
+    # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
+    E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
+    Q_seq, P_seq = chain.Q_seq[:1], chain.P_seq[:1]
+    raw_inv, A1 = chain.terminal_inverse, chain.A_seq[1]
     if chain.mu == 2:
-        E2_inv = solve_inverse(chain.E_seq[2], tol)
-        Q1 = -chain.Q_seq[1] @ E2_inv @ chain.A_seq[1]
-        corrected = [Q0, Q1]
+        _extend(E_seq, A_seq, Q_seq, P_seq, -chain.Q_seq[1] @ raw_inv @ A1)
     else:
-        E3_inv = solve_inverse(chain.E_seq[3], tol)
-        A1, A2 = chain.A_seq[1], chain.A_seq[2]
-        n = chain.n
-        Q2_tilde = -chain.Q_seq[2] @ E3_inv @ A2
-        Q1 = -chain.Q_seq[1] @ (np.eye(n) - Q2_tilde) @ E3_inv @ A1
-        E2_new = chain.E_seq[1] - A1 @ Q1
-        A2_new = A1 @ (np.eye(n) - Q1)
-        Q2_orth = orthogonal_null_projector(E2_new, tol)
-        E3_new = E2_new - A2_new @ Q2_orth
-        Q2 = -Q2_orth @ solve_inverse(E3_new, tol) @ A2_new
-        corrected = [Q0, Q1, Q2]
+        Q2_tilde = -chain.Q_seq[2] @ raw_inv @ chain.A_seq[2]
+        Q1 = -chain.Q_seq[1] @ (np.eye(chain.n) - Q2_tilde) @ raw_inv @ A1
+        _extend(E_seq, A_seq, Q_seq, P_seq, Q1)
+        E2, A2 = E_seq[2], A_seq[2]
+        Q2_orth = orthogonal_null_projector(E2, tol)
+        E3_orth_inv = solve_inverse(E2 - A2 @ Q2_orth, tol)
+        _extend(E_seq, A_seq, Q_seq, P_seq, -Q2_orth @ E3_orth_inv @ A2)
 
-    E_seq, A_seq, Q_seq, P_seq = _rebuild(E0, A0, corrected, tol)
-    return MatrixChain(E_seq, A_seq, Q_seq, P_seq, chain.mu, admissible=True, raw=chain)
+    if numerical_rank(E_seq[-1], tol) < chain.n:
+        raise SingularMatrixError(
+            "chain rebuilt with corrected projectors has a singular terminal "
+            "matrix; the index classification is unreliable at this tolerance"
+        )
+    return MatrixChain(
+        E_seq, A_seq, Q_seq, P_seq, chain.mu, _inverse(E_seq[-1]), admissible=True, raw=chain
+    )
 
 
 def decouple(chain, b=None, tol=DEFAULT_TOLERANCES):
@@ -224,7 +227,8 @@ def decouple(chain, b=None, tol=DEFAULT_TOLERANCES):
 
     ``b`` is the input matrix of the underlying system; ``None`` means the
     autonomous case and produces empty (zero-column) input coefficients,
-    which every downstream formula accepts unchanged.
+    which every downstream formula accepts unchanged.  ``tol`` is not read:
+    the chain carries its terminal inverse, proven by its own rank decision.
     """
     if not chain.admissible:
         raise ValueError("decouple requires an admissible chain; call make_admissible")
@@ -232,7 +236,7 @@ def decouple(chain, b=None, tol=DEFAULT_TOLERANCES):
         raise IndexTooHighError(f"unsupported index {chain.mu}")
     n = chain.n
     b = np.zeros((n, 0)) if b is None else np.asarray(b, dtype=float)
-    terminal_inv = solve_inverse(chain.terminal, tol)
+    terminal_inv = chain.terminal_inverse
     # index 1 feeds the original A through E_1^{-1}; higher indices feed the
     # terminal chain matrix A_mu (the two differ off the ODE subspace)
     source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
@@ -242,30 +246,20 @@ def decouple(chain, b=None, tol=DEFAULT_TOLERANCES):
     Q = chain.Q_seq
 
     if chain.mu == 1:
-        fronts = {1: P[0], 2: Q[0]}
-        projectors = {1: P[0], 2: Q[0]}
+        fronts = projectors = {1: P[0], 2: Q[0]}
         L3 = L4 = Z4 = None
     elif chain.mu == 2:
         fronts = {1: P[0] @ P[1], 2: P[0] @ Q[1], 3: Q[0] @ P[1]}
-        projectors = {1: P[0] @ P[1], 2: P[0] @ Q[1], 3: Q[0]}
+        projectors = {1: fronts[1], 2: fronts[2], 3: Q[0]}
         L3 = Q[0] @ Q[1]
         L4 = Z4 = None
     else:
-        fronts = {
-            1: P[0] @ P[1] @ P[2],
-            2: P[0] @ P[1] @ Q[2],
-            3: P[0] @ Q[1] @ P[2],
-            4: Q[0] @ P[1] @ P[2],
-        }
-        projectors = {
-            1: P[0] @ P[1] @ P[2],
-            2: P[0] @ P[1] @ Q[2],
-            3: P[0] @ Q[1],
-            4: Q[0],
-        }
-        L3 = P[0] @ Q[1] @ Q[2]
+        p0p1, p0q1, q0p1 = P[0] @ P[1], P[0] @ Q[1], Q[0] @ P[1]
+        fronts = {1: p0p1 @ P[2], 2: p0p1 @ Q[2], 3: p0q1 @ P[2], 4: q0p1 @ P[2]}
+        projectors = {1: fronts[1], 2: fronts[2], 3: p0q1, 4: Q[0]}
+        L3 = p0q1 @ Q[2]
         L4 = Q[0] @ Q[1]
-        Z4 = Q[0] @ P[1] @ Q[2]
+        Z4 = q0p1 @ Q[2]
 
     N = {i: front @ into_state for i, front in fronts.items()}
     M = {i: front @ into_input for i, front in fronts.items()}

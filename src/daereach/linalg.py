@@ -2,8 +2,11 @@
 
 Rank decisions, kernel projectors, inverses, and matrix exponentials for
 the rest of the package.  All rank-like decisions go through one relative
-singular-value cutoff so that index computation, projector construction,
-and invertibility checks cannot disagree with each other.
+singular-value cutoff.  The matrix chain takes one SVD per chain matrix:
+the kernel projector it yields also decides the rank (a zero projector
+means the matrix is nonsingular), so a chain matrix's index step and its
+projector cannot disagree.  Each chain inverts its terminal matrix once,
+after its own rank decision has proven it nonsingular.
 """
 
 from dataclasses import dataclass
@@ -20,7 +23,6 @@ __all__ = [
     "as_vector",
     "readonly",
     "numerical_rank",
-    "is_nonsingular",
     "orthogonal_null_projector",
     "matrix_exponential",
     "solve_inverse",
@@ -111,21 +113,20 @@ def _require_square(arr, name):
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
 
 
+def _rank(s, tol):
+    """Count of the descending singular values ``s`` above the cutoff."""
+    if s.size == 0 or s[0] <= 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+
+
 def numerical_rank(Z, tol=DEFAULT_TOLERANCES):
     """Number of singular values above ``rank_rel_tol`` times the largest.
 
     The zero matrix has rank 0.
     """
     Z = as_matrix(Z, "Z")
-    s = np.linalg.svd(Z, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-
-
-def is_nonsingular(Z, tol=DEFAULT_TOLERANCES):
-    Z = as_matrix(Z, "Z")
-    return Z.shape[0] == Z.shape[1] and numerical_rank(Z, tol) == Z.shape[0]
+    return _rank(np.linalg.svd(Z, compute_uv=False), tol)
 
 
 def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
@@ -135,7 +136,9 @@ def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
     vectors belonging to singular values at or below the rank cutoff.
     The returned ``Q = K K^T`` satisfies ``Z @ Q == 0``, ``Q == Q.T`` and
     ``Q @ Q == Q`` up to rounding.  For a nonsingular ``Z`` this is the
-    zero matrix; for the zero matrix it is the identity.
+    zero matrix (exactly: the kernel basis has no columns), so one SVD both
+    decides whether ``Z`` is singular and gives its kernel projector; for
+    the zero matrix it is the identity.
 
     The entries are stored exactly as computed (no re-orthogonalization
     or rounding), so downstream identity checks see the same floats.
@@ -143,11 +146,7 @@ def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
     Z = as_matrix(Z, "Z")
     _require_square(Z, "Z")
     _, s, wt = np.linalg.svd(Z)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
-    else:
-        rank = 0
-    kernel_basis = wt[rank:, :].T
+    kernel_basis = wt[_rank(s, tol):, :].T
     return kernel_basis @ kernel_basis.T
 
 

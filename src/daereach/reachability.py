@@ -16,7 +16,7 @@ import numpy as np
 
 from .consistency import build_consistent_matrix, check_initial_star
 from .decoupling import decouple_system
-from .errors import InconsistentInitialSetError
+from .errors import InconsistentInitialSetError, NumericalFailureError
 from .linalg import DEFAULT_TOLERANCES, matrix_exponential
 from .starset import StarSet
 
@@ -147,7 +147,9 @@ def propagate_basis(dec, theta1_0, settings):
             rtol=settings.integrator_rel_tol,
         )
         if not sol.success:
-            raise RuntimeError(f"basis column {i} integration failed: {sol.message}")
+            raise NumericalFailureError(
+                f"basis column {i} integration failed: {sol.message}"
+            )
         columns.append(sol.y)
     stacked = np.stack(columns, axis=-1)  # (n, steps + 1, k)
     return np.ascontiguousarray(stacked.transpose(1, 0, 2))

@@ -12,6 +12,7 @@ from daereach import (
 from daereach.cli import (
     EXIT_INCONSISTENT,
     EXIT_INDEX_TOO_HIGH,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     main,
@@ -306,3 +307,94 @@ class TestErrorPaths:
         code = run(["--model", str(model), "--mode", "index", "--out", str(tmp_path)])
         assert code == EXIT_INDEX_TOO_HIGH
         assert "index-too-high" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--time-step", "0"),
+            ("--time-step", "nan"),
+            ("--time-bound", "inf"),
+            ("--time-bound", "1e300"),  # finite, but the step count overflows
+            ("--rel-tol", "0"),
+            ("--abs-tol", "nan"),
+            ("--seed", "-1"),
+        ],
+    )
+    def test_bad_numeric_argument_is_parse_error(
+        self, tmp_path, benchmark_files, capsys, flag, value
+    ):
+        init, unsafe = benchmark_files
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--out", str(tmp_path / "out")]
+        argv += ["--time-step", "1e-300"] if value == "1e300" else []
+        code = run(argv + [flag, value])
+        assert code == EXIT_PARSE
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "parse"
+        assert flag in error["message"]
+
+    def test_unbounded_directions_predicate(self, tmp_path, capsys):
+        # the bundled box without its alpha_1 <= 0.2 row: the monitored
+        # torque grows without bound along alpha_1
+        star = rotating_masses_initial_star()
+        from daereach import StarSet
+
+        init = tmp_path / "init.json"
+        save_initial_star(init, StarSet(star.V, star.C[1:], star.d[1:]))
+        directions = tmp_path / "directions.json"
+        directions.write_text(json.dumps({"D": [[0.0, 0.0, 1.0, 0.0]]}))
+        code = run(
+            [
+                "--model", "builtin:rotating-masses",
+                "--init", str(init),
+                "--mode", "reach",
+                "--time-step", "0.1",
+                "--time-bound", "1.0",
+                "--directions", str(directions),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_PARSE
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "unbounded-predicate"
+
+    def test_failed_integration_is_numerical_failure(
+        self, tmp_path, benchmark_files, capsys, monkeypatch
+    ):
+        import types
+
+        import scipy.integrate
+
+        def failing(*args, **kwargs):
+            return types.SimpleNamespace(success=False, message="step size too small")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
+        init, unsafe = benchmark_files
+        code = run(
+            [
+                "--model", "builtin:rotating-masses",
+                "--init", str(init),
+                "--unsafe", str(unsafe),
+                "--propagation", "adaptive",
+                "--time-step", "0.1",
+                "--time-bound", "1.0",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_NUMERICAL
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "numerical-failure"
+        assert "step size too small" in error["message"]
+
+    def test_failure_replaces_earlier_verdict(self, tmp_path, benchmark_files):
+        init, unsafe = benchmark_files
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--time-bound", "2", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        assert json.loads((out / "verdict.json").read_text())["status"] == "unsafe"
+        assert run(argv + ["--time-step", "nan"]) == EXIT_PARSE
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["error"] == "parse"
+        assert "--time-step" in verdict["message"]
+        assert "status" not in verdict

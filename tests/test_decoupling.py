@@ -227,3 +227,60 @@ class TestDecouple:
             x1 = matrix_exponential(dec.N[1], t) @ x1_0
             reconstructed = sum(m @ x1 for m in maps.values())
             assert np.abs(reconstructed - reference).max() <= 1e-8
+
+
+def _stokes_auto():
+    from daereach import load_model, to_autonomous
+
+    system, inputs = load_model("builtin:stokes:4")
+    return to_autonomous(system, inputs)
+
+
+class TestFactorizationCounts:
+    """One SVD per chain matrix and one inverse per chain.
+
+    ``decouple_system`` with Gamma and psi took 5/9/13 SVDs at index
+    1/2/3 (the same 1/2/3 solves) while each chain matrix had a second
+    rank SVD, every inverse a rank SVD of its own, and decouple inverted
+    the terminal matrix again.  The bounds below count the regularity
+    probe's one SVD, one per raw chain matrix, the index-3 intermediate
+    kernel and inverse, and the rebuilt chain's rank check.
+    """
+
+    @pytest.mark.parametrize(
+        "make_auto, index, svds, solves",
+        [
+            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 3, 1),
+            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 5, 2),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 8, 3),
+            (_stokes_auto, 2, 5, 2),
+        ],
+        ids=["index-1", "index-2", "index-3", "stokes-4"],
+    )
+    def test_decouple_system_factorizations(self, monkeypatch, make_auto, index, svds, solves):
+        from functools import cached_property
+
+        from daereach import DecoupledSystem, build_consistent_matrix, build_psi, decouple_system
+
+        auto = make_auto()
+        counts = {"svd": 0, "solve": 0, "maps": 0}
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        maps = cached_property(counting("maps", DecoupledSystem._maps.func))
+        maps.__set_name__(DecoupledSystem, "_maps")
+        monkeypatch.setattr(DecoupledSystem, "_maps", maps)
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        dec = decouple_system(auto)
+        build_consistent_matrix(dec)
+        build_psi(dec)
+        assert dec.mu == index
+        assert counts["svd"] <= svds
+        assert counts["solve"] <= solves
+        assert counts["maps"] == 1
