@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Loads a model (file or builtin alias), runs one of the pipeline modes,
-and writes machine-readable artifacts into the output directory:
+Parses the arguments, loads a model (file or builtin alias), runs one of
+the pipeline modes, and writes machine-readable artifacts into the
+output directory:
 
 * ``verdict.json`` -- always; mode-specific fields plus per-phase timings
 * ``trace.csv`` -- verify mode, when the verdict is unsafe
@@ -13,8 +14,12 @@ and writes machine-readable artifacts into the output directory:
 
 Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 3 inconsistent initial set, 4 index above 3, 5 irregular pencil,
-6 numerical failure.  A failed run leaves an error verdict, never one
-from an earlier run in the same directory.
+6 numerical failure.  Every failure prints one JSON line
+``{"error": ..., "message": ...}`` to stderr, bad arguments included.
+Arguments that do not parse write nothing; an ``--out`` that cannot be
+created is a parse error; a step count too large for an array exits 6.
+A failed run leaves an error verdict, never one from an earlier run in
+the same directory.
 """
 
 import argparse
@@ -22,7 +27,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,9 +57,10 @@ from .reachability import (
 )
 from .safety import verify
 
-__all__ = ["JobConfig", "build_parser", "run_job", "main"]
+__all__ = ["build_parser", "run_job", "main"]
 
 MODES = ("index", "decouple", "check-consistency", "reach", "verify")
+PROPAGATION_MODES = {"expm": TRANSITION_MATRIX, "adaptive": ADAPTIVE_INTEGRATOR}
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -77,44 +82,16 @@ _ERROR_CLASSES = (
 )
 
 
-@dataclass
-class JobConfig:
-    """Everything one pipeline run needs."""
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as :class:`ParseError` instead of printing
+    usage and exiting, so it takes the same error path as every failure."""
 
-    model_path: str
-    mode: str = "verify"
-    init_path: str | None = None
-    unsafe_path: str | None = None
-    time_step: float = 0.01
-    time_bound: float = 10.0
-    propagation_mode: str = TRANSITION_MATRIX
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-8
-    output_dir: str = "."
-    seed: int = REGULARITY_SEED
-    directions_path: str | None = None
-
-    @property
-    def num_steps(self):
-        steps = round(self.time_bound / self.time_step)
-        if steps < 1:
-            raise ParseError(
-                f"time bound {self.time_bound} spans no steps of size {self.time_step}"
-            )
-        return steps
-
-    def reach_settings(self):
-        return ReachSettings(
-            time_step=self.time_step,
-            num_steps=self.num_steps,
-            propagation_mode=self.propagation_mode,
-            integrator_abs_tol=self.abs_tol,
-            integrator_rel_tol=self.rel_tol,
-        )
+    def error(self, message):
+        raise ParseError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="daereach",
         description=(
             "Bounded-time safety verification and falsification of linear "
@@ -133,13 +110,13 @@ def build_parser():
     parser.add_argument("--time-bound", type=float, default=10.0, metavar="T")
     parser.add_argument(
         "--propagation",
-        choices=("expm", "adaptive"),
+        choices=tuple(PROPAGATION_MODES),
         default="expm",
         help="basis propagation: one reused matrix exponential, or an "
         "adaptive integrator per basis column",
     )
-    parser.add_argument("--abs-tol", type=float, default=1e-12)
-    parser.add_argument("--rel-tol", type=float, default=1e-8)
+    parser.add_argument("--abs-tol", type=float, default=ReachSettings.integrator_abs_tol)
+    parser.add_argument("--rel-tol", type=float, default=ReachSettings.integrator_rel_tol)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=REGULARITY_SEED)
     parser.add_argument(
@@ -149,66 +126,57 @@ def build_parser():
     return parser
 
 
-def config_from_args(args):
-    return JobConfig(
-        model_path=args.model,
-        mode=args.mode,
-        init_path=args.init,
-        unsafe_path=args.unsafe,
-        time_step=args.time_step,
-        time_bound=args.time_bound,
-        propagation_mode=TRANSITION_MATRIX if args.propagation == "expm" else ADAPTIVE_INTEGRATOR,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        output_dir=args.out,
-        seed=args.seed,
-        directions_path=args.directions,
-    )
-
-
-def _check_numbers(cfg):
-    """:class:`ParseError` for a numeric argument outside its domain."""
+def _reach_settings(args):
+    """The numeric arguments as :class:`ReachSettings`; a value outside its
+    domain raises :class:`ParseError` naming its flag."""
     positive = {
-        "--time-step": cfg.time_step,
-        "--time-bound": cfg.time_bound,
-        "--abs-tol": cfg.abs_tol,
-        "--rel-tol": cfg.rel_tol,
+        "--time-step": args.time_step,
+        "--time-bound": args.time_bound,
+        "--abs-tol": args.abs_tol,
+        "--rel-tol": args.rel_tol,
     }
     for flag, value in positive.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ParseError(f"must be positive and finite, got {value!r}", field=flag)
-    if not math.isfinite(cfg.time_bound / cfg.time_step):
+    ratio = args.time_bound / args.time_step
+    if not math.isfinite(ratio):
         raise ParseError("the step count overflows", field="--time-bound")
-    if cfg.seed < 0:
-        raise ParseError(f"must be non-negative, got {cfg.seed!r}", field="--seed")
-
-
-def _format(value):
-    return f"{value:.17g}"
+    if args.seed < 0:
+        raise ParseError(f"must be non-negative, got {args.seed!r}", field="--seed")
+    num_steps = round(ratio)
+    if num_steps < 1:
+        raise ParseError(
+            f"{args.time_bound} spans no steps of size {args.time_step}", field="--time-bound"
+        )
+    return ReachSettings(
+        time_step=args.time_step,
+        num_steps=num_steps,
+        propagation_mode=PROPAGATION_MODES[args.propagation],
+        integrator_abs_tol=args.abs_tol,
+        integrator_rel_tol=args.rel_tol,
+    )
 
 
 def _write_csv(path, header, rows):
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+
+
+def _write_json(path, document, indent):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format(v) for v in row) + "\n")
+        json.dump(document, handle, indent=indent, sort_keys=True)
+        handle.write("\n")
 
 
 def _write_verdict(out_dir, payload, timings):
     document = dict(payload)
     document["timings"] = {k: round(v, 6) for k, v in timings.items()}
-    with open(out_dir / "verdict.json", "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_json(out_dir / "verdict.json", document, indent=2)
 
 
 def _write_trace(out_dir, times, trace, n_orig):
-    dim = trace.shape[1]
-    header = ["time"] + [f"x{i}" for i in range(n_orig)] + [
-        f"u{i}" for i in range(dim - n_orig)
-    ]
-    rows = (np.concatenate([[t], row]) for t, row in zip(times, trace))
-    _write_csv(out_dir / "trace.csv", header, rows)
+    inputs = trace.shape[1] - n_orig
+    header = ["time"] + [f"x{i}" for i in range(n_orig)] + [f"u{i}" for i in range(inputs)]
+    _write_csv(out_dir / "trace.csv", header, np.column_stack([times, trace]))
 
 
 def _write_reach(out_dir, times, bases):
@@ -256,53 +224,54 @@ def _write_bounds(out_dir, times, reach, directions, tol):
     _write_csv(out_dir / "bounds.csv", header, rows)
 
 
-def run_job(cfg):
-    """Execute one configured run; returns the process exit code.
+def _prepare_output(out):
+    """The output directory, created if missing, with no earlier verdict in it."""
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "verdict.json").unlink(missing_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot use as output directory: {exc}", field="--out")
+    return out_dir
+
+
+def run_job(args):
+    """Execute one run from the namespace :func:`build_parser` parses;
+    returns the process exit code.
 
     Removes any earlier ``verdict.json`` from the output directory first,
     so a run that raises leaves none unless it wrote its own.
     """
     tol = DEFAULT_TOLERANCES
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "verdict.json").unlink(missing_ok=True)
+    out_dir = _prepare_output(args.out)
     started = time.perf_counter()
-    _check_numbers(cfg)
+    settings = _reach_settings(args)
 
-    system, inputs = load_model(cfg.model_path)
+    system, inputs = load_model(args.model)
     autonomous = to_autonomous(system, inputs)
-    payload = {"mode": cfg.mode, "model": str(cfg.model_path), "seed": cfg.seed}
+    payload = {"mode": args.mode, "model": args.model, "seed": args.seed}
+    timings = {}
 
-    if cfg.mode == "index":
-        chain = compute_index_and_chain(autonomous, tol, regularity_seed=cfg.seed)
-        print(f"index: {chain.mu}")
+    theta0 = None
+    if args.mode in ("check-consistency", "reach", "verify"):
+        if args.init is None:
+            raise ParseError(f"mode {args.mode!r} requires --init")
+        theta0 = load_initial_star(args.init, system.n, autonomous.m_orig)
+
+    if args.mode == "index":
+        chain = compute_index_and_chain(autonomous, tol, regularity_seed=args.seed)
         payload["index"] = chain.mu
-        _write_verdict(out_dir, payload, {"total_s": time.perf_counter() - started})
-        return EXIT_OK
-
-    if cfg.mode == "decouple":
-        dec = decouple_system(autonomous, tol, regularity_seed=cfg.seed)
-        document = {
-            "index": dec.mu,
-            "N": {str(i): [list(map(float, r)) for r in dec.N[i]] for i in dec.N},
-            "L3": None if dec.L3 is None else [list(map(float, r)) for r in dec.L3],
-            "L4": None if dec.L4 is None else [list(map(float, r)) for r in dec.L4],
-            "Z4": None if dec.Z4 is None else [list(map(float, r)) for r in dec.Z4],
-        }
-        with open(out_dir / "decoupled.json", "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=1, sort_keys=True)
-            handle.write("\n")
-        print(f"index: {dec.mu}; wrote decoupled.json")
+        summary = f"index: {chain.mu}"
+    elif args.mode == "decouple":
+        dec = decouple_system(autonomous, tol, regularity_seed=args.seed)
+        document = {"index": dec.mu, "N": {str(i): N.tolist() for i, N in dec.N.items()}}
+        for key, matrix in (("L3", dec.L3), ("L4", dec.L4), ("Z4", dec.Z4)):
+            document[key] = None if matrix is None else matrix.tolist()
+        _write_json(out_dir / "decoupled.json", document, indent=1)
         payload["index"] = dec.mu
-        _write_verdict(out_dir, payload, {"total_s": time.perf_counter() - started})
-        return EXIT_OK
-
-    if cfg.init_path is None:
-        raise ParseError(f"mode {cfg.mode!r} requires --init")
-    theta0 = load_initial_star(cfg.init_path, system.n, autonomous.m_orig)
-
-    if cfg.mode == "check-consistency":
-        dec = decouple_system(autonomous, tol, regularity_seed=cfg.seed)
+        summary = f"index: {dec.mu}; wrote decoupled.json"
+    elif args.mode == "check-consistency":
+        dec = decouple_system(autonomous, tol, regularity_seed=args.seed)
         cert = check_initial_star(build_consistent_matrix(dec), theta0, tol)
         payload.update(
             {
@@ -313,66 +282,55 @@ def run_job(cfg):
                 "worst_row_block": cert.worst_row_block,
             }
         )
-        _write_verdict(out_dir, payload, {"total_s": time.perf_counter() - started})
-        if not cert.consistent:
+        if not cert.consistent:  # the one failure that writes its own verdict
+            _write_verdict(out_dir, payload, {"total_s": time.perf_counter() - started})
             raise InconsistentInitialSetError(cert)
-        print(f"consistent (max residual {cert.max_residual:.3e})")
-        return EXIT_OK
-
-    settings = cfg.reach_settings()
-    reach = compute_reach(autonomous, theta0, settings, tol, regularity_seed=cfg.seed)
-    times = settings.times
-    timings = dict(reach.timings)
-    payload.update(
-        {
-            "index": reach.decoupled.mu,
-            "time_step": cfg.time_step,
-            "num_steps": settings.num_steps,
-            "propagation": cfg.propagation_mode,
-        }
-    )
-
-    directions = None
-    if cfg.directions_path is not None:
-        directions = load_directions(cfg.directions_path)
-
-    if cfg.mode == "reach":
-        _write_reach(out_dir, times, reach.bases)
+        summary = f"consistent (max residual {cert.max_residual:.3e})"
+    else:
+        reach = compute_reach(autonomous, theta0, settings, tol, regularity_seed=args.seed)
+        times = settings.times
+        timings.update(reach.timings)
+        payload.update(
+            {
+                "index": reach.decoupled.mu,
+                "time_step": args.time_step,
+                "num_steps": settings.num_steps,
+                "propagation": settings.propagation_mode,
+            }
+        )
+        directions = None if args.directions is None else load_directions(args.directions)
+        if args.mode == "reach":
+            _write_reach(out_dir, times, reach.bases)
+            payload["num_stars"] = len(reach.bases)
+            summary = f"reach: {len(reach.bases)} stars written"
+        else:
+            if args.unsafe is None:
+                raise ParseError("mode 'verify' requires --unsafe")
+            unsafe = load_unsafe(args.unsafe)
+            check_started = time.perf_counter()
+            outcome = verify(reach, unsafe, tol)
+            timings["safety_s"] = time.perf_counter() - check_started
+            step = outcome.first_unsafe_step
+            payload.update(
+                {
+                    "status": outcome.status,
+                    "first_unsafe_step": step,
+                    "first_unsafe_time": None if step is None else step * args.time_step,
+                    "lp_calls": outcome.lp_calls,
+                    "screened_steps": outcome.screened_steps,
+                }
+            )
+            if not outcome.is_safe:
+                _write_trace(out_dir, times, outcome.unsafe_trace, autonomous.n_orig)
+            summary = f"verdict: {outcome.status}"
+            if step is not None:
+                summary += f"\nfirst unsafe step: {step}"
         if directions is not None:
             _write_bounds(out_dir, times, reach, directions, tol)
-        payload["num_stars"] = len(reach.bases)
-        timings["total_s"] = time.perf_counter() - started
-        _write_verdict(out_dir, payload, timings)
-        print(f"reach: {len(reach.bases)} stars written")
-        return EXIT_OK
 
-    # verify
-    if cfg.unsafe_path is None:
-        raise ParseError("mode 'verify' requires --unsafe")
-    unsafe = load_unsafe(cfg.unsafe_path)
-    check_started = time.perf_counter()
-    outcome = verify(reach, unsafe, tol)
-    timings["safety_s"] = time.perf_counter() - check_started
-    payload.update(
-        {
-            "status": outcome.status,
-            "first_unsafe_step": outcome.first_unsafe_step,
-            "first_unsafe_time": None
-            if outcome.first_unsafe_step is None
-            else outcome.first_unsafe_step * cfg.time_step,
-            "lp_calls": outcome.lp_calls,
-            "screened_steps": outcome.screened_steps,
-        }
-    )
-    if not outcome.is_safe:
-        _write_trace(out_dir, times, outcome.unsafe_trace, autonomous.n_orig)
-    if directions is not None:
-        _write_bounds(out_dir, times, reach, directions, tol)
     timings["total_s"] = time.perf_counter() - started
     _write_verdict(out_dir, payload, timings)
-    print(f"verdict: {outcome.status}")
-    if outcome.first_unsafe_step is not None:
-        print(f"first unsafe step: {outcome.first_unsafe_step}")
+    print(summary)
     return EXIT_OK
 
 
@@ -384,18 +342,20 @@ def _classify(exc):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
+    """Parse ``argv``, run the job and report; returns the exit code."""
     started = time.perf_counter()
+    args = None
     try:
-        return run_job(cfg)
+        args = build_parser().parse_args(argv)
+        return run_job(args)
     except DaeError as exc:
         label, code = _classify(exc)
         error = {"error": label, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
-        out_dir = Path(cfg.output_dir)
-        if not (out_dir / "verdict.json").exists():  # else the run wrote its own
-            _write_verdict(out_dir, error, {"total_s": time.perf_counter() - started})
+        # none when the arguments or --out failed, or when the run wrote its own
+        verdict = None if args is None else Path(args.out, "verdict.json")
+        if verdict is not None and verdict.parent.is_dir() and not verdict.exists():
+            _write_verdict(verdict.parent, error, {"total_s": time.perf_counter() - started})
         return code
 
 

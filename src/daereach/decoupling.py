@@ -146,9 +146,7 @@ def _inverse(E):
     return np.linalg.solve(E, np.eye(E.shape[0]))
 
 
-def compute_index_and_chain(
-    sys, tol=DEFAULT_TOLERANCES, regularity_trials=5, regularity_seed=None
-):
+def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES, regularity_seed=None):
     """Build the matrix chain with orthogonal projectors and find the index.
 
     Raises :class:`IrregularPencilError` if the regularity probe fails,
@@ -158,7 +156,7 @@ def compute_index_and_chain(
     """
     if regularity_seed is None:
         regularity_seed = REGULARITY_SEED
-    if not check_regularity(sys, regularity_trials, tol, seed=regularity_seed):
+    if not check_regularity(sys, tol=tol, seed=regularity_seed):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
             "unique solution for any initial condition"
@@ -222,13 +220,14 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     )
 
 
-def decouple(chain, b=None, tol=DEFAULT_TOLERANCES):
+def decouple(chain, b=None):
     """Split an admissibly-projected chain into its subsystem coefficients.
 
     ``b`` is the input matrix of the underlying system; ``None`` means the
     autonomous case and produces empty (zero-column) input coefficients,
-    which every downstream formula accepts unchanged.  ``tol`` is not read:
-    the chain carries its terminal inverse, proven by its own rank decision.
+    which every downstream formula accepts unchanged.  No tolerance is
+    needed: the chain carries its terminal inverse, proven by its own rank
+    decision.
     """
     if not chain.admissible:
         raise ValueError("decouple requires an admissible chain; call make_admissible")
@@ -276,4 +275,4 @@ def decouple_system(sys, tol=DEFAULT_TOLERANCES, regularity_seed=None):
     and :func:`decouple` raise.
     """
     chain = compute_index_and_chain(sys, tol, regularity_seed=regularity_seed)
-    return decouple(make_admissible(chain, tol), tol=tol)
+    return decouple(make_admissible(chain, tol))

@@ -2,17 +2,19 @@
 
 One JSON document per artifact.  Matrices are either dense nested arrays
 or sparse ``{"shape": [rows, cols], "triples": [[row, col, value], ...]}``
-objects with 0-based indices; reals use decimal or scientific notation.
-Model files carry ``n``, ``m``, the matrices ``E``, ``A``, ``B`` and an
-optional ``A_u`` (absent or null means no inputs).  Initial-set files
-carry ``V``, ``C``, ``d`` and optionally ``U0``; unsafe files carry ``G``,
-``f`` and optionally ``on_original_state``.
+objects with 0-based indices inside the shape; sizes and indices are
+integers (integral floats pass) and reals use decimal or scientific
+notation.  Model files carry ``n``, ``m``, the matrices ``E``, ``A``,
+``B`` and an optional ``A_u`` (absent or null means no inputs).
+Initial-set files carry ``V``, ``C``, ``d`` and optionally ``U0``; unsafe
+files carry ``G``, ``f`` and optionally ``on_original_state``.
 
 Values written by :func:`save_model` round-trip bit-exactly: JSON floats
 are serialized with ``repr``, which is exact for binary doubles.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -48,37 +50,57 @@ def _load_document(path):
     return document
 
 
+def _size(value, low, path, field):
+    """``value`` as an int of at least ``low``: JSON integers and integral
+    floats pass; fractions, non-finite numbers, bools and strings do not."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not (low <= value < math.inf and value == int(value))
+    ):
+        raise ParseError(f"must be an integer >= {low}, got {value!r}", path=path, field=field)
+    return int(value)
+
+
 def _matrix_from_json(value, path, field):
     if isinstance(value, dict):
-        try:
-            rows, cols = (int(x) for x in value["shape"])
-            triples = value["triples"]
-        except (KeyError, TypeError, ValueError):
+        shape, triples = value.get("shape"), value.get("triples")
+        if not (isinstance(shape, list) and len(shape) == 2 and isinstance(triples, list)):
             raise ParseError(
                 "sparse matrix needs 'shape': [rows, cols] and 'triples'",
                 path=path,
                 field=field,
             )
-        if rows < 1 or cols < 0:
-            raise ParseError(f"bad shape [{rows}, {cols}]", path=path, field=field)
-        matrix = np.zeros((rows, cols))
+        rows = _size(shape[0], 1, path, f"{field} shape")
+        cols = _size(shape[1], 0, path, f"{field} shape")
+        try:
+            matrix = np.zeros((rows, cols))
+        except (ValueError, MemoryError):
+            raise ParseError(f"shape [{rows}, {cols}] is too large", path=path, field=field)
         for entry in triples:
             try:
                 i, j, v = entry
+                # compare before int(): it would truncate 0.7 to row 0, numpy
+                # would wrap -2 to row 0, and nan, inf or a string fail here
+                if not (0 <= i < rows and 0 <= j < cols and i == int(i) and j == int(j)):
+                    raise ValueError("index outside the shape")
                 matrix[int(i), int(j)] = float(v)
-            except (TypeError, ValueError, IndexError):
+            except (TypeError, ValueError, OverflowError):
                 raise ParseError(
-                    f"bad sparse triple {entry!r}", path=path, field=field
+                    f"bad sparse triple {entry!r}: needs [row, col, value] with "
+                    f"0-based indices inside the shape [{rows}, {cols}]",
+                    path=path,
+                    field=field,
                 )
-        return matrix
-    try:
-        matrix = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError("matrix must be a nested array of reals", path=path, field=field)
-    if matrix.ndim != 2:
-        raise ParseError(
-            f"matrix must be 2-D, got shape {matrix.shape}", path=path, field=field
-        )
+    else:
+        try:
+            matrix = np.array(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ParseError("matrix must be a nested array of reals", path=path, field=field)
+        if matrix.ndim != 2:
+            raise ParseError(
+                f"matrix must be 2-D, got shape {matrix.shape}", path=path, field=field
+            )
     if not np.all(np.isfinite(matrix)):
         raise ParseError("matrix contains non-finite entries", path=path, field=field)
     return matrix
@@ -87,7 +109,7 @@ def _matrix_from_json(value, path, field):
 def _vector_from_json(value, path, field):
     try:
         vector = np.array(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError("expected an array of reals", path=path, field=field)
     if vector.ndim == 2 and vector.shape[1] == 1:
         vector = vector[:, 0]
@@ -130,14 +152,8 @@ def load_model(path):
     if path.startswith(BUILTIN_PREFIX):
         return _parse_builtin(path)
     document = _load_document(path)
-    n = _require(document, "n", path)
-    m = _require(document, "m", path)
-    try:
-        n, m = int(n), int(m)
-    except (TypeError, ValueError):
-        raise ParseError("n and m must be integers", path=path, field="n/m")
-    if n < 1 or m < 0:
-        raise ParseError(f"need n >= 1 and m >= 0, got n={n}, m={m}", path=path, field="n/m")
+    n = _size(_require(document, "n", path), 1, path, "n")
+    m = _size(_require(document, "m", path), 0, path, "m")
 
     E = _matrix_from_json(_require(document, "E", path), path, "E")
     A = _matrix_from_json(_require(document, "A", path), path, "A")

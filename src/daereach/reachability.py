@@ -163,7 +163,8 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES, regularity_seed
     space (raising :class:`InconsistentInitialSetError` with the
     certificate otherwise), project the basis onto the ODE subsystem,
     propagate, and lift every propagated basis back to the full state in
-    one batched product.
+    one batched product.  A time grid too long for numpy to hold raises
+    :class:`NumericalFailureError`.
     """
     started = time.perf_counter()
     dec = decouple_system(sys, tol, regularity_seed=regularity_seed)
@@ -175,9 +176,14 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES, regularity_seed
 
     started = time.perf_counter()
     theta1_0 = theta0.linear_image(dec.projectors[1])
-    ode_basis = propagate_basis(dec, theta1_0, settings)
-    psi = build_psi(dec)
-    bases = psi @ ode_basis
+    try:
+        ode_basis = propagate_basis(dec, theta1_0, settings)
+        psi = build_psi(dec)
+        bases = psi @ ode_basis
+    except (ValueError, MemoryError) as exc:  # numpy refused the grid's size
+        raise NumericalFailureError(
+            f"{settings.num_steps:.3g} steps are too many for an array: {exc}"
+        ) from exc
     bases.flags.writeable = ode_basis.flags.writeable = False  # shared by star views
     reach_seconds = time.perf_counter() - started
     return ReachResult(

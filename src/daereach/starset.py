@@ -94,12 +94,6 @@ class StarSet:
             )
         return self.with_basis(T @ self.V)
 
-    def satisfies_predicate(self, alpha, tol=DEFAULT_TOLERANCES):
-        """Whether ``C @ alpha <= d`` holds up to the feasibility slack."""
-        alpha = as_vector(alpha, "alpha")
-        slack = tol.feasibility_tol * np.maximum(1.0, np.abs(self.d))
-        return bool(np.all(self.C @ alpha <= self.d + slack))
-
     def coefficient_vertices(self, tol=DEFAULT_TOLERANCES):
         """Vertices of the coefficient polytope, one per row.
 

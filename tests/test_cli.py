@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daereach import (
     UnsafeSpec,
@@ -30,6 +36,11 @@ def benchmark_files(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def last_error(capsys):
+    """The JSON error object on the last line of stderr."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
 class TestVerifyMode:
@@ -315,6 +326,7 @@ class TestErrorPaths:
             ("--time-step", "nan"),
             ("--time-bound", "inf"),
             ("--time-bound", "1e300"),  # finite, but the step count overflows
+            ("--time-bound", "0.001"),  # rounds to no step of the default 0.01
             ("--rel-tol", "0"),
             ("--abs-tol", "nan"),
             ("--seed", "-1"),
@@ -398,3 +410,181 @@ class TestErrorPaths:
         assert verdict["error"] == "parse"
         assert "--time-step" in verdict["message"]
         assert "status" not in verdict
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "builtin:rotating-masses", "--mode", "bogus"],
+            ["--model", "builtin:rotating-masses", "--time-step", "abc"],
+            ["--mode", "index"],  # no --model
+            ["--model", "builtin:rotating-masses", "--frobnicate", "1"],
+            ["--model", "builtin:rotating-masses", "--seed", "1.5"],
+        ],
+    )
+    def test_unparsable_arguments_give_json_and_touch_nothing(self, tmp_path, capsys, argv):
+        earlier = tmp_path / "verdict.json"
+        earlier.write_text("{}\n")
+        code = run(argv + ["--out", str(tmp_path)])
+        assert code == EXIT_PARSE
+        assert last_error(capsys)["error"] == "parse"
+        assert [p.name for p in tmp_path.iterdir()] == ["verdict.json"]
+        assert earlier.read_text() == "{}\n"
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["--help"])
+        assert exit_info.value.code == 0
+        assert "--model" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, below):
+        regular = tmp_path / "regular"
+        regular.write_text("not a directory")
+        out = regular / "sub" if below else regular
+        code = run(["--model", "builtin:rotating-masses", "--mode", "index", "--out", str(out)])
+        assert code == EXIT_PARSE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "parse"
+        assert "--out" in error["message"]
+        assert regular.read_text() == "not a directory"
+
+    @pytest.mark.parametrize(
+        "time_step, propagation",
+        # each count fails numpy's size check before anything is allocated
+        [("1e-300", "expm"), ("1e-300", "adaptive"), ("1e-17", "expm")],
+    )
+    def test_step_count_no_array_holds(
+        self, tmp_path, benchmark_files, capsys, time_step, propagation
+    ):
+        init, unsafe = benchmark_files
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--time-bound", "1", "--out", str(tmp_path)]
+        code = run(argv + ["--time-step", time_step, "--propagation", propagation])
+        assert code == EXIT_NUMERICAL
+        error = last_error(capsys)
+        assert error["error"] == "numerical-failure"
+        assert "steps" in error["message"]
+
+
+class TestCsvRoundTrip:
+    def test_every_entry_parses_back_bit_identical(
+        self, tmp_path, benchmark_files, rotating_masses_auto
+    ):
+        from daereach import ReachSettings, compute_reach, verify
+
+        init, unsafe = benchmark_files
+        D = np.vstack([np.eye(4)[2], np.random.default_rng(3).normal(size=4)])
+        directions = tmp_path / "directions.json"
+        directions.write_text(json.dumps({"D": D.tolist()}))
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--directions", str(directions)]
+        argv += ["--time-step", "0.01", "--time-bound", "2"]
+        assert run(argv + ["--mode", "reach", "--out", str(tmp_path / "reach")]) == EXIT_OK
+        assert run(argv + ["--mode", "verify", "--out", str(tmp_path / "verify")]) == EXIT_OK
+
+        grid = ReachSettings(0.01, 200)
+        reach = compute_reach(rotating_masses_auto, rotating_masses_initial_star(), grid)
+        outcome = verify(reach, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+        assert not outcome.is_safe
+        times = grid.times
+        vertices = reach.initial.vertices_within(len(reach.bases))
+        values = (np.hstack([D, np.zeros((2, 2))]) @ reach.bases) @ vertices.T
+        extrema = np.stack([values.min(axis=2), values.max(axis=2)], axis=-1)
+        expected = {
+            "reach/reach.csv": np.column_stack(
+                [times, reach.bases.transpose(0, 2, 1).reshape(len(times), -1)]
+            ),
+            "verify/trace.csv": np.column_stack([times, outcome.unsafe_trace]),
+            "reach/bounds.csv": np.column_stack([times, extrema.reshape(len(times), -1)]),
+            "verify/bounds.csv": np.column_stack([times, extrema.reshape(len(times), -1)]),
+        }
+        for name, table in expected.items():
+            lines = (tmp_path / name).read_text().splitlines()[1:]
+            parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
+            assert parsed.shape == table.shape, name
+            assert parsed.tobytes() == table.tobytes(), name
+
+
+def _write_inputs(directory):
+    """Every input file the property test draws from, good and bad."""
+    star = rotating_masses_initial_star()
+    files = {"missing": directory / "missing.json"}
+    files["init"] = directory / "init.json"
+    save_initial_star(files["init"], star)
+    from daereach import StarSet
+
+    V = star.V.copy()
+    V[2, 0] += 1.0
+    files["inconsistent"] = directory / "inconsistent.json"
+    save_initial_star(files["inconsistent"], StarSet(V, star.C, star.d))
+    files["unsafe"] = directory / "unsafe.json"
+    save_unsafe(files["unsafe"], UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+    files["directions"] = directory / "directions.json"
+    files["directions"].write_text(json.dumps({"D": [[0.0, 0.0, 1.0, 0.0]]}))
+    files["wide"] = directory / "wide.json"  # more columns than the state has
+    files["wide"].write_text(json.dumps({"D": [[1.0] * 9]}))
+    files["garbage"] = directory / "garbage.json"
+    files["garbage"].write_text("{ not json")
+    return files
+
+
+# a valid run is drawn from GOOD, then up to two flags are replaced by BAD
+# values (None drops the flag); at most 100 steps, so no count comes near
+# an allocation limit
+GOOD = {
+    "--model": ["builtin:rotating-masses"],
+    "--mode": ["index", "decouple", "check-consistency", "reach", "verify"],
+    "--init": ["@init"],
+    "--unsafe": ["@unsafe"],
+    "--directions": [None, "@directions"],
+    "--time-step": ["0.01", "0.05"],
+    "--time-bound": ["1", "0.5"],
+    "--propagation": ["expm", "adaptive"],
+    "--abs-tol": [None, "1e-10"],
+    "--seed": [None, "0", "7"],
+    "--out": ["@out"],
+}
+BAD = {
+    "--model": [None, "builtin:nope", "@missing", "@garbage"],
+    "--mode": ["x"],
+    "--init": [None, "@inconsistent", "@missing", "@garbage"],
+    "--unsafe": [None, "@missing", "@garbage"],
+    "--directions": ["@wide", "@missing"],
+    "--time-step": ["0", "-0.1", "nan", "abc", "2"],
+    "--time-bound": ["-1", "inf", "x"],
+    "--propagation": ["rk4"],
+    "--abs-tol": ["0", "nan"],
+    "--seed": ["-1", "1.5"],
+    "--out": ["@garbage"],
+    "--frobnicate": ["1"],
+}
+ARGUMENTS = st.tuples(
+    st.fixed_dictionaries({flag: st.sampled_from(values) for flag, values in GOOD.items()}),
+    st.lists(
+        st.sampled_from([(flag, value) for flag, values in BAD.items() for value in values]),
+        max_size=2,
+    ),
+)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(ARGUMENTS)
+def test_exit_code_contract_holds_for_drawn_arguments(drawn):
+    good, bad = drawn
+    arguments = {**good, **dict(bad)}
+    with tempfile.TemporaryDirectory() as scratch:
+        files = _write_inputs(Path(scratch))
+        files["out"] = Path(scratch) / "out"
+        argv = []
+        for flag, value in arguments.items():
+            if value is not None:
+                argv += [flag, str(files[value[1:]]) if value.startswith("@") else value]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in {0, 2, 3, 4, 5, 6}
+        if code:
+            error = json.loads(stderr.getvalue().strip().splitlines()[-1])
+            assert set(error) == {"error", "message"}

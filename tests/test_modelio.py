@@ -133,6 +133,45 @@ class TestModelErrors:
         with pytest.raises(ParseError, match="triple"):
             load_model(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("E", {"shape": [2, 2], "triples": [[-2, 0, 1.0]]}),  # would wrap to row 0
+            ("E", {"shape": [2, 2], "triples": [[0.7, 0, 1.0]]}),  # would truncate to row 0
+            ("E", {"shape": [2, 2], "triples": [[0, 2, 1.0]]}),
+            ("E", {"shape": [2, 2], "triples": [[0, 0, "BIG"]]}),
+            ("E", {"shape": ["BIG", 2], "triples": []}),
+            ("E", {"shape": [10**400, 2], "triples": []}),
+            ("E", {"shape": [2.5, 2], "triples": []}),
+            ("E", {"shape": [2, 2, 2], "triples": []}),
+            ("n", "BIG"),
+            ("n", 2.5),
+            ("n", "2"),
+            ("m", True),
+        ],
+    )
+    def test_malformed_sizes_and_indices(self, tmp_path, capsys, key, value):
+        from daereach.cli import EXIT_PARSE, main
+
+        doc = self.base_document()
+        doc[key] = value
+        # 1e400 is valid JSON that json.dumps cannot write: Python reads it as inf
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc).replace('"BIG"', "1e400"))
+        with pytest.raises(ParseError):
+            load_model(path)
+        code = main(["--model", str(path), "--mode", "index", "--out", str(tmp_path / "out")])
+        assert code == EXIT_PARSE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(lines[-1])["error"] == "parse"
+
+    def test_integral_floats_are_sizes(self, tmp_path):
+        doc = self.base_document()
+        doc["n"] = 2.0
+        doc["E"] = {"shape": [2.0, 2], "triples": [[1.0, 0, 3.0]]}
+        system, _ = load_model(self.write(tmp_path, doc))
+        assert system.E.tolist() == [[0.0, 0.0], [3.0, 0.0]]
+
     def test_nonsingular_e_propagates(self, tmp_path):
         from daereach import NonsingularEError
 
