@@ -47,7 +47,7 @@ from .errors import (
     UnboundedPredicateError,
 )
 from .linalg import DEFAULT_TOLERANCES
-from .model import REGULARITY_SEED, to_autonomous
+from .model import to_autonomous
 from .modelio import load_directions, load_initial_star, load_model, load_unsafe
 from .reachability import (
     ADAPTIVE_INTEGRATOR,
@@ -118,7 +118,6 @@ def build_parser():
     parser.add_argument("--abs-tol", type=float, default=ReachSettings.integrator_abs_tol)
     parser.add_argument("--rel-tol", type=float, default=ReachSettings.integrator_rel_tol)
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=REGULARITY_SEED)
     parser.add_argument(
         "--directions",
         help="directions file; adds per-step extrema of each direction to bounds.csv",
@@ -141,8 +140,6 @@ def _reach_settings(args):
     ratio = args.time_bound / args.time_step
     if not math.isfinite(ratio):
         raise ParseError("the step count overflows", field="--time-bound")
-    if args.seed < 0:
-        raise ParseError(f"must be non-negative, got {args.seed!r}", field="--seed")
     num_steps = round(ratio)
     if num_steps < 1:
         raise ParseError(
@@ -249,7 +246,7 @@ def run_job(args):
 
     system, inputs = load_model(args.model)
     autonomous = to_autonomous(system, inputs)
-    payload = {"mode": args.mode, "model": args.model, "seed": args.seed}
+    payload = {"mode": args.mode, "model": args.model}
     timings = {}
 
     theta0 = None
@@ -259,11 +256,11 @@ def run_job(args):
         theta0 = load_initial_star(args.init, system.n, autonomous.m_orig)
 
     if args.mode == "index":
-        chain = compute_index_and_chain(autonomous, tol, regularity_seed=args.seed)
+        chain = compute_index_and_chain(autonomous, tol)
         payload["index"] = chain.mu
         summary = f"index: {chain.mu}"
     elif args.mode == "decouple":
-        dec = decouple_system(autonomous, tol, regularity_seed=args.seed)
+        dec = decouple_system(autonomous, tol)
         document = {"index": dec.mu, "N": {str(i): N.tolist() for i, N in dec.N.items()}}
         for key, matrix in (("L3", dec.L3), ("L4", dec.L4), ("Z4", dec.Z4)):
             document[key] = None if matrix is None else matrix.tolist()
@@ -271,7 +268,7 @@ def run_job(args):
         payload["index"] = dec.mu
         summary = f"index: {dec.mu}; wrote decoupled.json"
     elif args.mode == "check-consistency":
-        dec = decouple_system(autonomous, tol, regularity_seed=args.seed)
+        dec = decouple_system(autonomous, tol)
         cert = check_initial_star(build_consistent_matrix(dec), theta0, tol)
         payload.update(
             {
@@ -287,7 +284,7 @@ def run_job(args):
             raise InconsistentInitialSetError(cert)
         summary = f"consistent (max residual {cert.max_residual:.3e})"
     else:
-        reach = compute_reach(autonomous, theta0, settings, tol, regularity_seed=args.seed)
+        reach = compute_reach(autonomous, theta0, settings, tol)
         times = settings.times
         timings.update(reach.timings)
         payload.update(

@@ -36,7 +36,7 @@ from .linalg import (
     orthogonal_null_projector,
     solve_inverse,
 )
-from .model import REGULARITY_SEED, check_regularity
+from .model import check_regularity
 
 __all__ = [
     "MatrixChain",
@@ -146,21 +146,21 @@ def _inverse(E):
     return np.linalg.solve(E, np.eye(E.shape[0]))
 
 
-def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES, regularity_seed=None):
+def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     """Build the matrix chain with orthogonal projectors and find the index.
 
-    Raises :class:`IrregularPencilError` if the regularity probe fails,
-    :class:`NonsingularEError` if ``E`` is already nonsingular (the system
-    is an ODE), and :class:`IndexTooHighError` if the chain is still
-    singular after three steps.
+    A chain that ends proves the pencil regular: each step satisfies
+    ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
+    ``det(P_j + s Q_j) = s^{rank Q_j}``, so a nonsingular ``E_mu`` makes
+    ``det(s E - A)`` a polynomial that is not identically zero (Lamour,
+    Maerz & Tischendorf, *DAEs: A Projector Based Analysis*, 2013).  The
+    regularity probe therefore runs only when ``E_3`` is still singular.
+
+    Raises :class:`NonsingularEError` if ``E`` is already nonsingular (the
+    system is an ODE), and, when ``E_3`` is singular,
+    :class:`IrregularPencilError` if the regularity probe fails and
+    :class:`IndexTooHighError` otherwise.
     """
-    if regularity_seed is None:
-        regularity_seed = REGULARITY_SEED
-    if not check_regularity(sys, tol=tol, seed=regularity_seed):
-        raise IrregularPencilError(
-            "det(sE - A) vanished at every sample point; the pencil has no "
-            "unique solution for any initial condition"
-        )
     E_seq, A_seq, Q_seq, P_seq = [sys.E], [sys.A], [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         Q = orthogonal_null_projector(E_seq[-1], tol)
@@ -172,6 +172,11 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES, regularity_seed=None):
             return MatrixChain(E_seq, A_seq, Q_seq, P_seq, mu, _inverse(E_seq[-1]))
         if mu < MAX_SUPPORTED_INDEX:
             _extend(E_seq, A_seq, Q_seq, P_seq, Q)
+    if not check_regularity(sys, tol):
+        raise IrregularPencilError(
+            "det(sE - A) vanished at every sample point; the pencil has no "
+            "unique solution for any initial condition"
+        )
     raise IndexTooHighError(
         f"E_{MAX_SUPPORTED_INDEX} is still singular; the tractability index "
         f"exceeds {MAX_SUPPORTED_INDEX}, which is unsupported"
@@ -267,12 +272,12 @@ def decouple(chain, b=None):
     )
 
 
-def decouple_system(sys, tol=DEFAULT_TOLERANCES, regularity_seed=None):
+def decouple_system(sys, tol=DEFAULT_TOLERANCES):
     """The decoupled form of an autonomous DAE: chain, admissible
     correction and decoupling in one call.
 
     Raises what :func:`compute_index_and_chain`, :func:`make_admissible`
     and :func:`decouple` raise.
     """
-    chain = compute_index_and_chain(sys, tol, regularity_seed=regularity_seed)
+    chain = compute_index_and_chain(sys, tol)
     return decouple(make_admissible(chain, tol))

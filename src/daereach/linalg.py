@@ -37,9 +37,6 @@ class TolerancePolicy:
     ----------
     rank_rel_tol : float
         Relative singular-value cutoff for rank decisions.
-    zero_abs_tol : float
-        Absolute threshold below which a matrix identity is considered
-        to hold.
     feasibility_tol : float
         Allowed constraint slack in linear feasibility problems.
     consistency_tol : float
@@ -48,17 +45,11 @@ class TolerancePolicy:
     """
 
     rank_rel_tol: float = 1e-9
-    zero_abs_tol: float = 1e-8
     feasibility_tol: float = 1e-9
     consistency_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in (
-            "rank_rel_tol",
-            "zero_abs_tol",
-            "feasibility_tol",
-            "consistency_tol",
-        ):
+        for name in ("rank_rel_tol", "feasibility_tol", "consistency_tol"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(

@@ -46,7 +46,7 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _iterate(tableau, basis, num_enterable, tol, pivot_budget):
+def _iterate(tableau, basis, num_enterable, tol, budget):
     """Run simplex iterations on a tableau whose last row is the objective.
 
     Only columns < ``num_enterable`` may enter the basis.  Returns the
@@ -70,14 +70,14 @@ def _iterate(tableau, basis, num_enterable, tol, pivot_budget):
         leave = ties[np.argmin([basis[i] for i in ties])]  # Bland tie-break
         _pivot(tableau, basis, int(leave), enter)
         spent += 1
-        if spent > pivot_budget:
+        if spent > budget:
             raise NumericalFailureError(
-                f"simplex exceeded the pivot budget ({pivot_budget}); "
+                f"simplex exceeded the pivot budget ({budget}); "
                 "the problem is probably too ill-conditioned for this kernel"
             )
 
 
-def solve_lp(c, A, b, tol=1e-9, pivot_budget=None):
+def solve_lp(c, A, b, tol=1e-9):
     """Minimize ``c @ x`` subject to ``A @ x <= b`` over free ``x``.
 
     Parameters
@@ -88,9 +88,6 @@ def solve_lp(c, A, b, tol=1e-9, pivot_budget=None):
         Inequality system, ``A`` of shape (p, k) and ``b`` of shape (p,).
     tol : float
         Pivot / optimality tolerance.
-    pivot_budget : int, optional
-        Hard cap on simplex pivots; exceeding it raises
-        :class:`NumericalFailureError` (distinct from infeasibility).
 
     Returns
     -------
@@ -150,8 +147,8 @@ def solve_lp(c, A, b, tol=1e-9, pivot_budget=None):
     basis[~flip] = 2 * k + np.nonzero(~flip)[0]
     basis[art_rows] = num_struct + np.arange(num_art)
 
-    if pivot_budget is None:
-        pivot_budget = 2000 + 200 * (p + total)
+    # a hard cap on pivots, so a stalled solve fails distinctly from infeasibility
+    budget = 2000 + 200 * (p + total)
 
     # phase 1: drive the artificial variables to zero
     if num_art:
@@ -159,12 +156,12 @@ def solve_lp(c, A, b, tol=1e-9, pivot_budget=None):
         tableau[-1, num_struct:total] = 1.0
         for row in art_rows:
             tableau[-1] -= tableau[row]
-        status, spent = _iterate(tableau, basis, num_struct, tol, pivot_budget)
+        status, spent = _iterate(tableau, basis, num_struct, tol, budget)
         if status != OPTIMAL:  # phase-1 objective is bounded below by 0
             raise NumericalFailureError("phase-1 simplex reported unbounded")
         if -tableau[-1, -1] > tol * max(1.0, p):
             return LpResult(INFEASIBLE)
-        pivot_budget -= spent
+        budget -= spent
         # pivot remaining zero-level artificials out, or drop redundant rows
         drop = []
         for row in range(p):
@@ -190,7 +187,7 @@ def solve_lp(c, A, b, tol=1e-9, pivot_budget=None):
         coef = struct_cost[basis[row]]
         if coef != 0.0:
             tableau[-1] -= coef * tableau[row]
-    status, _ = _iterate(tableau, basis, num_struct, tol, pivot_budget)
+    status, _ = _iterate(tableau, basis, num_struct, tol, budget)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED)
 

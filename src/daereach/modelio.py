@@ -267,14 +267,21 @@ def load_unsafe(path):
     document = _load_document(path)
     G = _matrix_from_json(_require(document, "G", path), path, "G")
     f = _vector_from_json(_require(document, "f", path), path, "f")
-    on_original = bool(document.get("on_original_state", True))
+    on_original = document.get("on_original_state", True)
+    if not isinstance(on_original, bool):
+        raise ParseError(
+            f"must be true or false, got {on_original!r}", path=path, field="on_original_state"
+        )
     if G.shape[0] != f.shape[0]:
         raise ParseError(
             f"G has {G.shape[0]} rows but f has {f.shape[0]} entries",
             path=path,
             field="G/f",
         )
-    return UnsafeSpec(G, f, on_original_state=on_original)
+    try:
+        return UnsafeSpec(G, f, on_original_state=on_original)
+    except ValueError as exc:
+        raise ParseError(f"invalid unsafe set: {exc}", path=path)
 
 
 def save_unsafe(path, unsafe):

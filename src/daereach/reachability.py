@@ -155,7 +155,7 @@ def propagate_basis(dec, theta1_0, settings):
     return np.ascontiguousarray(stacked.transpose(1, 0, 2))
 
 
-def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES, regularity_seed=None):
+def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     """Reachable set of an autonomous DAE from a consistent initial star.
 
     Pipeline: decouple (chain, admissible projectors, subsystem
@@ -167,7 +167,7 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES, regularity_seed
     :class:`NumericalFailureError`.
     """
     started = time.perf_counter()
-    dec = decouple_system(sys, tol, regularity_seed=regularity_seed)
+    dec = decouple_system(sys, tol)
     gamma = build_consistent_matrix(dec)
     certificate = check_initial_star(gamma, theta0, tol)
     decouple_seconds = time.perf_counter() - started

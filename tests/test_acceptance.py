@@ -302,11 +302,18 @@ def test_criterion_5_reconstruction_identity(
 def test_criterion_6_stokes_scaling():
     rng = np.random.default_rng(6)
     started = time.perf_counter()
-    sizes = (2, 3, 4, 5)
-    autos = {}
+    # n = 7, 39, 95, 175: the work of neighbouring sizes differs by far
+    # more than host noise, which reordered sizes one apart (k = 2 and 3)
+    sizes = (2, 4, 6, 8)
+    autos, stars = {}, {}
     for k in sizes:
         system, inputs = load_model(f"builtin:stokes:{k}")
-        autos[k] = to_autonomous(system, inputs)
+        auto = autos[k] = to_autonomous(system, inputs)
+        chain = make_admissible(compute_index_and_chain(auto))
+        assert chain.mu == 2
+        gamma = build_consistent_matrix(decouple(chain))
+        stars[k] = box_star(rng, gamma, auto.n, 2)
+        assert check_initial_star(gamma, stars[k]).consistent
     best = {}
     # min over many repeats, with the sizes interleaved inside each round,
     # so that a slow spell of the host or a busy BLAS thread hits every
@@ -314,14 +321,7 @@ def test_criterion_6_stokes_scaling():
     for _ in range(20):
         for k in sizes:
             auto = autos[k]
-            chain = make_admissible(compute_index_and_chain(auto))
-            assert chain.mu == 2
-            dec = decouple(chain)
-            gamma = build_consistent_matrix(dec)
-            star = box_star(rng, gamma, auto.n, 2)
-            cert = check_initial_star(gamma, star)
-            assert cert.consistent
-            reach = compute_reach(auto, star, ReachSettings(0.001, 100))
+            reach = compute_reach(auto, stars[k], ReachSettings(0.001, 100))
             assert len(reach.stars) == 101
             check_started = time.perf_counter()
             outcome = verify(

@@ -88,6 +88,18 @@ class TestComputeIndexAndChain:
         with pytest.raises(IndexTooHighError):
             compute_index_and_chain(auto)
 
+    def test_ended_chain_never_probes_the_pencil(self, monkeypatch, rotating_masses_auto):
+        import daereach.decoupling
+
+        def probe(*args, **kwargs):
+            raise AssertionError("a chain that ends proves regularity")
+
+        monkeypatch.setattr(daereach.decoupling, "check_regularity", probe)
+        rng = np.random.default_rng(11)
+        autos = [rotating_masses_auto, _stokes_auto()]
+        autos += [canonical_auto(rng, 3, blocks)[0] for blocks in ([1, 1], [2, 1], [3, 1])]
+        assert [compute_index_and_chain(auto).mu for auto in autos] == [2, 2, 1, 2, 3]
+
     def test_hand_checkable_index_1(self, index1_pair):
         chain = compute_index_and_chain(index1_pair)
         assert chain.mu == 1
@@ -239,21 +251,18 @@ def _stokes_auto():
 class TestFactorizationCounts:
     """One SVD per chain matrix and one inverse per chain.
 
-    ``decouple_system`` with Gamma and psi took 5/9/13 SVDs at index
-    1/2/3 (the same 1/2/3 solves) while each chain matrix had a second
-    rank SVD, every inverse a rank SVD of its own, and decouple inverted
-    the terminal matrix again.  The bounds below count the regularity
-    probe's one SVD, one per raw chain matrix, the index-3 intermediate
-    kernel and inverse, and the rebuilt chain's rank check.
+    The bounds below count one SVD per raw chain matrix, the index-3
+    intermediate kernel and inverse, and the rebuilt chain's rank check.
+    No regularity probe runs: a chain that ends proves the pencil regular.
     """
 
     @pytest.mark.parametrize(
         "make_auto, index, svds, solves",
         [
-            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 3, 1),
-            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 5, 2),
-            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 8, 3),
-            (_stokes_auto, 2, 5, 2),
+            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 2, 1),
+            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 4, 2),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 7, 3),
+            (_stokes_auto, 2, 4, 2),
         ],
         ids=["index-1", "index-2", "index-3", "stokes-4"],
     )

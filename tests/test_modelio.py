@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from daereach import (
+    DaeError,
     ParseError,
     build_rotating_masses,
+    load_directions,
     load_initial_star,
     load_model,
     load_unsafe,
@@ -15,6 +23,7 @@ from daereach import (
     save_unsafe,
     UnsafeSpec,
 )
+from daereach.cli import EXIT_PARSE, main
 
 
 class TestBuiltinAliases:
@@ -262,3 +271,176 @@ class TestUnsafeIo:
         path.write_text(json.dumps({"G": [[1.0, 0.0]], "f": [1.0, 2.0]}))
         with pytest.raises(ParseError):
             load_unsafe(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("G", [[]]),  # zero columns
+            ("G", {"shape": [1, 0], "triples": []}),
+            ("on_original_state", "no"),  # bool("no") would read as true
+            ("on_original_state", 0),
+            ("on_original_state", None),
+        ],
+    )
+    def test_malformed_unsafe_documents(self, tmp_path, capsys, key, value):
+        document = {"G": [[0.0, 0.0, 1.0, 0.0]], "f": [-0.9], key: value}
+        path = tmp_path / "unsafe.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ParseError, match=key):
+            load_unsafe(path)
+        init = tmp_path / "init.json"
+        save_initial_star(init, rotating_masses_initial_star())
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init), "--unsafe", str(path)]
+        code = main(argv + ["--time-bound", "0.1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_PARSE
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(lines[-1])["error"] == "parse"
+
+
+def _documents():
+    """Valid model, init, unsafe and directions documents for the rotating
+    masses (n = 4, m = 2) that together make a completed verify run."""
+    system, inputs = build_rotating_masses()
+    star = rotating_masses_initial_star()
+    rows, cols = np.nonzero(system.A)
+    triples = [[int(i), int(j), float(system.A[i, j])] for i, j in zip(rows, cols)]
+    return {
+        "model": {
+            "n": 4,
+            "m": 2,
+            "E": system.E.tolist(),
+            "A": {"shape": [4, 4], "triples": triples},
+            "B": system.B.tolist(),
+            "A_u": inputs.a_u.tolist(),
+        },
+        "init": {  # center form, with the input rows of V given as U0
+            "center": [0.0] * 4,
+            "V": star.V[:4].tolist(),
+            "U0": np.hstack([np.zeros((2, 1)), star.V[4:]]).tolist(),
+            "C": star.C.tolist(),
+            "d": star.d.tolist(),
+        },
+        "unsafe": {"G": [[0.0, 0.0, 1.0, 0.0]], "f": [-0.9], "on_original_state": True},
+        "directions": {"D": [[0.0, 0.0, 1.0, 0.0], [1.0, -1.0, 0.0, 0.0]]},
+    }
+
+
+LOADERS = {
+    "model": load_model,
+    "init": lambda path: load_initial_star(path, 4, 2),
+    "unsafe": load_unsafe,
+    "directions": load_directions,
+}
+FIELD_KINDS = {
+    "n": "size", "m": "size", "E": "matrix", "A": "matrix", "B": "matrix", "A_u": "matrix",
+    "center": "vector", "V": "matrix", "U0": "matrix", "C": "matrix", "d": "vector",
+    "G": "matrix", "f": "vector", "on_original_state": "flag", "D": "matrix",
+}
+MUTATIONS = ("wrong-type", "non-finite", "wrong-shape", "zero-size", "drop")
+DROP = object()
+
+
+def _non_finite(value, variant):
+    bad = (float("nan"), float("inf"), float("-inf"))[variant % 3]
+    if isinstance(value, dict):  # a sparse matrix: spoil one triple's value
+        triples = [list(t) for t in value["triples"]]
+        triples[variant % len(triples)][2] = bad
+        return {**value, "triples": triples}
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        rows = [list(row) for row in value]
+        row = rows[variant % len(rows)]
+        row[variant // len(rows) % len(row)] = bad
+        return rows
+    if isinstance(value, list):
+        return [bad if i == variant % len(value) else v for i, v in enumerate(value)]
+    return bad
+
+
+def _wrong_shape(value, kind, variant):
+    if kind == "size":
+        return (value + 1, value - 1, -1)[variant % 3]
+    if kind == "flag":
+        return [value]
+    if kind == "vector":
+        return (value[:-1], value + [0.0], [value])[variant % 3]
+    if isinstance(value, dict):
+        rows, cols = value["shape"]
+        return {**value, "shape": ([rows + 1, cols], [rows, cols - 1], [rows, cols, 1])[variant % 3]}
+    return (
+        value[:-1],  # one row short
+        [row[:-1] for row in value],  # one column short
+        [row + [0.0] for row in value],  # one column too many
+        [v for row in value for v in row],  # flattened
+        [value],  # 3-D
+    )[variant % 5]
+
+
+def _mutated(value, kind, mutation, variant):
+    """``value`` spoiled by ``mutation``; ``DROP`` removes the field."""
+    if mutation == "drop":
+        return DROP
+    if mutation == "non-finite":
+        return _non_finite(value, variant)
+    if mutation == "wrong-shape":
+        return _wrong_shape(value, kind, variant)
+    if mutation == "wrong-type":
+        choices = {
+            "size": ("4", True, [4], None),
+            "flag": ("no", 1, None, [True]),
+        }.get(kind, ("text", True, 7, [["a"]], [[1.0], [1.0, 2.0]], {"shape": [1, 1], "triples": "x"}))
+        return choices[variant % len(choices)]
+    if kind == "size":
+        return 0
+    if kind == "flag":
+        return []
+    if kind == "vector":
+        return ([], [[]])[variant % 2]
+    rows = value["shape"][0] if isinstance(value, dict) else len(value)
+    cols = value["shape"][1] if isinstance(value, dict) else len(value[0])
+    return ([[]], {"shape": [rows, 0], "triples": []}, [], {"shape": [0, cols], "triples": []})[
+        variant % 4
+    ]
+
+
+CASES = [
+    (name, field, mutation)
+    for name, document in _documents().items()
+    for field in document
+    for mutation in MUTATIONS
+]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(CASES), st.integers(0, 59))
+@example(("unsafe", "G", "zero-size"), 0)  # G = [[]] once crashed verify with a traceback
+@example(("unsafe", "G", "zero-size"), 1)  # and so did sparse shape [1, 0]
+def test_malformed_documents_keep_the_error_contract(case, variant):
+    """Every loader raises only :class:`DaeError` on a spoiled document, and
+    the CLI then exits with a contract code and a JSON last stderr line."""
+    name, field, mutation = case
+    documents = _documents()
+    value = _mutated(documents[name][field], FIELD_KINDS[field], mutation, variant)
+    if value is DROP:
+        del documents[name][field]
+    else:
+        documents[name][field] = value
+    with tempfile.TemporaryDirectory() as scratch:
+        paths = {key: Path(scratch, f"{key}.json") for key in documents}
+        for key, document in documents.items():
+            paths[key].write_text(json.dumps(document))
+        try:
+            LOADERS[name](paths[name])
+            rejected = False
+        except DaeError:
+            rejected = True
+        argv = ["--model", paths["model"], "--init", paths["init"], "--unsafe", paths["unsafe"]]
+        argv += ["--directions", paths["directions"], "--out", Path(scratch, "out")]
+        argv += ["--time-step", "0.05", "--time-bound", "0.5"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(arg) for arg in argv])
+    # a document the loader accepts (an optional field dropped, say) may run
+    assert code in ({2, 3, 4, 5, 6} if rejected else {0, 2, 3, 4, 5, 6})
+    if code:
+        error = json.loads(stderr.getvalue().strip().splitlines()[-1])
+        assert set(error) == {"error", "message"}
