@@ -55,7 +55,7 @@ from .reachability import (
     ReachSettings,
     compute_reach,
 )
-from .safety import verify
+from .safety import over_state, verify
 
 __all__ = ["build_parser", "run_job", "main"]
 
@@ -184,16 +184,10 @@ def _write_reach(out_dir, times, bases):
 
 
 def _write_bounds(out_dir, times, reach, directions, tol):
-    """Per-step extrema of each direction row over the coefficient polytope."""
+    """Per-step extrema of each direction row over the coefficient polytope;
+    ``directions`` spans the whole stacked state."""
     bases, predicate = reach.bases, reach.initial
-    dim = bases.shape[1]
-    q, cols = directions.shape
-    if cols < dim:
-        directions = np.hstack([directions, np.zeros((q, dim - cols))])
-    elif cols > dim:
-        raise DimensionMismatchError(
-            f"directions have {cols} columns but the state dimension is {dim}"
-        )
+    q = directions.shape[0]
     header = ["time"]
     for i in range(q):
         header += [f"dir{i}_min", f"dir{i}_max"]
@@ -284,6 +278,17 @@ def run_job(args):
             raise InconsistentInitialSetError(cert)
         summary = f"consistent (max residual {cert.max_residual:.3e})"
     else:
+        # read and size-check the unsafe set and the directions before the
+        # O(n^3) pipeline runs, so a bad file fails fast
+        dim, n_orig = autonomous.n, autonomous.n_orig
+        unsafe = directions = None
+        if args.mode == "verify":
+            if args.unsafe is None:
+                raise ParseError("mode 'verify' requires --unsafe")
+            unsafe = load_unsafe(args.unsafe)
+            unsafe.extended(dim, n_orig)
+        if args.directions is not None:
+            directions = over_state(load_directions(args.directions), dim, n_orig, "D")
         reach = compute_reach(autonomous, theta0, settings, tol)
         times = settings.times
         timings.update(reach.timings)
@@ -293,17 +298,15 @@ def run_job(args):
                 "time_step": args.time_step,
                 "num_steps": settings.num_steps,
                 "propagation": settings.propagation_mode,
+                "ode_rank": reach.ode_coordinates.shape[1],
+                "terminal_inverse_residual": reach.decoupled.chain.inverse_residual,
             }
         )
-        directions = None if args.directions is None else load_directions(args.directions)
         if args.mode == "reach":
             _write_reach(out_dir, times, reach.bases)
             payload["num_stars"] = len(reach.bases)
             summary = f"reach: {len(reach.bases)} stars written"
         else:
-            if args.unsafe is None:
-                raise ParseError("mode 'verify' requires --unsafe")
-            unsafe = load_unsafe(args.unsafe)
             check_started = time.perf_counter()
             outcome = verify(reach, unsafe, tol)
             timings["safety_s"] = time.perf_counter() - check_started
@@ -318,7 +321,7 @@ def run_job(args):
                 }
             )
             if not outcome.is_safe:
-                _write_trace(out_dir, times, outcome.unsafe_trace, autonomous.n_orig)
+                _write_trace(out_dir, times, outcome.unsafe_trace, n_orig)
             summary = f"verdict: {outcome.status}"
             if step is not None:
                 summary += f"\nfirst unsafe step: {step}"

@@ -7,19 +7,31 @@ Starting from an autonomous pair ``(E, A)`` the chain
 
 with ``Q_j`` a projector onto ``Ker(E_j)`` and ``P_j = I - Q_j``,
 terminates at the first nonsingular ``E_mu``; ``mu`` is the tractability
-index.  One SVD per chain matrix gives its kernel projector and, through
-it, its rank decision; each chain inverts its terminal matrix once.
-Plain orthogonal kernel projectors generally violate the admissibility
-property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
-so they are corrected index-by-index (index 1 needs no correction) and
-the chain is rebuilt with the corrected projectors.
+index.  One SVD per chain matrix gives its kernel basis and, through it,
+its rank decision; the terminal matrix's inverse comes from the factors
+of that same SVD.  Plain orthogonal kernel projectors generally violate
+the admissibility property ``Q_j Q_i = 0`` for ``j > i`` that the
+decoupled forms rely on, so they are corrected index-by-index (index 1
+needs no correction) and the chain is rebuilt with the corrected
+projectors.
+
+The correction needs no new factorization of a rebuilt matrix.  If
+``Q`` and ``Q'`` project onto the same kernel ``Ker E_j`` then
+``E_j - A_j Q' = (E_j - A_j Q)(I - Q + Q')`` and
+``(I - Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz & Tischendorf, *DAEs:
+A Projector Based Analysis*, 2013).  So the rebuilt chain's kernels and
+terminal inverse follow from the raw chain's by matrix products; a
+residual ``max|E_mu' E_mu'^{-1} - I|`` checks the result.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices.
-Only indices 1 through 3 are supported; higher indices raise.
+The ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
+dimension ``r = trace(Pi)``; :attr:`DecoupledSystem.ode_frame` gives
+``r``-dimensional coordinates on it.  Only indices 1 through 3 are
+supported; higher indices raise.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,12 +42,7 @@ from .errors import (
     NonsingularEError,
     SingularMatrixError,
 )
-from .linalg import (
-    DEFAULT_TOLERANCES,
-    numerical_rank,
-    orthogonal_null_projector,
-    solve_inverse,
-)
+from .linalg import DEFAULT_TOLERANCES, kernel_basis_and_inverse, solve_inverse
 from .model import check_regularity
 
 __all__ = [
@@ -49,6 +56,10 @@ __all__ = [
 
 MAX_SUPPORTED_INDEX = 3
 
+# fixes the Gaussian test matrix behind the ODE frame, so every run of one
+# system gets the same frame; no answer depends on the value
+_FRAME_SEED = 0xF2A3E
+
 
 @dataclass(frozen=True)
 class MatrixChain:
@@ -56,11 +67,14 @@ class MatrixChain:
 
     ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu), and
     ``Q_seq``/``P_seq`` have length ``mu``.  ``terminal_inverse`` is
-    ``E_mu^{-1}``, computed once after the chain's own rank decision proved
-    ``E_mu`` nonsingular.  ``admissible`` records whether the projectors
-    satisfy ``Q_j Q_i = 0`` for ``j > i``; the chain built from raw
-    orthogonal projectors is kept on ``raw`` after correction so both
-    stages stay inspectable.
+    ``E_mu^{-1}``; the chain's own rank decision proved ``E_mu``
+    nonsingular.  ``admissible`` records whether the projectors satisfy
+    ``Q_j Q_i = 0`` for ``j > i``; the chain built from raw orthogonal
+    projectors is kept on ``raw`` after correction so both stages stay
+    inspectable.  ``kernel_bases`` holds the orthonormal basis behind each
+    orthogonal ``Q_j`` of a raw chain (empty once corrected), and
+    ``inverse_residual`` the checked ``max|E_mu E_mu^{-1} - I|`` of a
+    corrected chain (``None`` before).
     """
 
     E_seq: list
@@ -71,6 +85,8 @@ class MatrixChain:
     terminal_inverse: np.ndarray = field(repr=False)
     admissible: bool = False
     raw: "MatrixChain | None" = field(default=None, repr=False)
+    kernel_bases: list = field(default=(), repr=False)
+    inverse_residual: float | None = None
 
     @property
     def n(self):
@@ -105,6 +121,24 @@ class DecoupledSystem:
     @property
     def subsystem_ids(self):
         return tuple(sorted(self.N))
+
+    @cached_property
+    def ode_frame(self):
+        """``(W, Yt)``: coordinates on the ODE subspace ``range(Pi)``,
+        ``Pi = projectors[1]``.
+
+        ``Pi`` is a projector, so its rank is ``r = round(trace(Pi))``.
+        ``W`` (``n x r``, orthonormal columns) is the thin QR factor of
+        ``Pi`` times a fixed-seed Gaussian ``n x r`` matrix, and
+        ``Yt = W^T Pi`` (``r x n``), so that ``Pi = W @ Yt``.  ``N[1]`` maps
+        into ``range(Pi)``, so ``x_1 = W y`` solves the ODE subsystem
+        exactly when ``y' = (Yt N[1] W) y``.  Built on the first call.
+        """
+        pi = self.projectors[1]
+        r = int(round(np.trace(pi)))
+        omega = np.random.default_rng(_FRAME_SEED).standard_normal((self.n, r))
+        W = np.linalg.qr(pi @ omega)[0]
+        return W, W.T @ pi
 
     def reconstruction_maps(self):
         """Maps sending the ODE component to every solution component.
@@ -142,8 +176,9 @@ def _extend(E_seq, A_seq, Q_seq, P_seq, Q):
     A_seq.append(A_seq[-1] @ P)
 
 
-def _inverse(E):
-    return np.linalg.solve(E, np.eye(E.shape[0]))
+def _swap_inverse(Q, Q_new):
+    """``(I - Q + Q_new)^{-1} = I + Q - Q_new`` for two projectors onto one kernel."""
+    return np.eye(Q.shape[0]) + Q - Q_new
 
 
 def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
@@ -161,17 +196,20 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, Q_seq, P_seq = [sys.E], [sys.A], [], []
+    E_seq, A_seq, Q_seq, P_seq, kernel_bases = [sys.E], [sys.A], [], [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
-        Q = orthogonal_null_projector(E_seq[-1], tol)
-        if not Q.any():  # the kernel basis has no columns: E_mu is nonsingular
+        kernel_basis, inverse = kernel_basis_and_inverse(E_seq[-1], tol)
+        if inverse is not None:  # the kernel basis has no columns: E_mu is nonsingular
             if mu == 0:
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
-            return MatrixChain(E_seq, A_seq, Q_seq, P_seq, mu, _inverse(E_seq[-1]))
+            return MatrixChain(
+                E_seq, A_seq, Q_seq, P_seq, mu, inverse, kernel_bases=kernel_bases
+            )
         if mu < MAX_SUPPORTED_INDEX:
-            _extend(E_seq, A_seq, Q_seq, P_seq, Q)
+            kernel_bases.append(kernel_basis)
+            _extend(E_seq, A_seq, Q_seq, P_seq, kernel_basis @ kernel_basis.T)
     if not check_regularity(sys, tol):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -186,42 +224,64 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
 def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     """Correct the chain projectors so that ``Q_j Q_i = 0`` for ``j > i``.
 
-    Index 1 is returned unchanged (a single projector is trivially
+    Index 1 keeps its projector (a single projector is trivially
     admissible).  For index 2 the corrected ``Q_1`` is ``-Q_1 E_2^{-1}
     A_1``; for index 3 the kernel projector of an intermediate rebuilt
     chain supplies the corrected ``Q_2``.  Each corrected projector still
     projects onto the kernel of its (rebuilt) chain matrix; the returned
     chain is extended one corrected projector at a time and keeps the
-    original on ``.raw``.  One rank check of its terminal matrix proves the
-    inverse it carries.
+    original on ``.raw``.
+
+    No rebuilt chain matrix is factored to find its kernel or inverse: the
+    projector swap ``E' = E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q')
+    E^{-1}`` and ``Ker E_2' = (I + Q_1 - Q_1') Ker E_2``.  Only the index-3
+    intermediate ``E_2' - A_2' Q_2`` is inverted anew, since nothing proves
+    it nonsingular.  The terminal inverse is then checked: a residual
+    ``max|E_mu' E_mu'^{-1} - I|`` above ``sqrt(rank_rel_tol)`` raises
+    :class:`SingularMatrixError`; the residual is kept on
+    ``inverse_residual``.
     """
     if chain.admissible:
         return chain
     if chain.mu == 1:
-        return replace(chain, admissible=True, raw=chain)
-
-    # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
-    E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
-    Q_seq, P_seq = chain.Q_seq[:1], chain.P_seq[:1]
-    raw_inv, A1 = chain.terminal_inverse, chain.A_seq[1]
-    if chain.mu == 2:
-        _extend(E_seq, A_seq, Q_seq, P_seq, -chain.Q_seq[1] @ raw_inv @ A1)
+        E_seq, A_seq, Q_seq, P_seq = chain.E_seq, chain.A_seq, chain.Q_seq, chain.P_seq
+        inverse = chain.terminal_inverse
     else:
-        Q2_tilde = -chain.Q_seq[2] @ raw_inv @ chain.A_seq[2]
-        Q1 = -chain.Q_seq[1] @ (np.eye(chain.n) - Q2_tilde) @ raw_inv @ A1
-        _extend(E_seq, A_seq, Q_seq, P_seq, Q1)
-        E2, A2 = E_seq[2], A_seq[2]
-        Q2_orth = orthogonal_null_projector(E2, tol)
-        E3_orth_inv = solve_inverse(E2 - A2 @ Q2_orth, tol)
-        _extend(E_seq, A_seq, Q_seq, P_seq, -Q2_orth @ E3_orth_inv @ A2)
+        # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
+        E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
+        Q_seq, P_seq = chain.Q_seq[:1], chain.P_seq[:1]
+        raw_inv, A1, Q1 = chain.terminal_inverse, chain.A_seq[1], chain.Q_seq[1]
+        if chain.mu == 2:
+            Q1_adm = -Q1 @ raw_inv @ A1
+            _extend(E_seq, A_seq, Q_seq, P_seq, Q1_adm)
+            inverse = _swap_inverse(Q1, Q1_adm) @ raw_inv
+        else:
+            Q2_tilde = -chain.Q_seq[2] @ raw_inv @ chain.A_seq[2]
+            Q1_adm = -Q1 @ (np.eye(chain.n) - Q2_tilde) @ raw_inv @ A1
+            _extend(E_seq, A_seq, Q_seq, P_seq, Q1_adm)
+            kernel_basis = np.linalg.qr(_swap_inverse(Q1, Q1_adm) @ chain.kernel_bases[2])[0]
+            Q2_orth = kernel_basis @ kernel_basis.T
+            E3_orth_inv = solve_inverse(E_seq[2] - A_seq[2] @ Q2_orth, tol)
+            Q2_adm = -Q2_orth @ E3_orth_inv @ A_seq[2]
+            _extend(E_seq, A_seq, Q_seq, P_seq, Q2_adm)
+            inverse = _swap_inverse(Q2_orth, Q2_adm) @ E3_orth_inv
 
-    if numerical_rank(E_seq[-1], tol) < chain.n:
+    residual = float(np.abs(E_seq[-1] @ inverse - np.eye(chain.n)).max())
+    if not residual <= np.sqrt(tol.rank_rel_tol):
         raise SingularMatrixError(
-            "chain rebuilt with corrected projectors has a singular terminal "
-            "matrix; the index classification is unreliable at this tolerance"
+            f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
+            "index classification is unreliable at this tolerance"
         )
     return MatrixChain(
-        E_seq, A_seq, Q_seq, P_seq, chain.mu, _inverse(E_seq[-1]), admissible=True, raw=chain
+        E_seq,
+        A_seq,
+        Q_seq,
+        P_seq,
+        chain.mu,
+        inverse,
+        admissible=True,
+        raw=chain,
+        inverse_residual=residual,
     )
 
 
@@ -232,7 +292,7 @@ def decouple(chain, b=None):
     autonomous case and produces empty (zero-column) input coefficients,
     which every downstream formula accepts unchanged.  No tolerance is
     needed: the chain carries its terminal inverse, proven by its own rank
-    decision.
+    decision and checked by its residual.
     """
     if not chain.admissible:
         raise ValueError("decouple requires an admissible chain; call make_admissible")

@@ -1,12 +1,12 @@
 """Dense real-matrix primitives with an explicit tolerance policy.
 
-Rank decisions, kernel projectors, inverses, and matrix exponentials for
-the rest of the package.  All rank-like decisions go through one relative
+Rank decisions, kernel bases, inverses, and matrix exponentials for the
+rest of the package.  All rank-like decisions go through one relative
 singular-value cutoff.  The matrix chain takes one SVD per chain matrix:
-the kernel projector it yields also decides the rank (a zero projector
-means the matrix is nonsingular), so a chain matrix's index step and its
-projector cannot disagree.  Each chain inverts its terminal matrix once,
-after its own rank decision has proven it nonsingular.
+the kernel basis it yields also decides the rank (an empty basis means
+the matrix is nonsingular), so a chain matrix's index step and its
+projector cannot disagree, and the terminal matrix's inverse is formed
+from the same factors, ``W diag(1/s) U^T``, with no LU solve.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,7 @@ __all__ = [
     "as_vector",
     "readonly",
     "numerical_rank",
+    "kernel_basis_and_inverse",
     "orthogonal_null_projector",
     "matrix_exponential",
     "solve_inverse",
@@ -120,24 +121,33 @@ def numerical_rank(Z, tol=DEFAULT_TOLERANCES):
     return _rank(np.linalg.svd(Z, compute_uv=False), tol)
 
 
-def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
-    """Orthogonal projector onto the kernel of a square matrix.
+def kernel_basis_and_inverse(Z, tol=DEFAULT_TOLERANCES):
+    """Orthonormal kernel basis of a square matrix and, when the kernel is
+    trivial, its inverse, both from one SVD.
 
-    Let ``Z = U diag(s) W^T`` be the SVD and ``K`` the right singular
-    vectors belonging to singular values at or below the rank cutoff.
-    The returned ``Q = K K^T`` satisfies ``Z @ Q == 0``, ``Q == Q.T`` and
-    ``Q @ Q == Q`` up to rounding.  For a nonsingular ``Z`` this is the
-    zero matrix (exactly: the kernel basis has no columns), so one SVD both
-    decides whether ``Z`` is singular and gives its kernel projector; for
-    the zero matrix it is the identity.
-
-    The entries are stored exactly as computed (no re-orthogonalization
-    or rounding), so downstream identity checks see the same floats.
+    Let ``Z = U diag(s) W^T``.  The basis is the columns of ``W`` whose
+    singular values lie at or below the rank cutoff, an ``(n, n - rank)``
+    array; for a nonsingular ``Z`` it has no columns and the inverse is
+    ``W diag(1/s) U^T``.  For a singular ``Z`` the inverse is ``None``.
     """
     Z = as_matrix(Z, "Z")
     _require_square(Z, "Z")
-    _, s, wt = np.linalg.svd(Z)
-    kernel_basis = wt[_rank(s, tol):, :].T
+    u, s, wt = np.linalg.svd(Z)
+    rank = _rank(s, tol)
+    inverse = (wt.T / s) @ u.T if rank == Z.shape[0] else None
+    return wt[rank:, :].T, inverse
+
+
+def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
+    """Orthogonal projector onto the kernel of a square matrix.
+
+    With ``K`` the kernel basis of :func:`kernel_basis_and_inverse`, the
+    returned ``Q = K K^T`` satisfies ``Z @ Q == 0``, ``Q == Q.T`` and
+    ``Q @ Q == Q`` up to rounding.  For a nonsingular ``Z`` this is the
+    zero matrix (exactly: the kernel basis has no columns); for the zero
+    matrix it is the identity.
+    """
+    kernel_basis, _ = kernel_basis_and_inverse(Z, tol)
     return kernel_basis @ kernel_basis.T
 
 
@@ -156,13 +166,12 @@ def matrix_exponential(M, t=1.0):
 
 
 def solve_inverse(M, tol=DEFAULT_TOLERANCES):
-    """Inverse of ``M``, or :class:`SingularMatrixError` at the rank tolerance."""
-    M = as_matrix(M, "M")
-    _require_square(M, "M")
-    n = M.shape[0]
-    if numerical_rank(M, tol) < n:
+    """Inverse of ``M`` from its SVD, or :class:`SingularMatrixError` at the
+    rank tolerance."""
+    kernel_basis, inverse = kernel_basis_and_inverse(M, tol)
+    if inverse is None:
         raise SingularMatrixError(
-            f"matrix of size {n} is singular at relative tolerance "
+            f"matrix of size {kernel_basis.shape[0]} is singular at relative tolerance "
             f"{tol.rank_rel_tol:g}"
         )
-    return np.linalg.solve(M, np.eye(n))
+    return inverse

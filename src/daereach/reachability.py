@@ -1,11 +1,14 @@
 """Discrete-time reachable-set computation for autonomous DAE systems.
 
-Only the ODE subsystem needs integrating: its basis is pushed through
-time column by column, and one fixed matrix then lifts every ODE basis
-back to a full DAE state basis.  The predicate never changes, so the
-reachable set at each step is a star sharing the initial star's
-constraint matrices, and the whole result is one array of bases plus
-that one predicate.
+Only the ODE subsystem needs integrating, and it lives on the
+``r``-dimensional subspace ``range(Pi)``, ``Pi = projectors[1]``: its
+basis is pushed through time in the coordinates of the decoupled
+system's ODE frame ``(W, Yt)``, so the transition matrix is ``r x r``
+instead of ``n x n``.  One fixed ``n x r`` matrix ``psi W`` then lifts
+every coordinate basis back to a full DAE state basis.  The predicate
+never changes, so the reachable set at each step is a star sharing the
+initial star's constraint matrices, and the whole result is one array of
+bases plus that one predicate.
 """
 
 import time
@@ -76,19 +79,30 @@ class ReachResult:
 
     ``bases[j]`` is the state basis at ``j * time_step``, an array of shape
     ``(num_steps + 1, n, k)``; every step shares the predicate of
-    ``initial``, the initial star.  ``ode_basis[j]`` is the ODE-subsystem
-    basis that ``bases[j]`` was lifted from by ``psi``, kept for
-    introspection and reconstruction tests.
+    ``initial``, the initial star.  ``ode_coordinates[j]``, shape
+    ``(r, k)``, is the ODE-subsystem basis in the coordinates of the
+    decoupled system's ODE frame, which ``psi @ W`` lifted to
+    ``bases[j]``.  The first ``n_orig`` state coordinates are the original
+    model states, the rest are stacked inputs.
     """
 
     bases: np.ndarray
     initial: StarSet
     psi: np.ndarray
-    ode_basis: np.ndarray
+    ode_coordinates: np.ndarray
     settings: ReachSettings
-    decoupled: object = field(repr=False, default=None)
+    n_orig: int
+    decoupled: object = field(repr=False)
     certificate: object = field(repr=False, default=None)
     timings: dict = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def ode_basis(self):
+        """The ODE-subsystem bases in state coordinates, ``W @ ode_coordinates``,
+        shape ``(num_steps + 1, n, k)``; built on first access and kept."""
+        ode_basis = self.decoupled.ode_frame[0] @ self.ode_coordinates
+        ode_basis.flags.writeable = False
+        return ode_basis
 
     @cached_property
     def stars(self):
@@ -110,37 +124,43 @@ def build_psi(dec):
     return psi
 
 
-def propagate_basis(dec, theta1_0, settings):
-    """Bases of the ODE subsystem at every time-grid instant, shape
-    ``(num_steps + 1, n, k)``.
+def propagate_basis(dec, theta0, settings):
+    """Bases of the ODE subsystem at every time-grid instant in the
+    coordinates of ``dec.ode_frame``, shape ``(num_steps + 1, r, k)``.
 
-    ``theta1_0`` is the initial star already projected onto the ODE
-    subsystem.  Columns evolve independently under ``x_1' = N[1] x_1``;
-    in transition-matrix mode every step multiplies by the one-step
-    exponential, in adaptive mode each column is integrated separately
-    with an eighth-order error-controlled scheme.
+    Only the ODE component of ``theta0`` is propagated: its coordinates
+    are ``Yt @ V`` with ``Yt = W^T Pi``, so a star already projected onto
+    the ODE subsystem gives the same result.  Columns evolve
+    independently under ``y' = (Yt N[1] W) y``; in transition-matrix mode
+    every step multiplies by the one-step ``r x r`` exponential, in
+    adaptive mode each column is integrated separately with an
+    eighth-order error-controlled scheme.  ``W @ y`` is the basis in state
+    coordinates.
     """
-    n1 = dec.N[1]
-    v0 = np.asarray(theta1_0.V, dtype=float)
+    W, Yt = dec.ode_frame
+    n1 = Yt @ dec.N[1] @ W
+    y0 = Yt @ np.asarray(theta0.V, dtype=float)
     steps = settings.num_steps
+    if not y0.size:  # r = 0: no ODE subsystem, nothing moves
+        return np.zeros((steps + 1,) + y0.shape)
     if settings.propagation_mode == TRANSITION_MATRIX:
         phi = matrix_exponential(n1, settings.time_step)
-        bases = np.empty((steps + 1,) + v0.shape)
-        bases[0] = v0
+        coordinates = np.empty((steps + 1,) + y0.shape)
+        coordinates[0] = y0
         for j in range(steps):
-            np.matmul(phi, bases[j], out=bases[j + 1])
-        return bases
+            np.matmul(phi, coordinates[j], out=coordinates[j + 1])
+        return coordinates
     # imported here: scipy.integrate is about a third of the package's
     # import time, and only this mode needs it
     from scipy.integrate import solve_ivp
 
     times = settings.times
     columns = []
-    for i in range(v0.shape[1]):
+    for i in range(y0.shape[1]):
         sol = solve_ivp(
             lambda _, y: n1 @ y,
             (0.0, settings.time_bound),
-            v0[:, i],
+            y0[:, i],
             method="DOP853",
             t_eval=times,
             atol=settings.integrator_abs_tol,
@@ -151,7 +171,7 @@ def propagate_basis(dec, theta1_0, settings):
                 f"basis column {i} integration failed: {sol.message}"
             )
         columns.append(sol.y)
-    stacked = np.stack(columns, axis=-1)  # (n, steps + 1, k)
+    stacked = np.stack(columns, axis=-1)  # (r, steps + 1, k)
     return np.ascontiguousarray(stacked.transpose(1, 0, 2))
 
 
@@ -161,10 +181,10 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     Pipeline: decouple (chain, admissible projectors, subsystem
     coefficients), verify that the initial star lies in the consistent
     space (raising :class:`InconsistentInitialSetError` with the
-    certificate otherwise), project the basis onto the ODE subsystem,
-    propagate, and lift every propagated basis back to the full state in
-    one batched product.  A time grid too long for numpy to hold raises
-    :class:`NumericalFailureError`.
+    certificate otherwise), propagate the basis's ODE coordinates, and
+    lift every propagated basis back to the full state in one batched
+    product with ``psi @ W``.  A time grid too long for numpy to hold
+    raises :class:`NumericalFailureError`.
     """
     started = time.perf_counter()
     dec = decouple_system(sys, tol)
@@ -175,23 +195,23 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
         raise InconsistentInitialSetError(certificate)
 
     started = time.perf_counter()
-    theta1_0 = theta0.linear_image(dec.projectors[1])
     try:
-        ode_basis = propagate_basis(dec, theta1_0, settings)
+        coordinates = propagate_basis(dec, theta0, settings)
         psi = build_psi(dec)
-        bases = psi @ ode_basis
+        bases = (psi @ dec.ode_frame[0]) @ coordinates
     except (ValueError, MemoryError) as exc:  # numpy refused the grid's size
         raise NumericalFailureError(
             f"{settings.num_steps:.3g} steps are too many for an array: {exc}"
         ) from exc
-    bases.flags.writeable = ode_basis.flags.writeable = False  # shared by star views
+    bases.flags.writeable = coordinates.flags.writeable = False  # shared by star views
     reach_seconds = time.perf_counter() - started
     return ReachResult(
         bases=bases,
         initial=theta0,
         psi=psi,
-        ode_basis=ode_basis,
+        ode_coordinates=coordinates,
         settings=settings,
+        n_orig=sys.n_orig,
         decoupled=dec,
         certificate=certificate,
         timings={"decouple_s": decouple_seconds, "reach_s": reach_seconds},

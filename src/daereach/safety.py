@@ -20,6 +20,7 @@ from .errors import DimensionMismatchError, NumericalFailureError
 from .linalg import DEFAULT_TOLERANCES, as_matrix, as_vector, readonly
 
 __all__ = [
+    "over_state",
     "UnsafeSpec",
     "VerificationOutcome",
     "feasibility_check",
@@ -31,12 +32,31 @@ SAFE = "safe"
 UNSAFE = "unsafe"
 
 
+def over_state(M, dim, n_orig, name):
+    """``M`` as a matrix over the stacked state of dimension ``dim``.
+
+    A matrix of ``dim`` columns is returned as is; one of ``n_orig``
+    columns spans the original model states and is padded with zero
+    columns over the trailing inputs.  Any other width raises
+    :class:`DimensionMismatchError`.
+    """
+    q, cols = M.shape
+    if cols == dim:
+        return M
+    if 0 < cols == n_orig:
+        return np.hstack([M, np.zeros((q, dim - cols))])
+    raise DimensionMismatchError(
+        f"{name} has {cols} columns, but the state has {n_orig} original "
+        f"coordinates and dimension {dim}"
+    )
+
+
 class UnsafeSpec:
     """The unsafe polyhedron ``G x <= f``.
 
-    With ``on_original_state`` (the default) ``G`` constrains only the
-    original model coordinates and is zero-extended over any trailing
-    input coordinates of the stacked autonomous state.
+    With ``on_original_state`` (the default) ``G`` may constrain only the
+    original model coordinates and is then zero-extended over any
+    trailing input coordinates of the stacked autonomous state.
     """
 
     __slots__ = ("G", "f", "on_original_state")
@@ -52,16 +72,12 @@ class UnsafeSpec:
         self.f = readonly(f)
         self.on_original_state = bool(on_original_state)
 
-    def extended(self, dim):
-        """``G`` padded with zero columns up to state dimension ``dim``."""
-        q, cols = self.G.shape
-        if cols == dim:
-            return self.G
-        if self.on_original_state and cols < dim:
-            return np.hstack([self.G, np.zeros((q, dim - cols))])
-        raise DimensionMismatchError(
-            f"unsafe matrix has {cols} columns but the state dimension is {dim}"
-        )
+    def extended(self, dim, n_orig):
+        """``G`` over the stacked state of dimension ``dim`` whose first
+        ``n_orig`` coordinates are the original states (see
+        :func:`over_state`); without ``on_original_state`` only ``dim``
+        columns are accepted."""
+        return over_state(self.G, dim, n_orig if self.on_original_state else dim, "G")
 
     def __repr__(self):
         return f"UnsafeSpec(rows={self.G.shape[0]}, cols={self.G.shape[1]})"
@@ -173,7 +189,7 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     kernel = feasibility_check if kernel is None else kernel
     bases = reach.bases
     C, d = reach.initial.C, reach.initial.d
-    G = unsafe.extended(bases.shape[1])
+    G = unsafe.extended(bases.shape[1], reach.n_orig)
     f = unsafe.f
     H = G @ bases  # (steps, q, k)
 

@@ -5,13 +5,18 @@ matrix exponential is a scaled Taylor series instead of a Pade
 approximant, exact solutions come from a canonical-form construction
 instead of the projector chain, feasibility is decided by vertex
 enumeration instead of simplex pivots, and determinants over integer
-matrices are computed exactly with fraction-free elimination.
+matrices are computed exactly with fraction-free elimination.  The
+reference decoupling and reach path rebuilds the admissible chain the
+direct way (rank-checked rebuilt matrices, LU inverses) and propagates
+the full ``n x n`` ODE subsystem; only the closed-form ``decouple`` step
+and ``psi`` are shared with the package.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 
@@ -173,3 +178,90 @@ def box_star(rng, gamma, dim, width, rcond=1e-9):
     C = np.vstack([np.eye(width), -np.eye(width)])
     d = np.concatenate([highs, -lows])
     return StarSet(basis, C, d)
+
+
+def _orthogonal_kernel(Z, rel_tol):
+    """Orthogonal kernel projector of ``Z`` and whether ``Z`` has full rank."""
+    _, s, wt = np.linalg.svd(Z)
+    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0.0 else 0
+    basis = wt[rank:].T
+    return basis @ basis.T, rank == Z.shape[0]
+
+
+def _lu_inverse(Z):
+    return np.linalg.solve(Z, np.eye(Z.shape[0]))
+
+
+def reference_decoupled(auto, b=None, rel_tol=1e-9):
+    """The decoupled system by the direct path.
+
+    The raw chain of orthogonal kernel projectors is built to its first
+    full-rank ``E_mu`` (``mu <= 3``) and inverted by LU; the admissible
+    correction then rebuilds the chain matrices one corrected projector at
+    a time, takes the index-3 intermediate kernel from a fresh SVD, inverts
+    every matrix it needs by LU, and rank-checks the rebuilt terminal
+    matrix before inverting it.
+    """
+    from daereach import decouple
+    from daereach.decoupling import MatrixChain
+
+    n = auto.n
+    E, A, Q, P = [auto.E], [auto.A], [], []
+
+    def extend(q):
+        Q.append(q)
+        P.append(np.eye(n) - q)
+        E.append(E[-1] - A[-1] @ q)
+        A.append(A[-1] @ P[-1])
+
+    for mu in range(4):
+        q, nonsingular = _orthogonal_kernel(E[-1], rel_tol)
+        if nonsingular:
+            break
+        assert mu < 3, "index above 3"
+        extend(q)
+    assert mu >= 1, "E is nonsingular"
+    raw_inv = _lu_inverse(E[mu])
+    raw_Q, raw_A = list(Q), list(A)
+    del E[2:], A[2:], Q[1:], P[1:]
+    if mu == 2:
+        extend(-raw_Q[1] @ raw_inv @ raw_A[1])
+    elif mu == 3:
+        q2_tilde = -raw_Q[2] @ raw_inv @ raw_A[2]
+        extend(-raw_Q[1] @ (np.eye(n) - q2_tilde) @ raw_inv @ raw_A[1])
+        q2_orth, _ = _orthogonal_kernel(E[2], rel_tol)
+        e3_orth = E[2] - A[2] @ q2_orth
+        assert _orthogonal_kernel(e3_orth, rel_tol)[1], "singular intermediate matrix"
+        extend(-q2_orth @ _lu_inverse(e3_orth) @ A[2])
+    assert _orthogonal_kernel(E[-1], rel_tol)[1], "singular rebuilt terminal matrix"
+    chain = MatrixChain(E, A, Q, P, mu, _lu_inverse(E[-1]), admissible=True)
+    return decouple(chain, b)
+
+
+def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e-8, atol=1e-12):
+    """State bases at every instant by full ``n x n`` propagation of the ODE
+    subsystem: ``Pi V0`` pushed by ``expm(h N[1])`` each step, or with
+    ``adaptive`` integrated column by column in ``n`` dimensions, then
+    lifted by ``psi``."""
+    from daereach import build_psi
+
+    n1 = dec.N[1]
+    v1 = dec.projectors[1] @ V0
+    if adaptive:
+        times = np.arange(num_steps + 1) * time_step
+        columns = []
+        for column in v1.T:
+            sol = solve_ivp(
+                lambda _, x: n1 @ x, (0.0, times[-1]), column, method="DOP853",
+                t_eval=times, rtol=rtol, atol=atol,
+            )
+            assert sol.success
+            columns.append(sol.y)
+        ode = np.stack(columns, axis=-1).transpose(1, 0, 2)
+    else:
+        phi = scipy.linalg.expm(time_step * n1)
+        ode = [v1]
+        for _ in range(num_steps):
+            ode.append(phi @ ode[-1])
+        ode = np.stack(ode)
+    return build_psi(dec) @ ode

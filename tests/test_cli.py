@@ -64,6 +64,8 @@ class TestVerifyMode:
         assert verdict["index"] == 2
         assert set(verdict["timings"]) >= {"decouple_s", "reach_s", "safety_s"}
         assert (verdict["lp_calls"], verdict["screened_steps"]) == (1, 166)
+        assert verdict["ode_rank"] == 3
+        assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1001  # header plus one row per instant
         assert lines[0].startswith("time,x0,x1,x2,x3,u0,u1")
@@ -205,6 +207,9 @@ class TestOtherModes:
         assert code == EXIT_OK
         lines = (out / "reach.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 11
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["ode_rank"] == 3
+        assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
 
     def test_bounds_with_directions(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files
@@ -307,6 +312,41 @@ class TestErrorPaths:
             ["--model", "builtin:rotating-masses", "--mode", "reach", "--out", str(tmp_path)]
         )
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "flag, document",
+        [
+            ("--unsafe", {"G": [[0.0, 0.0, 1.0]], "f": [-0.9]}),
+            ("--unsafe", {"G": [[0.0, 0.0, 1.0, 0.0, 0.0]], "f": [-0.9]}),
+            ("--unsafe", {"G": [[0.0, 0.0, 1.0, 0.0]], "f": [-0.9], "on_original_state": False}),
+            ("--directions", {"D": [[0.0, 0.0, 1.0]]}),
+            ("--directions", {"D": [[0.0, 0.0, 1.0, 0.0, 0.0]]}),
+            ("--directions", {"D": [[]]}),
+            ("--directions", {"D": {"shape": [2, 0], "triples": []}}),
+        ],
+    )
+    def test_unsafe_or_directions_of_wrong_width(
+        self, tmp_path, capsys, monkeypatch, benchmark_files, flag, document
+    ):
+        # the rotating masses have 4 states and 2 inputs: only 4 or 6 columns
+        # fit, and the check runs before the pipeline
+        import daereach.cli
+
+        def pipeline(*args, **kwargs):
+            raise AssertionError("the pipeline ran on a malformed file")
+
+        monkeypatch.setattr(daereach.cli, "compute_reach", pipeline)
+        init, unsafe = benchmark_files
+        path = tmp_path / "spoiled.json"
+        path.write_text(json.dumps(document))
+        files = {"--unsafe": str(unsafe), flag: str(path)}
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init), "--out", str(out)]
+        for key, value in files.items():
+            argv += [key, value]
+        assert run(argv) == EXIT_PARSE
+        assert last_error(capsys)["error"] == "dimension-mismatch"
+        assert sorted(p.name for p in out.iterdir()) == ["verdict.json"]
 
     def test_index_too_high_exit_code(self, tmp_path, capsys):
         from oracles import CanonicalDae

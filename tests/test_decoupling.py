@@ -11,7 +11,7 @@ from daereach import (
     make_admissible,
 )
 
-from oracles import CanonicalDae
+from oracles import CanonicalDae, reference_decoupled
 
 THIRD = 1.0 / 3.0
 
@@ -249,20 +249,22 @@ def _stokes_auto():
 
 
 class TestFactorizationCounts:
-    """One SVD per chain matrix and one inverse per chain.
+    """One SVD per chain matrix and no LU solve.
 
-    The bounds below count one SVD per raw chain matrix, the index-3
-    intermediate kernel and inverse, and the rebuilt chain's rank check.
-    No regularity probe runs: a chain that ends proves the pencil regular.
+    The bounds below count one SVD per raw chain matrix, whose factors also
+    give the terminal inverse, and at index 3 one more for the intermediate
+    matrix the projector swap cannot prove nonsingular, whose factors give
+    its inverse too.  The rebuilt chain is never factored, and no
+    regularity probe runs: a chain that ends proves the pencil regular.
     """
 
     @pytest.mark.parametrize(
         "make_auto, index, svds, solves",
         [
-            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 2, 1),
-            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 4, 2),
-            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 7, 3),
-            (_stokes_auto, 2, 4, 2),
+            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 2, 0),
+            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 3, 0),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 5, 0),
+            (_stokes_auto, 2, 3, 0),
         ],
         ids=["index-1", "index-2", "index-3", "stokes-4"],
     )
@@ -293,3 +295,52 @@ class TestFactorizationCounts:
         assert counts["svd"] <= svds
         assert counts["solve"] <= solves
         assert counts["maps"] == 1
+
+    def test_exponential_is_taken_at_ode_rank(self, monkeypatch):
+        import daereach.reachability
+        from daereach import ReachSettings, build_consistent_matrix, compute_reach
+        from oracles import box_star
+
+        auto = _stokes_auto()
+        dec = reference_decoupled(auto)
+        r = round(np.trace(dec.projectors[1]))
+        star = box_star(np.random.default_rng(4), build_consistent_matrix(dec), auto.n, 2)
+        shapes = []
+
+        def recording(M, t=1.0):
+            shapes.append(np.shape(M))
+            return daereach.linalg.matrix_exponential(M, t)
+
+        monkeypatch.setattr(daereach.reachability, "matrix_exponential", recording)
+        reach = compute_reach(auto, star, ReachSettings(1e-3, 5))
+        assert 0 < r < auto.n
+        assert shapes == [(r, r)]
+        assert reach.ode_coordinates.shape == (6, r, 2)
+
+
+def _relative_error(ours, reference):
+    return np.abs(ours - reference).max() / max(1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_decoupling_matches_reference_path(index):
+    """100 random canonical systems per index: the swapped-projector chain
+    against LU inverses and a rank-checked rebuilt chain."""
+    for seed in range(index - 1, 300, 3):
+        rng = np.random.default_rng(seed)
+        blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(0, 3)))
+        auto, _ = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
+        b = rng.normal(size=(auto.n, 2))
+        ours = decouple(make_admissible(compute_index_and_chain(auto)), b)
+        reference = reference_decoupled(auto, b)
+        assert ours.mu == reference.mu == index, seed
+        pairs = [(ours.N[i], reference.N[i]) for i in reference.N]
+        pairs += [(ours.M[i], reference.M[i]) for i in reference.M]
+        pairs += [(ours.projectors[i], reference.projectors[i]) for i in reference.projectors]
+        pairs += [
+            (getattr(ours, key), getattr(reference, key))
+            for key in ("L3", "L4", "Z4")
+            if getattr(reference, key) is not None
+        ]
+        assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, seed
+        assert ours.chain.inverse_residual <= 1e-12, seed

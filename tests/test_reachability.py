@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from daereach import (
     ADAPTIVE_INTEGRATOR,
+    TRANSITION_MATRIX,
     AutonomousDae,
     InconsistentInitialSetError,
     ReachSettings,
@@ -16,7 +19,7 @@ from daereach import (
 )
 from daereach.decoupling import DecoupledSystem
 
-from oracles import CanonicalDae, box_star
+from oracles import CanonicalDae, box_star, reference_decoupled, reference_reach_bases
 from test_decoupling import EXPECTED_N3
 
 
@@ -108,10 +111,12 @@ class TestPropagateBasis:
         dec = synthetic_dec(np.zeros((3, 3)))
         theta = full_box_star(np.eye(3))
         settings = ReachSettings(time_step=0.1, num_steps=4)
-        bases = propagate_basis(dec, theta, settings)
-        assert len(bases) == 5
-        for basis in bases:
-            assert np.array_equal(basis, np.eye(3))
+        coordinates = propagate_basis(dec, theta, settings)
+        W, _ = dec.ode_frame
+        assert coordinates.shape == (5, 3, 3)
+        for y in coordinates:
+            assert np.array_equal(y, coordinates[0])
+            assert np.abs(W @ y - np.eye(3)).max() <= 1e-14
 
     def test_scalar_exponential(self):
         from daereach import propagate_basis
@@ -119,8 +124,9 @@ class TestPropagateBasis:
         dec = synthetic_dec([[-1.0]])
         theta = full_box_star(np.array([[1.0]]))
         settings = ReachSettings(time_step=0.1, num_steps=1)
-        bases = propagate_basis(dec, theta, settings)
-        assert bases[1][0, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
+        coordinates = propagate_basis(dec, theta, settings)
+        W, _ = dec.ode_frame
+        assert (W @ coordinates[1])[0, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
 
     def test_modes_agree(self, rotating_masses_auto, rotating_masses_star):
         fixed = ReachSettings(time_step=0.01, num_steps=1000)
@@ -174,6 +180,16 @@ class TestComputeReach:
         reach = compute_reach(rotating_masses_auto, star, settings)
         for s in reach.stars:
             assert np.abs(s.V).max() <= 1e-14
+
+    @pytest.mark.parametrize("mode", [TRANSITION_MATRIX, ADAPTIVE_INTEGRATOR])
+    def test_system_without_ode_subsystem(self, mode):
+        # E = 0: index 1 with Pi = 0, so the ODE frame has r = 0 columns
+        auto = AutonomousDae(np.zeros((2, 2)), np.eye(2))
+        star = StarSet(np.zeros((2, 1)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        reach = compute_reach(auto, star, ReachSettings(0.1, 3, propagation_mode=mode))
+        assert reach.ode_coordinates.shape == (4, 0, 1)
+        assert reach.ode_basis.shape == reach.bases.shape == (4, 2, 1)
+        assert not reach.bases.any()
 
     def test_inconsistent_initial_set_raises_with_certificate(
         self, rotating_masses_auto, rotating_masses_star
@@ -269,6 +285,45 @@ class TestReachInvariants:
         fine = worst_residual(0.01, 500)
         fitted = coarse / 0.02
         assert fine <= 1.5 * fitted * 0.01
+
+
+def _stokes(k):
+    from daereach import load_model, to_autonomous
+
+    return to_autonomous(*load_model(f"builtin:stokes:{k}"))
+
+
+class TestAgainstReferencePath:
+    """The r-dimensional propagation and the swapped-projector inverses
+    against the direct path: LU inverses, a rank-checked rebuilt chain and
+    full ``n x n`` propagation (``oracles.reference_*``)."""
+
+    @pytest.mark.parametrize("mode", [TRANSITION_MATRIX, ADAPTIVE_INTEGRATOR])
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_stokes_bases_and_verdicts(self, k, mode):
+        from daereach import UnsafeSpec, stokes_center_velocity_rows, verify
+
+        auto = _stokes(k)
+        ref_dec = reference_decoupled(auto)
+        star = box_star(np.random.default_rng(k), build_consistent_matrix(ref_dec), auto.n, 2)
+        settings = ReachSettings(1e-4, 100, propagation_mode=mode)
+        reach = compute_reach(auto, star, settings)
+        expected = reference_reach_bases(
+            ref_dec, star.V, 1e-4, 100, adaptive=mode == ADAPTIVE_INTEGRATOR
+        )
+        assert reach.ode_coordinates.shape[1] == round(np.trace(ref_dec.projectors[1]))
+        assert np.abs(reach.bases - expected).max() <= 1e-8 * np.abs(expected).max()
+
+        G = np.zeros((1, auto.n))
+        G[0, list(stokes_center_velocity_rows(k))] = -1.0
+        lowest = np.sort((G @ expected @ star.coefficient_vertices().T).min(axis=2)[:, 0])
+        reference = replace(reach, bases=expected)
+        # a threshold crossed halfway through the horizon, and one never crossed
+        for threshold in ((lowest[50] + lowest[51]) / 2, lowest[0] - 0.1 * np.ptp(lowest)):
+            unsafe = UnsafeSpec(G, [threshold], on_original_state=False)
+            ours, theirs = verify(reach, unsafe), verify(reference, unsafe)
+            assert ours.status == theirs.status
+            assert ours.first_unsafe_step == theirs.first_unsafe_step
 
 
 class TestSettingsValidation:

@@ -30,13 +30,13 @@ class TestUnsafeSpec:
 
     def test_zero_extension_over_inputs(self):
         spec = UnsafeSpec([[1.0, 2.0]], [0.0])
-        extended = spec.extended(4)
+        extended = spec.extended(4, 2)
         assert np.array_equal(extended, [[1.0, 2.0, 0.0, 0.0]])
 
     def test_full_width_not_extended(self):
         spec = UnsafeSpec([[1.0, 2.0]], [0.0], on_original_state=False)
         with pytest.raises(DimensionMismatchError):
-            spec.extended(4)
+            spec.extended(4, 2)
 
 
 class TestFeasibilityCheck:
@@ -248,7 +248,7 @@ def reference_verify(reach, unsafe):
     """The unscreened scan: one kernel call at every step, in time order."""
     hits, alpha = [], None
     for j, star in enumerate(reach.stars):
-        Gbar = np.vstack([unsafe.extended(star.dim) @ star.V, star.C])
+        Gbar = np.vstack([unsafe.extended(star.dim, reach.n_orig) @ star.V, star.C])
         fbar = np.concatenate([unsafe.f, star.d])
         candidate = feasibility_check(Gbar, fbar)
         if candidate is not None:
