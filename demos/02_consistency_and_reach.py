@@ -49,16 +49,16 @@ print("perturbing one torque entry: consistent =", cert_bad.consistent,
 print("\nreachable set over 10 s with step 0.01 s ...")
 settings = ReachSettings(time_step=0.01, num_steps=1000)
 reach = compute_reach(auto, star, settings)
-print("stars computed:", len(reach.stars), "| predicate shared across all steps")
+print("stars computed:", len(reach.bases), "| predicate shared across all steps")
 
 # per-step envelope of the first torque coordinate via two LPs per step
 times = settings.times
 monitored_row = 2  # the torque the unsafe specification will constrain
 lo_envelope, hi_envelope = [], []
-for s in reach.stars[::50]:
-    c = s.V[monitored_row]
-    low = lp.solve_lp(c, s.C, s.d)
-    high = lp.solve_lp(-c, s.C, s.d)
+for basis in reach.bases[::50]:
+    c = basis[monitored_row]
+    low = lp.solve_lp(c, star.C, star.d)
+    high = lp.solve_lp(-c, star.C, star.d)
     lo_envelope.append(low.objective)
     hi_envelope.append(-high.objective)
 print("\ntorque envelope every 0.5 s:")

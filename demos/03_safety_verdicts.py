@@ -49,8 +49,8 @@ print("\nchecking: second torque  x4 <= -1.0")
 cleared = verify(reach, UnsafeSpec([[0.0, 0.0, 0.0, 1.0]], [-1.0]))
 print("  verdict:", cleared.status, "(no reachable state crosses the threshold")
 lo = min(
-    min(s.V[3] @ np.array([a1, a2]) for a1 in (0.1, 0.2) for a2 in (1.0, 1.2))
-    for s in reach.stars
+    min(basis[3] @ np.array([a1, a2]) for a1 in (0.1, 0.2) for a2 in (1.0, 1.2))
+    for basis in reach.bases
 )
 print(f"   over the whole horizon; the coordinate never drops below {lo:.4f})")
 

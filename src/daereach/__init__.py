@@ -67,8 +67,6 @@ from .modelio import (
     save_unsafe,
 )
 from .reachability import (
-    ADAPTIVE_INTEGRATOR,
-    TRANSITION_MATRIX,
     ReachResult,
     ReachSettings,
     build_psi,
@@ -79,7 +77,6 @@ from .safety import (
     UnsafeSpec,
     VerificationOutcome,
     feasibility_check,
-    scipy_feasibility_kernel,
     verify,
 )
 from .starset import StarSet
@@ -110,9 +107,7 @@ __all__ = [
     "UnboundedPredicateError",
     "UnsafeSpec",
     "VerificationOutcome",
-    "ADAPTIVE_INTEGRATOR",
     "DEFAULT_TOLERANCES",
-    "TRANSITION_MATRIX",
     "build_consistent_matrix",
     "build_psi",
     "build_rotating_masses",
@@ -137,7 +132,6 @@ __all__ = [
     "save_initial_star",
     "save_model",
     "save_unsafe",
-    "scipy_feasibility_kernel",
     "solve_inverse",
     "stokes_center_velocity_rows",
     "to_autonomous",

@@ -49,18 +49,12 @@ from .errors import (
 from .linalg import DEFAULT_TOLERANCES
 from .model import to_autonomous
 from .modelio import load_directions, load_initial_star, load_model, load_unsafe
-from .reachability import (
-    ADAPTIVE_INTEGRATOR,
-    TRANSITION_MATRIX,
-    ReachSettings,
-    compute_reach,
-)
+from .reachability import ReachSettings, compute_reach
 from .safety import over_state, verify
 
 __all__ = ["build_parser", "run_job", "main"]
 
 MODES = ("index", "decouple", "check-consistency", "reach", "verify")
-PROPAGATION_MODES = {"expm": TRANSITION_MATRIX, "adaptive": ADAPTIVE_INTEGRATOR}
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -79,6 +73,7 @@ _ERROR_CLASSES = (
     (IndexTooHighError, "index-too-high", EXIT_INDEX_TOO_HIGH),
     (IrregularPencilError, "irregular-pencil", EXIT_IRREGULAR),
     (NumericalFailureError, "numerical-failure", EXIT_NUMERICAL),
+    (MemoryError, "numerical-failure", EXIT_NUMERICAL),  # an array the grid outgrew
 )
 
 
@@ -108,15 +103,6 @@ def build_parser():
     parser.add_argument("--mode", choices=MODES, default="verify")
     parser.add_argument("--time-step", type=float, default=0.01, metavar="H")
     parser.add_argument("--time-bound", type=float, default=10.0, metavar="T")
-    parser.add_argument(
-        "--propagation",
-        choices=tuple(PROPAGATION_MODES),
-        default="expm",
-        help="basis propagation: one reused matrix exponential, or an "
-        "adaptive integrator per basis column",
-    )
-    parser.add_argument("--abs-tol", type=float, default=ReachSettings.integrator_abs_tol)
-    parser.add_argument("--rel-tol", type=float, default=ReachSettings.integrator_rel_tol)
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument(
         "--directions",
@@ -128,12 +114,7 @@ def build_parser():
 def _reach_settings(args):
     """The numeric arguments as :class:`ReachSettings`; a value outside its
     domain raises :class:`ParseError` naming its flag."""
-    positive = {
-        "--time-step": args.time_step,
-        "--time-bound": args.time_bound,
-        "--abs-tol": args.abs_tol,
-        "--rel-tol": args.rel_tol,
-    }
+    positive = {"--time-step": args.time_step, "--time-bound": args.time_bound}
     for flag, value in positive.items():
         if not (math.isfinite(value) and value > 0.0):
             raise ParseError(f"must be positive and finite, got {value!r}", field=flag)
@@ -145,13 +126,7 @@ def _reach_settings(args):
         raise ParseError(
             f"{args.time_bound} spans no steps of size {args.time_step}", field="--time-bound"
         )
-    return ReachSettings(
-        time_step=args.time_step,
-        num_steps=num_steps,
-        propagation_mode=PROPAGATION_MODES[args.propagation],
-        integrator_abs_tol=args.abs_tol,
-        integrator_rel_tol=args.rel_tol,
-    )
+    return ReachSettings(time_step=args.time_step, num_steps=num_steps)
 
 
 def _write_csv(path, header, rows):
@@ -186,14 +161,14 @@ def _write_reach(out_dir, times, bases):
 def _write_bounds(out_dir, times, reach, directions, tol):
     """Per-step extrema of each direction row over the coefficient polytope;
     ``directions`` spans the whole stacked state."""
-    bases, predicate = reach.bases, reach.initial
+    predicate = reach.initial
     q = directions.shape[0]
     header = ["time"]
     for i in range(q):
         header += [f"dir{i}_min", f"dir{i}_max"]
-    projected = directions @ bases  # (steps, q, k)
+    projected = (directions @ reach.lift) @ reach.ode_coordinates  # (steps, q, k)
     extrema = np.empty(projected.shape[:2] + (2,))
-    vertices = predicate.vertices_within(len(bases), tol)
+    vertices = predicate.vertices_within(len(times), tol)
     if vertices is not None:
         values = projected @ vertices.T
         extrema[..., 0] = values.min(axis=2)
@@ -211,7 +186,7 @@ def _write_bounds(out_dir, times, reach, directions, tol):
                 if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
                     raise NumericalFailureError(f"direction {i} failed at time {t}")
                 row[i] = lo.objective, -hi.objective
-    rows = np.column_stack([times, extrema.reshape(len(bases), 2 * q)])
+    rows = np.column_stack([times, extrema.reshape(len(times), 2 * q)])
     _write_csv(out_dir / "bounds.csv", header, rows)
 
 
@@ -297,15 +272,14 @@ def run_job(args):
                 "index": reach.decoupled.mu,
                 "time_step": args.time_step,
                 "num_steps": settings.num_steps,
-                "propagation": settings.propagation_mode,
-                "ode_rank": reach.ode_coordinates.shape[1],
+                "ode_rank": reach.lift.shape[1],
                 "terminal_inverse_residual": reach.decoupled.chain.inverse_residual,
             }
         )
         if args.mode == "reach":
             _write_reach(out_dir, times, reach.bases)
-            payload["num_stars"] = len(reach.bases)
-            summary = f"reach: {len(reach.bases)} stars written"
+            payload["num_stars"] = len(times)
+            summary = f"reach: {len(times)} stars written"
         else:
             check_started = time.perf_counter()
             outcome = verify(reach, unsafe, tol)
@@ -348,7 +322,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return run_job(args)
-    except DaeError as exc:
+    except (DaeError, MemoryError) as exc:
         label, code = _classify(exc)
         error = {"error": label, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)

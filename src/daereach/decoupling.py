@@ -97,8 +97,8 @@ class MatrixChain:
 class DecoupledSystem:
     """Coefficient matrices of the decoupled subsystems.
 
-    Subsystem 1 is the ODE part ``x_1' = N[1] x_1 + M[1] u``; subsystems
-    2..mu+1 are algebraic constraints.  ``L3``, ``L4`` and ``Z4`` multiply
+    Subsystem 1 is the ODE part ``x_1' = N[1] x_1``; subsystems 2..mu+1
+    are algebraic constraints.  ``L3``, ``L4`` and ``Z4`` multiply
     derivative terms of lower constraint subsystems and are present only
     where the index calls for them.  ``projectors[i]`` extracts subsystem
     ``i``'s component from the full state; the projectors sum to the
@@ -107,7 +107,6 @@ class DecoupledSystem:
 
     mu: int
     N: dict
-    M: dict
     L3: np.ndarray | None
     L4: np.ndarray | None
     Z4: np.ndarray | None
@@ -285,12 +284,12 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     )
 
 
-def decouple(chain, b=None):
-    """Split an admissibly-projected chain into its subsystem coefficients.
+def decouple(chain):
+    """Split an admissibly-projected chain of an autonomous system into its
+    subsystem coefficients.
 
-    ``b`` is the input matrix of the underlying system; ``None`` means the
-    autonomous case and produces empty (zero-column) input coefficients,
-    which every downstream formula accepts unchanged.  No tolerance is
+    Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
+    beforehand, so there are no input coefficients.  No tolerance is
     needed: the chain carries its terminal inverse, proven by its own rank
     decision and checked by its residual.
     """
@@ -298,14 +297,11 @@ def decouple(chain, b=None):
         raise ValueError("decouple requires an admissible chain; call make_admissible")
     if not 1 <= chain.mu <= MAX_SUPPORTED_INDEX:
         raise IndexTooHighError(f"unsupported index {chain.mu}")
-    n = chain.n
-    b = np.zeros((n, 0)) if b is None else np.asarray(b, dtype=float)
     terminal_inv = chain.terminal_inverse
     # index 1 feeds the original A through E_1^{-1}; higher indices feed the
     # terminal chain matrix A_mu (the two differ off the ODE subspace)
     source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
     into_state = terminal_inv @ source
-    into_input = terminal_inv @ b
     P = chain.P_seq
     Q = chain.Q_seq
 
@@ -326,9 +322,8 @@ def decouple(chain, b=None):
         Z4 = q0p1 @ Q[2]
 
     N = {i: front @ into_state for i, front in fronts.items()}
-    M = {i: front @ into_input for i, front in fronts.items()}
     return DecoupledSystem(
-        mu=chain.mu, N=N, M=M, L3=L3, L4=L4, Z4=Z4, projectors=projectors, chain=chain
+        mu=chain.mu, N=N, L3=L3, L4=L4, Z4=Z4, projectors=projectors, chain=chain
     )
 
 

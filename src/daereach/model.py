@@ -10,7 +10,7 @@ in high-index systems.
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonsingularEError
+from .errors import DimensionMismatchError
 from .linalg import DEFAULT_TOLERANCES, as_matrix, numerical_rank, readonly
 
 __all__ = [
@@ -25,17 +25,17 @@ _REGULARITY_SEED = 0x5EED
 
 
 class DaeSystem:
-    """A linear DAE ``E x' = A x + B u`` with singular square ``E``.
+    """A linear DAE ``E x' = A x + B u`` with square ``E``.
 
     ``B`` may be omitted for input-free systems, in which case it is the
-    empty n-by-0 matrix and ``m == 0``.  A nonsingular ``E`` is rejected
-    with :class:`NonsingularEError`: such a system is an ODE and outside
-    this package's scope.
+    empty n-by-0 matrix and ``m == 0``.  Only shapes are checked here; the
+    matrix chain's first SVD rejects a nonsingular ``E`` (an ODE, outside
+    this package's scope) with :class:`~daereach.errors.NonsingularEError`.
     """
 
     __slots__ = ("E", "A", "B")
 
-    def __init__(self, E, A, B=None, tol=DEFAULT_TOLERANCES):
+    def __init__(self, E, A, B=None):
         E = as_matrix(E, "E")
         A = as_matrix(A, "A")
         n = E.shape[0]
@@ -51,11 +51,6 @@ class DaeSystem:
             B = as_matrix(B, "B", allow_empty_cols=True)
         if B.shape[0] != n:
             raise DimensionMismatchError(f"B must have {n} rows, got {B.shape[0]}")
-        if numerical_rank(E, tol) == n:
-            raise NonsingularEError(
-                "E is nonsingular at the rank tolerance; the system is an ODE, "
-                "not a DAE"
-            )
         self.E = readonly(E)
         self.A = readonly(A)
         self.B = readonly(B)

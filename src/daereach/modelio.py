@@ -146,7 +146,9 @@ def _parse_builtin(name):
 def load_model(path):
     """Load a DAE model and its input model from a file or builtin alias.
 
-    Aliases: ``builtin:rotating-masses`` and ``builtin:stokes:<k>``.
+    Aliases: ``builtin:rotating-masses`` and ``builtin:stokes:<k>``.  Only
+    shapes and entries are checked; the matrix chain rejects a nonsingular
+    ``E``.
     """
     path = str(path)
     if path.startswith(BUILTIN_PREFIX):

@@ -3,12 +3,13 @@
 Only the ODE subsystem needs integrating, and it lives on the
 ``r``-dimensional subspace ``range(Pi)``, ``Pi = projectors[1]``: its
 basis is pushed through time in the coordinates of the decoupled
-system's ODE frame ``(W, Yt)``, so the transition matrix is ``r x r``
-instead of ``n x n``.  One fixed ``n x r`` matrix ``psi W`` then lifts
-every coordinate basis back to a full DAE state basis.  The predicate
-never changes, so the reachable set at each step is a star sharing the
-initial star's constraint matrices, and the whole result is one array of
-bases plus that one predicate.
+system's ODE frame ``(W, Yt)`` by one reused ``r x r`` transition
+matrix, the exact flow of a linear time-invariant ODE up to rounding.
+One fixed ``n x r`` matrix, the lift ``psi W``, sends every coordinate
+basis to a full DAE state basis.  The predicate never changes, so the
+reachable set at each step is a star sharing the initial star's
+constraint matrices, and the whole result is one array of ODE
+coordinates, the lift and that one predicate.
 """
 
 import time
@@ -24,8 +25,6 @@ from .linalg import DEFAULT_TOLERANCES, matrix_exponential
 from .starset import StarSet
 
 __all__ = [
-    "TRANSITION_MATRIX",
-    "ADAPTIVE_INTEGRATOR",
     "ReachSettings",
     "ReachResult",
     "build_psi",
@@ -33,36 +32,23 @@ __all__ = [
     "compute_reach",
 ]
 
-TRANSITION_MATRIX = "transition_matrix"
-ADAPTIVE_INTEGRATOR = "adaptive_integrator"
-
 
 @dataclass(frozen=True)
 class ReachSettings:
-    """Step size, horizon, and propagation scheme.
+    """Step size and horizon.
 
     ``num_steps`` steps of ``time_step`` seconds cover ``[0, T]`` with
-    ``num_steps + 1`` sample instants including ``t = 0``.  The
-    transition-matrix mode computes one matrix exponential and reuses it
-    every step; the adaptive mode integrates each basis column with an
-    error-controlled solver at the given tolerances.
+    ``num_steps + 1`` sample instants including ``t = 0``.
     """
 
     time_step: float
     num_steps: int
-    propagation_mode: str = TRANSITION_MATRIX
-    integrator_abs_tol: float = 1e-12
-    integrator_rel_tol: float = 1e-8
 
     def __post_init__(self):
         if not self.time_step > 0.0:
             raise ValueError(f"time_step must be positive, got {self.time_step!r}")
         if self.num_steps < 1:
             raise ValueError(f"num_steps must be at least 1, got {self.num_steps!r}")
-        if self.propagation_mode not in (TRANSITION_MATRIX, ADAPTIVE_INTEGRATOR):
-            raise ValueError(f"unknown propagation mode {self.propagation_mode!r}")
-        if not (self.integrator_abs_tol > 0.0 and self.integrator_rel_tol > 0.0):
-            raise ValueError("integrator tolerances must be positive")
 
     @property
     def time_bound(self):
@@ -77,19 +63,18 @@ class ReachSettings:
 class ReachResult:
     """Reachable set of an autonomous DAE over a fixed time grid.
 
-    ``bases[j]`` is the state basis at ``j * time_step``, an array of shape
-    ``(num_steps + 1, n, k)``; every step shares the predicate of
-    ``initial``, the initial star.  ``ode_coordinates[j]``, shape
-    ``(r, k)``, is the ODE-subsystem basis in the coordinates of the
-    decoupled system's ODE frame, which ``psi @ W`` lifted to
-    ``bases[j]``.  The first ``n_orig`` state coordinates are the original
-    model states, the rest are stacked inputs.
+    ``ode_coordinates[j]``, shape ``(r, k)``, is the ODE-subsystem basis at
+    ``j * time_step`` in the coordinates of the decoupled system's ODE
+    frame, and ``lift`` (``n x r``, ``psi @ W``) sends it to the state
+    basis ``bases[j] = lift @ ode_coordinates[j]``.  Every step shares the
+    predicate of ``initial``, the initial star.  The first ``n_orig``
+    state coordinates are the original model states, the rest are
+    stacked inputs.
     """
 
-    bases: np.ndarray
-    initial: StarSet
-    psi: np.ndarray
     ode_coordinates: np.ndarray
+    lift: np.ndarray
+    initial: StarSet
     settings: ReachSettings
     n_orig: int
     decoupled: object = field(repr=False)
@@ -97,17 +82,12 @@ class ReachResult:
     timings: dict = field(repr=False, default_factory=dict)
 
     @cached_property
-    def ode_basis(self):
-        """The ODE-subsystem bases in state coordinates, ``W @ ode_coordinates``,
-        shape ``(num_steps + 1, n, k)``; built on first access and kept."""
-        ode_basis = self.decoupled.ode_frame[0] @ self.ode_coordinates
-        ode_basis.flags.writeable = False
-        return ode_basis
-
-    @cached_property
-    def stars(self):
-        """One :class:`StarSet` per step, built on first access and kept."""
-        return tuple(self.initial.with_basis(basis) for basis in self.bases)
+    def bases(self):
+        """The state bases, ``lift @ ode_coordinates``, shape
+        ``(num_steps + 1, n, k)``; built on first access and kept read-only."""
+        bases = self.lift @ self.ode_coordinates
+        bases.flags.writeable = False
+        return bases
 
 
 def build_psi(dec):
@@ -131,48 +111,21 @@ def propagate_basis(dec, theta0, settings):
     Only the ODE component of ``theta0`` is propagated: its coordinates
     are ``Yt @ V`` with ``Yt = W^T Pi``, so a star already projected onto
     the ODE subsystem gives the same result.  Columns evolve
-    independently under ``y' = (Yt N[1] W) y``; in transition-matrix mode
-    every step multiplies by the one-step ``r x r`` exponential, in
-    adaptive mode each column is integrated separately with an
-    eighth-order error-controlled scheme.  ``W @ y`` is the basis in state
+    independently under the linear time-invariant ``y' = (Yt N[1] W) y``,
+    so one ``r x r`` exponential of a step, reused at every step, is the
+    exact flow up to rounding.  ``W @ y`` is the basis in state
     coordinates.
     """
     W, Yt = dec.ode_frame
-    n1 = Yt @ dec.N[1] @ W
     y0 = Yt @ np.asarray(theta0.V, dtype=float)
-    steps = settings.num_steps
+    coordinates = np.empty((settings.num_steps + 1,) + y0.shape)
+    coordinates[0] = y0
     if not y0.size:  # r = 0: no ODE subsystem, nothing moves
-        return np.zeros((steps + 1,) + y0.shape)
-    if settings.propagation_mode == TRANSITION_MATRIX:
-        phi = matrix_exponential(n1, settings.time_step)
-        coordinates = np.empty((steps + 1,) + y0.shape)
-        coordinates[0] = y0
-        for j in range(steps):
-            np.matmul(phi, coordinates[j], out=coordinates[j + 1])
         return coordinates
-    # imported here: scipy.integrate is about a third of the package's
-    # import time, and only this mode needs it
-    from scipy.integrate import solve_ivp
-
-    times = settings.times
-    columns = []
-    for i in range(y0.shape[1]):
-        sol = solve_ivp(
-            lambda _, y: n1 @ y,
-            (0.0, settings.time_bound),
-            y0[:, i],
-            method="DOP853",
-            t_eval=times,
-            atol=settings.integrator_abs_tol,
-            rtol=settings.integrator_rel_tol,
-        )
-        if not sol.success:
-            raise NumericalFailureError(
-                f"basis column {i} integration failed: {sol.message}"
-            )
-        columns.append(sol.y)
-    stacked = np.stack(columns, axis=-1)  # (r, steps + 1, k)
-    return np.ascontiguousarray(stacked.transpose(1, 0, 2))
+    phi = matrix_exponential(Yt @ dec.N[1] @ W, settings.time_step)
+    for j in range(settings.num_steps):
+        np.matmul(phi, coordinates[j], out=coordinates[j + 1])
+    return coordinates
 
 
 def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
@@ -182,9 +135,9 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     coefficients), verify that the initial star lies in the consistent
     space (raising :class:`InconsistentInitialSetError` with the
     certificate otherwise), propagate the basis's ODE coordinates, and
-    lift every propagated basis back to the full state in one batched
-    product with ``psi @ W``.  A time grid too long for numpy to hold
-    raises :class:`NumericalFailureError`.
+    form the one lift ``psi @ W`` back to the full state; the state bases
+    are built from it only when :attr:`ReachResult.bases` is read.  A time
+    grid too long for numpy to hold raises :class:`NumericalFailureError`.
     """
     started = time.perf_counter()
     dec = decouple_system(sys, tol)
@@ -197,19 +150,17 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     started = time.perf_counter()
     try:
         coordinates = propagate_basis(dec, theta0, settings)
-        psi = build_psi(dec)
-        bases = (psi @ dec.ode_frame[0]) @ coordinates
     except (ValueError, MemoryError) as exc:  # numpy refused the grid's size
         raise NumericalFailureError(
             f"{settings.num_steps:.3g} steps are too many for an array: {exc}"
         ) from exc
-    bases.flags.writeable = coordinates.flags.writeable = False  # shared by star views
+    lift = build_psi(dec) @ dec.ode_frame[0]
+    lift.flags.writeable = coordinates.flags.writeable = False
     reach_seconds = time.perf_counter() - started
     return ReachResult(
-        bases=bases,
-        initial=theta0,
-        psi=psi,
         ode_coordinates=coordinates,
+        lift=lift,
+        initial=theta0,
         settings=settings,
         n_orig=sys.n_orig,
         decoupled=dec,

@@ -2,13 +2,14 @@
 
 At each time step the unsafe condition ``G x <= f`` is pulled back through
 the star basis and stacked with the coefficient predicate; the step is
-unsafe iff the combined inequality system is feasible.  When the shared
-predicate is a bounded polytope with few vertices, the support function
-of every pulled-back row at every step comes from one product with the
-vertex matrix, and a step whose row minimum already exceeds ``f`` is
-skipped without an LP.  A feasible coefficient vector is a genuine
-witness: replaying it through every star basis yields a concrete
-simulation trace ending in the unsafe set.
+unsafe iff the combined inequality system is feasible.  The pull-back is
+``(G @ lift) @ ode_coordinates[j]``, so the full state bases are never
+formed.  When the shared predicate is a bounded polytope with few
+vertices, the support function of every pulled-back row at every step
+comes from one product with the vertex matrix, and a step whose row
+minimum already exceeds ``f`` is skipped without an LP.  A feasible
+coefficient vector is a genuine witness: replaying it through every star
+basis yields a concrete simulation trace ending in the unsafe set.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ __all__ = [
     "UnsafeSpec",
     "VerificationOutcome",
     "feasibility_check",
-    "scipy_feasibility_kernel",
     "verify",
 ]
 
@@ -125,25 +125,6 @@ def feasibility_check(Gbar, fbar, tol=DEFAULT_TOLERANCES):
     return lp.find_feasible(Gbar, fbar, tol=tol.feasibility_tol)
 
 
-def scipy_feasibility_kernel(Gbar, fbar, tol=DEFAULT_TOLERANCES):
-    """Alternative feasibility backend on scipy's LP solver, mainly for
-    cross-checking the built-in kernel."""
-    from scipy.optimize import linprog
-
-    result = linprog(
-        np.zeros(Gbar.shape[1]),
-        A_ub=Gbar,
-        b_ub=fbar,
-        bounds=[(None, None)] * Gbar.shape[1],
-        method="highs",
-    )
-    if result.status == 0:
-        return result.x
-    if result.status == 2:
-        return None
-    raise NumericalFailureError(f"scipy linprog failed: {result.message}")
-
-
 def _recheck(alpha, Gbar, fbar, ftol, step):
     scale = np.maximum(1.0, np.abs(Gbar).max(axis=1) * max(1.0, np.abs(alpha).max()))
     violation = Gbar @ alpha - fbar
@@ -181,19 +162,19 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     :meth:`StarSet.vertices_within` provides them, then walks the steps
     left over in time order: at the first feasible step it fixes the
     witnessing coefficients, re-validates them outside the solver, and
-    reconstructs the trace through all steps.  ``find_all`` keeps
+    reconstructs the trace through all steps from the ODE coordinates.  ``find_all`` keeps
     scanning after the first hit and records every unsafe step index.
     ``kernel`` substitutes a different feasibility backend with the same
     call shape as :func:`feasibility_check`.
     """
     kernel = feasibility_check if kernel is None else kernel
-    bases = reach.bases
+    lift, coordinates = reach.lift, reach.ode_coordinates
     C, d = reach.initial.C, reach.initial.d
-    G = unsafe.extended(bases.shape[1], reach.n_orig)
+    G = unsafe.extended(lift.shape[0], reach.n_orig)
     f = unsafe.f
-    H = G @ bases  # (steps, q, k)
+    H = (G @ lift) @ coordinates  # (steps, q, k)
 
-    steps = len(bases)
+    steps = len(coordinates)
     vertices = reach.initial.vertices_within(steps, tol)
     if vertices is None:
         candidates = range(steps)
@@ -230,7 +211,7 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
         status=UNSAFE,
         first_unsafe_step=first_hit,
         alpha_feasible=alpha,
-        unsafe_trace=bases @ alpha,
+        unsafe_trace=(coordinates @ alpha) @ lift.T,
         unsafe_steps=tuple(hits),
         **counters,
     )

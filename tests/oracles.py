@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own code paths: the
 matrix exponential is a scaled Taylor series instead of a Pade
 approximant, exact solutions come from a canonical-form construction
 instead of the projector chain, feasibility is decided by vertex
-enumeration instead of simplex pivots, and determinants over integer
-matrices are computed exactly with fraction-free elimination.  The
+enumeration instead of simplex pivots (or by scipy's HiGHS solver, a
+second LP backend), and determinants over integer matrices are computed
+exactly with fraction-free elimination.  The
 reference decoupling and reach path rebuilds the admissible chain the
 direct way (rank-checked rebuilt matrices, LU inverses) and propagates
 the full ``n x n`` ODE subsystem; only the closed-form ``decouple`` step
@@ -78,6 +79,28 @@ def polytope_vertices(C, d, tol=1e-9):
     verts = np.array(found)
     _, keep = np.unique(np.round(verts, 9), axis=0, return_index=True)
     return verts[np.sort(keep)]
+
+
+def scipy_feasibility_kernel(Gbar, fbar, tol=None):
+    """Some ``alpha`` with ``Gbar @ alpha <= fbar``, or ``None`` if there is
+    none, from scipy's HiGHS solver; the call shape of
+    :func:`daereach.feasibility_check`, so ``verify`` takes it as ``kernel``."""
+    from scipy.optimize import linprog
+
+    from daereach import NumericalFailureError
+
+    result = linprog(
+        np.zeros(Gbar.shape[1]),
+        A_ub=Gbar,
+        b_ub=fbar,
+        bounds=[(None, None)] * Gbar.shape[1],
+        method="highs",
+    )
+    if result.status == 0:
+        return result.x
+    if result.status == 2:
+        return None
+    raise NumericalFailureError(f"scipy linprog failed: {result.message}")
 
 
 def bruteforce_feasible(C, d, box=10.0, tol=1e-9):
@@ -192,7 +215,7 @@ def _lu_inverse(Z):
     return np.linalg.solve(Z, np.eye(Z.shape[0]))
 
 
-def reference_decoupled(auto, b=None, rel_tol=1e-9):
+def reference_decoupled(auto, rel_tol=1e-9):
     """The decoupled system by the direct path.
 
     The raw chain of orthogonal kernel projectors is built to its first
@@ -235,7 +258,7 @@ def reference_decoupled(auto, b=None, rel_tol=1e-9):
         extend(-q2_orth @ _lu_inverse(e3_orth) @ A[2])
     assert _orthogonal_kernel(E[-1], rel_tol)[1], "singular rebuilt terminal matrix"
     chain = MatrixChain(E, A, Q, P, mu, _lu_inverse(E[-1]), admissible=True)
-    return decouple(chain, b)
+    return decouple(chain)
 
 
 def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e-8, atol=1e-12):

@@ -22,6 +22,7 @@ from daereach import (
     compute_index_and_chain,
     compute_reach,
     decouple,
+    decouple_system,
     load_model,
     make_admissible,
     rotating_masses_initial_star,
@@ -63,17 +64,17 @@ def test_criterion_1_end_to_end_verdicts(rotating_masses_auto, rotating_masses_s
     # the trace is a genuine witness: predicate satisfied, unsafe set hit,
     # and replaying its start point reproduces it
     alpha = falsified.alpha_feasible
-    star0 = reach.stars[0]
+    star0 = reach.initial
     assert np.all(star0.C @ alpha <= star0.d + 1e-9)
     hit = falsified.unsafe_trace[falsified.first_unsafe_step]
     assert hit[2] <= -0.9 + 1e-9
     assert falsified.unsafe_trace.shape == (1001, 6)
     replay = compute_reach(
         rotating_masses_auto,
-        StarSet((star0.V @ alpha)[:, None], [[1.0], [-1.0]], [1.0, -1.0]),
+        StarSet((reach.bases[0] @ alpha)[:, None], [[1.0], [-1.0]], [1.0, -1.0]),
         settings,
     )
-    replayed = np.stack([s.V[:, 0] for s in replay.stars])
+    replayed = replay.bases[:, :, 0]
     assert np.abs(replayed - falsified.unsafe_trace).max() <= 1e-9
     assert elapsed < 5.0
     report(
@@ -217,7 +218,7 @@ def test_criterion_4_small_scale_oracle_equivalence():
             reach = compute_reach(auto, star, settings)
 
             alphas = star.sample_coefficients(100, seed=trial)
-            basis = np.stack([s.V for s in reach.stars])  # (steps+1, n, k)
+            basis = reach.bases  # (steps+1, n, k)
             for alpha in alphas:
                 x0 = star.V @ alpha
                 exact = ws.exact_states(x0, times)
@@ -288,8 +289,9 @@ def test_criterion_5_reconstruction_identity(
         runs.append((f"stokes:{k}", compute_reach(auto, star, ReachSettings(0.001, 100))))
     for name, run in runs:
         dec = run.decoupled
-        for v1, star in zip(run.ode_basis, run.stars):
-            gap = np.abs(star.V - _independent_reconstruction(dec, v1)).max()
+        ode_bases = dec.ode_frame[0] @ run.ode_coordinates
+        for v1, basis in zip(ode_bases, run.bases):
+            gap = np.abs(basis - _independent_reconstruction(dec, v1)).max()
             worst = max(worst, gap)
             assert gap <= 1e-8, name
     report(
@@ -322,7 +324,7 @@ def test_criterion_6_stokes_scaling():
         for k in sizes:
             auto = autos[k]
             reach = compute_reach(auto, stars[k], ReachSettings(0.001, 100))
-            assert len(reach.stars) == 101
+            assert len(reach.bases) == 101
             check_started = time.perf_counter()
             outcome = verify(
                 reach, UnsafeSpec(np.ones((1, auto.n)), [-1e9], on_original_state=False)
@@ -387,7 +389,7 @@ def test_criterion_8_negative_paths(tmp_path, capsys):
 
     # nonsingular E is rejected with the dedicated error
     with pytest.raises(NonsingularEError):
-        DaeSystem(np.eye(3), np.zeros((3, 3)))
+        decouple_system(to_autonomous(DaeSystem(np.eye(3), np.zeros((3, 3)))))
     with pytest.raises(NonsingularEError):
         compute_index_and_chain(AutonomousDae(np.eye(2), np.ones((2, 2))))
 

@@ -21,6 +21,7 @@ from daereach.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
+    MODES,
     main,
 )
 
@@ -92,30 +93,6 @@ class TestVerifyMode:
         assert verdict["first_unsafe_step"] is None
         assert (verdict["lp_calls"], verdict["screened_steps"]) == (0, 1001)
         assert not (out / "trace.csv").exists()
-
-    def test_adaptive_propagation_matches_expm_verdict(self, tmp_path, benchmark_files):
-        init, unsafe = benchmark_files
-        verdicts = {}
-        for mode in ("expm", "adaptive"):
-            out = tmp_path / f"prop_{mode}"
-            code = run(
-                [
-                    "--model", "builtin:rotating-masses",
-                    "--init", str(init),
-                    "--unsafe", str(unsafe),
-                    "--time-step", "0.02",
-                    "--time-bound", "4",
-                    "--propagation", mode,
-                    "--out", str(out),
-                ]
-            )
-            assert code == EXIT_OK
-            verdicts[mode] = json.loads((out / "verdict.json").read_text())
-        assert verdicts["expm"]["status"] == verdicts["adaptive"]["status"] == "unsafe"
-        assert (
-            verdicts["expm"]["first_unsafe_step"]
-            == verdicts["adaptive"]["first_unsafe_step"]
-        )
 
     def test_deterministic_verdict_excluding_timings(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files
@@ -348,6 +325,25 @@ class TestErrorPaths:
         assert last_error(capsys)["error"] == "dimension-mismatch"
         assert sorted(p.name for p in out.iterdir()) == ["verdict.json"]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_nonsingular_e_model_file(self, tmp_path, capsys, mode):
+        # loading checks only shapes; every mode reaches the matrix chain,
+        # whose first SVD rejects the model
+        from daereach import DaeSystem, StarSet, save_model
+
+        model = tmp_path / "ode.json"
+        save_model(model, DaeSystem(np.eye(2), -np.eye(2)))
+        init = tmp_path / "init.json"
+        save_initial_star(init, StarSet(np.eye(2)[:, :1], [[1.0], [-1.0]], [1.0, 1.0]))
+        unsafe = tmp_path / "unsafe.json"
+        save_unsafe(unsafe, UnsafeSpec([[1.0, 0.0]], [-2.0]))
+        out = tmp_path / "out"
+        argv = ["--model", str(model), "--init", str(init), "--unsafe", str(unsafe)]
+        assert run(argv + ["--mode", mode, "--out", str(out)]) == EXIT_PARSE
+        assert last_error(capsys)["error"] == "nonsingular-e"
+        assert json.loads((out / "verdict.json").read_text())["error"] == "nonsingular-e"
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+
     def test_index_too_high_exit_code(self, tmp_path, capsys):
         from oracles import CanonicalDae
         from daereach import save_model, DaeSystem
@@ -367,8 +363,6 @@ class TestErrorPaths:
             ("--time-bound", "inf"),
             ("--time-bound", "1e300"),  # finite, but the step count overflows
             ("--time-bound", "0.001"),  # rounds to no step of the default 0.01
-            ("--rel-tol", "0"),
-            ("--abs-tol", "nan"),
         ],
     )
     def test_bad_numeric_argument_is_parse_error(
@@ -409,34 +403,6 @@ class TestErrorPaths:
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "unbounded-predicate"
 
-    def test_failed_integration_is_numerical_failure(
-        self, tmp_path, benchmark_files, capsys, monkeypatch
-    ):
-        import types
-
-        import scipy.integrate
-
-        def failing(*args, **kwargs):
-            return types.SimpleNamespace(success=False, message="step size too small")
-
-        monkeypatch.setattr(scipy.integrate, "solve_ivp", failing)
-        init, unsafe = benchmark_files
-        code = run(
-            [
-                "--model", "builtin:rotating-masses",
-                "--init", str(init),
-                "--unsafe", str(unsafe),
-                "--propagation", "adaptive",
-                "--time-step", "0.1",
-                "--time-bound", "1.0",
-                "--out", str(tmp_path / "out"),
-            ]
-        )
-        assert code == EXIT_NUMERICAL
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["error"] == "numerical-failure"
-        assert "step size too small" in error["message"]
-
     def test_failure_replaces_earlier_verdict(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files
         out = tmp_path / "out"
@@ -457,7 +423,11 @@ class TestErrorPaths:
             ["--model", "builtin:rotating-masses", "--time-step", "abc"],
             ["--mode", "index"],  # no --model
             ["--model", "builtin:rotating-masses", "--frobnicate", "1"],
-            ["--model", "builtin:rotating-masses", "--seed", "7"],  # a removed flag
+            # removed flags
+            ["--model", "builtin:rotating-masses", "--seed", "7"],
+            ["--model", "builtin:rotating-masses", "--propagation", "expm"],
+            ["--model", "builtin:rotating-masses", "--abs-tol", "1e-10"],
+            ["--model", "builtin:rotating-masses", "--rel-tol", "1e-8"],
         ],
     )
     def test_unparsable_arguments_give_json_and_touch_nothing(self, tmp_path, capsys, argv):
@@ -489,22 +459,34 @@ class TestErrorPaths:
         assert "--out" in error["message"]
         assert regular.read_text() == "not a directory"
 
-    @pytest.mark.parametrize(
-        "time_step, propagation",
-        # each count fails numpy's size check before anything is allocated
-        [("1e-300", "expm"), ("1e-300", "adaptive"), ("1e-17", "expm")],
-    )
-    def test_step_count_no_array_holds(
-        self, tmp_path, benchmark_files, capsys, time_step, propagation
-    ):
+    # each count fails numpy's size check before anything is allocated
+    @pytest.mark.parametrize("time_step", ["1e-300", "1e-17"])
+    def test_step_count_no_array_holds(self, tmp_path, benchmark_files, capsys, time_step):
         init, unsafe = benchmark_files
         argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
         argv += ["--unsafe", str(unsafe), "--time-bound", "1", "--out", str(tmp_path)]
-        code = run(argv + ["--time-step", time_step, "--propagation", propagation])
+        code = run(argv + ["--time-step", time_step])
         assert code == EXIT_NUMERICAL
         error = last_error(capsys)
         assert error["error"] == "numerical-failure"
         assert "steps" in error["message"]
+
+
+    def test_step_count_no_array_holds_without_ode_subsystem(self, tmp_path, capsys):
+        # E = 0 leaves no ODE subsystem: its (steps, 0, 1) coordinates fit, and
+        # the first array the grid outgrows is the verifier's pulled-back rows
+        from daereach import DaeSystem, StarSet, save_model
+
+        model = tmp_path / "static.json"
+        save_model(model, DaeSystem(np.zeros((2, 2)), np.eye(2)))
+        init = tmp_path / "init.json"
+        save_initial_star(init, StarSet(np.zeros((2, 1)), [[1.0], [-1.0]], [1.0, 1.0]))
+        unsafe = tmp_path / "unsafe.json"
+        save_unsafe(unsafe, UnsafeSpec([[1.0, 0.0]], [-1.0]))
+        argv = ["--model", str(model), "--init", str(init), "--unsafe", str(unsafe)]
+        argv += ["--time-step", "1e-17", "--time-bound", "1", "--out", str(tmp_path / "out")]
+        assert run(argv) == EXIT_NUMERICAL
+        assert last_error(capsys)["error"] == "numerical-failure"
 
 
 class TestCsvRoundTrip:
@@ -529,7 +511,8 @@ class TestCsvRoundTrip:
         assert not outcome.is_safe
         times = grid.times
         vertices = reach.initial.vertices_within(len(reach.bases))
-        values = (np.hstack([D, np.zeros((2, 2))]) @ reach.bases) @ vertices.T
+        pulled_back = (np.hstack([D, np.zeros((2, 2))]) @ reach.lift) @ reach.ode_coordinates
+        values = pulled_back @ vertices.T
         extrema = np.stack([values.min(axis=2), values.max(axis=2)], axis=-1)
         expected = {
             "reach/reach.csv": np.column_stack(
@@ -580,8 +563,6 @@ GOOD = {
     "--directions": [None, "@directions"],
     "--time-step": ["0.01", "0.05"],
     "--time-bound": ["1", "0.5"],
-    "--propagation": ["expm", "adaptive"],
-    "--abs-tol": [None, "1e-10"],
     "--out": ["@out"],
 }
 BAD = {
@@ -592,8 +573,8 @@ BAD = {
     "--directions": ["@wide", "@missing"],
     "--time-step": ["0", "-0.1", "nan", "abc", "2"],
     "--time-bound": ["-1", "inf", "x"],
-    "--propagation": ["rk4"],
-    "--abs-tol": ["0", "nan"],
+    "--propagation": ["expm", "adaptive", "rk4"],  # removed flags
+    "--abs-tol": ["1e-10", "0", "nan"],
     "--out": ["@garbage"],
     "--frobnicate": ["1"],
 }

@@ -194,21 +194,10 @@ class TestDecouple:
         assert np.allclose(dec.N[3], EXPECTED_N3, atol=1e-9)
         assert np.allclose(dec.L3, EXPECTED_L3, atol=1e-9)
 
-    def test_rotating_masses_empty_input_coefficients(self, rotating_masses_decoupled):
-        for M in rotating_masses_decoupled.M.values():
-            assert M.shape == (6, 0)
-
     def test_hand_checkable_index_1(self, index1_pair):
         dec = decouple(make_admissible(compute_index_and_chain(index1_pair)))
         assert np.allclose(dec.N[1], np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(dec.N[2], np.diag([0.0, -1.0]), atol=1e-14)
-
-    def test_index_1_with_inputs(self, index1_pair):
-        b = np.array([[1.0], [2.0]])
-        dec = decouple(make_admissible(compute_index_and_chain(index1_pair)), b=b)
-        # M_1 = P0 E1^{-1} B, M_2 = Q0 E1^{-1} B with E1 = diag(1, -1)
-        assert np.allclose(dec.M[1], [[1.0], [0.0]], atol=1e-14)
-        assert np.allclose(dec.M[2], [[0.0], [-2.0]], atol=1e-14)
 
     @pytest.mark.parametrize(
         "seed,blocks,parts",
@@ -330,12 +319,10 @@ def test_decoupling_matches_reference_path(index):
         rng = np.random.default_rng(seed)
         blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(0, 3)))
         auto, _ = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
-        b = rng.normal(size=(auto.n, 2))
-        ours = decouple(make_admissible(compute_index_and_chain(auto)), b)
-        reference = reference_decoupled(auto, b)
+        ours = decouple(make_admissible(compute_index_and_chain(auto)))
+        reference = reference_decoupled(auto)
         assert ours.mu == reference.mu == index, seed
         pairs = [(ours.N[i], reference.N[i]) for i in reference.N]
-        pairs += [(ours.M[i], reference.M[i]) for i in reference.M]
         pairs += [(ours.projectors[i], reference.projectors[i]) for i in reference.projectors]
         pairs += [
             (getattr(ours, key), getattr(reference, key))

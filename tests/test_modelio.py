@@ -182,12 +182,13 @@ class TestModelErrors:
         assert system.E.tolist() == [[0.0, 0.0], [3.0, 0.0]]
 
     def test_nonsingular_e_propagates(self, tmp_path):
-        from daereach import NonsingularEError
+        from daereach import NonsingularEError, decouple_system, to_autonomous
 
         doc = self.base_document()
         doc["E"] = [[1.0, 0.0], [0.0, 1.0]]
+        loaded = to_autonomous(*load_model(self.write(tmp_path, doc)))
         with pytest.raises(NonsingularEError):
-            load_model(self.write(tmp_path, doc))
+            decouple_system(loaded)
 
 
 class TestInitialStarIo:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from daereach import (
-    ADAPTIVE_INTEGRATOR,
-    TRANSITION_MATRIX,
     AutonomousDae,
     InconsistentInitialSetError,
     ReachSettings,
@@ -88,7 +86,6 @@ def synthetic_dec(n1):
     return DecoupledSystem(
         mu=1,
         N={1: n1, 2: np.zeros((n, n))},
-        M={1: np.zeros((n, 0)), 2: np.zeros((n, 0))},
         L3=None,
         L4=None,
         Z4=None,
@@ -129,23 +126,23 @@ class TestPropagateBasis:
         assert (W @ coordinates[1])[0, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
 
     def test_modes_agree(self, rotating_masses_auto, rotating_masses_star):
-        fixed = ReachSettings(time_step=0.01, num_steps=1000)
-        adaptive = ReachSettings(
-            time_step=0.01, num_steps=1000, propagation_mode=ADAPTIVE_INTEGRATOR
+        # the reused transition matrix against the other mode of propagation,
+        # an error-controlled n x n integration of the ODE subsystem that
+        # does not use the package (oracles.reference_reach_bases)
+        settings = ReachSettings(time_step=0.01, num_steps=1000)
+        reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
+        expected = reference_reach_bases(
+            reference_decoupled(rotating_masses_auto), rotating_masses_star.V,
+            0.01, 1000, adaptive=True,
         )
-        a = compute_reach(rotating_masses_auto, rotating_masses_star, fixed)
-        b = compute_reach(rotating_masses_auto, rotating_masses_star, adaptive)
-        worst = max(
-            np.abs(x.V - y.V).max() for x, y in zip(a.stars, b.stars)
-        )
-        assert worst <= 1e-6
+        assert np.abs(reach.bases - expected).max() <= 1e-6
 
 
 class TestComputeReach:
     def test_rotating_masses_run_shape(self, rotating_masses_auto, rotating_masses_star):
         settings = ReachSettings(time_step=0.01, num_steps=1000)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-        assert len(reach.stars) == 1001
+        assert len(reach.bases) == 1001
         assert reach.decoupled.mu == 2
 
     def test_predicate_shared_bit_identically(
@@ -153,24 +150,28 @@ class TestComputeReach:
     ):
         settings = ReachSettings(time_step=0.1, num_steps=10)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-        for star in reach.stars:
+        for basis in reach.bases:
+            star = reach.initial.with_basis(basis)
             assert star.C is rotating_masses_star.C
             assert star.d is rotating_masses_star.d
 
-    def test_stars_are_views_built_once_on_demand(
+    def test_bases_are_lifted_once_on_demand(
         self, rotating_masses_auto, rotating_masses_star
     ):
         from daereach import UnsafeSpec, verify
 
-        settings = ReachSettings(time_step=0.1, num_steps=10)
+        settings = ReachSettings(time_step=0.1, num_steps=20)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-        assert reach.bases.shape == (11, 6, 2)
-        verify(reach, UnsafeSpec([[0, 0, 1, 0]], [-0.9]))
-        assert "stars" not in vars(reach)  # verification reads the arrays
-        assert reach.stars is reach.stars
-        for basis, star in zip(reach.bases, reach.stars):
-            assert np.shares_memory(star.V, reach.bases)
-            assert np.array_equal(star.V, basis)
+        assert reach.ode_coordinates.shape == (21, 3, 2)
+        assert reach.lift.shape == (6, 3)
+        outcome = verify(reach, UnsafeSpec([[0, 0, 1, 0]], [-0.9]))
+        assert not outcome.is_safe  # the trace is built too
+        assert "bases" not in vars(reach)  # verification reads the coordinates
+        assert reach.bases is reach.bases
+        assert reach.bases.shape == (21, 6, 2)
+        assert np.array_equal(reach.bases, reach.lift @ reach.ode_coordinates)
+        for array in (reach.bases, reach.lift, reach.ode_coordinates):
+            assert not array.flags.writeable
 
     def test_zero_basis_stays_zero(self, rotating_masses_auto):
         star = StarSet(
@@ -178,18 +179,21 @@ class TestComputeReach:
         )
         settings = ReachSettings(time_step=0.1, num_steps=5)
         reach = compute_reach(rotating_masses_auto, star, settings)
-        for s in reach.stars:
-            assert np.abs(s.V).max() <= 1e-14
+        assert np.abs(reach.bases).max() <= 1e-14
 
-    @pytest.mark.parametrize("mode", [TRANSITION_MATRIX, ADAPTIVE_INTEGRATOR])
-    def test_system_without_ode_subsystem(self, mode):
+    @pytest.mark.parametrize("reference", ["transition_matrix", "adaptive_integrator"])
+    def test_system_without_ode_subsystem(self, reference):
         # E = 0: index 1 with Pi = 0, so the ODE frame has r = 0 columns
         auto = AutonomousDae(np.zeros((2, 2)), np.eye(2))
         star = StarSet(np.zeros((2, 1)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-        reach = compute_reach(auto, star, ReachSettings(0.1, 3, propagation_mode=mode))
+        reach = compute_reach(auto, star, ReachSettings(0.1, 3))
+        expected = reference_reach_bases(
+            reference_decoupled(auto), star.V, 0.1, 3, adaptive=reference == "adaptive_integrator"
+        )
         assert reach.ode_coordinates.shape == (4, 0, 1)
-        assert reach.ode_basis.shape == reach.bases.shape == (4, 2, 1)
-        assert not reach.bases.any()
+        assert reach.lift.shape == (2, 0)
+        assert reach.bases.shape == expected.shape == (4, 2, 1)
+        assert not reach.bases.any() and not expected.any()
 
     def test_inconsistent_initial_set_raises_with_certificate(
         self, rotating_masses_auto, rotating_masses_star
@@ -220,7 +224,7 @@ class TestComputeReach:
             exact = np.stack(
                 [np.exp(-times / 2.0) * a, np.exp(-times / 2.0) * a / 2.0], axis=1
             )
-            computed = np.stack([s.V @ alpha for s in reach.stars])
+            computed = reach.bases @ alpha
             assert np.abs(computed - exact).max() <= 1e-6
 
 
@@ -237,9 +241,10 @@ class TestReachInvariants:
         settings = ReachSettings(time_step=0.05, num_steps=10)
         reach = compute_reach(auto, star, settings)
         maps = dec.reconstruction_maps()
-        for v1, s in zip(reach.ode_basis, reach.stars):
+        ode_bases = reach.decoupled.ode_frame[0] @ reach.ode_coordinates
+        for v1, basis in zip(ode_bases, reach.bases):
             expected = sum(m @ v1 for m in maps.values())
-            assert np.abs(s.V - expected).max() <= 1e-8
+            assert np.abs(basis - expected).max() <= 1e-8
 
     def test_consistency_propagates_along_solutions(
         self, rotating_masses_auto, rotating_masses_star, rotating_masses_decoupled
@@ -247,10 +252,10 @@ class TestReachInvariants:
         gamma = build_consistent_matrix(rotating_masses_decoupled)
         settings = ReachSettings(time_step=0.01, num_steps=500)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-        psi_norm = np.linalg.norm(reach.psi)
-        for j, star in enumerate(reach.stars):
+        psi_norm = np.linalg.norm(build_psi(reach.decoupled))
+        for j, basis in enumerate(reach.bases):
             bound = 1e-8 * (1.0 + psi_norm * np.exp(0.0) + j * 1e-3)
-            assert np.abs(gamma @ star.V).max() <= max(bound, 1e-10)
+            assert np.abs(gamma @ basis).max() <= max(bound, 1e-10)
 
     def test_superposition(self, rotating_masses_auto, rotating_masses_star):
         settings = ReachSettings(time_step=0.05, num_steps=20)
@@ -261,9 +266,9 @@ class TestReachInvariants:
                 rotating_masses_star.V[:, [column]], box[0], box[1]
             )
             part = compute_reach(rotating_masses_auto, single, settings)
-            for j in range(len(both.stars)):
+            for j in range(len(both.bases)):
                 assert np.allclose(
-                    both.stars[j].V[:, column], part.stars[j].V[:, 0], atol=1e-12
+                    both.bases[j][:, column], part.bases[j][:, 0], atol=1e-12
                 )
 
     def test_finite_difference_residual_is_first_order(
@@ -276,7 +281,7 @@ class TestReachInvariants:
         def worst_residual(h, steps):
             settings = ReachSettings(time_step=h, num_steps=steps)
             reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-            xs = np.stack([s.V @ alpha for s in reach.stars])
+            xs = reach.bases @ alpha
             diffs = (xs[1:] - xs[:-1]) / h
             mids = (xs[1:] + xs[:-1]) / 2.0
             return np.abs(diffs @ E.T - mids @ A.T).max()
@@ -298,18 +303,17 @@ class TestAgainstReferencePath:
     against the direct path: LU inverses, a rank-checked rebuilt chain and
     full ``n x n`` propagation (``oracles.reference_*``)."""
 
-    @pytest.mark.parametrize("mode", [TRANSITION_MATRIX, ADAPTIVE_INTEGRATOR])
+    @pytest.mark.parametrize("reference", ["transition_matrix", "adaptive_integrator"])
     @pytest.mark.parametrize("k", [4, 8, 12])
-    def test_stokes_bases_and_verdicts(self, k, mode):
+    def test_stokes_bases_and_verdicts(self, k, reference):
         from daereach import UnsafeSpec, stokes_center_velocity_rows, verify
 
         auto = _stokes(k)
         ref_dec = reference_decoupled(auto)
         star = box_star(np.random.default_rng(k), build_consistent_matrix(ref_dec), auto.n, 2)
-        settings = ReachSettings(1e-4, 100, propagation_mode=mode)
-        reach = compute_reach(auto, star, settings)
+        reach = compute_reach(auto, star, ReachSettings(1e-4, 100))
         expected = reference_reach_bases(
-            ref_dec, star.V, 1e-4, 100, adaptive=mode == ADAPTIVE_INTEGRATOR
+            ref_dec, star.V, 1e-4, 100, adaptive=reference == "adaptive_integrator"
         )
         assert reach.ode_coordinates.shape[1] == round(np.trace(ref_dec.projectors[1]))
         assert np.abs(reach.bases - expected).max() <= 1e-8 * np.abs(expected).max()
@@ -317,11 +321,11 @@ class TestAgainstReferencePath:
         G = np.zeros((1, auto.n))
         G[0, list(stokes_center_velocity_rows(k))] = -1.0
         lowest = np.sort((G @ expected @ star.coefficient_vertices().T).min(axis=2)[:, 0])
-        reference = replace(reach, bases=expected)
+        direct = replace(reach, lift=np.eye(auto.n), ode_coordinates=expected)
         # a threshold crossed halfway through the horizon, and one never crossed
         for threshold in ((lowest[50] + lowest[51]) / 2, lowest[0] - 0.1 * np.ptp(lowest)):
             unsafe = UnsafeSpec(G, [threshold], on_original_state=False)
-            ours, theirs = verify(reach, unsafe), verify(reference, unsafe)
+            ours, theirs = verify(reach, unsafe), verify(direct, unsafe)
             assert ours.status == theirs.status
             assert ours.first_unsafe_step == theirs.first_unsafe_step
 
@@ -330,10 +334,6 @@ class TestSettingsValidation:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             ReachSettings(time_step=0.0, num_steps=1)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            ReachSettings(time_step=0.1, num_steps=1, propagation_mode="magic")
 
     def test_time_grid(self):
         settings = ReachSettings(time_step=0.5, num_steps=4)

@@ -12,9 +12,10 @@ from daereach import (
     decouple_system,
     feasibility_check,
     rotating_masses_initial_star,
-    scipy_feasibility_kernel,
     verify,
 )
+
+from oracles import scipy_feasibility_kernel
 
 
 @pytest.fixture(scope="module")
@@ -81,9 +82,9 @@ class TestVerify:
         unsafe = UnsafeSpec([[0, 0, 1, 0]], [-0.9])
         outcome = verify(benchmark_reach, unsafe)
         alpha = outcome.alpha_feasible
-        star = benchmark_reach.stars[outcome.first_unsafe_step]
+        star = benchmark_reach.initial
         assert np.all(star.C @ alpha <= star.d + 1e-9)
-        hit = star.V @ alpha
+        hit = benchmark_reach.bases[outcome.first_unsafe_step] @ alpha
         assert hit[2] <= -0.9 + 1e-9
 
     def test_trace_is_a_genuine_simulation(
@@ -93,14 +94,14 @@ class TestVerify:
         # emitted trace
         unsafe = UnsafeSpec([[0, 0, 1, 0]], [-0.9])
         outcome = verify(benchmark_reach, unsafe)
-        x0 = benchmark_reach.stars[0].V @ outcome.alpha_feasible
+        x0 = benchmark_reach.bases[0] @ outcome.alpha_feasible
         point_star = StarSet(
             x0[:, None], np.array([[1.0], [-1.0]]), np.array([1.0, -1.0])
         )
         replay = compute_reach(
             rotating_masses_auto, point_star, benchmark_reach.settings
         )
-        replayed = np.stack([s.V[:, 0] for s in replay.stars])
+        replayed = replay.bases[:, :, 0]
         assert np.abs(replayed - outcome.unsafe_trace).max() <= 1e-9
 
     def test_first_hit_matches_exact_corner_scan(self, benchmark_reach):
@@ -110,8 +111,8 @@ class TestVerify:
         hi = np.array([0.2, 1.2])
         mins = np.array(
             [
-                np.minimum(s.V[2] * lo, s.V[2] * hi).sum()
-                for s in benchmark_reach.stars
+                np.minimum(basis[2] * lo, basis[2] * hi).sum()
+                for basis in benchmark_reach.bases
             ]
         )
         expected_first = int(np.nonzero(mins <= -0.9)[0][0])
@@ -125,8 +126,8 @@ class TestVerify:
         hi = np.array([0.2, 1.2])
         mins = np.array(
             [
-                np.minimum(s.V[2] * lo, s.V[2] * hi).sum()
-                for s in benchmark_reach.stars
+                np.minimum(basis[2] * lo, basis[2] * hi).sum()
+                for basis in benchmark_reach.bases
             ]
         )
         expected = set(np.nonzero(mins <= -0.9 + 1e-12)[0])
@@ -206,7 +207,7 @@ class TestIndexThreeFalsification:
 
         direction = rng.normal(size=auto.n)
         samples = star.sample_coefficients(2000, seed=seed)
-        basis = np.stack([s.V for s in reach.stars])
+        basis = reach.bases
         sampled_min = ((basis @ samples.T) * direction[None, :, None]).sum(axis=1).min()
         threshold = sampled_min + 0.1 * max(1.0, abs(sampled_min))
         outcome = verify(
@@ -245,10 +246,13 @@ class TestSamplingOracleAgreement:
 
 
 def reference_verify(reach, unsafe):
-    """The unscreened scan: one kernel call at every step, in time order."""
+    """The unscreened scan: one kernel call at every step, in time order,
+    on the rows ``verify`` pulls back, ``(G @ lift) @ ode_coordinates[j]``."""
     hits, alpha = [], None
-    for j, star in enumerate(reach.stars):
-        Gbar = np.vstack([unsafe.extended(star.dim, reach.n_orig) @ star.V, star.C])
+    star = reach.initial
+    pulled_back = unsafe.extended(star.dim, reach.n_orig) @ reach.lift
+    for j, coordinates in enumerate(reach.ode_coordinates):
+        Gbar = np.vstack([pulled_back @ coordinates, star.C])
         fbar = np.concatenate([unsafe.f, star.d])
         candidate = feasibility_check(Gbar, fbar)
         if candidate is not None:
