@@ -166,7 +166,7 @@ def _write_bounds(out_dir, times, reach, directions, tol):
     header = ["time"]
     for i in range(q):
         header += [f"dir{i}_min", f"dir{i}_max"]
-    projected = (directions @ reach.lift) @ reach.ode_coordinates  # (steps, q, k)
+    projected = reach.pull_back(directions)  # (steps, q, k)
     extrema = np.empty(projected.shape[:2] + (2,))
     vertices = predicate.vertices_within(len(times), tol)
     if vertices is not None:
@@ -274,6 +274,7 @@ def run_job(args):
                 "num_steps": settings.num_steps,
                 "ode_rank": reach.lift.shape[1],
                 "terminal_inverse_residual": reach.decoupled.chain.inverse_residual,
+                "terminal_condition_bound": reach.decoupled.chain.raw.condition_bound,
             }
         )
         if args.mode == "reach":

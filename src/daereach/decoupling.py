@@ -7,9 +7,17 @@ Starting from an autonomous pair ``(E, A)`` the chain
 
 with ``Q_j`` a projector onto ``Ker(E_j)`` and ``P_j = I - Q_j``,
 terminates at the first nonsingular ``E_mu``; ``mu`` is the tractability
-index.  One SVD per chain matrix gives its kernel basis and, through it,
-its rank decision; the terminal matrix's inverse comes from the factors
-of that same SVD.  Plain orthogonal kernel projectors generally violate
+index.  With ``Q_j = K_j K_j^T`` for an orthonormal kernel basis ``K_j``,
+both updates subtract the one rank-``m`` product ``(A_j K_j) K_j^T``.
+One SVD per singular chain matrix gives its kernel basis and, through
+it, its rank decision.  The terminal matrix takes no SVD of its own when
+it can be certified nonsingular from the previous matrix's factors: in
+them ``E_{j+1}`` is block upper triangular, so one ``m x m`` SVD gives its
+inverse and a bound on its condition number
+(:func:`~daereach.linalg.rank_update_inverse`).  A bound that does not
+clear the rank cutoff with a margin, a singular block, and every singular
+chain matrix fall back to the matrix's own SVD, which decides as it
+always did.  Plain orthogonal kernel projectors generally violate
 the admissibility property ``Q_j Q_i = 0`` for ``j > i`` that the
 decoupled forms rely on, so they are corrected index-by-index (index 1
 needs no correction) and the chain is rebuilt with the corrected
@@ -20,13 +28,14 @@ The correction needs no new factorization of a rebuilt matrix.  If
 ``E_j - A_j Q' = (E_j - A_j Q)(I - Q + Q')`` and
 ``(I - Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz & Tischendorf, *DAEs:
 A Projector Based Analysis*, 2013).  So the rebuilt chain's kernels and
-terminal inverse follow from the raw chain's by matrix products; a
-residual ``max|E_mu' E_mu'^{-1} - I|`` checks the result.
+terminal inverse follow from the raw chain's by products of rank ``m``
+(every corrected projector is ``K_j R_j``); a residual
+``max|E_mu' E_mu'^{-1} - I|`` checks the result.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices.
 The ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
-dimension ``r = trace(Pi)``; :attr:`DecoupledSystem.ode_frame` gives
+dimension ``r = trace(Pi)``; :attr:`DecoupledSystem.ode_basis` gives
 ``r``-dimensional coordinates on it.  Only indices 1 through 3 are
 supported; higher indices raise.
 """
@@ -42,7 +51,13 @@ from .errors import (
     NonsingularEError,
     SingularMatrixError,
 )
-from .linalg import DEFAULT_TOLERANCES, kernel_basis_and_inverse, solve_inverse
+from .linalg import (
+    DEFAULT_TOLERANCES,
+    kernel_basis_and_inverse,
+    rank_update_inverse,
+    solve_inverse,
+    svd_factors,
+)
 from .model import check_regularity
 
 __all__ = [
@@ -67,13 +82,17 @@ class MatrixChain:
 
     ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu), and
     ``Q_seq``/``P_seq`` have length ``mu``.  ``terminal_inverse`` is
-    ``E_mu^{-1}``; the chain's own rank decision proved ``E_mu``
-    nonsingular.  ``admissible`` records whether the projectors satisfy
+    ``E_mu^{-1}``; ``E_mu``'s own SVD or the certificate on the previous
+    matrix's factors proved it nonsingular.  ``admissible`` records whether the projectors satisfy
     ``Q_j Q_i = 0`` for ``j > i``; the chain built from raw orthogonal
     projectors is kept on ``raw`` after correction so both stages stay
-    inspectable.  ``kernel_bases`` holds the orthonormal basis behind each
-    orthogonal ``Q_j`` of a raw chain (empty once corrected), and
-    ``inverse_residual`` the checked ``max|E_mu E_mu^{-1} - I|`` of a
+    inspectable.  ``kernel_bases`` holds the orthonormal basis ``K_j``
+    behind each orthogonal ``Q_j`` of a raw chain and ``kernel_images`` the
+    products ``A_j K_j`` (both empty once corrected).
+    ``condition_bound`` is the certified bound on ``cond_2(E_mu)`` of a raw
+    chain whose terminal matrix took no SVD of its own, and ``None`` when
+    that SVD decided (and on a corrected chain; see ``raw``).
+    ``inverse_residual`` is the checked ``max|E_mu E_mu^{-1} - I|`` of a
     corrected chain (``None`` before).
     """
 
@@ -86,6 +105,8 @@ class MatrixChain:
     admissible: bool = False
     raw: "MatrixChain | None" = field(default=None, repr=False)
     kernel_bases: list = field(default=(), repr=False)
+    kernel_images: list = field(default=(), repr=False)
+    condition_bound: float | None = None
     inverse_residual: float | None = None
 
     @property
@@ -122,22 +143,22 @@ class DecoupledSystem:
         return tuple(sorted(self.N))
 
     @cached_property
-    def ode_frame(self):
-        """``(W, Yt)``: coordinates on the ODE subspace ``range(Pi)``,
+    def ode_basis(self):
+        """``W``: coordinates on the ODE subspace ``range(Pi)``,
         ``Pi = projectors[1]``.
 
         ``Pi`` is a projector, so its rank is ``r = round(trace(Pi))``.
         ``W`` (``n x r``, orthonormal columns) is the thin QR factor of
-        ``Pi`` times a fixed-seed Gaussian ``n x r`` matrix, and
-        ``Yt = W^T Pi`` (``r x n``), so that ``Pi = W @ Yt``.  ``N[1]`` maps
-        into ``range(Pi)``, so ``x_1 = W y`` solves the ODE subsystem
-        exactly when ``y' = (Yt N[1] W) y``.  Built on the first call.
+        ``Pi`` times a fixed-seed Gaussian ``n x r`` matrix, so that
+        ``Pi = W W^T Pi``: the ODE component ``Pi v`` has coordinates
+        ``W^T (Pi v)``.  ``N[1]`` maps into ``range(Pi)``, so ``x_1 = W y``
+        solves the ODE subsystem exactly when ``y' = W^T (N[1] W) y``.
+        Built on the first call.
         """
         pi = self.projectors[1]
         r = int(round(np.trace(pi)))
         omega = np.random.default_rng(_FRAME_SEED).standard_normal((self.n, r))
-        W = np.linalg.qr(pi @ omega)[0]
-        return W, W.T @ pi
+        return np.linalg.qr(pi @ omega)[0]
 
     def reconstruction_maps(self):
         """Maps sending the ODE component to every solution component.
@@ -166,22 +187,34 @@ class DecoupledSystem:
         return maps
 
 
-def _extend(E_seq, A_seq, Q_seq, P_seq, Q):
-    n = Q.shape[0]
-    P = np.eye(n) - Q
+def _extend(E_seq, A_seq, Q_seq, P_seq, K, R, AK):
+    """Append the step of the projector ``Q = K R`` onto ``Ker E_seq[-1]``,
+    given ``AK = A_seq[-1] K``: both chain matrices subtract ``A Q = AK R``,
+    a product of rank ``m = K.shape[1]``."""
+    Q = K @ R
+    AQ = AK @ R
     Q_seq.append(Q)
-    P_seq.append(P)
-    E_seq.append(E_seq[-1] - A_seq[-1] @ Q)
-    A_seq.append(A_seq[-1] @ P)
+    P_seq.append(np.eye(len(Q)) - Q)
+    E_seq.append(E_seq[-1] - AQ)
+    A_seq.append(A_seq[-1] - AQ)
 
 
-def _swap_inverse(Q, Q_new):
-    """``(I - Q + Q_new)^{-1} = I + Q - Q_new`` for two projectors onto one kernel."""
-    return np.eye(Q.shape[0]) + Q - Q_new
+def _swap_inverse(K, R, inverse):
+    """``(I + Q - Q') E^{-1}`` for ``Q = K K^T`` and ``Q' = K R`` projecting
+    onto one kernel: the inverse of ``E' = E (I - Q + Q')``."""
+    return inverse + K @ ((K.T - R) @ inverse)
 
 
 def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     """Build the matrix chain with orthogonal projectors and find the index.
+
+    Each chain matrix past ``E_0`` is first offered to
+    :func:`~daereach.linalg.rank_update_inverse` with the previous matrix's
+    SVD factors; a certified one ends the chain with no SVD of its own and
+    keeps its bound on ``condition_bound``.  Any other takes its own SVD,
+    which decides its rank and, when it is singular, gives its kernel
+    basis.  The certificate accepts only a matrix that SVD would also find
+    nonsingular, so it changes no index.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -195,20 +228,36 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, Q_seq, P_seq, kernel_bases = [sys.E], [sys.A], [], [], []
+    E_seq, A_seq, Q_seq, P_seq = [sys.E], [sys.A], [], []
+    kernel_bases, kernel_images = [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
-        kernel_basis, inverse = kernel_basis_and_inverse(E_seq[-1], tol)
-        if inverse is not None:  # the kernel basis has no columns: E_mu is nonsingular
+        inverse = bound = None
+        if mu:
+            inverse, bound = rank_update_inverse(factors, kernel_images[-1], tol)
+        if inverse is None:  # the matrix's own SVD decides
+            bound = None
+            factors = svd_factors(E_seq[-1], tol)
+            kernel_basis, inverse = kernel_basis_and_inverse(factors)
+        if inverse is not None:  # E_mu is nonsingular
             if mu == 0:
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
             return MatrixChain(
-                E_seq, A_seq, Q_seq, P_seq, mu, inverse, kernel_bases=kernel_bases
+                E_seq,
+                A_seq,
+                Q_seq,
+                P_seq,
+                mu,
+                inverse,
+                kernel_bases=kernel_bases,
+                kernel_images=kernel_images,
+                condition_bound=bound,
             )
         if mu < MAX_SUPPORTED_INDEX:
             kernel_bases.append(kernel_basis)
-            _extend(E_seq, A_seq, Q_seq, P_seq, kernel_basis @ kernel_basis.T)
+            kernel_images.append(A_seq[-1] @ kernel_basis)
+            _extend(E_seq, A_seq, Q_seq, P_seq, kernel_basis, kernel_basis.T, kernel_images[-1])
     if not check_regularity(sys, tol):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -227,9 +276,11 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     admissible).  For index 2 the corrected ``Q_1`` is ``-Q_1 E_2^{-1}
     A_1``; for index 3 the kernel projector of an intermediate rebuilt
     chain supplies the corrected ``Q_2``.  Each corrected projector still
-    projects onto the kernel of its (rebuilt) chain matrix; the returned
-    chain is extended one corrected projector at a time and keeps the
-    original on ``.raw``.
+    projects onto the kernel of its (rebuilt) chain matrix, and has the
+    form ``K_j R_j`` with ``K_j`` that kernel's orthonormal basis, so the
+    chain updates reuse the raw chain's ``A_j K_j``.  The returned chain is
+    extended one corrected projector at a time and keeps the original on
+    ``.raw``.
 
     No rebuilt chain matrix is factored to find its kernel or inverse: the
     projector swap ``E' = E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q')
@@ -249,21 +300,23 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
         # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
         E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
         Q_seq, P_seq = chain.Q_seq[:1], chain.P_seq[:1]
-        raw_inv, A1, Q1 = chain.terminal_inverse, chain.A_seq[1], chain.Q_seq[1]
+        raw_inv, A1, K1 = chain.terminal_inverse, chain.A_seq[1], chain.kernel_bases[1]
         if chain.mu == 2:
-            Q1_adm = -Q1 @ raw_inv @ A1
-            _extend(E_seq, A_seq, Q_seq, P_seq, Q1_adm)
-            inverse = _swap_inverse(Q1, Q1_adm) @ raw_inv
+            R1 = -(K1.T @ raw_inv) @ A1  # Q_1' = -Q_1 E_2^{-1} A_1 = K_1 R_1
+            _extend(E_seq, A_seq, Q_seq, P_seq, K1, R1, chain.kernel_images[1])
+            inverse = _swap_inverse(K1, R1, raw_inv)
         else:
-            Q2_tilde = -chain.Q_seq[2] @ raw_inv @ chain.A_seq[2]
-            Q1_adm = -Q1 @ (np.eye(chain.n) - Q2_tilde) @ raw_inv @ A1
-            _extend(E_seq, A_seq, Q_seq, P_seq, Q1_adm)
-            kernel_basis = np.linalg.qr(_swap_inverse(Q1, Q1_adm) @ chain.kernel_bases[2])[0]
-            Q2_orth = kernel_basis @ kernel_basis.T
-            E3_orth_inv = solve_inverse(E_seq[2] - A_seq[2] @ Q2_orth, tol)
-            Q2_adm = -Q2_orth @ E3_orth_inv @ A_seq[2]
-            _extend(E_seq, A_seq, Q_seq, P_seq, Q2_adm)
-            inverse = _swap_inverse(Q2_orth, Q2_adm) @ E3_orth_inv
+            K2 = chain.kernel_bases[2]
+            R2 = -(K2.T @ raw_inv) @ chain.A_seq[2]  # -Q_2 E_3^{-1} A_2 = K_2 R_2
+            # Q_1' = -Q_1 (I - K_2 R_2) E_3^{-1} A_1 = K_1 R_1
+            R1 = -((K1.T - (K1.T @ K2) @ R2) @ raw_inv) @ A1
+            _extend(E_seq, A_seq, Q_seq, P_seq, K1, R1, chain.kernel_images[1])
+            K2_orth = np.linalg.qr(K2 + K1 @ ((K1.T - R1) @ K2))[0]
+            AK2 = A_seq[2] @ K2_orth
+            E3_orth_inv = solve_inverse(E_seq[2] - AK2 @ K2_orth.T, tol)
+            R2_adm = -(K2_orth.T @ E3_orth_inv) @ A_seq[2]
+            _extend(E_seq, A_seq, Q_seq, P_seq, K2_orth, R2_adm, AK2)
+            inverse = _swap_inverse(K2_orth, R2_adm, E3_orth_inv)
 
     residual = float(np.abs(E_seq[-1] @ inverse - np.eye(chain.n)).max())
     if not residual <= np.sqrt(tol.rank_rel_tol):

@@ -2,13 +2,21 @@
 
 Rank decisions, kernel bases, inverses, and matrix exponentials for the
 rest of the package.  All rank-like decisions go through one relative
-singular-value cutoff.  The matrix chain takes one SVD per chain matrix:
-the kernel basis it yields also decides the rank (an empty basis means
-the matrix is nonsingular), so a chain matrix's index step and its
-projector cannot disagree, and the terminal matrix's inverse is formed
+singular-value cutoff.  The matrix chain takes at most one SVD per chain
+matrix: the kernel basis it yields also decides the rank (an empty basis
+means the matrix is nonsingular), so a chain matrix's index step and its
+projector cannot disagree, and a nonsingular matrix's inverse is formed
 from the same factors, ``W diag(1/s) U^T``, with no LU solve.
+
+A chain matrix that differs from an already factored one by a product
+through the latter's kernel basis can skip its own SVD:
+:func:`rank_update_inverse` writes it in the old factors as a block upper
+triangular matrix, inverts it through one SVD of the small diagonal block,
+and accepts it as nonsingular only when a Frobenius-norm bound on its
+condition number clears the rank cutoff by :data:`CERTIFICATE_MARGIN`.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +31,9 @@ __all__ = [
     "as_vector",
     "readonly",
     "numerical_rank",
+    "svd_factors",
     "kernel_basis_and_inverse",
+    "rank_update_inverse",
     "orthogonal_null_projector",
     "matrix_exponential",
     "solve_inverse",
@@ -59,6 +69,11 @@ class TolerancePolicy:
 
 
 DEFAULT_TOLERANCES = TolerancePolicy()
+
+# factor by which a certified condition bound must clear the rank cutoff
+# 1 / rank_rel_tol; it covers the rounding between the factored form and
+# the SVD the certificate stands in for
+CERTIFICATE_MARGIN = 2.0
 
 
 def as_matrix(a, name="matrix", allow_empty_cols=False):
@@ -121,21 +136,69 @@ def numerical_rank(Z, tol=DEFAULT_TOLERANCES):
     return _rank(np.linalg.svd(Z, compute_uv=False), tol)
 
 
-def kernel_basis_and_inverse(Z, tol=DEFAULT_TOLERANCES):
-    """Orthonormal kernel basis of a square matrix and, when the kernel is
-    trivial, its inverse, both from one SVD.
-
-    Let ``Z = U diag(s) W^T``.  The basis is the columns of ``W`` whose
-    singular values lie at or below the rank cutoff, an ``(n, n - rank)``
-    array; for a nonsingular ``Z`` it has no columns and the inverse is
-    ``W diag(1/s) U^T``.  For a singular ``Z`` the inverse is ``None``.
-    """
+def svd_factors(Z, tol=DEFAULT_TOLERANCES):
+    """``(u, s, wt, rank)``: the SVD ``Z = u diag(s) wt`` of a square matrix
+    and its numerical rank."""
     Z = as_matrix(Z, "Z")
     _require_square(Z, "Z")
     u, s, wt = np.linalg.svd(Z)
-    rank = _rank(s, tol)
-    inverse = (wt.T / s) @ u.T if rank == Z.shape[0] else None
+    return u, s, wt, _rank(s, tol)
+
+
+def kernel_basis_and_inverse(factors):
+    """Orthonormal kernel basis of a square matrix and, when the kernel is
+    trivial, its inverse, both from its :func:`svd_factors`.
+
+    The basis is the columns of ``W = wt^T`` whose singular values lie at
+    or below the rank cutoff, an ``(n, n - rank)`` array; for a nonsingular
+    matrix it has no columns and the inverse is ``W diag(1/s) U^T``.  For a
+    singular matrix the inverse is ``None``.
+    """
+    u, s, wt, rank = factors
+    inverse = (wt.T / s) @ u.T if rank == s.size else None
     return wt[rank:, :].T, inverse
+
+
+def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
+    """``(inverse, bound)`` of ``Z' = Z - image @ K^T`` from the factors of
+    ``Z``, with ``inverse`` ``None`` unless ``Z'`` is certified nonsingular.
+
+    ``factors`` are :func:`svd_factors` of ``Z = U diag(s) W^T``, ``K`` is
+    its kernel basis (the trailing ``m`` columns of ``W``) and ``image`` an
+    ``(n, m)`` array.  Because ``K^T W = [0, I]``, ``T = U^T Z' W`` is block
+    upper triangular::
+
+        T = [[S_1, -U_1^T image], [0, C]],   C = S_2 - U_2^T image,
+
+    with ``S_1``/``S_2`` the singular values above/at or below the cutoff.
+    One SVD of the ``m x m`` block ``C`` gives ``T^{-1}``, and ``Z'^{-1} =
+    W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A Projector Based
+    Analysis*, 2013).  ``bound = ||T||_F ||T^{-1}||_F`` is at least
+    ``cond_2(Z')``; when it is below ``1 / (CERTIFICATE_MARGIN *
+    rank_rel_tol)``, ``Z'``'s own SVD would also find it nonsingular at the
+    cutoff, and the inverse is returned.  Otherwise, and when ``C`` has a
+    zero singular value (``bound`` is then infinite), only the bound is,
+    and the caller decides from ``Z'``'s own SVD.
+    """
+    u, s, wt, rank = factors
+    s_top = s[:rank]
+    top, low = np.split(u.T @ image, [rank])
+    uc, c, vct = np.linalg.svd(np.diag(s[rank:]) - low)
+    if not c[-1] > 0.0:
+        return None, math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a near-singular C declines
+        c_inv = (vct.T / c) @ uc.T
+        corner = (top / s_top[:, None]) @ c_inv  # the upper right block of T^{-1}
+        norm_sq = (s_top**2).sum() + (top**2).sum() + (c**2).sum()
+        inv_norm_sq = (s_top**-2.0).sum() + (corner**2).sum() + (c**-2.0).sum()
+        bound = math.sqrt(norm_sq * inv_norm_sq)
+    if not bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
+        return None, bound
+    u_top, u_low = u[:, :rank], u[:, rank:]
+    rows = np.empty_like(u)  # T^{-1} U^T
+    rows[:rank] = u_top.T / s_top[:, None] + corner @ u_low.T
+    rows[rank:] = c_inv @ u_low.T
+    return wt.T @ rows, bound
 
 
 def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
@@ -147,7 +210,7 @@ def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
     zero matrix (exactly: the kernel basis has no columns); for the zero
     matrix it is the identity.
     """
-    kernel_basis, _ = kernel_basis_and_inverse(Z, tol)
+    kernel_basis, _ = kernel_basis_and_inverse(svd_factors(Z, tol))
     return kernel_basis @ kernel_basis.T
 
 
@@ -168,7 +231,7 @@ def matrix_exponential(M, t=1.0):
 def solve_inverse(M, tol=DEFAULT_TOLERANCES):
     """Inverse of ``M`` from its SVD, or :class:`SingularMatrixError` at the
     rank tolerance."""
-    kernel_basis, inverse = kernel_basis_and_inverse(M, tol)
+    kernel_basis, inverse = kernel_basis_and_inverse(svd_factors(M, tol))
     if inverse is None:
         raise SingularMatrixError(
             f"matrix of size {kernel_basis.shape[0]} is singular at relative tolerance "

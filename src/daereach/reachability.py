@@ -3,16 +3,19 @@
 Only the ODE subsystem needs integrating, and it lives on the
 ``r``-dimensional subspace ``range(Pi)``, ``Pi = projectors[1]``: its
 basis is pushed through time in the coordinates of the decoupled
-system's ODE frame ``(W, Yt)`` by one reused ``r x r`` transition
-matrix, the exact flow of a linear time-invariant ODE up to rounding.
-One fixed ``n x r`` matrix, the lift ``psi W``, sends every coordinate
-basis to a full DAE state basis.  The predicate never changes, so the
+system's ODE basis ``W`` by powers of one ``r x r`` transition matrix,
+the exact flow of a linear time-invariant ODE up to rounding.  The
+powers are built by repeated squaring, so a grid of ``J`` steps takes
+``log2 J`` batched products instead of ``J`` single ones.  One fixed
+``n x r`` matrix, the lift ``psi W``, sends every coordinate basis to a
+full DAE state basis.  The predicate never changes, so the
 reachable set at each step is a star sharing the initial star's
 constraint matrices, and the whole result is one array of ODE
 coordinates, the lift and that one predicate.
 """
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -59,6 +62,18 @@ class ReachSettings:
         return np.arange(self.num_steps + 1) * self.time_step
 
 
+@contextmanager
+def _grid_sized(settings):
+    """Raise :class:`NumericalFailureError` naming the step count when numpy
+    refuses an array sized by the time grid."""
+    try:
+        yield
+    except (ValueError, MemoryError) as exc:
+        raise NumericalFailureError(
+            f"{settings.num_steps:.3g} steps are too many for an array: {exc}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class ReachResult:
     """Reachable set of an autonomous DAE over a fixed time grid.
@@ -69,7 +84,8 @@ class ReachResult:
     basis ``bases[j] = lift @ ode_coordinates[j]``.  Every step shares the
     predicate of ``initial``, the initial star.  The first ``n_orig``
     state coordinates are the original model states, the rest are
-    stacked inputs.
+    stacked inputs.  An array sized by the time grid that numpy cannot
+    hold raises :class:`NumericalFailureError`.
     """
 
     ode_coordinates: np.ndarray
@@ -85,9 +101,23 @@ class ReachResult:
     def bases(self):
         """The state bases, ``lift @ ode_coordinates``, shape
         ``(num_steps + 1, n, k)``; built on first access and kept read-only."""
-        bases = self.lift @ self.ode_coordinates
+        with _grid_sized(self.settings):
+            bases = self.lift @ self.ode_coordinates
         bases.flags.writeable = False
         return bases
+
+    def pull_back(self, M):
+        """``M @ bases[j]`` for every step, shape ``(num_steps + 1, q, k)``
+        for a ``(q, n)`` matrix ``M``, without forming the state bases."""
+        projected = M @ self.lift
+        with _grid_sized(self.settings):
+            return projected @ self.ode_coordinates
+
+    def states(self, alpha):
+        """The trajectory ``bases[j] @ alpha`` of one coefficient vector,
+        shape ``(num_steps + 1, n)``."""
+        with _grid_sized(self.settings):
+            return (self.ode_coordinates @ alpha) @ self.lift.T
 
 
 def build_psi(dec):
@@ -106,26 +136,33 @@ def build_psi(dec):
 
 def propagate_basis(dec, theta0, settings):
     """Bases of the ODE subsystem at every time-grid instant in the
-    coordinates of ``dec.ode_frame``, shape ``(num_steps + 1, r, k)``.
+    coordinates of ``dec.ode_basis``, shape ``(num_steps + 1, r, k)``.
 
     Only the ODE component of ``theta0`` is propagated: its coordinates
-    are ``Yt @ V`` with ``Yt = W^T Pi``, so a star already projected onto
-    the ODE subsystem gives the same result.  Columns evolve
-    independently under the linear time-invariant ``y' = (Yt N[1] W) y``,
-    so one ``r x r`` exponential of a step, reused at every step, is the
-    exact flow up to rounding.  ``W @ y`` is the basis in state
-    coordinates.
+    are ``W^T (Pi V)``, so a star already projected onto the ODE subsystem
+    gives the same result.  Columns evolve independently under the linear
+    time-invariant ``y' = W^T (N[1] W) y``, so the flow over ``j`` steps is
+    ``phi^j`` with ``phi`` one ``r x r`` exponential of a step, exact up to
+    rounding.  The instants are filled in doubling blocks: with the first
+    ``c`` set, ``y[c:2c] = phi^c y[0:c]`` in one batched product, and
+    ``phi^c`` is squared for the next block.  ``W @ y`` is the basis in
+    state coordinates.
     """
-    W, Yt = dec.ode_frame
-    y0 = Yt @ np.asarray(theta0.V, dtype=float)
+    W = dec.ode_basis
+    y0 = W.T @ (dec.projectors[1] @ np.asarray(theta0.V, dtype=float))
     coordinates = np.empty((settings.num_steps + 1,) + y0.shape)
     coordinates[0] = y0
     if not y0.size:  # r = 0: no ODE subsystem, nothing moves
         return coordinates
-    phi = matrix_exponential(Yt @ dec.N[1] @ W, settings.time_step)
-    for j in range(settings.num_steps):
-        np.matmul(phi, coordinates[j], out=coordinates[j + 1])
-    return coordinates
+    power = matrix_exponential(W.T @ (dec.N[1] @ W), settings.time_step)
+    filled, total = 1, len(coordinates)
+    while True:
+        count = min(filled, total - filled)
+        np.matmul(power, coordinates[:count], out=coordinates[filled : filled + count])
+        filled += count
+        if filled == total:
+            return coordinates
+        power = power @ power
 
 
 def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
@@ -148,13 +185,9 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
         raise InconsistentInitialSetError(certificate)
 
     started = time.perf_counter()
-    try:
+    with _grid_sized(settings):
         coordinates = propagate_basis(dec, theta0, settings)
-    except (ValueError, MemoryError) as exc:  # numpy refused the grid's size
-        raise NumericalFailureError(
-            f"{settings.num_steps:.3g} steps are too many for an array: {exc}"
-        ) from exc
-    lift = build_psi(dec) @ dec.ode_frame[0]
+    lift = build_psi(dec) @ dec.ode_basis
     lift.flags.writeable = coordinates.flags.writeable = False
     reach_seconds = time.perf_counter() - started
     return ReachResult(

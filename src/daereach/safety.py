@@ -3,11 +3,12 @@
 At each time step the unsafe condition ``G x <= f`` is pulled back through
 the star basis and stacked with the coefficient predicate; the step is
 unsafe iff the combined inequality system is feasible.  The pull-back is
-``(G @ lift) @ ode_coordinates[j]``, so the full state bases are never
-formed.  When the shared predicate is a bounded polytope with few
-vertices, the support function of every pulled-back row at every step
-comes from one product with the vertex matrix, and a step whose row
-minimum already exceeds ``f`` is skipped without an LP.  A feasible
+``(G @ lift) @ ode_coordinates[j]`` (:meth:`ReachResult.pull_back`), so
+the full state bases are never formed.  When the shared predicate is a
+bounded polytope with few vertices, the support function of every
+pulled-back row at every step comes from one product with the vertex
+matrix, and a step whose row minimum already exceeds ``f`` is skipped
+without an LP.  A feasible
 coefficient vector is a genuine witness: replaying it through every star
 basis yields a concrete simulation trace ending in the unsafe set.
 """
@@ -168,13 +169,12 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     call shape as :func:`feasibility_check`.
     """
     kernel = feasibility_check if kernel is None else kernel
-    lift, coordinates = reach.lift, reach.ode_coordinates
     C, d = reach.initial.C, reach.initial.d
-    G = unsafe.extended(lift.shape[0], reach.n_orig)
+    G = unsafe.extended(reach.lift.shape[0], reach.n_orig)
     f = unsafe.f
-    H = (G @ lift) @ coordinates  # (steps, q, k)
+    H = reach.pull_back(G)  # (steps, q, k)
 
-    steps = len(coordinates)
+    steps = len(H)
     vertices = reach.initial.vertices_within(steps, tol)
     if vertices is None:
         candidates = range(steps)
@@ -211,7 +211,7 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
         status=UNSAFE,
         first_unsafe_step=first_hit,
         alpha_feasible=alpha,
-        unsafe_trace=(coordinates @ alpha) @ lift.T,
+        unsafe_trace=reach.states(alpha),
         unsafe_steps=tuple(hits),
         **counters,
     )

@@ -7,10 +7,12 @@ instead of the projector chain, feasibility is decided by vertex
 enumeration instead of simplex pivots (or by scipy's HiGHS solver, a
 second LP backend), and determinants over integer matrices are computed
 exactly with fraction-free elimination.  The
-reference decoupling and reach path rebuilds the admissible chain the
-direct way (rank-checked rebuilt matrices, LU inverses) and propagates
-the full ``n x n`` ODE subsystem; only the closed-form ``decouple`` step
-and ``psi`` are shared with the package.
+reference chain takes a full SVD of every chain matrix, the terminal one
+included, and inverts by LU; the reference decoupling and reach path
+rebuilds the admissible chain the direct way (rank-checked rebuilt
+matrices, LU inverses) and propagates the full ``n x n`` ODE subsystem
+or, for the ODE coordinates, one step at a time; only the closed-form
+``decouple`` step and ``psi`` are shared with the package.
 """
 
 from fractions import Fraction
@@ -215,47 +217,55 @@ def _lu_inverse(Z):
     return np.linalg.solve(Z, np.eye(Z.shape[0]))
 
 
-def reference_decoupled(auto, rel_tol=1e-9):
-    """The decoupled system by the direct path.
+def _extend_chain(E, A, Q, P, q):
+    Q.append(q)
+    P.append(np.eye(len(q)) - q)
+    E.append(E[-1] - A[-1] @ q)
+    A.append(A[-1] @ P[-1])
 
-    The raw chain of orthogonal kernel projectors is built to its first
-    full-rank ``E_mu`` (``mu <= 3``) and inverted by LU; the admissible
-    correction then rebuilds the chain matrices one corrected projector at
-    a time, takes the index-3 intermediate kernel from a fresh SVD, inverts
-    every matrix it needs by LU, and rank-checks the rebuilt terminal
-    matrix before inverting it.
-    """
-    from daereach import decouple
-    from daereach.decoupling import MatrixChain
 
-    n = auto.n
+def reference_chain(auto, rel_tol=1e-9):
+    """``(E, A, Q, P, mu)`` of the raw chain of orthogonal kernel projectors,
+    built to its first full-rank ``E_mu`` (``mu <= 3``) with a full SVD of
+    every chain matrix, the terminal one included."""
     E, A, Q, P = [auto.E], [auto.A], [], []
-
-    def extend(q):
-        Q.append(q)
-        P.append(np.eye(n) - q)
-        E.append(E[-1] - A[-1] @ q)
-        A.append(A[-1] @ P[-1])
-
     for mu in range(4):
         q, nonsingular = _orthogonal_kernel(E[-1], rel_tol)
         if nonsingular:
             break
         assert mu < 3, "index above 3"
-        extend(q)
+        _extend_chain(E, A, Q, P, q)
     assert mu >= 1, "E is nonsingular"
+    return E, A, Q, P, mu
+
+
+def reference_decoupled(auto, rel_tol=1e-9):
+    """The decoupled system by the direct path.
+
+    The raw chain is :func:`reference_chain`, its ``E_mu`` inverted by LU;
+    the admissible correction then rebuilds the chain matrices one
+    corrected projector at a time, takes the index-3 intermediate kernel
+    from a fresh SVD, inverts every matrix it needs by LU, and rank-checks
+    the rebuilt terminal matrix before inverting it.
+    """
+    from daereach import decouple
+    from daereach.decoupling import MatrixChain
+
+    n = auto.n
+    E, A, Q, P, mu = reference_chain(auto, rel_tol)
+
     raw_inv = _lu_inverse(E[mu])
     raw_Q, raw_A = list(Q), list(A)
     del E[2:], A[2:], Q[1:], P[1:]
     if mu == 2:
-        extend(-raw_Q[1] @ raw_inv @ raw_A[1])
+        _extend_chain(E, A, Q, P, -raw_Q[1] @ raw_inv @ raw_A[1])
     elif mu == 3:
         q2_tilde = -raw_Q[2] @ raw_inv @ raw_A[2]
-        extend(-raw_Q[1] @ (np.eye(n) - q2_tilde) @ raw_inv @ raw_A[1])
+        _extend_chain(E, A, Q, P, -raw_Q[1] @ (np.eye(n) - q2_tilde) @ raw_inv @ raw_A[1])
         q2_orth, _ = _orthogonal_kernel(E[2], rel_tol)
         e3_orth = E[2] - A[2] @ q2_orth
         assert _orthogonal_kernel(e3_orth, rel_tol)[1], "singular intermediate matrix"
-        extend(-q2_orth @ _lu_inverse(e3_orth) @ A[2])
+        _extend_chain(E, A, Q, P, -q2_orth @ _lu_inverse(e3_orth) @ A[2])
     assert _orthogonal_kernel(E[-1], rel_tol)[1], "singular rebuilt terminal matrix"
     chain = MatrixChain(E, A, Q, P, mu, _lu_inverse(E[-1]), admissible=True)
     return decouple(chain)
@@ -288,3 +298,16 @@ def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e
             ode.append(phi @ ode[-1])
         ode = np.stack(ode)
     return build_psi(dec) @ ode
+
+
+def sequential_coordinates(dec, V0, time_step, num_steps):
+    """ODE coordinates at every instant in ``dec.ode_basis``, one product with
+    the step's transition matrix per instant, each from the one before."""
+    from daereach import matrix_exponential
+
+    W = dec.ode_basis
+    y = [W.T @ (dec.projectors[1] @ V0)]
+    phi = matrix_exponential(W.T @ (dec.N[1] @ W), time_step)
+    for _ in range(num_steps):
+        y.append(phi @ y[-1])
+    return np.stack(y)

@@ -289,7 +289,7 @@ def test_criterion_5_reconstruction_identity(
         runs.append((f"stokes:{k}", compute_reach(auto, star, ReachSettings(0.001, 100))))
     for name, run in runs:
         dec = run.decoupled
-        ode_bases = dec.ode_frame[0] @ run.ode_coordinates
+        ode_bases = dec.ode_basis @ run.ode_coordinates
         for v1, basis in zip(ode_bases, run.bases):
             gap = np.abs(basis - _independent_reconstruction(dec, v1)).max()
             worst = max(worst, gap)

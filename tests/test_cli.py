@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from daereach import (
+    DEFAULT_TOLERANCES,
     UnsafeSpec,
     rotating_masses_initial_star,
     save_initial_star,
@@ -67,6 +69,9 @@ class TestVerifyMode:
         assert (verdict["lp_calls"], verdict["screened_steps"]) == (1, 166)
         assert verdict["ode_rank"] == 3
         assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
+        bound = verdict["terminal_condition_bound"]
+        assert math.isfinite(bound)
+        assert 1.0 <= bound <= 1.0 / DEFAULT_TOLERANCES.rank_rel_tol
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1001  # header plus one row per instant
         assert lines[0].startswith("time,x0,x1,x2,x3,u0,u1")

@@ -11,7 +11,9 @@ from daereach import (
     make_admissible,
 )
 
-from oracles import CanonicalDae, reference_decoupled
+from daereach.linalg import DEFAULT_TOLERANCES, rank_update_inverse, svd_factors
+
+from oracles import CanonicalDae, reference_chain, reference_decoupled
 
 THIRD = 1.0 / 3.0
 
@@ -87,6 +89,27 @@ class TestComputeIndexAndChain:
         auto, _ = canonical_auto(np.random.default_rng(0), 2, [4])
         with pytest.raises(IndexTooHighError):
             compute_index_and_chain(auto)
+
+    def test_uncertified_terminal_matrix_takes_its_own_svd(self, monkeypatch):
+        # E_1 = diag(1, -eps) has cond 1/eps = 6.7e8: inside the certificate's
+        # margin, yet nonsingular at the 1e9 cutoff, as its own SVD finds
+        import daereach.decoupling
+
+        eps = 1.5e-9
+        full_svds = []
+        factors = daereach.decoupling.svd_factors
+
+        def counting(Z, tol):
+            full_svds.append(Z.shape)
+            return factors(Z, tol)
+
+        monkeypatch.setattr(daereach.decoupling, "svd_factors", counting)
+        auto = AutonomousDae(np.diag([1.0, 0.0]), np.diag([1.0, eps]))
+        chain = compute_index_and_chain(auto)
+        assert chain.mu == reference_chain(auto)[4] == 1
+        assert chain.condition_bound is None
+        assert full_svds == [(2, 2), (2, 2)]
+        assert np.allclose(chain.terminal_inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
 
     def test_ended_chain_never_probes_the_pencil(self, monkeypatch, rotating_masses_auto):
         import daereach.decoupling
@@ -238,36 +261,43 @@ def _stokes_auto():
 
 
 class TestFactorizationCounts:
-    """One SVD per chain matrix and no LU solve.
+    """One ``n x n`` SVD per singular chain matrix and no LU solve.
 
-    The bounds below count one SVD per raw chain matrix, whose factors also
-    give the terminal inverse, and at index 3 one more for the intermediate
-    matrix the projector swap cannot prove nonsingular, whose factors give
-    its inverse too.  The rebuilt chain is never factored, and no
+    The ``n x n`` bounds count one SVD per singular raw chain matrix and,
+    at index 3, one more for the intermediate matrix the projector swap
+    cannot prove nonsingular, whose factors give its inverse too.  The
+    terminal raw matrix is certified nonsingular from the previous
+    matrix's factors, which costs one ``m x m`` SVD per chain step after
+    ``E_0`` (the steps that end singular try it too), so the totals add
+    ``index`` small SVDs.  The rebuilt chain is never factored, and no
     regularity probe runs: a chain that ends proves the pencil regular.
     """
 
     @pytest.mark.parametrize(
-        "make_auto, index, svds, solves",
+        "make_auto, index, full_svds, svds, solves",
         [
-            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 2, 0),
-            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 3, 0),
-            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 5, 0),
-            (_stokes_auto, 2, 3, 0),
+            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 2, 0),
+            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 4, 0),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 4, 7, 0),
+            (_stokes_auto, 2, 2, 4, 0),
         ],
         ids=["index-1", "index-2", "index-3", "stokes-4"],
     )
-    def test_decouple_system_factorizations(self, monkeypatch, make_auto, index, svds, solves):
+    def test_decouple_system_factorizations(
+        self, monkeypatch, make_auto, index, full_svds, svds, solves
+    ):
         from functools import cached_property
 
         from daereach import DecoupledSystem, build_consistent_matrix, build_psi, decouple_system
 
         auto = make_auto()
-        counts = {"svd": 0, "solve": 0, "maps": 0}
+        counts = {"svd": 0, "full_svd": 0, "solve": 0, "maps": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
                 counts[key] += 1
+                if key == "svd" and np.shape(args[0]) == (auto.n, auto.n):
+                    counts["full_svd"] += 1
                 return fn(*args, **kwargs)
 
             return wrapped
@@ -281,6 +311,8 @@ class TestFactorizationCounts:
         build_consistent_matrix(dec)
         build_psi(dec)
         assert dec.mu == index
+        assert dec.chain.raw.condition_bound is not None
+        assert counts["full_svd"] <= full_svds
         assert counts["svd"] <= svds
         assert counts["solve"] <= solves
         assert counts["maps"] == 1
@@ -311,15 +343,35 @@ def _relative_error(ours, reference):
     return np.abs(ours - reference).max() / max(1.0, np.abs(reference).max())
 
 
+def _certified_margin(raw, auto):
+    """Check the certified raw chain against the full-SVD reference chain:
+    the same index, a chain ended by the certificate, every singular step
+    declined, and terminal inverses within 1e-10 relative.  Returns the
+    margin ``condition_bound * rank_rel_tol`` (below 1/2 when accepted)."""
+    E, _, _, _, mu = reference_chain(auto)
+    assert raw.mu == mu
+    assert raw.condition_bound is not None
+    for j in range(1, mu):  # E_j is singular: the certificate must decline it
+        inverse, _ = rank_update_inverse(svd_factors(raw.E_seq[j - 1]), raw.kernel_images[j - 1])
+        assert inverse is None, j
+    reference = np.linalg.solve(E[mu], np.eye(auto.n))
+    assert _relative_error(raw.terminal_inverse, reference) <= 1e-10
+    return raw.condition_bound * DEFAULT_TOLERANCES.rank_rel_tol
+
+
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_decoupling_matches_reference_path(index):
-    """100 random canonical systems per index: the swapped-projector chain
-    against LU inverses and a rank-checked rebuilt chain."""
+    """100 random canonical systems per index: the certified terminal step
+    against a chain that takes a full SVD of every matrix, and the
+    swapped-projector chain against LU inverses and a rank-checked rebuilt
+    chain."""
+    worst_margin = 0.0
     for seed in range(index - 1, 300, 3):
         rng = np.random.default_rng(seed)
         blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(0, 3)))
         auto, _ = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
         ours = decouple(make_admissible(compute_index_and_chain(auto)))
+        worst_margin = max(worst_margin, _certified_margin(ours.chain.raw, auto))
         reference = reference_decoupled(auto)
         assert ours.mu == reference.mu == index, seed
         pairs = [(ours.N[i], reference.N[i]) for i in reference.N]
@@ -331,3 +383,13 @@ def test_decoupling_matches_reference_path(index):
         ]
         assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, seed
         assert ours.chain.inverse_residual <= 1e-12, seed
+    print(f"\nindex {index}: worst bound * rank_rel_tol {worst_margin:.2e}")
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_certified_chain_matches_full_svd_chain_on_stokes(k):
+    from daereach import load_model, to_autonomous
+
+    auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
+    margin = _certified_margin(compute_index_and_chain(auto), auto)
+    print(f"\nstokes k={k}: bound * rank_rel_tol {margin:.2e}")

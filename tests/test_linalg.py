@@ -9,7 +9,13 @@ from daereach import (
     orthogonal_null_projector,
     solve_inverse,
 )
-from daereach.linalg import as_matrix
+from daereach.linalg import (
+    CERTIFICATE_MARGIN,
+    as_matrix,
+    kernel_basis_and_inverse,
+    rank_update_inverse,
+    svd_factors,
+)
 
 from oracles import expm_taylor
 
@@ -128,3 +134,60 @@ class TestSolveInverse:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             solve_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def _updated(Z, image):
+    """``Z - image @ K^T`` with ``K`` the kernel basis of ``Z``."""
+    kernel_basis, _ = kernel_basis_and_inverse(svd_factors(Z))
+    return Z - image @ kernel_basis.T
+
+
+class TestRankUpdateInverse:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_updated_matrix_inverse(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = 6, int(rng.integers(1, 4))
+        Z = rng.normal(size=(n, n - m)) @ rng.normal(size=(n - m, n))
+        image = rng.normal(size=(n, m))
+        inverse, bound = rank_update_inverse(svd_factors(Z), image)
+        updated = _updated(Z, image)
+        assert inverse is not None
+        assert np.abs(inverse - np.linalg.inv(updated)).max() <= 1e-10 * np.abs(inverse).max()
+        assert np.linalg.cond(updated) <= bound
+
+    def test_declines_an_exactly_singular_block(self):
+        Z = np.diag([2.0, 1.0, 0.0])
+        inverse, bound = rank_update_inverse(svd_factors(Z), np.zeros((3, 1)))
+        assert inverse is None and bound == np.inf
+
+    @pytest.mark.parametrize(
+        "eps, certified, nonsingular",
+        [(1e-3, True, True), (1.5e-9, False, True), (5e-10, False, False)],
+        ids=["well-conditioned", "inside-margin", "below-cutoff"],
+    )
+    def test_certifies_only_outside_the_margin(self, eps, certified, nonsingular):
+        # Z' = diag(1, -eps) has cond 1/eps; the cutoff is at 1e9 and the
+        # certificate needs 1e9 / CERTIFICATE_MARGIN
+        Z = np.diag([1.0, 0.0])
+        image = np.array([[0.0], [eps]])
+        inverse, bound = rank_update_inverse(svd_factors(Z), image)
+        assert (inverse is not None) == certified
+        assert bound >= 1.0 / eps
+        assert (svd_factors(_updated(Z, image))[3] == 2) == nonsingular
+        if certified:
+            assert bound * CERTIFICATE_MARGIN * 1e-9 < 1.0
+            assert np.allclose(inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_never_certifies_a_singular_update(self, seed):
+        # the trailing block C = S_2 - U_2^T image is made rank deficient
+        rng = np.random.default_rng(50 + seed)
+        n, m = 5, int(rng.integers(1, 4))
+        Z = rng.normal(size=(n, n - m)) @ rng.normal(size=(n - m, n))
+        u, s, wt, rank = factors = svd_factors(Z)
+        block = rng.normal(size=(m, m))
+        block[:, 0] = block[:, 1:].sum(axis=1) if m > 1 else 0.0
+        image = u[:, rank:] @ (np.diag(s[rank:]) - block) + u[:, :rank] @ rng.normal(size=(rank, m))
+        inverse, _ = rank_update_inverse(factors, image)
+        assert svd_factors(_updated(Z, image))[3] < n
+        assert inverse is None

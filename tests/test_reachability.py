@@ -17,7 +17,13 @@ from daereach import (
 )
 from daereach.decoupling import DecoupledSystem
 
-from oracles import CanonicalDae, box_star, reference_decoupled, reference_reach_bases
+from oracles import (
+    CanonicalDae,
+    box_star,
+    reference_decoupled,
+    reference_reach_bases,
+    sequential_coordinates,
+)
 from test_decoupling import EXPECTED_N3
 
 
@@ -109,7 +115,7 @@ class TestPropagateBasis:
         theta = full_box_star(np.eye(3))
         settings = ReachSettings(time_step=0.1, num_steps=4)
         coordinates = propagate_basis(dec, theta, settings)
-        W, _ = dec.ode_frame
+        W = dec.ode_basis
         assert coordinates.shape == (5, 3, 3)
         for y in coordinates:
             assert np.array_equal(y, coordinates[0])
@@ -122,8 +128,22 @@ class TestPropagateBasis:
         theta = full_box_star(np.array([[1.0]]))
         settings = ReachSettings(time_step=0.1, num_steps=1)
         coordinates = propagate_basis(dec, theta, settings)
-        W, _ = dec.ode_frame
+        W = dec.ode_basis
         assert (W @ coordinates[1])[0, 0] == pytest.approx(np.exp(-0.1), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "model, time_step, num_steps",
+        [("builtin:rotating-masses", 0.01, 10_000), ("builtin:stokes:4", 1e-3, 100)],
+    )
+    def test_squaring_matches_sequential_steps(self, model, time_step, num_steps):
+        from daereach import load_model, propagate_basis, to_autonomous
+
+        auto = to_autonomous(*load_model(model))
+        dec = decoupled(auto)
+        star = box_star(np.random.default_rng(8), build_consistent_matrix(dec), auto.n, 3)
+        coordinates = propagate_basis(dec, star, ReachSettings(time_step, num_steps))
+        expected = sequential_coordinates(dec, star.V, time_step, num_steps)
+        assert np.abs(coordinates - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_modes_agree(self, rotating_masses_auto, rotating_masses_star):
         # the reused transition matrix against the other mode of propagation,
@@ -241,7 +261,7 @@ class TestReachInvariants:
         settings = ReachSettings(time_step=0.05, num_steps=10)
         reach = compute_reach(auto, star, settings)
         maps = dec.reconstruction_maps()
-        ode_bases = reach.decoupled.ode_frame[0] @ reach.ode_coordinates
+        ode_bases = reach.decoupled.ode_basis @ reach.ode_coordinates
         for v1, basis in zip(ode_bases, reach.bases):
             expected = sum(m @ v1 for m in maps.values())
             assert np.abs(basis - expected).max() <= 1e-8

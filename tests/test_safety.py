@@ -4,6 +4,7 @@ import pytest
 from daereach import (
     AutonomousDae,
     DimensionMismatchError,
+    NumericalFailureError,
     ReachSettings,
     StarSet,
     UnsafeSpec,
@@ -159,6 +160,15 @@ class TestVerify:
         scipy_backed = verify(benchmark_reach, unsafe, kernel=scipy_feasibility_kernel)
         assert default.status == scipy_backed.status == "unsafe"
         assert default.first_unsafe_step == scipy_backed.first_unsafe_step
+
+    def test_step_count_no_array_holds(self):
+        # E = 0 leaves no ODE subsystem: its (steps, 0, 1) coordinates fit, and
+        # numpy refuses the size of the pulled-back rows before allocating them
+        auto = AutonomousDae(np.zeros((2, 2)), np.eye(2))
+        star = StarSet(np.zeros((2, 1)), [[1.0], [-1.0]], [1.0, 1.0])
+        reach = compute_reach(auto, star, ReachSettings(time_step=1.0, num_steps=10**17))
+        with pytest.raises(NumericalFailureError, match=r"1e\+17 steps"):
+            verify(reach, UnsafeSpec([[1.0, 0.0]], [-1.0]))
 
 
 class TestUnboundedPredicates:
