@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lp
-from .consistency import build_consistent_matrix, check_initial_star
+from .consistency import check_initial_star
 from .decoupling import compute_index_and_chain, decouple_system
 from .errors import (
     DaeError,
@@ -238,7 +238,7 @@ def run_job(args):
         summary = f"index: {dec.mu}; wrote decoupled.json"
     elif args.mode == "check-consistency":
         dec = decouple_system(autonomous, tol)
-        cert = check_initial_star(build_consistent_matrix(dec), theta0, tol)
+        cert = check_initial_star(dec, theta0, tol)
         payload.update(
             {
                 "index": dec.mu,
@@ -275,6 +275,8 @@ def run_job(args):
                 "ode_rank": reach.lift.shape[1],
                 "terminal_inverse_residual": reach.decoupled.chain.inverse_residual,
                 "terminal_condition_bound": reach.decoupled.chain.raw.condition_bound,
+                "consistency_residual": reach.certificate.max_residual,
+                "admissibility_residual": reach.decoupled.chain.admissibility_residual,
             }
         )
         if args.mode == "reach":

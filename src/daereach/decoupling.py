@@ -33,11 +33,17 @@ terminal inverse follow from the raw chain's by products of rank ``m``
 ``max|E_mu' E_mu'^{-1} - I|`` checks the result.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
-algebraic-constraint subsystems with closed-form coefficient matrices.
-The ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
-dimension ``r = trace(Pi)``; :attr:`DecoupledSystem.ode_basis` gives
-``r``-dimensional coordinates on it.  Only indices 1 through 3 are
-supported; higher indices raise.
+algebraic-constraint subsystems with closed-form coefficient matrices,
+each a word in the projectors times ``E_mu^{-1} A_mu``.  Since every
+projector is ``I - K_j R_j`` or ``K_j R_j``, :class:`DecoupledSystem` keeps
+those factors and applies the coefficients to ``n x c`` blocks right to
+left, at ``O(n^2 c)`` each; the dense coefficients, projectors and
+reconstruction maps are the same operator applied to the identity, built
+only when read.  The ODE subsystem lives on ``range(Pi)``, ``Pi =
+projectors[1]``, of dimension ``r = n - sum_j rank Q_j``;
+:attr:`DecoupledSystem.ode_basis` gives ``r``-dimensional coordinates on
+it, and the reach path reads only blocks of ``r`` or ``k`` columns.  Only
+indices 1 through 3 are supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field
@@ -80,15 +86,16 @@ _FRAME_SEED = 0xF2A3E
 class MatrixChain:
     """The chain matrices and projectors up to the terminal index.
 
-    ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu), and
-    ``Q_seq``/``P_seq`` have length ``mu``.  ``terminal_inverse`` is
-    ``E_mu^{-1}``; ``E_mu``'s own SVD or the certificate on the previous
-    matrix's factors proved it nonsingular.  ``admissible`` records whether the projectors satisfy
-    ``Q_j Q_i = 0`` for ``j > i``; the chain built from raw orthogonal
-    projectors is kept on ``raw`` after correction so both stages stay
-    inspectable.  ``kernel_bases`` holds the orthonormal basis ``K_j``
-    behind each orthogonal ``Q_j`` of a raw chain and ``kernel_images`` the
-    products ``A_j K_j`` (both empty once corrected).
+    ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu).  The
+    projectors are kept in factored form: ``factors[j] = (K_j, R_j)`` with
+    ``Q_j = K_j R_j`` and ``K_j`` an orthonormal basis of ``Ker E_j`` (``R_j
+    = K_j^T`` on a raw chain), and ``kernel_images[j] = A_j K_j``.  The
+    dense ``Q_seq``/``P_seq`` (length ``mu``) are built only when read.
+    ``terminal_inverse`` is ``E_mu^{-1}``; ``E_mu``'s own SVD or the
+    certificate on the previous matrix's factors proved it nonsingular.
+    ``admissible`` records whether the projectors satisfy ``Q_j Q_i = 0``
+    for ``j > i``; the chain built from raw orthogonal projectors is kept
+    on ``raw`` after correction so both stages stay inspectable.
     ``condition_bound`` is the certified bound on ``cond_2(E_mu)`` of a raw
     chain whose terminal matrix took no SVD of its own, and ``None`` when
     that SVD decided (and on a corrected chain; see ``raw``).
@@ -98,14 +105,12 @@ class MatrixChain:
 
     E_seq: list
     A_seq: list
-    Q_seq: list
-    P_seq: list
+    factors: list
+    kernel_images: list = field(repr=False)
     mu: int
     terminal_inverse: np.ndarray = field(repr=False)
     admissible: bool = False
     raw: "MatrixChain | None" = field(default=None, repr=False)
-    kernel_bases: list = field(default=(), repr=False)
-    kernel_images: list = field(default=(), repr=False)
     condition_bound: float | None = None
     inverse_residual: float | None = None
 
@@ -113,52 +118,202 @@ class MatrixChain:
     def n(self):
         return self.E_seq[0].shape[0]
 
+    @cached_property
+    def Q_seq(self):
+        return [K @ R for K, R in self.factors]
+
+    @cached_property
+    def P_seq(self):
+        return [np.eye(self.n) - Q for Q in self.Q_seq]
+
+    @property
+    def admissibility_residual(self):
+        """``max ||Q_j Q_i||_F`` over ``j > i``, 0 at index 1.  ``K_j`` has
+        orthonormal columns, so ``||Q_j Q_i||_F = ||(R_j K_i) R_i||_F``, an
+        ``m_j x n`` product."""
+        return max(
+            (
+                float(np.linalg.norm((R_j @ K_i) @ R_i))
+                for j, (_, R_j) in enumerate(self.factors)
+                for K_i, R_i in self.factors[:j]
+            ),
+            default=0.0,
+        )
+
+
+# The subsystem projectors as words in the chain's projectors: letter j is
+# P_j or Q_j, and a word acts right to left, so "PQ" is P_0 Q_1.
+# Subsystem i >= 2 ends at the Q of its level; its coefficient front is
+# the word padded with P to the index ("Q" -> "QP" at index 2).
+_PROJECTOR_WORDS = {
+    1: {1: "P", 2: "Q"},
+    2: {1: "PP", 2: "PQ", 3: "Q"},
+    3: {1: "PPP", 2: "PPQ", 3: "PQ", 4: "Q"},
+}
+_COUPLING_WORDS = {1: {}, 2: {"L3": "QQ"}, 3: {"L3": "PQQ", "L4": "QQ", "Z4": "QPQ"}}
+
 
 @dataclass(frozen=True)
 class DecoupledSystem:
-    """Coefficient matrices of the decoupled subsystems.
+    """The decoupled subsystems, kept in the factored form of their chain.
 
     Subsystem 1 is the ODE part ``x_1' = N[1] x_1``; subsystems 2..mu+1
-    are algebraic constraints.  ``L3``, ``L4`` and ``Z4`` multiply
-    derivative terms of lower constraint subsystems and are present only
-    where the index calls for them.  ``projectors[i]`` extracts subsystem
-    ``i``'s component from the full state; the projectors sum to the
-    identity.
+    are algebraic constraints.  Every coefficient is a word in the
+    admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
+    ``S = E_mu^{-1} A_mu`` (``E_1^{-1} A_0`` at index 1), so the class holds
+    only the ``factors``, the ``terminal_inverse`` and the ``source``
+    ``A_mu`` (``A_0``), and applies the one operator ``X -> {i: N_i X}``
+    to blocks right to left: ``S X = E_mu^{-1} (A_mu X)``, ``P_j X = X -
+    K_j (R_j X)``, ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs
+    ``O(n^2 c)``; no ``n x n x n`` product is taken.
+
+    The reach path needs only thin blocks: the ODE frame ``ode_basis``
+    ``W``, the reduced matrix ``ode_matrix`` ``W^T N[1] W``, the maps on the
+    frame ``frame_maps`` and the ``lift`` ``psi W``.  The dense ``N``,
+    ``L3``/``L4``/``Z4`` (multipliers of derivative terms of lower
+    constraint subsystems, ``None`` where the index has none),
+    ``projectors`` (``projectors[i]`` extracts subsystem ``i``'s
+    component; they sum to the identity) and
+    :meth:`reconstruction_maps` are the same operator applied to the
+    identity, built only when read.
     """
 
     mu: int
-    N: dict
-    L3: np.ndarray | None
-    L4: np.ndarray | None
-    Z4: np.ndarray | None
-    projectors: dict
+    factors: tuple = field(repr=False)
+    terminal_inverse: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
     chain: MatrixChain = field(repr=False)
 
     @property
     def n(self):
-        return self.N[1].shape[0]
+        return self.source.shape[0]
 
     @property
     def subsystem_ids(self):
-        return tuple(sorted(self.N))
+        return tuple(range(1, self.mu + 2))
+
+    @property
+    def ode_rank(self):
+        """``r = n - sum m_j``: the admissible projectors' kernels add up
+        directly to ``Ker Pi``, so this is the rank of ``Pi``."""
+        return self.n - sum(K.shape[1] for K, _ in self.factors)
+
+    def _apply(self, words, X):
+        """``{key: word X}`` for projector words (see ``_PROJECTOR_WORDS``);
+        words sharing a tail share its products, and ``P_j Y = Y - Q_j Y``
+        reuses ``Q_j Y = K_j (R_j Y)``."""
+        done = {}  # (j, tail): the tail, covering chain positions j.., applied to X
+        products = {}
+        for key, word in words.items():
+            Y = X
+            for j in reversed(range(len(word))):
+                tail = word[j:]
+                if (j, tail) not in done:
+                    q_tail = (j, "Q" + tail[1:])
+                    if q_tail not in done:
+                        K, R = self.factors[j]
+                        done[q_tail] = K @ (R @ Y)
+                    if tail[0] == "P":
+                        done[j, tail] = Y - done[q_tail]
+                Y = done[j, tail]
+            products[key] = Y
+        return products
+
+    def apply_projectors(self, X):
+        """``{i: projectors[i] X}`` for an ``n x c`` block ``X``."""
+        return self._apply(_PROJECTOR_WORDS[self.mu], X)
+
+    def ode_component(self, X):
+        """``Pi X``, ``Pi = projectors[1]``."""
+        return self._apply({1: "P" * self.mu}, X)[1]
+
+    def apply_N(self, X):
+        """``{i: N[i] X}``: ``S X = E_mu^{-1} (A_mu X)`` through every
+        subsystem's front."""
+        fronts = {i: w.ljust(self.mu, "P") for i, w in _PROJECTOR_WORDS[self.mu].items()}
+        return self._apply(fronts, self.terminal_inverse @ (self.source @ X))
+
+    def apply_maps(self, X, NX, M):
+        """``{i: maps[i] X}`` with the maps of :meth:`reconstruction_maps`,
+        given ``NX = apply_N(X)`` and ``M`` with ``N[1] X = X M`` (the ODE
+        frame ``W`` with ``ode_matrix``, or ``X = I`` with ``M = N[1]``).
+
+        ``maps[3] = N[3] + L3 N[2] N[1]`` and ``maps[4] = N[4] + L4 (N[3]
+        N[1] + L3 N[2] N[1]^2) + Z4 N[2] N[1]`` need ``N[i]`` applied to
+        ``X``, ``N[1] X`` and ``N[1]^2 X``, which are ``(N[i] X) M^p``, so the
+        operator is applied once.
+        """
+        blocks = [NX]  # blocks[p][i] = N_i N_1^p X; level p feeds N_2 .. N_{mu+1-p}
+        for p in range(1, self.mu):
+            blocks.append({i: blocks[-1][i] @ M for i in range(2, self.mu + 2 - p)})
+        words = _COUPLING_WORDS[self.mu]
+
+        def couple(name, Y):
+            return self._apply({name: words[name]}, Y)[name]
+
+        maps = {1: X, 2: blocks[0][2]}
+        if self.mu >= 2:
+            maps[3] = blocks[0][3] + couple("L3", blocks[1][2])
+        if self.mu == 3:
+            inner = blocks[1][3] + couple("L3", blocks[2][2])
+            maps[4] = blocks[0][4] + couple("L4", inner) + couple("Z4", blocks[1][2])
+        return maps
 
     @cached_property
     def ode_basis(self):
-        """``W``: coordinates on the ODE subspace ``range(Pi)``,
-        ``Pi = projectors[1]``.
+        """``W``: coordinates on the ODE subspace ``range(Pi)``.
 
-        ``Pi`` is a projector, so its rank is ``r = round(trace(Pi))``.
-        ``W`` (``n x r``, orthonormal columns) is the thin QR factor of
-        ``Pi`` times a fixed-seed Gaussian ``n x r`` matrix, so that
-        ``Pi = W W^T Pi``: the ODE component ``Pi v`` has coordinates
+        ``W`` (``n x r``, orthonormal columns, ``r = ode_rank``) is the thin
+        QR factor of ``Pi`` times a fixed-seed Gaussian ``n x r`` matrix, so
+        that ``Pi = W W^T Pi``: the ODE component ``Pi v`` has coordinates
         ``W^T (Pi v)``.  ``N[1]`` maps into ``range(Pi)``, so ``x_1 = W y``
-        solves the ODE subsystem exactly when ``y' = W^T (N[1] W) y``.
-        Built on the first call.
+        solves the ODE subsystem exactly when ``y' = ode_matrix y``.
         """
-        pi = self.projectors[1]
-        r = int(round(np.trace(pi)))
-        omega = np.random.default_rng(_FRAME_SEED).standard_normal((self.n, r))
-        return np.linalg.qr(pi @ omega)[0]
+        omega = np.random.default_rng(_FRAME_SEED).standard_normal((self.n, self.ode_rank))
+        return np.linalg.qr(self.ode_component(omega))[0]
+
+    @cached_property
+    def _frame_blocks(self):
+        return self.apply_N(self.ode_basis)
+
+    @cached_property
+    def ode_matrix(self):
+        """``W^T N[1] W``, the ODE subsystem in the coordinates of ``W``."""
+        return self.ode_basis.T @ self._frame_blocks[1]
+
+    @cached_property
+    def frame_maps(self):
+        """``{i: maps[i] W}``, every reconstruction map on the ODE frame."""
+        return self.apply_maps(self.ode_basis, self._frame_blocks, self.ode_matrix)
+
+    @cached_property
+    def lift(self):
+        """``psi W``: the sum of :attr:`frame_maps` (``maps[1] W = W``)."""
+        return sum(self.frame_maps.values())
+
+    @cached_property
+    def N(self):
+        return self.apply_N(np.eye(self.n))
+
+    @cached_property
+    def projectors(self):
+        return self.apply_projectors(np.eye(self.n))
+
+    @cached_property
+    def _couplings(self):
+        return self._apply(_COUPLING_WORDS[self.mu], np.eye(self.n))
+
+    @property
+    def L3(self):
+        return self._couplings.get("L3")
+
+    @property
+    def L4(self):
+        return self._couplings.get("L4")
+
+    @property
+    def Z4(self):
+        return self._couplings.get("Z4")
 
     def reconstruction_maps(self):
         """Maps sending the ODE component to every solution component.
@@ -167,34 +322,22 @@ class DecoupledSystem:
         analytically using the ODE dynamics, so each component ``x_i(t)``
         of a solution equals ``maps[i] @ x_1(t)``; their sum is the
         reachable-set projector.  Built on the first call; later calls
-        return the same dict, so Gamma and psi share one set of maps.
+        return the same dict.
         """
         return self._maps
 
     @cached_property
     def _maps(self):
-        n1 = self.N[1]
-        maps = {1: np.eye(self.n)}
-        maps[2] = self.N[2]
-        if self.mu >= 2:
-            maps[3] = self.N[3] + self.L3 @ self.N[2] @ n1
-        if self.mu == 3:
-            maps[4] = (
-                self.N[4]
-                + self.L4 @ (self.N[3] @ n1 + self.L3 @ self.N[2] @ n1 @ n1)
-                + self.Z4 @ self.N[2] @ n1
-            )
-        return maps
+        return self.apply_maps(np.eye(self.n), self.N, self.N[1])
 
 
-def _extend(E_seq, A_seq, Q_seq, P_seq, K, R, AK):
+def _extend(E_seq, A_seq, factors, images, K, R, AK):
     """Append the step of the projector ``Q = K R`` onto ``Ker E_seq[-1]``,
     given ``AK = A_seq[-1] K``: both chain matrices subtract ``A Q = AK R``,
     a product of rank ``m = K.shape[1]``."""
-    Q = K @ R
     AQ = AK @ R
-    Q_seq.append(Q)
-    P_seq.append(np.eye(len(Q)) - Q)
+    factors.append((K, R))
+    images.append(AK)
     E_seq.append(E_seq[-1] - AQ)
     A_seq.append(A_seq[-1] - AQ)
 
@@ -228,36 +371,26 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, Q_seq, P_seq = [sys.E], [sys.A], [], []
-    kernel_bases, kernel_images = [], []
+    E_seq, A_seq, factors, images = [sys.E], [sys.A], [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = bound = None
         if mu:
-            inverse, bound = rank_update_inverse(factors, kernel_images[-1], tol)
+            inverse, bound = rank_update_inverse(svd, images[-1], tol)
         if inverse is None:  # the matrix's own SVD decides
             bound = None
-            factors = svd_factors(E_seq[-1], tol)
-            kernel_basis, inverse = kernel_basis_and_inverse(factors)
+            svd = svd_factors(E_seq[-1], tol)
+            kernel_basis, inverse = kernel_basis_and_inverse(svd)
         if inverse is not None:  # E_mu is nonsingular
             if mu == 0:
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
             return MatrixChain(
-                E_seq,
-                A_seq,
-                Q_seq,
-                P_seq,
-                mu,
-                inverse,
-                kernel_bases=kernel_bases,
-                kernel_images=kernel_images,
-                condition_bound=bound,
+                E_seq, A_seq, factors, images, mu, inverse, condition_bound=bound
             )
         if mu < MAX_SUPPORTED_INDEX:
-            kernel_bases.append(kernel_basis)
-            kernel_images.append(A_seq[-1] @ kernel_basis)
-            _extend(E_seq, A_seq, Q_seq, P_seq, kernel_basis, kernel_basis.T, kernel_images[-1])
+            image = A_seq[-1] @ kernel_basis
+            _extend(E_seq, A_seq, factors, images, kernel_basis, kernel_basis.T, image)
     if not check_regularity(sys, tol):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -294,28 +427,29 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     if chain.admissible:
         return chain
     if chain.mu == 1:
-        E_seq, A_seq, Q_seq, P_seq = chain.E_seq, chain.A_seq, chain.Q_seq, chain.P_seq
+        E_seq, A_seq = chain.E_seq, chain.A_seq
+        factors, images = chain.factors, chain.kernel_images
         inverse = chain.terminal_inverse
     else:
         # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
         E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
-        Q_seq, P_seq = chain.Q_seq[:1], chain.P_seq[:1]
-        raw_inv, A1, K1 = chain.terminal_inverse, chain.A_seq[1], chain.kernel_bases[1]
+        factors, images = chain.factors[:1], chain.kernel_images[:1]
+        raw_inv, A1, K1 = chain.terminal_inverse, chain.A_seq[1], chain.factors[1][0]
         if chain.mu == 2:
             R1 = -(K1.T @ raw_inv) @ A1  # Q_1' = -Q_1 E_2^{-1} A_1 = K_1 R_1
-            _extend(E_seq, A_seq, Q_seq, P_seq, K1, R1, chain.kernel_images[1])
+            _extend(E_seq, A_seq, factors, images, K1, R1, chain.kernel_images[1])
             inverse = _swap_inverse(K1, R1, raw_inv)
         else:
-            K2 = chain.kernel_bases[2]
+            K2 = chain.factors[2][0]
             R2 = -(K2.T @ raw_inv) @ chain.A_seq[2]  # -Q_2 E_3^{-1} A_2 = K_2 R_2
             # Q_1' = -Q_1 (I - K_2 R_2) E_3^{-1} A_1 = K_1 R_1
             R1 = -((K1.T - (K1.T @ K2) @ R2) @ raw_inv) @ A1
-            _extend(E_seq, A_seq, Q_seq, P_seq, K1, R1, chain.kernel_images[1])
+            _extend(E_seq, A_seq, factors, images, K1, R1, chain.kernel_images[1])
             K2_orth = np.linalg.qr(K2 + K1 @ ((K1.T - R1) @ K2))[0]
             AK2 = A_seq[2] @ K2_orth
             E3_orth_inv = solve_inverse(E_seq[2] - AK2 @ K2_orth.T, tol)
             R2_adm = -(K2_orth.T @ E3_orth_inv) @ A_seq[2]
-            _extend(E_seq, A_seq, Q_seq, P_seq, K2_orth, R2_adm, AK2)
+            _extend(E_seq, A_seq, factors, images, K2_orth, R2_adm, AK2)
             inverse = _swap_inverse(K2_orth, R2_adm, E3_orth_inv)
 
     residual = float(np.abs(E_seq[-1] @ inverse - np.eye(chain.n)).max())
@@ -327,8 +461,8 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     return MatrixChain(
         E_seq,
         A_seq,
-        Q_seq,
-        P_seq,
+        factors,
+        images,
         chain.mu,
         inverse,
         admissible=True,
@@ -338,8 +472,10 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
 
 
 def decouple(chain):
-    """Split an admissibly-projected chain of an autonomous system into its
-    subsystem coefficients.
+    """The decoupled system of an admissibly-projected chain of an
+    autonomous system: its projector factors, terminal inverse and source
+    matrix, with every coefficient applied on demand (no product is taken
+    here).
 
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
     beforehand, so there are no input coefficients.  No tolerance is
@@ -350,33 +486,15 @@ def decouple(chain):
         raise ValueError("decouple requires an admissible chain; call make_admissible")
     if not 1 <= chain.mu <= MAX_SUPPORTED_INDEX:
         raise IndexTooHighError(f"unsupported index {chain.mu}")
-    terminal_inv = chain.terminal_inverse
     # index 1 feeds the original A through E_1^{-1}; higher indices feed the
     # terminal chain matrix A_mu (the two differ off the ODE subspace)
     source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
-    into_state = terminal_inv @ source
-    P = chain.P_seq
-    Q = chain.Q_seq
-
-    if chain.mu == 1:
-        fronts = projectors = {1: P[0], 2: Q[0]}
-        L3 = L4 = Z4 = None
-    elif chain.mu == 2:
-        fronts = {1: P[0] @ P[1], 2: P[0] @ Q[1], 3: Q[0] @ P[1]}
-        projectors = {1: fronts[1], 2: fronts[2], 3: Q[0]}
-        L3 = Q[0] @ Q[1]
-        L4 = Z4 = None
-    else:
-        p0p1, p0q1, q0p1 = P[0] @ P[1], P[0] @ Q[1], Q[0] @ P[1]
-        fronts = {1: p0p1 @ P[2], 2: p0p1 @ Q[2], 3: p0q1 @ P[2], 4: q0p1 @ P[2]}
-        projectors = {1: fronts[1], 2: fronts[2], 3: p0q1, 4: Q[0]}
-        L3 = p0q1 @ Q[2]
-        L4 = Q[0] @ Q[1]
-        Z4 = q0p1 @ Q[2]
-
-    N = {i: front @ into_state for i, front in fronts.items()}
     return DecoupledSystem(
-        mu=chain.mu, N=N, L3=L3, L4=L4, Z4=Z4, projectors=projectors, chain=chain
+        mu=chain.mu,
+        factors=tuple(chain.factors),
+        terminal_inverse=chain.terminal_inverse,
+        source=source,
+        chain=chain,
     )
 
 

@@ -178,18 +178,28 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
     rank_rel_tol)``, ``Z'``'s own SVD would also find it nonsingular at the
     cutoff, and the inverse is returned.  Otherwise, and when ``C`` has a
     zero singular value (``bound`` is then infinite), only the bound is,
-    and the caller decides from ``Z'``'s own SVD.
+    and the caller decides from ``Z'``'s own SVD.  ``||T||_F / ||C||_F`` is a
+    lower bound on ``bound``; when it already fails the test, ``C`` takes no
+    SVD and that lower bound is returned, so a singular chain step (whose
+    ``C`` is often near zero) declines for the price of ``U^T image``.
     """
     u, s, wt, rank = factors
     s_top = s[:rank]
     top, low = np.split(u.T @ image, [rank])
-    uc, c, vct = np.linalg.svd(np.diag(s[rank:]) - low)
+    C = np.diag(s[rank:]) - low
+    c_norm_sq = (C**2).sum()
+    norm_sq = (s_top**2).sum() + (top**2).sum() + c_norm_sq
+    # ||T^{-1}||_F >= ||C^{-1}||_F >= 1 / ||C||_F, so the bound is at least
+    # ||T||_F / ||C||_F; when that already fails the test, skip C's SVD
+    floor = math.sqrt(norm_sq / c_norm_sq) if c_norm_sq > 0.0 else math.inf
+    if not floor * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
+        return None, floor
+    uc, c, vct = np.linalg.svd(C)
     if not c[-1] > 0.0:
         return None, math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular C declines
         c_inv = (vct.T / c) @ uc.T
         corner = (top / s_top[:, None]) @ c_inv  # the upper right block of T^{-1}
-        norm_sq = (s_top**2).sum() + (top**2).sum() + (c**2).sum()
         inv_norm_sq = (s_top**-2.0).sum() + (corner**2).sum() + (c**-2.0).sum()
         bound = math.sqrt(norm_sq * inv_norm_sq)
     if not bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:

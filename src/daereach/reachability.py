@@ -8,7 +8,10 @@ the exact flow of a linear time-invariant ODE up to rounding.  The
 powers are built by repeated squaring, so a grid of ``J`` steps takes
 ``log2 J`` batched products instead of ``J`` single ones.  One fixed
 ``n x r`` matrix, the lift ``psi W``, sends every coordinate basis to a
-full DAE state basis.  The predicate never changes, so the
+full DAE state basis.  The frame, the ``r x r`` ODE matrix and the lift
+come from the decoupled system's factored operator applied to the
+``n x r`` block ``W``; the dense ``psi`` (:func:`build_psi`) is never
+formed on this path.  The predicate never changes, so the
 reachable set at each step is a star sharing the initial star's
 constraint matrices, and the whole result is one array of ODE
 coordinates, the lift and that one predicate.
@@ -21,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .consistency import build_consistent_matrix, check_initial_star
+from .consistency import check_initial_star
 from .decoupling import decouple_system
 from .errors import InconsistentInitialSetError, NumericalFailureError
 from .linalg import DEFAULT_TOLERANCES, matrix_exponential
@@ -123,15 +126,12 @@ class ReachResult:
 def build_psi(dec):
     """The matrix lifting an ODE-subsystem basis to a full-state basis.
 
-    Sums the identity with every constraint subsystem's reconstruction
-    map, so ``psi @ x_1(t)`` is the full DAE solution through ``x_1``.
+    Sums every subsystem's reconstruction map (the identity for the ODE
+    subsystem itself), so ``psi @ x_1(t)`` is the full DAE solution
+    through ``x_1``.  The reach path uses ``psi W`` alone
+    (:attr:`~daereach.decoupling.DecoupledSystem.lift`).
     """
-    maps = dec.reconstruction_maps()
-    psi = np.eye(dec.n)
-    for i, m in maps.items():
-        if i != 1:
-            psi = psi + m
-    return psi
+    return sum(dec.reconstruction_maps().values())
 
 
 def propagate_basis(dec, theta0, settings):
@@ -149,12 +149,12 @@ def propagate_basis(dec, theta0, settings):
     state coordinates.
     """
     W = dec.ode_basis
-    y0 = W.T @ (dec.projectors[1] @ np.asarray(theta0.V, dtype=float))
+    y0 = W.T @ dec.ode_component(np.asarray(theta0.V, dtype=float))
     coordinates = np.empty((settings.num_steps + 1,) + y0.shape)
     coordinates[0] = y0
     if not y0.size:  # r = 0: no ODE subsystem, nothing moves
         return coordinates
-    power = matrix_exponential(W.T @ (dec.N[1] @ W), settings.time_step)
+    power = matrix_exponential(dec.ode_matrix, settings.time_step)
     filled, total = 1, len(coordinates)
     while True:
         count = min(filled, total - filled)
@@ -178,8 +178,7 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     """
     started = time.perf_counter()
     dec = decouple_system(sys, tol)
-    gamma = build_consistent_matrix(dec)
-    certificate = check_initial_star(gamma, theta0, tol)
+    certificate = check_initial_star(dec, theta0, tol)
     decouple_seconds = time.perf_counter() - started
     if not certificate.consistent:
         raise InconsistentInitialSetError(certificate)
@@ -187,7 +186,7 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     started = time.perf_counter()
     with _grid_sized(settings):
         coordinates = propagate_basis(dec, theta0, settings)
-    lift = build_psi(dec) @ dec.ode_basis
+    lift = dec.lift
     lift.flags.writeable = coordinates.flags.writeable = False
     reach_seconds = time.perf_counter() - started
     return ReachResult(

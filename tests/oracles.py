@@ -10,9 +10,10 @@ exactly with fraction-free elimination.  The
 reference chain takes a full SVD of every chain matrix, the terminal one
 included, and inverts by LU; the reference decoupling and reach path
 rebuilds the admissible chain the direct way (rank-checked rebuilt
-matrices, LU inverses) and propagates the full ``n x n`` ODE subsystem
-or, for the ODE coordinates, one step at a time; only the closed-form
-``decouple`` step and ``psi`` are shared with the package.
+matrices, LU inverses), multiplies out the decoupled coefficients, ``psi``
+and the consistent matrix as dense products of its projectors, and
+propagates the full ``n x n`` ODE subsystem or, for the ODE coordinates,
+one step at a time.
 """
 
 from fractions import Fraction
@@ -239,8 +240,47 @@ def reference_chain(auto, rel_tol=1e-9):
     return E, A, Q, P, mu
 
 
+class ReferenceDecoupled:
+    """The dense decoupled system: ``N``, ``L3``/``L4``/``Z4``, ``projectors``,
+    the reconstruction ``maps``, ``psi`` and the consistent matrix
+    ``gamma``, each multiplied out as ``n x n`` products of the dense chain
+    projectors (the closed forms the package applies in factored form)."""
+
+    def __init__(self, mu, Q, P, terminal_inv, source):
+        n = len(source)
+        into_state = terminal_inv @ source
+        self.mu, self.n = mu, n
+        self.L3 = self.L4 = self.Z4 = None
+        if mu == 1:
+            fronts = projectors = {1: P[0], 2: Q[0]}
+        elif mu == 2:
+            fronts = {1: P[0] @ P[1], 2: P[0] @ Q[1], 3: Q[0] @ P[1]}
+            projectors = {1: fronts[1], 2: fronts[2], 3: Q[0]}
+            self.L3 = Q[0] @ Q[1]
+        else:
+            p0p1, p0q1, q0p1 = P[0] @ P[1], P[0] @ Q[1], Q[0] @ P[1]
+            fronts = {1: p0p1 @ P[2], 2: p0p1 @ Q[2], 3: p0q1 @ P[2], 4: q0p1 @ P[2]}
+            projectors = {1: fronts[1], 2: fronts[2], 3: p0q1, 4: Q[0]}
+            self.L3, self.L4, self.Z4 = p0q1 @ Q[2], Q[0] @ Q[1], q0p1 @ Q[2]
+        self.projectors = projectors
+        N = self.N = {i: front @ into_state for i, front in fronts.items()}
+        n1 = N[1]
+        maps = self.maps = {1: np.eye(n), 2: N[2]}
+        if mu >= 2:
+            maps[3] = N[3] + self.L3 @ N[2] @ n1
+        if mu == 3:
+            maps[4] = (
+                N[4]
+                + self.L4 @ (N[3] @ n1 + self.L3 @ N[2] @ n1 @ n1)
+                + self.Z4 @ N[2] @ n1
+            )
+        self.psi = sum(maps.values())
+        pi = projectors[1]
+        self.gamma = np.vstack([projectors[i] - maps[i] @ pi for i in sorted(maps)[1:]])
+
+
 def reference_decoupled(auto, rel_tol=1e-9):
-    """The decoupled system by the direct path.
+    """The decoupled system by the direct path, as a :class:`ReferenceDecoupled`.
 
     The raw chain is :func:`reference_chain`, its ``E_mu`` inverted by LU;
     the admissible correction then rebuilds the chain matrices one
@@ -248,9 +288,6 @@ def reference_decoupled(auto, rel_tol=1e-9):
     from a fresh SVD, inverts every matrix it needs by LU, and rank-checks
     the rebuilt terminal matrix before inverting it.
     """
-    from daereach import decouple
-    from daereach.decoupling import MatrixChain
-
     n = auto.n
     E, A, Q, P, mu = reference_chain(auto, rel_tol)
 
@@ -267,17 +304,23 @@ def reference_decoupled(auto, rel_tol=1e-9):
         assert _orthogonal_kernel(e3_orth, rel_tol)[1], "singular intermediate matrix"
         _extend_chain(E, A, Q, P, -q2_orth @ _lu_inverse(e3_orth) @ A[2])
     assert _orthogonal_kernel(E[-1], rel_tol)[1], "singular rebuilt terminal matrix"
-    chain = MatrixChain(E, A, Q, P, mu, _lu_inverse(E[-1]), admissible=True)
-    return decouple(chain)
+    # index 1 feeds the original A through E_1^{-1}, higher indices A_mu
+    return ReferenceDecoupled(mu, Q, P, _lu_inverse(E[-1]), A[0] if mu == 1 else A[mu])
+
+
+def dense_decoupled(chain):
+    """A :class:`ReferenceDecoupled` multiplied out from the dense projectors
+    and terminal inverse of the package's own admissible ``chain``: the
+    closed forms alone, with the chain's rounding shared."""
+    source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
+    return ReferenceDecoupled(chain.mu, chain.Q_seq, chain.P_seq, chain.terminal_inverse, source)
 
 
 def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e-8, atol=1e-12):
     """State bases at every instant by full ``n x n`` propagation of the ODE
-    subsystem: ``Pi V0`` pushed by ``expm(h N[1])`` each step, or with
-    ``adaptive`` integrated column by column in ``n`` dimensions, then
-    lifted by ``psi``."""
-    from daereach import build_psi
-
+    subsystem of a :class:`ReferenceDecoupled`: ``Pi V0`` pushed by
+    ``expm(h N[1])`` each step, or with ``adaptive`` integrated column by
+    column in ``n`` dimensions, then lifted by ``psi``."""
     n1 = dec.N[1]
     v1 = dec.projectors[1] @ V0
     if adaptive:
@@ -297,7 +340,7 @@ def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e
         for _ in range(num_steps):
             ode.append(phi @ ode[-1])
         ode = np.stack(ode)
-    return build_psi(dec) @ ode
+    return dec.psi @ ode
 
 
 def sequential_coordinates(dec, V0, time_step, num_steps):

@@ -72,6 +72,8 @@ class TestVerifyMode:
         bound = verdict["terminal_condition_bound"]
         assert math.isfinite(bound)
         assert 1.0 <= bound <= 1.0 / DEFAULT_TOLERANCES.rank_rel_tol
+        assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
+        assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1001  # header plus one row per instant
         assert lines[0].startswith("time,x0,x1,x2,x3,u0,u1")
@@ -192,6 +194,8 @@ class TestOtherModes:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["ode_rank"] == 3
         assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
+        assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
+        assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
     def test_bounds_with_directions(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files

@@ -102,9 +102,25 @@ class TestCheckInitialStar:
         assert cert.worst_column == 0
         assert cert.worst_row_block is not None
 
-    def test_dimension_mismatch(self, rotating_masses_star):
+    def test_dimension_mismatch(self, rotating_masses_star, index1_pair):
         with pytest.raises(DimensionMismatchError):
             check_initial_star(np.eye(4), rotating_masses_star)
+        with pytest.raises(DimensionMismatchError):
+            check_initial_star(decoupled(index1_pair), rotating_masses_star)
+
+    def test_factored_rows_match_the_matrix(
+        self, rotating_masses_decoupled, rotating_masses_star
+    ):
+        V = rotating_masses_star.V.copy()
+        V[2, 0] += 1.0
+        bad = StarSet(V, rotating_masses_star.C, rotating_masses_star.d)
+        for star in (rotating_masses_star, bad):
+            dense = check_initial_star(build_consistent_matrix(rotating_masses_decoupled), star)
+            factored = check_initial_star(rotating_masses_decoupled, star)
+            assert factored.consistent == dense.consistent
+            assert factored.worst_column == dense.worst_column
+            assert factored.worst_row_block == dense.worst_row_block
+            assert factored.max_residual == pytest.approx(dense.max_residual, abs=1e-12)
 
     def test_never_raises_on_inconsistency(self, rotating_masses_decoupled):
         gamma = build_consistent_matrix(rotating_masses_decoupled)

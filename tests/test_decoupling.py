@@ -140,7 +140,8 @@ class TestMakeAdmissible:
         chain = compute_index_and_chain(index1_pair)
         admissible = make_admissible(chain)
         assert admissible.admissible
-        assert admissible.Q_seq[0] is chain.Q_seq[0]
+        assert admissible.factors[0] is chain.factors[0]
+        assert np.array_equal(admissible.Q_seq[0], chain.Q_seq[0])
 
     def test_rotating_masses_matches_worked_values(self, rotating_masses_auto):
         chain = make_admissible(compute_index_and_chain(rotating_masses_auto))
@@ -268,9 +269,12 @@ class TestFactorizationCounts:
     cannot prove nonsingular, whose factors give its inverse too.  The
     terminal raw matrix is certified nonsingular from the previous
     matrix's factors, which costs one ``m x m`` SVD per chain step after
-    ``E_0`` (the steps that end singular try it too), so the totals add
-    ``index`` small SVDs.  The rebuilt chain is never factored, and no
-    regularity probe runs: a chain that ends proves the pencil regular.
+    ``E_0``, so the totals add at most ``index`` small SVDs.  A singular
+    step whose small block is too small for the bound to pass declines
+    before that SVD: Stokes ``E_1`` (block about 1e-16) and one step of the
+    index-3 system here.  The rebuilt chain is never factored, the reach
+    path's blocks take no factorization, and no regularity probe runs: a
+    chain that ends proves the pencil regular.
     """
 
     @pytest.mark.parametrize(
@@ -278,20 +282,18 @@ class TestFactorizationCounts:
         [
             (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 2, 0),
             (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 4, 0),
-            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 4, 7, 0),
-            (_stokes_auto, 2, 2, 4, 0),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 4, 6, 0),
+            (_stokes_auto, 2, 2, 3, 0),
         ],
         ids=["index-1", "index-2", "index-3", "stokes-4"],
     )
     def test_decouple_system_factorizations(
         self, monkeypatch, make_auto, index, full_svds, svds, solves
     ):
-        from functools import cached_property
-
-        from daereach import DecoupledSystem, build_consistent_matrix, build_psi, decouple_system
+        from daereach import build_consistent_matrix, decouple_system
 
         auto = make_auto()
-        counts = {"svd": 0, "full_svd": 0, "solve": 0, "maps": 0}
+        counts = {"svd": 0, "full_svd": 0, "solve": 0}
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -302,30 +304,27 @@ class TestFactorizationCounts:
 
             return wrapped
 
-        maps = cached_property(counting("maps", DecoupledSystem._maps.func))
-        maps.__set_name__(DecoupledSystem, "_maps")
-        monkeypatch.setattr(DecoupledSystem, "_maps", maps)
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         dec = decouple_system(auto)
-        build_consistent_matrix(dec)
-        build_psi(dec)
+        # what the reach path reads: the consistency rows, the frame and the lift
+        build_consistent_matrix(dec, np.ones((auto.n, 2)))
+        dec.lift
         assert dec.mu == index
         assert dec.chain.raw.condition_bound is not None
         assert counts["full_svd"] <= full_svds
         assert counts["svd"] <= svds
         assert counts["solve"] <= solves
-        assert counts["maps"] == 1
 
     def test_exponential_is_taken_at_ode_rank(self, monkeypatch):
         import daereach.reachability
-        from daereach import ReachSettings, build_consistent_matrix, compute_reach
+        from daereach import ReachSettings, compute_reach
         from oracles import box_star
 
         auto = _stokes_auto()
         dec = reference_decoupled(auto)
         r = round(np.trace(dec.projectors[1]))
-        star = box_star(np.random.default_rng(4), build_consistent_matrix(dec), auto.n, 2)
+        star = box_star(np.random.default_rng(4), dec.gamma, auto.n, 2)
         shapes = []
 
         def recording(M, t=1.0):
@@ -359,17 +358,35 @@ def _certified_margin(raw, auto):
     return raw.condition_bound * DEFAULT_TOLERANCES.rank_rel_tol
 
 
+def frame_errors(dec, reference, V):
+    """Relative errors of the factored reach-path blocks against the dense
+    reference, each invariant to the choice of the frame ``W``: ``Pi W``
+    (equal to ``W``), the reduced matrix ``W^T N[1] W``, the lift ``psi W``
+    and the consistency rows ``Gamma V``."""
+    from daereach import build_consistent_matrix
+
+    W = dec.ode_basis
+    assert W.shape[1] == dec.ode_rank == round(np.trace(reference.projectors[1]))
+    return {
+        "Pi W": _relative_error(dec.ode_component(W), reference.projectors[1] @ W),
+        "W^T N1 W": _relative_error(dec.ode_matrix, W.T @ reference.N[1] @ W),
+        "psi W": _relative_error(dec.lift, reference.psi @ W),
+        "Gamma V": _relative_error(build_consistent_matrix(dec, V), reference.gamma @ V),
+    }
+
+
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_decoupling_matches_reference_path(index):
     """100 random canonical systems per index: the certified terminal step
-    against a chain that takes a full SVD of every matrix, and the
+    against a chain that takes a full SVD of every matrix, the
     swapped-projector chain against LU inverses and a rank-checked rebuilt
-    chain."""
+    chain, and the factored operator (dense and on the thin reach-path
+    blocks) against the coefficients multiplied out densely."""
     worst_margin = 0.0
     for seed in range(index - 1, 300, 3):
         rng = np.random.default_rng(seed)
         blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(0, 3)))
-        auto, _ = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
+        auto, ws = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
         ours = decouple(make_admissible(compute_index_and_chain(auto)))
         worst_margin = max(worst_margin, _certified_margin(ours.chain.raw, auto))
         reference = reference_decoupled(auto)
@@ -382,6 +399,8 @@ def test_decoupling_matches_reference_path(index):
             if getattr(reference, key) is not None
         ]
         assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, seed
+        V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
+        assert max(frame_errors(ours, reference, V).values()) <= 1e-10, seed
         assert ours.chain.inverse_residual <= 1e-12, seed
     print(f"\nindex {index}: worst bound * rank_rel_tol {worst_margin:.2e}")
 

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from daereach import (
     AutonomousDae,
@@ -15,16 +16,16 @@ from daereach import (
     decouple,
     make_admissible,
 )
-from daereach.decoupling import DecoupledSystem
 
 from oracles import (
     CanonicalDae,
     box_star,
+    dense_decoupled,
     reference_decoupled,
     reference_reach_bases,
     sequential_coordinates,
 )
-from test_decoupling import EXPECTED_N3
+from test_decoupling import EXPECTED_N3, frame_errors
 
 
 def decoupled(auto):
@@ -87,17 +88,15 @@ class TestBuildPsi:
 
 
 def synthetic_dec(n1):
+    """An index-1 pair whose ODE subsystem is ``x' = n1 x`` on the leading
+    coordinates: ``E = diag(I, 0)``, ``A = diag(n1, 1)``, so the trailing
+    coordinate is pinned to 0, ``Pi`` keeps the leading ones and ``N[1] =
+    diag(n1, 0)``."""
     n1 = np.asarray(n1, dtype=float)
     n = n1.shape[0]
-    return DecoupledSystem(
-        mu=1,
-        N={1: n1, 2: np.zeros((n, n))},
-        L3=None,
-        L4=None,
-        Z4=None,
-        projectors={1: np.eye(n), 2: np.zeros((n, n))},
-        chain=None,
-    )
+    E = np.diag(np.r_[np.ones(n), 0.0])
+    A = scipy.linalg.block_diag(n1, 1.0)
+    return decoupled(AutonomousDae(E, A))
 
 
 def full_box_star(V):
@@ -112,20 +111,20 @@ class TestPropagateBasis:
         from daereach import propagate_basis
 
         dec = synthetic_dec(np.zeros((3, 3)))
-        theta = full_box_star(np.eye(3))
+        theta = full_box_star(np.eye(4, 3))
         settings = ReachSettings(time_step=0.1, num_steps=4)
         coordinates = propagate_basis(dec, theta, settings)
         W = dec.ode_basis
         assert coordinates.shape == (5, 3, 3)
         for y in coordinates:
             assert np.array_equal(y, coordinates[0])
-            assert np.abs(W @ y - np.eye(3)).max() <= 1e-14
+            assert np.abs(W @ y - np.eye(4, 3)).max() <= 1e-14
 
     def test_scalar_exponential(self):
         from daereach import propagate_basis
 
         dec = synthetic_dec([[-1.0]])
-        theta = full_box_star(np.array([[1.0]]))
+        theta = full_box_star(np.array([[1.0], [0.0]]))
         settings = ReachSettings(time_step=0.1, num_steps=1)
         coordinates = propagate_basis(dec, theta, settings)
         W = dec.ode_basis
@@ -319,9 +318,10 @@ def _stokes(k):
 
 
 class TestAgainstReferencePath:
-    """The r-dimensional propagation and the swapped-projector inverses
-    against the direct path: LU inverses, a rank-checked rebuilt chain and
-    full ``n x n`` propagation (``oracles.reference_*``)."""
+    """The r-dimensional propagation, the factored decoupled operator and the
+    swapped-projector inverses against the direct path: LU inverses, a
+    rank-checked rebuilt chain, dense coefficients and full ``n x n``
+    propagation (``oracles.reference_*``)."""
 
     @pytest.mark.parametrize("reference", ["transition_matrix", "adaptive_integrator"])
     @pytest.mark.parametrize("k", [4, 8, 12])
@@ -330,7 +330,7 @@ class TestAgainstReferencePath:
 
         auto = _stokes(k)
         ref_dec = reference_decoupled(auto)
-        star = box_star(np.random.default_rng(k), build_consistent_matrix(ref_dec), auto.n, 2)
+        star = box_star(np.random.default_rng(k), ref_dec.gamma, auto.n, 2)
         reach = compute_reach(auto, star, ReachSettings(1e-4, 100))
         expected = reference_reach_bases(
             ref_dec, star.V, 1e-4, 100, adaptive=reference == "adaptive_integrator"
@@ -348,6 +348,43 @@ class TestAgainstReferencePath:
             ours, theirs = verify(reach, unsafe), verify(direct, unsafe)
             assert ours.status == theirs.status
             assert ours.first_unsafe_step == theirs.first_unsafe_step
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_stokes_frame_blocks(self, k):
+        # the factored blocks against the dense closed forms on the same chain
+        # to 1e-10, and against the independent chain to the 1e-8 the bases
+        # are held to above: the two chains differ by up to 2e-10 relative at
+        # k = 12 (cond(E_2) = 3.2e5), in the dense N[1] as much as in the blocks
+        auto = _stokes(k)
+        dec = decoupled(auto)
+        ref_dec = reference_decoupled(auto)
+        rng = np.random.default_rng(k)
+        V = np.column_stack(
+            [box_star(rng, ref_dec.gamma, auto.n, 1).V[:, 0], rng.normal(size=auto.n)]
+        )
+        same_chain = frame_errors(dec, dense_decoupled(dec.chain), V)
+        assert max(same_chain.values()) <= 1e-10, same_chain
+        independent = frame_errors(dec, ref_dec, V)
+        assert max(independent.values()) <= 1e-8, independent
+
+
+DENSE_ATTRIBUTES = {"N", "projectors", "_couplings", "_maps"}
+
+
+@pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
+def test_reach_path_builds_nothing_dense(model):
+    from daereach import UnsafeSpec, load_model, to_autonomous, verify
+
+    auto = to_autonomous(*load_model(model))
+    dec = decoupled(auto)
+    star = box_star(np.random.default_rng(3), build_consistent_matrix(dec), auto.n, 2)
+    reach = compute_reach(auto, star, ReachSettings(1e-3, 50))
+    verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
+    dec = reach.decoupled
+    assert "lift" in vars(dec)  # the thin blocks were built
+    assert not DENSE_ATTRIBUTES & set(vars(dec))
+    for chain in (dec.chain, dec.chain.raw):
+        assert not {"Q_seq", "P_seq"} & set(vars(chain))
 
 
 class TestSettingsValidation:
