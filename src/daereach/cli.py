@@ -277,6 +277,7 @@ def run_job(args):
                 "terminal_condition_bound": reach.decoupled.chain.raw.condition_bound,
                 "consistency_residual": reach.certificate.max_residual,
                 "admissibility_residual": reach.decoupled.chain.admissibility_residual,
+                "chain_decisions": list(reach.decoupled.chain.raw.decisions),
             }
         )
         if args.mode == "reach":

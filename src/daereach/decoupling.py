@@ -9,19 +9,23 @@ with ``Q_j`` a projector onto ``Ker(E_j)`` and ``P_j = I - Q_j``,
 terminates at the first nonsingular ``E_mu``; ``mu`` is the tractability
 index.  With ``Q_j = K_j K_j^T`` for an orthonormal kernel basis ``K_j``,
 both updates subtract the one rank-``m`` product ``(A_j K_j) K_j^T``.
-One SVD per singular chain matrix gives its kernel basis and, through
-it, its rank decision.  The terminal matrix takes no SVD of its own when
-it can be certified nonsingular from the previous matrix's factors: in
-them ``E_{j+1}`` is block upper triangular, so one ``m x m`` SVD gives its
-inverse and a bound on its condition number
-(:func:`~daereach.linalg.rank_update_inverse`).  A bound that does not
-clear the rank cutoff with a margin, a singular block, and every singular
-chain matrix fall back to the matrix's own SVD, which decides as it
-always did.  Plain orthogonal kernel projectors generally violate
-the admissibility property ``Q_j Q_i = 0`` for ``j > i`` that the
-decoupled forms rely on, so they are corrected index-by-index (index 1
-needs no correction) and the chain is rebuilt with the corrected
-projectors.
+One factorization per singular chain matrix
+(:func:`~daereach.linalg.rank_factors`) gives its kernel basis and,
+through it, its rank decision: a certified QR of its nonzero rows when it
+has exactly-zero rows, as the chain matrices of a semi-explicit system
+such as Stokes do, and an SVD otherwise.  The terminal matrix takes no
+factorization of its own when it can be certified nonsingular from the
+previous matrix's factors: in them ``E_{j+1}`` is block upper triangular,
+so one ``m x m`` SVD gives its inverse and a bound on its condition
+number (:func:`~daereach.linalg.rank_update_inverse`).  A bound that does
+not clear the rank cutoff with a margin, a singular block, and every
+singular chain matrix fall back to the matrix's own factors, which
+decide as its SVD would.  The chain records every decision and its
+margin (:attr:`MatrixChain.decisions`).  Plain orthogonal kernel
+projectors generally violate the admissibility property ``Q_j Q_i = 0``
+for ``j > i`` that the decoupled forms rely on, so they are corrected
+index-by-index (index 1 needs no correction) and the chain is rebuilt
+with the corrected projectors.
 
 The correction needs no new factorization of a rebuilt matrix.  If
 ``Q`` and ``Q'`` project onto the same kernel ``Ker E_j`` then
@@ -60,9 +64,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOLERANCES,
     kernel_basis_and_inverse,
+    rank_factors,
     rank_update_inverse,
     solve_inverse,
-    svd_factors,
 )
 from .model import check_regularity
 
@@ -96,9 +100,13 @@ class MatrixChain:
     ``admissible`` records whether the projectors satisfy ``Q_j Q_i = 0``
     for ``j > i``; the chain built from raw orthogonal projectors is kept
     on ``raw`` after correction so both stages stay inspectable.
-    ``condition_bound`` is the certified bound on ``cond_2(E_mu)`` of a raw
-    chain whose terminal matrix took no SVD of its own, and ``None`` when
-    that SVD decided (and on a corrected chain; see ``raw``).
+    ``decisions`` holds, for each raw chain matrix ``E_0 .. E_mu``, what
+    decided its rank and by what margin: the ``decision`` of its own
+    :class:`~daereach.linalg.Factors` (``"qr"`` or ``"svd"``), or
+    ``{"method": "certificate", "bound": ...}`` for a terminal matrix
+    certified from the previous one's factors; a corrected chain has none
+    (see ``raw``).  ``condition_bound`` is that certified bound on
+    ``cond_2(E_mu)``, ``None`` when ``E_mu``'s own SVD decided.
     ``inverse_residual`` is the checked ``max|E_mu E_mu^{-1} - I|`` of a
     corrected chain (``None`` before).
     """
@@ -111,12 +119,17 @@ class MatrixChain:
     terminal_inverse: np.ndarray = field(repr=False)
     admissible: bool = False
     raw: "MatrixChain | None" = field(default=None, repr=False)
-    condition_bound: float | None = None
+    decisions: tuple = ()
     inverse_residual: float | None = None
 
     @property
     def n(self):
         return self.E_seq[0].shape[0]
+
+    @property
+    def condition_bound(self):
+        last = self.decisions[-1] if self.decisions else {}
+        return last["bound"] if last.get("method") == "certificate" else None
 
     @cached_property
     def Q_seq(self):
@@ -353,11 +366,13 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
 
     Each chain matrix past ``E_0`` is first offered to
     :func:`~daereach.linalg.rank_update_inverse` with the previous matrix's
-    SVD factors; a certified one ends the chain with no SVD of its own and
-    keeps its bound on ``condition_bound``.  Any other takes its own SVD,
+    factors; a certified one ends the chain with no factorization of its
+    own and keeps its bound on ``condition_bound``.  Any other takes its
+    own :func:`~daereach.linalg.rank_factors` (a certified QR or an SVD),
     which decides its rank and, when it is singular, gives its kernel
-    basis.  The certificate accepts only a matrix that SVD would also find
-    nonsingular, so it changes no index.
+    basis.  Both certificates accept only what the SVD would also decide,
+    so neither changes an index.  ``decisions`` records, per matrix, which
+    one decided and by what margin.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -371,22 +386,24 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, factors, images = [sys.E], [sys.A], [], []
+    E_seq, A_seq, factors, images, decisions = [sys.E], [sys.A], [], [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
-        inverse = bound = None
+        inverse = None
         if mu:
-            inverse, bound = rank_update_inverse(svd, images[-1], tol)
-        if inverse is None:  # the matrix's own SVD decides
-            bound = None
-            svd = svd_factors(E_seq[-1], tol)
-            kernel_basis, inverse = kernel_basis_and_inverse(svd)
+            inverse, bound = rank_update_inverse(current, images[-1], tol)
+        if inverse is None:  # the matrix's own factors decide
+            current = rank_factors(E_seq[-1], tol)
+            decisions.append(current.decision)
+            kernel_basis, inverse = kernel_basis_and_inverse(current)
+        else:
+            decisions.append({"method": "certificate", "bound": bound})
         if inverse is not None:  # E_mu is nonsingular
             if mu == 0:
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
             return MatrixChain(
-                E_seq, A_seq, factors, images, mu, inverse, condition_bound=bound
+                E_seq, A_seq, factors, images, mu, inverse, decisions=tuple(decisions)
             )
         if mu < MAX_SUPPORTED_INDEX:
             image = A_seq[-1] @ kernel_basis

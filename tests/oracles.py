@@ -125,9 +125,13 @@ class CanonicalDae:
     state is consistent iff the trailing ``a`` entries of ``T x0`` vanish.
     This gives exact references for index, consistency, and trajectories
     that never touch the package's projector machinery.
+
+    With ``semi_explicit`` the left transform ``S`` only mixes the zero rows
+    of ``diag(I_d, N)`` among themselves and the other rows among
+    themselves, so ``E`` keeps one exactly-zero row per nilpotent block.
     """
 
-    def __init__(self, rng, dynamic_dim, blocks, conditioning=2.0):
+    def __init__(self, rng, dynamic_dim, blocks, conditioning=2.0, semi_explicit=False):
         a = sum(blocks)
         n = dynamic_dim + a
         J = rng.normal(size=(dynamic_dim, dynamic_dim))
@@ -139,8 +143,17 @@ class CanonicalDae:
             for i in range(size - 1):
                 N[offset + i, offset + i + 1] = 1.0
             offset += size
-        S = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        S = S * rng.uniform(1.0 / conditioning, conditioning, size=n)
+        if semi_explicit:
+            zero = np.concatenate([np.zeros(dynamic_dim, bool), ~N.any(axis=1)])
+            S = np.zeros((n, n))
+            for rows in (np.flatnonzero(~zero), np.flatnonzero(zero)):
+                block = np.linalg.qr(rng.normal(size=(rows.size, rows.size)))[0]
+                S[np.ix_(rows, rows)] = block * rng.uniform(
+                    1.0 / conditioning, conditioning, size=rows.size
+                )
+        else:
+            S = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            S = S * rng.uniform(1.0 / conditioning, conditioning, size=n)
         T = np.linalg.qr(rng.normal(size=(n, n)))[0]
         T = T * rng.uniform(1.0 / conditioning, conditioning, size=n)[:, None]
         self.J = J

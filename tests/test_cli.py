@@ -26,6 +26,7 @@ from daereach.cli import (
     MODES,
     main,
 )
+from daereach.linalg import CERTIFICATE_MARGIN
 
 
 @pytest.fixture
@@ -39,6 +40,23 @@ def benchmark_files(tmp_path):
 
 def run(argv):
     return main(argv)
+
+
+def assert_chain_decisions(verdict, methods):
+    """The verdict's chain decisions use ``methods`` in order, and each
+    margin clears the rank cutoff: a certified bound by
+    ``CERTIFICATE_MARGIN``, an SVD by keeping singular values above it and
+    dropping those at or below it; the last bound is the terminal one."""
+    decisions = verdict["chain_decisions"]
+    assert [d["method"] for d in decisions] == methods
+    cutoff = DEFAULT_TOLERANCES.rank_rel_tol
+    for decision in decisions:
+        if decision["method"] == "svd":
+            assert cutoff < decision["kept"] <= 1.0
+            assert decision["dropped"] is None or 0.0 <= decision["dropped"] <= cutoff
+        else:
+            assert 1.0 <= decision["bound"] < 1.0 / (CERTIFICATE_MARGIN * cutoff)
+    assert decisions[-1]["bound"] == verdict["terminal_condition_bound"]
 
 
 def last_error(capsys):
@@ -74,6 +92,7 @@ class TestVerifyMode:
         assert 1.0 <= bound <= 1.0 / DEFAULT_TOLERANCES.rank_rel_tol
         assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
+        assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1001  # header plus one row per instant
         assert lines[0].startswith("time,x0,x1,x2,x3,u0,u1")
@@ -196,6 +215,29 @@ class TestOtherModes:
         assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
         assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
+
+    def test_stokes_reach_decides_the_chain_by_qr(self, tmp_path):
+        from daereach import load_model, to_autonomous
+        from oracles import box_star, reference_decoupled
+
+        auto = to_autonomous(*load_model("builtin:stokes:4"))
+        star = box_star(np.random.default_rng(3), reference_decoupled(auto).gamma, auto.n, 2)
+        init, out = tmp_path / "init.json", tmp_path / "stokes_out"
+        save_initial_star(init, star)
+        code = run(
+            [
+                "--model", "builtin:stokes:4",
+                "--init", str(init),
+                "--mode", "reach",
+                "--time-step", "1e-3",
+                "--time-bound", "0.005",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["index"] == 2
+        assert_chain_decisions(verdict, ["qr", "qr", "certificate"])
 
     def test_bounds_with_directions(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files

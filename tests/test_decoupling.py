@@ -11,7 +11,13 @@ from daereach import (
     make_admissible,
 )
 
-from daereach.linalg import DEFAULT_TOLERANCES, rank_update_inverse, svd_factors
+from daereach.linalg import (
+    _QR_MIN_N,
+    CERTIFICATE_MARGIN,
+    DEFAULT_TOLERANCES,
+    rank_update_inverse,
+    svd_factors,
+)
 
 from oracles import CanonicalDae, reference_chain, reference_decoupled
 
@@ -97,13 +103,13 @@ class TestComputeIndexAndChain:
 
         eps = 1.5e-9
         full_svds = []
-        factors = daereach.decoupling.svd_factors
+        factors = daereach.decoupling.rank_factors
 
         def counting(Z, tol):
             full_svds.append(Z.shape)
             return factors(Z, tol)
 
-        monkeypatch.setattr(daereach.decoupling, "svd_factors", counting)
+        monkeypatch.setattr(daereach.decoupling, "rank_factors", counting)
         auto = AutonomousDae(np.diag([1.0, 0.0]), np.diag([1.0, eps]))
         chain = compute_index_and_chain(auto)
         assert chain.mu == reference_chain(auto)[4] == 1
@@ -261,20 +267,28 @@ def _stokes_auto():
     return to_autonomous(system, inputs)
 
 
-class TestFactorizationCounts:
-    """One ``n x n`` SVD per singular chain matrix and no LU solve.
+def _rotating_masses_auto():
+    from daereach import build_rotating_masses, to_autonomous
 
-    The ``n x n`` bounds count one SVD per singular raw chain matrix and,
-    at index 3, one more for the intermediate matrix the projector swap
-    cannot prove nonsingular, whose factors give its inverse too.  The
-    terminal raw matrix is certified nonsingular from the previous
-    matrix's factors, which costs one ``m x m`` SVD per chain step after
-    ``E_0``, so the totals add at most ``index`` small SVDs.  A singular
-    step whose small block is too small for the bound to pass declines
-    before that SVD: Stokes ``E_1`` (block about 1e-16) and one step of the
-    index-3 system here.  The rebuilt chain is never factored, the reach
-    path's blocks take no factorization, and no regularity probe runs: a
-    chain that ends proves the pencil regular.
+    return to_autonomous(*build_rotating_masses())
+
+
+class TestFactorizationCounts:
+    """At most one ``n x n`` SVD per singular chain matrix and no LU solve.
+
+    The dense random systems (``n`` below the QR crossover) and the rotating
+    masses take one ``n x n`` SVD per singular raw chain matrix and, at
+    index 3, one more for the intermediate matrix the projector swap
+    cannot prove nonsingular, whose factors give its inverse too.  Stokes
+    takes none: ``E_0`` and ``E_1`` have exactly-zero rows and factor by
+    certified QR.  The terminal raw matrix is certified nonsingular from
+    the previous matrix's factors, which costs one ``m x m`` SVD per chain
+    step after ``E_0``, so the totals add at most ``index`` small SVDs.  A
+    singular step whose small block is too small for the bound to pass
+    declines before that SVD: Stokes ``E_1`` (block exactly 0) and one
+    step of the index-3 system here.  The rebuilt chain is never factored,
+    the reach path's blocks take no factorization, and no regularity probe
+    runs: a chain that ends proves the pencil regular.
     """
 
     @pytest.mark.parametrize(
@@ -283,9 +297,10 @@ class TestFactorizationCounts:
             (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 2, 0),
             (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 4, 0),
             (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 4, 6, 0),
-            (_stokes_auto, 2, 2, 3, 0),
+            (_stokes_auto, 2, 0, 1, 0),
+            (_rotating_masses_auto, 2, 2, 4, 0),
         ],
-        ids=["index-1", "index-2", "index-3", "stokes-4"],
+        ids=["index-1", "index-2", "index-3", "stokes-4", "rotating-masses"],
     )
     def test_decouple_system_factorizations(
         self, monkeypatch, make_auto, index, full_svds, svds, solves
@@ -312,7 +327,7 @@ class TestFactorizationCounts:
         dec.lift
         assert dec.mu == index
         assert dec.chain.raw.condition_bound is not None
-        assert counts["full_svd"] <= full_svds
+        assert counts["full_svd"] == full_svds
         assert counts["svd"] <= svds
         assert counts["solve"] <= solves
 
@@ -403,6 +418,76 @@ def test_decoupling_matches_reference_path(index):
         assert max(frame_errors(ours, reference, V).values()) <= 1e-10, seed
         assert ours.chain.inverse_residual <= 1e-12, seed
     print(f"\nindex {index}: worst bound * rank_rel_tol {worst_margin:.2e}")
+
+
+def _semi_explicit_auto(rng, dynamic_dim, blocks):
+    ws = CanonicalDae(rng, dynamic_dim, blocks, semi_explicit=True)
+    return AutonomousDae(ws.E, ws.A), ws
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_semi_explicit_systems_factor_by_qr(index):
+    """20 random semi-explicit systems per index, ``n`` above the QR
+    crossover: ``E_0`` keeps exactly-zero rows, so the certified QR decides
+    it, and the chain, its terminal inverse and the reach-path blocks match
+    the full-SVD reference path."""
+    for seed in range(20):
+        rng = np.random.default_rng(1000 * index + seed)
+        blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(1, 4)))
+        auto, ws = _semi_explicit_auto(rng, int(rng.integers(20, 28)), blocks)
+        assert auto.n >= _QR_MIN_N
+        raw = compute_index_and_chain(auto)
+        E, _, Q, _, mu = reference_chain(auto)
+        assert raw.decisions[0]["method"] == "qr", seed
+        assert raw.mu == mu == index, seed
+        assert max(_relative_error(ours, ref) for ours, ref in zip(raw.Q_seq, Q)) <= 1e-10, seed
+        reference_inverse = np.linalg.solve(E[mu], np.eye(auto.n))
+        assert _relative_error(raw.terminal_inverse, reference_inverse) <= 1e-10, seed
+        reference = reference_decoupled(auto)
+        V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
+        errors = frame_errors(decouple(make_admissible(raw)), reference, V)
+        assert max(errors.values()) <= 1e-10, seed
+
+
+def _svd_decides(auto):
+    """``E_0`` has a zero row and ``n`` above the crossover, yet its own SVD
+    decides it, with the reference's index."""
+    assert auto.n >= _QR_MIN_N and not auto.E.any(axis=1).all()
+    raw = compute_index_and_chain(auto)
+    assert raw.decisions[0]["method"] == "svd"
+    assert raw.mu == reference_chain(auto)[4] == 2
+    return raw
+
+
+def test_duplicated_nonzero_row_takes_the_svd():
+    # adding a nonzero row to a zero row (of E and A alike) keeps the pencil
+    # and its index, and leaves M two equal rows: rank deficient
+    auto, _ = _semi_explicit_auto(np.random.default_rng(31), 22, [2, 2, 1])
+    E, A = auto.E.copy(), auto.A.copy()
+    nonzero = E.any(axis=1)
+    source, target = np.flatnonzero(nonzero)[0], np.flatnonzero(~nonzero)[0]
+    E[target] = E[source]
+    A[target] += A[source]
+    raw = _svd_decides(AutonomousDae(E, A))
+    assert raw.decisions[0]["dropped"] <= DEFAULT_TOLERANCES.rank_rel_tol
+
+
+def test_bound_in_the_margin_band_takes_the_svd():
+    # scaling one nonzero row by 1e-8 leaves M full rank at the cutoff
+    # (s_p / s_1 = 3.4e-9) while ||L||_F ||L^{-1}||_F = 7.0e8 is above
+    # 1 / (CERTIFICATE_MARGIN * rank_rel_tol) = 5e8
+    auto, _ = _semi_explicit_auto(np.random.default_rng(7), 22, [2, 2, 1])
+    rows = np.flatnonzero(auto.E.any(axis=1))
+    scale = np.ones(auto.n)
+    scale[rows[0]] = 1e-8
+    auto = AutonomousDae(scale[:, None] * auto.E, scale[:, None] * auto.A)
+    R = np.linalg.qr(auto.E[rows].T)[1]
+    bound = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
+    cutoff = DEFAULT_TOLERANCES.rank_rel_tol
+    assert 1.0 / (CERTIFICATE_MARGIN * cutoff) <= bound
+    raw = _svd_decides(auto)
+    assert raw.factors[0][0].shape[1] == auto.n - rows.size
+    assert raw.decisions[0]["kept"] > cutoff
 
 
 @pytest.mark.parametrize("k", [4, 8, 12])

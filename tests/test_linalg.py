@@ -13,6 +13,7 @@ from daereach.linalg import (
     CERTIFICATE_MARGIN,
     as_matrix,
     kernel_basis_and_inverse,
+    rank_factors,
     rank_update_inverse,
     svd_factors,
 )
@@ -173,7 +174,7 @@ class TestRankUpdateInverse:
         inverse, bound = rank_update_inverse(svd_factors(Z), image)
         assert (inverse is not None) == certified
         assert bound >= 1.0 / eps
-        assert (svd_factors(_updated(Z, image))[3] == 2) == nonsingular
+        assert (svd_factors(_updated(Z, image)).rank == 2) == nonsingular
         if certified:
             assert bound * CERTIFICATE_MARGIN * 1e-9 < 1.0
             assert np.allclose(inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
@@ -184,10 +185,65 @@ class TestRankUpdateInverse:
         rng = np.random.default_rng(50 + seed)
         n, m = 5, int(rng.integers(1, 4))
         Z = rng.normal(size=(n, n - m)) @ rng.normal(size=(n - m, n))
-        u, s, wt, rank = factors = svd_factors(Z)
+        factors = svd_factors(Z)
+        u, s, rank = factors.left, np.concatenate([factors.lead, factors.tail]), factors.rank
         block = rng.normal(size=(m, m))
         block[:, 0] = block[:, 1:].sum(axis=1) if m > 1 else 0.0
         image = u[:, rank:] @ (np.diag(s[rank:]) - block) + u[:, :rank] @ rng.normal(size=(rank, m))
         inverse, _ = rank_update_inverse(factors, image)
-        assert svd_factors(_updated(Z, image))[3] < n
+        assert svd_factors(_updated(Z, image)).rank < n
         assert inverse is None
+
+
+def _with_zero_rows(rng, n, zero_rows):
+    Z = rng.normal(size=(n, n))
+    Z[rng.permutation(n)[:zero_rows]] = 0.0
+    return Z
+
+
+class TestRankFactors:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_qr_factors_reconstruct_the_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        n, zero_rows = 30, int(rng.integers(1, 12))
+        Z = _with_zero_rows(rng, n, zero_rows)
+        factors = rank_factors(Z)
+        p = n - zero_rows
+        assert factors.decision["method"] == "qr" and factors.rank == p
+        assert factors.decision["bound"] * CERTIFICATE_MARGIN * 1e-9 < 1.0
+        assert not Z[factors.left[p:]].any()
+        assert np.allclose(Z[factors.left[:p]], factors.lead @ factors.w[:, :p].T, atol=1e-12)
+        assert np.allclose(factors.lead_inv @ factors.lead, np.eye(p), atol=1e-12)
+        kernel, inverse = kernel_basis_and_inverse(factors)
+        assert inverse is None and kernel.shape == (n, zero_rows)
+        assert np.abs(Z @ kernel).max() <= 1e-12 * np.abs(Z).max()
+        assert svd_factors(Z).rank == p
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_update_inverse_from_qr_factors(self, seed):
+        rng = np.random.default_rng(20 + seed)
+        n, zero_rows = 25, int(rng.integers(1, 8))
+        Z = _with_zero_rows(rng, n, zero_rows)
+        factors = rank_factors(Z)
+        image = rng.normal(size=(n, zero_rows))
+        inverse, bound = rank_update_inverse(factors, image)
+        kernel, _ = kernel_basis_and_inverse(factors)
+        updated = Z - image @ kernel.T
+        assert inverse is not None
+        assert np.abs(inverse - np.linalg.inv(updated)).max() <= 1e-10 * np.abs(inverse).max()
+        assert np.linalg.cond(updated) <= bound
+
+    @pytest.mark.parametrize(
+        "n, zero_rows, dependent",
+        [(6, 2, False), (30, 0, False), (30, 30, False), (30, 5, True)],
+        ids=["below-crossover", "no-zero-row", "zero-matrix", "dependent-rows"],
+    )
+    def test_takes_the_svd(self, n, zero_rows, dependent):
+        rng = np.random.default_rng(9)
+        Z = _with_zero_rows(rng, n, zero_rows)
+        if dependent:  # one nonzero row is a combination of two others
+            rows = np.flatnonzero(Z.any(axis=1))
+            Z[rows[0]] = Z[rows[1]] - 2.0 * Z[rows[2]]
+        factors = rank_factors(Z)
+        assert factors.decision["method"] == "svd"
+        assert factors.rank == numerical_rank(Z)
