@@ -35,22 +35,29 @@ for j in range(chain.mu + 1):
     rank = np.linalg.matrix_rank(chain.E_seq[j])
     print(f"  rank(E_{j}) = {rank} of {chain.n}", "(nonsingular)" if rank == chain.n else "")
 
-print("\nraw kernel projector Q0 (orthogonal):\n", chain.Q_seq[0])
-print("raw Q1 @ Q0 is nonzero -> not admissible:\n", chain.Q_seq[1] @ chain.Q_seq[0])
+# the chain keeps each projector factored as Q_j = K_j R_j
+Q = [K @ R for K, R in chain.factors]
+print("\nraw kernel projector Q0 (orthogonal):\n", Q[0])
+print("raw Q1 @ Q0 is nonzero -> not admissible:\n", Q[1] @ Q[0])
 
 chain = make_admissible(chain)
+Q = [K @ R for K, R in chain.factors]
 print("\nafter correction, Q1 @ Q0 vanishes:")
-print("  max |Q1 @ Q0| =", np.abs(chain.Q_seq[1] @ chain.Q_seq[0]).max())
-print("corrected Q1 (oblique, fractions of thirds):\n", chain.Q_seq[1])
+print("  max |Q1 @ Q0| =", np.abs(Q[1] @ Q[0]).max())
+print("corrected Q1 (oblique, fractions of thirds):\n", Q[1])
 
+# the decoupled system is an operator on blocks; on the identity it gives
+# the dense coefficients
 dec = decouple(chain)
+identity = np.eye(dec.n)
+N = dec.apply_N(identity)
 print("\ndecoupled subsystems (index 2 -> one ODE + two constraint levels):")
-print("ODE coefficient N1 =\n", dec.N[1])
-print("constraint level 1: N2 = 0 for this model, max |N2| =", np.abs(dec.N[2]).max())
-print("constraint level 2: N3 =\n", dec.N[3])
-print("derivative coupling L3 =\n", dec.L3)
+print("ODE coefficient N1 =\n", N[1])
+print("constraint level 1: N2 = 0 for this model, max |N2| =", np.abs(N[2]).max())
+print("constraint level 2: N3 =\n", N[3])
+print("derivative coupling L3 =\n", dec.apply_couplings(identity)["L3"])
 
-total = sum(dec.projectors.values())
+total = sum(dec.apply_projectors(identity).values())
 print(
     "\nsubsystem projectors partition the identity: max |sum - I| =",
     np.abs(total - np.eye(dec.n)).max(),

@@ -34,14 +34,14 @@ gamma = build_consistent_matrix(dec)
 print("consistency matrix has", gamma.shape[0], "rows: one block per constraint level")
 
 star = rotating_masses_initial_star()
-cert = check_initial_star(gamma, star)
+cert = check_initial_star(dec, star)
 print("bundled initial star: consistent =", cert.consistent,
       f"(max residual {cert.max_residual:.2e})")
 
 perturbed_basis = star.V.copy()
 perturbed_basis[2, 0] += 1.0
 bad = StarSet(perturbed_basis, star.C, star.d)
-cert_bad = check_initial_star(gamma, bad)
+cert_bad = check_initial_star(dec, bad)
 print("perturbing one torque entry: consistent =", cert_bad.consistent,
       f"(residual {cert_bad.max_residual:.2e}, worst basis column "
       f"{cert_bad.worst_column}, constraint block {cert_bad.worst_row_block})")

@@ -14,8 +14,8 @@ output directory:
 
 Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 3 inconsistent initial set, 4 index above 3, 5 irregular pencil,
-6 numerical failure.  Every failure prints one JSON line
-``{"error": ..., "message": ...}`` to stderr, bad arguments included.
+6 numerical failure or a singular matrix.  Every failure prints one JSON
+line ``{"error": ..., "message": ...}`` to stderr, bad arguments included.
 Arguments that do not parse write nothing; an ``--out`` that cannot be
 created is a parse error; a step count too large for an array exits 6.
 A failed run leaves an error verdict, never one from an earlier run in
@@ -44,6 +44,7 @@ from .errors import (
     NonsingularEError,
     NumericalFailureError,
     ParseError,
+    SingularMatrixError,
     UnboundedPredicateError,
 )
 from .linalg import DEFAULT_TOLERANCES
@@ -73,6 +74,7 @@ _ERROR_CLASSES = (
     (IndexTooHighError, "index-too-high", EXIT_INDEX_TOO_HIGH),
     (IrregularPencilError, "irregular-pencil", EXIT_IRREGULAR),
     (NumericalFailureError, "numerical-failure", EXIT_NUMERICAL),
+    (SingularMatrixError, "singular-matrix", EXIT_NUMERICAL),
     (MemoryError, "numerical-failure", EXIT_NUMERICAL),  # an array the grid outgrew
 )
 
@@ -230,9 +232,14 @@ def run_job(args):
         summary = f"index: {chain.mu}"
     elif args.mode == "decouple":
         dec = decouple_system(autonomous, tol)
-        document = {"index": dec.mu, "N": {str(i): N.tolist() for i, N in dec.N.items()}}
-        for key, matrix in (("L3", dec.L3), ("L4", dec.L4), ("Z4", dec.Z4)):
-            document[key] = None if matrix is None else matrix.tolist()
+        identity = np.eye(dec.n)
+        couplings = dec.apply_couplings(identity)
+        document = {
+            "index": dec.mu,
+            "N": {str(i): N.tolist() for i, N in dec.apply_N(identity).items()},
+        }
+        for key in ("L3", "L4", "Z4"):
+            document[key] = couplings[key].tolist() if key in couplings else None
         _write_json(out_dir / "decoupled.json", document, indent=1)
         payload["index"] = dec.mu
         summary = f"index: {dec.mu}; wrote decoupled.json"

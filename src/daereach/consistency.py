@@ -5,20 +5,20 @@ their differentiated hidden constraints, pin part of the state.  Stacking
 those conditions gives a single matrix ``Gamma`` whose kernel is exactly
 the set of admissible initial states, so a star-set initial condition is
 consistent for *all* coefficient choices iff ``Gamma`` annihilates its
-basis.  The check needs only ``Gamma V``: the decoupled system's factored
-projectors act on the ``n x k`` basis, and the reconstruction maps act
-through the ODE frame ``W`` the reach path builds anyway, so no ``n x n``
-matrix is formed.  The dense ``Gamma`` is the same product with the
-identity.
+basis.  The check takes the decoupled system and needs only ``Gamma V``:
+its factored projectors act on the ``n x k`` basis, and the
+reconstruction maps act through the ODE frame ``W`` the reach path
+builds anyway, so no ``n x n`` matrix is formed.  The dense ``Gamma``,
+whose null space holds every consistent star, is the same product with
+the identity.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decoupling import DecoupledSystem
 from .errors import DimensionMismatchError
-from .linalg import DEFAULT_TOLERANCES, as_matrix
+from .linalg import DEFAULT_TOLERANCES
 
 __all__ = ["ConsistencyCertificate", "build_consistent_matrix", "check_initial_star"]
 
@@ -64,25 +64,21 @@ def build_consistent_matrix(dec, V=None):
     return np.vstack([parts[i] - maps[i] @ y for i in dec.subsystem_ids[1:]])
 
 
-def check_initial_star(gamma, theta0, tol=DEFAULT_TOLERANCES):
+def check_initial_star(dec, theta0, tol=DEFAULT_TOLERANCES):
     """Certificate for ``Gamma @ V(0) == 0`` over the star's basis.
 
-    ``gamma`` is the matrix of :func:`build_consistent_matrix`, or the
-    decoupled system itself, whose conditions then act on the basis
-    without forming the matrix.  Never raises on inconsistency; the caller
-    decides whether an inconsistent set is fatal.
+    ``dec`` is the decoupled system; its conditions act on the basis
+    through :func:`build_consistent_matrix` without forming ``Gamma``.
+    Never raises on inconsistency; the caller decides whether an
+    inconsistent set is fatal.
     """
-    factored = isinstance(gamma, DecoupledSystem)
-    if not factored:
-        gamma = as_matrix(gamma, "gamma")
-    columns = gamma.n if factored else gamma.shape[1]
-    if columns != theta0.dim:
+    if dec.n != theta0.dim:
         raise DimensionMismatchError(
-            f"gamma has {columns} columns but the star lives in "
+            f"the system has dimension {dec.n} but the star lives in "
             f"dimension {theta0.dim}"
         )
     V = np.asarray(theta0.V, dtype=float)
-    residual = np.abs(build_consistent_matrix(gamma, V) if factored else gamma @ V)
+    residual = np.abs(build_consistent_matrix(dec, V))
     max_residual = float(residual.max())
     consistent = max_residual <= tol.consistency_tol
     worst_column = worst_block = None

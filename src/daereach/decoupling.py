@@ -41,13 +41,13 @@ algebraic-constraint subsystems with closed-form coefficient matrices,
 each a word in the projectors times ``E_mu^{-1} A_mu``.  Since every
 projector is ``I - K_j R_j`` or ``K_j R_j``, :class:`DecoupledSystem` keeps
 those factors and applies the coefficients to ``n x c`` blocks right to
-left, at ``O(n^2 c)`` each; the dense coefficients, projectors and
-reconstruction maps are the same operator applied to the identity, built
-only when read.  The ODE subsystem lives on ``range(Pi)``, ``Pi =
-projectors[1]``, of dimension ``r = n - sum_j rank Q_j``;
-:attr:`DecoupledSystem.ode_basis` gives ``r``-dimensional coordinates on
-it, and the reach path reads only blocks of ``r`` or ``k`` columns.  Only
-indices 1 through 3 are supported; higher indices raise.
+left, at ``O(n^2 c)`` each; that operator is its only form, and a dense
+coefficient or projector is the operator applied to the identity.  The
+ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
+dimension ``r = n - sum_j rank Q_j``; :attr:`DecoupledSystem.ode_basis`
+gives ``r``-dimensional coordinates on it, and the reach path reads only
+blocks of ``r`` or ``k`` columns.  Only indices 1 through 3 are
+supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field
@@ -93,8 +93,7 @@ class MatrixChain:
     ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu).  The
     projectors are kept in factored form: ``factors[j] = (K_j, R_j)`` with
     ``Q_j = K_j R_j`` and ``K_j`` an orthonormal basis of ``Ker E_j`` (``R_j
-    = K_j^T`` on a raw chain), and ``kernel_images[j] = A_j K_j``.  The
-    dense ``Q_seq``/``P_seq`` (length ``mu``) are built only when read.
+    = K_j^T`` on a raw chain), and ``kernel_images[j] = A_j K_j``.
     ``terminal_inverse`` is ``E_mu^{-1}``; ``E_mu``'s own SVD or the
     certificate on the previous matrix's factors proved it nonsingular.
     ``admissible`` records whether the projectors satisfy ``Q_j Q_i = 0``
@@ -130,14 +129,6 @@ class MatrixChain:
     def condition_bound(self):
         last = self.decisions[-1] if self.decisions else {}
         return last["bound"] if last.get("method") == "certificate" else None
-
-    @cached_property
-    def Q_seq(self):
-        return [K @ R for K, R in self.factors]
-
-    @cached_property
-    def P_seq(self):
-        return [np.eye(self.n) - Q for Q in self.Q_seq]
 
     @property
     def admissibility_residual(self):
@@ -182,13 +173,13 @@ class DecoupledSystem:
 
     The reach path needs only thin blocks: the ODE frame ``ode_basis``
     ``W``, the reduced matrix ``ode_matrix`` ``W^T N[1] W``, the maps on the
-    frame ``frame_maps`` and the ``lift`` ``psi W``.  The dense ``N``,
-    ``L3``/``L4``/``Z4`` (multipliers of derivative terms of lower
-    constraint subsystems, ``None`` where the index has none),
-    ``projectors`` (``projectors[i]`` extracts subsystem ``i``'s
-    component; they sum to the identity) and
-    :meth:`reconstruction_maps` are the same operator applied to the
-    identity, built only when read.
+    frame ``frame_maps`` and the ``lift`` ``psi W``.  A dense form is the
+    operator applied to the identity: ``apply_N(I)`` gives the
+    coefficients ``N``, ``apply_couplings(I)`` the multipliers
+    ``L3``/``L4``/``Z4`` of derivative terms of lower constraint
+    subsystems, and ``apply_projectors(I)`` the ``projectors``
+    (``projectors[i]`` extracts subsystem ``i``'s component; they sum to
+    the identity), which :attr:`projectors` keeps.
     """
 
     mu: int
@@ -236,6 +227,12 @@ class DecoupledSystem:
         """``{i: projectors[i] X}`` for an ``n x c`` block ``X``."""
         return self._apply(_PROJECTOR_WORDS[self.mu], X)
 
+    def apply_couplings(self, X):
+        """``{name: word X}`` for the derivative multipliers of the index
+        (``"L3"`` at index 2; ``"L3"``, ``"L4"`` and ``"Z4"`` at index 3;
+        none at index 1)."""
+        return self._apply(_COUPLING_WORDS[self.mu], X)
+
     def ode_component(self, X):
         """``Pi X``, ``Pi = projectors[1]``."""
         return self._apply({1: "P" * self.mu}, X)[1]
@@ -247,14 +244,17 @@ class DecoupledSystem:
         return self._apply(fronts, self.terminal_inverse @ (self.source @ X))
 
     def apply_maps(self, X, NX, M):
-        """``{i: maps[i] X}`` with the maps of :meth:`reconstruction_maps`,
-        given ``NX = apply_N(X)`` and ``M`` with ``N[1] X = X M`` (the ODE
-        frame ``W`` with ``ode_matrix``, or ``X = I`` with ``M = N[1]``).
+        """``{i: maps[i] X}`` for the reconstruction maps, given ``NX =
+        apply_N(X)`` and ``M`` with ``N[1] X = X M`` (the ODE frame ``W``
+        with ``ode_matrix``, or ``X = I`` with ``M = N[1]``).
 
-        ``maps[3] = N[3] + L3 N[2] N[1]`` and ``maps[4] = N[4] + L4 (N[3]
-        N[1] + L3 N[2] N[1]^2) + Z4 N[2] N[1]`` need ``N[i]`` applied to
-        ``X``, ``N[1] X`` and ``N[1]^2 X``, which are ``(N[i] X) M^p``, so the
-        operator is applied once.
+        The derivative terms of the constraint subsystems are eliminated
+        through the ODE dynamics, so each component ``x_i(t)`` of a solution
+        is ``maps[i] x_1(t)`` and their sum is ``psi``.  ``maps[3] = N[3] +
+        L3 N[2] N[1]`` and ``maps[4] = N[4] + L4 (N[3] N[1] + L3 N[2]
+        N[1]^2) + Z4 N[2] N[1]`` need ``N[i]`` applied to ``X``, ``N[1] X``
+        and ``N[1]^2 X``, which are ``(N[i] X) M^p``, so the operator is
+        applied once.
         """
         blocks = [NX]  # blocks[p][i] = N_i N_1^p X; level p feeds N_2 .. N_{mu+1-p}
         for p in range(1, self.mu):
@@ -305,43 +305,8 @@ class DecoupledSystem:
         return sum(self.frame_maps.values())
 
     @cached_property
-    def N(self):
-        return self.apply_N(np.eye(self.n))
-
-    @cached_property
     def projectors(self):
         return self.apply_projectors(np.eye(self.n))
-
-    @cached_property
-    def _couplings(self):
-        return self._apply(_COUPLING_WORDS[self.mu], np.eye(self.n))
-
-    @property
-    def L3(self):
-        return self._couplings.get("L3")
-
-    @property
-    def L4(self):
-        return self._couplings.get("L4")
-
-    @property
-    def Z4(self):
-        return self._couplings.get("Z4")
-
-    def reconstruction_maps(self):
-        """Maps sending the ODE component to every solution component.
-
-        Derivative terms of the constraint subsystems are eliminated
-        analytically using the ODE dynamics, so each component ``x_i(t)``
-        of a solution equals ``maps[i] @ x_1(t)``; their sum is the
-        reachable-set projector.  Built on the first call; later calls
-        return the same dict.
-        """
-        return self._maps
-
-    @cached_property
-    def _maps(self):
-        return self.apply_maps(np.eye(self.n), self.N, self.N[1])
 
 
 def _extend(E_seq, A_seq, factors, images, K, R, AK):

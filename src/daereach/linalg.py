@@ -45,7 +45,6 @@ __all__ = [
     "rank_factors",
     "kernel_basis_and_inverse",
     "rank_update_inverse",
-    "orthogonal_null_projector",
     "matrix_exponential",
     "solve_inverse",
 ]
@@ -193,13 +192,9 @@ class Factors(NamedTuple):
 
 def svd_factors(Z, tol=DEFAULT_TOLERANCES):
     """The :class:`Factors` of a square matrix from its SVD ``Z = U diag(s)
-    W^T``, with the numerical rank from the cutoff."""
-    Z = as_matrix(Z, "Z")
-    _require_square(Z, "Z")
-    return _svd_factors(Z, tol)
-
-
-def _svd_factors(Z, tol):
+    W^T``, with the numerical rank from the cutoff.  ``Z`` is not checked:
+    it comes from :func:`rank_factors`, which checks it, or from the
+    package's own algebra."""
     u, s, wt = np.linalg.svd(Z)
     rank = _rank(s, tol)
     top = float(s[0])
@@ -253,7 +248,7 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
                 if bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
                     decision = {"method": "qr", "bound": bound}
                     return Factors(order, r[:p].T, np.zeros(n - p), q, p, decision, r_inv.T)
-    return _svd_factors(Z, tol)
+    return svd_factors(Z, tol)
 
 
 def kernel_basis_and_inverse(factors):
@@ -329,19 +324,6 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
     rows[:rank] = factors.lead_solve(u_top.T) + corner @ u_low.T
     rows[rank:] = c_inv @ u_low.T
     return factors.w @ rows, bound
-
-
-def orthogonal_null_projector(Z, tol=DEFAULT_TOLERANCES):
-    """Orthogonal projector onto the kernel of a square matrix.
-
-    With ``K`` the kernel basis of :func:`kernel_basis_and_inverse`, the
-    returned ``Q = K K^T`` satisfies ``Z @ Q == 0``, ``Q == Q.T`` and
-    ``Q @ Q == Q`` up to rounding.  For a nonsingular ``Z`` this is the
-    zero matrix (exactly: the kernel basis has no columns); for the zero
-    matrix it is the identity.
-    """
-    kernel_basis, _ = kernel_basis_and_inverse(svd_factors(Z, tol))
-    return kernel_basis @ kernel_basis.T
 
 
 def matrix_exponential(M, t=1.0):

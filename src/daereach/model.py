@@ -135,10 +135,6 @@ class AutonomousDae:
         """Dimension of the stacked autonomous state."""
         return self.E.shape[0]
 
-    def original_selector(self):
-        """The map extracting the original state from the stacked one."""
-        return np.hstack([np.eye(self.n_orig), np.zeros((self.n_orig, self.m_orig))])
-
     def __repr__(self):
         return f"AutonomousDae(n={self.n}, n_orig={self.n_orig}, m_orig={self.m_orig})"
 

@@ -10,11 +10,10 @@ powers are built by repeated squaring, so a grid of ``J`` steps takes
 ``n x r`` matrix, the lift ``psi W``, sends every coordinate basis to a
 full DAE state basis.  The frame, the ``r x r`` ODE matrix and the lift
 come from the decoupled system's factored operator applied to the
-``n x r`` block ``W``; the dense ``psi`` (:func:`build_psi`) is never
-formed on this path.  The predicate never changes, so the
-reachable set at each step is a star sharing the initial star's
-constraint matrices, and the whole result is one array of ODE
-coordinates, the lift and that one predicate.
+``n x r`` block ``W``; no ``n x n`` ``psi`` is formed.  The predicate
+never changes, so the reachable set at each step is a star sharing the
+initial star's constraint matrices, and the whole result is one array
+of ODE coordinates, the lift and that one predicate.
 """
 
 import time
@@ -33,7 +32,6 @@ from .starset import StarSet
 __all__ = [
     "ReachSettings",
     "ReachResult",
-    "build_psi",
     "propagate_basis",
     "compute_reach",
 ]
@@ -121,17 +119,6 @@ class ReachResult:
         shape ``(num_steps + 1, n)``."""
         with _grid_sized(self.settings):
             return (self.ode_coordinates @ alpha) @ self.lift.T
-
-
-def build_psi(dec):
-    """The matrix lifting an ODE-subsystem basis to a full-state basis.
-
-    Sums every subsystem's reconstruction map (the identity for the ODE
-    subsystem itself), so ``psi @ x_1(t)`` is the full DAE solution
-    through ``x_1``.  The reach path uses ``psi W`` alone
-    (:attr:`~daereach.decoupling.DecoupledSystem.lift`).
-    """
-    return sum(dec.reconstruction_maps().values())
 
 
 def propagate_basis(dec, theta0, settings):

@@ -32,7 +32,7 @@ def rotating_masses_star():
 @pytest.fixture
 def index1_pair():
     """The 2x2 hand-checkable system E = diag(1, 0), A = I."""
-    from daereach import AutonomousDae
+    from daereach.model import AutonomousDae
 
     return AutonomousDae(np.diag([1.0, 0.0]), np.eye(2))
 

@@ -321,12 +321,19 @@ def reference_decoupled(auto, rel_tol=1e-9):
     return ReferenceDecoupled(mu, Q, P, _lu_inverse(E[-1]), A[0] if mu == 1 else A[mu])
 
 
+def chain_projectors(chain):
+    """``(Q, P)``: the dense projectors ``Q_j = K_j R_j`` and ``P_j = I - Q_j``
+    multiplied out from the factors a package chain keeps."""
+    Q = [K @ R for K, R in chain.factors]
+    return Q, [np.eye(chain.n) - q for q in Q]
+
+
 def dense_decoupled(chain):
     """A :class:`ReferenceDecoupled` multiplied out from the dense projectors
     and terminal inverse of the package's own admissible ``chain``: the
     closed forms alone, with the chain's rounding shared."""
     source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
-    return ReferenceDecoupled(chain.mu, chain.Q_seq, chain.P_seq, chain.terminal_inverse, source)
+    return ReferenceDecoupled(chain.mu, *chain_projectors(chain), chain.terminal_inverse, source)
 
 
 def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e-8, atol=1e-12):
@@ -359,11 +366,11 @@ def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e
 def sequential_coordinates(dec, V0, time_step, num_steps):
     """ODE coordinates at every instant in ``dec.ode_basis``, one product with
     the step's transition matrix per instant, each from the one before."""
-    from daereach import matrix_exponential
+    from daereach.linalg import matrix_exponential
 
     W = dec.ode_basis
     y = [W.T @ (dec.projectors[1] @ V0)]
-    phi = matrix_exponential(W.T @ (dec.N[1] @ W), time_step)
+    phi = matrix_exponential(W.T @ (dec.apply_N(np.eye(dec.n))[1] @ W), time_step)
     for _ in range(num_steps):
         y.append(phi @ y[-1])
     return np.stack(y)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from daereach import (
-    AutonomousDae,
     DaeSystem,
     IndexTooHighError,
     NonsingularEError,
@@ -26,20 +25,22 @@ from daereach import (
     load_model,
     make_admissible,
     rotating_masses_initial_star,
-    save_initial_star,
     save_model,
     to_autonomous,
     verify,
 )
 from daereach.cli import EXIT_INCONSISTENT, main
+from daereach.model import AutonomousDae
+from daereach.modelio import save_initial_star
 
-from oracles import CanonicalDae, box_star
+from oracles import CanonicalDae, box_star, chain_projectors
 from test_decoupling import (
     EXPECTED_L3,
     EXPECTED_N1,
     EXPECTED_N3,
     EXPECTED_Q0,
     EXPECTED_Q1,
+    dense_forms,
 )
 
 
@@ -86,15 +87,16 @@ def test_criterion_1_end_to_end_verdicts(rotating_masses_auto, rotating_masses_s
 
 def test_criterion_2_worked_intermediate_matrices(rotating_masses_auto):
     chain = make_admissible(compute_index_and_chain(rotating_masses_auto))
-    dec = decouple(chain)
+    Q, _ = chain_projectors(chain)
+    N, couplings, _ = dense_forms(decouple(chain))
     worst = 0.0
     for computed, expected in [
-        (chain.Q_seq[0], EXPECTED_Q0),
-        (chain.Q_seq[1], EXPECTED_Q1),
-        (dec.N[1], EXPECTED_N1),
-        (dec.N[2], np.zeros((6, 6))),
-        (dec.N[3], EXPECTED_N3),
-        (dec.L3, EXPECTED_L3),
+        (Q[0], EXPECTED_Q0),
+        (Q[1], EXPECTED_Q1),
+        (N[1], EXPECTED_N1),
+        (N[2], np.zeros((6, 6))),
+        (N[3], EXPECTED_N3),
+        (couplings["L3"], EXPECTED_L3),
     ]:
         worst = max(worst, np.abs(computed - expected).max())
     assert worst <= 1e-9
@@ -115,38 +117,37 @@ def _property_suite(auto, tol=1e-8):
     n = raw.n
     eye = np.eye(n)
     # orthogonal projector conditions on the raw chain
-    for j, Q in enumerate(raw.Q_seq):
+    for j, Q in enumerate(chain_projectors(raw)[0]):
         Z = raw.E_seq[j]
         track(np.linalg.norm(Z @ Q), np.linalg.norm(Z))
         track(np.linalg.norm(Q - Q.T))
         track(np.linalg.norm(Q @ Q - Q))
     # chain step-down and telescoping identities on both chains
     for chain in (raw, adm):
+        Q, P = chain_projectors(chain)
         acc = chain.A_seq[0].copy()
         for j in range(chain.mu):
-            scale = scaled(chain.E_seq[j + 1]) * scaled(chain.Q_seq[j])
+            scale = scaled(chain.E_seq[j + 1]) * scaled(Q[j])
             track(
-                np.abs(chain.E_seq[j + 1] @ chain.P_seq[j] - chain.E_seq[j]).max(),
+                np.abs(chain.E_seq[j + 1] @ P[j] - chain.E_seq[j]).max(),
                 scale,
             )
             track(
-                np.abs(
-                    chain.E_seq[j + 1] @ chain.Q_seq[j]
-                    + chain.A_seq[j] @ chain.Q_seq[j]
-                ).max(),
+                np.abs(chain.E_seq[j + 1] @ Q[j] + chain.A_seq[j] @ Q[j]).max(),
                 scale,
             )
-            acc += chain.E_seq[j + 1] @ chain.Q_seq[j]
+            acc += chain.E_seq[j + 1] @ Q[j]
         track(
             np.abs(acc - chain.A_seq[chain.mu]).max(), scaled(chain.A_seq[chain.mu])
         )
     # admissibility and the corrected projectors' defining identities
+    Q, P = chain_projectors(adm)
     for j in range(adm.mu):
-        Qj, Ej = adm.Q_seq[j], adm.E_seq[j]
+        Qj, Ej = Q[j], adm.E_seq[j]
         track(np.abs(Ej @ Qj).max(), scaled(Ej) * scaled(Qj))
         track(np.abs(Qj @ Qj - Qj).max(), scaled(Qj) ** 2)
         for i in range(j):
-            Qi, Pi, Pj = adm.Q_seq[i], adm.P_seq[i], adm.P_seq[j]
+            Qi, Pi, Pj = Q[i], P[i], P[j]
             pair = scaled(Qj) * scaled(Qi)
             track(np.abs(Qj @ Qi).max(), pair)
             track(np.abs(Pj @ Qi - Qi).max(), pair)
@@ -251,21 +252,23 @@ def test_criterion_4_small_scale_oracle_equivalence():
     )
 
 
-def _independent_reconstruction(dec, v1):
-    """Subsystem-wise state reconstruction, written out per index."""
-    n1 = dec.N[1]
-    if dec.mu == 1:
-        return v1 + dec.N[2] @ v1
-    if dec.mu == 2:
-        return v1 + dec.N[2] @ v1 + (dec.N[3] + dec.L3 @ dec.N[2] @ n1) @ v1
+def _independent_reconstruction(N, L, v1):
+    """Subsystem-wise state reconstruction, written out per index, from the
+    dense coefficients ``N`` and derivative multipliers ``L``."""
+    n1 = N[1]
+    mu = len(N) - 1
+    if mu == 1:
+        return v1 + N[2] @ v1
+    if mu == 2:
+        return v1 + N[2] @ v1 + (N[3] + L["L3"] @ N[2] @ n1) @ v1
     return (
         v1
-        + dec.N[2] @ v1
-        + (dec.N[3] + dec.L3 @ dec.N[2] @ n1) @ v1
+        + N[2] @ v1
+        + (N[3] + L["L3"] @ N[2] @ n1) @ v1
         + (
-            dec.N[4]
-            + dec.L4 @ (dec.N[3] @ n1 + dec.L3 @ dec.N[2] @ n1 @ n1)
-            + dec.Z4 @ dec.N[2] @ n1
+            N[4]
+            + L["L4"] @ (N[3] @ n1 + L["L3"] @ N[2] @ n1 @ n1)
+            + L["Z4"] @ N[2] @ n1
         )
         @ v1
     )
@@ -289,9 +292,10 @@ def test_criterion_5_reconstruction_identity(
         runs.append((f"stokes:{k}", compute_reach(auto, star, ReachSettings(0.001, 100))))
     for name, run in runs:
         dec = run.decoupled
+        N, L, _ = dense_forms(dec)
         ode_bases = dec.ode_basis @ run.ode_coordinates
         for v1, basis in zip(ode_bases, run.bases):
-            gap = np.abs(basis - _independent_reconstruction(dec, v1)).max()
+            gap = np.abs(basis - _independent_reconstruction(N, L, v1)).max()
             worst = max(worst, gap)
             assert gap <= 1e-8, name
     report(
@@ -313,9 +317,9 @@ def test_criterion_6_stokes_scaling():
         auto = autos[k] = to_autonomous(system, inputs)
         chain = make_admissible(compute_index_and_chain(auto))
         assert chain.mu == 2
-        gamma = build_consistent_matrix(decouple(chain))
-        stars[k] = box_star(rng, gamma, auto.n, 2)
-        assert check_initial_star(gamma, stars[k]).consistent
+        dec = decouple(chain)
+        stars[k] = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
+        assert check_initial_star(dec, stars[k]).consistent
     best = {}
     # min over many repeats, with the sizes interleaved inside each round,
     # so that a slow spell of the host or a busy BLAS thread hits every
@@ -357,7 +361,7 @@ def test_criterion_7_loader_contract_covers_external_models(tmp_path):
     ws = CanonicalDae(rng, 3, [3, 1])
     B = rng.normal(size=(7, 2))
     system = DaeSystem(ws.E, ws.A, B)
-    from daereach import InputModel
+    from daereach.model import InputModel
 
     inputs = InputModel(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     path = tmp_path / "external_style.json"

@@ -5,13 +5,13 @@ from scipy.linalg import null_space
 from daereach import (
     build_rotating_masses,
     build_stokes,
-    check_regularity,
     compute_index_and_chain,
     rotating_masses_initial_star,
     stokes_center_velocity_rows,
     to_autonomous,
 )
 from daereach.linalg import numerical_rank
+from daereach.model import check_regularity
 
 
 class TestRotatingMasses:

@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daereach import (
-    DEFAULT_TOLERANCES,
-    UnsafeSpec,
-    rotating_masses_initial_star,
-    save_initial_star,
-    save_unsafe,
-)
+from daereach import DEFAULT_TOLERANCES, UnsafeSpec, rotating_masses_initial_star
 from daereach.cli import (
     EXIT_INCONSISTENT,
     EXIT_INDEX_TOO_HIGH,
@@ -27,6 +21,7 @@ from daereach.cli import (
     main,
 )
 from daereach.linalg import CERTIFICATE_MARGIN
+from daereach.modelio import save_initial_star, save_unsafe
 
 
 @pytest.fixture
@@ -157,6 +152,32 @@ class TestOtherModes:
         doc = json.loads((tmp_path / "decoupled.json").read_text())
         assert doc["index"] == 2
         assert np.abs(np.array(doc["N"]["2"])).max() <= 1e-12
+
+    def test_decouple_mode_at_index_3(self, tmp_path):
+        from daereach import DaeSystem, save_model, to_autonomous
+        from daereach.model import InputModel
+        from oracles import CanonicalDae, reference_decoupled
+
+        # harmonic inputs drive the constraint subsystems, so N[4] and L4
+        # are not zero
+        rng = np.random.default_rng(31)
+        ws = CanonicalDae(rng, 3, [3, 1])
+        system = DaeSystem(ws.E, ws.A, rng.normal(size=(ws.E.shape[0], 2)))
+        inputs = InputModel(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        model = tmp_path / "index3.json"
+        save_model(model, system, inputs)
+        code = run(["--model", str(model), "--mode", "decouple", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        doc = json.loads((tmp_path / "decoupled.json").read_text())
+        reference = reference_decoupled(to_autonomous(system, inputs))
+        assert doc["index"] == reference.mu == 3
+        assert sorted(doc["N"]) == ["1", "2", "3", "4"]
+        pairs = [(doc["N"][str(i)], reference.N[i]) for i in reference.N]
+        pairs += [(doc[key], getattr(reference, key)) for key in ("L3", "L4", "Z4")]
+        # relative to the largest entry of all of them: N[2] is zero up to rounding
+        scale = max(np.abs(expected).max() for _, expected in pairs)
+        for ours, expected in pairs:
+            assert np.abs(np.array(ours) - expected).max() <= 1e-10 * scale
 
     def test_check_consistency_ok(self, tmp_path, benchmark_files):
         init, _ = benchmark_files
@@ -538,6 +559,25 @@ class TestErrorPaths:
         argv += ["--time-step", "1e-17", "--time-bound", "1", "--out", str(tmp_path / "out")]
         assert run(argv) == EXIT_NUMERICAL
         assert last_error(capsys)["error"] == "numerical-failure"
+
+    def test_singular_matrix_exit_code(self, tmp_path, capsys, monkeypatch, benchmark_files):
+        # make_admissible's residual check and solve_inverse raise it
+        import daereach.reachability
+        from daereach import SingularMatrixError
+
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("the corrected chain's terminal inverse is singular")
+
+        monkeypatch.setattr(daereach.reachability, "decouple_system", singular)
+        init, unsafe = benchmark_files
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        assert run(argv + ["--unsafe", str(unsafe), "--out", str(out)]) == EXIT_NUMERICAL
+        assert last_error(capsys)["error"] == "singular-matrix"
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert set(verdict) == {"error", "message", "timings"}
+        assert verdict["error"] == "singular-matrix"
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
 
 class TestCsvRoundTrip:

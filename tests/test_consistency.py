@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from daereach import (
-    AutonomousDae,
+    DEFAULT_TOLERANCES,
     DimensionMismatchError,
     StarSet,
     build_consistent_matrix,
@@ -11,9 +11,10 @@ from daereach import (
     decouple,
     make_admissible,
 )
+from daereach.model import AutonomousDae
 
 from oracles import CanonicalDae
-from test_decoupling import EXPECTED_N3, EXPECTED_Q0, EXPECTED_Q1
+from test_decoupling import EXPECTED_N3, EXPECTED_Q0, EXPECTED_Q1, dense_forms
 
 
 def decoupled(auto):
@@ -68,62 +69,65 @@ class TestBuildConsistentMatrix:
         ws = CanonicalDae(rng, 3, [1, 1])
         dec = decoupled(AutonomousDae(ws.E, ws.A))
         gamma = build_consistent_matrix(dec)
-        lifted = (np.eye(dec.n) + dec.N[2]) @ dec.projectors[1]
+        lifted = (np.eye(dec.n) + dense_forms(dec)[0][2]) @ dec.projectors[1]
         assert np.abs(gamma @ lifted).max() <= 1e-9
 
 
 class TestCheckInitialStar:
     def test_zero_basis_is_consistent(self, rotating_masses_decoupled):
-        gamma = build_consistent_matrix(rotating_masses_decoupled)
         V = np.zeros((6, 1))
         star = StarSet(V, np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-        cert = check_initial_star(gamma, star)
+        cert = check_initial_star(rotating_masses_decoupled, star)
         assert cert.consistent
         assert cert.max_residual == 0.0
 
     def test_benchmark_star_is_consistent(
         self, rotating_masses_decoupled, rotating_masses_star
     ):
-        gamma = build_consistent_matrix(rotating_masses_decoupled)
-        cert = check_initial_star(gamma, rotating_masses_star)
+        cert = check_initial_star(rotating_masses_decoupled, rotating_masses_star)
         assert cert.consistent
         assert cert.max_residual <= 1e-12
 
     def test_perturbed_star_is_inconsistent(
         self, rotating_masses_decoupled, rotating_masses_star
     ):
-        gamma = build_consistent_matrix(rotating_masses_decoupled)
         V = rotating_masses_star.V.copy()
         V[2, 0] += 1.0  # breaks the torque balance constraint
         star = StarSet(V, rotating_masses_star.C, rotating_masses_star.d)
-        cert = check_initial_star(gamma, star)
+        cert = check_initial_star(rotating_masses_decoupled, star)
         assert not cert.consistent
         assert cert.max_residual > 1e-2
         assert cert.worst_column == 0
         assert cert.worst_row_block is not None
 
-    def test_dimension_mismatch(self, rotating_masses_star, index1_pair):
+    def test_dimension_mismatch(
+        self, rotating_masses_star, rotating_masses_decoupled, index1_pair
+    ):
+        one_column = StarSet(np.ones((2, 1)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         with pytest.raises(DimensionMismatchError):
-            check_initial_star(np.eye(4), rotating_masses_star)
+            check_initial_star(rotating_masses_decoupled, one_column)
         with pytest.raises(DimensionMismatchError):
             check_initial_star(decoupled(index1_pair), rotating_masses_star)
 
     def test_factored_rows_match_the_matrix(
         self, rotating_masses_decoupled, rotating_masses_star
     ):
+        # the certificate against the dense Gamma V, located by hand
+        gamma = build_consistent_matrix(rotating_masses_decoupled)
         V = rotating_masses_star.V.copy()
         V[2, 0] += 1.0
         bad = StarSet(V, rotating_masses_star.C, rotating_masses_star.d)
         for star in (rotating_masses_star, bad):
-            dense = check_initial_star(build_consistent_matrix(rotating_masses_decoupled), star)
+            residual = np.abs(gamma @ star.V)
+            consistent = residual.max() <= DEFAULT_TOLERANCES.consistency_tol
+            row, column = np.unravel_index(np.argmax(residual), residual.shape)
             factored = check_initial_star(rotating_masses_decoupled, star)
-            assert factored.consistent == dense.consistent
-            assert factored.worst_column == dense.worst_column
-            assert factored.worst_row_block == dense.worst_row_block
-            assert factored.max_residual == pytest.approx(dense.max_residual, abs=1e-12)
+            assert factored.consistent == consistent
+            assert factored.worst_column == (None if consistent else column)
+            assert factored.worst_row_block == (None if consistent else row // star.dim)
+            assert factored.max_residual == pytest.approx(residual.max(), abs=1e-12)
 
     def test_never_raises_on_inconsistency(self, rotating_masses_decoupled):
-        gamma = build_consistent_matrix(rotating_masses_decoupled)
         star = StarSet(np.ones((6, 1)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-        cert = check_initial_star(gamma, star)  # must return, not raise
+        cert = check_initial_star(rotating_masses_decoupled, star)  # must return, not raise
         assert not cert.consistent

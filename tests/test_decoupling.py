@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from daereach import (
-    AutonomousDae,
     IndexTooHighError,
     IrregularPencilError,
     NonsingularEError,
@@ -10,7 +9,6 @@ from daereach import (
     decouple,
     make_admissible,
 )
-
 from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
@@ -18,8 +16,9 @@ from daereach.linalg import (
     rank_update_inverse,
     svd_factors,
 )
+from daereach.model import AutonomousDae
 
-from oracles import CanonicalDae, reference_chain, reference_decoupled
+from oracles import CanonicalDae, chain_projectors, reference_chain, reference_decoupled
 
 THIRD = 1.0 / 3.0
 
@@ -75,11 +74,20 @@ def canonical_auto(rng, dynamic_dim, blocks):
     return AutonomousDae(ws.E, ws.A), ws
 
 
+def dense_forms(dec):
+    """``(N, couplings, maps)``: the decoupled system's own operators applied
+    to the identity, keyed as ``apply_N``, ``apply_couplings`` and
+    ``apply_maps`` key them."""
+    identity = np.eye(dec.n)
+    N = dec.apply_N(identity)
+    return N, dec.apply_couplings(identity), dec.apply_maps(identity, N, N[1])
+
+
 class TestComputeIndexAndChain:
     def test_rotating_masses_is_index_2(self, rotating_masses_auto):
         chain = compute_index_and_chain(rotating_masses_auto)
         assert chain.mu == 2
-        assert np.allclose(chain.Q_seq[0], EXPECTED_Q0, atol=1e-12)
+        assert np.allclose(chain_projectors(chain)[0][0], EXPECTED_Q0, atol=1e-12)
 
     def test_nonsingular_e_raises(self):
         with pytest.raises(NonsingularEError):
@@ -132,7 +140,7 @@ class TestComputeIndexAndChain:
     def test_hand_checkable_index_1(self, index1_pair):
         chain = compute_index_and_chain(index1_pair)
         assert chain.mu == 1
-        assert np.allclose(chain.Q_seq[0], np.diag([0.0, 1.0]), atol=1e-14)
+        assert np.allclose(chain_projectors(chain)[0][0], np.diag([0.0, 1.0]), atol=1e-14)
         assert np.allclose(chain.E_seq[1], np.diag([1.0, -1.0]), atol=1e-14)
 
     @pytest.mark.parametrize("blocks,expected", [([1, 1], 1), ([2], 2), ([3, 1], 3)])
@@ -147,12 +155,12 @@ class TestMakeAdmissible:
         admissible = make_admissible(chain)
         assert admissible.admissible
         assert admissible.factors[0] is chain.factors[0]
-        assert np.array_equal(admissible.Q_seq[0], chain.Q_seq[0])
+        assert np.array_equal(chain_projectors(admissible)[0][0], chain_projectors(chain)[0][0])
 
     def test_rotating_masses_matches_worked_values(self, rotating_masses_auto):
-        chain = make_admissible(compute_index_and_chain(rotating_masses_auto))
-        assert np.allclose(chain.Q_seq[0], EXPECTED_Q0, atol=1e-9)
-        assert np.allclose(chain.Q_seq[1], EXPECTED_Q1, atol=1e-9)
+        Q, _ = chain_projectors(make_admissible(compute_index_and_chain(rotating_masses_auto)))
+        assert np.allclose(Q[0], EXPECTED_Q0, atol=1e-9)
+        assert np.allclose(Q[1], EXPECTED_Q1, atol=1e-9)
 
     def test_keeps_raw_chain(self, rotating_masses_auto):
         raw = compute_index_and_chain(rotating_masses_auto)
@@ -164,22 +172,23 @@ class TestMakeAdmissible:
     def test_admissibility_on_random_index_2(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, [2, 1])
         chain = make_admissible(compute_index_and_chain(auto))
-        q0, q1 = chain.Q_seq
+        q0, q1 = chain_projectors(chain)[0]
         assert np.abs(q1 @ q0).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_admissibility_on_random_index_3(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(100 + seed), 2, [3])
         chain = make_admissible(compute_index_and_chain(auto))
+        Q, _ = chain_projectors(chain)
         for j in range(chain.mu):
             for i in range(j):
-                assert np.abs(chain.Q_seq[j] @ chain.Q_seq[i]).max() <= 1e-9
+                assert np.abs(Q[j] @ Q[i]).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_corrected_projectors_still_project_onto_kernels(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(200 + seed), 3, [3, 2])
         chain = make_admissible(compute_index_and_chain(auto))
-        for j, q in enumerate(chain.Q_seq):
+        for j, q in enumerate(chain_projectors(chain)[0]):
             scale = max(1.0, np.abs(chain.E_seq[j]).max())
             assert np.abs(chain.E_seq[j] @ q).max() <= 1e-8 * scale
             assert np.abs(q @ q - q).max() <= 1e-8 * max(1.0, np.abs(q).max() ** 2)
@@ -191,11 +200,12 @@ class TestChainProperties:
         # E_{j+1} P_j = E_j and E_{j+1} Q_j = -A_j Q_j on admissible chains
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, blocks)
         chain = make_admissible(compute_index_and_chain(auto))
+        Q, P = chain_projectors(chain)
         for j in range(chain.mu):
             scale = max(1.0, np.abs(chain.E_seq[j + 1]).max())
-            assert np.abs(chain.E_seq[j + 1] @ chain.P_seq[j] - chain.E_seq[j]).max() <= 1e-8 * scale
+            assert np.abs(chain.E_seq[j + 1] @ P[j] - chain.E_seq[j]).max() <= 1e-8 * scale
             assert (
-                np.abs(chain.E_seq[j + 1] @ chain.Q_seq[j] + chain.A_seq[j] @ chain.Q_seq[j]).max()
+                np.abs(chain.E_seq[j + 1] @ Q[j] + chain.A_seq[j] @ Q[j]).max()
                 <= 1e-8 * scale
             )
 
@@ -205,8 +215,8 @@ class TestChainProperties:
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, blocks)
         chain = make_admissible(compute_index_and_chain(auto))
         total = chain.A_seq[0].copy()
-        for j in range(chain.mu):
-            total += chain.E_seq[j + 1] @ chain.Q_seq[j]
+        for j, q in enumerate(chain_projectors(chain)[0]):
+            total += chain.E_seq[j + 1] @ q
         scale = max(1.0, np.abs(chain.A_seq[chain.mu]).max())
         assert np.abs(total - chain.A_seq[chain.mu]).max() <= 1e-8 * scale
 
@@ -218,16 +228,18 @@ class TestDecouple:
             decouple(raw)
 
     def test_rotating_masses_coefficients(self, rotating_masses_decoupled):
-        dec = rotating_masses_decoupled
-        assert np.allclose(dec.N[1], EXPECTED_N1, atol=1e-9)
-        assert np.abs(dec.N[2]).max() <= 1e-12
-        assert np.allclose(dec.N[3], EXPECTED_N3, atol=1e-9)
-        assert np.allclose(dec.L3, EXPECTED_L3, atol=1e-9)
+        N, couplings, _ = dense_forms(rotating_masses_decoupled)
+        assert np.allclose(N[1], EXPECTED_N1, atol=1e-9)
+        assert np.abs(N[2]).max() <= 1e-12
+        assert np.allclose(N[3], EXPECTED_N3, atol=1e-9)
+        assert np.allclose(couplings["L3"], EXPECTED_L3, atol=1e-9)
 
     def test_hand_checkable_index_1(self, index1_pair):
         dec = decouple(make_admissible(compute_index_and_chain(index1_pair)))
-        assert np.allclose(dec.N[1], np.diag([1.0, 0.0]), atol=1e-14)
-        assert np.allclose(dec.N[2], np.diag([0.0, -1.0]), atol=1e-14)
+        N, couplings, _ = dense_forms(dec)
+        assert np.allclose(N[1], np.diag([1.0, 0.0]), atol=1e-14)
+        assert np.allclose(N[2], np.diag([0.0, -1.0]), atol=1e-14)
+        assert couplings == {}
 
     @pytest.mark.parametrize(
         "seed,blocks,parts",
@@ -247,15 +259,15 @@ class TestDecouple:
         rng = np.random.default_rng(400 + seed)
         auto, ws = canonical_auto(rng, 3, [2, 1])
         dec = decouple(make_admissible(compute_index_and_chain(auto)))
-        maps = dec.reconstruction_maps()
+        N, _, maps = dense_forms(dec)
         x0 = ws.consistent_point(rng)
         times = np.linspace(0.0, 1.0, 6)
         exact = ws.exact_states(x0, times)
-        from daereach import matrix_exponential
+        from daereach.linalg import matrix_exponential
 
         x1_0 = dec.projectors[1] @ x0
         for t, reference in zip(times, exact):
-            x1 = matrix_exponential(dec.N[1], t) @ x1_0
+            x1 = matrix_exponential(N[1], t) @ x1_0
             reconstructed = sum(m @ x1 for m in maps.values())
             assert np.abs(reconstructed - reference).max() <= 1e-8
 
@@ -406,13 +418,13 @@ def test_decoupling_matches_reference_path(index):
         worst_margin = max(worst_margin, _certified_margin(ours.chain.raw, auto))
         reference = reference_decoupled(auto)
         assert ours.mu == reference.mu == index, seed
-        pairs = [(ours.N[i], reference.N[i]) for i in reference.N]
+        N, couplings, _ = dense_forms(ours)
+        pairs = [(N[i], reference.N[i]) for i in reference.N]
         pairs += [(ours.projectors[i], reference.projectors[i]) for i in reference.projectors]
-        pairs += [
-            (getattr(ours, key), getattr(reference, key))
-            for key in ("L3", "L4", "Z4")
-            if getattr(reference, key) is not None
-        ]
+        expected = {key: getattr(reference, key) for key in ("L3", "L4", "Z4")}
+        expected = {key: value for key, value in expected.items() if value is not None}
+        assert couplings.keys() == expected.keys(), seed
+        pairs += [(couplings[key], expected[key]) for key in expected]
         assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, seed
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
         assert max(frame_errors(ours, reference, V).values()) <= 1e-10, seed
@@ -440,7 +452,8 @@ def test_semi_explicit_systems_factor_by_qr(index):
         E, _, Q, _, mu = reference_chain(auto)
         assert raw.decisions[0]["method"] == "qr", seed
         assert raw.mu == mu == index, seed
-        assert max(_relative_error(ours, ref) for ours, ref in zip(raw.Q_seq, Q)) <= 1e-10, seed
+        ours = chain_projectors(raw)[0]
+        assert max(_relative_error(mine, ref) for mine, ref in zip(ours, Q)) <= 1e-10, seed
         reference_inverse = np.linalg.solve(E[mu], np.eye(auto.n))
         assert _relative_error(raw.terminal_inverse, reference_inverse) <= 1e-10, seed
         reference = reference_decoupled(auto)

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the library in ``src``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,23 @@ def test_demo_runs_cleanly(tmp_path, script):
     )
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+
+
+README = (ROOT / "README.md").read_text()
+
+
+def test_readme_quickstart_runs(capsys):
+    block = README.split("## Quickstart (library)", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["unsafe", "166", "(1001, 6)"]
+
+
+def test_readme_lower_level_stages_are_exported():
+    import daereach
+
+    sentence = README.split("Lower-level stages", 1)[1].split(".\n", 1)[0]
+    names = re.findall(r"`(\w+)`", sentence)
+    assert "decouple_system" in names
+    assert set(names) <= set(daereach.__all__), set(names) - set(daereach.__all__)

@@ -1,20 +1,16 @@
 import numpy as np
 import pytest
 
-from daereach import (
-    SingularMatrixError,
-    TolerancePolicy,
-    matrix_exponential,
-    numerical_rank,
-    orthogonal_null_projector,
-    solve_inverse,
-)
+from daereach import SingularMatrixError, TolerancePolicy
 from daereach.linalg import (
     CERTIFICATE_MARGIN,
     as_matrix,
     kernel_basis_and_inverse,
+    matrix_exponential,
+    numerical_rank,
     rank_factors,
     rank_update_inverse,
+    solve_inverse,
     svd_factors,
 )
 
@@ -59,6 +55,12 @@ class TestNumericalRank:
 
     def test_rectangular(self):
         assert numerical_rank(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])) == 1
+
+
+def orthogonal_null_projector(Z):
+    """``K K^T`` for the kernel basis ``K`` of ``Z``'s SVD factors."""
+    kernel_basis, _ = kernel_basis_and_inverse(svd_factors(Z))
+    return kernel_basis @ kernel_basis.T
 
 
 class TestNullProjector:

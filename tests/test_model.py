@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from daereach import (
-    AutonomousDae,
     DaeSystem,
     DimensionMismatchError,
-    InputModel,
     NonsingularEError,
     build_rotating_masses,
-    check_regularity,
     decouple_system,
     to_autonomous,
 )
+from daereach.model import AutonomousDae, InputModel, check_regularity
 
 from oracles import exact_int_det
 
@@ -77,11 +75,6 @@ class TestToAutonomous:
         system, _ = build_rotating_masses()
         assert np.array_equal(rotating_masses_auto.E[:4, :4], system.E)
         assert np.array_equal(rotating_masses_auto.A[:4, :4], system.A)
-
-    def test_original_selector_extracts_leading_states(self, rotating_masses_auto):
-        selector = rotating_masses_auto.original_selector()
-        stacked = np.arange(6.0)
-        assert np.array_equal(selector @ stacked, [0.0, 1.0, 2.0, 3.0])
 
 
 class TestCheckRegularity:

@@ -18,12 +18,11 @@ from daereach import (
     load_model,
     load_unsafe,
     rotating_masses_initial_star,
-    save_initial_star,
     save_model,
-    save_unsafe,
     UnsafeSpec,
 )
 from daereach.cli import EXIT_PARSE, main
+from daereach.modelio import save_initial_star, save_unsafe
 
 
 class TestBuiltinAliases:

@@ -5,17 +5,16 @@ import pytest
 import scipy.linalg
 
 from daereach import (
-    AutonomousDae,
     InconsistentInitialSetError,
     ReachSettings,
     StarSet,
     build_consistent_matrix,
-    build_psi,
     compute_index_and_chain,
     compute_reach,
     decouple,
     make_admissible,
 )
+from daereach.model import AutonomousDae
 
 from oracles import (
     CanonicalDae,
@@ -25,11 +24,16 @@ from oracles import (
     reference_reach_bases,
     sequential_coordinates,
 )
-from test_decoupling import EXPECTED_N3, frame_errors
+from test_decoupling import EXPECTED_N3, dense_forms, frame_errors
 
 
 def decoupled(auto):
     return decouple(make_admissible(compute_index_and_chain(auto)))
+
+
+def dense_psi(dec):
+    """``psi``: the sum of the reconstruction maps applied to the identity."""
+    return sum(dense_forms(dec)[2].values())
 
 
 def rc_style_pair():
@@ -44,17 +48,20 @@ def rc_style_pair():
 
 
 class TestBuildPsi:
+    """``psi`` from the package's reconstruction maps on the identity
+    against its closed forms in ``N`` and ``L3``/``L4``/``Z4``."""
+
     def test_index_1_formula(self, index1_pair):
         dec = decoupled(index1_pair)
-        psi = build_psi(dec)
-        assert np.allclose(psi, np.eye(2) + dec.N[2], atol=1e-14)
+        psi = dense_psi(dec)
+        assert np.allclose(psi, np.eye(2) + dense_forms(dec)[0][2], atol=1e-14)
         assert np.allclose(psi, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_rotating_masses_reduces_to_identity_plus_n3(
         self, rotating_masses_decoupled
     ):
         # N2 = 0 for this benchmark, so only the N3 term survives
-        psi = build_psi(rotating_masses_decoupled)
+        psi = dense_psi(rotating_masses_decoupled)
         assert np.allclose(psi, np.eye(6) + EXPECTED_N3, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -62,9 +69,10 @@ class TestBuildPsi:
         rng = np.random.default_rng(seed)
         ws = CanonicalDae(rng, 3, [2, 1])
         dec = decoupled(AutonomousDae(ws.E, ws.A))
-        psi = build_psi(dec)
-        n1, n2, n3 = dec.N[1], dec.N[2], dec.N[3]
-        expected = np.eye(dec.n) + n2 + n3 + dec.L3 @ n2 @ n1
+        psi = dense_psi(dec)
+        N, couplings, _ = dense_forms(dec)
+        n1, n2, n3 = N[1], N[2], N[3]
+        expected = np.eye(dec.n) + n2 + n3 + couplings["L3"] @ n2 @ n1
         assert np.allclose(psi, expected, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -72,17 +80,19 @@ class TestBuildPsi:
         rng = np.random.default_rng(50 + seed)
         ws = CanonicalDae(rng, 2, [3])
         dec = decoupled(AutonomousDae(ws.E, ws.A))
-        psi = build_psi(dec)
-        n1, n2, n3, n4 = dec.N[1], dec.N[2], dec.N[3], dec.N[4]
+        psi = dense_psi(dec)
+        N, couplings, _ = dense_forms(dec)
+        n1, n2, n3, n4 = N[1], N[2], N[3], N[4]
+        L3, L4, Z4 = couplings["L3"], couplings["L4"], couplings["Z4"]
         expected = (
             np.eye(dec.n)
             + n2
             + n3
             + n4
-            + dec.L3 @ n2 @ n1
-            + dec.L4 @ n3 @ n1
-            + dec.L4 @ dec.L3 @ n2 @ n1 @ n1
-            + dec.Z4 @ n2 @ n1
+            + L3 @ n2 @ n1
+            + L4 @ n3 @ n1
+            + L4 @ L3 @ n2 @ n1 @ n1
+            + Z4 @ n2 @ n1
         )
         assert np.allclose(psi, expected, atol=1e-12)
 
@@ -259,7 +269,7 @@ class TestReachInvariants:
         star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
         settings = ReachSettings(time_step=0.05, num_steps=10)
         reach = compute_reach(auto, star, settings)
-        maps = dec.reconstruction_maps()
+        maps = dense_forms(dec)[2]
         ode_bases = reach.decoupled.ode_basis @ reach.ode_coordinates
         for v1, basis in zip(ode_bases, reach.bases):
             expected = sum(m @ v1 for m in maps.values())
@@ -271,7 +281,7 @@ class TestReachInvariants:
         gamma = build_consistent_matrix(rotating_masses_decoupled)
         settings = ReachSettings(time_step=0.01, num_steps=500)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-        psi_norm = np.linalg.norm(build_psi(reach.decoupled))
+        psi_norm = np.linalg.norm(dense_psi(reach.decoupled))
         for j, basis in enumerate(reach.bases):
             bound = 1e-8 * (1.0 + psi_norm * np.exp(0.0) + j * 1e-3)
             assert np.abs(gamma @ basis).max() <= max(bound, 1e-10)
@@ -368,7 +378,15 @@ class TestAgainstReferencePath:
         assert max(independent.values()) <= 1e-8, independent
 
 
-DENSE_ATTRIBUTES = {"N", "projectors", "_couplings", "_maps"}
+def _square_arrays(value, n):
+    """The ``n x n`` arrays in ``value``, looking into dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.shape == (n, n) else []
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _square_arrays(item, n)]
+    return []
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
@@ -382,9 +400,17 @@ def test_reach_path_builds_nothing_dense(model):
     verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
     dec = reach.decoupled
     assert "lift" in vars(dec)  # the thin blocks were built
-    assert not DENSE_ATTRIBUTES & set(vars(dec))
-    for chain in (dec.chain, dec.chain.raw):
-        assert not {"Q_seq", "P_seq"} & set(vars(chain))
+    # every n x n array held anywhere is one of the chains' own matrices
+    chains = (dec.chain, dec.chain.raw)
+    allowed = {
+        id(a)
+        for chain in chains
+        for a in _square_arrays([chain.E_seq, chain.A_seq, chain.terminal_inverse], dec.n)
+    }
+    for owner in (dec,) + chains:
+        for name, value in vars(owner).items():
+            cached = [a for a in _square_arrays(value, dec.n) if id(a) not in allowed]
+            assert not cached, (type(owner).__name__, name)
 
 
 class TestSettingsValidation:

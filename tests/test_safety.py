@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from daereach import (
-    AutonomousDae,
     DimensionMismatchError,
     NumericalFailureError,
     ReachSettings,
@@ -11,10 +10,11 @@ from daereach import (
     build_consistent_matrix,
     compute_reach,
     decouple_system,
-    feasibility_check,
     rotating_masses_initial_star,
     verify,
 )
+from daereach.model import AutonomousDae
+from daereach.safety import feasibility_check
 
 from oracles import scipy_feasibility_kernel
 
