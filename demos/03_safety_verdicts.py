@@ -1,9 +1,9 @@
 """Safety verification and falsification with counterexample traces.
 
 Each reachable star is checked against a linear unsafe set: steps whose
-pulled-back unsafe rows stay above their bounds at every vertex of the
-coefficient predicate are safe at once, and the rest are decided by one
-small feasibility LP each, stacking the pulled-back unsafe inequalities
+pulled-back unsafe rows stay above their bounds over the whole
+coefficient box (its support function, in closed form) are safe at once,
+and the rest are decided by one small feasibility LP each, stacking the pulled-back unsafe inequalities
 with the predicate.  The first feasible step yields a coefficient vector
 that replays into a concrete unsafe trajectory.  One
 threshold here is (barely) reachable and gets falsified; a second one is
@@ -34,8 +34,8 @@ print("  verdict:", falsified.status)
 print("  first unsafe step:", falsified.first_unsafe_step,
       f"(t = {falsified.first_unsafe_step * settings.time_step:.2f} s)")
 print("  witness coefficients:", np.round(falsified.alpha_feasible, 6))
-print(f"  LPs solved: {falsified.lp_calls}; steps screened out by the vertices: "
-      f"{falsified.screened_steps}")
+print(f"  LPs solved: {falsified.lp_calls}; steps screened out by the "
+      f"{falsified.support_method} support function: {falsified.screened_steps}")
 
 trace = falsified.unsafe_trace
 j = falsified.first_unsafe_step

@@ -68,6 +68,6 @@ for k in (2, 3, 4, 5, 6, 8, 10):
 
 print(
     "\nDecoupling and reachable-set computation dominate and grow with the\n"
-    "dimension; the safety check stays nearly flat because it is one product\n"
-    "with the predicate's vertices plus a small LP for each step left over."
+    "dimension; the safety check stays nearly flat because it is one closed-form\n"
+    "support function of the predicate box plus a small LP for each step left over."
 )

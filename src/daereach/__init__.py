@@ -6,8 +6,8 @@ algebraic-constraint subsystems through a projector matrix chain
 (tractability index 1 to 3), checked for initial-set consistency, and
 propagated in discrete time as star sets.  Safety against a linear unsafe
 set reduces to one small linear feasibility problem per time step, run
-only where the predicate's vertices cannot prove the step safe, and an
-unsafe verdict comes with a concrete counterexample trace.
+only where the predicate's support function cannot prove the step safe,
+and an unsafe verdict comes with a concrete counterexample trace.
 """
 
 from .benchmarks import (

@@ -8,9 +8,10 @@ output directory:
 * ``trace.csv`` -- verify mode, when the verdict is unsafe
 * ``reach.csv`` -- reach mode; per-step star basis entries
 * ``bounds.csv`` -- reach/verify modes when ``--directions`` is given;
-  per-step min/max of each direction over the coefficient polytope, read
-  off the predicate's vertices when it is a bounded polytope with few
-  vertices and solved as two LPs per direction and step otherwise
+  per-step min/max of each direction over the coefficient polytope, from
+  the predicate's support function (:meth:`StarSet.support`): closed form
+  for a box, the vertices of a bounded polytope with few of them, and two
+  LPs per direction and step otherwise
 
 Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 3 inconsistent initial set, 4 index above 3, 5 irregular pencil,
@@ -31,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import lp
 from .consistency import check_initial_star
 from .decoupling import compute_index_and_chain, decouple_system
 from .errors import (
@@ -131,8 +131,22 @@ def _reach_settings(args):
     return ReachSettings(time_step=args.time_step, num_steps=num_steps)
 
 
+# values formatted per string operation in _write_csv; bounds its memory
+_CSV_BLOCK_VALUES = 4096
+
+
 def _write_csv(path, header, rows):
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
+    """``rows`` as ``%.17g`` comma-separated lines under one header line,
+    the bytes of ``np.savetxt(..., fmt="%.17g", delimiter=",")``, formatted
+    a block of rows per ``%`` operation instead of one row at a time."""
+    count, cols = rows.shape
+    block = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
+    line = ",".join(["%.17g"] * cols) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, count, block):
+            chunk = rows[start : start + block]
+            handle.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path, document, indent):
@@ -162,34 +176,17 @@ def _write_reach(out_dir, times, bases):
 
 def _write_bounds(out_dir, times, reach, directions, tol):
     """Per-step extrema of each direction row over the coefficient polytope;
-    ``directions`` spans the whole stacked state."""
-    predicate = reach.initial
+    ``directions`` spans the whole stacked state.  Returns the support
+    method that found them."""
     q = directions.shape[0]
     header = ["time"]
     for i in range(q):
         header += [f"dir{i}_min", f"dir{i}_max"]
-    projected = reach.pull_back(directions)  # (steps, q, k)
-    extrema = np.empty(projected.shape[:2] + (2,))
-    vertices = predicate.vertices_within(len(times), tol)
-    if vertices is not None:
-        values = projected @ vertices.T
-        extrema[..., 0] = values.min(axis=2)
-        extrema[..., 1] = values.max(axis=2)
-    else:
-        C, d, ftol = predicate.C, predicate.d, tol.feasibility_tol
-        for t, step, row in zip(times, projected, extrema):
-            for i in range(q):
-                lo = lp.solve_lp(step[i], C, d, tol=ftol)
-                hi = lp.solve_lp(-step[i], C, d, tol=ftol)
-                if lp.UNBOUNDED in (lo.status, hi.status):
-                    raise UnboundedPredicateError(
-                        f"direction {i} is unbounded over the predicate at time {t}"
-                    )
-                if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
-                    raise NumericalFailureError(f"direction {i} failed at time {t}")
-                row[i] = lo.objective, -hi.objective
+    support = reach.initial.support(len(times), tol)
+    extrema = support.extrema(reach.pull_back(directions), times)  # (steps, q, 2)
     rows = np.column_stack([times, extrema.reshape(len(times), 2 * q)])
     _write_csv(out_dir / "bounds.csv", header, rows)
+    return support.method
 
 
 def _prepare_output(out):
@@ -303,15 +300,20 @@ def run_job(args):
                     "first_unsafe_time": None if step is None else step * args.time_step,
                     "lp_calls": outcome.lp_calls,
                     "screened_steps": outcome.screened_steps,
+                    "support_method": outcome.support_method,
+                    "witness_violation": None,
                 }
             )
             if not outcome.is_safe:
+                G = unsafe.extended(dim, n_orig)
+                excess = G @ outcome.unsafe_trace[step] - unsafe.f
+                payload["witness_violation"] = float(excess.max())
                 _write_trace(out_dir, times, outcome.unsafe_trace, n_orig)
             summary = f"verdict: {outcome.status}"
             if step is not None:
                 summary += f"\nfirst unsafe step: {step}"
         if directions is not None:
-            _write_bounds(out_dir, times, reach, directions, tol)
+            payload["support_method"] = _write_bounds(out_dir, times, reach, directions, tol)
 
     timings["total_s"] = time.perf_counter() - started
     _write_verdict(out_dir, payload, timings)

@@ -81,7 +81,8 @@ class EmptyPredicateError(DaeError):
 
 
 class UnboundedPredicateError(DaeError):
-    """The coefficient polytope is unbounded, so vertex sampling is impossible."""
+    """The coefficient polytope is unbounded where a bound is needed: for
+    sampling it, or for a direction's extrema over it."""
 
 
 class NumericalFailureError(DaeError):

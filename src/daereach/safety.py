@@ -4,13 +4,14 @@ At each time step the unsafe condition ``G x <= f`` is pulled back through
 the star basis and stacked with the coefficient predicate; the step is
 unsafe iff the combined inequality system is feasible.  The pull-back is
 ``(G @ lift) @ ode_coordinates[j]`` (:meth:`ReachResult.pull_back`), so
-the full state bases are never formed.  When the shared predicate is a
-bounded polytope with few vertices, the support function of every
-pulled-back row at every step comes from one product with the vertex
-matrix, and a step whose row minimum already exceeds ``f`` is skipped
-without an LP.  A feasible
-coefficient vector is a genuine witness: replaying it through every star
-basis yields a concrete simulation trace ending in the unsafe set.
+the full state bases are never formed.  The support function of every
+pulled-back row at every step comes from the predicate's
+:meth:`StarSet.support` -- in closed form for a box, from the vertices
+of a bounded polytope with few of them -- and a step whose row minimum
+already exceeds ``f`` is skipped without an LP.  Any other predicate
+screens nothing.  A feasible coefficient vector is a genuine witness:
+replaying it through every star basis yields a concrete simulation
+trace ending in the unsafe set.
 """
 
 from dataclasses import dataclass
@@ -92,8 +93,10 @@ class VerificationOutcome:
     coefficient vector, and the full trace ``x_j = V_j alpha`` over every
     step (one row per time instant).  ``safe`` outcomes carry none.
     ``lp_calls`` counts the per-step feasibility LPs solved and
-    ``screened_steps`` the steps proven safe by the vertex screen instead;
+    ``screened_steps`` the steps proven safe by the support screen instead;
     together they cover every step examined before the scan stopped.
+    ``support_method`` is the :class:`Support` method the screen used
+    (``"box"``, ``"vertices"``, or ``"lp"`` when nothing was screened).
     """
 
     status: str
@@ -103,6 +106,7 @@ class VerificationOutcome:
     unsafe_steps: tuple = ()
     lp_calls: int = 0
     screened_steps: int = 0
+    support_method: str | None = None
 
     @property
     def is_safe(self):
@@ -136,32 +140,32 @@ def _recheck(alpha, Gbar, fbar, ftol, step):
         )
 
 
-def _screen(H, f, vertices, num_rows, tol):
-    """Steps not proven safe by the vertices, in time order.
+def _screen(H, f, support, num_rows, tol):
+    """Steps not proven safe by the support function, in time order.
 
     ``H`` holds the pulled-back unsafe rows, shape ``(steps, q, k)``, and
     ``num_rows`` counts the rows of each step's feasibility problem.  A
-    step is proven safe when some row's minimum over the vertices exceeds
+    step is proven safe when some row's minimum over the predicate exceeds
     its bound by more than the slack the feasibility kernel may take
     (``100 * feasibility_tol`` per row of the problem, relative to the
     row's scale), so no step the kernel would call feasible is skipped.
     """
-    values = H @ vertices.T  # (steps, q, vertices)
+    lowest = support.extrema(H)[..., 0]  # (steps, q)
     scale = np.maximum(
         np.maximum(1.0, np.abs(f)),
-        np.abs(H).sum(axis=2) * max(1.0, np.abs(vertices).max()),
+        np.abs(H).sum(axis=2) * max(1.0, support.radius),
     )
     margin = 100.0 * tol.feasibility_tol * num_rows * scale
-    proven = np.any(values.min(axis=2) > f + margin, axis=1)
+    proven = np.any(lowest > f + margin, axis=1)
     return np.flatnonzero(~proven).tolist()
 
 
 def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     """Check every reachable step against the unsafe set.
 
-    Screens all steps at once against the predicate's vertices when
-    :meth:`StarSet.vertices_within` provides them, then walks the steps
-    left over in time order: at the first feasible step it fixes the
+    Screens all steps at once against the predicate's support function
+    (:meth:`StarSet.support`) unless only LPs can give it, then walks the
+    steps left over in time order: at the first feasible step it fixes the
     witnessing coefficients, re-validates them outside the solver, and
     reconstructs the trace through all steps from the ODE coordinates.  ``find_all`` keeps
     scanning after the first hit and records every unsafe step index.
@@ -175,11 +179,11 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     H = reach.pull_back(G)  # (steps, q, k)
 
     steps = len(H)
-    vertices = reach.initial.vertices_within(steps, tol)
-    if vertices is None:
+    support = reach.initial.support(steps, tol)
+    if support.method == "lp":
         candidates = range(steps)
     else:
-        candidates = _screen(H, f, vertices, len(f) + len(d), tol)
+        candidates = _screen(H, f, support, len(f) + len(d), tol)
 
     fbar = np.concatenate([f, d])
     first_hit = None
@@ -204,7 +208,11 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
                 break
 
     examined = steps if find_all or first_hit is None else first_hit + 1
-    counters = {"lp_calls": lp_calls, "screened_steps": examined - lp_calls}
+    counters = {
+        "lp_calls": lp_calls,
+        "screened_steps": examined - lp_calls,
+        "support_method": support.method,
+    }
     if first_hit is None:
         return VerificationOutcome(status=SAFE, **counters)
     return VerificationOutcome(

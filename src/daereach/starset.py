@@ -3,6 +3,11 @@
 A star represents the set ``{V @ alpha : C @ alpha <= d}``.  Affine maps
 act on the basis alone and leave the predicate untouched, which is what
 makes the representation cheap to push through linear dynamics.
+
+:meth:`StarSet.support` is the one support-function primitive over the
+predicate: the minimum and maximum of linear functions of ``alpha``, in
+closed form for a box, from the vertices of a polytope with few of them,
+and by two LPs per row otherwise.
 """
 
 from itertools import combinations
@@ -14,11 +19,12 @@ from . import lp
 from .errors import (
     DimensionMismatchError,
     EmptyPredicateError,
+    NumericalFailureError,
     UnboundedPredicateError,
 )
 from .linalg import DEFAULT_TOLERANCES, as_matrix, as_vector, readonly
 
-__all__ = ["StarSet"]
+__all__ = ["StarSet", "Support"]
 
 # vertex enumeration visits C(p, k) constraint subsets; beyond this the
 # caller should not be using a combinatorial method at all
@@ -94,6 +100,44 @@ class StarSet:
             )
         return self.with_basis(T @ self.V)
 
+    def box(self):
+        """The predicate as coefficient bounds ``(lower, upper)``, or ``None``
+        when it is not a box.
+
+        It is a box when every row of ``C`` has exactly one nonzero and
+        every coefficient has at least one upper and one lower row; scaled,
+        duplicate and redundant rows are allowed, and the tightest
+        ``d_i / c_i`` on each side is the bound.  Such a predicate is
+        bounded by its structure, with no LP.
+        """
+        C, d = self.C, self.d
+        nonzero = C != 0.0
+        if not np.all(nonzero.sum(axis=1) == 1):
+            return None
+        bound = d[:, None] / np.where(nonzero, C, 1.0)
+        upper = np.where(C > 0.0, bound, np.inf).min(axis=0, initial=np.inf)
+        lower = np.where(C < 0.0, bound, -np.inf).max(axis=0, initial=-np.inf)
+        if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
+            return None
+        return lower, upper
+
+    def support(self, budget, tol=DEFAULT_TOLERANCES):
+        """The support function of the coefficient polytope, by the cheapest
+        exact method the predicate allows (see :class:`Support`).
+
+        A box takes the closed form; any other bounded predicate whose
+        vertex enumeration visits at most ``budget`` constraint subsets
+        takes its vertices (:meth:`vertices_within`); everything else
+        takes LPs.  Nonemptiness was proven when the star was built.
+        """
+        bounds = self.box()
+        if bounds is not None:
+            return Support("box", self, bounds, tol)
+        vertices = self.vertices_within(budget, tol)
+        if vertices is not None:
+            return Support("vertices", self, vertices, tol)
+        return Support("lp", self, None, tol)
+
     def coefficient_vertices(self, tol=DEFAULT_TOLERANCES):
         """Vertices of the coefficient polytope, one per row.
 
@@ -135,9 +179,9 @@ class StarSet:
         vertex matrix gives the exact support function in every direction.
         The vertices are returned only when enumeration visits at most
         ``budget`` constraint subsets and the predicate is proven bounded
-        (``2k`` LPs); an unbounded predicate still has vertices (``alpha
-        >= 1`` has ``alpha = 1``), but its support function does not come
-        from them.
+        (by its box structure, else ``2k`` LPs); an unbounded predicate
+        still has vertices (``alpha >= 1`` has ``alpha = 1``), but its
+        support function does not come from them.
         """
         p, k = self.C.shape
         if comb(p, k) > min(budget, _MAX_VERTEX_COMBINATIONS):
@@ -149,6 +193,8 @@ class StarSet:
             return None
 
     def _assert_bounded(self, tol):
+        if self.box() is not None:
+            return
         ftol = tol.feasibility_tol
         for i in range(self.width):
             direction = np.zeros(self.width)
@@ -179,3 +225,84 @@ class StarSet:
         """``count`` states of the star, shape (count, n)."""
         alphas = self.sample_coefficients(count, seed, tol)
         return alphas @ self.V.T
+
+
+class Support:
+    """Minimum and maximum of linear functions over a star's coefficient
+    polytope; built by :meth:`StarSet.support`.
+
+    ``method`` names how the extrema are found:
+
+    * ``"box"`` -- ``lower <= alpha <= upper``: each term of ``h @ alpha``
+      is extremal at one end of its interval, so the minimum is
+      ``sum_i min(h_i lower_i, h_i upper_i)`` (the same value as
+      ``h @ c - |h| @ r`` for the centre ``c`` and radii ``r``, without
+      the cancellation), and no LP runs;
+    * ``"vertices"`` -- one product with the vertex matrix, whose row
+      minimum and maximum are exact over a bounded polytope;
+    * ``"lp"`` -- two simplex LPs per row.
+
+    ``radius`` is the largest ``|alpha_i|`` over the polytope (the largest
+    absolute vertex entry), the scale of a screen's rounding margin; it is
+    ``None`` on the LP path, where nothing is screened.
+    """
+
+    __slots__ = ("method", "radius", "_star", "_points", "_tol")
+
+    def __init__(self, method, star, points, tol):
+        self.method = method
+        self._star = star
+        self._points = points  # (lower, upper), the vertices, or None
+        self._tol = tol
+        if method == "box":
+            self.radius = float(np.abs(np.concatenate(points)).max(initial=0.0))
+        elif method == "vertices":
+            self.radius = float(np.abs(points).max())
+        else:
+            self.radius = None
+
+    def __repr__(self):
+        return f"Support(method={self.method!r}, radius={self.radius!r})"
+
+    def extrema(self, H, times=None):
+        """``(min, max)`` of every row ``h`` of ``H`` as ``h @ alpha`` over
+        the polytope, shape ``H.shape[:-1] + (2,)``.
+
+        On the LP path ``H`` is a stack of one ``(q, k)`` block per step,
+        and ``times`` (optional) names the steps in error messages: a row
+        unbounded over the predicate raises
+        :class:`UnboundedPredicateError`, a failed LP
+        :class:`NumericalFailureError`.
+        """
+        H = np.asarray(H, dtype=float)
+        if self.method == "box":
+            lower, upper = self._points
+            at_lower, at_upper = H * lower, H * upper
+            return np.stack(
+                [
+                    np.minimum(at_lower, at_upper).sum(axis=-1),
+                    np.maximum(at_lower, at_upper).sum(axis=-1),
+                ],
+                axis=-1,
+            )
+        if self.method == "vertices":
+            values = H @ self._points.T
+            return np.stack([values.min(axis=-1), values.max(axis=-1)], axis=-1)
+        return self._lp_extrema(H, times)
+
+    def _lp_extrema(self, H, times):
+        C, d, ftol = self._star.C, self._star.d, self._tol.feasibility_tol
+        extrema = np.empty(H.shape[:-1] + (2,))
+        for j, (step, row) in enumerate(zip(H, extrema)):
+            where = f"step {j}" if times is None else f"time {times[j]}"
+            for i, h in enumerate(step):
+                lo = lp.solve_lp(h, C, d, tol=ftol)
+                hi = lp.solve_lp(-h, C, d, tol=ftol)
+                if lp.UNBOUNDED in (lo.status, hi.status):
+                    raise UnboundedPredicateError(
+                        f"direction {i} is unbounded over the predicate at {where}"
+                    )
+                if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
+                    raise NumericalFailureError(f"direction {i} failed at {where}")
+                row[i] = lo.objective, -hi.objective
+        return extrema

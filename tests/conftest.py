@@ -40,3 +40,20 @@ def index1_pair():
 @pytest.fixture
 def short_settings():
     return ReachSettings(time_step=0.05, num_steps=20)
+
+
+@pytest.fixture
+def lp_count(monkeypatch):
+    """One entry per simplex LP solved from here on; every LP of the
+    library, ``find_feasible``'s included, goes through ``lp.solve_lp``."""
+    from daereach import lp
+
+    calls = []
+    solve = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    return calls

@@ -106,6 +106,58 @@ def scipy_feasibility_kernel(Gbar, fbar, tol=None):
     raise NumericalFailureError(f"scipy linprog failed: {result.message}")
 
 
+def linprog_extrema(C, d, H):
+    """``(min, max)`` of ``h @ alpha`` over ``{C alpha <= d}`` for every row
+    ``h`` of ``H`` (shape ``(..., k)``), from scipy's HiGHS solver; ``None``
+    when some row is unbounded."""
+    from scipy.optimize import linprog
+
+    H = np.asarray(H, dtype=float)
+    extrema = np.empty(H.shape[:-1] + (2,))
+    free = [(None, None)] * H.shape[-1]
+    for index in np.ndindex(H.shape[:-1]):
+        for side, sign in enumerate((1.0, -1.0)):
+            result = linprog(sign * H[index], A_ub=C, b_ub=d, bounds=free, method="highs")
+            if result.status == 3:
+                return None
+            assert result.status == 0, result.message
+            extrema[index + (side,)] = sign * result.fun
+    return extrema
+
+
+def random_polytope(rng, width, cuts):
+    """A box around the origin cut by random halfspaces that keep a known
+    interior point; bounded and nonempty by construction."""
+    C = [np.eye(width), -np.eye(width)]
+    d = [rng.uniform(0.5, 1.5, size=width), rng.uniform(0.5, 1.5, size=width)]
+    centre = rng.uniform(-0.3, 0.3, size=width)
+    for _ in range(cuts):
+        row = rng.normal(size=width)
+        C.append(row[None, :])
+        d.append([row @ centre + rng.uniform(0.05, 1.0)])
+    return np.vstack(C), np.concatenate(d)
+
+
+def scrambled_box(rng, lower, upper):
+    """``C alpha <= d`` for ``lower <= alpha <= upper``, written the hard way:
+    every bound row scaled by a random positive factor, some duplicated,
+    a looser redundant row per side, all in random order."""
+    k = len(lower)
+    rows, bounds = [], []
+    for i in range(k):
+        e = np.eye(k)[i]
+        for sign, bound in ((1.0, upper[i]), (-1.0, -lower[i])):
+            for extra in (0.0, rng.uniform(0.1, 2.0)):  # the bound, then a looser one
+                scale = rng.uniform(0.1, 10.0)
+                rows.append(scale * sign * e)
+                bounds.append(scale * (bound + extra))
+            if rng.random() < 0.5:  # a duplicate of the tight row
+                rows.append(rows[-2].copy())
+                bounds.append(bounds[-2])
+    order = rng.permutation(len(rows))
+    return np.array(rows)[order], np.array(bounds)[order]
+
+
 def bruteforce_feasible(C, d, box=10.0, tol=1e-9):
     """Feasibility of {C x <= d} for instances known to be bounded by
     ``|x_i| <= box``; decided by vertex enumeration on the boxed system."""

@@ -80,6 +80,8 @@ class TestVerifyMode:
         assert verdict["index"] == 2
         assert set(verdict["timings"]) >= {"decouple_s", "reach_s", "safety_s"}
         assert (verdict["lp_calls"], verdict["screened_steps"]) == (1, 166)
+        assert verdict["support_method"] == "box"
+        assert verdict["witness_violation"] <= 1e-7 * max(1.0, 0.9)
         assert verdict["ode_rank"] == 3
         assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
         bound = verdict["terminal_condition_bound"]
@@ -91,6 +93,8 @@ class TestVerifyMode:
         lines = (out / "trace.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 1001  # header plus one row per instant
         assert lines[0].startswith("time,x0,x1,x2,x3,u0,u1")
+        torque = float(lines[1 + 166].split(",")[3])  # x2 at the first unsafe step
+        assert verdict["witness_violation"] == pytest.approx(torque + 0.9, abs=1e-15)
         assert "verdict: unsafe" in capsys.readouterr().out
 
     def test_safe_run_has_no_trace(self, tmp_path, benchmark_files):
@@ -113,6 +117,7 @@ class TestVerifyMode:
         assert verdict["status"] == "safe"
         assert verdict["first_unsafe_step"] is None
         assert (verdict["lp_calls"], verdict["screened_steps"]) == (0, 1001)
+        assert (verdict["support_method"], verdict["witness_violation"]) == ("box", None)
         assert not (out / "trace.csv").exists()
 
     def test_deterministic_verdict_excluding_timings(self, tmp_path, benchmark_files):
@@ -288,6 +293,14 @@ class TestOtherModes:
         assert hi == pytest.approx(0.2 * 5 / np.sqrt(95), abs=1e-9)
 
 
+def scaled_box_predicate():
+    """The bundled box with its rows scaled and one of them repeated."""
+    star = rotating_masses_initial_star()
+    scale = np.array([2.0, 0.5, 4.0, 3.0])
+    C, d = scale[:, None] * star.C, scale * star.d
+    return np.vstack([C, 7.0 * star.C[:1]]), np.concatenate([d, 7.0 * star.d[:1]])
+
+
 def cut_box_predicate():
     """The bundled box with one corner cut off: five vertex subsets' worth."""
     star = rotating_masses_initial_star()
@@ -301,13 +314,23 @@ def twelve_gon_predicate():
     return C, C @ np.array([0.15, 1.1]) + 0.05
 
 
+# the support method each predicate takes over 21 instants
+SUPPORT_METHODS = {
+    scaled_box_predicate: "box",
+    cut_box_predicate: "vertices",
+    twelve_gon_predicate: "lp",
+}
+
+
 class TestBoundsAgainstLps:
-    @pytest.mark.parametrize("predicate", [cut_box_predicate, twelve_gon_predicate])
+    @pytest.mark.parametrize("predicate", list(SUPPORT_METHODS))
     def test_bounds_match_per_step_lps(self, tmp_path, rotating_masses_auto, predicate):
-        # 21 instants: the cut box takes the vertex path, the 12-gon the
-        # per-step LPs; both must give the LP extrema
+        # 21 instants: the box takes the closed form, the cut box the
+        # vertex path, the 12-gon the per-step LPs; all must give the LP
+        # extrema
         from daereach import ReachSettings, StarSet, compute_reach, lp
 
+        method = SUPPORT_METHODS[predicate]
         C, d = predicate()
         star = StarSet(rotating_masses_initial_star().V, C, d)
         init = tmp_path / "init.json"
@@ -329,10 +352,10 @@ class TestBoundsAgainstLps:
         )
         assert code == EXIT_OK
         rows = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
+        assert json.loads((out / "verdict.json").read_text())["support_method"] == method
 
         reach = compute_reach(rotating_masses_auto, star, ReachSettings(0.1, 20))
-        takes_vertices = reach.initial.vertices_within(len(reach.bases)) is not None
-        assert takes_vertices == (predicate is cut_box_predicate)
+        assert reach.initial.support(len(reach.bases)).method == method
         D_ext = np.hstack([D, np.zeros((2, 2))])
         expected = []
         for V in reach.bases:
@@ -346,6 +369,102 @@ class TestBoundsAgainstLps:
         expected = np.array(expected)
         assert rows.shape == (21, 5)
         np.testing.assert_allclose(rows[:, 1:], expected, rtol=1e-9, atol=1e-9)
+
+
+def stokes_box_inputs(directory, grid, width, rng):
+    """A consistent ``width``-column star of the Stokes model over the box
+    ``[-1, 1]^width``, an unsafe set ``-(u_c + v_c) <= -100`` that no
+    state reaches (unit-norm velocity columns), and four directions."""
+    from daereach import StarSet, build_stokes, stokes_center_velocity_rows
+
+    model = build_stokes(grid)
+    A, n_v = np.asarray(model.A), 2 * grid * (grid - 1)
+    L, G = A[:n_v, :n_v], A[:n_v, n_v:]
+    gram = G.T @ G
+    W = rng.standard_normal((n_v, width))
+    W -= G @ np.linalg.solve(gram, G.T @ W)  # divergence free
+    W /= np.linalg.norm(W, axis=0)
+    V = np.vstack([W, -np.linalg.solve(gram, G.T @ (L @ W))])  # hidden constraint
+    C = np.vstack([np.eye(width), -np.eye(width)])
+    init = directory / "init.json"
+    save_initial_star(init, StarSet(V, C, np.ones(2 * width), check_feasible=False))
+    centre = np.zeros((1, model.n))
+    centre[0, list(stokes_center_velocity_rows(grid))] = -1.0
+    unsafe = directory / "unsafe.json"
+    save_unsafe(unsafe, UnsafeSpec(centre, [-100.0]))
+    D = np.vstack([-centre, np.eye(model.n)[0], rng.normal(size=(2, model.n))])
+    directions = directory / "directions.json"
+    directions.write_text(json.dumps({"D": D.tolist()}))
+    return init, unsafe, directions
+
+
+class TestLpCounts:
+    """LPs solved per CLI run, counted at ``lp.solve_lp``; the one LP every
+    run with ``--init`` solves proves the loaded star's predicate nonempty."""
+
+    def test_rotating_masses_safe_verify(self, tmp_path, benchmark_files, lp_count):
+        init, _ = benchmark_files
+        unsafe = tmp_path / "safe_spec.json"
+        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 0.0, 1.0]], [-1.0]))
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        assert len(lp_count) == 1
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert (verdict["status"], verdict["lp_calls"], verdict["screened_steps"]) == (
+            "safe",
+            0,
+            1001,
+        )
+
+    def test_stokes_eight_dimensional_box(self, tmp_path, lp_count):
+        # C(16, 8) = 12,870 vertex subsets exceed the 1,001 instants: only
+        # the closed form screens this box and gives its bounds without LPs
+        init, unsafe, directions = stokes_box_inputs(
+            tmp_path, 8, 8, np.random.default_rng(12)
+        )
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:stokes:8", "--init", str(init), "--unsafe", str(unsafe)]
+        argv += ["--directions", str(directions), "--time-step", "1e-4", "--time-bound", "0.1"]
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        assert len(lp_count) == 1
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert (verdict["status"], verdict["lp_calls"], verdict["screened_steps"]) == (
+            "safe",
+            0,
+            1001,
+        )
+        assert verdict["support_method"] == "box"
+        rows = np.loadtxt(out / "bounds.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (1001, 1 + 2 * 4)
+        assert np.all(rows[:, 1::2] <= rows[:, 2::2])
+
+    def test_twelve_gon_keeps_one_lp_per_step(self, tmp_path, lp_count):
+        from daereach import StarSet
+
+        C, d = twelve_gon_predicate()
+        init = tmp_path / "init.json"
+        star = StarSet(rotating_masses_initial_star().V, C, d, check_feasible=False)
+        save_initial_star(init, star)
+        unsafe = tmp_path / "unsafe.json"  # the torque stays above -0.87
+        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+        directions = tmp_path / "directions.json"
+        directions.write_text(json.dumps({"D": [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}))
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--directions", str(directions)]
+        argv += ["--time-step", "0.1", "--time-bound", "2.0", "--out", str(out)]
+        lp_count.clear()  # building the bundled star above took one
+        assert run(argv) == EXIT_OK
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert (verdict["status"], verdict["lp_calls"], verdict["screened_steps"]) == (
+            "safe",
+            21,
+            0,
+        )
+        assert verdict["support_method"] == "lp"
+        assert len(lp_count) == 1 + 21 + 2 * 2 * 21  # load, verify, bounds.csv
 
 
 class TestErrorPaths:
@@ -581,6 +700,33 @@ class TestErrorPaths:
 
 
 class TestCsvRoundTrip:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[-0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, np.inf, -np.inf, np.nan]]),
+            np.array([[0.1, 1.0 / 3.0, -2.5e-17, 123456789.0]]),
+            np.random.default_rng(5).normal(size=(2001, 7)) * 10.0 ** np.arange(-3, 4),
+            np.arange(12.0).reshape(12, 1),
+            np.empty((0, 3)),
+        ],
+        ids=["specials", "single-row", "multi-block", "one-column", "no-rows"],
+    )
+    def test_writer_matches_savetxt_bytes(self, tmp_path, rows):
+        from daereach.cli import _write_csv
+
+        header = [f"c{i}" for i in range(rows.shape[1])]
+        _write_csv(tmp_path / "ours.csv", header, rows)
+        np.savetxt(
+            tmp_path / "savetxt.csv",
+            rows,
+            fmt="%.17g",
+            delimiter=",",
+            header=",".join(header),
+            comments="",
+        )
+        ours = (tmp_path / "ours.csv").read_bytes()
+        assert ours == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_every_entry_parses_back_bit_identical(
         self, tmp_path, benchmark_files, rotating_masses_auto
     ):
@@ -601,10 +747,8 @@ class TestCsvRoundTrip:
         outcome = verify(reach, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
         assert not outcome.is_safe
         times = grid.times
-        vertices = reach.initial.vertices_within(len(reach.bases))
         pulled_back = (np.hstack([D, np.zeros((2, 2))]) @ reach.lift) @ reach.ode_coordinates
-        values = pulled_back @ vertices.T
-        extrema = np.stack([values.min(axis=2), values.max(axis=2)], axis=-1)
+        extrema = reach.initial.support(len(times)).extrema(pulled_back)
         expected = {
             "reach/reach.csv": np.column_stack(
                 [times, reach.bases.transpose(0, 2, 1).reshape(len(times), -1)]

@@ -16,7 +16,7 @@ from daereach import (
 from daereach.model import AutonomousDae
 from daereach.safety import feasibility_check
 
-from oracles import scipy_feasibility_kernel
+from oracles import random_polytope, scipy_feasibility_kernel, scrambled_box
 
 
 @pytest.fixture(scope="module")
@@ -280,17 +280,30 @@ def assert_matches_reference(outcome, reach, unsafe):
         assert np.array_equal(outcome.alpha_feasible, alpha)
 
 
-def random_polytope(rng, width, cuts):
-    """A box around the origin cut by random halfspaces that keep a known
-    interior point; bounded and nonempty by construction."""
-    C = [np.eye(width), -np.eye(width)]
-    d = [rng.uniform(0.5, 1.5, size=width), rng.uniform(0.5, 1.5, size=width)]
-    centre = rng.uniform(-0.3, 0.3, size=width)
-    for _ in range(cuts):
-        row = rng.normal(size=width)
-        C.append(row[None, :])
-        d.append([row @ centre + rng.uniform(0.05, 1.0)])
-    return np.vstack(C), np.concatenate(d)
+def random_reach(rng, index, width, predicate):
+    """A 60-step reach of a random index-``index`` system from a consistent
+    ``width``-column basis over the predicate ``predicate(rng, width)``."""
+    from oracles import CanonicalDae, box_star
+
+    ws = CanonicalDae(rng, int(rng.integers(2, 4)), [index])
+    auto = AutonomousDae(ws.E, ws.A)
+    gamma = build_consistent_matrix(decouple_system(auto))
+    basis = box_star(rng, gamma, auto.n, width).V
+    C, d = predicate(rng, width)
+    return compute_reach(auto, StarSet(basis, C, d), ReachSettings(0.05, 60))
+
+
+def assert_screen_matches_reference(reach, unsafe):
+    """The screened scan, with and without ``find_all``, against the
+    unscreened one; returns the ``find_all`` outcome."""
+    outcome = verify(reach, unsafe, find_all=True)
+    assert_matches_reference(outcome, reach, unsafe)
+    assert outcome.lp_calls + outcome.screened_steps == len(reach.bases)
+    first = verify(reach, unsafe)
+    assert first.first_unsafe_step == outcome.first_unsafe_step
+    if first.first_unsafe_step is not None:
+        assert np.array_equal(first.alpha_feasible, outcome.alpha_feasible)
+    return outcome
 
 
 class TestVertexScreen:
@@ -299,35 +312,45 @@ class TestVertexScreen:
         # random index-1-3 systems, bounded polytope predicates and unsafe
         # sets whose bounds sit inside the range the steps sweep, so the
         # screen proves some steps safe and leaves others to the kernel
-        from oracles import CanonicalDae, box_star
-
         rng = np.random.default_rng(3100 + seed)
-        index = 1 + seed % 3
-        ws = CanonicalDae(rng, int(rng.integers(2, 4)), [index])
-        auto = AutonomousDae(ws.E, ws.A)
-        gamma = build_consistent_matrix(decouple_system(auto))
-        width = 2 + seed % 2
-        basis = box_star(rng, gamma, auto.n, width).V
-        C, d = random_polytope(rng, width, cuts=int(rng.integers(0, 3)))
-        reach = compute_reach(auto, StarSet(basis, C, d), ReachSettings(0.05, 60))
+        reach = random_reach(
+            rng,
+            1 + seed % 3,
+            2 + seed % 2,
+            lambda rng, width: random_polytope(rng, width, cuts=int(rng.integers(0, 3))),
+        )
         vertices = reach.initial.vertices_within(len(reach.bases))
         assert vertices is not None
 
         q = 1 + seed % 3
-        G = rng.normal(size=(q, auto.n))
+        G = rng.normal(size=(q, reach.lift.shape[0]))
         lowest = (G @ reach.bases @ vertices.T).min(axis=2)  # (steps, q)
         f = np.array([rng.uniform(row.min(), row.max()) for row in lowest.T])
         if seed % 4 == 0:  # a bound exactly on one step's support value
             f[0] = lowest[int(rng.integers(len(lowest))), 0]
-        unsafe = UnsafeSpec(G, f, on_original_state=False)
+        assert_screen_matches_reference(reach, UnsafeSpec(G, f, on_original_state=False))
 
-        outcome = verify(reach, unsafe, find_all=True)
-        assert_matches_reference(outcome, reach, unsafe)
-        assert outcome.lp_calls + outcome.screened_steps == len(reach.bases)
-        first = verify(reach, unsafe)
-        assert first.first_unsafe_step == outcome.first_unsafe_step
-        if first.first_unsafe_step is not None:
-            assert np.array_equal(first.alpha_feasible, outcome.alpha_feasible)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_box_predicates_match_unscreened_scan(self, seed):
+        # boxes written with scaled, duplicate and redundant rows, some
+        # with a degenerate coefficient, screened in closed form
+        def predicate(rng, width):
+            lower = rng.uniform(-1.0, 0.0, size=width)
+            upper = lower + rng.uniform(0.2, 1.0, size=width)
+            if seed % 3 == 0:
+                upper[-1] = lower[-1]
+            return scrambled_box(rng, lower, upper)
+
+        rng = np.random.default_rng(4100 + seed)
+        reach = random_reach(rng, 1 + seed % 3, 2 + seed % 3, predicate)
+        support = reach.initial.support(len(reach.bases))
+        assert support.method == "box"
+
+        G = rng.normal(size=(1 + seed % 2, reach.lift.shape[0]))
+        lowest = support.extrema(G @ reach.bases)[..., 0]  # (steps, q)
+        f = np.array([rng.uniform(row.min(), row.max()) for row in lowest.T])
+        unsafe = UnsafeSpec(G, f, on_original_state=False)
+        assert assert_screen_matches_reference(reach, unsafe).support_method == "box"
 
     def test_unbounded_predicate_takes_the_lp_path(self):
         E = np.diag([1.0, 0.0])
@@ -355,6 +378,7 @@ class TestVertexScreen:
         for f in (-0.45, -0.55):
             unsafe = UnsafeSpec([[0, 0, 1, 0]], [f])
             outcome = verify(reach, unsafe, find_all=True)
+            assert outcome.support_method == "lp"
             assert outcome.screened_steps == 0
             assert outcome.lp_calls == len(reach.bases)
             assert_matches_reference(outcome, reach, unsafe)

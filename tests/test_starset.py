@@ -8,7 +8,7 @@ from daereach import (
     UnboundedPredicateError,
 )
 
-from oracles import polytope_vertices
+from oracles import linprog_extrema, polytope_vertices, random_polytope, scrambled_box
 
 
 def unit_box_star(n=2):
@@ -129,3 +129,115 @@ class TestSampling:
         a = star.sample_points(10, seed=5)
         b = star.sample_points(10, seed=5)
         assert np.array_equal(a, b)
+
+
+def assert_extrema_close(extrema, expected, H, radius, rel):
+    """Within ``rel`` of each row's scale ``|h| @ |alpha|max``."""
+    scale = np.abs(H).sum(axis=-1) * max(1.0, radius)
+    assert extrema.shape == expected.shape
+    assert np.all(np.abs(extrema - expected) <= rel * np.maximum(1.0, scale)[..., None])
+
+
+class TestSupport:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_scrambled_box_takes_the_closed_form(self, seed, lp_count):
+        rng = np.random.default_rng(500 + seed)
+        k = 1 + seed % 4
+        lower = rng.uniform(-2.0, 1.0, size=k)
+        upper = lower + rng.uniform(0.1, 2.0, size=k)
+        if seed % 3 == 0:  # a degenerate coefficient, l = u
+            upper[0] = lower[0]
+        C, d = scrambled_box(rng, lower, upper)
+        star = StarSet(rng.normal(size=(3, k)), C, d, check_feasible=False)
+        found_lower, found_upper = star.box()
+        np.testing.assert_allclose(found_lower, lower, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(found_upper, upper, rtol=1e-12, atol=1e-12)
+
+        support = star.support(budget=1)  # no vertex enumeration allowed
+        assert support.method == "box"
+        assert support.radius == np.abs(np.concatenate([found_lower, found_upper])).max()
+        H = rng.normal(size=(6, 3, k))
+        H[0, 0] = 0.0  # a row with no support to speak of
+        extrema = support.extrema(H)
+        assert lp_count == []
+        assert np.all(extrema[..., 0] <= extrema[..., 1])
+
+        vertices = star.vertices_within(10**6)
+        values = H @ vertices.T
+        by_vertices = np.stack([values.min(axis=-1), values.max(axis=-1)], axis=-1)
+        assert_extrema_close(extrema, by_vertices, H, support.radius, 1e-12)
+        assert support.radius == np.abs(vertices).max()
+        assert_extrema_close(extrema, linprog_extrema(C, d, H), H, support.radius, 1e-8)
+
+    def test_eight_dimensional_box_needs_no_vertices(self, lp_count):
+        rng = np.random.default_rng(8)
+        lower = rng.uniform(-1.0, 0.0, size=8)
+        upper = lower + rng.uniform(0.2, 1.0, size=8)
+        C = np.vstack([np.eye(8), -np.eye(8)])
+        d = np.concatenate([upper, -lower])
+        star = StarSet(rng.normal(size=(10, 8)), C, d, check_feasible=False)
+        assert star.vertices_within(1001) is None  # C(16, 8) = 12870 subsets
+        support = star.support(1001)
+        assert support.method == "box"
+        H = rng.normal(size=(4, 2, 8))
+        extrema = support.extrema(H)
+        assert lp_count == []
+        assert_extrema_close(extrema, linprog_extrema(C, d, H), H, support.radius, 1e-8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cut_polytopes_take_the_vertices(self, seed):
+        rng = np.random.default_rng(600 + seed)
+        k = 2 + seed % 2
+        C, d = random_polytope(rng, k, cuts=1 + seed % 3)
+        star = StarSet(rng.normal(size=(4, k)), C, d)
+        assert star.box() is None
+        support = star.support(10**5)
+        assert support.method == "vertices"
+        H = rng.normal(size=(5, 2, k))
+        extrema = support.extrema(H)
+        assert_extrema_close(extrema, linprog_extrema(C, d, H), H, support.radius, 1e-8)
+
+    def test_bounded_polytope_beyond_the_budget_takes_lps(self):
+        angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
+        C = np.column_stack([np.cos(angles), np.sin(angles)])
+        d = C @ np.array([0.15, 1.1]) + 0.05
+        star = StarSet(np.eye(2), C, d)
+        assert star.box() is None
+        support = star.support(21)  # C(12, 2) = 66 subsets
+        assert (support.method, support.radius) == ("lp", None)
+        H = np.random.default_rng(9).normal(size=(3, 2, 2))
+        extrema = support.extrema(H)
+        assert_extrema_close(extrema, linprog_extrema(C, d, H), H, 1.2, 1e-8)
+        assert_extrema_close(extrema, star.support(66).extrema(H), H, 1.2, 1e-10)
+
+    def test_one_sided_predicate_keeps_the_lp_path(self, lp_count):
+        # alpha_0 in [0, 1], alpha_1 >= 1: not a box, and unbounded
+        C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        d = np.array([1.0, 0.0, -1.0])
+        star = StarSet(np.eye(2), C, d)
+        assert star.box() is None
+        support = star.support(10**5)
+        assert support.method == "lp"
+        assert star.vertices_within(10**5) is None
+        assert len(lp_count) > 0  # boundedness took LPs, as before
+
+        along_first = np.array([[[2.0, 0.0]], [[-1.0, 0.0]]])
+        np.testing.assert_allclose(
+            support.extrema(along_first), linprog_extrema(C, d, along_first), atol=1e-9
+        )
+        along_second = np.array([[[0.0, 1.0]]])
+        assert linprog_extrema(C, d, along_second) is None
+        with pytest.raises(UnboundedPredicateError, match="direction 0 .* at time 0.5"):
+            support.extrema(along_second, times=[0.5])
+
+    @pytest.mark.parametrize(
+        "C, d",
+        [
+            ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0]),  # a diagonal row
+            ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]], [1, 0, 1, 0, 1]),
+            ([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [1.0, 1.0, 1.0, 0.0]),
+        ],
+        ids=["two-nonzeros", "zero-row", "no-lower-row"],
+    )
+    def test_not_a_box(self, C, d):
+        assert StarSet(np.eye(2), C, np.array(d, dtype=float)).box() is None
