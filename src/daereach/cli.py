@@ -115,7 +115,8 @@ def build_parser():
 
 def _reach_settings(args):
     """The numeric arguments as :class:`ReachSettings`; a value outside its
-    domain raises :class:`ParseError` naming its flag."""
+    domain raises :class:`ParseError` naming its flag.  ``--time-bound``
+    must be a whole number of steps: rounding would move the horizon."""
     positive = {"--time-step": args.time_step, "--time-bound": args.time_bound}
     for flag, value in positive.items():
         if not (math.isfinite(value) and value > 0.0):
@@ -123,10 +124,11 @@ def _reach_settings(args):
     ratio = args.time_bound / args.time_step
     if not math.isfinite(ratio):
         raise ParseError("the step count overflows", field="--time-bound")
-    num_steps = round(ratio)
-    if num_steps < 1:
+    num_steps = round(ratio)  # within 1e-9 is whole: 0.01 / 1e-4 = 100.00000000000001
+    if num_steps < 1 or abs(ratio - num_steps) > 1e-9 * ratio:
         raise ParseError(
-            f"{args.time_bound} spans no steps of size {args.time_step}", field="--time-bound"
+            f"spans {ratio:.12g} steps of size {args.time_step}, not a whole number",
+            field="--time-bound",
         )
     return ReachSettings(time_step=args.time_step, num_steps=num_steps)
 

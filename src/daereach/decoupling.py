@@ -27,13 +27,14 @@ for ``j > i`` that the decoupled forms rely on, so they are corrected
 index-by-index (index 1 needs no correction) and the chain is rebuilt
 with the corrected projectors.
 
-The correction needs no new factorization of a rebuilt matrix.  If
-``Q`` and ``Q'`` project onto the same kernel ``Ker E_j`` then
-``E_j - A_j Q' = (E_j - A_j Q)(I - Q + Q')`` and
-``(I - Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz & Tischendorf, *DAEs:
-A Projector Based Analysis*, 2013).  So the rebuilt chain's kernels and
-terminal inverse follow from the raw chain's by products of rank ``m``
-(every corrected projector is ``K_j R_j``); a residual
+The correction factors nothing, at any index.  If ``Q`` and ``Q'``
+project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' = (E_j -
+A_j Q)(I - Q + Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz
+& Tischendorf, *DAEs: A Projector Based Analysis*, 2013); at index 3 the
+intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I - X)`` with ``X^2 = 0`` (see
+:func:`make_admissible`).  So the rebuilt chain's kernels are the raw
+chain's and its terminal inverse is the raw one times corrections of
+rank ``m`` (every corrected projector is ``K_j R_j``); a residual
 ``max|E_mu' E_mu'^{-1} - I|`` checks the result.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
@@ -66,7 +67,6 @@ from .linalg import (
     kernel_basis_and_inverse,
     rank_factors,
     rank_update_inverse,
-    solve_inverse,
 )
 from .model import check_regularity
 
@@ -388,51 +388,47 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     """Correct the chain projectors so that ``Q_j Q_i = 0`` for ``j > i``.
 
     Index 1 keeps its projector (a single projector is trivially
-    admissible).  For index 2 the corrected ``Q_1`` is ``-Q_1 E_2^{-1}
-    A_1``; for index 3 the kernel projector of an intermediate rebuilt
-    chain supplies the corrected ``Q_2``.  Each corrected projector still
-    projects onto the kernel of its (rebuilt) chain matrix, and has the
-    form ``K_j R_j`` with ``K_j`` that kernel's orthonormal basis, so the
-    chain updates reuse the raw chain's ``A_j K_j``.  The returned chain is
-    extended one corrected projector at a time and keeps the original on
-    ``.raw``.
+    admissible).  At index ``mu >= 2`` the last projector is corrected to
+    ``Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}``, with ``E_mu`` and
+    ``A_{mu-1}`` those of the chain rebuilt with the corrected earlier
+    projectors; index 3 first corrects ``Q_1' = -Q_1 (I - Q_2^*) E_3^{-1}
+    A_1``, ``Q_2^* = -Q_2 E_3^{-1} A_2``.  Each corrected projector still
+    projects onto the kernel of its (rebuilt) chain matrix and has the form
+    ``K_j R_j`` with the raw chain's orthonormal kernel basis ``K_j``, so
+    the chain updates reuse the raw chain's ``A_j K_j``.  The returned
+    chain is extended one corrected projector at a time and keeps the
+    original on ``.raw``.
 
-    No rebuilt chain matrix is factored to find its kernel or inverse: the
-    projector swap ``E' = E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q')
-    E^{-1}`` and ``Ker E_2' = (I + Q_1 - Q_1') Ker E_2``.  Only the index-3
-    intermediate ``E_2' - A_2' Q_2`` is inverted anew, since nothing proves
-    it nonsingular.  The terminal inverse is then checked: a residual
-    ``max|E_mu' E_mu'^{-1} - I|`` above ``sqrt(rank_rel_tol)`` raises
-    :class:`SingularMatrixError`; the residual is kept on
-    ``inverse_residual``.
+    No matrix is factored or solved: every inverse is the raw chain's
+    ``E_mu^{-1}`` times rank-``m`` corrections.  The projector swap ``E' =
+    E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q') E^{-1}``.  At index 3,
+    ``(Q_1 - Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2
+    K_2`` and the intermediate ``E_2' - A_2' Q_2 = E_3 (I - X)`` with ``X =
+    P_2 (Q_1 - Q_1')`` and ``X^2 = 0``: it is nonsingular exactly when
+    ``E_3`` is, with inverse ``(I + X) E_3^{-1}`` (Lamour, Maerz &
+    Tischendorf, *DAEs: A Projector Based Analysis*, 2013).  The terminal
+    inverse is then checked: a residual ``max|E_mu' E_mu'^{-1} - I|`` above
+    ``sqrt(rank_rel_tol)`` raises :class:`SingularMatrixError`; the
+    residual is kept on ``inverse_residual``.
     """
     if chain.admissible:
         return chain
-    if chain.mu == 1:
-        E_seq, A_seq = chain.E_seq, chain.A_seq
-        factors, images = chain.factors, chain.kernel_images
-        inverse = chain.terminal_inverse
-    else:
-        # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
-        E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
-        factors, images = chain.factors[:1], chain.kernel_images[:1]
-        raw_inv, A1, K1 = chain.terminal_inverse, chain.A_seq[1], chain.factors[1][0]
-        if chain.mu == 2:
-            R1 = -(K1.T @ raw_inv) @ A1  # Q_1' = -Q_1 E_2^{-1} A_1 = K_1 R_1
-            _extend(E_seq, A_seq, factors, images, K1, R1, chain.kernel_images[1])
-            inverse = _swap_inverse(K1, R1, raw_inv)
-        else:
-            K2 = chain.factors[2][0]
-            R2 = -(K2.T @ raw_inv) @ chain.A_seq[2]  # -Q_2 E_3^{-1} A_2 = K_2 R_2
-            # Q_1' = -Q_1 (I - K_2 R_2) E_3^{-1} A_1 = K_1 R_1
-            R1 = -((K1.T - (K1.T @ K2) @ R2) @ raw_inv) @ A1
-            _extend(E_seq, A_seq, factors, images, K1, R1, chain.kernel_images[1])
-            K2_orth = np.linalg.qr(K2 + K1 @ ((K1.T - R1) @ K2))[0]
-            AK2 = A_seq[2] @ K2_orth
-            E3_orth_inv = solve_inverse(E_seq[2] - AK2 @ K2_orth.T, tol)
-            R2_adm = -(K2_orth.T @ E3_orth_inv) @ A_seq[2]
-            _extend(E_seq, A_seq, factors, images, K2_orth, R2_adm, AK2)
-            inverse = _swap_inverse(K2_orth, R2_adm, E3_orth_inv)
+    mu, inverse = chain.mu, chain.terminal_inverse
+    # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
+    E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
+    factors, images = chain.factors[:1], chain.kernel_images[:1]
+    if mu == 3:
+        (K1, _), (K2, _) = chain.factors[1:]
+        R2 = -(K2.T @ inverse) @ chain.A_seq[2]  # Q_2^* = K_2 R_2
+        R1 = -((K1.T - (K1.T @ K2) @ R2) @ inverse) @ A_seq[1]  # Q_1' = K_1 R_1
+        _extend(E_seq, A_seq, factors, images, K1, R1, chain.kernel_images[1])
+        # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
+        inverse = inverse + (K1 - K2 @ (K2.T @ K1)) @ ((K1.T - R1) @ inverse)
+    if mu > 1:
+        K = chain.factors[mu - 1][0]
+        R = -(K.T @ inverse) @ A_seq[-1]  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
+        _extend(E_seq, A_seq, factors, images, K, R, chain.kernel_images[mu - 1])
+        inverse = _swap_inverse(K, R, inverse)
 
     residual = float(np.abs(E_seq[-1] @ inverse - np.eye(chain.n)).max())
     if not residual <= np.sqrt(tol.rank_rel_tol):
@@ -445,7 +441,7 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
         A_seq,
         factors,
         images,
-        chain.mu,
+        mu,
         inverse,
         admissible=True,
         raw=chain,

@@ -44,8 +44,9 @@ class DimensionMismatchError(DaeError):
 class SingularMatrixError(DaeError):
     """A matrix that must be invertible is singular at the rank tolerance.
 
-    Inside the decoupling chain this signals that the computed index
-    disagrees with the numerical rank decisions.
+    Raised only by :func:`~daereach.decoupling.make_admissible`, when the
+    corrected chain's terminal inverse fails its residual check: the
+    computed index disagrees with the numerical rank decisions.
     """
 
 

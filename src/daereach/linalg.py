@@ -1,7 +1,9 @@
 """Dense real-matrix primitives with an explicit tolerance policy.
 
-Rank decisions, kernel bases, inverses, and matrix exponentials for the
-rest of the package.  All rank-like decisions go through one relative
+Rank decisions, kernel bases, chain-matrix inverses, and matrix
+exponentials for the rest of the package; every inverse comes from a
+chain matrix's own factors or a certified update of them, and there is no
+general-purpose inverse.  All rank-like decisions go through one relative
 singular-value cutoff.  The matrix chain factors each chain matrix at most
 once, into one :class:`Factors` format ``Z = U [[lead, 0], [0,
 diag(tail)]] W^T``: the kernel basis it yields also decides the rank (an
@@ -31,8 +33,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularMatrixError
-
 __all__ = [
     "TolerancePolicy",
     "DEFAULT_TOLERANCES",
@@ -46,7 +46,6 @@ __all__ = [
     "kernel_basis_and_inverse",
     "rank_update_inverse",
     "matrix_exponential",
-    "solve_inverse",
 ]
 
 
@@ -339,14 +338,3 @@ def matrix_exponential(M, t=1.0):
         return np.eye(M.shape[0])
     return scipy.linalg.expm(M * t)
 
-
-def solve_inverse(M, tol=DEFAULT_TOLERANCES):
-    """Inverse of ``M`` from its SVD, or :class:`SingularMatrixError` at the
-    rank tolerance."""
-    kernel_basis, inverse = kernel_basis_and_inverse(svd_factors(M, tol))
-    if inverse is None:
-        raise SingularMatrixError(
-            f"matrix of size {kernel_basis.shape[0]} is singular at relative tolerance "
-            f"{tol.rank_rel_tol:g}"
-        )
-    return inverse

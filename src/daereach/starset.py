@@ -42,8 +42,10 @@ class StarSet:
         Linear predicate over the coefficients.
     check_feasible : bool
         Verify at construction that the coefficient polytope is nonempty
-        (raises :class:`EmptyPredicateError` otherwise).  Internal callers
-        that reuse an already-validated predicate switch this off.
+        (raises :class:`EmptyPredicateError` otherwise): a box (see
+        :meth:`box`) with ``lower <= upper`` is, and anything else takes
+        one feasibility LP.  Internal callers that reuse an
+        already-validated predicate switch this off.
 
     The stored arrays are read-only; stars are immutable values and safe
     to share between threads.
@@ -63,13 +65,16 @@ class StarSet:
             raise DimensionMismatchError(
                 f"V has {V.shape[1]} columns but C constrains {C.shape[1]} coefficients"
             )
-        if check_feasible and lp.find_feasible(C, d, tol=tol.feasibility_tol) is None:
-            raise EmptyPredicateError(
-                "the coefficient predicate C alpha <= d has no solution"
-            )
         self.V = readonly(V)
         self.C = readonly(C)
         self.d = readonly(d)
+        if check_feasible:
+            bounds = self.box()  # with lower <= upper it holds its midpoint
+            boxed = bounds is not None and np.all(bounds[0] <= bounds[1])
+            if not boxed and lp.find_feasible(C, d, tol=tol.feasibility_tol) is None:
+                raise EmptyPredicateError(
+                    "the coefficient predicate C alpha <= d has no solution"
+                )
 
     @property
     def dim(self):

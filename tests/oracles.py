@@ -13,7 +13,9 @@ rebuilds the admissible chain the direct way (rank-checked rebuilt
 matrices, LU inverses), multiplies out the decoupled coefficients, ``psi``
 and the consistent matrix as dense products of its projectors, and
 propagates the full ``n x n`` ODE subsystem or, for the ODE coordinates,
-one step at a time.
+one step at a time.  The consistent space has a second oracle that shares
+no projector at all: the finite right deflating subspace of the pencil
+from an ordered QZ decomposition.
 """
 
 from fractions import Fraction
@@ -281,6 +283,39 @@ def _orthogonal_kernel(Z, rel_tol):
 
 def _lu_inverse(Z):
     return np.linalg.solve(Z, np.eye(Z.shape[0]))
+
+
+def finite_deflating_subspace(auto, cutoff=1e-3):
+    """``(Z_f, finite, infinite)`` from an ordered real QZ decomposition of
+    the pencil ``(A, E)`` (Moler & Stewart, SINUM 1973), with no projector
+    chain: ``Z_f`` is an orthonormal basis of the right deflating subspace
+    of the finite eigenvalues, the consistent initial states of ``E x' =
+    A x`` (Kunkel & Mehrmann, 2006).
+
+    With ``A`` and ``E`` scaled to unit 2-norm, an eigenvalue ``alpha /
+    beta`` counts as finite when ``|beta| / hypot(alpha, beta)`` exceeds
+    ``cutoff``.  An infinite eigenvalue of a nilpotent block of size
+    ``nu`` is computed with ``|beta|`` up to about ``eps^(1/nu)``, so the
+    cutoff sits well above ``eps^(1/3)``.  ``finite`` is the smallest
+    value above the cutoff and ``infinite`` the largest at or below it
+    (``0.0`` when there is none): the gap the decision relies on.
+    """
+    A = auto.A / np.linalg.norm(auto.A, 2)
+    E = auto.E / np.linalg.norm(auto.E, 2)
+
+    def chordal(alpha, beta):
+        return np.abs(beta) / np.hypot(np.abs(alpha), np.abs(beta))
+
+    *_, alpha, beta, _, Z = scipy.linalg.ordqz(
+        A, E, sort=lambda a, b: chordal(a, b) > cutoff, output="real"
+    )
+    values = chordal(alpha, beta)
+    finite = values > cutoff
+    return (
+        Z[:, : np.count_nonzero(finite)],
+        float(values[finite].min(initial=np.inf)),
+        float(values[~finite].max(initial=0.0)),
+    )
 
 
 def _extend_chain(E, A, Q, P, q):

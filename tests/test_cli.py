@@ -399,8 +399,9 @@ def stokes_box_inputs(directory, grid, width, rng):
 
 
 class TestLpCounts:
-    """LPs solved per CLI run, counted at ``lp.solve_lp``; the one LP every
-    run with ``--init`` solves proves the loaded star's predicate nonempty."""
+    """LPs solved per CLI run, counted at ``lp.solve_lp``.  Loading a star
+    proves its predicate nonempty: a box with ``lower <= upper`` holds its
+    midpoint and takes no LP, any other predicate takes one."""
 
     def test_rotating_masses_safe_verify(self, tmp_path, benchmark_files, lp_count):
         init, _ = benchmark_files
@@ -410,7 +411,7 @@ class TestLpCounts:
         argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
         argv += ["--unsafe", str(unsafe), "--out", str(out)]
         assert run(argv) == EXIT_OK
-        assert len(lp_count) == 1
+        assert len(lp_count) == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert (verdict["status"], verdict["lp_calls"], verdict["screened_steps"]) == (
             "safe",
@@ -428,7 +429,7 @@ class TestLpCounts:
         argv = ["--model", "builtin:stokes:8", "--init", str(init), "--unsafe", str(unsafe)]
         argv += ["--directions", str(directions), "--time-step", "1e-4", "--time-bound", "0.1"]
         assert run(argv + ["--out", str(out)]) == EXIT_OK
-        assert len(lp_count) == 1
+        assert len(lp_count) == 0
         verdict = json.loads((out / "verdict.json").read_text())
         assert (verdict["status"], verdict["lp_calls"], verdict["screened_steps"]) == (
             "safe",
@@ -455,7 +456,6 @@ class TestLpCounts:
         argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
         argv += ["--unsafe", str(unsafe), "--directions", str(directions)]
         argv += ["--time-step", "0.1", "--time-bound", "2.0", "--out", str(out)]
-        lp_count.clear()  # building the bundled star above took one
         assert run(argv) == EXIT_OK
         verdict = json.loads((out / "verdict.json").read_text())
         assert (verdict["status"], verdict["lp_calls"], verdict["screened_steps"]) == (
@@ -554,6 +554,8 @@ class TestErrorPaths:
             ("--time-bound", "inf"),
             ("--time-bound", "1e300"),  # finite, but the step count overflows
             ("--time-bound", "0.001"),  # rounds to no step of the default 0.01
+            ("--time-bound", "1"),  # 3.33 steps of 0.3 would round down to 0.9
+            ("--time-bound", "0.105"),  # 10.5 steps of the default 0.01
         ],
     )
     def test_bad_numeric_argument_is_parse_error(
@@ -562,12 +564,27 @@ class TestErrorPaths:
         init, unsafe = benchmark_files
         argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
         argv += ["--unsafe", str(unsafe), "--out", str(tmp_path / "out")]
-        argv += ["--time-step", "1e-300"] if value == "1e300" else []
+        argv += {"1e300": ["--time-step", "1e-300"], "1": ["--time-step", "0.3"]}.get(value, [])
         code = run(argv + [flag, value])
         assert code == EXIT_PARSE
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "parse"
         assert flag in error["message"]
+
+    @pytest.mark.parametrize(
+        "step, bound, steps",
+        [("1e-4", "0.01", 100), ("0.3", "0.9", 3), ("0.01", "0.01", 1)],
+    )
+    def test_time_bound_off_a_whole_step_count_by_rounding_is_accepted(
+        self, tmp_path, benchmark_files, step, bound, steps
+    ):
+        # 0.01 / 1e-4 = 100.00000000000001 and 0.9 / 0.3 = 3.0000000000000004
+        init, _ = benchmark_files
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init), "--mode", "reach"]
+        argv += ["--time-step", step, "--time-bound", bound, "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        assert json.loads((out / "verdict.json").read_text())["num_steps"] == steps
 
     def test_unbounded_directions_predicate(self, tmp_path, capsys):
         # the bundled box without its alpha_1 <= 0.2 row: the monitored
@@ -680,7 +697,7 @@ class TestErrorPaths:
         assert last_error(capsys)["error"] == "numerical-failure"
 
     def test_singular_matrix_exit_code(self, tmp_path, capsys, monkeypatch, benchmark_files):
-        # make_admissible's residual check and solve_inverse raise it
+        # only make_admissible's residual check raises it
         import daereach.reachability
         from daereach import SingularMatrixError
 

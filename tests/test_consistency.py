@@ -13,8 +13,14 @@ from daereach import (
 )
 from daereach.model import AutonomousDae
 
-from oracles import CanonicalDae
-from test_decoupling import EXPECTED_N3, EXPECTED_Q0, EXPECTED_Q1, dense_forms
+from oracles import CanonicalDae, finite_deflating_subspace
+from test_decoupling import (
+    EXPECTED_N3,
+    EXPECTED_Q0,
+    EXPECTED_Q1,
+    dense_forms,
+    random_systems,
+)
 
 
 def decoupled(auto):
@@ -131,3 +137,30 @@ class TestCheckInitialStar:
         star = StarSet(np.ones((6, 1)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
         cert = check_initial_star(rotating_masses_decoupled, star)  # must return, not raise
         assert not cert.consistent
+
+
+def _qz_systems(name):
+    from daereach import build_rotating_masses, load_model, to_autonomous
+
+    if name == "rotating-masses":
+        return [to_autonomous(*build_rotating_masses())]
+    if name.startswith("stokes"):
+        return [to_autonomous(*load_model(f"builtin:{name.replace('-', ':')}"))]
+    return [auto for _, _, auto, _ in list(random_systems(3))[:20]]
+
+
+@pytest.mark.parametrize("name", ["stokes-4", "stokes-8", "rotating-masses", "random-index-3"])
+def test_consistent_space_matches_the_qz_deflating_subspace(name):
+    """The finite right deflating subspace of ``(A, E)`` from QZ, which
+    shares nothing with the projector chain, has dimension ``ode_rank``,
+    spans ``range(psi W)`` and lies in the kernel of ``Gamma``."""
+    import scipy.linalg
+
+    for case, auto in enumerate(_qz_systems(name)):
+        Z_f, finite, infinite = finite_deflating_subspace(auto)
+        dec = decoupled(auto)
+        print(f"\n{name} #{case}: |beta| finite >= {finite:.2e}, infinite <= {infinite:.2e}")
+        assert infinite <= 1e-4 < 1e-2 <= finite, case  # a decade clear of the cutoff
+        assert Z_f.shape[1] == dec.ode_rank, case
+        assert scipy.linalg.subspace_angles(Z_f, dec.lift).max() <= 1e-8, case
+        assert np.abs(build_consistent_matrix(dec, Z_f)).max() <= 1e-8, case

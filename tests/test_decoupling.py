@@ -289,18 +289,18 @@ class TestFactorizationCounts:
     """At most one ``n x n`` SVD per singular chain matrix and no LU solve.
 
     The dense random systems (``n`` below the QR crossover) and the rotating
-    masses take one ``n x n`` SVD per singular raw chain matrix and, at
-    index 3, one more for the intermediate matrix the projector swap
-    cannot prove nonsingular, whose factors give its inverse too.  Stokes
-    takes none: ``E_0`` and ``E_1`` have exactly-zero rows and factor by
-    certified QR.  The terminal raw matrix is certified nonsingular from
-    the previous matrix's factors, which costs one ``m x m`` SVD per chain
-    step after ``E_0``, so the totals add at most ``index`` small SVDs.  A
-    singular step whose small block is too small for the bound to pass
-    declines before that SVD: Stokes ``E_1`` (block exactly 0) and one
-    step of the index-3 system here.  The rebuilt chain is never factored,
-    the reach path's blocks take no factorization, and no regularity probe
-    runs: a chain that ends proves the pencil regular.
+    masses take one ``n x n`` SVD per singular raw chain matrix: 1, 2 and 3
+    at indices 1, 2 and 3.  Stokes takes none: ``E_0`` and ``E_1`` have
+    exactly-zero rows and factor by certified QR.  The terminal raw matrix
+    is certified nonsingular from the previous matrix's factors, which
+    costs one ``m x m`` SVD per chain step after ``E_0``, so the totals add
+    at most ``index`` small SVDs.  A singular step whose small block is too
+    small for the bound to pass declines before that SVD: Stokes ``E_1``
+    (block exactly 0) and one step of the index-3 system here.  The
+    admissible correction takes no factorization at any index (see
+    :func:`test_make_admissible_factors_nothing`), the reach path's blocks
+    take none, and no regularity probe runs: a chain that ends proves the
+    pencil regular.
     """
 
     @pytest.mark.parametrize(
@@ -308,7 +308,7 @@ class TestFactorizationCounts:
         [
             (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 2, 0),
             (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 4, 0),
-            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 4, 6, 0),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 3, 5, 0),
             (_stokes_auto, 2, 0, 1, 0),
             (_rotating_masses_auto, 2, 2, 4, 0),
         ],
@@ -402,6 +402,26 @@ def frame_errors(dec, reference, V):
     }
 
 
+def random_systems(index):
+    """``(seed, rng, auto, ws)`` for the 100 random canonical systems of an
+    index; ``rng`` continues from the draws that built the system."""
+    for seed in range(index - 1, 300, 3):
+        rng = np.random.default_rng(seed)
+        blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(0, 3)))
+        auto, ws = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
+        yield seed, rng, auto, ws
+
+
+def semi_explicit_systems(index):
+    """``(seed, rng, auto, ws)`` for 20 random semi-explicit systems of an
+    index, ``n`` from 20 up."""
+    for seed in range(20):
+        rng = np.random.default_rng(1000 * index + seed)
+        blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(1, 4)))
+        auto, ws = _semi_explicit_auto(rng, int(rng.integers(20, 28)), blocks)
+        yield seed, rng, auto, ws
+
+
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_decoupling_matches_reference_path(index):
     """100 random canonical systems per index: the certified terminal step
@@ -410,10 +430,7 @@ def test_decoupling_matches_reference_path(index):
     chain, and the factored operator (dense and on the thin reach-path
     blocks) against the coefficients multiplied out densely."""
     worst_margin = 0.0
-    for seed in range(index - 1, 300, 3):
-        rng = np.random.default_rng(seed)
-        blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(0, 3)))
-        auto, ws = canonical_auto(rng, int(rng.integers(1, 5)), blocks)
+    for seed, rng, auto, ws in random_systems(index):
         ours = decouple(make_admissible(compute_index_and_chain(auto)))
         worst_margin = max(worst_margin, _certified_margin(ours.chain.raw, auto))
         reference = reference_decoupled(auto)
@@ -443,10 +460,7 @@ def test_semi_explicit_systems_factor_by_qr(index):
     crossover: ``E_0`` keeps exactly-zero rows, so the certified QR decides
     it, and the chain, its terminal inverse and the reach-path blocks match
     the full-SVD reference path."""
-    for seed in range(20):
-        rng = np.random.default_rng(1000 * index + seed)
-        blocks = [index] + list(rng.integers(1, index + 1, size=rng.integers(1, 4)))
-        auto, ws = _semi_explicit_auto(rng, int(rng.integers(20, 28)), blocks)
+    for seed, rng, auto, ws in semi_explicit_systems(index):
         assert auto.n >= _QR_MIN_N
         raw = compute_index_and_chain(auto)
         E, _, Q, _, mu = reference_chain(auto)
@@ -510,3 +524,52 @@ def test_certified_chain_matches_full_svd_chain_on_stokes(k):
     auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
     margin = _certified_margin(compute_index_and_chain(auto), auto)
     print(f"\nstokes k={k}: bound * rank_rel_tol {margin:.2e}")
+
+
+@pytest.mark.parametrize(
+    "make_auto, index",
+    [
+        (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1),
+        (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2),
+        (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3),
+        (lambda: next(semi_explicit_systems(1))[2], 1),
+        (lambda: next(semi_explicit_systems(2))[2], 2),
+        (lambda: next(semi_explicit_systems(3))[2], 3),
+        (_stokes_auto, 2),
+    ],
+    ids=["index-1", "index-2", "index-3", "semi-1", "semi-2", "semi-3", "stokes-4"],
+)
+def test_make_admissible_factors_nothing(monkeypatch, make_auto, index):
+    """The admissible correction is rank-``m`` products of the raw chain's
+    factors at every index: no SVD, QR, solve or inverse."""
+    raw = compute_index_and_chain(make_auto())
+    assert raw.mu == index
+    for name in ("svd", "qr", "solve", "inv"):
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"make_admissible called np.linalg.{_name}")
+
+        monkeypatch.setattr(np.linalg, name, refuse)
+    assert make_admissible(raw).inverse_residual <= 1e-12
+
+
+@pytest.mark.parametrize("systems", [random_systems, semi_explicit_systems])
+def test_index_3_intermediate_is_the_raw_terminal_matrix_times_a_unipotent(systems):
+    """With ``Q_1' = K_1 R_1`` corrected and ``Q_2 = K_2 K_2^T`` raw,
+    ``(Q_1 - Q_1') Q_2 = 0``, so ``E_2'`` keeps the raw kernel ``K_2`` and
+    ``A_2' K_2 = A_2 K_2``; and ``X = P_2 (Q_1 - Q_1')`` squares to 0, so
+    ``E_2' - A_2' Q_2 = E_3 (I - X)`` has the inverse ``(I + X) E_3^{-1}``."""
+    for seed, _, auto, _ in systems(3):
+        raw = compute_index_and_chain(auto)
+        ours = make_admissible(raw)
+        (K1, _), (K2, _) = raw.factors[1:]
+        swap = K1 @ (K1.T - ours.factors[1][1])  # Q_1 - Q_1'
+        X = swap - K2 @ (K2.T @ swap)
+        assert np.abs(swap @ K2).max() <= 1e-10 * max(1.0, np.abs(swap).max()), seed
+        E2 = ours.E_seq[2]
+        assert np.abs(E2 @ K2).max() <= 1e-10 * max(1.0, np.abs(E2).max()), seed
+        assert _relative_error(ours.A_seq[2] @ K2, raw.A_seq[2] @ K2) <= 1e-10, seed
+        assert np.abs(X @ X).max() <= 1e-10 * max(1.0, np.abs(X).max() ** 2), seed
+        intermediate = E2 - (ours.A_seq[2] @ K2) @ K2.T
+        inverse = raw.terminal_inverse + X @ raw.terminal_inverse
+        assert np.abs(intermediate @ inverse - np.eye(auto.n)).max() <= 1e-10, seed

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from daereach import SingularMatrixError, TolerancePolicy
+from daereach import TolerancePolicy
 from daereach.linalg import (
     CERTIFICATE_MARGIN,
     as_matrix,
@@ -10,7 +10,6 @@ from daereach.linalg import (
     numerical_rank,
     rank_factors,
     rank_update_inverse,
-    solve_inverse,
     svd_factors,
 )
 
@@ -125,18 +124,6 @@ class TestMatrixExponential:
         lhs = matrix_exponential(M, s + t)
         rhs = matrix_exponential(M, s) @ matrix_exponential(M, t)
         assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-class TestSolveInverse:
-    def test_inverse_quality(self):
-        rng = np.random.default_rng(3)
-        M = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
-        inv = solve_inverse(M)
-        assert np.allclose(M @ inv, np.eye(5), atol=1e-10)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def _updated(Z, image):

@@ -23,6 +23,34 @@ class TestConstruction:
         with pytest.raises(EmptyPredicateError):
             StarSet(np.eye(1), np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "C, d, lps",
+        [
+            ([[1.0], [-1.0]], [1.0, 0.0], 0),  # 0 <= alpha <= 1
+            ([[2.0], [-1.0], [1.0]], [2.0, -1.0, 3.0], 0),  # scaled rows: alpha = 1
+            ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0], 1),  # a triangle
+        ],
+        ids=["box", "point-box", "triangle"],
+    )
+    def test_nonempty_box_takes_no_lp(self, lp_count, C, d, lps):
+        StarSet(np.eye(np.shape(C)[1]), C, d)
+        assert len(lp_count) == lps
+
+    @pytest.mark.parametrize("gap", [1.0, 1e-12])
+    def test_crossed_box_is_left_to_the_lp(self, lp_count, gap):
+        # lower > upper: the LP decides, within its feasibility tolerance
+        from daereach import lp
+
+        C, d = np.array([[1.0], [-1.0]]), np.array([0.0, -gap])  # gap <= alpha <= 0
+        expected = lp.find_feasible(C, d) is not None
+        lp_count.clear()
+        try:
+            StarSet(np.eye(1), C, d)
+            accepted = True
+        except EmptyPredicateError:
+            accepted = False
+        assert (accepted, len(lp_count)) == (expected, 1)
+
     def test_rejects_mismatched_predicate(self):
         with pytest.raises(DimensionMismatchError):
             StarSet(np.eye(2), np.array([[1.0]]), np.array([1.0]))
