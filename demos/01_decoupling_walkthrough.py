@@ -11,13 +11,7 @@ the decoupled subsystem coefficients.
 
 import numpy as np
 
-from daereach import (
-    build_rotating_masses,
-    compute_index_and_chain,
-    decouple,
-    make_admissible,
-    to_autonomous,
-)
+from daereach import build_rotating_masses, compute_index_and_chain, decouple, to_autonomous
 
 np.set_printoptions(precision=4, suppress=True, linewidth=120)
 
@@ -31,24 +25,28 @@ print("\nautonomous lift: dimension", auto.n, "(states + inputs)")
 
 chain = compute_index_and_chain(auto)
 print("\ntractability index:", chain.mu)
-for j in range(chain.mu + 1):
-    rank = np.linalg.matrix_rank(chain.E_seq[j])
-    print(f"  rank(E_{j}) = {rank} of {chain.n}", "(nonsingular)" if rank == chain.n else "")
+# the chain keeps the singular matrices it factored, and of the terminal
+# one only its inverse
+for j, E_j in enumerate(chain.E_seq):
+    print(f"  rank(E_{j}) = {np.linalg.matrix_rank(E_j)} of {chain.n}")
+rank = np.linalg.matrix_rank(chain.terminal_inverse)
+print(f"  rank(E_{chain.mu}) = {rank} of {chain.n} (nonsingular)")
 
 # the chain keeps each projector factored as Q_j = K_j R_j
 Q = [K @ R for K, R in chain.factors]
 print("\nraw kernel projector Q0 (orthogonal):\n", Q[0])
 print("raw Q1 @ Q0 is nonzero -> not admissible:\n", Q[1] @ Q[0])
 
-chain = make_admissible(chain)
-Q = [K @ R for K, R in chain.factors]
+# decoupling corrects the projectors to admissible ones and keeps them
+# factored the same way
+dec = decouple(chain)
+Q = [K @ R for K, R in dec.factors]
 print("\nafter correction, Q1 @ Q0 vanishes:")
 print("  max |Q1 @ Q0| =", np.abs(Q[1] @ Q[0]).max())
 print("corrected Q1 (oblique, fractions of thirds):\n", Q[1])
 
 # the decoupled system is an operator on blocks; on the identity it gives
 # the dense coefficients
-dec = decouple(chain)
 identity = np.eye(dec.n)
 N = dec.apply_N(identity)
 print("\ndecoupled subsystems (index 2 -> one ODE + two constraint levels):")

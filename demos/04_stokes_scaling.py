@@ -23,7 +23,6 @@ from daereach import (
     compute_index_and_chain,
     compute_reach,
     decouple,
-    make_admissible,
     stokes_center_velocity_rows,
     to_autonomous,
     verify,
@@ -37,8 +36,7 @@ for k in (2, 3, 4, 5, 6, 8, 10):
     system = build_stokes(k)
     auto = to_autonomous(system)
 
-    chain = make_admissible(compute_index_and_chain(auto))
-    dec = decouple(chain)
+    dec = decouple(compute_index_and_chain(auto))
     gamma = build_consistent_matrix(dec)
 
     kernel = null_space(gamma, rcond=1e-9)

@@ -17,12 +17,7 @@ from .benchmarks import (
     stokes_center_velocity_rows,
 )
 from .consistency import build_consistent_matrix, check_initial_star
-from .decoupling import (
-    compute_index_and_chain,
-    decouple,
-    decouple_system,
-    make_admissible,
-)
+from .decoupling import compute_index_and_chain, decouple, decouple_system
 from .errors import (
     DaeError,
     DimensionMismatchError,
@@ -82,7 +77,6 @@ __all__ = [
     "load_initial_star",
     "load_model",
     "load_unsafe",
-    "make_admissible",
     "propagate_basis",
     "rotating_masses_initial_star",
     "save_model",

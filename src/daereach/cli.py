@@ -19,8 +19,12 @@ Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 line ``{"error": ..., "message": ...}`` to stderr, bad arguments included.
 Arguments that do not parse write nothing; an ``--out`` that cannot be
 created is a parse error; a step count too large for an array exits 6.
-A failed run leaves an error verdict, never one from an earlier run in
-the same directory.
+A failed run leaves an error verdict with the same two keys, never one
+from an earlier run in the same directory; an inconsistent initial set's
+also names the mode and model and carries the consistency certificate.
+Every completed run's verdict reports the health of the stages it ran:
+the chain's rank decisions and certified terminal bound, and past the
+index, the ODE rank and the corrected chain's residuals.
 """
 
 import argparse
@@ -191,6 +195,34 @@ def _write_bounds(out_dir, times, reach, directions, tol):
     return support.method
 
 
+def _health(chain, decoupled=None):
+    """The health fields of the stages a run took: the index, each raw
+    chain matrix's rank decision and the certified terminal bound, and,
+    given the :class:`~daereach.decoupling.DecoupledSystem`, the ODE rank,
+    the corrected terminal inverse's residual and the admissibility
+    residual."""
+    health = {
+        "index": chain.mu,
+        "chain_decisions": list(chain.decisions),
+        "terminal_condition_bound": chain.condition_bound,
+    }
+    if decoupled is not None:
+        health["ode_rank"] = decoupled.ode_rank
+        health["terminal_inverse_residual"] = decoupled.inverse_residual
+        health["admissibility_residual"] = decoupled.admissibility_residual
+    return health
+
+
+def _consistency(certificate):
+    """The verdict fields of a consistency certificate."""
+    return {
+        "consistent": certificate.consistent,
+        "consistency_residual": certificate.max_residual,
+        "worst_column": certificate.worst_column,
+        "worst_row_block": certificate.worst_row_block,
+    }
+
+
 def _prepare_output(out):
     """The output directory, created if missing, with no earlier verdict in it."""
     out_dir = Path(out)
@@ -227,7 +259,7 @@ def run_job(args):
 
     if args.mode == "index":
         chain = compute_index_and_chain(autonomous, tol)
-        payload["index"] = chain.mu
+        payload.update(_health(chain))
         summary = f"index: {chain.mu}"
     elif args.mode == "decouple":
         dec = decouple_system(autonomous, tol)
@@ -240,23 +272,14 @@ def run_job(args):
         for key in ("L3", "L4", "Z4"):
             document[key] = couplings[key].tolist() if key in couplings else None
         _write_json(out_dir / "decoupled.json", document, indent=1)
-        payload["index"] = dec.mu
+        payload.update(_health(dec.raw, dec))
         summary = f"index: {dec.mu}; wrote decoupled.json"
     elif args.mode == "check-consistency":
         dec = decouple_system(autonomous, tol)
         cert = check_initial_star(dec, theta0, tol)
-        payload.update(
-            {
-                "index": dec.mu,
-                "consistent": cert.consistent,
-                "max_residual": cert.max_residual,
-                "worst_column": cert.worst_column,
-                "worst_row_block": cert.worst_row_block,
-            }
-        )
-        if not cert.consistent:  # the one failure that writes its own verdict
-            _write_verdict(out_dir, payload, {"total_s": time.perf_counter() - started})
+        if not cert.consistent:
             raise InconsistentInitialSetError(cert)
+        payload.update(_health(dec.raw, dec), **_consistency(cert))
         summary = f"consistent (max residual {cert.max_residual:.3e})"
     else:
         # read and size-check the unsafe set and the directions before the
@@ -274,17 +297,10 @@ def run_job(args):
         times = settings.times
         timings.update(reach.timings)
         payload.update(
-            {
-                "index": reach.decoupled.mu,
-                "time_step": args.time_step,
-                "num_steps": settings.num_steps,
-                "ode_rank": reach.lift.shape[1],
-                "terminal_inverse_residual": reach.decoupled.chain.inverse_residual,
-                "terminal_condition_bound": reach.decoupled.chain.raw.condition_bound,
-                "consistency_residual": reach.certificate.max_residual,
-                "admissibility_residual": reach.decoupled.chain.admissibility_residual,
-                "chain_decisions": list(reach.decoupled.chain.raw.decisions),
-            }
+            _health(reach.decoupled.raw, reach.decoupled),
+            time_step=args.time_step,
+            num_steps=settings.num_steps,
+            consistency_residual=reach.certificate.max_residual,
         )
         if args.mode == "reach":
             _write_reach(out_dir, times, reach.bases)
@@ -341,9 +357,11 @@ def main(argv=None):
         label, code = _classify(exc)
         error = {"error": label, "message": str(exc)}
         print(json.dumps(error), file=sys.stderr)
-        # none when the arguments or --out failed, or when the run wrote its own
+        # none when the arguments or --out failed
         verdict = None if args is None else Path(args.out, "verdict.json")
         if verdict is not None and verdict.parent.is_dir() and not verdict.exists():
+            if isinstance(exc, InconsistentInitialSetError):
+                error.update(mode=args.mode, model=args.model, **_consistency(exc.certificate))
             _write_verdict(verdict.parent, error, {"total_s": time.perf_counter() - started})
         return code
 

@@ -21,21 +21,24 @@ number (:func:`~daereach.linalg.rank_update_inverse`).  A bound that does
 not clear the rank cutoff with a margin, a singular block, and every
 singular chain matrix fall back to the matrix's own factors, which
 decide as its SVD would.  The chain records every decision and its
-margin (:attr:`MatrixChain.decisions`).  Plain orthogonal kernel
-projectors generally violate the admissibility property ``Q_j Q_i = 0``
-for ``j > i`` that the decoupled forms rely on, so they are corrected
-index-by-index (index 1 needs no correction) and the chain is rebuilt
-with the corrected projectors.
+margin (:attr:`MatrixChain.decisions`).  The chain keeps only the
+matrices it factored, ``E_0 .. E_{mu-1}`` and ``A_0 .. A_{mu-1}``: the
+terminal ``E_mu`` is formed only when the certificate declines it, and
+``A_mu`` never.
 
-The correction factors nothing, at any index.  If ``Q`` and ``Q'``
-project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' = (E_j -
-A_j Q)(I - Q + Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz
-& Tischendorf, *DAEs: A Projector Based Analysis*, 2013); at index 3 the
-intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I - X)`` with ``X^2 = 0`` (see
-:func:`make_admissible`).  So the rebuilt chain's kernels are the raw
-chain's and its terminal inverse is the raw one times corrections of
-rank ``m`` (every corrected projector is ``K_j R_j``); a residual
-``max|E_mu' E_mu'^{-1} - I|`` checks the result.
+Plain orthogonal kernel projectors generally violate the admissibility
+property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
+so :func:`decouple` corrects them index-by-index (index 1 needs no
+correction) and decouples in the same step.  The correction factors
+nothing, at any index.  If ``Q`` and ``Q'`` project onto the same kernel
+``Ker E_j`` then ``E_j - A_j Q' = (E_j - A_j Q)(I - Q + Q')`` and ``(I -
+Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz & Tischendorf, *DAEs: A
+Projector Based Analysis*, 2013); at index 3 the intermediate ``E_2' -
+A_2' Q_2`` is ``E_3 (I - X)`` with ``X^2 = 0`` (see :func:`decouple`).
+So the corrected chain's kernels are the raw chain's and its terminal
+inverse is the raw one times corrections of rank ``m`` (every corrected
+projector is ``K_j R_j``); a residual ``max|E_mu' E_mu'^{-1} - I|``
+checks the result.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
@@ -74,7 +77,6 @@ __all__ = [
     "MatrixChain",
     "DecoupledSystem",
     "compute_index_and_chain",
-    "make_admissible",
     "decouple",
     "decouple_system",
 ]
@@ -88,26 +90,22 @@ _FRAME_SEED = 0xF2A3E
 
 @dataclass(frozen=True)
 class MatrixChain:
-    """The chain matrices and projectors up to the terminal index.
+    """The raw chain: the matrices it factored and their orthogonal projectors.
 
-    ``E_seq`` and ``A_seq`` have length ``mu + 1`` (positions 0..mu).  The
-    projectors are kept in factored form: ``factors[j] = (K_j, R_j)`` with
-    ``Q_j = K_j R_j`` and ``K_j`` an orthonormal basis of ``Ker E_j`` (``R_j
-    = K_j^T`` on a raw chain), and ``kernel_images[j] = A_j K_j``.
+    ``E_seq`` and ``A_seq`` hold ``E_0 .. E_{mu-1}`` and ``A_0 ..
+    A_{mu-1}``, the singular chain matrices, so ``len(E_seq) == len(A_seq)
+    == len(factors) == mu``.  The projectors are kept in factored form:
+    ``factors[j] = (K_j, K_j^T)`` with ``Q_j = K_j K_j^T`` and ``K_j`` an
+    orthonormal basis of ``Ker E_j``, and ``kernel_images[j] = A_j K_j``.
     ``terminal_inverse`` is ``E_mu^{-1}``; ``E_mu``'s own SVD or the
     certificate on the previous matrix's factors proved it nonsingular.
-    ``admissible`` records whether the projectors satisfy ``Q_j Q_i = 0``
-    for ``j > i``; the chain built from raw orthogonal projectors is kept
-    on ``raw`` after correction so both stages stay inspectable.
-    ``decisions`` holds, for each raw chain matrix ``E_0 .. E_mu``, what
+    ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"qr"`` or ``"svd"``), or
     ``{"method": "certificate", "bound": ...}`` for a terminal matrix
-    certified from the previous one's factors; a corrected chain has none
-    (see ``raw``).  ``condition_bound`` is that certified bound on
-    ``cond_2(E_mu)``, ``None`` when ``E_mu``'s own SVD decided.
-    ``inverse_residual`` is the checked ``max|E_mu E_mu^{-1} - I|`` of a
-    corrected chain (``None`` before).
+    certified from the previous one's factors.  ``condition_bound`` is
+    that certified bound on ``cond_2(E_mu)``, ``None`` when ``E_mu``'s own
+    SVD decided.
     """
 
     E_seq: list
@@ -116,10 +114,7 @@ class MatrixChain:
     kernel_images: list = field(repr=False)
     mu: int
     terminal_inverse: np.ndarray = field(repr=False)
-    admissible: bool = False
-    raw: "MatrixChain | None" = field(default=None, repr=False)
-    decisions: tuple = ()
-    inverse_residual: float | None = None
+    decisions: tuple
 
     @property
     def n(self):
@@ -127,22 +122,8 @@ class MatrixChain:
 
     @property
     def condition_bound(self):
-        last = self.decisions[-1] if self.decisions else {}
-        return last["bound"] if last.get("method") == "certificate" else None
-
-    @property
-    def admissibility_residual(self):
-        """``max ||Q_j Q_i||_F`` over ``j > i``, 0 at index 1.  ``K_j`` has
-        orthonormal columns, so ``||Q_j Q_i||_F = ||(R_j K_i) R_i||_F``, an
-        ``m_j x n`` product."""
-        return max(
-            (
-                float(np.linalg.norm((R_j @ K_i) @ R_i))
-                for j, (_, R_j) in enumerate(self.factors)
-                for K_i, R_i in self.factors[:j]
-            ),
-            default=0.0,
-        )
+        last = self.decisions[-1]
+        return last["bound"] if last["method"] == "certificate" else None
 
 
 # The subsystem projectors as words in the chain's projectors: letter j is
@@ -164,9 +145,12 @@ class DecoupledSystem:
     Subsystem 1 is the ODE part ``x_1' = N[1] x_1``; subsystems 2..mu+1
     are algebraic constraints.  Every coefficient is a word in the
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
-    ``S = E_mu^{-1} A_mu`` (``E_1^{-1} A_0`` at index 1), so the class holds
-    only the ``factors``, the ``terminal_inverse`` and the ``source``
-    ``A_mu`` (``A_0``), and applies the one operator ``X -> {i: N_i X}``
+    ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
+    holds only the corrected ``factors``, the ``terminal_inverse``
+    ``E_mu'^{-1}`` and the ``source`` ``A_mu'`` (``A_0``), with the ``raw``
+    chain they came from (the index ``mu`` is its) and the checked
+    ``inverse_residual`` ``max|E_mu' E_mu'^{-1} - I|``.  It applies the
+    one operator ``X -> {i: N_i X}``
     to blocks right to left: ``S X = E_mu^{-1} (A_mu X)``, ``P_j X = X -
     K_j (R_j X)``, ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs
     ``O(n^2 c)``; no ``n x n x n`` product is taken.
@@ -182,15 +166,33 @@ class DecoupledSystem:
     the identity), which :attr:`projectors` keeps.
     """
 
-    mu: int
+    raw: MatrixChain = field(repr=False)
     factors: tuple = field(repr=False)
     terminal_inverse: np.ndarray = field(repr=False)
     source: np.ndarray = field(repr=False)
-    chain: MatrixChain = field(repr=False)
+    inverse_residual: float
+
+    @property
+    def mu(self):
+        return self.raw.mu
 
     @property
     def n(self):
         return self.source.shape[0]
+
+    @property
+    def admissibility_residual(self):
+        """``max ||Q_j Q_i||_F`` over ``j > i``, 0 at index 1.  ``K_j`` has
+        orthonormal columns, so ``||Q_j Q_i||_F = ||(R_j K_i) R_i||_F``, an
+        ``m_j x n`` product."""
+        return max(
+            (
+                float(np.linalg.norm((R_j @ K_i) @ R_i))
+                for j, (_, R_j) in enumerate(self.factors)
+                for K_i, R_i in self.factors[:j]
+            ),
+            default=0.0,
+        )
 
     @property
     def subsystem_ids(self):
@@ -309,23 +311,6 @@ class DecoupledSystem:
         return self.apply_projectors(np.eye(self.n))
 
 
-def _extend(E_seq, A_seq, factors, images, K, R, AK):
-    """Append the step of the projector ``Q = K R`` onto ``Ker E_seq[-1]``,
-    given ``AK = A_seq[-1] K``: both chain matrices subtract ``A Q = AK R``,
-    a product of rank ``m = K.shape[1]``."""
-    AQ = AK @ R
-    factors.append((K, R))
-    images.append(AK)
-    E_seq.append(E_seq[-1] - AQ)
-    A_seq.append(A_seq[-1] - AQ)
-
-
-def _swap_inverse(K, R, inverse):
-    """``(I + Q - Q') E^{-1}`` for ``Q = K K^T`` and ``Q' = K R`` projecting
-    onto one kernel: the inverse of ``E' = E (I - Q + Q')``."""
-    return inverse + K @ ((K.T - R) @ inverse)
-
-
 def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     """Build the matrix chain with orthogonal projectors and find the index.
 
@@ -337,7 +322,10 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     which decides its rank and, when it is singular, gives its kernel
     basis.  Both certificates accept only what the SVD would also decide,
     so neither changes an index.  ``decisions`` records, per matrix, which
-    one decided and by what margin.
+    one decided and by what margin.  Only what is read is formed:
+    ``E_{j+1} = E_j - (A_j K_j) K_j^T`` when its own factors decide it and
+    ``A_{j+1}`` likewise when ``E_{j+1}`` is singular, so a certified
+    terminal matrix is never formed and ``A_mu`` never is.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -351,13 +339,16 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, factors, images, decisions = [sys.E], [sys.A], [], [], []
+    E_seq, A_seq, factors, images, decisions = [], [], [], [], []
+    E, A = sys.E, sys.A  # E_mu and A_mu once formed
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = None
         if mu:
             inverse, bound = rank_update_inverse(current, images[-1], tol)
         if inverse is None:  # the matrix's own factors decide
-            current = rank_factors(E_seq[-1], tol)
+            if mu:
+                E = E_seq[-1] - AQ
+            current = rank_factors(E, tol)
             decisions.append(current.decision)
             kernel_basis, inverse = kernel_basis_and_inverse(current)
         else:
@@ -367,12 +358,15 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
-            return MatrixChain(
-                E_seq, A_seq, factors, images, mu, inverse, decisions=tuple(decisions)
-            )
+            return MatrixChain(E_seq, A_seq, factors, images, mu, inverse, tuple(decisions))
         if mu < MAX_SUPPORTED_INDEX:
-            image = A_seq[-1] @ kernel_basis
-            _extend(E_seq, A_seq, factors, images, kernel_basis, kernel_basis.T, image)
+            if mu:
+                A = A_seq[-1] - AQ
+            E_seq.append(E)
+            A_seq.append(A)
+            factors.append((kernel_basis, kernel_basis.T))
+            images.append(A @ kernel_basis)
+            AQ = images[-1] @ kernel_basis.T  # A_mu Q_mu, of rank m
     if not check_regularity(sys, tol):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -384,8 +378,10 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     )
 
 
-def make_admissible(chain, tol=DEFAULT_TOLERANCES):
-    """Correct the chain projectors so that ``Q_j Q_i = 0`` for ``j > i``.
+def decouple(chain, tol=DEFAULT_TOLERANCES):
+    """The decoupled system of a raw chain: its projectors corrected so that
+    ``Q_j Q_i = 0`` for ``j > i``, its terminal inverse and its source
+    matrix, with every coefficient applied on demand.
 
     Index 1 keeps its projector (a single projector is trivially
     admissible).  At index ``mu >= 2`` the last projector is corrected to
@@ -393,11 +389,12 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     ``A_{mu-1}`` those of the chain rebuilt with the corrected earlier
     projectors; index 3 first corrects ``Q_1' = -Q_1 (I - Q_2^*) E_3^{-1}
     A_1``, ``Q_2^* = -Q_2 E_3^{-1} A_2``.  Each corrected projector still
-    projects onto the kernel of its (rebuilt) chain matrix and has the form
+    projects onto the kernel of its rebuilt chain matrix and has the form
     ``K_j R_j`` with the raw chain's orthonormal kernel basis ``K_j``, so
-    the chain updates reuse the raw chain's ``A_j K_j``.  The returned
-    chain is extended one corrected projector at a time and keeps the
-    original on ``.raw``.
+    the rebuilt chain reuses the raw chain's ``A_j K_j``, and of its
+    matrices only ``E_mu'`` (for the residual check) and ``A_mu'`` (the
+    source) are formed.  Index 1 feeds the original ``A_0`` through
+    ``E_1^{-1}`` instead: the two differ off the ODE subspace.
 
     No matrix is factored or solved: every inverse is the raw chain's
     ``E_mu^{-1}`` times rank-``m`` corrections.  The projector swap ``E' =
@@ -410,78 +407,48 @@ def make_admissible(chain, tol=DEFAULT_TOLERANCES):
     inverse is then checked: a residual ``max|E_mu' E_mu'^{-1} - I|`` above
     ``sqrt(rank_rel_tol)`` raises :class:`SingularMatrixError`; the
     residual is kept on ``inverse_residual``.
+
+    Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
+    beforehand, so there are no input coefficients.
     """
-    if chain.admissible:
-        return chain
     mu, inverse = chain.mu, chain.terminal_inverse
-    # Q_0 is never corrected, so the raw E_0, E_1 prefix is the rebuilt one
-    E_seq, A_seq = chain.E_seq[:2], chain.A_seq[:2]
-    factors, images = chain.factors[:1], chain.kernel_images[:1]
+    factors, images = list(chain.factors), chain.kernel_images
+    # Q_0 is never corrected, so below index 3 the raw E_{mu-1} and A_{mu-1}
+    # are the rebuilt ones
+    E, A = chain.E_seq[-1], chain.A_seq[-1]
     if mu == 3:
-        (K1, _), (K2, _) = chain.factors[1:]
-        R2 = -(K2.T @ inverse) @ chain.A_seq[2]  # Q_2^* = K_2 R_2
-        R1 = -((K1.T - (K1.T @ K2) @ R2) @ inverse) @ A_seq[1]  # Q_1' = K_1 R_1
-        _extend(E_seq, A_seq, factors, images, K1, R1, chain.kernel_images[1])
+        (K1, _), (K2, _) = factors[1:]
+        R2 = -(K2.T @ inverse) @ A  # Q_2^* = K_2 R_2
+        R1 = -((K1.T - (K1.T @ K2) @ R2) @ inverse) @ chain.A_seq[1]  # Q_1' = K_1 R_1
+        factors[1] = (K1, R1)
+        AQ = images[1] @ R1
+        E, A = chain.E_seq[1] - AQ, chain.A_seq[1] - AQ  # E_2', A_2'
         # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
         inverse = inverse + (K1 - K2 @ (K2.T @ K1)) @ ((K1.T - R1) @ inverse)
+    K, R = factors[-1]
     if mu > 1:
-        K = chain.factors[mu - 1][0]
-        R = -(K.T @ inverse) @ A_seq[-1]  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
-        _extend(E_seq, A_seq, factors, images, K, R, chain.kernel_images[mu - 1])
-        inverse = _swap_inverse(K, R, inverse)
+        R = -(K.T @ inverse) @ A  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
+        factors[-1] = (K, R)
+        inverse = inverse + K @ ((K.T - R) @ inverse)  # (I + Q - Q') E_mu^{-1}
+    AQ = images[-1] @ R
 
-    residual = float(np.abs(E_seq[-1] @ inverse - np.eye(chain.n)).max())
+    residual = float(np.abs((E - AQ) @ inverse - np.eye(chain.n)).max())
     if not residual <= np.sqrt(tol.rank_rel_tol):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
             "index classification is unreliable at this tolerance"
         )
-    return MatrixChain(
-        E_seq,
-        A_seq,
-        factors,
-        images,
-        mu,
-        inverse,
-        admissible=True,
+    return DecoupledSystem(
         raw=chain,
+        factors=tuple(factors),
+        terminal_inverse=inverse,
+        source=A if mu == 1 else A - AQ,
         inverse_residual=residual,
     )
 
 
-def decouple(chain):
-    """The decoupled system of an admissibly-projected chain of an
-    autonomous system: its projector factors, terminal inverse and source
-    matrix, with every coefficient applied on demand (no product is taken
-    here).
-
-    Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
-    beforehand, so there are no input coefficients.  No tolerance is
-    needed: the chain carries its terminal inverse, proven by its own rank
-    decision and checked by its residual.
-    """
-    if not chain.admissible:
-        raise ValueError("decouple requires an admissible chain; call make_admissible")
-    if not 1 <= chain.mu <= MAX_SUPPORTED_INDEX:
-        raise IndexTooHighError(f"unsupported index {chain.mu}")
-    # index 1 feeds the original A through E_1^{-1}; higher indices feed the
-    # terminal chain matrix A_mu (the two differ off the ODE subspace)
-    source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
-    return DecoupledSystem(
-        mu=chain.mu,
-        factors=tuple(chain.factors),
-        terminal_inverse=chain.terminal_inverse,
-        source=source,
-        chain=chain,
-    )
-
-
 def decouple_system(sys, tol=DEFAULT_TOLERANCES):
-    """The decoupled form of an autonomous DAE: chain, admissible
-    correction and decoupling in one call.
-
-    Raises what :func:`compute_index_and_chain`, :func:`make_admissible`
-    and :func:`decouple` raise.
-    """
-    chain = compute_index_and_chain(sys, tol)
-    return decouple(make_admissible(chain, tol))
+    """The decoupled form of an autonomous DAE:
+    :func:`compute_index_and_chain`, then :func:`decouple`; raises what
+    they raise."""
+    return decouple(compute_index_and_chain(sys, tol), tol)

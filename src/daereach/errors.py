@@ -44,7 +44,7 @@ class DimensionMismatchError(DaeError):
 class SingularMatrixError(DaeError):
     """A matrix that must be invertible is singular at the rank tolerance.
 
-    Raised only by :func:`~daereach.decoupling.make_admissible`, when the
+    Raised only by :func:`~daereach.decoupling.decouple`, when the
     corrected chain's terminal inverse fails its residual check: the
     computed index disagrees with the numerical rank decisions.
     """

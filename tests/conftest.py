@@ -6,7 +6,6 @@ from daereach import (
     build_rotating_masses,
     compute_index_and_chain,
     decouple,
-    make_admissible,
     rotating_masses_initial_star,
     to_autonomous,
 )
@@ -20,8 +19,7 @@ def rotating_masses_auto():
 
 @pytest.fixture(scope="session")
 def rotating_masses_decoupled(rotating_masses_auto):
-    chain = make_admissible(compute_index_and_chain(rotating_masses_auto))
-    return decouple(chain)
+    return decouple(compute_index_and_chain(rotating_masses_auto))
 
 
 @pytest.fixture(scope="session")

@@ -410,17 +410,30 @@ def reference_decoupled(auto, rel_tol=1e-9):
 
 def chain_projectors(chain):
     """``(Q, P)``: the dense projectors ``Q_j = K_j R_j`` and ``P_j = I - Q_j``
-    multiplied out from the factors a package chain keeps."""
+    multiplied out from the factors a package raw chain or decoupled system
+    keeps."""
     Q = [K @ R for K, R in chain.factors]
     return Q, [np.eye(chain.n) - q for q in Q]
 
 
-def dense_decoupled(chain):
-    """A :class:`ReferenceDecoupled` multiplied out from the dense projectors
-    and terminal inverse of the package's own admissible ``chain``: the
-    closed forms alone, with the chain's rounding shared."""
-    source = chain.A_seq[0] if chain.mu == 1 else chain.A_seq[chain.mu]
-    return ReferenceDecoupled(chain.mu, *chain_projectors(chain), chain.terminal_inverse, source)
+def chain_matrices(raw, factors=None):
+    """``(E, A)``: the dense chain matrices ``E_0 .. E_mu`` and ``A_0 .. A_mu``
+    rebuilt from a package raw chain's ``E_0``, ``A_0`` and kernel images
+    ``A_j K_j``, with the projectors ``Q_j = K_j R_j`` of ``factors``: the
+    raw chain's own by default, or a decoupled system's corrected ones.
+    Each step subtracts ``(A_j K_j) R_j`` from both matrices."""
+    E, A = [raw.E_seq[0]], [raw.A_seq[0]]
+    for (_, R), image in zip(raw.factors if factors is None else factors, raw.kernel_images):
+        E.append(E[-1] - image @ R)
+        A.append(A[-1] - image @ R)
+    return E, A
+
+
+def dense_decoupled(dec):
+    """A :class:`ReferenceDecoupled` multiplied out from the dense projectors,
+    terminal inverse and source of the package's own decoupled system: the
+    closed forms alone, with the package's rounding shared."""
+    return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dec.terminal_inverse, dec.source)
 
 
 def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e-8, atol=1e-12):

@@ -23,7 +23,6 @@ from daereach import (
     decouple,
     decouple_system,
     load_model,
-    make_admissible,
     rotating_masses_initial_star,
     save_model,
     to_autonomous,
@@ -33,7 +32,7 @@ from daereach.cli import EXIT_INCONSISTENT, main
 from daereach.model import AutonomousDae
 from daereach.modelio import save_initial_star
 
-from oracles import CanonicalDae, box_star, chain_projectors
+from oracles import CanonicalDae, box_star, chain_matrices, chain_projectors
 from test_decoupling import (
     EXPECTED_L3,
     EXPECTED_N1,
@@ -86,9 +85,9 @@ def test_criterion_1_end_to_end_verdicts(rotating_masses_auto, rotating_masses_s
 
 
 def test_criterion_2_worked_intermediate_matrices(rotating_masses_auto):
-    chain = make_admissible(compute_index_and_chain(rotating_masses_auto))
-    Q, _ = chain_projectors(chain)
-    N, couplings, _ = dense_forms(decouple(chain))
+    dec = decouple(compute_index_and_chain(rotating_masses_auto))
+    Q, _ = chain_projectors(dec)
+    N, couplings, _ = dense_forms(dec)
     worst = 0.0
     for computed, expected in [
         (Q[0], EXPECTED_Q0),
@@ -106,7 +105,7 @@ def test_criterion_2_worked_intermediate_matrices(rotating_masses_auto):
 def _property_suite(auto, tol=1e-8):
     """All projector/chain identities on one system; returns worst residual."""
     raw = compute_index_and_chain(auto)
-    adm = make_admissible(raw)
+    dec = decouple(raw)
     worst = 0.0
 
     def track(residual, scale=1.0):
@@ -122,28 +121,22 @@ def _property_suite(auto, tol=1e-8):
         track(np.linalg.norm(Z @ Q), np.linalg.norm(Z))
         track(np.linalg.norm(Q - Q.T))
         track(np.linalg.norm(Q @ Q - Q))
-    # chain step-down and telescoping identities on both chains
-    for chain in (raw, adm):
-        Q, P = chain_projectors(chain)
-        acc = chain.A_seq[0].copy()
-        for j in range(chain.mu):
-            scale = scaled(chain.E_seq[j + 1]) * scaled(Q[j])
-            track(
-                np.abs(chain.E_seq[j + 1] @ P[j] - chain.E_seq[j]).max(),
-                scale,
-            )
-            track(
-                np.abs(chain.E_seq[j + 1] @ Q[j] + chain.A_seq[j] @ Q[j]).max(),
-                scale,
-            )
-            acc += chain.E_seq[j + 1] @ Q[j]
-        track(
-            np.abs(acc - chain.A_seq[chain.mu]).max(), scaled(chain.A_seq[chain.mu])
-        )
+    # chain step-down and telescoping identities on both projector sets
+    for stage in (raw, dec):
+        Q, P = chain_projectors(stage)
+        E, A = chain_matrices(raw, stage.factors)
+        acc = A[0].copy()
+        for j in range(raw.mu):
+            scale = scaled(E[j + 1]) * scaled(Q[j])
+            track(np.abs(E[j + 1] @ P[j] - E[j]).max(), scale)
+            track(np.abs(E[j + 1] @ Q[j] + A[j] @ Q[j]).max(), scale)
+            acc += E[j + 1] @ Q[j]
+        track(np.abs(acc - A[raw.mu]).max(), scaled(A[raw.mu]))
     # admissibility and the corrected projectors' defining identities
-    Q, P = chain_projectors(adm)
-    for j in range(adm.mu):
-        Qj, Ej = Q[j], adm.E_seq[j]
+    Q, P = chain_projectors(dec)
+    E, _ = chain_matrices(raw, dec.factors)
+    for j in range(dec.mu):
+        Qj, Ej = Q[j], E[j]
         track(np.abs(Ej @ Qj).max(), scaled(Ej) * scaled(Qj))
         track(np.abs(Qj @ Qj - Qj).max(), scaled(Qj) ** 2)
         for i in range(j):
@@ -156,9 +149,8 @@ def _property_suite(auto, tol=1e-8):
             track(np.abs(Pi @ Pj @ Pi - Pi @ Pj).max(), triple)
             track(np.abs(Pj @ Pi @ Pj - Pi @ Pj).max(), triple)
     # partition of identity over the subsystem projectors
-    dec = decouple(adm)
     track(np.abs(sum(dec.projectors.values()) - eye).max())
-    return adm.mu, worst
+    return dec.mu, worst
 
 
 def test_criterion_3_projector_property_suite(rotating_masses_auto):
@@ -214,7 +206,7 @@ def test_criterion_4_small_scale_oracle_equivalence():
                 dynamic = 6 - sum(blocks)
             ws = CanonicalDae(rng, dynamic, blocks)
             auto = AutonomousDae(ws.E, ws.A)
-            dec = decouple(make_admissible(compute_index_and_chain(auto)))
+            dec = decouple(compute_index_and_chain(auto))
             star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
             reach = compute_reach(auto, star, settings)
 
@@ -287,7 +279,7 @@ def test_criterion_5_reconstruction_identity(
     for k in (2, 3, 4):
         system, _ = load_model(f"builtin:stokes:{k}")
         auto = to_autonomous(system)
-        dec = decouple(make_admissible(compute_index_and_chain(auto)))
+        dec = decouple(compute_index_and_chain(auto))
         star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
         runs.append((f"stokes:{k}", compute_reach(auto, star, ReachSettings(0.001, 100))))
     for name, run in runs:
@@ -315,9 +307,8 @@ def test_criterion_6_stokes_scaling():
     for k in sizes:
         system, inputs = load_model(f"builtin:stokes:{k}")
         auto = autos[k] = to_autonomous(system, inputs)
-        chain = make_admissible(compute_index_and_chain(auto))
-        assert chain.mu == 2
-        dec = decouple(chain)
+        dec = decouple(compute_index_and_chain(auto))
+        assert dec.mu == 2
         stars[k] = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
         assert check_initial_star(dec, stars[k]).consistent
     best = {}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daereach import DEFAULT_TOLERANCES, UnsafeSpec, rotating_masses_initial_star
+from daereach import DEFAULT_TOLERANCES, StarSet, UnsafeSpec, rotating_masses_initial_star
 from daereach.cli import (
     EXIT_INCONSISTENT,
     EXIT_INDEX_TOO_HIGH,
@@ -52,6 +52,18 @@ def assert_chain_decisions(verdict, methods):
         else:
             assert 1.0 <= decision["bound"] < 1.0 / (CERTIFICATE_MARGIN * cutoff)
     assert decisions[-1]["bound"] == verdict["terminal_condition_bound"]
+
+
+def read_verdict(out):
+    return json.loads((Path(out) / "verdict.json").read_text())
+
+
+def assert_decoupled_health(verdict):
+    """The corrected chain's health fields of a run that decoupled the
+    rotating masses."""
+    assert verdict["ode_rank"] == 3
+    assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
+    assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
 
 def last_error(capsys):
@@ -148,6 +160,10 @@ class TestOtherModes:
         )
         assert code == EXIT_OK
         assert "index: 2" in capsys.readouterr().out
+        verdict = read_verdict(tmp_path)
+        assert verdict["index"] == 2
+        assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
+        assert "ode_rank" not in verdict  # the index mode decouples nothing
 
     def test_decouple_mode_writes_coefficients(self, tmp_path):
         code = run(
@@ -157,6 +173,9 @@ class TestOtherModes:
         doc = json.loads((tmp_path / "decoupled.json").read_text())
         assert doc["index"] == 2
         assert np.abs(np.array(doc["N"]["2"])).max() <= 1e-12
+        verdict = read_verdict(tmp_path)
+        assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
+        assert_decoupled_health(verdict)
 
     def test_decouple_mode_at_index_3(self, tmp_path):
         from daereach import DaeSystem, save_model, to_autonomous
@@ -195,6 +214,13 @@ class TestOtherModes:
             ]
         )
         assert code == EXIT_OK
+        verdict = read_verdict(tmp_path / "cc")
+        assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
+        assert_decoupled_health(verdict)
+        assert verdict["consistent"] is True
+        assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
+        assert (verdict["worst_column"], verdict["worst_row_block"]) == (None, None)
+        assert "max_residual" not in verdict
 
     def test_check_consistency_perturbed_exits_3(self, tmp_path, capsys):
         star = rotating_masses_initial_star()
@@ -219,6 +245,33 @@ class TestOtherModes:
         verdict = json.loads((tmp_path / "cc_bad" / "verdict.json").read_text())
         assert verdict["consistent"] is False
         assert verdict["worst_column"] == 0
+
+    @pytest.mark.parametrize("mode", ["check-consistency", "reach", "verify"])
+    def test_inconsistent_star_takes_the_one_error_path(self, tmp_path, capsys, mode):
+        star = rotating_masses_initial_star()
+        V = star.V.copy()
+        V[2, 0] += 1.0
+        init = tmp_path / "bad_init.json"
+        save_initial_star(init, StarSet(V, star.C, star.d))
+        unsafe = tmp_path / "unsafe.json"
+        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--mode", mode, "--out", str(out)]
+        assert run(argv) == EXIT_INCONSISTENT
+        error = last_error(capsys)
+        assert set(error) == {"error", "message"}
+        verdict = read_verdict(out)
+        assert set(verdict) == {
+            "error", "message", "mode", "model", "timings",
+            "consistent", "consistency_residual", "worst_column", "worst_row_block",
+        }
+        assert {key: verdict[key] for key in error} == error
+        assert (verdict["mode"], verdict["model"]) == (mode, "builtin:rotating-masses")
+        assert verdict["consistent"] is False
+        assert verdict["consistency_residual"] > DEFAULT_TOLERANCES.consistency_tol
+        assert (verdict["worst_column"], verdict["worst_row_block"]) == (0, 1)
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
     def test_reach_mode_writes_basis(self, tmp_path, benchmark_files):
         init, _ = benchmark_files
@@ -697,7 +750,7 @@ class TestErrorPaths:
         assert last_error(capsys)["error"] == "numerical-failure"
 
     def test_singular_matrix_exit_code(self, tmp_path, capsys, monkeypatch, benchmark_files):
-        # only make_admissible's residual check raises it
+        # only decouple's residual check raises it
         import daereach.reachability
         from daereach import SingularMatrixError
 

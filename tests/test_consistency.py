@@ -9,7 +9,6 @@ from daereach import (
     check_initial_star,
     compute_index_and_chain,
     decouple,
-    make_admissible,
 )
 from daereach.model import AutonomousDae
 
@@ -24,7 +23,7 @@ from test_decoupling import (
 
 
 def decoupled(auto):
-    return decouple(make_admissible(compute_index_and_chain(auto)))
+    return decouple(compute_index_and_chain(auto))
 
 
 class TestBuildConsistentMatrix:

@@ -7,7 +7,6 @@ from daereach import (
     NonsingularEError,
     compute_index_and_chain,
     decouple,
-    make_admissible,
 )
 from daereach.linalg import (
     _QR_MIN_N,
@@ -18,7 +17,13 @@ from daereach.linalg import (
 )
 from daereach.model import AutonomousDae
 
-from oracles import CanonicalDae, chain_projectors, reference_chain, reference_decoupled
+from oracles import (
+    CanonicalDae,
+    chain_matrices,
+    chain_projectors,
+    reference_chain,
+    reference_decoupled,
+)
 
 THIRD = 1.0 / 3.0
 
@@ -122,6 +127,8 @@ class TestComputeIndexAndChain:
         chain = compute_index_and_chain(auto)
         assert chain.mu == reference_chain(auto)[4] == 1
         assert chain.condition_bound is None
+        # E_1 was formed for its own SVD, yet only the singular E_0 is kept
+        assert len(chain.E_seq) == len(chain.A_seq) == len(chain.factors) == chain.mu
         assert full_svds == [(2, 2), (2, 2)]
         assert np.allclose(chain.terminal_inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
 
@@ -141,7 +148,7 @@ class TestComputeIndexAndChain:
         chain = compute_index_and_chain(index1_pair)
         assert chain.mu == 1
         assert np.allclose(chain_projectors(chain)[0][0], np.diag([0.0, 1.0]), atol=1e-14)
-        assert np.allclose(chain.E_seq[1], np.diag([1.0, -1.0]), atol=1e-14)
+        assert np.allclose(chain_matrices(chain)[0][1], np.diag([1.0, -1.0]), atol=1e-14)
 
     @pytest.mark.parametrize("blocks,expected", [([1, 1], 1), ([2], 2), ([3, 1], 3)])
     def test_canonical_indices(self, blocks, expected):
@@ -150,47 +157,53 @@ class TestComputeIndexAndChain:
 
 
 class TestMakeAdmissible:
+    """The admissible correction :func:`decouple` applies to the raw chain's
+    projectors."""
+
     def test_index_1_unchanged(self, index1_pair):
         chain = compute_index_and_chain(index1_pair)
-        admissible = make_admissible(chain)
-        assert admissible.admissible
-        assert admissible.factors[0] is chain.factors[0]
-        assert np.array_equal(chain_projectors(admissible)[0][0], chain_projectors(chain)[0][0])
+        dec = decouple(chain)
+        assert dec.factors[0] is chain.factors[0]
+        assert np.array_equal(chain_projectors(dec)[0][0], chain_projectors(chain)[0][0])
 
     def test_rotating_masses_matches_worked_values(self, rotating_masses_auto):
-        Q, _ = chain_projectors(make_admissible(compute_index_and_chain(rotating_masses_auto)))
+        Q, _ = chain_projectors(decouple(compute_index_and_chain(rotating_masses_auto)))
         assert np.allclose(Q[0], EXPECTED_Q0, atol=1e-9)
         assert np.allclose(Q[1], EXPECTED_Q1, atol=1e-9)
 
     def test_keeps_raw_chain(self, rotating_masses_auto):
         raw = compute_index_and_chain(rotating_masses_auto)
-        admissible = make_admissible(raw)
-        assert admissible.raw is raw
-        assert not raw.admissible
+        dec = decouple(raw)
+        assert dec.raw is raw
+        assert dec.mu == raw.mu == 2
+        # the raw chain keeps its orthogonal projectors
+        assert all(np.array_equal(R, K.T) for K, R in raw.factors)
+        assert not np.array_equal(dec.factors[1][1], raw.factors[1][1])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_admissibility_on_random_index_2(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, [2, 1])
-        chain = make_admissible(compute_index_and_chain(auto))
-        q0, q1 = chain_projectors(chain)[0]
+        dec = decouple(compute_index_and_chain(auto))
+        q0, q1 = chain_projectors(dec)[0]
         assert np.abs(q1 @ q0).max() <= 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_admissibility_on_random_index_3(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(100 + seed), 2, [3])
-        chain = make_admissible(compute_index_and_chain(auto))
-        Q, _ = chain_projectors(chain)
-        for j in range(chain.mu):
+        dec = decouple(compute_index_and_chain(auto))
+        Q, _ = chain_projectors(dec)
+        for j in range(dec.mu):
             for i in range(j):
                 assert np.abs(Q[j] @ Q[i]).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_corrected_projectors_still_project_onto_kernels(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(200 + seed), 3, [3, 2])
-        chain = make_admissible(compute_index_and_chain(auto))
-        for j, q in enumerate(chain_projectors(chain)[0]):
-            scale = max(1.0, np.abs(chain.E_seq[j]).max())
-            assert np.abs(chain.E_seq[j] @ q).max() <= 1e-8 * scale
+        dec = decouple(compute_index_and_chain(auto))
+        E, _ = chain_matrices(dec.raw, dec.factors)
+        for j, q in enumerate(chain_projectors(dec)[0]):
+            scale = max(1.0, np.abs(E[j]).max())
+            assert np.abs(E[j] @ q).max() <= 1e-8 * scale
             assert np.abs(q @ q - q).max() <= 1e-8 * max(1.0, np.abs(q).max() ** 2)
 
 
@@ -199,34 +212,29 @@ class TestChainProperties:
     def test_stepdown_identities(self, seed, blocks):
         # E_{j+1} P_j = E_j and E_{j+1} Q_j = -A_j Q_j on admissible chains
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, blocks)
-        chain = make_admissible(compute_index_and_chain(auto))
-        Q, P = chain_projectors(chain)
-        for j in range(chain.mu):
-            scale = max(1.0, np.abs(chain.E_seq[j + 1]).max())
-            assert np.abs(chain.E_seq[j + 1] @ P[j] - chain.E_seq[j]).max() <= 1e-8 * scale
-            assert (
-                np.abs(chain.E_seq[j + 1] @ Q[j] + chain.A_seq[j] @ Q[j]).max()
-                <= 1e-8 * scale
-            )
+        dec = decouple(compute_index_and_chain(auto))
+        Q, P = chain_projectors(dec)
+        E, A = chain_matrices(dec.raw, dec.factors)
+        for j in range(dec.mu):
+            scale = max(1.0, np.abs(E[j + 1]).max())
+            assert np.abs(E[j + 1] @ P[j] - E[j]).max() <= 1e-8 * scale
+            assert np.abs(E[j + 1] @ Q[j] + A[j] @ Q[j]).max() <= 1e-8 * scale
 
     @pytest.mark.parametrize("seed,blocks", [(4, [2]), (5, [3, 1])])
     def test_telescoping_identity(self, seed, blocks):
-        # A_mu = A_0 + sum of E_{j+1} Q_j
+        # A_mu = A_0 + sum of E_{j+1} Q_j, and A_mu is the decoupled source
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, blocks)
-        chain = make_admissible(compute_index_and_chain(auto))
-        total = chain.A_seq[0].copy()
-        for j, q in enumerate(chain_projectors(chain)[0]):
-            total += chain.E_seq[j + 1] @ q
-        scale = max(1.0, np.abs(chain.A_seq[chain.mu]).max())
-        assert np.abs(total - chain.A_seq[chain.mu]).max() <= 1e-8 * scale
+        dec = decouple(compute_index_and_chain(auto))
+        E, A = chain_matrices(dec.raw, dec.factors)
+        total = A[0].copy()
+        for j, q in enumerate(chain_projectors(dec)[0]):
+            total += E[j + 1] @ q
+        scale = max(1.0, np.abs(A[dec.mu]).max())
+        assert np.abs(total - A[dec.mu]).max() <= 1e-8 * scale
+        assert np.abs(dec.source - A[dec.mu]).max() <= 1e-12 * scale
 
 
 class TestDecouple:
-    def test_requires_admissible_chain(self, rotating_masses_auto):
-        raw = compute_index_and_chain(rotating_masses_auto)
-        with pytest.raises(ValueError):
-            decouple(raw)
-
     def test_rotating_masses_coefficients(self, rotating_masses_decoupled):
         N, couplings, _ = dense_forms(rotating_masses_decoupled)
         assert np.allclose(N[1], EXPECTED_N1, atol=1e-9)
@@ -235,7 +243,8 @@ class TestDecouple:
         assert np.allclose(couplings["L3"], EXPECTED_L3, atol=1e-9)
 
     def test_hand_checkable_index_1(self, index1_pair):
-        dec = decouple(make_admissible(compute_index_and_chain(index1_pair)))
+        dec = decouple(compute_index_and_chain(index1_pair))
+        assert dec.source is dec.raw.A_seq[0]
         N, couplings, _ = dense_forms(dec)
         assert np.allclose(N[1], np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(N[2], np.diag([0.0, -1.0]), atol=1e-14)
@@ -247,7 +256,7 @@ class TestDecouple:
     )
     def test_partition_of_identity(self, seed, blocks, parts):
         auto, _ = canonical_auto(np.random.default_rng(300 + seed), 3, blocks)
-        dec = decouple(make_admissible(compute_index_and_chain(auto)))
+        dec = decouple(compute_index_and_chain(auto))
         assert len(dec.projectors) == parts
         total = sum(dec.projectors.values())
         assert np.abs(total - np.eye(dec.n)).max() <= 1e-8
@@ -258,7 +267,7 @@ class TestDecouple:
         # with the exact canonical-form solution
         rng = np.random.default_rng(400 + seed)
         auto, ws = canonical_auto(rng, 3, [2, 1])
-        dec = decouple(make_admissible(compute_index_and_chain(auto)))
+        dec = decouple(compute_index_and_chain(auto))
         N, _, maps = dense_forms(dec)
         x0 = ws.consistent_point(rng)
         times = np.linspace(0.0, 1.0, 6)
@@ -283,6 +292,13 @@ def _rotating_masses_auto():
     from daereach import build_rotating_masses, to_autonomous
 
     return to_autonomous(*build_rotating_masses())
+
+
+@pytest.mark.parametrize("make_auto", [_stokes_auto, _rotating_masses_auto])
+def test_certified_chain_keeps_only_the_matrices_it_factored(make_auto):
+    chain = compute_index_and_chain(make_auto())
+    assert chain.condition_bound is not None
+    assert len(chain.E_seq) == len(chain.A_seq) == len(chain.factors) == chain.mu == 2
 
 
 class TestFactorizationCounts:
@@ -338,7 +354,7 @@ class TestFactorizationCounts:
         build_consistent_matrix(dec, np.ones((auto.n, 2)))
         dec.lift
         assert dec.mu == index
-        assert dec.chain.raw.condition_bound is not None
+        assert dec.raw.condition_bound is not None
         assert counts["full_svd"] == full_svds
         assert counts["svd"] <= svds
         assert counts["solve"] <= solves
@@ -431,8 +447,8 @@ def test_decoupling_matches_reference_path(index):
     blocks) against the coefficients multiplied out densely."""
     worst_margin = 0.0
     for seed, rng, auto, ws in random_systems(index):
-        ours = decouple(make_admissible(compute_index_and_chain(auto)))
-        worst_margin = max(worst_margin, _certified_margin(ours.chain.raw, auto))
+        ours = decouple(compute_index_and_chain(auto))
+        worst_margin = max(worst_margin, _certified_margin(ours.raw, auto))
         reference = reference_decoupled(auto)
         assert ours.mu == reference.mu == index, seed
         N, couplings, _ = dense_forms(ours)
@@ -445,7 +461,7 @@ def test_decoupling_matches_reference_path(index):
         assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, seed
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
         assert max(frame_errors(ours, reference, V).values()) <= 1e-10, seed
-        assert ours.chain.inverse_residual <= 1e-12, seed
+        assert ours.inverse_residual <= 1e-12, seed
     print(f"\nindex {index}: worst bound * rank_rel_tol {worst_margin:.2e}")
 
 
@@ -472,7 +488,7 @@ def test_semi_explicit_systems_factor_by_qr(index):
         assert _relative_error(raw.terminal_inverse, reference_inverse) <= 1e-10, seed
         reference = reference_decoupled(auto)
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
-        errors = frame_errors(decouple(make_admissible(raw)), reference, V)
+        errors = frame_errors(decouple(raw), reference, V)
         assert max(errors.values()) <= 1e-10, seed
 
 
@@ -540,17 +556,18 @@ def test_certified_chain_matches_full_svd_chain_on_stokes(k):
     ids=["index-1", "index-2", "index-3", "semi-1", "semi-2", "semi-3", "stokes-4"],
 )
 def test_make_admissible_factors_nothing(monkeypatch, make_auto, index):
-    """The admissible correction is rank-``m`` products of the raw chain's
-    factors at every index: no SVD, QR, solve or inverse."""
+    """The admissible correction in :func:`decouple` is rank-``m`` products
+    of the raw chain's factors at every index: no SVD, QR, solve or
+    inverse."""
     raw = compute_index_and_chain(make_auto())
     assert raw.mu == index
     for name in ("svd", "qr", "solve", "inv"):
 
         def refuse(*args, _name=name, **kwargs):
-            raise AssertionError(f"make_admissible called np.linalg.{_name}")
+            raise AssertionError(f"decouple called np.linalg.{_name}")
 
         monkeypatch.setattr(np.linalg, name, refuse)
-    assert make_admissible(raw).inverse_residual <= 1e-12
+    assert decouple(raw).inverse_residual <= 1e-12
 
 
 @pytest.mark.parametrize("systems", [random_systems, semi_explicit_systems])
@@ -561,15 +578,16 @@ def test_index_3_intermediate_is_the_raw_terminal_matrix_times_a_unipotent(syste
     ``E_2' - A_2' Q_2 = E_3 (I - X)`` has the inverse ``(I + X) E_3^{-1}``."""
     for seed, _, auto, _ in systems(3):
         raw = compute_index_and_chain(auto)
-        ours = make_admissible(raw)
+        ours = decouple(raw)
         (K1, _), (K2, _) = raw.factors[1:]
         swap = K1 @ (K1.T - ours.factors[1][1])  # Q_1 - Q_1'
         X = swap - K2 @ (K2.T @ swap)
         assert np.abs(swap @ K2).max() <= 1e-10 * max(1.0, np.abs(swap).max()), seed
-        E2 = ours.E_seq[2]
+        E, A = chain_matrices(raw, ours.factors)
+        E2 = E[2]
         assert np.abs(E2 @ K2).max() <= 1e-10 * max(1.0, np.abs(E2).max()), seed
-        assert _relative_error(ours.A_seq[2] @ K2, raw.A_seq[2] @ K2) <= 1e-10, seed
+        assert _relative_error(A[2] @ K2, raw.A_seq[2] @ K2) <= 1e-10, seed
         assert np.abs(X @ X).max() <= 1e-10 * max(1.0, np.abs(X).max() ** 2), seed
-        intermediate = E2 - (ours.A_seq[2] @ K2) @ K2.T
+        intermediate = E2 - (A[2] @ K2) @ K2.T
         inverse = raw.terminal_inverse + X @ raw.terminal_inverse
         assert np.abs(intermediate @ inverse - np.eye(auto.n)).max() <= 1e-10, seed

@@ -12,7 +12,6 @@ from daereach import (
     compute_index_and_chain,
     compute_reach,
     decouple,
-    make_admissible,
 )
 from daereach.model import AutonomousDae
 
@@ -28,7 +27,7 @@ from test_decoupling import EXPECTED_N3, dense_forms, frame_errors
 
 
 def decoupled(auto):
-    return decouple(make_admissible(compute_index_and_chain(auto)))
+    return decouple(compute_index_and_chain(auto))
 
 
 def dense_psi(dec):
@@ -372,7 +371,7 @@ class TestAgainstReferencePath:
         V = np.column_stack(
             [box_star(rng, ref_dec.gamma, auto.n, 1).V[:, 0], rng.normal(size=auto.n)]
         )
-        same_chain = frame_errors(dec, dense_decoupled(dec.chain), V)
+        same_chain = frame_errors(dec, dense_decoupled(dec), V)
         assert max(same_chain.values()) <= 1e-10, same_chain
         independent = frame_errors(dec, ref_dec, V)
         assert max(independent.values()) <= 1e-8, independent
@@ -400,14 +399,15 @@ def test_reach_path_builds_nothing_dense(model):
     verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
     dec = reach.decoupled
     assert "lift" in vars(dec)  # the thin blocks were built
-    # every n x n array held anywhere is one of the chains' own matrices
-    chains = (dec.chain, dec.chain.raw)
-    allowed = {
-        id(a)
-        for chain in chains
-        for a in _square_arrays([chain.E_seq, chain.A_seq, chain.terminal_inverse], dec.n)
-    }
-    for owner in (dec,) + chains:
+    # the only n x n arrays held anywhere: the raw chain's factored matrices
+    # and terminal inverse, and the decoupled system's terminal inverse and
+    # source; neither keeps a terminal chain matrix
+    raw = dec.raw
+    assert len(raw.E_seq) == len(raw.A_seq) == raw.mu
+    held = [raw.E_seq, raw.A_seq, raw.terminal_inverse, dec.terminal_inverse, dec.source]
+    allowed = {id(a) for a in _square_arrays(held, dec.n)}
+    assert len(allowed) == 2 * raw.mu + 3
+    for owner in (dec, raw):
         for name, value in vars(owner).items():
             cached = [a for a in _square_arrays(value, dec.n) if id(a) not in allowed]
             assert not cached, (type(owner).__name__, name)

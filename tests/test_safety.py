@@ -204,13 +204,12 @@ class TestIndexThreeFalsification:
             build_consistent_matrix,
             compute_index_and_chain,
             decouple,
-            make_admissible,
         )
 
         rng = np.random.default_rng(900 + seed)
         ws = CanonicalDae(rng, 3, [3])
         auto = AutonomousDae(ws.E, ws.A)
-        dec = decouple(make_admissible(compute_index_and_chain(auto)))
+        dec = decouple(compute_index_and_chain(auto))
         star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
         settings = ReachSettings(time_step=0.05, num_steps=20)
         reach = compute_reach(auto, star, settings)
