@@ -3,7 +3,9 @@
 Two fully specified generators ship with the package: a four-state
 interconnected rotating-masses model (tractability index 2 after the
 input lift) and a family of semidiscretized Stokes flows on staggered
-grids (index 2 at every grid size).  Everything else is expected to
+grids (index 2 at every grid size), assembled as Kronecker products of
+one-dimensional operators into matrices allocated up front, so a grid
+too large to hold fails before any work.  Everything else is expected to
 arrive through the model-file loader.
 """
 
@@ -77,122 +79,89 @@ def rotating_masses_initial_star():
     return StarSet(V, C, d)
 
 
-def _stokes_layout(grid_n):
-    """Index maps for the staggered (MAC) layout on a grid_n x grid_n grid.
-
-    Horizontal velocities live on interior vertical cell faces, vertical
-    velocities on interior horizontal faces, pressures at cell centers.
-    Boundary faces carry the zero Dirichlet velocity and are not unknowns;
-    the pressure of cell (0, 0) is pinned to zero so the pressure field,
-    otherwise defined only up to a constant, has a unique representative
-    and the pencil stays regular.
-    """
-    u_index = {}
-    for i in range(1, grid_n):
-        for j in range(grid_n):
-            u_index[(i, j)] = len(u_index)
-    v_index = {}
-    for i in range(grid_n):
-        for j in range(1, grid_n):
-            v_index[(i, j)] = len(u_index) + len(v_index)
-    p_index = {}
-    for i in range(grid_n):
-        for j in range(grid_n):
-            if (i, j) != (0, 0):
-                p_index[(i, j)] = len(p_index)
-    return u_index, v_index, p_index
+def _path(m):
+    """Nearest-neighbour coupling of ``m`` points on a line."""
+    return np.eye(m, k=1, dtype=np.int8) + np.eye(m, k=-1, dtype=np.int8)
 
 
 def build_stokes(grid_n):
     """Semidiscretized incompressible Stokes flow on the unit square.
 
-    Finite differences on a uniform ``grid_n x grid_n`` staggered grid
-    with zero Dirichlet velocity on the boundary.  The state stacks
-    ``n_v = 2 k (k - 1)`` interior face velocities and ``n_p = k^2 - 1``
-    cell pressures (one reference cell pinned), giving dimension
-    ``3 k^2 - 2 k - 1`` for ``k = grid_n``.  The system has the block form
+    Finite differences on a uniform ``grid_n x grid_n`` staggered
+    (marker-and-cell) grid with zero Dirichlet velocity on the boundary.
+    Horizontal velocities ``u`` live on the interior vertical cell faces,
+    indexed ``(i, j)`` with ``i`` in ``1..k-1`` and ``j`` in ``0..k-1``;
+    vertical velocities ``v`` on the interior horizontal faces, ``i`` in
+    ``0..k-1`` and ``j`` in ``1..k-1``; pressures at the cell centres,
+    with cell ``(0, 0)`` pinned to zero so the pressure, otherwise defined
+    only up to a constant, has a unique representative and the pencil
+    stays regular.  The state stacks ``u``, ``v`` and ``p``, each with the
+    second index fastest: ``n_v = 2 k (k - 1)`` velocities and
+    ``n_p = k^2 - 1`` pressures, dimension ``3 k^2 - 2 k - 1`` for
+    ``k = grid_n``.  The system has the block form
 
         E = [[I, 0], [0, 0]],   A = [[A11, A12], [A12^T, 0]]
 
-    with ``A11`` the 5-point discrete Laplacian on the velocity unknowns
-    and ``A12`` the discrete pressure gradient; the lower-left block is
-    exactly the transpose of ``A12``.  The resulting DAE has tractability
-    index 2.  ``B`` applies a unit force at one near-center velocity
-    unknown (a single input).
+    and the DAE has tractability index 2 at every grid size.  ``B``
+    applies a unit force at one near-centre ``u`` unknown (a single input).
+
+    Both blocks are Kronecker products of one-dimensional operators.  Per
+    velocity component ``A11`` is the 5-point Laplacian: the neighbour
+    couplings are ``kron(S, I) + kron(I, S)`` (times ``1/h^2``) along the
+    component's normal and tangential lines.  A missing normal neighbour
+    is a boundary face carrying zero, so every normal side costs ``1/h^2``
+    on the diagonal; a tangential wall face is mirrored across the wall so
+    the velocity vanishes at its midpoint, and that side costs ``2/h^2``.
+    Each diagonal entry sums its sides in one fixed order -- both normal
+    sides (``-2/h^2`` exactly), then the lower and the upper tangential
+    side -- because the plain Kronecker sum rounds differently in the
+    last bit for some ``k`` (5, 7 and 10 among them).  ``A12`` is the 1-D
+    face difference ``(p_{c-1} - p_c) / h`` Kronecker-multiplied with the
+    identity along the face, without the pinned cell's column.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     k = grid_n
-    h = 1.0 / k
-    u_index, v_index, p_index = _stokes_layout(k)
-    n_v = len(u_index) + len(v_index)
-    n_p = len(p_index)
-    n = n_v + n_p
-
-    lap = np.zeros((n_v, n_v))
-    inv_h2 = 1.0 / (h * h)
-
-    def stencil(index_map, row, neighbors):
-        diag = 0.0
-        for cell, tangential in neighbors:
-            if cell in index_map:
-                lap[row, index_map[cell]] += inv_h2
-                diag -= inv_h2
-            elif tangential:
-                # ghost value mirrors across the wall so the velocity
-                # vanishes at the wall midpoint
-                diag -= 2.0 * inv_h2
-            else:
-                # the neighbor is a boundary face carrying the zero value
-                diag -= inv_h2
-        lap[row, row] += diag
-
-    for (i, j), row in u_index.items():
-        stencil(
-            u_index,
-            row,
-            [((i - 1, j), False), ((i + 1, j), False), ((i, j - 1), True), ((i, j + 1), True)],
-        )
-    for (i, j), row in v_index.items():
-        stencil(
-            v_index,
-            row,
-            [((i, j - 1), False), ((i, j + 1), False), ((i - 1, j), True), ((i + 1, j), True)],
-        )
-
-    grad = np.zeros((n_v, n_p))
-    inv_h = 1.0 / h
-    for (i, j), row in u_index.items():
-        # face between cells (i - 1, j) and (i, j)
-        if (i, j) in p_index:
-            grad[row, p_index[(i, j)]] -= inv_h
-        if (i - 1, j) in p_index:
-            grad[row, p_index[(i - 1, j)]] += inv_h
-    for (i, j), row in v_index.items():
-        # face between cells (i, j - 1) and (i, j)
-        if (i, j) in p_index:
-            grad[row, p_index[(i, j)]] -= inv_h
-        if (i, j - 1) in p_index:
-            grad[row, p_index[(i, j - 1)]] += inv_h
-
+    n_u = (k - 1) * k
+    n_v = 2 * n_u
+    n = n_v + k * k - 1
     E = np.zeros((n, n))
-    E[:n_v, :n_v] = np.eye(n_v)
     A = np.zeros((n, n))
-    A[:n_v, :n_v] = lap
-    A[:n_v, n_v:] = grad
-    A[n_v:, :n_v] = grad.T
+    velocities = np.arange(n_v)
+    E[velocities, velocities] = 1.0
+
+    h = 1.0 / k
+    inv_h2 = 1.0 / (h * h)
+    lower = np.full(k, inv_h2)
+    lower[0] = 2.0 * inv_h2
+    upper = np.full(k, inv_h2)
+    upper[-1] = 2.0 * inv_h2
+    # both normal sides, then the lower and the upper tangential side
+    diag = (-2.0 * inv_h2 - lower) - upper
+    # small integer factors: a float kron writes -0.0 where a -1 meets a zero
+    ones_n, ones_t = np.eye(k - 1, dtype=np.int8), np.eye(k, dtype=np.int8)
+    A[:n_u, :n_u] = inv_h2 * (np.kron(_path(k - 1), ones_t) + np.kron(ones_n, _path(k)))
+    A[n_u:n_v, n_u:n_v] = inv_h2 * (np.kron(ones_t, _path(k - 1)) + np.kron(_path(k), ones_n))
+    A[velocities, velocities] = np.concatenate([np.tile(diag, k - 1), np.repeat(diag, k - 1)])
+
+    # face c sits between cells c - 1 and c
+    diff = np.eye(k - 1, k, dtype=np.int8) - np.eye(k - 1, k, 1, dtype=np.int8)
+    inv_h = 1.0 / h
+    A[:n_u, n_v:] = inv_h * np.kron(diff, ones_t)[:, 1:]
+    A[n_u:n_v, n_v:] = inv_h * np.kron(ones_t, diff)[:, 1:]
+    A[n_v:, :n_v] = A[:n_v, n_v:].T
 
     B = np.zeros((n, 1))
-    B[u_index[(max(1, k // 2), (k - 1) // 2)], 0] = 1.0
+    B[(k // 2 - 1) * k + (k - 1) // 2, 0] = 1.0
+    E.flags.writeable = A.flags.writeable = False  # kept by DaeSystem, not copied
     return DaeSystem(E, A, B)
 
 
 def stokes_center_velocity_rows(grid_n):
-    """State-row indices of the two velocity components nearest the center
-    cell, for use in observation directions and unsafe sets."""
+    """State-row indices of the two velocity components nearest the centre
+    cell ``(c, c)``, ``c = (k - 1) // 2``: ``u`` on its face ``(c + 1, c)``
+    and ``v`` on ``(c, c + 1)``, for use in observation directions and
+    unsafe sets."""
     k = grid_n
-    u_index, v_index, _ = _stokes_layout(k)
-    center = ((k - 1) // 2, (k - 1) // 2)
-    u_row = u_index[(max(1, center[0] + 1), center[1])]
-    v_row = v_index[(center[0], max(1, center[1] + 1))]
-    return u_row, v_row
+    c = (k - 1) // 2
+    return c * k + c, (k - 1) * k + c * (k - 1) + c

@@ -129,6 +129,10 @@ def _require(document, key, path):
 
 
 def _parse_builtin(name):
+    """The model named by a ``builtin:`` alias.  A grid size that is not an
+    integer of at least 2 is a parse error, and so is a grid whose matrices
+    numpy cannot allocate: the builder allocates them first, so that error
+    comes at once, as for a sparse shape that is too large."""
     spec = name[len(BUILTIN_PREFIX) :]
     if spec == "rotating-masses":
         return build_rotating_masses()
@@ -139,7 +143,11 @@ def _parse_builtin(name):
             raise ParseError(f"bad grid size in alias {name!r}", path=name)
         if grid_n < 2:
             raise ParseError(f"stokes grid size must be >= 2, got {grid_n}", path=name)
-        return build_stokes(grid_n), InputModel()
+        try:
+            model = build_stokes(grid_n)
+        except (ValueError, MemoryError) as exc:
+            raise ParseError(f"stokes grid {grid_n} is too large: {exc}", path=name)
+        return model, InputModel()
     raise ParseError(f"unknown builtin alias {name!r}", path=name)
 
 

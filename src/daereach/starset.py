@@ -198,18 +198,10 @@ class StarSet:
             return None
 
     def _assert_bounded(self, tol):
-        if self.box() is not None:
-            return
-        ftol = tol.feasibility_tol
-        for i in range(self.width):
-            direction = np.zeros(self.width)
-            direction[i] = 1.0
-            for sgn in (1.0, -1.0):
-                result = lp.solve_lp(sgn * direction, self.C, self.d, tol=ftol)
-                if result.status == lp.UNBOUNDED:
-                    raise UnboundedPredicateError(
-                        f"coefficient {i} is unbounded over the predicate"
-                    )
+        """Raise :class:`UnboundedPredicateError` unless every coefficient is
+        bounded: a box is, anything else takes the LP extrema of ``±e_i``."""
+        if self.box() is None:
+            Support("lp", self, None, tol).extrema(np.eye(self.width)[None])
 
     def sample_coefficients(self, count, seed, tol=DEFAULT_TOLERANCES):
         """``count`` predicate-satisfying coefficient vectors, shape (count, k).
@@ -276,7 +268,9 @@ class Support:
         On the LP path ``H`` is a stack of one ``(q, k)`` block per step,
         and ``times`` (optional) names the steps in error messages: a row
         unbounded over the predicate raises
-        :class:`UnboundedPredicateError`, a failed LP
+        :class:`UnboundedPredicateError`, an LP that finds the predicate
+        empty (only a star built with ``check_feasible=False`` has one)
+        :class:`EmptyPredicateError`, any other failed LP
         :class:`NumericalFailureError`.
         """
         H = np.asarray(H, dtype=float)
@@ -306,6 +300,10 @@ class Support:
                 if lp.UNBOUNDED in (lo.status, hi.status):
                     raise UnboundedPredicateError(
                         f"direction {i} is unbounded over the predicate at {where}"
+                    )
+                if lp.INFEASIBLE in (lo.status, hi.status):
+                    raise EmptyPredicateError(
+                        "the coefficient predicate C alpha <= d has no solution"
                     )
                 if lo.status != lp.OPTIMAL or hi.status != lp.OPTIMAL:
                     raise NumericalFailureError(f"direction {i} failed at {where}")

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import daereach
 from daereach import (
     ReachSettings,
     build_rotating_masses,
@@ -55,3 +61,34 @@ def lp_count(monkeypatch):
 
     monkeypatch.setattr(lp, "solve_lp", counted)
     return calls
+
+
+# the child caps its own address space before it imports the package, so
+# no preexec hook runs in this (threaded) test process between fork and exec
+_CAPPED_CLI = """
+import resource, runpy
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+runpy.run_module("daereach.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.fixture
+def capped_cli():
+    """Runs ``python -m daereach.cli *argv`` in a child process whose address
+    space is capped at 1 GiB, with one BLAS thread and a 60 s timeout: an
+    input that makes the CLI allocate without bound fails in the child, not
+    on the host.  The runner returns the ``subprocess.CompletedProcess``."""
+    src = str(Path(daereach.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(argv):
+        return subprocess.run(
+            [sys.executable, "-c", _CAPPED_CLI, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    return run

@@ -5,8 +5,9 @@ matrix exponential is a scaled Taylor series instead of a Pade
 approximant, exact solutions come from a canonical-form construction
 instead of the projector chain, feasibility is decided by vertex
 enumeration instead of simplex pivots (or by scipy's HiGHS solver, a
-second LP backend), and determinants over integer matrices are computed
-exactly with fraction-free elimination.  The
+second LP backend), determinants over integer matrices are computed
+exactly with fraction-free elimination, and the Stokes model is assembled
+face by face instead of from Kronecker products.  The
 reference chain takes a full SVD of every chain matrix, the terminal one
 included, and inverts by LU; the reference decoupling and reach path
 rebuilds the admissible chain the direct way (rank-checked rebuilt
@@ -168,6 +169,70 @@ def bruteforce_feasible(C, d, box=10.0, tol=1e-9):
     boxed_C = np.vstack([C, np.eye(k), -np.eye(k)])
     boxed_d = np.concatenate([np.asarray(d, float), np.full(2 * k, box)])
     return polytope_vertices(boxed_C, boxed_d, tol).shape[0] > 0
+
+
+def stokes_stencil(k):
+    """``(E, A, B, center_rows)`` of the ``k x k`` Stokes model, assembled
+    face by face from the 5-point stencil and the face difference, with
+    index arithmetic on the documented ordering (``u`` faces ``(i, j)``,
+    ``i`` in 1..k-1, then ``v`` faces, ``j`` in 1..k-1, then the pressures
+    without cell (0, 0); the second index fastest in each).
+
+    Each diagonal entry sums its sides as the stencil lists them: both
+    normal sides (a neighbour, or a boundary face carrying zero, cost
+    ``1/h^2`` each), then the lower and the upper tangential side (a wall
+    face's mirrored ghost costs ``2/h^2``).
+    """
+    h = 1.0 / k
+    inv_h2, inv_h = 1.0 / (h * h), 1.0 / h
+    n_u = (k - 1) * k
+    n_v = 2 * n_u
+    n = n_v + k * k - 1
+
+    def u(i, j):
+        return (i - 1) * k + j if 1 <= i < k and 0 <= j < k else None
+
+    def v(i, j):
+        return n_u + i * (k - 1) + j - 1 if 0 <= i < k and 1 <= j < k else None
+
+    def p(i, j):
+        return None if (i, j) == (0, 0) else n_v + i * k + j - 1
+
+    # (row map, face, normal sides, tangential sides, cells behind and ahead)
+    faces = [
+        (u, (i, j), [(i - 1, j), (i + 1, j)], [(i, j - 1), (i, j + 1)], [(i - 1, j), (i, j)])
+        for i in range(1, k)
+        for j in range(k)
+    ] + [
+        (v, (i, j), [(i, j - 1), (i, j + 1)], [(i - 1, j), (i + 1, j)], [(i, j - 1), (i, j)])
+        for i in range(k)
+        for j in range(1, k)
+    ]
+    A = np.zeros((n, n))
+    for index, face, normal, tangential, cells in faces:
+        row = index(*face)
+        diag = 0.0
+        for side in normal:
+            if index(*side) is not None:
+                A[row, index(*side)] = inv_h2
+            diag -= inv_h2
+        for side in tangential:
+            if index(*side) is not None:
+                A[row, index(*side)] = inv_h2
+                diag -= inv_h2
+            else:
+                diag -= 2.0 * inv_h2
+        A[row, row] = diag
+        for cell, value in zip(cells, (inv_h, -inv_h)):
+            if p(*cell) is not None:
+                A[row, p(*cell)] = A[p(*cell), row] = value
+
+    E = np.zeros((n, n))
+    E[:n_v, :n_v] = np.eye(n_v)
+    B = np.zeros((n, 1))
+    B[u(max(1, k // 2), (k - 1) // 2), 0] = 1.0
+    c = (k - 1) // 2
+    return E, A, B, (u(c + 1, c), v(c, c + 1))
 
 
 class CanonicalDae:

@@ -13,6 +13,8 @@ from daereach import (
 from daereach.linalg import numerical_rank
 from daereach.model import check_regularity
 
+from oracles import stokes_stencil
+
 
 class TestRotatingMasses:
     def test_inertia_matrix(self):
@@ -58,6 +60,17 @@ class TestRotatingMasses:
 
 
 class TestStokes:
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_entries_match_the_per_face_stencil(self, k):
+        # k = 5, 7, 10, 13 and 14 are among the sizes where a plain
+        # Kronecker sum of the 1-D operators rounds a diagonal entry apart
+        E, A, B, center_rows = stokes_stencil(k)
+        sys = build_stokes(k)
+        assert np.array_equal(sys.E, E)
+        assert np.array_equal(sys.A, A)
+        assert np.array_equal(sys.B, B)
+        assert stokes_center_velocity_rows(k) == center_rows
+
     @pytest.mark.parametrize("k,n", [(2, 7), (3, 20), (4, 39), (5, 64)])
     def test_golden_dimensions(self, k, n):
         # 2k(k-1) interior velocities plus k^2 - 1 free pressures

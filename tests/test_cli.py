@@ -588,6 +588,22 @@ class TestErrorPaths:
         assert json.loads((out / "verdict.json").read_text())["error"] == "nonsingular-e"
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
+    @pytest.mark.parametrize("grid", [3000, 20000])
+    def test_builtin_grid_too_large_to_allocate_is_a_parse_error(self, tmp_path, capped_cli, grid):
+        # k = 3000 needs 5 PiB per matrix (MemoryError), k = 20000 more
+        # bytes than numpy can address (ValueError); both fail at allocation
+        out = tmp_path / "out"
+        argv = ["--model", f"builtin:stokes:{grid}", "--mode", "index", "--out", str(out)]
+        done = capped_cli(argv)
+        assert done.returncode == EXIT_PARSE, done.stderr
+        error = json.loads(done.stderr.strip().splitlines()[-1])
+        assert error["error"] == "parse"
+        assert "too large" in error["message"]
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+        verdict = read_verdict(out)
+        assert sorted(verdict) == ["error", "message", "timings"]
+        assert verdict["error"] == "parse"
+
     def test_index_too_high_exit_code(self, tmp_path, capsys):
         from oracles import CanonicalDae
         from daereach import save_model, DaeSystem

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from test_decoupling import (
     EXPECTED_Q1,
     dense_forms,
     random_systems,
+    semi_explicit_systems,
 )
 
 
@@ -145,10 +148,17 @@ def _qz_systems(name):
         return [to_autonomous(*build_rotating_masses())]
     if name.startswith("stokes"):
         return [to_autonomous(*load_model(f"builtin:{name.replace('-', ':')}"))]
-    return [auto for _, _, auto, _ in list(random_systems(3))[:20]]
+    family, index = name.rsplit("-", 1)
+    systems = random_systems if family == "random-index" else semi_explicit_systems
+    return [auto for _, _, auto, _ in islice(systems(int(index)), 20)]
 
 
-@pytest.mark.parametrize("name", ["stokes-4", "stokes-8", "rotating-masses", "random-index-3"])
+@pytest.mark.parametrize(
+    "name",
+    ["stokes-4", "stokes-8", "stokes-12", "stokes-16", "rotating-masses"]
+    + [f"random-index-{index}" for index in (1, 2, 3)]
+    + [f"semi-explicit-{index}" for index in (1, 2, 3)],
+)
 def test_consistent_space_matches_the_qz_deflating_subspace(name):
     """The finite right deflating subspace of ``(A, E)`` from QZ, which
     shares nothing with the projector chain, has dimension ``ode_rank``,

@@ -269,3 +269,23 @@ class TestSupport:
     )
     def test_not_a_box(self, C, d):
         assert StarSet(np.eye(2), C, np.array(d, dtype=float)).box() is None
+
+    def test_unbounded_below_solves_both_lps_of_its_coefficient(self, lp_count):
+        # alpha_0 in [0, 1], alpha_1 <= 1 and alpha_1 <= alpha_0 + 3: the
+        # boundedness check is the LP support of +-e_i, two LPs a coefficient
+        C = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
+        star = StarSet(np.eye(2), C, np.array([1.0, 0.0, 1.0, 3.0]))
+        del lp_count[:]  # the constructor's feasibility LP
+        with pytest.raises(UnboundedPredicateError, match="direction 1"):
+            star.sample_points(2, seed=0)
+        assert len(lp_count) == 4
+
+    @pytest.mark.parametrize("budget", [0, 10**5])
+    def test_empty_predicate_built_unchecked_is_empty_on_the_lp_path(self, budget):
+        # alpha >= 0 with alpha_0 + alpha_1 <= -1: no solution, and not a box
+        C = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        star = StarSet(np.eye(2), C, np.array([0.0, 0.0, -1.0]), check_feasible=False)
+        with pytest.raises(EmptyPredicateError):
+            star.support(budget).extrema(np.eye(2)[None])
+        with pytest.raises(EmptyPredicateError):
+            star.sample_points(2, seed=0)
