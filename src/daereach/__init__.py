@@ -16,7 +16,7 @@ from .benchmarks import (
     rotating_masses_initial_star,
     stokes_center_velocity_rows,
 )
-from .consistency import build_consistent_matrix, check_initial_star
+from .consistency import check_initial_star
 from .decoupling import compute_index_and_chain, decouple, decouple_system
 from .errors import (
     DaeError,
@@ -65,7 +65,6 @@ __all__ = [
     "UnboundedPredicateError",
     "UnsafeSpec",
     "DEFAULT_TOLERANCES",
-    "build_consistent_matrix",
     "build_rotating_masses",
     "build_stokes",
     "check_initial_star",

@@ -156,12 +156,13 @@ class DecoupledSystem:
     ``O(n^2 c)``; no ``n x n x n`` product is taken.
 
     The reach path needs only thin blocks: the ODE frame ``ode_basis``
-    ``W``, the reduced matrix ``ode_matrix`` ``W^T N[1] W``, the maps on the
-    frame ``frame_maps`` and the ``lift`` ``psi W``.  A dense form is the
-    operator applied to the identity: ``apply_N(I)`` gives the
-    coefficients ``N``, ``apply_couplings(I)`` the multipliers
-    ``L3``/``L4``/``Z4`` of derivative terms of lower constraint
-    subsystems, and ``apply_projectors(I)`` the ``projectors``
+    ``W``, the reduced matrix ``ode_matrix`` ``W^T N[1] W`` and the
+    ``lift`` ``psi W``, the sum of the maps on the frame, whose range is
+    the consistent space.  A dense form is the operator applied to the
+    identity: ``apply_N(I)`` gives the coefficients ``N``,
+    ``apply_couplings(I)`` the multipliers ``L3``/``L4``/``Z4`` of
+    derivative terms of lower constraint subsystems, and
+    ``apply_projectors(I)`` the ``projectors``
     (``projectors[i]`` extracts subsystem ``i``'s component; they sum to
     the identity), which :attr:`projectors` keeps.
     """
@@ -193,10 +194,6 @@ class DecoupledSystem:
             ),
             default=0.0,
         )
-
-    @property
-    def subsystem_ids(self):
-        return tuple(range(1, self.mu + 2))
 
     @property
     def ode_rank(self):
@@ -297,14 +294,11 @@ class DecoupledSystem:
         return self.ode_basis.T @ self._frame_blocks[1]
 
     @cached_property
-    def frame_maps(self):
-        """``{i: maps[i] W}``, every reconstruction map on the ODE frame."""
-        return self.apply_maps(self.ode_basis, self._frame_blocks, self.ode_matrix)
-
-    @cached_property
     def lift(self):
-        """``psi W``: the sum of :attr:`frame_maps` (``maps[1] W = W``)."""
-        return sum(self.frame_maps.values())
+        """``psi W``: the sum of the reconstruction maps on the ODE frame,
+        ``maps[i] W`` (``maps[1] W = W``); its range is the consistent
+        space."""
+        return sum(self.apply_maps(self.ode_basis, self._frame_blocks, self.ode_matrix).values())
 
     @cached_property
     def projectors(self):

@@ -16,7 +16,6 @@ from daereach import (
     ReachSettings,
     StarSet,
     UnsafeSpec,
-    build_consistent_matrix,
     check_initial_star,
     compute_index_and_chain,
     compute_reach,
@@ -32,7 +31,7 @@ from daereach.cli import EXIT_INCONSISTENT, main
 from daereach.model import AutonomousDae
 from daereach.modelio import save_initial_star
 
-from oracles import CanonicalDae, box_star, chain_matrices, chain_projectors
+from oracles import CanonicalDae, box_star, chain_matrices, chain_projectors, dense_decoupled
 from test_decoupling import (
     EXPECTED_L3,
     EXPECTED_N1,
@@ -207,7 +206,7 @@ def test_criterion_4_small_scale_oracle_equivalence():
             ws = CanonicalDae(rng, dynamic, blocks)
             auto = AutonomousDae(ws.E, ws.A)
             dec = decouple(compute_index_and_chain(auto))
-            star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
+            star = box_star(rng, dense_decoupled(dec).gamma, auto.n, 2)
             reach = compute_reach(auto, star, settings)
 
             alphas = star.sample_coefficients(100, seed=trial)
@@ -280,7 +279,7 @@ def test_criterion_5_reconstruction_identity(
         system, _ = load_model(f"builtin:stokes:{k}")
         auto = to_autonomous(system)
         dec = decouple(compute_index_and_chain(auto))
-        star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
+        star = box_star(rng, dense_decoupled(dec).gamma, auto.n, 2)
         runs.append((f"stokes:{k}", compute_reach(auto, star, ReachSettings(0.001, 100))))
     for name, run in runs:
         dec = run.decoupled
@@ -309,7 +308,7 @@ def test_criterion_6_stokes_scaling():
         auto = autos[k] = to_autonomous(system, inputs)
         dec = decouple(compute_index_and_chain(auto))
         assert dec.mu == 2
-        stars[k] = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
+        stars[k] = box_star(rng, dense_decoupled(dec).gamma, auto.n, 2)
         assert check_initial_star(dec, stars[k]).consistent
     best = {}
     # min over many repeats, with the sizes interleaved inside each round,

@@ -333,9 +333,11 @@ class TestFactorizationCounts:
     def test_decouple_system_factorizations(
         self, monkeypatch, make_auto, index, full_svds, svds, solves
     ):
-        from daereach import build_consistent_matrix, decouple_system
+        from daereach import StarSet, check_initial_star, decouple_system
 
         auto = make_auto()
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        star = StarSet(np.ones((auto.n, 2)), box, np.ones(4))
         counts = {"svd": 0, "full_svd": 0, "solve": 0}
 
         def counting(key, fn):
@@ -350,8 +352,8 @@ class TestFactorizationCounts:
         monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
         monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
         dec = decouple_system(auto)
-        # what the reach path reads: the consistency rows, the frame and the lift
-        build_consistent_matrix(dec, np.ones((auto.n, 2)))
+        # what the reach path reads: the consistency check, the frame and the lift
+        check_initial_star(dec, star)
         dec.lift
         assert dec.mu == index
         assert dec.raw.condition_bound is not None
@@ -405,16 +407,17 @@ def frame_errors(dec, reference, V):
     """Relative errors of the factored reach-path blocks against the dense
     reference, each invariant to the choice of the frame ``W``: ``Pi W``
     (equal to ``W``), the reduced matrix ``W^T N[1] W``, the lift ``psi W``
-    and the consistency rows ``Gamma V``."""
-    from daereach import build_consistent_matrix
-
+    and the consistency check's lift residual ``psi W W^T Pi V - V``."""
     W = dec.ode_basis
     assert W.shape[1] == dec.ode_rank == round(np.trace(reference.projectors[1]))
     return {
         "Pi W": _relative_error(dec.ode_component(W), reference.projectors[1] @ W),
         "W^T N1 W": _relative_error(dec.ode_matrix, W.T @ reference.N[1] @ W),
         "psi W": _relative_error(dec.lift, reference.psi @ W),
-        "Gamma V": _relative_error(build_consistent_matrix(dec, V), reference.gamma @ V),
+        "psi W W^T Pi V - V": _relative_error(
+            dec.lift @ (W.T @ dec.ode_component(V)) - V,
+            reference.psi @ reference.projectors[1] @ V - V,
+        ),
     }
 
 

@@ -8,7 +8,6 @@ from daereach import (
     InconsistentInitialSetError,
     ReachSettings,
     StarSet,
-    build_consistent_matrix,
     compute_index_and_chain,
     compute_reach,
     decouple,
@@ -148,7 +147,7 @@ class TestPropagateBasis:
 
         auto = to_autonomous(*load_model(model))
         dec = decoupled(auto)
-        star = box_star(np.random.default_rng(8), build_consistent_matrix(dec), auto.n, 3)
+        star = box_star(np.random.default_rng(8), dense_decoupled(dec).gamma, auto.n, 3)
         coordinates = propagate_basis(dec, star, ReachSettings(time_step, num_steps))
         expected = sequential_coordinates(dec, star.V, time_step, num_steps)
         assert np.abs(coordinates - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -265,7 +264,7 @@ class TestReachInvariants:
         ws = CanonicalDae(rng, 3, blocks)
         auto = AutonomousDae(ws.E, ws.A)
         dec = decoupled(auto)
-        star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
+        star = box_star(rng, dense_decoupled(dec).gamma, auto.n, 2)
         settings = ReachSettings(time_step=0.05, num_steps=10)
         reach = compute_reach(auto, star, settings)
         maps = dense_forms(dec)[2]
@@ -277,7 +276,7 @@ class TestReachInvariants:
     def test_consistency_propagates_along_solutions(
         self, rotating_masses_auto, rotating_masses_star, rotating_masses_decoupled
     ):
-        gamma = build_consistent_matrix(rotating_masses_decoupled)
+        gamma = dense_decoupled(rotating_masses_decoupled).gamma
         settings = ReachSettings(time_step=0.01, num_steps=500)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
         psi_norm = np.linalg.norm(dense_psi(reach.decoupled))
@@ -394,7 +393,7 @@ def test_reach_path_builds_nothing_dense(model):
 
     auto = to_autonomous(*load_model(model))
     dec = decoupled(auto)
-    star = box_star(np.random.default_rng(3), build_consistent_matrix(dec), auto.n, 2)
+    star = box_star(np.random.default_rng(3), dense_decoupled(dec).gamma, auto.n, 2)
     reach = compute_reach(auto, star, ReachSettings(1e-3, 50))
     verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
     dec = reach.decoupled

@@ -7,7 +7,6 @@ from daereach import (
     ReachSettings,
     StarSet,
     UnsafeSpec,
-    build_consistent_matrix,
     compute_reach,
     decouple_system,
     rotating_masses_initial_star,
@@ -199,18 +198,14 @@ class TestIndexThreeFalsification:
         # full loop on an index-3 system: falsify against a threshold known
         # to be reachable, then check the emitted trace against the exact
         # canonical-form solution of the witness start point
-        from oracles import CanonicalDae, box_star
-        from daereach import (
-            build_consistent_matrix,
-            compute_index_and_chain,
-            decouple,
-        )
+        from oracles import CanonicalDae, box_star, dense_decoupled
+        from daereach import compute_index_and_chain, decouple
 
         rng = np.random.default_rng(900 + seed)
         ws = CanonicalDae(rng, 3, [3])
         auto = AutonomousDae(ws.E, ws.A)
         dec = decouple(compute_index_and_chain(auto))
-        star = box_star(rng, build_consistent_matrix(dec), auto.n, 2)
+        star = box_star(rng, dense_decoupled(dec).gamma, auto.n, 2)
         settings = ReachSettings(time_step=0.05, num_steps=20)
         reach = compute_reach(auto, star, settings)
 
@@ -282,11 +277,11 @@ def assert_matches_reference(outcome, reach, unsafe):
 def random_reach(rng, index, width, predicate):
     """A 60-step reach of a random index-``index`` system from a consistent
     ``width``-column basis over the predicate ``predicate(rng, width)``."""
-    from oracles import CanonicalDae, box_star
+    from oracles import CanonicalDae, box_star, dense_decoupled
 
     ws = CanonicalDae(rng, int(rng.integers(2, 4)), [index])
     auto = AutonomousDae(ws.E, ws.A)
-    gamma = build_consistent_matrix(decouple_system(auto))
+    gamma = dense_decoupled(decouple_system(auto)).gamma
     basis = box_star(rng, gamma, auto.n, width).V
     C, d = predicate(rng, width)
     return compute_reach(auto, StarSet(basis, C, d), ReachSettings(0.05, 60))
