@@ -11,20 +11,24 @@ index.  With ``Q_j = K_j K_j^T`` for an orthonormal kernel basis ``K_j``,
 both updates subtract the one rank-``m`` product ``(A_j K_j) K_j^T``.
 One factorization per singular chain matrix
 (:func:`~daereach.linalg.rank_factors`) gives its kernel basis and,
-through it, its rank decision: a certified QR of its nonzero rows when it
-has exactly-zero rows, as the chain matrices of a semi-explicit system
-such as Stokes do, and an SVD otherwise.  The terminal matrix takes no
-factorization of its own when it can be certified nonsingular from the
-previous matrix's factors: in them ``E_{j+1}`` is block upper triangular,
-so one ``m x m`` SVD gives its inverse and a bound on its condition
-number (:func:`~daereach.linalg.rank_update_inverse`).  A bound that does
-not clear the rank cutoff with a margin, a singular block, and every
+through it, its rank decision.  A chain matrix with exactly-zero rows, as
+those of a semi-explicit system such as Stokes, takes a closed form when
+it is a scaled column selection (Stokes ``E_0 = diag(I, 0)``), whose
+kernel basis is unit vectors, so both updates change only the kernel
+columns and take no product; it takes a certified QR of its nonzero rows
+otherwise (Stokes ``E_1``), and any other matrix takes an SVD.  The
+terminal matrix takes no factorization of its own when it can be
+certified nonsingular from the previous matrix's factors: in them
+``E_{j+1}`` is block upper triangular, so one ``m x m`` SVD gives its
+inverse and a bound on its condition number
+(:func:`~daereach.linalg.rank_update_inverse`).  A bound that does not
+clear the rank cutoff with a margin, a singular block, and every
 singular chain matrix fall back to the matrix's own factors, which
 decide as its SVD would.  The chain records every decision and its
 margin (:attr:`MatrixChain.decisions`).  The chain keeps only the
 matrices it factored, ``E_0 .. E_{mu-1}`` and ``A_0 .. A_{mu-1}``: the
-terminal ``E_mu`` is formed only when the certificate declines it, and
-``A_mu`` never.
+terminal ``E_mu``, and the product ``A_{mu-1} Q_{mu-1}`` it needs, are
+formed only when the certificate declines it, and ``A_mu`` never.
 
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
@@ -101,7 +105,8 @@ class MatrixChain:
     certificate on the previous matrix's factors proved it nonsingular.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
-    :class:`~daereach.linalg.Factors` (``"qr"`` or ``"svd"``), or
+    :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"qr"`` or
+    ``"svd"``), or
     ``{"method": "certificate", "bound": ...}`` for a terminal matrix
     certified from the previous one's factors.  ``condition_bound`` is
     that certified bound on ``cond_2(E_mu)``, ``None`` when ``E_mu``'s own
@@ -305,6 +310,19 @@ class DecoupledSystem:
         return self.apply_projectors(np.eye(self.n))
 
 
+def _minus_kernel_product(X, image, columns, AQ):
+    """``X - A_j Q_j`` with ``A_j Q_j = image K_j^T``: ``X - AQ``, or, when
+    ``K_j`` is the unit vectors of ``columns``, ``X`` with ``image``
+    subtracted from those columns: the same matrix, since every other
+    column of ``image K_j^T`` is zero and each of those is a column of
+    ``image``, neither rounded."""
+    if columns is None:
+        return X - AQ
+    X = X.copy()
+    X[:, columns] -= image
+    return X
+
+
 def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     """Build the matrix chain with orthogonal projectors and find the index.
 
@@ -312,14 +330,17 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :func:`~daereach.linalg.rank_update_inverse` with the previous matrix's
     factors; a certified one ends the chain with no factorization of its
     own and keeps its bound on ``condition_bound``.  Any other takes its
-    own :func:`~daereach.linalg.rank_factors` (a certified QR or an SVD),
-    which decides its rank and, when it is singular, gives its kernel
-    basis.  Both certificates accept only what the SVD would also decide,
-    so neither changes an index.  ``decisions`` records, per matrix, which
-    one decided and by what margin.  Only what is read is formed:
-    ``E_{j+1} = E_j - (A_j K_j) K_j^T`` when its own factors decide it and
-    ``A_{j+1}`` likewise when ``E_{j+1}`` is singular, so a certified
-    terminal matrix is never formed and ``A_mu`` never is.
+    own :func:`~daereach.linalg.rank_factors` (a closed form, a certified
+    QR or an SVD), which decides its rank and, when it is singular, gives
+    its kernel basis.  The closed form and both certificates decide only
+    as the SVD would, so none changes an index.  ``decisions`` records, per
+    matrix, which one decided and by what margin.  Only what is read is
+    formed: ``E_{j+1} = E_j - (A_j K_j) K_j^T`` when its own factors
+    decide it and ``A_{j+1}`` likewise when ``E_{j+1}`` is singular, so a
+    certified terminal matrix is never formed, ``A_mu`` never is, and
+    neither is the product ``A_mu Q_mu`` before it.  A closed-form kernel
+    basis is the unit vectors of some columns: ``A_j K_j`` gathers them
+    and both updates subtract it from them, with no product.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -341,7 +362,10 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
             inverse, bound = rank_update_inverse(current, images[-1], tol)
         if inverse is None:  # the matrix's own factors decide
             if mu:
-                E = E_seq[-1] - AQ
+                # A_{mu-1} Q_{mu-1}, of rank m: formed only now, and not at
+                # all for a unit-vector kernel basis
+                AQ = images[-1] @ factors[-1][1] if columns is None else None
+                E = _minus_kernel_product(E_seq[-1], images[-1], columns, AQ)
             current = rank_factors(E, tol)
             decisions.append(current.decision)
             kernel_basis, inverse = kernel_basis_and_inverse(current)
@@ -355,12 +379,12 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
             return MatrixChain(E_seq, A_seq, factors, images, mu, inverse, tuple(decisions))
         if mu < MAX_SUPPORTED_INDEX:
             if mu:
-                A = A_seq[-1] - AQ
+                A = _minus_kernel_product(A_seq[-1], images[-1], columns, AQ)
             E_seq.append(E)
             A_seq.append(A)
             factors.append((kernel_basis, kernel_basis.T))
-            images.append(A @ kernel_basis)
-            AQ = images[-1] @ kernel_basis.T  # A_mu Q_mu, of rank m
+            columns = current.kernel_columns
+            images.append(A @ kernel_basis if columns is None else A[:, columns])
     if not check_regularity(sys, tol):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -426,7 +450,9 @@ def decouple(chain, tol=DEFAULT_TOLERANCES):
         inverse = inverse + K @ ((K.T - R) @ inverse)  # (I + Q - Q') E_mu^{-1}
     AQ = images[-1] @ R
 
-    residual = float(np.abs((E - AQ) @ inverse - np.eye(chain.n)).max())
+    residual = (E - AQ) @ inverse
+    residual.flat[:: chain.n + 1] -= 1.0
+    residual = float(np.abs(residual, out=residual).max())
     if not residual <= np.sqrt(tol.rank_rel_tol):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "

@@ -12,11 +12,15 @@ step and its projector cannot disagree, and a nonsingular matrix's
 inverse is formed from the same factors, ``W diag(1/s) U^T``, with no LU
 solve.
 
-:func:`rank_factors` picks the factorization.  A matrix of at least
-``_QR_MIN_N`` rows that has exactly-zero rows (the constraint rows of a
-semi-explicit DAE) takes a complete QR of its nonzero rows, accepted only
-when a Frobenius-norm bound proves that the SVD would find the same rank;
-any other matrix takes an SVD.
+:func:`rank_factors` picks one of three factorizations.  A matrix of at
+least ``_QR_MIN_N`` rows that has exactly-zero rows (the constraint rows
+of a semi-explicit DAE) and is a scaled column selection (one nonzero per
+nonzero row, no two in one column, as ``E = diag(I, 0)`` of Stokes) is
+factored in closed form: its singular values are the magnitudes of its
+nonzero entries, so the rank is decided with no arithmetic.  Another such
+matrix takes a complete QR of its nonzero rows, accepted only when a
+Frobenius-norm bound proves that the SVD would find the same rank; any
+other matrix takes an SVD.
 
 A chain matrix that differs from an already factored one by a product
 through the latter's kernel basis can skip its own factorization:
@@ -150,21 +154,30 @@ class Factors(NamedTuple):
 
     ``U`` and ``W`` are orthogonal, ``lead`` is a nonsingular ``rank x
     rank`` block and every entry of ``tail`` lies at or below the rank
-    cutoff, so the trailing ``n - rank`` columns of ``w`` (``W``) are the
-    kernel basis.  Two factorizations give this form:
+    cutoff, so the trailing ``n - rank`` columns of ``W`` are the kernel
+    basis.  Three factorizations give this form:
 
     * :func:`svd_factors`: ``left`` is ``U``, ``lead`` the vector of the
-      singular values above the cutoff (a diagonal block) and ``tail`` the
-      rest;
+      singular values above the cutoff (a diagonal block), ``tail`` the
+      rest and ``w`` is ``W``;
     * the certified QR of :func:`rank_factors`: ``left`` is the row order
       that stands for ``U`` (``U^T x = x[left]``), ``lead`` is the lower
-      triangular ``L``, ``lead_inv`` its inverse, and ``tail`` is zero.
+      triangular ``L``, ``lead_inv`` its inverse, ``tail`` is zero and
+      ``w`` is ``W``;
+    * the closed form of :func:`rank_factors` for a scaled column
+      selection: ``left`` is the row order, ``lead`` the signed vector
+      ``d`` of the nonzero entries (a diagonal block, ``Z[left[i], w[i]] =
+      d[i]``), ``tail`` is zero, and ``w`` is the column order that stands
+      for ``W`` (``W^T x = x[w]``), so the kernel basis is the unit vectors
+      of the columns ``kernel_columns = w[rank:]``.
 
-    ``decision`` records which of the two decided the rank and its margin:
-    ``{"method": "svd", "kept": s_r / s_1, "dropped": s_{r+1} / s_1}``
-    (the smallest singular value kept and the largest dropped, relative to
-    the largest; ``None`` where there is none) or ``{"method": "qr",
-    "bound": ||L||_F ||L^{-1}||_F}``.
+    ``decision`` records which of the three decided the rank and its
+    margin: ``{"method": "svd", "kept": s_r / s_1, "dropped": s_{r+1} /
+    s_1}`` (the smallest singular value kept and the largest dropped,
+    relative to the largest; ``None`` where there is none), ``{"method":
+    "diagonal", "kept": min|d| / max|d|, "dropped": 0.0}``, the same two
+    ratios of the same singular values, or ``{"method": "qr", "bound":
+    ||L||_F ||L^{-1}||_F}``.
     """
 
     left: np.ndarray
@@ -182,6 +195,12 @@ class Factors(NamedTuple):
     def lead_solve(self, X):
         """``lead^{-1} X``."""
         return X / self.lead[:, None] if self.lead.ndim == 1 else self.lead_inv @ X
+
+    @property
+    def kernel_columns(self):
+        """The columns whose unit vectors are the kernel basis when ``w`` is
+        a column order, else ``None``."""
+        return self.w[self.rank :] if self.w.ndim == 1 else None
 
     @property
     def lead_inv_norm_sq(self):
@@ -216,20 +235,29 @@ _QR_MIN_N = 20
 
 def rank_factors(Z, tol=DEFAULT_TOLERANCES):
     """The :class:`Factors` that decide the rank of a square matrix: a
-    certified QR where one applies, else :func:`svd_factors`.
+    closed form or a certified QR where one applies, else
+    :func:`svd_factors`.
 
     When ``Z`` (``n >= _QR_MIN_N``) has ``n - p > 0`` exactly-zero rows and
-    its ``p`` nonzero rows ``M`` factor as ``M^T = Q R`` (a complete
-    Householder QR), ``Z = Pi [[L, 0], [0, 0]] Q^T`` with ``L = R^T`` and
-    ``Pi`` the row order that puts the nonzero rows first.  The nonzero
-    singular values of ``Z`` are those of ``L``, so ``||L||_F ||L^{-1}||_F``
-    bounds ``s_1 / s_p``; when that bound is below ``1 / (CERTIFICATE_MARGIN
-    * rank_rel_tol)``, ``s_p`` clears the cutoff and the rest are exactly 0,
-    so the SVD would also find rank ``p`` (Golub & Van Loan, *Matrix
-    Computations*, 4th ed., 5.4: complete orthogonal decompositions).  A
-    zero pivot, a bound in the margin band, a matrix with no zero row (or
-    no nonzero one) and a small ``n`` take the SVD, which decides as
-    always.
+    each of its ``p`` nonzero rows has one nonzero ``d_i``, no two in one
+    column, ``Z`` is a scaled column selection: its singular values are
+    ``|d|`` and ``n - p`` zeros, and its kernel is spanned by the unit
+    vectors of the ``n - p`` columns it does not select (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., 2.4).  When ``min|d| > rank_rel_tol *
+    max|d|`` that is the SVD's own rank decision, with no margin band, and
+    the factors are the row order, ``d`` and the column order.
+
+    Any other such ``Z`` factors its nonzero rows ``M`` as ``M^T = Q R`` (a
+    complete Householder QR): ``Z = Pi [[L, 0], [0, 0]] Q^T`` with ``L =
+    R^T`` and ``Pi`` the row order that puts the nonzero rows first.  The
+    nonzero singular values of ``Z`` are those of ``L``, so ``||L||_F
+    ||L^{-1}||_F`` bounds ``s_1 / s_p``; when that bound is below ``1 /
+    (CERTIFICATE_MARGIN * rank_rel_tol)``, ``s_p`` clears the cutoff and the
+    rest are exactly 0, so the SVD would also find rank ``p`` (Golub & Van
+    Loan, *Matrix Computations*, 4th ed., 5.4: complete orthogonal
+    decompositions).  A zero pivot, a bound in the margin band, a matrix
+    with no zero row (or no nonzero one) and a small ``n`` take the SVD,
+    which decides as always.
     """
     Z = as_matrix(Z, "Z")
     _require_square(Z, "Z")
@@ -239,7 +267,18 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
         p = int(np.count_nonzero(nonzero))
         if 0 < p < n:
             order = np.concatenate([np.flatnonzero(nonzero), np.flatnonzero(~nonzero)])
-            q, r = np.linalg.qr(Z[order[:p]].T, mode="complete")
+            rows = Z[order[:p]]
+            if np.count_nonzero(rows) == p:  # one nonzero per row
+                cols = (rows != 0.0).argmax(axis=1)
+                selected = np.zeros(n, dtype=bool)
+                selected[cols] = True
+                d = rows[np.arange(p), cols]
+                low, top = np.abs(d).min(), np.abs(d).max()
+                if np.count_nonzero(selected) == p and low > tol.rank_rel_tol * top:
+                    decision = {"method": "diagonal", "kept": float(low / top), "dropped": 0.0}
+                    w = np.concatenate([cols, np.flatnonzero(~selected)])
+                    return Factors(order, d, np.zeros(n - p), w, p, decision)
+            q, r = np.linalg.qr(rows.T, mode="complete")
             r_inv, info = scipy.linalg.lapack.dtrtri(r[:p])
             if info == 0:
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -256,12 +295,19 @@ def kernel_basis_and_inverse(factors):
 
     The basis is a copy of the trailing ``n - rank`` columns of ``W``, an
     ``(n, n - rank)`` array in ``W``'s memory order (a view would keep all
-    of ``W`` alive as long as the chain keeps the basis).  For a
+    of ``W`` alive as long as the chain keeps the basis); for a column
+    order ``w`` it is the unit vectors of ``kernel_columns``.  For a
     nonsingular matrix it has no columns and the inverse is ``W diag(1/s)
-    U^T``: only an SVD finds a matrix nonsingular, since the QR path needs
-    a zero row.  For a singular matrix the inverse is ``None``.
+    U^T``: only an SVD finds a matrix nonsingular, since the QR path and
+    the closed form need a zero row.  For a singular matrix the inverse is
+    ``None``.
     """
     w, rank = factors.w, factors.rank
+    columns = factors.kernel_columns
+    if columns is not None:
+        basis = np.zeros((w.size, columns.size))
+        basis[columns, np.arange(columns.size)] = 1.0
+        return basis, None
     inverse = (w / factors.lead) @ factors.left.T if rank == w.shape[0] else None
     return w[:, rank:].copy(order="K"), inverse
 
@@ -281,7 +327,8 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
     ``U^T image``.  One SVD of the ``m x m`` block ``C`` gives ``T^{-1}``,
     and ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
     Projector Based Analysis*, 2013); for QR factors ``U^T`` is a gather of
-    rows and ``W T^{-1} U^T`` a scatter of columns.  ``bound =
+    rows and ``W T^{-1} U^T`` a scatter of columns, and for closed-form
+    factors ``W`` is a scatter of rows too.  ``bound =
     ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it is below ``1
     / (CERTIFICATE_MARGIN * rank_rel_tol)``, ``Z'``'s own SVD would also
     find it nonsingular at the cutoff, and the inverse is returned.
@@ -312,6 +359,14 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
         bound = math.sqrt(norm_sq * inv_norm_sq)
     if not bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
         return None, bound
+    if factors.w.ndim == 1:  # T^{-1}, its rows scattered to w, its columns to left
+        t_inv = np.zeros((factors.w.size,) * 2)
+        t_inv[:rank, :rank] = factors.lead_solve(np.eye(rank))
+        t_inv[:rank, rank:] = corner
+        t_inv[rank:, rank:] = c_inv
+        inverse = np.empty_like(t_inv)
+        inverse[np.ix_(factors.w, factors.left)] = t_inv
+        return inverse, bound
     if factors.left.ndim == 1:  # W T^{-1}, its columns scattered to the row order
         w_top, w_low = factors.w[:, :rank], factors.w[:, rank:]
         inverse = np.empty_like(factors.w)

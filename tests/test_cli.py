@@ -41,12 +41,15 @@ def assert_chain_decisions(verdict, methods):
     """The verdict's chain decisions use ``methods`` in order, and each
     margin clears the rank cutoff: a certified bound by
     ``CERTIFICATE_MARGIN``, an SVD by keeping singular values above it and
-    dropping those at or below it; the last bound is the terminal one."""
+    dropping those at or below it, the closed form likewise with exact
+    zeros dropped; the last bound is the terminal one."""
     decisions = verdict["chain_decisions"]
     assert [d["method"] for d in decisions] == methods
     cutoff = DEFAULT_TOLERANCES.rank_rel_tol
     for decision in decisions:
-        if decision["method"] == "svd":
+        if decision["method"] == "diagonal":
+            assert cutoff < decision["kept"] <= 1.0 and decision["dropped"] == 0.0
+        elif decision["method"] == "svd":
             assert cutoff < decision["kept"] <= 1.0
             assert decision["dropped"] is None or 0.0 <= decision["dropped"] <= cutoff
         else:
@@ -295,7 +298,7 @@ class TestOtherModes:
         assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
-    def test_stokes_reach_decides_the_chain_by_qr(self, tmp_path):
+    def test_stokes_reach_decides_the_chain_by_closed_form_and_qr(self, tmp_path):
         from daereach import load_model, to_autonomous
         from oracles import box_star, reference_decoupled
 
@@ -316,7 +319,7 @@ class TestOtherModes:
         assert code == EXIT_OK
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["index"] == 2
-        assert_chain_decisions(verdict, ["qr", "qr", "certificate"])
+        assert_chain_decisions(verdict, ["diagonal", "qr", "certificate"])
 
     def test_bounds_with_directions(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files

@@ -306,8 +306,9 @@ class TestFactorizationCounts:
 
     The dense random systems (``n`` below the QR crossover) and the rotating
     masses take one ``n x n`` SVD per singular raw chain matrix: 1, 2 and 3
-    at indices 1, 2 and 3.  Stokes takes none: ``E_0`` and ``E_1`` have
-    exactly-zero rows and factor by certified QR.  The terminal raw matrix
+    at indices 1, 2 and 3.  Stokes takes none: ``E_0 = diag(I, 0)`` factors
+    in closed form and ``E_1``, which has exactly-zero rows, by certified
+    QR.  The terminal raw matrix
     is certified nonsingular from the previous matrix's factors, which
     costs one ``m x m`` SVD per chain step after ``E_0``, so the totals add
     at most ``index`` small SVDs.  A singular step whose small block is too
@@ -360,6 +361,30 @@ class TestFactorizationCounts:
         assert counts["full_svd"] == full_svds
         assert counts["svd"] <= svds
         assert counts["solve"] <= solves
+
+    @pytest.mark.parametrize("k", [4, 8, 12])
+    def test_stokes_chain_takes_one_qr_and_one_small_svd(self, monkeypatch, k):
+        """The Stokes chain factors ``E_0`` in closed form, ``E_1`` by one
+        QR, and certifies ``E_2`` through one SVD of the ``m x m`` block."""
+        from daereach import load_model, to_autonomous
+
+        auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
+        shapes = {"qr": [], "svd": []}
+
+        def recording(name, fn):
+            def wrapped(a, *args, **kwargs):
+                shapes[name].append(np.shape(a))
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in shapes:
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        chain = compute_index_and_chain(auto)
+        assert [d["method"] for d in chain.decisions] == ["diagonal", "qr", "certificate"]
+        assert len(shapes["qr"]) == 1  # the transposed nonzero rows of E_1
+        m = chain.factors[1][0].shape[1]
+        assert shapes["svd"] == [(m, m)] and m < auto.n
 
     def test_exponential_is_taken_at_ode_rank(self, monkeypatch):
         import daereach.reachability
@@ -493,6 +518,25 @@ def test_semi_explicit_systems_factor_by_qr(index):
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
         errors = frame_errors(decouple(raw), reference, V)
         assert max(errors.values()) <= 1e-10, seed
+
+
+def test_index_1_system_with_diagonal_E_is_certified_from_the_closed_form():
+    """A row- and column-permuted ``E = diag(d, 0)`` with signed ``d``: the
+    closed form decides ``E_0`` and the certificate inverts ``E_1`` from it
+    by scattering ``T^{-1}``."""
+    rng = np.random.default_rng(5)
+    n, p = 30, 21
+    d = rng.choice([-1.0, 1.0], size=p) * 10.0 ** rng.uniform(-3, 3, size=p)
+    E = np.zeros((n, n))
+    E[:p, :p] = np.diag(d)
+    E = E[rng.permutation(n)][:, rng.permutation(n)]
+    auto = AutonomousDae(E, rng.normal(size=(n, n)))
+    raw = compute_index_and_chain(auto)
+    assert [x["method"] for x in raw.decisions] == ["diagonal", "certificate"]
+    assert raw.mu == reference_chain(auto)[4] == 1
+    K = raw.factors[0][0]
+    E1 = E - (auto.A @ K) @ K.T
+    assert _relative_error(raw.terminal_inverse, np.linalg.inv(E1)) <= 1e-10
 
 
 def _svd_decides(auto):

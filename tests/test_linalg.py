@@ -190,7 +190,56 @@ def _with_zero_rows(rng, n, zero_rows):
     return Z
 
 
+def _scaled_selection(rng, n, zero_rows):
+    """A row- and column-permuted ``diag(d, 0)`` with signed ``d`` whose
+    magnitudes spread over six orders."""
+    p = n - zero_rows
+    d = rng.choice([-1.0, 1.0], size=p) * 10.0 ** rng.uniform(-3, 3, size=p)
+    Z = np.zeros((n, n))
+    Z[rng.permutation(n)[:p], rng.permutation(n)[:p]] = d
+    return Z
+
+
 class TestRankFactors:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaled_selection_factors_in_closed_form(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        n, zero_rows = 30, int(rng.integers(1, 13))
+        Z = _scaled_selection(rng, n, zero_rows)
+        factors = rank_factors(Z)
+        p = n - zero_rows
+        assert factors.decision["method"] == "diagonal" and factors.decision["dropped"] == 0.0
+        assert factors.rank == p == numerical_rank(Z)
+        s = np.linalg.svd(Z, compute_uv=False)
+        assert factors.decision["kept"] == pytest.approx(s[p - 1] / s[0], rel=1e-15, abs=0.0)
+        # Z = U [[diag(lead), 0], [0, 0]] W^T with U^T and W^T gathers
+        middle = np.zeros((n, n))
+        middle[:p, :p] = np.diag(factors.lead)
+        assert not factors.tail.any()
+        assert np.array_equal(Z[np.ix_(factors.left, factors.w)], middle)
+        kernel, inverse = kernel_basis_and_inverse(factors)
+        assert inverse is None
+        assert np.array_equal(kernel, np.eye(n)[:, factors.kernel_columns])
+        assert not (Z @ kernel).any()
+
+    @pytest.mark.parametrize(
+        "case", ["two-in-a-row", "two-in-a-column", "d-at-the-cutoff", "below-crossover"]
+    )
+    def test_other_matrices_take_the_qr_or_the_svd(self, case):
+        rng = np.random.default_rng(11)
+        Z = _scaled_selection(rng, 6 if case == "below-crossover" else 30, 5)
+        rows, cols = np.nonzero(Z)
+        if case == "two-in-a-row":
+            Z[rows[0], np.flatnonzero(~Z.any(axis=0))[0]] = 2.0
+        elif case == "two-in-a-column":
+            Z[np.flatnonzero(~Z.any(axis=1))[0], cols[0]] = 2.0
+        elif case == "d-at-the-cutoff":  # the smallest |d| lands exactly on the cutoff
+            k = np.abs(Z[rows, cols]).argmin()
+            Z[rows[k], cols[k]] = 1e-9 * np.abs(Z).max()
+        factors = rank_factors(Z)
+        assert factors.decision["method"] != "diagonal"
+        assert factors.rank == numerical_rank(Z)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_qr_factors_reconstruct_the_matrix(self, seed):
         rng = np.random.default_rng(seed)
