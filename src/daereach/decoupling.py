@@ -19,7 +19,7 @@ columns and take no product; it takes a certified QR of its nonzero rows
 otherwise (Stokes ``E_1``), and any other matrix takes an SVD.  The
 terminal matrix takes no factorization of its own when it can be
 certified nonsingular from the previous matrix's factors: in them
-``E_{j+1}`` is block upper triangular, so one ``m x m`` SVD gives its
+``E_{j+1}`` is block upper triangular, so one ``m x m`` LU gives its
 inverse and a bound on its condition number
 (:func:`~daereach.linalg.rank_update_inverse`).  A bound that does not
 clear the rank cutoff with a margin, a singular block, and every
@@ -101,6 +101,9 @@ class MatrixChain:
     == len(factors) == mu``.  The projectors are kept in factored form:
     ``factors[j] = (K_j, K_j^T)`` with ``Q_j = K_j K_j^T`` and ``K_j`` an
     orthonormal basis of ``Ker E_j``, and ``kernel_images[j] = A_j K_j``.
+    ``kernel_columns[j]`` is ``E_j``'s
+    :attr:`~daereach.linalg.Factors.kernel_columns`: the columns whose unit
+    vectors are ``K_j`` when its closed form decided it, else ``None``.
     ``terminal_inverse`` is ``E_mu^{-1}``; ``E_mu``'s own SVD or the
     certificate on the previous matrix's factors proved it nonsingular.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
@@ -117,6 +120,7 @@ class MatrixChain:
     A_seq: list
     factors: list
     kernel_images: list = field(repr=False)
+    kernel_columns: tuple = field(repr=False)
     mu: int
     terminal_inverse: np.ndarray = field(repr=False)
     decisions: tuple
@@ -158,7 +162,11 @@ class DecoupledSystem:
     one operator ``X -> {i: N_i X}``
     to blocks right to left: ``S X = E_mu^{-1} (A_mu X)``, ``P_j X = X -
     K_j (R_j X)``, ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs
-    ``O(n^2 c)``; no ``n x n x n`` product is taken.
+    ``O(n^2 c)``; no ``n x n x n`` product is taken.  Where ``K_j`` is the
+    unit vectors of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``),
+    ``Q_j X`` takes no product through it: it is ``R_j X`` scattered to
+    those rows, and for an uncorrected ``R_j = K_j^T`` just ``X`` with
+    every other row zeroed, bit for bit the dense products.
 
     The reach path needs only thin blocks: the ODE frame ``ode_basis``
     ``W``, the reduced matrix ``ode_matrix`` ``W^T N[1] W`` and the
@@ -190,12 +198,13 @@ class DecoupledSystem:
     def admissibility_residual(self):
         """``max ||Q_j Q_i||_F`` over ``j > i``, 0 at index 1.  ``K_j`` has
         orthonormal columns, so ``||Q_j Q_i||_F = ||(R_j K_i) R_i||_F``, an
-        ``m_j x n`` product."""
+        ``m_j x n`` product; a unit-vector ``K_i`` makes ``R_j K_i`` a
+        gather of the columns of ``R_j``."""
         return max(
             (
-                float(np.linalg.norm((R_j @ K_i) @ R_i))
+                float(np.linalg.norm((R_j @ K_i if c is None else R_j[:, c]) @ R_i))
                 for j, (_, R_j) in enumerate(self.factors)
-                for K_i, R_i in self.factors[:j]
+                for (K_i, R_i), c in zip(self.factors[:j], self.raw.kernel_columns)
             ),
             default=0.0,
         )
@@ -206,10 +215,24 @@ class DecoupledSystem:
         directly to ``Ker Pi``, so this is the rank of ``Pi``."""
         return self.n - sum(K.shape[1] for K, _ in self.factors)
 
+    def _kernel_product(self, j, Y):
+        """``Q_j Y = K_j (R_j Y)``.  For a unit-vector ``K_j`` each entry of
+        the dense product is one entry of ``R_j Y`` times 1.0 plus exact
+        zeros, so scattering the rows of ``R_j Y`` to the kernel columns
+        gives the same bytes; and while ``R_j`` is still the raw chain's
+        ``K_j^T``, ``R_j Y`` is those rows of ``Y``."""
+        K, R = self.factors[j]
+        columns = self.raw.kernel_columns[j]
+        if columns is None:
+            return K @ (R @ Y)
+        QY = np.zeros(np.shape(Y))
+        QY[columns] = Y[columns] if R is self.raw.factors[j][1] else R @ Y
+        return QY
+
     def _apply(self, words, X):
         """``{key: word X}`` for projector words (see ``_PROJECTOR_WORDS``);
         words sharing a tail share its products, and ``P_j Y = Y - Q_j Y``
-        reuses ``Q_j Y = K_j (R_j Y)``."""
+        reuses ``Q_j Y``."""
         done = {}  # (j, tail): the tail, covering chain positions j.., applied to X
         products = {}
         for key, word in words.items():
@@ -219,8 +242,7 @@ class DecoupledSystem:
                 if (j, tail) not in done:
                     q_tail = (j, "Q" + tail[1:])
                     if q_tail not in done:
-                        K, R = self.factors[j]
-                        done[q_tail] = K @ (R @ Y)
+                        done[q_tail] = self._kernel_product(j, Y)
                     if tail[0] == "P":
                         done[j, tail] = Y - done[q_tail]
                 Y = done[j, tail]
@@ -354,7 +376,7 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, factors, images, decisions = [], [], [], [], []
+    E_seq, A_seq, factors, images, kernel_columns, decisions = [], [], [], [], [], []
     E, A = sys.E, sys.A  # E_mu and A_mu once formed
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = None
@@ -376,7 +398,9 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
-            return MatrixChain(E_seq, A_seq, factors, images, mu, inverse, tuple(decisions))
+            return MatrixChain(
+                E_seq, A_seq, factors, images, tuple(kernel_columns), mu, inverse, tuple(decisions)
+            )
         if mu < MAX_SUPPORTED_INDEX:
             if mu:
                 A = _minus_kernel_product(A_seq[-1], images[-1], columns, AQ)
@@ -384,6 +408,7 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
             A_seq.append(A)
             factors.append((kernel_basis, kernel_basis.T))
             columns = current.kernel_columns
+            kernel_columns.append(columns)
             images.append(A @ kernel_basis if columns is None else A[:, columns])
     if not check_regularity(sys, tol):
         raise IrregularPencilError(

@@ -25,7 +25,7 @@ other matrix takes an SVD.
 A chain matrix that differs from an already factored one by a product
 through the latter's kernel basis can skip its own factorization:
 :func:`rank_update_inverse` writes it in the old factors as a block upper
-triangular matrix, inverts it through one SVD of the small diagonal block,
+triangular matrix, inverts it through one LU of the small diagonal block,
 and accepts it as nonsingular only when a Frobenius-norm bound on its
 condition number clears the rank cutoff by :data:`CERTIFICATE_MARGIN`.
 """
@@ -245,7 +245,9 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
     vectors of the ``n - p`` columns it does not select (Golub & Van Loan,
     *Matrix Computations*, 4th ed., 2.4).  When ``min|d| > rank_rel_tol *
     max|d|`` that is the SVD's own rank decision, with no margin band, and
-    the factors are the row order, ``d`` and the column order.
+    the factors are the row order, ``d`` and the column order; otherwise
+    ``Z`` takes the SVD at once, since the QR's bound below is at least
+    ``max|d| / min|d|`` and cannot certify.
 
     Any other such ``Z`` factors its nonzero rows ``M`` as ``M^T = Q R`` (a
     complete Householder QR): ``Z = Pi [[L, 0], [0, 0]] Q^T`` with ``L =
@@ -272,9 +274,12 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
                 cols = (rows != 0.0).argmax(axis=1)
                 selected = np.zeros(n, dtype=bool)
                 selected[cols] = True
-                d = rows[np.arange(p), cols]
-                low, top = np.abs(d).min(), np.abs(d).max()
-                if np.count_nonzero(selected) == p and low > tol.rank_rel_tol * top:
+                if np.count_nonzero(selected) == p:  # a scaled column selection
+                    d = rows[np.arange(p), cols]
+                    low, top = np.abs(d).min(), np.abs(d).max()
+                    if not low > tol.rank_rel_tol * top:
+                        # the QR's bound is at least top / low: it cannot certify
+                        return svd_factors(Z, tol)
                     decision = {"method": "diagonal", "kept": float(low / top), "dropped": 0.0}
                     w = np.concatenate([cols, np.flatnonzero(~selected)])
                     return Factors(order, d, np.zeros(n - p), w, p, decision)
@@ -324,20 +329,25 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
         T = [[lead, -top], [0, C]],   C = diag(tail) - low,
 
     with ``top``/``low`` the leading ``rank`` and trailing ``m`` rows of
-    ``U^T image``.  One SVD of the ``m x m`` block ``C`` gives ``T^{-1}``,
-    and ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
+    ``U^T image``.  One LU of the ``m x m`` block ``C`` (LAPACK ``getrf``
+    and ``getri``) gives ``C^{-1}`` and through it ``T^{-1}``, and
+    ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
     Projector Based Analysis*, 2013); for QR factors ``U^T`` is a gather of
     rows and ``W T^{-1} U^T`` a scatter of columns, and for closed-form
     factors ``W`` is a scatter of rows too.  ``bound =
     ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it is below ``1
     / (CERTIFICATE_MARGIN * rank_rel_tol)``, ``Z'``'s own SVD would also
-    find it nonsingular at the cutoff, and the inverse is returned.
-    Otherwise, and when ``C`` has a zero singular value (``bound`` is then
-    infinite), only the bound is, and the caller decides from ``Z'``'s own
-    factors.  ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it
-    already fails the test, ``C`` takes no SVD and that lower bound is
-    returned, so a singular chain step (whose ``C`` is often near zero)
-    declines for the price of ``U^T image``.
+    find it nonsingular at the cutoff, and the inverse is returned.  The
+    bound reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a computed
+    inverse from a pivoted LU is as accurate as one from an SVD (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14).
+    Otherwise, and when the LU meets an exactly zero pivot (``bound`` is
+    then infinite) or gives a non-finite inverse, only the bound is
+    returned, and the caller decides from ``Z'``'s own factors.
+    ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it already
+    fails the test, ``C`` takes no LU and that lower bound is returned, so
+    a singular chain step (whose ``C`` is often near zero) declines for
+    the price of ``U^T image``.
     """
     rank = factors.rank
     top, low = np.split(factors.left_t(image), [rank])
@@ -345,17 +355,17 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
     c_norm_sq = (C**2).sum()
     norm_sq = (factors.lead**2).sum() + (top**2).sum() + c_norm_sq
     # ||T^{-1}||_F >= ||C^{-1}||_F >= 1 / ||C||_F, so the bound is at least
-    # ||T||_F / ||C||_F; when that already fails the test, skip C's SVD
+    # ||T||_F / ||C||_F; when that already fails the test, skip C's LU
     floor = math.sqrt(norm_sq / c_norm_sq) if c_norm_sq > 0.0 else math.inf
     if not floor * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
         return None, floor
-    uc, c, vct = np.linalg.svd(C)
-    if not c[-1] > 0.0:
+    lu, piv, info = scipy.linalg.lapack.dgetrf(C)
+    if info > 0:  # an exactly zero pivot
         return None, math.inf
+    c_inv, _ = scipy.linalg.lapack.dgetri(lu, piv, overwrite_lu=True)
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular C declines
-        c_inv = (vct.T / c) @ uc.T
         corner = factors.lead_solve(top) @ c_inv  # the upper right block of T^{-1}
-        inv_norm_sq = factors.lead_inv_norm_sq + (corner**2).sum() + (c**-2.0).sum()
+        inv_norm_sq = factors.lead_inv_norm_sq + (corner**2).sum() + (c_inv**2).sum()
         bound = math.sqrt(norm_sq * inv_norm_sq)
     if not bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
         return None, bound

@@ -16,7 +16,11 @@ and the consistent matrix as dense products of its projectors, and
 propagates the full ``n x n`` ODE subsystem or, for the ODE coordinates,
 one step at a time.  The consistent space has a second oracle that shares
 no projector at all: the finite right deflating subspace of the pencil
-from an ordered QZ decomposition.
+from an ordered QZ decomposition.  Two faster package paths keep the
+slower form they replaced as a reference: the decoupled operator with a
+dense product through every kernel basis, where the package gathers and
+scatters rows for a unit-vector basis, and the terminal certificate with
+an SVD of its small block, where the package takes an LU.
 """
 
 from fractions import Fraction
@@ -317,6 +321,30 @@ class CanonicalDae:
         return (self.T_inv @ full).T
 
 
+def weierstrass_auto(rng, dynamic_dim, blocks):
+    """``(E, A)`` in permuted Weierstrass form: ``E = P diag(D, N) Q`` and
+    ``A = P diag(J, I) Q`` with ``P``, ``Q`` permutation matrices, ``D``
+    diagonal with signed entries over four orders of magnitude, ``J`` a
+    random stable block and ``N`` nilpotent with Jordan blocks of the given
+    sizes, so the index is the largest of them and ``E`` is a scaled column
+    selection."""
+    a = sum(blocks)
+    n = dynamic_dim + a
+    D = rng.choice([-1.0, 1.0], size=dynamic_dim) * 10.0 ** rng.uniform(-2, 2, size=dynamic_dim)
+    J = rng.normal(size=(dynamic_dim, dynamic_dim))
+    J -= (np.abs(np.linalg.eigvals(J).real).max() + 0.3) * np.eye(dynamic_dim)
+    N = np.zeros((a, a))
+    offset = 0
+    for size in blocks:
+        for i in range(size - 1):
+            N[offset + i, offset + i + 1] = 1.0
+        offset += size
+    E = scipy.linalg.block_diag(np.diag(D), N)
+    A = scipy.linalg.block_diag(J, np.eye(a))
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    return E[rows][:, cols], A[rows][:, cols]
+
+
 def box_star(rng, gamma, dim, width, rcond=1e-9):
     """A consistent star for the system with consistency matrix ``gamma``:
     random basis columns orthogonally projected into Ker(gamma), with a
@@ -499,6 +527,63 @@ def dense_decoupled(dec):
     terminal inverse and source of the package's own decoupled system: the
     closed forms alone, with the package's rounding shared."""
     return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dec.terminal_inverse, dec.source)
+
+
+def dense_apply(dec, words, X):
+    """``DecoupledSystem._apply`` with the dense products ``Q_j Y = K_j (R_j
+    Y)`` for every kernel basis, unit vectors included: the reference the
+    package's row masks must match byte for byte."""
+    done = {}
+    products = {}
+    for key, word in words.items():
+        Y = X
+        for j in reversed(range(len(word))):
+            tail = word[j:]
+            if (j, tail) not in done:
+                q_tail = (j, "Q" + tail[1:])
+                if q_tail not in done:
+                    K, R = dec.factors[j]
+                    done[q_tail] = K @ (R @ Y)
+                if tail[0] == "P":
+                    done[j, tail] = Y - done[q_tail]
+            Y = done[j, tail]
+        products[key] = Y
+    return products
+
+
+def dense_admissibility_residual(dec):
+    """``max ||(R_j K_i) R_i||_F`` over ``j > i`` with the dense ``R_j K_i``."""
+    return max(
+        (
+            float(np.linalg.norm((R_j @ K_i) @ R_i))
+            for j, (_, R_j) in enumerate(dec.factors)
+            for K_i, R_i in dec.factors[:j]
+        ),
+        default=0.0,
+    )
+
+
+def svd_certificate(factors, image, margin, rel_tol=1e-9):
+    """``(inverse, bound)`` of ``rank_update_inverse`` with ``C^{-1}`` and
+    ``||C^{-1}||_F`` from an SVD of ``C``, and ``T^{-1}`` assembled densely
+    as ``W T^{-1} U^T`` with ``U`` and ``W`` multiplied out; ``inverse`` is
+    ``None`` when the bound fails."""
+    n, rank = image.shape[0], factors.rank
+    eye = np.eye(n)
+    U = eye[:, factors.left] if factors.left.ndim == 1 else factors.left
+    W = eye[:, factors.w] if factors.w.ndim == 1 else factors.w
+    lead = np.diag(factors.lead) if factors.lead.ndim == 1 else factors.lead
+    top, low = np.split(U.T @ image, [rank])
+    C = np.diag(factors.tail) - low
+    uc, c, vct = np.linalg.svd(C)
+    c_inv = (vct.T / c) @ uc.T
+    lead_inv = np.linalg.inv(lead)
+    T = np.block([[lead, -top], [np.zeros((n - rank, rank)), C]])
+    T_inv = np.block([[lead_inv, lead_inv @ top @ c_inv], [np.zeros((n - rank, rank)), c_inv]])
+    norm_sq = (T**2).sum()
+    inv_norm_sq = (lead_inv**2).sum() + ((lead_inv @ top @ c_inv) ** 2).sum() + (c**-2.0).sum()
+    bound = np.sqrt(norm_sq * inv_norm_sq)
+    return (W @ T_inv @ U.T if bound * margin * rel_tol < 1.0 else None), bound
 
 
 def reference_reach_bases(dec, V0, time_step, num_steps, adaptive=False, rtol=1e-8, atol=1e-12):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from daereach import (
     compute_index_and_chain,
     decouple,
 )
+from daereach.decoupling import DecoupledSystem
 from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
@@ -21,8 +24,11 @@ from oracles import (
     CanonicalDae,
     chain_matrices,
     chain_projectors,
+    dense_admissibility_residual,
+    dense_apply,
     reference_chain,
     reference_decoupled,
+    weierstrass_auto,
 )
 
 THIRD = 1.0 / 3.0
@@ -308,12 +314,13 @@ class TestFactorizationCounts:
     masses take one ``n x n`` SVD per singular raw chain matrix: 1, 2 and 3
     at indices 1, 2 and 3.  Stokes takes none: ``E_0 = diag(I, 0)`` factors
     in closed form and ``E_1``, which has exactly-zero rows, by certified
-    QR.  The terminal raw matrix
-    is certified nonsingular from the previous matrix's factors, which
-    costs one ``m x m`` SVD per chain step after ``E_0``, so the totals add
-    at most ``index`` small SVDs.  A singular step whose small block is too
-    small for the bound to pass declines before that SVD: Stokes ``E_1``
-    (block exactly 0) and one step of the index-3 system here.  The
+    QR.  The terminal raw matrix is certified nonsingular from the previous
+    matrix's factors, which costs one ``m x m`` LU per chain step after
+    ``E_0`` and no SVD, so every SVD is an ``n x n`` one.  ``svds`` bounds
+    the total: Stokes takes none, and the other rows leave room for
+    ``index`` small ones.  A singular step whose small block is too small
+    for the bound to pass declines before that LU: Stokes ``E_1`` (block
+    exactly 0) and one step of the index-3 system here.  The
     admissible correction takes no factorization at any index (see
     :func:`test_make_admissible_factors_nothing`), the reach path's blocks
     take none, and no regularity probe runs: a chain that ends proves the
@@ -326,7 +333,7 @@ class TestFactorizationCounts:
             (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 2, 0),
             (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 4, 0),
             (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 3, 5, 0),
-            (_stokes_auto, 2, 0, 1, 0),
+            (_stokes_auto, 2, 0, 0, 0),
             (_rotating_masses_auto, 2, 2, 4, 0),
         ],
         ids=["index-1", "index-2", "index-3", "stokes-4", "rotating-masses"],
@@ -363,13 +370,15 @@ class TestFactorizationCounts:
         assert counts["solve"] <= solves
 
     @pytest.mark.parametrize("k", [4, 8, 12])
-    def test_stokes_chain_takes_one_qr_and_one_small_svd(self, monkeypatch, k):
+    def test_stokes_chain_takes_one_qr_and_no_svd(self, monkeypatch, k):
         """The Stokes chain factors ``E_0`` in closed form, ``E_1`` by one
-        QR, and certifies ``E_2`` through one SVD of the ``m x m`` block."""
+        QR, and certifies ``E_2`` through one LU of the ``m x m`` block."""
+        import scipy.linalg.lapack
+
         from daereach import load_model, to_autonomous
 
         auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
-        shapes = {"qr": [], "svd": []}
+        shapes = {"qr": [], "svd": [], "dgetrf": []}
 
         def recording(name, fn):
             def wrapped(a, *args, **kwargs):
@@ -378,13 +387,16 @@ class TestFactorizationCounts:
 
             return wrapped
 
-        for name in shapes:
+        for name in ("qr", "svd"):
             monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
+        lu = recording("dgetrf", scipy.linalg.lapack.dgetrf)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", lu)
         chain = compute_index_and_chain(auto)
         assert [d["method"] for d in chain.decisions] == ["diagonal", "qr", "certificate"]
         assert len(shapes["qr"]) == 1  # the transposed nonzero rows of E_1
+        assert shapes["svd"] == []
         m = chain.factors[1][0].shape[1]
-        assert shapes["svd"] == [(m, m)] and m < auto.n
+        assert shapes["dgetrf"] == [(m, m)] and m < auto.n
 
     def test_exponential_is_taken_at_ode_rank(self, monkeypatch):
         import daereach.reachability
@@ -587,6 +599,67 @@ def test_certified_chain_matches_full_svd_chain_on_stokes(k):
     auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
     margin = _certified_margin(compute_index_and_chain(auto), auto)
     print(f"\nstokes k={k}: bound * rank_rel_tol {margin:.2e}")
+
+
+def _row_masks_match_dense_products(monkeypatch, dec):
+    """The operator blocks, the frame's ``ode_matrix`` and ``lift`` and the
+    admissibility residual of ``dec``, through its row masks, are the bytes
+    that dense products through every kernel basis give on a copy that
+    shares its factors (:func:`oracles.dense_apply`)."""
+    X = np.random.default_rng(8).normal(size=(dec.n, 5))
+
+    def blocks(system):
+        out = {
+            (name, key): value
+            for name in ("apply_projectors", "apply_N", "apply_couplings")
+            for key, value in getattr(system, name)(X).items()
+        }
+        out["ode_matrix"], out["lift"] = system.ode_matrix, system.lift
+        return {key: value.tobytes() for key, value in out.items()}
+
+    ours = blocks(dec)
+    dense_copy = dataclasses.replace(dec)  # the same factors, no cached frame
+    monkeypatch.setattr(DecoupledSystem, "_apply", dense_apply)
+    dense = blocks(dense_copy)
+    assert ours.keys() == dense.keys()
+    assert [key for key in ours if ours[key] != dense[key]] == []
+    assert dec.admissibility_residual == dense_admissibility_residual(dec)
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_stokes_row_masks_match_dense_products(monkeypatch, k):
+    from daereach import load_model, to_autonomous
+
+    dec = decouple(compute_index_and_chain(to_autonomous(*load_model(f"builtin:stokes:{k}"))))
+    assert dec.raw.kernel_columns[0] is not None and dec.raw.kernel_columns[1] is None
+    _row_masks_match_dense_products(monkeypatch, dec)
+
+
+@pytest.mark.parametrize(
+    "blocks", [[1] * 9, [2, 2, 1, 1, 1], [3, 2, 1, 1]], ids=["index-1", "index-2", "index-3"]
+)
+def test_weierstrass_row_masks_match_dense_products(monkeypatch, blocks):
+    """A permuted Weierstrass form ``E = P diag(D, N) Q``, ``A = P diag(J, I)
+    Q`` of index 1, 2 and 3: ``E_0`` takes the closed form, so ``Q_0 Y``
+    is ``Y`` on the kernel rows.  The chain corrects only later projectors,
+    whose kernel bases are dense (after a closed-form ``E_0``, a singular
+    ``E_1`` that is a scaled column selection would have a zero column of
+    ``E`` and ``A`` alike: an irregular pencil), so the scatter of a
+    corrected ``R_0 Y`` runs on a copy with ``Q_0`` swapped for an oblique
+    projector onto the same kernel."""
+    rng = np.random.default_rng(len(blocks))
+    auto = AutonomousDae(*weierstrass_auto(rng, 14, blocks))
+    dec = decouple(compute_index_and_chain(auto))
+    assert auto.n >= _QR_MIN_N and dec.mu == reference_chain(auto)[4] == max(blocks)
+    assert dec.raw.decisions[0]["method"] == "diagonal"
+    _row_masks_match_dense_products(monkeypatch, dec)
+    K0, R0 = dec.factors[0]
+    G = rng.normal(size=R0.shape)
+    oblique = R0 + G - (G @ K0) @ R0  # R K_0 = I: K_0 R projects onto Ker E_0
+    assert np.abs(oblique @ K0 - np.eye(K0.shape[1])).max() <= 1e-12
+    swapped = dataclasses.replace(dec, factors=((K0, oblique),) + dec.factors[1:])
+    monkeypatch.undo()
+    _row_masks_match_dense_products(monkeypatch, swapped)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from daereach.linalg import (
     svd_factors,
 )
 
-from oracles import expm_taylor
+from oracles import expm_taylor, svd_certificate
 
 
 class TestTolerancePolicy:
@@ -150,6 +152,42 @@ class TestRankUpdateInverse:
         inverse, bound = rank_update_inverse(svd_factors(Z), np.zeros((3, 1)))
         assert inverse is None and bound == np.inf
 
+    def test_declines_an_exact_zero_pivot_without_a_warning(self):
+        # closed-form factors gather rows exactly, so C = 0 - low is this
+        # block to the bit; its second row is twice its first, and partial
+        # pivoting meets an exact zero pivot in the third column
+        rng = np.random.default_rng(3)
+        block = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+        Z = _scaled_selection(rng, 24, 3)
+        factors = rank_factors(Z)
+        image = np.zeros((24, 3))
+        image[factors.left[factors.rank :]] = -block
+        assert np.linalg.matrix_rank(block) == 2
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            inverse, bound = rank_update_inverse(factors, image)
+        assert inverse is None and bound == np.inf
+
+    @pytest.mark.parametrize("kind", ["svd", "qr", "diagonal"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lu_matches_the_svd_of_the_block(self, kind, seed):
+        rng = np.random.default_rng(60 + seed)
+        n, m = int(rng.integers(25, 41)), int(rng.integers(1, 9))
+        if kind == "svd":
+            Z = rng.normal(size=(n, n - m)) @ rng.normal(size=(n - m, n))
+        elif kind == "qr":
+            Z = _with_zero_rows(rng, n, m)
+        else:
+            Z = _scaled_selection(rng, n, m)
+        factors = rank_factors(Z)
+        assert factors.decision["method"] == kind and factors.rank == n - m
+        image = rng.normal(size=(n, m))
+        inverse, bound = rank_update_inverse(factors, image)
+        reference, reference_bound = svd_certificate(factors, image, CERTIFICATE_MARGIN)
+        assert inverse is not None and reference is not None
+        assert abs(bound - reference_bound) <= 1e-12 * reference_bound
+        assert np.abs(inverse - reference).max() <= 1e-10 * np.abs(reference).max()
+
     @pytest.mark.parametrize(
         "eps, certified, nonsingular",
         [(1e-3, True, True), (1.5e-9, False, True), (5e-10, False, False)],
@@ -225,7 +263,7 @@ class TestRankFactors:
     @pytest.mark.parametrize(
         "case", ["two-in-a-row", "two-in-a-column", "d-at-the-cutoff", "below-crossover"]
     )
-    def test_other_matrices_take_the_qr_or_the_svd(self, case):
+    def test_other_matrices_take_the_qr_or_the_svd(self, monkeypatch, case):
         rng = np.random.default_rng(11)
         Z = _scaled_selection(rng, 6 if case == "below-crossover" else 30, 5)
         rows, cols = np.nonzero(Z)
@@ -236,8 +274,15 @@ class TestRankFactors:
         elif case == "d-at-the-cutoff":  # the smallest |d| lands exactly on the cutoff
             k = np.abs(Z[rows, cols]).argmin()
             Z[rows[k], cols[k]] = 1e-9 * np.abs(Z).max()
+
+            def refuse(*args, **kwargs):  # its bound is at least 1e9: it cannot certify
+                raise AssertionError("a scaled column selection took the QR")
+
+            monkeypatch.setattr(np.linalg, "qr", refuse)
         factors = rank_factors(Z)
         assert factors.decision["method"] != "diagonal"
+        if case == "d-at-the-cutoff":
+            assert factors.decision["method"] == "svd"
         assert factors.rank == numerical_rank(Z)
 
     @pytest.mark.parametrize("seed", range(4))
