@@ -24,7 +24,8 @@ from an earlier run in the same directory; an inconsistent initial set's
 also names the mode and model and carries the consistency certificate.
 Every completed run's verdict reports the health of the stages it ran:
 the chain's rank decisions and certified terminal bound, and past the
-index, the ODE rank and the corrected chain's residuals.
+index, the ODE rank and the corrected chain's residuals; it also states
+the ``tolerances`` the run decided by.
 """
 
 import argparse
@@ -51,7 +52,7 @@ from .errors import (
     SingularMatrixError,
     UnboundedPredicateError,
 )
-from .linalg import DEFAULT_TOLERANCES
+from .linalg import CERTIFICATE_MARGIN, CONSISTENCY_TOL, FEASIBILITY_TOL, RANK_REL_TOL
 from .model import to_autonomous
 from .modelio import load_directions, load_initial_star, load_model, load_unsafe
 from .reachability import ReachSettings, compute_reach
@@ -67,6 +68,14 @@ EXIT_INCONSISTENT = 3
 EXIT_INDEX_TOO_HIGH = 4
 EXIT_IRREGULAR = 5
 EXIT_NUMERICAL = 6
+
+# the thresholds every completed run decides by, stated in its verdict
+_TOLERANCES = {
+    "rank_rel_tol": RANK_REL_TOL,
+    "consistency_tol": CONSISTENCY_TOL,
+    "feasibility_tol": FEASIBILITY_TOL,
+    "certificate_margin": CERTIFICATE_MARGIN,
+}
 
 _ERROR_CLASSES = (
     (ParseError, "parse", EXIT_PARSE),
@@ -180,7 +189,7 @@ def _write_reach(out_dir, times, bases):
     _write_csv(out_dir / "reach.csv", header, np.column_stack([times, columns]))
 
 
-def _write_bounds(out_dir, times, reach, directions, tol):
+def _write_bounds(out_dir, times, reach, directions):
     """Per-step extrema of each direction row over the coefficient polytope;
     ``directions`` spans the whole stacked state.  Returns the support
     method that found them."""
@@ -188,7 +197,7 @@ def _write_bounds(out_dir, times, reach, directions, tol):
     header = ["time"]
     for i in range(q):
         header += [f"dir{i}_min", f"dir{i}_max"]
-    support = reach.initial.support(len(times), tol)
+    support = reach.initial.support(len(times))
     extrema = support.extrema(reach.pull_back(directions), times)  # (steps, q, 2)
     rows = np.column_stack([times, extrema.reshape(len(times), 2 * q)])
     _write_csv(out_dir / "bounds.csv", header, rows)
@@ -241,7 +250,6 @@ def run_job(args):
     Removes any earlier ``verdict.json`` from the output directory first,
     so a run that raises leaves none unless it wrote its own.
     """
-    tol = DEFAULT_TOLERANCES
     out_dir = _prepare_output(args.out)
     started = time.perf_counter()
     settings = _reach_settings(args)
@@ -258,11 +266,11 @@ def run_job(args):
         theta0 = load_initial_star(args.init, system.n, autonomous.m_orig)
 
     if args.mode == "index":
-        chain = compute_index_and_chain(autonomous, tol)
+        chain = compute_index_and_chain(autonomous)
         payload.update(_health(chain))
         summary = f"index: {chain.mu}"
     elif args.mode == "decouple":
-        dec = decouple_system(autonomous, tol)
+        dec = decouple_system(autonomous)
         identity = np.eye(dec.n)
         couplings = dec.apply_couplings(identity)
         document = {
@@ -275,8 +283,8 @@ def run_job(args):
         payload.update(_health(dec.raw, dec))
         summary = f"index: {dec.mu}; wrote decoupled.json"
     elif args.mode == "check-consistency":
-        dec = decouple_system(autonomous, tol)
-        cert = check_initial_star(dec, theta0, tol)
+        dec = decouple_system(autonomous)
+        cert = check_initial_star(dec, theta0)
         if not cert.consistent:
             raise InconsistentInitialSetError(cert)
         payload.update(_health(dec.raw, dec), **_consistency(cert))
@@ -293,7 +301,7 @@ def run_job(args):
             unsafe.extended(dim, n_orig)
         if args.directions is not None:
             directions = over_state(load_directions(args.directions), dim, n_orig, "D")
-        reach = compute_reach(autonomous, theta0, settings, tol)
+        reach = compute_reach(autonomous, theta0, settings)
         times = settings.times
         timings.update(reach.timings)
         payload.update(
@@ -308,7 +316,7 @@ def run_job(args):
             summary = f"reach: {len(times)} stars written"
         else:
             check_started = time.perf_counter()
-            outcome = verify(reach, unsafe, tol)
+            outcome = verify(reach, unsafe)
             timings["safety_s"] = time.perf_counter() - check_started
             step = outcome.first_unsafe_step
             payload.update(
@@ -331,8 +339,9 @@ def run_job(args):
             if step is not None:
                 summary += f"\nfirst unsafe step: {step}"
         if directions is not None:
-            payload["support_method"] = _write_bounds(out_dir, times, reach, directions, tol)
+            payload["support_method"] = _write_bounds(out_dir, times, reach, directions)
 
+    payload["tolerances"] = _TOLERANCES
     timings["total_s"] = time.perf_counter() - started
     _write_verdict(out_dir, payload, timings)
     print(summary)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import DEFAULT_TOLERANCES
+from .linalg import CONSISTENCY_TOL
 
 __all__ = ["ConsistencyCertificate", "check_initial_star"]
 
@@ -27,11 +27,12 @@ class ConsistencyCertificate:
 
     ``max_residual`` is the entrywise max of the lift residual ``|psi W
     W^T Pi V - V|``; the basis is consistent iff it does not exceed
-    ``tolerance``.  ``worst_column`` and ``worst_row_block`` locate the
-    largest violation (block ``i`` is the residual's component in
-    constraint subsystem ``i + 2``, the condition that pins that
-    subsystem), so an inconsistent set comes with a pointer to the
-    offending basis vector and constraint level instead of a bare failure.
+    ``tolerance``, :data:`~daereach.linalg.CONSISTENCY_TOL`.
+    ``worst_column`` and ``worst_row_block`` locate the largest violation
+    (block ``i`` is the residual's component in constraint subsystem ``i
+    + 2``, the condition that pins that subsystem), so an inconsistent set
+    comes with a pointer to the offending basis vector and constraint level
+    instead of a bare failure.
     """
 
     max_residual: float
@@ -41,7 +42,7 @@ class ConsistencyCertificate:
     worst_row_block: int | None = None
 
 
-def check_initial_star(dec, theta0, tol=DEFAULT_TOLERANCES):
+def check_initial_star(dec, theta0):
     """Certificate for ``psi W W^T Pi V(0) == V(0)`` over the star's basis.
 
     ``dec`` is the decoupled system.  The residual ``R = psi W W^T Pi V -
@@ -60,7 +61,7 @@ def check_initial_star(dec, theta0, tol=DEFAULT_TOLERANCES):
     V = np.asarray(theta0.V, dtype=float)
     residual = dec.lift @ (dec.ode_basis.T @ dec.ode_component(V)) - V
     max_residual = float(np.abs(residual).max())
-    consistent = max_residual <= tol.consistency_tol
+    consistent = max_residual <= CONSISTENCY_TOL
     worst_column = worst_block = None
     if not consistent:
         parts = dec.apply_projectors(residual)
@@ -70,7 +71,7 @@ def check_initial_star(dec, theta0, tol=DEFAULT_TOLERANCES):
     return ConsistencyCertificate(
         max_residual=max_residual,
         consistent=consistent,
-        tolerance=tol.consistency_tol,
+        tolerance=CONSISTENCY_TOL,
         worst_column=worst_column,
         worst_row_block=worst_block,
     )

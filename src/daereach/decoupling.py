@@ -70,7 +70,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import (
-    DEFAULT_TOLERANCES,
+    RANK_REL_TOL,
     kernel_basis_and_inverse,
     rank_factors,
     rank_update_inverse,
@@ -345,7 +345,7 @@ def _minus_kernel_product(X, image, columns, AQ):
     return X
 
 
-def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
+def compute_index_and_chain(sys):
     """Build the matrix chain with orthogonal projectors and find the index.
 
     Each chain matrix past ``E_0`` is first offered to
@@ -381,14 +381,14 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = None
         if mu:
-            inverse, bound = rank_update_inverse(current, images[-1], tol)
+            inverse, bound = rank_update_inverse(current, images[-1])
         if inverse is None:  # the matrix's own factors decide
             if mu:
                 # A_{mu-1} Q_{mu-1}, of rank m: formed only now, and not at
                 # all for a unit-vector kernel basis
                 AQ = images[-1] @ factors[-1][1] if columns is None else None
                 E = _minus_kernel_product(E_seq[-1], images[-1], columns, AQ)
-            current = rank_factors(E, tol)
+            current = rank_factors(E)
             decisions.append(current.decision)
             kernel_basis, inverse = kernel_basis_and_inverse(current)
         else:
@@ -410,7 +410,7 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
             columns = current.kernel_columns
             kernel_columns.append(columns)
             images.append(A @ kernel_basis if columns is None else A[:, columns])
-    if not check_regularity(sys, tol):
+    if not check_regularity(sys):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
             "unique solution for any initial condition"
@@ -421,7 +421,7 @@ def compute_index_and_chain(sys, tol=DEFAULT_TOLERANCES):
     )
 
 
-def decouple(chain, tol=DEFAULT_TOLERANCES):
+def decouple(chain):
     """The decoupled system of a raw chain: its projectors corrected so that
     ``Q_j Q_i = 0`` for ``j > i``, its terminal inverse and its source
     matrix, with every coefficient applied on demand.
@@ -448,7 +448,7 @@ def decouple(chain, tol=DEFAULT_TOLERANCES):
     ``E_3`` is, with inverse ``(I + X) E_3^{-1}`` (Lamour, Maerz &
     Tischendorf, *DAEs: A Projector Based Analysis*, 2013).  The terminal
     inverse is then checked: a residual ``max|E_mu' E_mu'^{-1} - I|`` above
-    ``sqrt(rank_rel_tol)`` raises :class:`SingularMatrixError`; the
+    ``sqrt(RANK_REL_TOL)`` raises :class:`SingularMatrixError`; the
     residual is kept on ``inverse_residual``.
 
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
@@ -478,7 +478,7 @@ def decouple(chain, tol=DEFAULT_TOLERANCES):
     residual = (E - AQ) @ inverse
     residual.flat[:: chain.n + 1] -= 1.0
     residual = float(np.abs(residual, out=residual).max())
-    if not residual <= np.sqrt(tol.rank_rel_tol):
+    if not residual <= np.sqrt(RANK_REL_TOL):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
             "index classification is unreliable at this tolerance"
@@ -492,8 +492,8 @@ def decouple(chain, tol=DEFAULT_TOLERANCES):
     )
 
 
-def decouple_system(sys, tol=DEFAULT_TOLERANCES):
+def decouple_system(sys):
     """The decoupled form of an autonomous DAE:
     :func:`compute_index_and_chain`, then :func:`decouple`; raises what
     they raise."""
-    return decouple(compute_index_and_chain(sys, tol), tol)
+    return decouple(compute_index_and_chain(sys))

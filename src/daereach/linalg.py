@@ -1,16 +1,21 @@
-"""Dense real-matrix primitives with an explicit tolerance policy.
+"""Dense real-matrix primitives and the package's numerical thresholds.
 
 Rank decisions, kernel bases, chain-matrix inverses, and matrix
 exponentials for the rest of the package; every inverse comes from a
 chain matrix's own factors or a certified update of them, and there is no
 general-purpose inverse.  All rank-like decisions go through one relative
-singular-value cutoff.  The matrix chain factors each chain matrix at most
-once, into one :class:`Factors` format ``Z = U [[lead, 0], [0,
-diag(tail)]] W^T``: the kernel basis it yields also decides the rank (an
-empty basis means the matrix is nonsingular), so a chain matrix's index
-step and its projector cannot disagree, and a nonsingular matrix's
-inverse is formed from the same factors, ``W diag(1/s) U^T``, with no LU
-solve.
+singular-value cutoff, :data:`RANK_REL_TOL`; the package's other two
+thresholds live beside it: :data:`CONSISTENCY_TOL` for the initial-star
+check and :data:`FEASIBILITY_TOL` for the LPs over star predicates.  Only
+the safety check takes its slack as an argument, a
+:class:`TolerancePolicy`.
+
+The matrix chain factors each chain matrix at most once, into one
+:class:`Factors` format ``Z = U [[lead, 0], [0, diag(tail)]] W^T``: the
+kernel basis it yields also decides the rank (an empty basis means the
+matrix is nonsingular), so a chain matrix's index step and its projector
+cannot disagree, and a nonsingular matrix's inverse is formed from the
+same factors, ``W diag(1/s) U^T``, with no LU solve.
 
 :func:`rank_factors` picks one of three factorizations.  A matrix of at
 least ``_QR_MIN_N`` rows that has exactly-zero rows (the constraint rows
@@ -38,6 +43,10 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "RANK_REL_TOL",
+    "CONSISTENCY_TOL",
+    "FEASIBILITY_TOL",
+    "CERTIFICATE_MARGIN",
     "TolerancePolicy",
     "DEFAULT_TOLERANCES",
     "as_matrix",
@@ -53,40 +62,42 @@ __all__ = [
 ]
 
 
+# relative singular-value cutoff for every rank decision
+RANK_REL_TOL = 1e-9
+# allowed max-norm residual of an initial star's lift
+CONSISTENCY_TOL = 1e-8
+# allowed constraint slack in the LPs over a star's predicate
+FEASIBILITY_TOL = 1e-9
+
+# factor by which a certified condition bound must clear the rank cutoff
+# 1 / RANK_REL_TOL; it covers the rounding between the factored form and
+# the SVD the certificate stands in for
+CERTIFICATE_MARGIN = 2.0
+
+
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Numerical thresholds shared across the pipeline.
+    """The slack of a safety check (see :func:`~daereach.safety.verify`).
 
     Attributes
     ----------
-    rank_rel_tol : float
-        Relative singular-value cutoff for rank decisions.
     feasibility_tol : float
-        Allowed constraint slack in linear feasibility problems.
-    consistency_tol : float
-        Allowed max-norm residual when checking that an initial star
-        lies in the consistent space.
+        Allowed constraint slack in the per-step feasibility problems; it
+        also sets the support screen's margin and the tolerance of the
+        witness check, which must agree with it.
     """
 
-    rank_rel_tol: float = 1e-9
-    feasibility_tol: float = 1e-9
-    consistency_tol: float = 1e-8
+    feasibility_tol: float = FEASIBILITY_TOL
 
     def __post_init__(self):
-        for name in ("rank_rel_tol", "feasibility_tol", "consistency_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(
-                    f"{name} must lie strictly between 0 and 1, got {value!r}"
-                )
+        if not 0.0 < self.feasibility_tol < 1.0:
+            raise ValueError(
+                "feasibility_tol must lie strictly between 0 and 1, "
+                f"got {self.feasibility_tol!r}"
+            )
 
 
 DEFAULT_TOLERANCES = TolerancePolicy()
-
-# factor by which a certified condition bound must clear the rank cutoff
-# 1 / rank_rel_tol; it covers the rounding between the factored form and
-# the SVD the certificate stands in for
-CERTIFICATE_MARGIN = 2.0
 
 
 def as_matrix(a, name="matrix", allow_empty_cols=False):
@@ -133,20 +144,20 @@ def _require_square(arr, name):
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
 
 
-def _rank(s, tol):
+def _rank(s):
     """Count of the descending singular values ``s`` above the cutoff."""
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel_tol * s[0]))
+    return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
 
 
-def numerical_rank(Z, tol=DEFAULT_TOLERANCES):
-    """Number of singular values above ``rank_rel_tol`` times the largest.
+def numerical_rank(Z):
+    """Number of singular values above ``RANK_REL_TOL`` times the largest.
 
     The zero matrix has rank 0.
     """
     Z = as_matrix(Z, "Z")
-    return _rank(np.linalg.svd(Z, compute_uv=False), tol)
+    return _rank(np.linalg.svd(Z, compute_uv=False))
 
 
 class Factors(NamedTuple):
@@ -208,13 +219,13 @@ class Factors(NamedTuple):
         return (self.lead**-2.0).sum() if self.lead.ndim == 1 else (self.lead_inv**2).sum()
 
 
-def svd_factors(Z, tol=DEFAULT_TOLERANCES):
+def svd_factors(Z):
     """The :class:`Factors` of a square matrix from its SVD ``Z = U diag(s)
     W^T``, with the numerical rank from the cutoff.  ``Z`` is not checked:
     it comes from :func:`rank_factors`, which checks it, or from the
     package's own algebra."""
     u, s, wt = np.linalg.svd(Z)
-    rank = _rank(s, tol)
+    rank = _rank(s)
     top = float(s[0])
     decision = {
         "method": "svd",
@@ -233,7 +244,7 @@ def svd_factors(Z, tol=DEFAULT_TOLERANCES):
 _QR_MIN_N = 20
 
 
-def rank_factors(Z, tol=DEFAULT_TOLERANCES):
+def rank_factors(Z):
     """The :class:`Factors` that decide the rank of a square matrix: a
     closed form or a certified QR where one applies, else
     :func:`svd_factors`.
@@ -243,7 +254,7 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
     column, ``Z`` is a scaled column selection: its singular values are
     ``|d|`` and ``n - p`` zeros, and its kernel is spanned by the unit
     vectors of the ``n - p`` columns it does not select (Golub & Van Loan,
-    *Matrix Computations*, 4th ed., 2.4).  When ``min|d| > rank_rel_tol *
+    *Matrix Computations*, 4th ed., 2.4).  When ``min|d| > RANK_REL_TOL *
     max|d|`` that is the SVD's own rank decision, with no margin band, and
     the factors are the row order, ``d`` and the column order; otherwise
     ``Z`` takes the SVD at once, since the QR's bound below is at least
@@ -254,7 +265,7 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
     R^T`` and ``Pi`` the row order that puts the nonzero rows first.  The
     nonzero singular values of ``Z`` are those of ``L``, so ``||L||_F
     ||L^{-1}||_F`` bounds ``s_1 / s_p``; when that bound is below ``1 /
-    (CERTIFICATE_MARGIN * rank_rel_tol)``, ``s_p`` clears the cutoff and the
+    (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``s_p`` clears the cutoff and the
     rest are exactly 0, so the SVD would also find rank ``p`` (Golub & Van
     Loan, *Matrix Computations*, 4th ed., 5.4: complete orthogonal
     decompositions).  A zero pivot, a bound in the margin band, a matrix
@@ -277,9 +288,9 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
                 if np.count_nonzero(selected) == p:  # a scaled column selection
                     d = rows[np.arange(p), cols]
                     low, top = np.abs(d).min(), np.abs(d).max()
-                    if not low > tol.rank_rel_tol * top:
+                    if not low > RANK_REL_TOL * top:
                         # the QR's bound is at least top / low: it cannot certify
-                        return svd_factors(Z, tol)
+                        return svd_factors(Z)
                     decision = {"method": "diagonal", "kept": float(low / top), "dropped": 0.0}
                     w = np.concatenate([cols, np.flatnonzero(~selected)])
                     return Factors(order, d, np.zeros(n - p), w, p, decision)
@@ -288,10 +299,10 @@ def rank_factors(Z, tol=DEFAULT_TOLERANCES):
             if info == 0:
                 with np.errstate(over="ignore", invalid="ignore"):
                     bound = math.sqrt((r[:p] ** 2).sum() * (r_inv**2).sum())
-                if bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
+                if bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
                     decision = {"method": "qr", "bound": bound}
                     return Factors(order, r[:p].T, np.zeros(n - p), q, p, decision, r_inv.T)
-    return svd_factors(Z, tol)
+    return svd_factors(Z)
 
 
 def kernel_basis_and_inverse(factors):
@@ -317,7 +328,7 @@ def kernel_basis_and_inverse(factors):
     return w[:, rank:].copy(order="K"), inverse
 
 
-def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
+def rank_update_inverse(factors, image):
     """``(inverse, bound)`` of ``Z' = Z - image @ K^T`` from the factors of
     ``Z``, with ``inverse`` ``None`` unless ``Z'`` is certified nonsingular.
 
@@ -336,7 +347,7 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
     rows and ``W T^{-1} U^T`` a scatter of columns, and for closed-form
     factors ``W`` is a scatter of rows too.  ``bound =
     ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it is below ``1
-    / (CERTIFICATE_MARGIN * rank_rel_tol)``, ``Z'``'s own SVD would also
+    / (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD would also
     find it nonsingular at the cutoff, and the inverse is returned.  The
     bound reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a computed
     inverse from a pivoted LU is as accurate as one from an SVD (Higham,
@@ -352,12 +363,14 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
     rank = factors.rank
     top, low = np.split(factors.left_t(image), [rank])
     C = np.diag(factors.tail) - low
-    c_norm_sq = (C**2).sum()
-    norm_sq = (factors.lead**2).sum() + (top**2).sum() + c_norm_sq
-    # ||T^{-1}||_F >= ||C^{-1}||_F >= 1 / ||C||_F, so the bound is at least
-    # ||T||_F / ||C||_F; when that already fails the test, skip C's LU
-    floor = math.sqrt(norm_sq / c_norm_sq) if c_norm_sq > 0.0 else math.inf
-    if not floor * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow declines
+        c_norm_sq = (C**2).sum()
+        norm_sq = (factors.lead**2).sum() + (top**2).sum() + c_norm_sq
+        # ||T^{-1}||_F >= ||C^{-1}||_F >= 1 / ||C||_F, so the bound is at
+        # least ||T||_F / ||C||_F; when that already fails the test, skip
+        # C's LU
+        floor = math.sqrt(norm_sq / c_norm_sq) if c_norm_sq > 0.0 else math.inf
+    if not floor * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
         return None, floor
     lu, piv, info = scipy.linalg.lapack.dgetrf(C)
     if info > 0:  # an exactly zero pivot
@@ -367,7 +380,7 @@ def rank_update_inverse(factors, image, tol=DEFAULT_TOLERANCES):
         corner = factors.lead_solve(top) @ c_inv  # the upper right block of T^{-1}
         inv_norm_sq = factors.lead_inv_norm_sq + (corner**2).sum() + (c_inv**2).sum()
         bound = math.sqrt(norm_sq * inv_norm_sq)
-    if not bound * CERTIFICATE_MARGIN * tol.rank_rel_tol < 1.0:
+    if not bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
         return None, bound
     if factors.w.ndim == 1:  # T^{-1}, its rows scattered to w, its columns to left
         t_inv = np.zeros((factors.w.size,) * 2)

@@ -26,7 +26,7 @@ import numpy as np
 from .consistency import check_initial_star
 from .decoupling import decouple_system
 from .errors import InconsistentInitialSetError, NumericalFailureError
-from .linalg import DEFAULT_TOLERANCES, matrix_exponential
+from .linalg import matrix_exponential
 from .starset import StarSet
 
 __all__ = [
@@ -109,10 +109,15 @@ class ReachResult:
 
     def pull_back(self, M):
         """``M @ bases[j]`` for every step, shape ``(num_steps + 1, q, k)``
-        for a ``(q, n)`` matrix ``M``, without forming the state bases."""
-        projected = M @ self.lift
-        with _grid_sized(self.settings):
-            return projected @ self.ode_coordinates
+        for a ``(q, n)`` matrix ``M``, without forming the state bases.  A
+        product that overflows raises :class:`NumericalFailureError`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            projected = M @ self.lift
+            with _grid_sized(self.settings):
+                pulled = projected @ self.ode_coordinates
+        if not np.isfinite(pulled).all():
+            raise NumericalFailureError("the pull-back of the reach sets overflows")
+        return pulled
 
     def states(self, alpha):
         """The trajectory ``bases[j] @ alpha`` of one coefficient vector,
@@ -152,7 +157,7 @@ def propagate_basis(dec, theta0, settings):
         power = power @ power
 
 
-def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
+def compute_reach(sys, theta0, settings):
     """Reachable set of an autonomous DAE from a consistent initial star.
 
     Pipeline: decouple (chain, admissible projectors, subsystem
@@ -161,18 +166,26 @@ def compute_reach(sys, theta0, settings, tol=DEFAULT_TOLERANCES):
     certificate otherwise), propagate the basis's ODE coordinates, and
     form the one lift ``psi @ W`` back to the full state; the state bases
     are built from it only when :attr:`ReachResult.bases` is read.  A time
-    grid too long for numpy to hold raises :class:`NumericalFailureError`.
+    grid too long for numpy to hold, and ODE coordinates that overflow,
+    raise :class:`NumericalFailureError`; the latter names the first step
+    that is not finite.
     """
     started = time.perf_counter()
-    dec = decouple_system(sys, tol)
-    certificate = check_initial_star(dec, theta0, tol)
+    dec = decouple_system(sys)
+    certificate = check_initial_star(dec, theta0)
     decouple_seconds = time.perf_counter() - started
     if not certificate.consistent:
         raise InconsistentInitialSetError(certificate)
 
     started = time.perf_counter()
-    with _grid_sized(settings):
+    with _grid_sized(settings), np.errstate(over="ignore", invalid="ignore"):
         coordinates = propagate_basis(dec, theta0, settings)
+    if not np.isfinite(coordinates).all():
+        step = int(np.argmin(np.isfinite(coordinates).all(axis=(1, 2))))
+        raise NumericalFailureError(
+            f"the reach set overflows at step {step} (t = {step * settings.time_step:g}): "
+            "its ODE coordinates are not finite"
+        )
     lift = dec.lift
     lift.flags.writeable = coordinates.flags.writeable = False
     reach_seconds = time.perf_counter() - started

@@ -130,10 +130,17 @@ def feasibility_check(Gbar, fbar, tol=DEFAULT_TOLERANCES):
     return lp.find_feasible(Gbar, fbar, tol=tol.feasibility_tol)
 
 
-def _recheck(alpha, Gbar, fbar, ftol, step):
-    scale = np.maximum(1.0, np.abs(Gbar).max(axis=1) * max(1.0, np.abs(alpha).max()))
+def _recheck(alpha, Gbar, fbar, tol, step):
+    """Raise :class:`NumericalFailureError` unless ``Gbar @ alpha <= fbar``
+    holds within the kernel's slack, checked outside the solver.  Row
+    ``i`` may exceed ``fbar_i`` by ``100 * feasibility_tol`` times the
+    scale of what it sums, ``max(1, |fbar_i|, sum_j |Gbar_ij| |alpha_j|)``,
+    so a row whose terms are all small cannot pass on the size of an entry
+    that ``alpha`` does not use (Neumaier & Shcherbina, "Safe bounds in
+    linear and mixed-integer linear programming", Math. Prog. 99, 2004)."""
+    scale = np.maximum(np.maximum(1.0, np.abs(fbar)), np.abs(Gbar) @ np.abs(alpha))
     violation = Gbar @ alpha - fbar
-    if np.any(violation > 100.0 * ftol * scale):
+    if np.any(violation > 100.0 * tol.feasibility_tol * scale):
         raise NumericalFailureError(
             f"solver returned an infeasible witness at step {step}: "
             f"max violation {violation.max():.3e}"
@@ -167,10 +174,18 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     (:meth:`StarSet.support`) unless only LPs can give it, then walks the
     steps left over in time order: at the first feasible step it fixes the
     witnessing coefficients, re-validates them outside the solver, and
-    reconstructs the trace through all steps from the ODE coordinates.  ``find_all`` keeps
-    scanning after the first hit and records every unsafe step index.
-    ``kernel`` substitutes a different feasibility backend with the same
-    call shape as :func:`feasibility_check`.
+    reconstructs the trace through all steps from the ODE coordinates.
+    ``find_all`` keeps scanning after the first hit and records every
+    unsafe step index.  ``kernel`` substitutes a different feasibility
+    backend with the same call shape as :func:`feasibility_check`.
+
+    ``tol`` is a :class:`~daereach.linalg.TolerancePolicy` whose one field,
+    ``feasibility_tol``, governs the three decisions of the check, which
+    must agree: the slack the kernel may take (it is passed to ``kernel``),
+    the screen's margin, which skips only steps the kernel could not call
+    feasible within that slack, and the tolerance of the witness check.
+    The predicate's own support function and vertices are found at
+    :data:`~daereach.linalg.FEASIBILITY_TOL`, as everywhere else.
     """
     kernel = feasibility_check if kernel is None else kernel
     C, d = reach.initial.C, reach.initial.d
@@ -179,7 +194,7 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     H = reach.pull_back(G)  # (steps, q, k)
 
     steps = len(H)
-    support = reach.initial.support(steps, tol)
+    support = reach.initial.support(steps)
     if support.method == "lp":
         candidates = range(steps)
     else:
@@ -199,7 +214,7 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
             raise NumericalFailureError(f"feasibility check failed at step {j}: {exc}")
         if candidate is None:
             continue
-        _recheck(candidate, Gbar, fbar, tol.feasibility_tol, j)
+        _recheck(candidate, Gbar, fbar, tol, j)
         hits.append(j)
         if first_hit is None:
             first_hit = j

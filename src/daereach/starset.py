@@ -22,7 +22,7 @@ from .errors import (
     NumericalFailureError,
     UnboundedPredicateError,
 )
-from .linalg import DEFAULT_TOLERANCES, as_matrix, as_vector, readonly
+from .linalg import FEASIBILITY_TOL, as_matrix, as_vector, readonly
 
 __all__ = ["StarSet", "Support"]
 
@@ -53,7 +53,7 @@ class StarSet:
 
     __slots__ = ("V", "C", "d")
 
-    def __init__(self, V, C, d, *, check_feasible=True, tol=DEFAULT_TOLERANCES):
+    def __init__(self, V, C, d, *, check_feasible=True):
         V = as_matrix(V, "V")
         C = as_matrix(C, "C")
         d = as_vector(d, "d")
@@ -71,7 +71,7 @@ class StarSet:
         if check_feasible:
             bounds = self.box()  # with lower <= upper it holds its midpoint
             boxed = bounds is not None and np.all(bounds[0] <= bounds[1])
-            if not boxed and lp.find_feasible(C, d, tol=tol.feasibility_tol) is None:
+            if not boxed and lp.find_feasible(C, d, tol=FEASIBILITY_TOL) is None:
                 raise EmptyPredicateError(
                     "the coefficient predicate C alpha <= d has no solution"
                 )
@@ -126,7 +126,7 @@ class StarSet:
             return None
         return lower, upper
 
-    def support(self, budget, tol=DEFAULT_TOLERANCES):
+    def support(self, budget):
         """The support function of the coefficient polytope, by the cheapest
         exact method the predicate allows (see :class:`Support`).
 
@@ -137,13 +137,13 @@ class StarSet:
         """
         bounds = self.box()
         if bounds is not None:
-            return Support("box", self, bounds, tol)
-        vertices = self.vertices_within(budget, tol)
+            return Support("box", self, bounds)
+        vertices = self.vertices_within(budget)
         if vertices is not None:
-            return Support("vertices", self, vertices, tol)
-        return Support("lp", self, None, tol)
+            return Support("vertices", self, vertices)
+        return Support("lp", self, None)
 
-    def coefficient_vertices(self, tol=DEFAULT_TOLERANCES):
+    def coefficient_vertices(self):
         """Vertices of the coefficient polytope, one per row.
 
         Enumerates all ``k``-subsets of active constraints, so this is only
@@ -157,7 +157,7 @@ class StarSet:
             raise ValueError(
                 f"vertex enumeration over {combos} constraint subsets refused"
             )
-        slack = tol.feasibility_tol * np.maximum(1.0, np.abs(d))
+        slack = FEASIBILITY_TOL * np.maximum(1.0, np.abs(d))
         found = []
         for rows in combinations(range(p), k):
             sub = C[list(rows)]
@@ -175,7 +175,7 @@ class StarSet:
         _, unique = np.unique(np.round(vertices, 9), axis=0, return_index=True)
         return vertices[np.sort(unique)]
 
-    def vertices_within(self, budget, tol=DEFAULT_TOLERANCES):
+    def vertices_within(self, budget):
         """The coefficient polytope's vertices, or ``None`` when they are
         not a cheap or sound stand-in for LPs over the predicate.
 
@@ -192,18 +192,18 @@ class StarSet:
         if comb(p, k) > min(budget, _MAX_VERTEX_COMBINATIONS):
             return None
         try:
-            self._assert_bounded(tol)
-            return self.coefficient_vertices(tol)
+            self._assert_bounded()
+            return self.coefficient_vertices()
         except UnboundedPredicateError:  # unbounded, or no vertices at all
             return None
 
-    def _assert_bounded(self, tol):
+    def _assert_bounded(self):
         """Raise :class:`UnboundedPredicateError` unless every coefficient is
         bounded: a box is, anything else takes the LP extrema of ``±e_i``."""
         if self.box() is None:
-            Support("lp", self, None, tol).extrema(np.eye(self.width)[None])
+            Support("lp", self, None).extrema(np.eye(self.width)[None])
 
-    def sample_coefficients(self, count, seed, tol=DEFAULT_TOLERANCES):
+    def sample_coefficients(self, count, seed):
         """``count`` predicate-satisfying coefficient vectors, shape (count, k).
 
         Points are convex mixtures of the polytope vertices with
@@ -212,15 +212,15 @@ class StarSet:
         """
         if count < 1:
             raise ValueError("count must be positive")
-        self._assert_bounded(tol)
-        vertices = self.coefficient_vertices(tol)
+        self._assert_bounded()
+        vertices = self.coefficient_vertices()
         rng = np.random.default_rng(seed)
         weights = rng.dirichlet(np.ones(vertices.shape[0]), size=count)
         return weights @ vertices
 
-    def sample_points(self, count, seed, tol=DEFAULT_TOLERANCES):
+    def sample_points(self, count, seed):
         """``count`` states of the star, shape (count, n)."""
-        alphas = self.sample_coefficients(count, seed, tol)
+        alphas = self.sample_coefficients(count, seed)
         return alphas @ self.V.T
 
 
@@ -244,13 +244,12 @@ class Support:
     ``None`` on the LP path, where nothing is screened.
     """
 
-    __slots__ = ("method", "radius", "_star", "_points", "_tol")
+    __slots__ = ("method", "radius", "_star", "_points")
 
-    def __init__(self, method, star, points, tol):
+    def __init__(self, method, star, points):
         self.method = method
         self._star = star
         self._points = points  # (lower, upper), the vertices, or None
-        self._tol = tol
         if method == "box":
             self.radius = float(np.abs(np.concatenate(points)).max(initial=0.0))
         elif method == "vertices":
@@ -290,13 +289,13 @@ class Support:
         return self._lp_extrema(H, times)
 
     def _lp_extrema(self, H, times):
-        C, d, ftol = self._star.C, self._star.d, self._tol.feasibility_tol
+        C, d = self._star.C, self._star.d
         extrema = np.empty(H.shape[:-1] + (2,))
         for j, (step, row) in enumerate(zip(H, extrema)):
             where = f"step {j}" if times is None else f"time {times[j]}"
             for i, h in enumerate(step):
-                lo = lp.solve_lp(h, C, d, tol=ftol)
-                hi = lp.solve_lp(-h, C, d, tol=ftol)
+                lo = lp.solve_lp(h, C, d, tol=FEASIBILITY_TOL)
+                hi = lp.solve_lp(-h, C, d, tol=FEASIBILITY_TOL)
                 if lp.UNBOUNDED in (lo.status, hi.status):
                     raise UnboundedPredicateError(
                         f"direction {i} is unbounded over the predicate at {where}"

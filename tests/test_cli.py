@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daereach import DEFAULT_TOLERANCES, StarSet, UnsafeSpec, rotating_masses_initial_star
+from daereach import StarSet, UnsafeSpec, rotating_masses_initial_star
 from daereach.cli import (
     EXIT_INCONSISTENT,
     EXIT_INDEX_TOO_HIGH,
+    EXIT_IRREGULAR,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     MODES,
     main,
 )
-from daereach.linalg import CERTIFICATE_MARGIN
+from daereach.linalg import CERTIFICATE_MARGIN, CONSISTENCY_TOL, FEASIBILITY_TOL, RANK_REL_TOL
 from daereach.modelio import save_initial_star, save_unsafe
 
 
@@ -45,7 +46,7 @@ def assert_chain_decisions(verdict, methods):
     zeros dropped; the last bound is the terminal one."""
     decisions = verdict["chain_decisions"]
     assert [d["method"] for d in decisions] == methods
-    cutoff = DEFAULT_TOLERANCES.rank_rel_tol
+    cutoff = RANK_REL_TOL
     for decision in decisions:
         if decision["method"] == "diagonal":
             assert cutoff < decision["kept"] <= 1.0 and decision["dropped"] == 0.0
@@ -101,8 +102,8 @@ class TestVerifyMode:
         assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
         bound = verdict["terminal_condition_bound"]
         assert math.isfinite(bound)
-        assert 1.0 <= bound <= 1.0 / DEFAULT_TOLERANCES.rank_rel_tol
-        assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
+        assert 1.0 <= bound <= 1.0 / RANK_REL_TOL
+        assert 0.0 <= verdict["consistency_residual"] <= CONSISTENCY_TOL
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
         assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
         lines = (out / "trace.csv").read_text().strip().splitlines()
@@ -168,6 +169,19 @@ class TestOtherModes:
         assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
         assert "ode_rank" not in verdict  # the index mode decouples nothing
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_completed_verdict_states_its_tolerances(self, tmp_path, benchmark_files, mode):
+        init, unsafe = benchmark_files
+        argv = ["--model", "builtin:rotating-masses", "--mode", mode, "--init", str(init)]
+        argv += ["--unsafe", str(unsafe), "--time-bound", "0.1", "--out", str(tmp_path)]
+        assert run(argv) == EXIT_OK
+        assert read_verdict(tmp_path)["tolerances"] == {
+            "rank_rel_tol": RANK_REL_TOL,
+            "consistency_tol": CONSISTENCY_TOL,
+            "feasibility_tol": FEASIBILITY_TOL,
+            "certificate_margin": CERTIFICATE_MARGIN,
+        }
+
     def test_decouple_mode_writes_coefficients(self, tmp_path):
         code = run(
             ["--model", "builtin:rotating-masses", "--mode", "decouple", "--out", str(tmp_path)]
@@ -221,7 +235,7 @@ class TestOtherModes:
         assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
         assert_decoupled_health(verdict)
         assert verdict["consistent"] is True
-        assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
+        assert 0.0 <= verdict["consistency_residual"] <= CONSISTENCY_TOL
         assert (verdict["worst_column"], verdict["worst_row_block"]) == (None, None)
         assert "max_residual" not in verdict
 
@@ -272,7 +286,7 @@ class TestOtherModes:
         assert {key: verdict[key] for key in error} == error
         assert (verdict["mode"], verdict["model"]) == (mode, "builtin:rotating-masses")
         assert verdict["consistent"] is False
-        assert verdict["consistency_residual"] > DEFAULT_TOLERANCES.consistency_tol
+        assert verdict["consistency_residual"] > CONSISTENCY_TOL
         assert (verdict["worst_column"], verdict["worst_row_block"]) == (0, 1)
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
@@ -295,7 +309,7 @@ class TestOtherModes:
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["ode_rank"] == 3
         assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
-        assert 0.0 <= verdict["consistency_residual"] <= DEFAULT_TOLERANCES.consistency_tol
+        assert 0.0 <= verdict["consistency_residual"] <= CONSISTENCY_TOL
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
     def test_stokes_reach_decides_the_chain_by_closed_form_and_qr(self, tmp_path):
@@ -786,6 +800,73 @@ class TestErrorPaths:
         assert set(verdict) == {"error", "message", "timings"}
         assert verdict["error"] == "singular-matrix"
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
+
+
+# E x' = A x with x2 = -x1 and x1' = 49 x1: from alpha in [0, 1], x1 = alpha
+# e^{49 t} >= 0 is safe against x1 <= -1, and passes the largest double
+# between t = 14 and 15
+_GROWING = {
+    "model": {"n": 2, "m": 0, "E": [[1, 0], [0, 0]], "A": [[50, 1], [1, 1]]},
+    "init": {"V": [[1], [-1]], "C": [[1], [-1]], "d": [1, 0]},
+    "unsafe": {"G": [[1, 0]], "f": [-1]},
+    "directions": {"D": [[1, 0]]},
+}
+
+
+class TestNumericalEdgeCases:
+    """Inputs at the edge of double precision exit by the contract, with
+    the JSON line alone on the real stderr: no traceback, no numpy
+    warning."""
+
+    @pytest.mark.parametrize(
+        "case, code, label, message",
+        [
+            pytest.param(*row, id=row[0])
+            for row in [
+                ("false-witness", EXIT_NUMERICAL, "numerical-failure", "infeasible witness"),
+                ("huge-unsafe-rows", EXIT_NUMERICAL, "numerical-failure", "pull-back"),
+                ("overflowing-reach", EXIT_NUMERICAL, "numerical-failure", "step 15"),
+                ("overflowing-bounds", EXIT_NUMERICAL, "numerical-failure", "step 15"),
+                ("huge-irregular-pencil", EXIT_IRREGULAR, "irregular-pencil", "det(sE - A)"),
+            ]
+        ],
+    )
+    def test_exit_code_and_stderr(self, tmp_path, capped_cli, case, code, label, message):
+        paths = {}
+        for name, document in _GROWING.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(document))
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"G": [[1.7e308] * 4], "f": [0]}))
+        rm_init = tmp_path / "rm_init.json"
+        save_initial_star(rm_init, rotating_masses_initial_star())
+        pencil = tmp_path / "pencil.json"
+        pencil.write_text(
+            json.dumps({"n": 2, "m": 0, "E": [[1e308, 0], [0, 0]], "A": [[0, 0], [0, 0]]})
+        )
+        growing = ["--model", str(paths["model"]), "--init", str(paths["init"])]
+        argv = {
+            "false-witness": growing
+            + ["--unsafe", str(paths["unsafe"]), "--time-step", "1", "--time-bound", "10"],
+            "huge-unsafe-rows": ["--model", "builtin:rotating-masses", "--init", str(rm_init)]
+            + ["--unsafe", str(huge)],
+            "overflowing-reach": growing
+            + ["--mode", "reach", "--time-step", "1", "--time-bound", "20"],
+            "overflowing-bounds": growing
+            + ["--mode", "reach", "--time-step", "1", "--time-bound", "20"]
+            + ["--directions", str(paths["directions"])],
+            "huge-irregular-pencil": ["--model", str(pencil), "--mode", "index"],
+        }[case]
+        out = tmp_path / "out"
+        done = capped_cli(argv + ["--out", str(out)])
+        assert done.returncode == code, done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        error = json.loads(lines[0])
+        assert error["error"] == label
+        assert message in error["message"]
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]  # no trace.csv
+        assert set(read_verdict(out)) == {"error", "message", "timings"}
 
 
 class TestCsvRoundTrip:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from daereach import (
-    DEFAULT_TOLERANCES,
     DimensionMismatchError,
     StarSet,
     check_initial_star,
     compute_index_and_chain,
     decouple,
 )
+from daereach.linalg import CONSISTENCY_TOL
 from daereach.model import AutonomousDae
 
 from oracles import CanonicalDae, dense_decoupled, finite_deflating_subspace
@@ -131,7 +131,7 @@ class TestCheckInitialStar:
         for star in (rotating_masses_star, bad):
             lifted = reference.psi @ reference.projectors[1] @ star.V
             residual = np.abs(reference.gamma @ star.V)
-            consistent = residual.max() <= DEFAULT_TOLERANCES.consistency_tol
+            consistent = residual.max() <= CONSISTENCY_TOL
             row, column = np.unravel_index(np.argmax(residual), residual.shape)
             factored = check_initial_star(rotating_masses_decoupled, star)
             assert factored.consistent == consistent
@@ -190,7 +190,7 @@ def _gamma_certificate(gamma, V):
     """``(consistent, worst_column, worst_row_block)`` from the dense ``Gamma
     V``, its blocks ``n`` rows each."""
     residual = np.abs(gamma @ V)
-    if residual.max() <= DEFAULT_TOLERANCES.consistency_tol:
+    if residual.max() <= CONSISTENCY_TOL:
         return True, None, None
     row, column = np.unravel_index(np.argmax(residual), residual.shape)
     return False, int(column), int(row // V.shape[0])

@@ -14,7 +14,7 @@ from daereach.decoupling import DecoupledSystem
 from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
-    DEFAULT_TOLERANCES,
+    RANK_REL_TOL,
     rank_update_inverse,
     svd_factors,
 )
@@ -124,9 +124,9 @@ class TestComputeIndexAndChain:
         full_svds = []
         factors = daereach.decoupling.rank_factors
 
-        def counting(Z, tol):
+        def counting(Z):
             full_svds.append(Z.shape)
-            return factors(Z, tol)
+            return factors(Z)
 
         monkeypatch.setattr(daereach.decoupling, "rank_factors", counting)
         auto = AutonomousDae(np.diag([1.0, 0.0]), np.diag([1.0, eps]))
@@ -316,30 +316,29 @@ class TestFactorizationCounts:
     in closed form and ``E_1``, which has exactly-zero rows, by certified
     QR.  The terminal raw matrix is certified nonsingular from the previous
     matrix's factors, which costs one ``m x m`` LU per chain step after
-    ``E_0`` and no SVD, so every SVD is an ``n x n`` one.  ``svds`` bounds
-    the total: Stokes takes none, and the other rows leave room for
-    ``index`` small ones.  A singular step whose small block is too small
-    for the bound to pass declines before that LU: Stokes ``E_1`` (block
-    exactly 0) and one step of the index-3 system here.  The
-    admissible correction takes no factorization at any index (see
+    ``E_0`` and no SVD, so every SVD is an ``n x n`` one and the count of
+    SVDs is exact.  A singular step whose small block is too small for the
+    bound to pass declines before that LU: Stokes ``E_1`` (block exactly 0)
+    and one step of the index-3 system here.  The admissible correction
+    takes no factorization at any index (see
     :func:`test_make_admissible_factors_nothing`), the reach path's blocks
     take none, and no regularity probe runs: a chain that ends proves the
     pencil regular.
     """
 
     @pytest.mark.parametrize(
-        "make_auto, index, full_svds, svds, solves",
+        "make_auto, index, full_svds, solves",
         [
-            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 2, 0),
-            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 4, 0),
-            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 3, 5, 0),
-            (_stokes_auto, 2, 0, 0, 0),
-            (_rotating_masses_auto, 2, 2, 4, 0),
+            (lambda: canonical_auto(np.random.default_rng(71), 3, [1, 1])[0], 1, 1, 0),
+            (lambda: canonical_auto(np.random.default_rng(72), 3, [2, 1])[0], 2, 2, 0),
+            (lambda: canonical_auto(np.random.default_rng(73), 3, [3, 1])[0], 3, 3, 0),
+            (_stokes_auto, 2, 0, 0),
+            (_rotating_masses_auto, 2, 2, 0),
         ],
         ids=["index-1", "index-2", "index-3", "stokes-4", "rotating-masses"],
     )
     def test_decouple_system_factorizations(
-        self, monkeypatch, make_auto, index, full_svds, svds, solves
+        self, monkeypatch, make_auto, index, full_svds, solves
     ):
         from daereach import StarSet, check_initial_star, decouple_system
 
@@ -365,8 +364,7 @@ class TestFactorizationCounts:
         dec.lift
         assert dec.mu == index
         assert dec.raw.condition_bound is not None
-        assert counts["full_svd"] == full_svds
-        assert counts["svd"] <= svds
+        assert counts["full_svd"] == counts["svd"] == full_svds
         assert counts["solve"] <= solves
 
     @pytest.mark.parametrize("k", [4, 8, 12])
@@ -437,7 +435,7 @@ def _certified_margin(raw, auto):
         assert inverse is None, j
     reference = np.linalg.solve(E[mu], np.eye(auto.n))
     assert _relative_error(raw.terminal_inverse, reference) <= 1e-10
-    return raw.condition_bound * DEFAULT_TOLERANCES.rank_rel_tol
+    return raw.condition_bound * RANK_REL_TOL
 
 
 def frame_errors(dec, reference, V):
@@ -571,7 +569,7 @@ def test_duplicated_nonzero_row_takes_the_svd():
     E[target] = E[source]
     A[target] += A[source]
     raw = _svd_decides(AutonomousDae(E, A))
-    assert raw.decisions[0]["dropped"] <= DEFAULT_TOLERANCES.rank_rel_tol
+    assert raw.decisions[0]["dropped"] <= RANK_REL_TOL
 
 
 def test_bound_in_the_margin_band_takes_the_svd():
@@ -585,7 +583,7 @@ def test_bound_in_the_margin_band_takes_the_svd():
     auto = AutonomousDae(scale[:, None] * auto.E, scale[:, None] * auto.A)
     R = np.linalg.qr(auto.E[rows].T)[1]
     bound = np.linalg.norm(R) * np.linalg.norm(np.linalg.inv(R))
-    cutoff = DEFAULT_TOLERANCES.rank_rel_tol
+    cutoff = RANK_REL_TOL
     assert 1.0 / (CERTIFICATE_MARGIN * cutoff) <= bound
     raw = _svd_decides(auto)
     assert raw.factors[0][0].shape[1] == auto.n - rows.size

@@ -1,11 +1,15 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from daereach import TolerancePolicy
+from daereach import DEFAULT_TOLERANCES, TolerancePolicy
 from daereach.linalg import (
     CERTIFICATE_MARGIN,
+    CONSISTENCY_TOL,
+    FEASIBILITY_TOL,
+    RANK_REL_TOL,
     as_matrix,
     kernel_basis_and_inverse,
     matrix_exponential,
@@ -20,14 +24,15 @@ from oracles import expm_taylor, svd_certificate
 
 class TestTolerancePolicy:
     def test_defaults(self):
-        tol = TolerancePolicy()
-        assert tol.rank_rel_tol == 1e-9
-        assert tol.consistency_tol == 1e-8
+        assert (RANK_REL_TOL, CONSISTENCY_TOL, FEASIBILITY_TOL) == (1e-9, 1e-8, 1e-9)
+        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["feasibility_tol"]
+        assert TolerancePolicy().feasibility_tol == FEASIBILITY_TOL
+        assert DEFAULT_TOLERANCES == TolerancePolicy()
 
     @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.0])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
-            TolerancePolicy(rank_rel_tol=bad)
+            TolerancePolicy(feasibility_tol=bad)
 
 
 class TestMatrixValidation:

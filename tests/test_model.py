@@ -93,6 +93,15 @@ class TestCheckRegularity:
         pencil = rotating_masses_auto.E - rotating_masses_auto.A
         assert exact_int_det(pencil) != 0
 
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_largest_double(self):
+        # s E - A would overflow for |s| > 1.8: the probe scales by a power of
+        # two first, and decides as it does on the scaled pencil
+        E = np.diag([1e308, 0.0])
+        assert not check_regularity(AutonomousDae(E, np.zeros((2, 2))))
+        assert check_regularity(AutonomousDae(E, np.diag([0.0, 1e308])))
+        assert check_regularity(AutonomousDae(E * 2.0**-1020, np.diag([0.0, 1.0])))
+
     def test_structurally_singular_pencil(self):
         # shared kernel column for every s
         E = np.diag([1.0, 0.0])

@@ -6,6 +6,7 @@ import scipy.linalg
 
 from daereach import (
     InconsistentInitialSetError,
+    NumericalFailureError,
     ReachSettings,
     StarSet,
     compute_index_and_chain,
@@ -232,6 +233,22 @@ class TestComputeReach:
         with pytest.raises(InconsistentInitialSetError) as info:
             compute_reach(rotating_masses_auto, bad, settings)
         assert info.value.certificate.worst_column == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_reach_set_names_its_first_step(self):
+        # x1 = alpha e^{49 t} passes the largest double between t = 14 and 15
+        auto = AutonomousDae([[1.0, 0.0], [0.0, 0.0]], [[50.0, 1.0], [1.0, 1.0]])
+        star = StarSet([[1.0], [-1.0]], [[1.0], [-1.0]], [1.0, 0.0])
+        assert np.isfinite(compute_reach(auto, star, ReachSettings(1.0, 14)).bases).all()
+        with pytest.raises(NumericalFailureError, match=r"step 15 \(t = 15\)"):
+            compute_reach(auto, star, ReachSettings(1.0, 20))
+
+    @pytest.mark.filterwarnings("error")
+    def test_pull_back_that_overflows_raises(self, rotating_masses_auto, rotating_masses_star):
+        reach = compute_reach(rotating_masses_auto, rotating_masses_star, ReachSettings(0.1, 5))
+        assert np.isfinite(reach.pull_back(np.full((1, 6), 1.0))).all()
+        with pytest.raises(NumericalFailureError, match="pull-back .* overflows"):
+            reach.pull_back(np.full((1, 6), 1.7e308))
 
     def test_rc_style_sample_and_simulate(self):
         # every sampled trajectory of the hand-solved system must land on

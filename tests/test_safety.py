@@ -160,6 +160,19 @@ class TestVerify:
         assert default.status == scipy_backed.status == "unsafe"
         assert default.first_unsafe_step == scipy_backed.first_unsafe_step
 
+    def test_witness_whose_row_terms_vanish_is_refused(self):
+        # x1 = alpha e^{49 t} >= 0 never reaches x1 <= -1.  At t = 1 the kernel
+        # accepts alpha = 0, whose unsafe row misses by 1: within the slack
+        # of the row's largest entry, 1.9e21, but not of the terms it sums
+        auto = AutonomousDae([[1.0, 0.0], [0.0, 0.0]], [[50.0, 1.0], [1.0, 1.0]])
+        star = StarSet([[1.0], [-1.0]], [[1.0], [-1.0]], [1.0, 0.0])
+        reach = compute_reach(auto, star, ReachSettings(1.0, 10))
+        unsafe = UnsafeSpec([[1.0, 0.0]], [-1.0])
+        Gbar = np.vstack([reach.pull_back(unsafe.G)[1], star.C])
+        assert np.array_equal(feasibility_check(Gbar, np.r_[unsafe.f, star.d]), [0.0])
+        with pytest.raises(NumericalFailureError, match="infeasible witness at step 1"):
+            verify(reach, unsafe)
+
     def test_step_count_no_array_holds(self):
         # E = 0 leaves no ODE subsystem: its (steps, 0, 1) coordinates fit, and
         # numpy refuses the size of the pulled-back rows before allocating them
