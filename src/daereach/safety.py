@@ -147,23 +147,20 @@ def _recheck(alpha, Gbar, fbar, tol, step):
         )
 
 
-def _screen(H, f, support, num_rows, tol):
+def _screen(H, f, support, tol):
     """Steps not proven safe by the support function, in time order.
 
-    ``H`` holds the pulled-back unsafe rows, shape ``(steps, q, k)``, and
-    ``num_rows`` counts the rows of each step's feasibility problem.  A
-    step is proven safe when some row's minimum over the predicate exceeds
-    its bound by more than the slack the feasibility kernel may take
-    (``100 * feasibility_tol`` per row of the problem, relative to the
-    row's scale), so no step the kernel would call feasible is skipped.
+    ``H`` holds the pulled-back unsafe rows, shape ``(steps, q, k)``.  With
+    ``c = 100 * feasibility_tol``, a step is proven safe when some row's
+    minimum of ``h @ alpha - c |h| @ |alpha|`` over the predicate exceeds
+    ``f + c max(1, |f|)``: every ``alpha`` of the predicate then misses
+    that row by more than the slack :func:`_recheck` allows it, ``c
+    max(1, |f|, |h| @ |alpha|)``, so no step with a witness that passes the
+    check is skipped.
     """
-    lowest = support.extrema(H)[..., 0]  # (steps, q)
-    scale = np.maximum(
-        np.maximum(1.0, np.abs(f)),
-        np.abs(H).sum(axis=2) * max(1.0, support.radius),
-    )
-    margin = 100.0 * tol.feasibility_tol * num_rows * scale
-    proven = np.any(lowest > f + margin, axis=1)
+    c = 100.0 * tol.feasibility_tol
+    lowest = support.slack_minimum(H, c)  # (steps, q)
+    proven = np.any(lowest > f + c * np.maximum(1.0, np.abs(f)), axis=1)
     return np.flatnonzero(~proven).tolist()
 
 
@@ -182,8 +179,9 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     ``tol`` is a :class:`~daereach.linalg.TolerancePolicy` whose one field,
     ``feasibility_tol``, governs the three decisions of the check, which
     must agree: the slack the kernel may take (it is passed to ``kernel``),
-    the screen's margin, which skips only steps the kernel could not call
-    feasible within that slack, and the tolerance of the witness check.
+    the tolerance of the witness check, and the screen's margin, which
+    skips only steps where no coefficient vector of the predicate passes
+    that check.
     The predicate's own support function and vertices are found at
     :data:`~daereach.linalg.FEASIBILITY_TOL`, as everywhere else.
     """
@@ -198,7 +196,7 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     if support.method == "lp":
         candidates = range(steps)
     else:
-        candidates = _screen(H, f, support, len(f) + len(d), tol)
+        candidates = _screen(H, f, support, tol)
 
     fbar = np.concatenate([f, d])
     first_hit = None

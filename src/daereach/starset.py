@@ -238,27 +238,17 @@ class Support:
     * ``"vertices"`` -- one product with the vertex matrix, whose row
       minimum and maximum are exact over a bounded polytope;
     * ``"lp"`` -- two simplex LPs per row.
-
-    ``radius`` is the largest ``|alpha_i|`` over the polytope (the largest
-    absolute vertex entry), the scale of a screen's rounding margin; it is
-    ``None`` on the LP path, where nothing is screened.
     """
 
-    __slots__ = ("method", "radius", "_star", "_points")
+    __slots__ = ("method", "_star", "_points")
 
     def __init__(self, method, star, points):
         self.method = method
         self._star = star
         self._points = points  # (lower, upper), the vertices, or None
-        if method == "box":
-            self.radius = float(np.abs(np.concatenate(points)).max(initial=0.0))
-        elif method == "vertices":
-            self.radius = float(np.abs(points).max())
-        else:
-            self.radius = None
 
     def __repr__(self):
-        return f"Support(method={self.method!r}, radius={self.radius!r})"
+        return f"Support(method={self.method!r})"
 
     def extrema(self, H, times=None):
         """``(min, max)`` of every row ``h`` of ``H`` as ``h @ alpha`` over
@@ -287,6 +277,22 @@ class Support:
             values = H @ self._points.T
             return np.stack([values.min(axis=-1), values.max(axis=-1)], axis=-1)
         return self._lp_extrema(H, times)
+
+    def slack_minimum(self, H, c):
+        """The minimum of ``h @ alpha - c |h| @ |alpha|`` over the polytope
+        for every row ``h`` of ``H``, shape ``H.shape[:-1]``; box and
+        vertices only.
+
+        The function is concave, so its minimum lies at a vertex: for a box
+        each term takes the smaller of its two values at the ends of its
+        interval."""
+        H = np.asarray(H, dtype=float)
+        slack = c * np.abs(H)
+        if self.method == "box":
+            ends = [H * end - slack * np.abs(end) for end in self._points]
+            return np.minimum(*ends).sum(axis=-1)
+        vertices = self._points
+        return (H @ vertices.T - slack @ np.abs(vertices).T).min(axis=-1)
 
     def _lp_extrema(self, H, times):
         C, d = self._star.C, self._star.d

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from daereach import DEFAULT_TOLERANCES, TolerancePolicy
 from daereach.linalg import (
@@ -17,6 +19,7 @@ from daereach.linalg import (
     rank_factors,
     rank_update_inverse,
     svd_factors,
+    triangular_inverse,
 )
 
 from oracles import expm_taylor, svd_certificate
@@ -131,6 +134,85 @@ class TestMatrixExponential:
         lhs = matrix_exponential(M, s + t)
         rhs = matrix_exponential(M, s) @ matrix_exponential(M, t)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+    def test_overflowing_product_gives_nan(self):
+        # M t overflows: the result is NaN, which compute_reach reports as a
+        # non-finite step, and not an exception from the scaling exponent
+        with np.errstate(over="ignore"):
+            result = matrix_exponential(np.array([[1e300, 1.0], [0.0, 1.0]]), 1e10)
+        assert np.isnan(result).all()
+
+
+# the largest 1-norm of M t that the degree-13 Pade approximant takes with
+# no squaring (Higham 2005)
+_THETA_13 = 5.371920351148152
+
+
+def _assert_close_to_scipy(M, t, norm):
+    """``matrix_exponential(M, t)`` against ``scipy.linalg.expm(M t)``, to
+    1e-12 relative where no squaring happens and 1e-9 above."""
+    ours, reference = matrix_exponential(M, t), scipy.linalg.expm(M * t)
+    tol = 1e-12 if norm <= _THETA_13 else 1e-9
+    assert np.abs(ours - reference).max() <= tol * np.abs(reference).max()
+
+
+class TestMatrixExponentialAgainstScipy:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 40])
+    @pytest.mark.parametrize("norm", [1e-6, 1e-2, 0.2, 0.9, 2.0, 5.0, 30.0, 1e3])
+    def test_random_matrices(self, n, norm):
+        # a random matrix shifted to spectral abscissa -1, then scaled to
+        # the 1-norm: its exponential neither overflows nor vanishes early
+        rng = np.random.default_rng(int(1000 * n + np.log10(norm) * 10))
+        R = rng.normal(size=(n, n))
+        R -= (np.linalg.eigvals(R).real.max() + 1.0) * np.eye(n)
+        t = float(rng.choice([-1.0, 1.0])) if norm < 1.0 else 1.0
+        M = R * (norm / np.abs(R).sum(axis=0).max()) * t
+        _assert_close_to_scipy(M, t, norm)
+
+    @pytest.mark.parametrize("t", [0.5, 3.0, 40.0])
+    def test_nilpotent(self, t):
+        N = np.triu(np.random.default_rng(5).normal(size=(6, 6)), 1)
+        _assert_close_to_scipy(N, t, t * np.abs(N).sum(axis=0).max())
+        series = sum(np.linalg.matrix_power(N * t, j) / math.factorial(j) for j in range(6))
+        assert np.abs(matrix_exponential(N, t) - series).max() <= 1e-12 * np.abs(series).max()
+
+    @pytest.mark.parametrize("t", [1e-3, 0.1, 1.0])
+    def test_stiff_diagonal_plus_upper_triangle(self, t):
+        rng = np.random.default_rng(8)
+        M = np.diag([-1e3, -40.0, -1.0, 0.0, 0.5]) + np.triu(rng.normal(size=(5, 5)), 1)
+        _assert_close_to_scipy(M, t, t * np.abs(M).sum(axis=0).max())
+
+    def test_zero_matrix_is_the_identity_exactly(self):
+        assert np.array_equal(matrix_exponential(np.zeros((4, 4)), 2.5), np.eye(4))
+
+    @pytest.mark.parametrize("t", [-1e-4, -0.3, -7.0])
+    def test_negative_time(self, t):
+        M = np.random.default_rng(9).normal(size=(5, 5))
+        _assert_close_to_scipy(M, t, abs(t) * np.abs(M).sum(axis=0).max())
+        backward, forward = matrix_exponential(M, t), matrix_exponential(M, -t)
+        scale = 5 * np.abs(backward).max() * np.abs(forward).max()
+        assert np.abs(backward @ forward - np.eye(5)).max() <= 1e-12 * scale
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("p", [1, 47, 48, 49, 264, 400])
+    def test_matches_lapack(self, p):
+        # the R of a tall random matrix's QR, as the certified QR path forms it
+        R = np.linalg.qr(np.random.default_rng(p).normal(size=(p + 8, p)), mode="r")
+        ours = triangular_inverse(R)
+        reference, info = scipy.linalg.lapack.dtrtri(R)
+        assert info == 0
+        assert not np.tril(ours, -1).any()
+        assert np.abs(ours - reference).max() <= 1e-12 * np.abs(reference).max()
+        residual = np.abs(ours @ R - np.eye(p)).max()
+        assert residual <= max(4.0 * np.abs(reference @ R - np.eye(p)).max(), 1e-14)
+
+    @pytest.mark.parametrize("p, zero", [(1, 0), (5, 2), (100, 0), (100, 99)])
+    def test_declines_a_zero_on_the_diagonal(self, p, zero):
+        R = np.triu(np.random.default_rng(p).normal(size=(p, p))) + 3.0 * np.eye(p)
+        R[zero, zero] = 0.0
+        assert scipy.linalg.lapack.dtrtri(R)[1] > 0
+        assert triangular_inverse(R) is None
 
 
 def _updated(Z, image):

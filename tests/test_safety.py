@@ -12,8 +12,9 @@ from daereach import (
     rotating_masses_initial_star,
     verify,
 )
+from daereach.linalg import DEFAULT_TOLERANCES
 from daereach.model import AutonomousDae
-from daereach.safety import feasibility_check
+from daereach.safety import _recheck, _screen, feasibility_check
 
 from oracles import random_polytope, scipy_feasibility_kernel, scrambled_box
 
@@ -169,9 +170,33 @@ class TestVerify:
         reach = compute_reach(auto, star, ReachSettings(1.0, 10))
         unsafe = UnsafeSpec([[1.0, 0.0]], [-1.0])
         Gbar = np.vstack([reach.pull_back(unsafe.G)[1], star.C])
-        assert np.array_equal(feasibility_check(Gbar, np.r_[unsafe.f, star.d]), [0.0])
+        fbar = np.r_[unsafe.f, star.d]
+        alpha = feasibility_check(Gbar, fbar)
+        assert np.array_equal(alpha, [0.0])
         with pytest.raises(NumericalFailureError, match="infeasible witness at step 1"):
-            verify(reach, unsafe)
+            _recheck(alpha, Gbar, fbar, DEFAULT_TOLERANCES, 1)
+        # the screen proves every step safe, so the kernel never runs
+        outcome = verify(reach, unsafe)
+        assert (outcome.status, outcome.lp_calls, outcome.screened_steps) == ("safe", 0, 11)
+
+    @pytest.mark.parametrize("method", ["box", "vertices"])
+    def test_screen_proves_what_no_witness_check_passes(self, method):
+        # h = 1e12: at alpha = 0 the row misses f = -1 by 1, beyond the
+        # check's slack c max(1, |f|) = 1e-7, and every other alpha misses
+        # by more than c |h| |alpha|; 1 is far below the row's scale 1e12
+        if method == "box":  # 0 <= alpha <= 1
+            C, d = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]), [1.0, 0, 1, 0]
+        else:  # the triangle alpha >= 0, alpha_1 + alpha_2 <= 1
+            C, d = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]]), [0.0, 0.0, 1.0]
+        star = StarSet([[1.0, 0.0]], C, d)
+        support = star.support(10)
+        assert support.method == method
+        H = np.array([[[1e12, 0.0]]])
+        assert _screen(H, np.array([-1.0]), support, DEFAULT_TOLERANCES) == []
+        # a bound the row reaches within the slack at alpha = 0 is left to the kernel
+        f = np.array([-0.5e-7])
+        assert _screen(H, f, support, DEFAULT_TOLERANCES) == [0]
+        _recheck(np.zeros(2), np.vstack([H[0], C]), np.r_[f, d], DEFAULT_TOLERANCES, 0)
 
     def test_step_count_no_array_holds(self):
         # E = 0 leaves no ODE subsystem: its (steps, 0, 1) coordinates fit, and
