@@ -33,13 +33,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
 from .model import DaeSystem, to_autonomous
-from .modelio import (
-    load_directions,
-    load_initial_star,
-    load_model,
-    load_unsafe,
-    save_model,
-)
+from .modelio import load_directions, load_initial_star, load_model, load_unsafe
 from .reachability import ReachResult, ReachSettings, compute_reach, propagate_basis
 from .safety import UnsafeSpec, verify
 from .starset import StarSet
@@ -78,7 +72,6 @@ __all__ = [
     "load_unsafe",
     "propagate_basis",
     "rotating_masses_initial_star",
-    "save_model",
     "stokes_center_velocity_rows",
     "to_autonomous",
     "verify",

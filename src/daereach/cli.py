@@ -4,7 +4,12 @@ Parses the arguments, loads a model (file or builtin alias), runs one of
 the pipeline modes, and writes machine-readable artifacts into the
 output directory:
 
-* ``verdict.json`` -- always; mode-specific fields plus per-phase timings
+* ``verdict.json`` -- always; mode-specific fields plus ``timings`` in
+  seconds: ``decouple_s`` (reach and verify: the chain, the admissible
+  correction and its residual check, the lazily built ``W``, ``N W`` and
+  lift, and the consistency check), ``reach_s`` (reach and verify: the
+  expm and the propagation), ``safety_s`` (verify: the pull-back, the
+  screen, the LPs and the trace) and ``total_s`` (the whole run)
 * ``trace.csv`` -- verify mode, when the verdict is unsafe
 * ``reach.csv`` -- reach mode; per-step star basis entries
 * ``bounds.csv`` -- reach/verify modes when ``--directions`` is given;

@@ -82,8 +82,8 @@ class EmptyPredicateError(DaeError):
 
 
 class UnboundedPredicateError(DaeError):
-    """The coefficient polytope is unbounded where a bound is needed: for
-    sampling it, or for a direction's extrema over it."""
+    """The coefficient polytope is unbounded where a bound is needed: for a
+    direction's extrema over it."""
 
 
 class NumericalFailureError(DaeError):

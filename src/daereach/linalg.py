@@ -51,7 +51,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "readonly",
-    "numerical_rank",
     "Factors",
     "svd_factors",
     "rank_factors",
@@ -150,15 +149,6 @@ def _rank(s):
     if s.size == 0 or s[0] <= 0.0:
         return 0
     return int(np.count_nonzero(s > RANK_REL_TOL * s[0]))
-
-
-def numerical_rank(Z):
-    """Number of singular values above ``RANK_REL_TOL`` times the largest.
-
-    The zero matrix has rank 0.
-    """
-    Z = as_matrix(Z, "Z")
-    return _rank(np.linalg.svd(Z, compute_uv=False))
 
 
 class Factors(NamedTuple):

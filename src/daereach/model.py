@@ -11,7 +11,7 @@ in high-index systems.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import as_matrix, numerical_rank, readonly
+from .linalg import RANK_REL_TOL, as_matrix, readonly
 
 __all__ = [
     "DaeSystem",
@@ -175,9 +175,10 @@ def check_regularity(sys):
     Evaluates the pencil at 5 sample points ``s`` drawn uniformly from
     ``[-10, 10]`` by a fixed-seed generator and reports whether any sample
     is nonsingular.  Nonsingularity is decided by the relative
-    singular-value cutoff rather than a raw determinant, which over- or
-    underflows well before a thousand dimensions; the two tests agree
-    whenever the determinant is numerically meaningful.
+    singular-value cutoff (the smallest singular value must exceed
+    ``RANK_REL_TOL`` times the largest) rather than a raw determinant,
+    which over- or underflows well before a thousand dimensions; the two
+    tests agree whenever the determinant is numerically meaningful.
 
     A ``False`` answer means the pencil is irregular with overwhelming
     probability (an irregular pencil is singular at *every* ``s``, while a
@@ -194,4 +195,5 @@ def check_regularity(sys):
     scale = np.ldexp(1.0, -np.frexp(top)[1])
     E, A = sys.E * scale, sys.A * scale
     samples = np.random.default_rng(_REGULARITY_SEED).uniform(-10.0, 10.0, size=5)
-    return any(numerical_rank(s * E - A) == sys.n for s in samples)
+    sigmas = (np.linalg.svd(s * E - A, compute_uv=False) for s in samples)
+    return any(sigma[-1] > RANK_REL_TOL * sigma[0] for sigma in sigmas)

@@ -1,16 +1,17 @@
-"""Reading and writing model, initial-set, and unsafe-set files.
+"""Reading model, initial-set, unsafe-set and directions files.
 
 One JSON document per artifact.  Matrices are either dense nested arrays
 or sparse ``{"shape": [rows, cols], "triples": [[row, col, value], ...]}``
 objects with 0-based indices inside the shape; sizes and indices are
 integers (integral floats pass) and reals use decimal or scientific
-notation.  Model files carry ``n``, ``m``, the matrices ``E``, ``A``,
-``B`` and an optional ``A_u`` (absent or null means no inputs).
-Initial-set files carry ``V``, ``C``, ``d`` and optionally ``U0``; unsafe
-files carry ``G``, ``f`` and optionally ``on_original_state``.
+notation.  Booleans and strings are not numbers, wherever they appear.
+Model files carry ``n``, ``m``, the matrices ``E``, ``A``, ``B`` and an
+optional ``A_u`` (absent or null means no inputs).  Initial-set files
+carry ``V``, ``C``, ``d`` and optionally ``U0``; unsafe files carry
+``G``, ``f`` and optionally ``on_original_state``.
 
-Values written by :func:`save_model` round-trip bit-exactly: JSON floats
-are serialized with ``repr``, which is exact for binary doubles.
+A file whose floats were written with ``repr`` (as ``json.dumps`` writes
+them) loads bit-exactly.
 """
 
 import json
@@ -24,15 +25,7 @@ from .model import DaeSystem, InputModel
 from .safety import UnsafeSpec
 from .starset import StarSet
 
-__all__ = [
-    "load_model",
-    "save_model",
-    "load_initial_star",
-    "save_initial_star",
-    "load_unsafe",
-    "save_unsafe",
-    "load_directions",
-]
+__all__ = ["load_model", "load_initial_star", "load_unsafe", "load_directions"]
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -62,6 +55,24 @@ def _size(value, low, path, field):
     return int(value)
 
 
+def _reals(value, path, field, message):
+    """``value`` as a float array, or a :class:`ParseError` with ``message``.
+
+    numpy reads ``true`` and ``"1"`` as 1.0, so the entries of a flat or
+    2-D array are checked for a bool or a string; an array of any other
+    shape is refused by the caller."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(message, path=path, field=field)
+    rows = [value] if array.ndim == 1 else value if array.ndim == 2 else []
+    for row in rows:
+        for entry in row:
+            if isinstance(entry, (bool, str)):
+                raise ParseError(f"entries must be numbers, got {entry!r}", path=path, field=field)
+    return array
+
+
 def _matrix_from_json(value, path, field):
     if isinstance(value, dict):
         shape, triples = value.get("shape"), value.get("triples")
@@ -81,22 +92,22 @@ def _matrix_from_json(value, path, field):
             try:
                 i, j, v = entry
                 # compare before int(): it would truncate 0.7 to row 0, numpy
-                # would wrap -2 to row 0, and nan, inf or a string fail here
+                # would wrap -2 to row 0, and nan, inf or a string fail here;
+                # float() and the comparisons would take a bool as 0 or 1
+                if isinstance(i, bool) or isinstance(j, bool) or isinstance(v, (bool, str)):
+                    raise TypeError("not a number")
                 if not (0 <= i < rows and 0 <= j < cols and i == int(i) and j == int(j)):
                     raise ValueError("index outside the shape")
                 matrix[int(i), int(j)] = float(v)
             except (TypeError, ValueError, OverflowError):
                 raise ParseError(
-                    f"bad sparse triple {entry!r}: needs [row, col, value] with "
-                    f"0-based indices inside the shape [{rows}, {cols}]",
+                    f"bad sparse triple {entry!r}: needs numbers [row, col, value] "
+                    f"with 0-based indices inside the shape [{rows}, {cols}]",
                     path=path,
                     field=field,
                 )
     else:
-        try:
-            matrix = np.array(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError("matrix must be a nested array of reals", path=path, field=field)
+        matrix = _reals(value, path, field, "matrix must be a nested array of reals")
         if matrix.ndim != 2:
             raise ParseError(
                 f"matrix must be 2-D, got shape {matrix.shape}", path=path, field=field
@@ -107,10 +118,7 @@ def _matrix_from_json(value, path, field):
 
 
 def _vector_from_json(value, path, field):
-    try:
-        vector = np.array(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError("expected an array of reals", path=path, field=field)
+    vector = _reals(value, path, field, "expected an array of reals")
     if vector.ndim == 2 and vector.shape[1] == 1:
         vector = vector[:, 0]
     if vector.ndim != 1:
@@ -192,27 +200,6 @@ def load_model(path):
     return DaeSystem(E, A, B), inputs
 
 
-def _matrix_to_json(matrix):
-    return [[float(v) for v in row] for row in np.asarray(matrix)]
-
-
-def save_model(path, sys, inputs=None):
-    """Write a model file (dense form) that reloads bit-identically."""
-    document = {
-        "n": sys.n,
-        "m": sys.m,
-        "E": _matrix_to_json(sys.E),
-        "A": _matrix_to_json(sys.A),
-        "B": _matrix_to_json(sys.B) if sys.m else None,
-        "A_u": None
-        if inputs is None or inputs.is_none
-        else _matrix_to_json(inputs.a_u),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
-
-
 def load_initial_star(path, n, m=0):
     """Load an initial star for a system with ``n`` states and ``m`` inputs.
 
@@ -261,17 +248,6 @@ def load_initial_star(path, n, m=0):
         raise ParseError(f"invalid initial star: {exc}", path=path)
 
 
-def save_initial_star(path, star):
-    document = {
-        "V": _matrix_to_json(star.V),
-        "C": _matrix_to_json(star.C),
-        "d": [float(v) for v in star.d],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
-
-
 def load_unsafe(path):
     """Load an unsafe set ``G x <= f``."""
     document = _load_document(path)
@@ -292,17 +268,6 @@ def load_unsafe(path):
         return UnsafeSpec(G, f, on_original_state=on_original)
     except ValueError as exc:
         raise ParseError(f"invalid unsafe set: {exc}", path=path)
-
-
-def save_unsafe(path, unsafe):
-    document = {
-        "G": _matrix_to_json(unsafe.G),
-        "f": [float(v) for v in unsafe.f],
-        "on_original_state": unsafe.on_original_state,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1)
-        handle.write("\n")
 
 
 def load_directions(path):

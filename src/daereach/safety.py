@@ -103,7 +103,6 @@ class VerificationOutcome:
     first_unsafe_step: int | None = None
     alpha_feasible: np.ndarray | None = None
     unsafe_trace: np.ndarray | None = None
-    unsafe_steps: tuple = ()
     lp_calls: int = 0
     screened_steps: int = 0
     support_method: str | None = None
@@ -164,7 +163,7 @@ def _screen(H, f, support, tol):
     return np.flatnonzero(~proven).tolist()
 
 
-def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
+def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None):
     """Check every reachable step against the unsafe set.
 
     Screens all steps at once against the predicate's support function
@@ -172,9 +171,8 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
     steps left over in time order: at the first feasible step it fixes the
     witnessing coefficients, re-validates them outside the solver, and
     reconstructs the trace through all steps from the ODE coordinates.
-    ``find_all`` keeps scanning after the first hit and records every
-    unsafe step index.  ``kernel`` substitutes a different feasibility
-    backend with the same call shape as :func:`feasibility_check`.
+    ``kernel`` substitutes a different feasibility backend with the same
+    call shape as :func:`feasibility_check`.
 
     ``tol`` is a :class:`~daereach.linalg.TolerancePolicy` whose one field,
     ``feasibility_tol``, governs the three decisions of the check, which
@@ -200,27 +198,20 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
 
     fbar = np.concatenate([f, d])
     first_hit = None
-    alpha = None
-    hits = []
     lp_calls = 0
     for j in candidates:
         Gbar = np.vstack([H[j], C])
         lp_calls += 1
         try:
-            candidate = kernel(Gbar, fbar, tol)
+            alpha = kernel(Gbar, fbar, tol)
         except NumericalFailureError as exc:
             raise NumericalFailureError(f"feasibility check failed at step {j}: {exc}")
-        if candidate is None:
-            continue
-        _recheck(candidate, Gbar, fbar, tol, j)
-        hits.append(j)
-        if first_hit is None:
+        if alpha is not None:
+            _recheck(alpha, Gbar, fbar, tol, j)
             first_hit = j
-            alpha = candidate
-            if not find_all:
-                break
+            break
 
-    examined = steps if find_all or first_hit is None else first_hit + 1
+    examined = steps if first_hit is None else first_hit + 1
     counters = {
         "lp_calls": lp_calls,
         "screened_steps": examined - lp_calls,
@@ -233,6 +224,5 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None, find_all=False):
         first_unsafe_step=first_hit,
         alpha_feasible=alpha,
         unsafe_trace=reach.states(alpha),
-        unsafe_steps=tuple(hits),
         **counters,
     )

@@ -39,13 +39,10 @@ class StarSet:
     V : array_like, shape (n, k)
         Basis matrix; column ``i`` multiplies coefficient ``alpha_i``.
     C, d : array_like, shapes (p, k) and (p,)
-        Linear predicate over the coefficients.
-    check_feasible : bool
-        Verify at construction that the coefficient polytope is nonempty
-        (raises :class:`EmptyPredicateError` otherwise): a box (see
-        :meth:`box`) with ``lower <= upper`` is, and anything else takes
-        one feasibility LP.  Internal callers that reuse an
-        already-validated predicate switch this off.
+        Linear predicate over the coefficients.  It must be nonempty, or
+        :class:`EmptyPredicateError` is raised: a box (see :meth:`box`)
+        with ``lower <= upper`` is, and anything else takes one
+        feasibility LP.
 
     The stored arrays are read-only; stars are immutable values and safe
     to share between threads.
@@ -53,7 +50,7 @@ class StarSet:
 
     __slots__ = ("V", "C", "d")
 
-    def __init__(self, V, C, d, *, check_feasible=True):
+    def __init__(self, V, C, d):
         V = as_matrix(V, "V")
         C = as_matrix(C, "C")
         d = as_vector(d, "d")
@@ -68,13 +65,10 @@ class StarSet:
         self.V = readonly(V)
         self.C = readonly(C)
         self.d = readonly(d)
-        if check_feasible:
-            bounds = self.box()  # with lower <= upper it holds its midpoint
-            boxed = bounds is not None and np.all(bounds[0] <= bounds[1])
-            if not boxed and lp.find_feasible(C, d, tol=FEASIBILITY_TOL) is None:
-                raise EmptyPredicateError(
-                    "the coefficient predicate C alpha <= d has no solution"
-                )
+        bounds = self.box()  # with lower <= upper it holds its midpoint
+        boxed = bounds is not None and np.all(bounds[0] <= bounds[1])
+        if not boxed and lp.find_feasible(C, d, tol=FEASIBILITY_TOL) is None:
+            raise EmptyPredicateError("the coefficient predicate C alpha <= d has no solution")
 
     @property
     def dim(self):
@@ -91,19 +85,6 @@ class StarSet:
             f"StarSet(dim={self.dim}, width={self.width}, "
             f"constraints={self.C.shape[0]})"
         )
-
-    def with_basis(self, V):
-        """A star with a new basis and this star's (already validated) predicate."""
-        return StarSet(V, self.C, self.d, check_feasible=False)
-
-    def linear_image(self, T):
-        """The star ``{T x : x in self}``; the predicate is unchanged."""
-        T = as_matrix(T, "T")
-        if T.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"map has {T.shape[1]} columns but the star lives in dimension {self.dim}"
-            )
-        return self.with_basis(T @ self.V)
 
     def box(self):
         """The predicate as coefficient bounds ``(lower, upper)``, or ``None``
@@ -192,36 +173,11 @@ class StarSet:
         if comb(p, k) > min(budget, _MAX_VERTEX_COMBINATIONS):
             return None
         try:
-            self._assert_bounded()
+            if self.box() is None:  # the LP extrema of +-e_i raise if unbounded
+                Support("lp", self, None).extrema(np.eye(self.width)[None])
             return self.coefficient_vertices()
         except UnboundedPredicateError:  # unbounded, or no vertices at all
             return None
-
-    def _assert_bounded(self):
-        """Raise :class:`UnboundedPredicateError` unless every coefficient is
-        bounded: a box is, anything else takes the LP extrema of ``±e_i``."""
-        if self.box() is None:
-            Support("lp", self, None).extrema(np.eye(self.width)[None])
-
-    def sample_coefficients(self, count, seed):
-        """``count`` predicate-satisfying coefficient vectors, shape (count, k).
-
-        Points are convex mixtures of the polytope vertices with
-        Dirichlet weights from a generator seeded by ``seed``, so results
-        are reproducible and always feasible.
-        """
-        if count < 1:
-            raise ValueError("count must be positive")
-        self._assert_bounded()
-        vertices = self.coefficient_vertices()
-        rng = np.random.default_rng(seed)
-        weights = rng.dirichlet(np.ones(vertices.shape[0]), size=count)
-        return weights @ vertices
-
-    def sample_points(self, count, seed):
-        """``count`` states of the star, shape (count, n)."""
-        alphas = self.sample_coefficients(count, seed)
-        return alphas @ self.V.T
 
 
 class Support:
@@ -258,8 +214,8 @@ class Support:
         and ``times`` (optional) names the steps in error messages: a row
         unbounded over the predicate raises
         :class:`UnboundedPredicateError`, an LP that finds the predicate
-        empty (only a star built with ``check_feasible=False`` has one)
-        :class:`EmptyPredicateError`, any other failed LP
+        empty :class:`EmptyPredicateError` (the constructor proved it
+        nonempty, so this checks the LP's own answer), any other failed LP
         :class:`NumericalFailureError`.
         """
         H = np.asarray(H, dtype=float)

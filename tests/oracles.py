@@ -21,10 +21,17 @@ slower form they replaced as a reference: the decoupled operator with a
 dense product through every kernel basis, where the package gathers and
 scatters rows for a unit-vector basis, and the terminal certificate with
 an SVD of its small block, where the package takes an LU.
+
+The helpers at the end are conveniences rather than oracles: a reference
+rank, star sampling and linear images over the package's own
+:class:`~daereach.StarSet`, a star whose predicate is never checked, and
+the one writer of JSON input files.
 """
 
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -624,3 +631,60 @@ def sequential_coordinates(dec, V0, time_step, num_steps):
     for _ in range(num_steps):
         y.append(phi @ y[-1])
     return np.stack(y)
+
+
+def numerical_rank(Z, rel_tol=1e-9):
+    """Number of singular values of a full SVD above ``rel_tol`` times the
+    largest; the zero matrix has rank 0."""
+    s = np.linalg.svd(Z, compute_uv=False)
+    return int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0.0 else 0
+
+
+def sample_coefficients(star, count, seed):
+    """``count`` coefficient vectors of ``star``'s predicate, shape (count, k):
+    convex mixtures of its vertices with Dirichlet weights from a generator
+    seeded by ``seed``.  The LP extrema of every coefficient run first
+    unless the predicate is a box, so an unbounded or empty predicate
+    raises :class:`UnboundedPredicateError` or :class:`EmptyPredicateError`."""
+    star.support(0).extrema(np.eye(star.width)[None])
+    vertices = star.coefficient_vertices()
+    weights = np.random.default_rng(seed).dirichlet(np.ones(len(vertices)), size=count)
+    return weights @ vertices
+
+
+def sample_points(star, count, seed):
+    """``count`` states of ``star``, shape (count, n)."""
+    return sample_coefficients(star, count, seed) @ star.V.T
+
+
+def linear_image(star, T):
+    """The star ``{T x : x in star}``: a new basis over the same predicate."""
+    from daereach import DimensionMismatchError, StarSet
+
+    T = np.asarray(T, dtype=float)
+    if T.shape[1] != star.dim:
+        raise DimensionMismatchError(
+            f"map has {T.shape[1]} columns but the star lives in dimension {star.dim}"
+        )
+    return StarSet(T @ star.V, star.C, star.d)
+
+
+def unchecked_star(V, C, d):
+    """A :class:`~daereach.StarSet` over ``C alpha <= d`` built without the
+    constructor, so an empty predicate is not refused."""
+    from daereach import StarSet
+    from daereach.linalg import readonly
+
+    star = object.__new__(StarSet)
+    star.V, star.C, star.d = (readonly(np.asarray(a, dtype=float)) for a in (V, C, d))
+    return star
+
+
+def write_json(path, **fields):
+    """Write ``fields`` as one JSON document, numpy arrays as nested lists.
+    ``json`` writes every float with ``repr``, so each loads back bit-exactly."""
+    document = {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in fields.items()
+    }
+    Path(path).write_text(json.dumps(document))

@@ -23,15 +23,21 @@ from daereach import (
     decouple_system,
     load_model,
     rotating_masses_initial_star,
-    save_model,
     to_autonomous,
     verify,
 )
 from daereach.cli import EXIT_INCONSISTENT, main
 from daereach.model import AutonomousDae
-from daereach.modelio import save_initial_star
 
-from oracles import CanonicalDae, box_star, chain_matrices, chain_projectors, dense_decoupled
+from oracles import (
+    CanonicalDae,
+    box_star,
+    chain_matrices,
+    chain_projectors,
+    dense_decoupled,
+    sample_coefficients,
+    write_json,
+)
 from test_decoupling import (
     EXPECTED_L3,
     EXPECTED_N1,
@@ -209,7 +215,7 @@ def test_criterion_4_small_scale_oracle_equivalence():
             star = box_star(rng, dense_decoupled(dec).gamma, auto.n, 2)
             reach = compute_reach(auto, star, settings)
 
-            alphas = star.sample_coefficients(100, seed=trial)
+            alphas = sample_coefficients(star, 100, seed=trial)
             basis = reach.bases  # (steps+1, n, k)
             for alpha in alphas:
                 x0 = star.V @ alpha
@@ -221,7 +227,7 @@ def test_criterion_4_small_scale_oracle_equivalence():
 
             # dense-sampling safety oracle with comfortable margins
             direction = rng.normal(size=auto.n)
-            dense = star.sample_coefficients(10_000, seed=100 + trial)
+            dense = sample_coefficients(star, 10_000, seed=100 + trial)
             values = (basis @ dense.T) * direction[None, :, None]
             sampled_min = values.sum(axis=1).min()
             span = max(1.0, abs(sampled_min))
@@ -355,7 +361,7 @@ def test_criterion_7_loader_contract_covers_external_models(tmp_path):
 
     inputs = InputModel(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     path = tmp_path / "external_style.json"
-    save_model(path, system, inputs)
+    write_json(path, n=system.n, m=system.m, E=system.E, A=system.A, B=system.B, A_u=inputs.a_u)
     loaded, loaded_inputs = load_model(path)
     assert np.array_equal(loaded.E, system.E)
     assert np.array_equal(loaded.A, system.A)
@@ -397,7 +403,7 @@ def test_criterion_8_negative_paths(tmp_path, capsys):
     V = star.V.copy()
     V[2, 0] += 1.0
     init = tmp_path / "perturbed.json"
-    save_initial_star(init, StarSet(V, star.C, star.d))
+    write_json(init, V=V, C=star.C, d=star.d)
     code = main(
         [
             "--model", "builtin:rotating-masses",

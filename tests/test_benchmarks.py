@@ -10,10 +10,9 @@ from daereach import (
     stokes_center_velocity_rows,
     to_autonomous,
 )
-from daereach.linalg import numerical_rank
 from daereach.model import check_regularity
 
-from oracles import stokes_stencil
+from oracles import numerical_rank, stokes_stencil
 
 
 class TestRotatingMasses:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daereach import StarSet, UnsafeSpec, rotating_masses_initial_star
+from daereach import rotating_masses_initial_star
 from daereach.cli import (
     EXIT_INCONSISTENT,
     EXIT_INDEX_TOO_HIGH,
@@ -22,15 +22,15 @@ from daereach.cli import (
     main,
 )
 from daereach.linalg import CERTIFICATE_MARGIN, CONSISTENCY_TOL, FEASIBILITY_TOL, RANK_REL_TOL
-from daereach.modelio import save_initial_star, save_unsafe
 
+from oracles import write_json
 
 @pytest.fixture
 def benchmark_files(tmp_path):
-    init = tmp_path / "init.json"
-    save_initial_star(init, rotating_masses_initial_star())
+    init, star = tmp_path / "init.json", rotating_masses_initial_star()
+    write_json(init, V=star.V, C=star.C, d=star.d)
     unsafe = tmp_path / "unsafe.json"
-    save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+    write_json(unsafe, G=[[0.0, 0.0, 1.0, 0.0]], f=[-0.9])
     return init, unsafe
 
 
@@ -116,7 +116,7 @@ class TestVerifyMode:
     def test_safe_run_has_no_trace(self, tmp_path, benchmark_files):
         init, _ = benchmark_files
         unsafe = tmp_path / "safe_spec.json"
-        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 0.0, 1.0]], [-1.0]))
+        write_json(unsafe, G=[[0.0, 0.0, 0.0, 1.0]], f=[-1.0])
         out = tmp_path / "out_safe"
         code = run(
             [
@@ -195,7 +195,7 @@ class TestOtherModes:
         assert_decoupled_health(verdict)
 
     def test_decouple_mode_at_index_3(self, tmp_path):
-        from daereach import DaeSystem, save_model, to_autonomous
+        from daereach import DaeSystem, to_autonomous
         from daereach.model import InputModel
         from oracles import CanonicalDae, reference_decoupled
 
@@ -206,7 +206,9 @@ class TestOtherModes:
         system = DaeSystem(ws.E, ws.A, rng.normal(size=(ws.E.shape[0], 2)))
         inputs = InputModel(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         model = tmp_path / "index3.json"
-        save_model(model, system, inputs)
+        write_json(
+            model, n=system.n, m=system.m, E=system.E, A=system.A, B=system.B, A_u=inputs.a_u
+        )
         code = run(["--model", str(model), "--mode", "decouple", "--out", str(tmp_path)])
         assert code == EXIT_OK
         doc = json.loads((tmp_path / "decoupled.json").read_text())
@@ -243,11 +245,8 @@ class TestOtherModes:
         star = rotating_masses_initial_star()
         V = star.V.copy()
         V[2, 0] += 1.0
-        from daereach import StarSet
-
-        bad = StarSet(V, star.C, star.d)
         init = tmp_path / "bad_init.json"
-        save_initial_star(init, bad)
+        write_json(init, V=V, C=star.C, d=star.d)
         code = run(
             [
                 "--model", "builtin:rotating-masses",
@@ -269,9 +268,9 @@ class TestOtherModes:
         V = star.V.copy()
         V[2, 0] += 1.0
         init = tmp_path / "bad_init.json"
-        save_initial_star(init, StarSet(V, star.C, star.d))
+        write_json(init, V=V, C=star.C, d=star.d)
         unsafe = tmp_path / "unsafe.json"
-        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+        write_json(unsafe, G=[[0.0, 0.0, 1.0, 0.0]], f=[-0.9])
         out = tmp_path / "out"
         argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
         argv += ["--unsafe", str(unsafe), "--mode", mode, "--out", str(out)]
@@ -319,7 +318,7 @@ class TestOtherModes:
         auto = to_autonomous(*load_model("builtin:stokes:4"))
         star = box_star(np.random.default_rng(3), reference_decoupled(auto).gamma, auto.n, 2)
         init, out = tmp_path / "init.json", tmp_path / "stokes_out"
-        save_initial_star(init, star)
+        write_json(init, V=star.V, C=star.C, d=star.d)
         code = run(
             [
                 "--model", "builtin:stokes:4",
@@ -404,7 +403,7 @@ class TestBoundsAgainstLps:
         C, d = predicate()
         star = StarSet(rotating_masses_initial_star().V, C, d)
         init = tmp_path / "init.json"
-        save_initial_star(init, star)
+        write_json(init, V=star.V, C=star.C, d=star.d)
         D = np.vstack([np.eye(4)[2], np.random.default_rng(8).normal(size=4)])
         directions = tmp_path / "directions.json"
         directions.write_text(json.dumps({"D": D.tolist()}))
@@ -445,7 +444,7 @@ def stokes_box_inputs(directory, grid, width, rng):
     """A consistent ``width``-column star of the Stokes model over the box
     ``[-1, 1]^width``, an unsafe set ``-(u_c + v_c) <= -100`` that no
     state reaches (unit-norm velocity columns), and four directions."""
-    from daereach import StarSet, build_stokes, stokes_center_velocity_rows
+    from daereach import build_stokes, stokes_center_velocity_rows
 
     model = build_stokes(grid)
     A, n_v = np.asarray(model.A), 2 * grid * (grid - 1)
@@ -457,11 +456,11 @@ def stokes_box_inputs(directory, grid, width, rng):
     V = np.vstack([W, -np.linalg.solve(gram, G.T @ (L @ W))])  # hidden constraint
     C = np.vstack([np.eye(width), -np.eye(width)])
     init = directory / "init.json"
-    save_initial_star(init, StarSet(V, C, np.ones(2 * width), check_feasible=False))
+    write_json(init, V=V, C=C, d=np.ones(2 * width))
     centre = np.zeros((1, model.n))
     centre[0, list(stokes_center_velocity_rows(grid))] = -1.0
     unsafe = directory / "unsafe.json"
-    save_unsafe(unsafe, UnsafeSpec(centre, [-100.0]))
+    write_json(unsafe, G=centre, f=[-100.0])
     D = np.vstack([-centre, np.eye(model.n)[0], rng.normal(size=(2, model.n))])
     directions = directory / "directions.json"
     directions.write_text(json.dumps({"D": D.tolist()}))
@@ -476,7 +475,7 @@ class TestLpCounts:
     def test_rotating_masses_safe_verify(self, tmp_path, benchmark_files, lp_count):
         init, _ = benchmark_files
         unsafe = tmp_path / "safe_spec.json"
-        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 0.0, 1.0]], [-1.0]))
+        write_json(unsafe, G=[[0.0, 0.0, 0.0, 1.0]], f=[-1.0])
         out = tmp_path / "out"
         argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
         argv += ["--unsafe", str(unsafe), "--out", str(out)]
@@ -512,14 +511,11 @@ class TestLpCounts:
         assert np.all(rows[:, 1::2] <= rows[:, 2::2])
 
     def test_twelve_gon_keeps_one_lp_per_step(self, tmp_path, lp_count):
-        from daereach import StarSet
-
         C, d = twelve_gon_predicate()
         init = tmp_path / "init.json"
-        star = StarSet(rotating_masses_initial_star().V, C, d, check_feasible=False)
-        save_initial_star(init, star)
+        write_json(init, V=rotating_masses_initial_star().V, C=C, d=d)
         unsafe = tmp_path / "unsafe.json"  # the torque stays above -0.87
-        save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+        write_json(unsafe, G=[[0.0, 0.0, 1.0, 0.0]], f=[-0.9])
         directions = tmp_path / "directions.json"
         directions.write_text(json.dumps({"D": [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]}))
         out = tmp_path / "out"
@@ -590,14 +586,12 @@ class TestErrorPaths:
     def test_nonsingular_e_model_file(self, tmp_path, capsys, mode):
         # loading checks only shapes; every mode reaches the matrix chain,
         # whose first SVD rejects the model
-        from daereach import DaeSystem, StarSet, save_model
-
         model = tmp_path / "ode.json"
-        save_model(model, DaeSystem(np.eye(2), -np.eye(2)))
+        write_json(model, n=2, m=0, E=np.eye(2), A=-np.eye(2))
         init = tmp_path / "init.json"
-        save_initial_star(init, StarSet(np.eye(2)[:, :1], [[1.0], [-1.0]], [1.0, 1.0]))
+        write_json(init, V=[[1.0], [0.0]], C=[[1.0], [-1.0]], d=[1.0, 1.0])
         unsafe = tmp_path / "unsafe.json"
-        save_unsafe(unsafe, UnsafeSpec([[1.0, 0.0]], [-2.0]))
+        write_json(unsafe, G=[[1.0, 0.0]], f=[-2.0])
         out = tmp_path / "out"
         argv = ["--model", str(model), "--init", str(init), "--unsafe", str(unsafe)]
         assert run(argv + ["--mode", mode, "--out", str(out)]) == EXIT_PARSE
@@ -623,11 +617,10 @@ class TestErrorPaths:
 
     def test_index_too_high_exit_code(self, tmp_path, capsys):
         from oracles import CanonicalDae
-        from daereach import save_model, DaeSystem
 
         ws = CanonicalDae(np.random.default_rng(0), 2, [4])
         model = tmp_path / "index4.json"
-        save_model(model, DaeSystem(ws.E, ws.A))
+        write_json(model, n=len(ws.E), m=0, E=ws.E, A=ws.A)
         code = run(["--model", str(model), "--mode", "index", "--out", str(tmp_path)])
         assert code == EXIT_INDEX_TOO_HIGH
         assert "index-too-high" in capsys.readouterr().err
@@ -676,10 +669,8 @@ class TestErrorPaths:
         # the bundled box without its alpha_1 <= 0.2 row: the monitored
         # torque grows without bound along alpha_1
         star = rotating_masses_initial_star()
-        from daereach import StarSet
-
         init = tmp_path / "init.json"
-        save_initial_star(init, StarSet(star.V, star.C[1:], star.d[1:]))
+        write_json(init, V=star.V, C=star.C[1:], d=star.d[1:])
         directions = tmp_path / "directions.json"
         directions.write_text(json.dumps({"D": [[0.0, 0.0, 1.0, 0.0]]}))
         code = run(
@@ -769,14 +760,12 @@ class TestErrorPaths:
     def test_step_count_no_array_holds_without_ode_subsystem(self, tmp_path, capsys):
         # E = 0 leaves no ODE subsystem: its (steps, 0, 1) coordinates fit, and
         # the first array the grid outgrows is the verifier's pulled-back rows
-        from daereach import DaeSystem, StarSet, save_model
-
         model = tmp_path / "static.json"
-        save_model(model, DaeSystem(np.zeros((2, 2)), np.eye(2)))
+        write_json(model, n=2, m=0, E=np.zeros((2, 2)), A=np.eye(2))
         init = tmp_path / "init.json"
-        save_initial_star(init, StarSet(np.zeros((2, 1)), [[1.0], [-1.0]], [1.0, 1.0]))
+        write_json(init, V=np.zeros((2, 1)), C=[[1.0], [-1.0]], d=[1.0, 1.0])
         unsafe = tmp_path / "unsafe.json"
-        save_unsafe(unsafe, UnsafeSpec([[1.0, 0.0]], [-1.0]))
+        write_json(unsafe, G=[[1.0, 0.0]], f=[-1.0])
         argv = ["--model", str(model), "--init", str(init), "--unsafe", str(unsafe)]
         argv += ["--time-step", "1e-17", "--time-bound", "1", "--out", str(tmp_path / "out")]
         assert run(argv) == EXIT_NUMERICAL
@@ -839,7 +828,8 @@ class TestNumericalEdgeCases:
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps({"G": [[1.7e308] * 4], "f": [0]}))
         rm_init = tmp_path / "rm_init.json"
-        save_initial_star(rm_init, rotating_masses_initial_star())
+        star = rotating_masses_initial_star()
+        write_json(rm_init, V=star.V, C=star.C, d=star.d)
         pencil = tmp_path / "pencil.json"
         pencil.write_text(
             json.dumps({"n": 2, "m": 0, "E": [[1e308, 0], [0, 0]], "A": [[0, 0], [0, 0]]})
@@ -904,7 +894,7 @@ class TestCsvRoundTrip:
     def test_every_entry_parses_back_bit_identical(
         self, tmp_path, benchmark_files, rotating_masses_auto
     ):
-        from daereach import ReachSettings, compute_reach, verify
+        from daereach import ReachSettings, UnsafeSpec, compute_reach, verify
 
         init, unsafe = benchmark_files
         D = np.vstack([np.eye(4)[2], np.random.default_rng(3).normal(size=4)])
@@ -943,15 +933,13 @@ def _write_inputs(directory):
     star = rotating_masses_initial_star()
     files = {"missing": directory / "missing.json"}
     files["init"] = directory / "init.json"
-    save_initial_star(files["init"], star)
-    from daereach import StarSet
-
+    write_json(files["init"], V=star.V, C=star.C, d=star.d)
     V = star.V.copy()
     V[2, 0] += 1.0
     files["inconsistent"] = directory / "inconsistent.json"
-    save_initial_star(files["inconsistent"], StarSet(V, star.C, star.d))
+    write_json(files["inconsistent"], V=V, C=star.C, d=star.d)
     files["unsafe"] = directory / "unsafe.json"
-    save_unsafe(files["unsafe"], UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9]))
+    write_json(files["unsafe"], G=[[0.0, 0.0, 1.0, 0.0]], f=[-0.9])
     files["directions"] = directory / "directions.json"
     files["directions"].write_text(json.dumps({"D": [[0.0, 0.0, 1.0, 0.0]]}))
     files["wide"] = directory / "wide.json"  # more columns than the state has

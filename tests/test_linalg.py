@@ -15,14 +15,13 @@ from daereach.linalg import (
     as_matrix,
     kernel_basis_and_inverse,
     matrix_exponential,
-    numerical_rank,
     rank_factors,
     rank_update_inverse,
     svd_factors,
     triangular_inverse,
 )
 
-from oracles import expm_taylor, svd_certificate
+from oracles import expm_taylor, numerical_rank, svd_certificate
 
 
 class TestTolerancePolicy:
@@ -53,14 +52,18 @@ class TestMatrixValidation:
 
 
 class TestNumericalRank:
+    """The rank cutoff of :func:`svd_factors`, and of the reference rank
+    the other rank tests compare against."""
+
     def test_identity(self):
-        assert numerical_rank(np.eye(3)) == 3
+        assert svd_factors(np.eye(3)).rank == numerical_rank(np.eye(3)) == 3
 
     def test_zero(self):
-        assert numerical_rank(np.zeros((3, 3))) == 0
+        assert svd_factors(np.zeros((3, 3))).rank == numerical_rank(np.zeros((3, 3))) == 0
 
     def test_cutoff_forced_by_tolerance(self):
-        assert numerical_rank(np.diag([1.0, 1e-15])) == 1
+        Z = np.diag([1.0, 1e-15])
+        assert svd_factors(Z).rank == numerical_rank(Z) == 1
 
     def test_rectangular(self):
         assert numerical_rank(np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])) == 1

@@ -18,11 +18,10 @@ from daereach import (
     load_model,
     load_unsafe,
     rotating_masses_initial_star,
-    save_model,
-    UnsafeSpec,
 )
 from daereach.cli import EXIT_PARSE, main
-from daereach.modelio import save_initial_star, save_unsafe
+
+from oracles import sample_coefficients, sample_points, write_json
 
 
 class TestBuiltinAliases:
@@ -54,7 +53,7 @@ class TestModelRoundTrip:
     def test_bit_identical(self, tmp_path):
         sys, inputs = build_rotating_masses()
         path = tmp_path / "model.json"
-        save_model(path, sys, inputs)
+        write_json(path, n=sys.n, m=sys.m, E=sys.E, A=sys.A, B=sys.B, A_u=inputs.a_u)
         loaded, loaded_inputs = load_model(path)
         assert np.array_equal(loaded.E, sys.E)
         assert np.array_equal(loaded.A, sys.A)
@@ -64,10 +63,8 @@ class TestModelRoundTrip:
     def test_awkward_floats_survive(self, tmp_path):
         E = np.array([[0.1 + 0.2, 0.0], [0.0, 0.0]])
         A = np.array([[np.pi, 1e-300], [3.0, -1.0 / 3.0]])
-        from daereach import DaeSystem
-
         path = tmp_path / "model.json"
-        save_model(path, DaeSystem(E, A))
+        write_json(path, n=2, m=0, E=E, A=A)
         loaded, _ = load_model(path)
         assert np.array_equal(loaded.E, E)
         assert np.array_equal(loaded.A, A)
@@ -194,7 +191,7 @@ class TestInitialStarIo:
     def test_round_trip(self, tmp_path):
         star = rotating_masses_initial_star()
         path = tmp_path / "init.json"
-        save_initial_star(path, star)
+        write_json(path, V=star.V, C=star.C, d=star.d)
         loaded = load_initial_star(path, 4, 2)
         assert np.array_equal(loaded.V, star.V)
         assert np.array_equal(loaded.C, star.C)
@@ -235,9 +232,9 @@ class TestInitialStarIo:
         assert np.array_equal(star.V[:, 0], [1.0, 2.0])
         # the leading coefficient is pinned to one, so every point is
         # center + (combination of the remaining columns)
-        alphas = star.sample_coefficients(20, seed=0)
+        alphas = sample_coefficients(star, 20, seed=0)
         assert np.allclose(alphas[:, 0], 1.0, atol=1e-9)
-        points = star.sample_points(20, seed=0)
+        points = sample_points(star, 20, seed=0)
         assert np.all(np.abs(points[:, 0] - 1.0) <= 0.5 + 1e-9)
         assert np.allclose(points[:, 1], 2.0, atol=1e-9)
 
@@ -258,12 +255,11 @@ class TestInitialStarIo:
 
 class TestUnsafeIo:
     def test_round_trip(self, tmp_path):
-        spec = UnsafeSpec([[0.0, 0.0, 1.0, 0.0]], [-0.9])
         path = tmp_path / "unsafe.json"
-        save_unsafe(path, spec)
+        write_json(path, G=[[0.0, 0.0, 1.0, 0.0]], f=[-0.9], on_original_state=True)
         loaded = load_unsafe(path)
-        assert np.array_equal(loaded.G, spec.G)
-        assert np.array_equal(loaded.f, spec.f)
+        assert np.array_equal(loaded.G, [[0.0, 0.0, 1.0, 0.0]])
+        assert np.array_equal(loaded.f, [-0.9])
         assert loaded.on_original_state
 
     def test_row_mismatch(self, tmp_path):
@@ -288,8 +284,8 @@ class TestUnsafeIo:
         path.write_text(json.dumps(document))
         with pytest.raises(ParseError, match=key):
             load_unsafe(path)
-        init = tmp_path / "init.json"
-        save_initial_star(init, rotating_masses_initial_star())
+        init, star = tmp_path / "init.json", rotating_masses_initial_star()
+        write_json(init, V=star.V, C=star.C, d=star.d)
         argv = ["--model", "builtin:rotating-masses", "--init", str(init), "--unsafe", str(path)]
         code = main(argv + ["--time-bound", "0.1", "--out", str(tmp_path / "out")])
         assert code == EXIT_PARSE
@@ -400,6 +396,38 @@ def _mutated(value, kind, mutation, variant):
     return ([[]], {"shape": [rows, 0], "triples": []}, [], {"shape": [0, cols], "triples": []})[
         variant % 4
     ]
+
+
+A_TRIPLES = _documents()["model"]["A"]["triples"]  # [0, 2, 1.0], [1, 3, 1.0], ...
+
+
+class TestNonNumbers:
+    """numpy reads ``true`` and ``"1"`` as 1.0; the loaders refuse both
+    wherever a number is expected, naming the field, and the CLI exits 2."""
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        # each holds the numbers of the value it replaces, so the run would
+        # complete if it loaded
+        [
+            ("model", "B", [[True, 0], [0, "1"], [0, 0], [0, 0]]),
+            ("init", "d", ["0.2", -0.1, 1.2, -1.0]),
+            ("model", "A", {"shape": [4, 4], "triples": [[0, 2, True], *A_TRIPLES[1:]]}),
+            ("model", "A", {"shape": [4, 4], "triples": [A_TRIPLES[0], [True, 3, 1.0], *A_TRIPLES[2:]]}),
+        ],
+        ids=["dense-matrix", "vector", "triple-value", "triple-index"],
+    )
+    def test_is_a_parse_error(self, tmp_path, capsys, name, field, value):
+        documents = _documents()
+        documents[name][field] = value
+        for key in ("model", "init", "unsafe"):
+            (tmp_path / f"{key}.json").write_text(json.dumps(documents[key]))
+        with pytest.raises(ParseError, match=f"field '{field}'"):
+            LOADERS[name](tmp_path / f"{name}.json")
+        argv = [f"--{key}={tmp_path / key}.json" for key in ("model", "init", "unsafe")]
+        assert main(argv + ["--time-bound", "0.1", "--out", str(tmp_path / "out")]) == EXIT_PARSE
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "parse" and f"field '{field}'" in error["message"]
 
 
 CASES = [

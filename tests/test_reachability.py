@@ -21,6 +21,7 @@ from oracles import (
     dense_decoupled,
     reference_decoupled,
     reference_reach_bases,
+    sample_coefficients,
     sequential_coordinates,
 )
 from test_decoupling import EXPECTED_N3, dense_forms, frame_errors
@@ -178,8 +179,9 @@ class TestComputeReach:
     ):
         settings = ReachSettings(time_step=0.1, num_steps=10)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
+        assert reach.initial is rotating_masses_star
         for basis in reach.bases:
-            star = reach.initial.with_basis(basis)
+            star = StarSet(basis, reach.initial.C, reach.initial.d)  # frozen, so shared
             assert star.C is rotating_masses_star.C
             assert star.d is rotating_masses_star.d
 
@@ -261,7 +263,7 @@ class TestComputeReach:
         )
         settings = ReachSettings(time_step=0.05, num_steps=40)
         reach = compute_reach(auto, star, settings)
-        alphas = star.sample_coefficients(25, seed=3)
+        alphas = sample_coefficients(star, 25, seed=3)
         times = settings.times
         for alpha in alphas:
             a = alpha[0]

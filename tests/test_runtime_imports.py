@@ -10,15 +10,9 @@ from pathlib import Path
 import numpy as np
 
 import daereach
-from daereach import (
-    UnsafeSpec,
-    load_model,
-    rotating_masses_initial_star,
-    to_autonomous,
-)
-from daereach.modelio import save_initial_star, save_unsafe
+from daereach import load_model, rotating_masses_initial_star, to_autonomous
 
-from oracles import box_star, reference_decoupled
+from oracles import box_star, reference_decoupled, write_json
 
 # runs in a fresh interpreter: the checks come after both CLI runs, so an
 # import moved into a function body is caught too
@@ -33,12 +27,14 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 
 def test_cli_runs_load_no_scipy_module(tmp_path):
     rm_init, unsafe = tmp_path / "rm_init.json", tmp_path / "unsafe.json"
-    save_initial_star(rm_init, rotating_masses_initial_star())
-    save_unsafe(unsafe, UnsafeSpec([[0.0, 0.0, 0.0, 1.0]], [-1.0]))
+    star = rotating_masses_initial_star()
+    write_json(rm_init, V=star.V, C=star.C, d=star.d)
+    write_json(unsafe, G=[[0.0, 0.0, 0.0, 1.0]], f=[-1.0])
     auto = to_autonomous(*load_model("builtin:stokes:4"))
     stokes_init = tmp_path / "stokes_init.json"
     gamma = reference_decoupled(auto).gamma
-    save_initial_star(stokes_init, box_star(np.random.default_rng(3), gamma, auto.n, 2))
+    star = box_star(np.random.default_rng(3), gamma, auto.n, 2)
+    write_json(stokes_init, V=star.V, C=star.C, d=star.d)
     runs = [
         ["--model", "builtin:rotating-masses", "--init", str(rm_init), "--unsafe", str(unsafe)]
         + ["--time-step", "0.01", "--time-bound", "1", "--out", str(tmp_path / "verify")],

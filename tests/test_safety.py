@@ -16,7 +16,13 @@ from daereach.linalg import DEFAULT_TOLERANCES
 from daereach.model import AutonomousDae
 from daereach.safety import _recheck, _screen, feasibility_check
 
-from oracles import random_polytope, scipy_feasibility_kernel, scrambled_box
+from oracles import (
+    random_polytope,
+    sample_coefficients,
+    sample_points,
+    scipy_feasibility_kernel,
+    scrambled_box,
+)
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +127,9 @@ class TestVerify:
         assert outcome.first_unsafe_step == expected_first
 
     def test_find_all_collects_every_unsafe_step(self, benchmark_reach):
+        # the unscreened scan finds feasible the steps whose exact corner
+        # minimum crosses the bound, and the screen keeps all of them
         unsafe = UnsafeSpec([[0, 0, 1, 0]], [-0.9])
-        outcome = verify(benchmark_reach, unsafe, find_all=True)
         lo = np.array([0.1, 1.0])
         hi = np.array([0.2, 1.2])
         mins = np.array(
@@ -132,9 +139,9 @@ class TestVerify:
             ]
         )
         expected = set(np.nonzero(mins <= -0.9 + 1e-12)[0])
-        got = set(outcome.unsafe_steps)
+        hits, _ = assert_screen_is_sound(benchmark_reach, unsafe)
         # LP boundary cases may differ by the feasibility slack only
-        assert got.symmetric_difference(expected) <= set(
+        assert set(hits).symmetric_difference(expected) <= set(
             np.nonzero(np.abs(mins + 0.9) <= 1e-8)[0]
         )
 
@@ -221,7 +228,7 @@ class TestUnboundedPredicates:
             np.array([[1.0], [0.0]]), np.array([[-1.0]]), np.array([-1.0])
         )  # alpha >= 1, unbounded above; basis lies in the consistent space
         with pytest.raises(UnboundedPredicateError):
-            star.sample_points(3, seed=0)
+            sample_points(star, 3, seed=0)
         reach = compute_reach(auto, star, ReachSettings(0.1, 5))
         grows = verify(reach, UnsafeSpec([[-1.0, 0.0]], [-5.0]))
         assert grows.status == "unsafe"  # alpha = 5 already violates at t = 0
@@ -248,7 +255,7 @@ class TestIndexThreeFalsification:
         reach = compute_reach(auto, star, settings)
 
         direction = rng.normal(size=auto.n)
-        samples = star.sample_coefficients(2000, seed=seed)
+        samples = sample_coefficients(star, 2000, seed=seed)
         basis = reach.bases
         sampled_min = ((basis @ samples.T) * direction[None, :, None]).sum(axis=1).min()
         threshold = sampled_min + 0.1 * max(1.0, abs(sampled_min))
@@ -275,7 +282,7 @@ class TestSamplingOracleAgreement:
         settings = ReachSettings(time_step=0.05, num_steps=40)
         reach = compute_reach(auto, star, settings)
         times = settings.times
-        alphas = star.sample_coefficients(10_000, seed=0)
+        alphas = sample_coefficients(star, 10_000, seed=0)
         # x1(t) = exp(-t/2) a: sampled minimum over trajectories
         trajectory_min = (np.exp(-times / 2.0)[:, None] * alphas[:, 0]).min()
         span = abs(trajectory_min)
@@ -303,13 +310,30 @@ def reference_verify(reach, unsafe):
     return hits, alpha
 
 
-def assert_matches_reference(outcome, reach, unsafe):
+def assert_screen_is_sound(reach, unsafe):
+    """The screened scan against the unscreened one: the steps ``_screen``
+    leaves (every step on the LP path) include every step the reference
+    finds feasible, ``verify`` stops at the reference's first one with its
+    witness, and the counters cover every step examined.  Returns the
+    reference's feasible steps and the outcome."""
     hits, alpha = reference_verify(reach, unsafe)
+    steps = len(reach.bases)
+    support = reach.initial.support(steps)
+    if support.method == "lp":
+        kept = range(steps)
+    else:
+        H = reach.pull_back(unsafe.extended(reach.lift.shape[0], reach.n_orig))
+        kept = _screen(H, unsafe.f, support, DEFAULT_TOLERANCES)
+    assert set(hits) <= set(kept)
+
+    outcome = verify(reach, unsafe)
     assert outcome.status == ("unsafe" if hits else "safe")
-    assert outcome.unsafe_steps == tuple(hits)
     assert outcome.first_unsafe_step == (hits[0] if hits else None)
     if hits:
         assert np.array_equal(outcome.alpha_feasible, alpha)
+    examined = hits[0] + 1 if hits else steps
+    assert outcome.lp_calls + outcome.screened_steps == examined
+    return hits, outcome
 
 
 def random_reach(rng, index, width, predicate):
@@ -323,19 +347,6 @@ def random_reach(rng, index, width, predicate):
     basis = box_star(rng, gamma, auto.n, width).V
     C, d = predicate(rng, width)
     return compute_reach(auto, StarSet(basis, C, d), ReachSettings(0.05, 60))
-
-
-def assert_screen_matches_reference(reach, unsafe):
-    """The screened scan, with and without ``find_all``, against the
-    unscreened one; returns the ``find_all`` outcome."""
-    outcome = verify(reach, unsafe, find_all=True)
-    assert_matches_reference(outcome, reach, unsafe)
-    assert outcome.lp_calls + outcome.screened_steps == len(reach.bases)
-    first = verify(reach, unsafe)
-    assert first.first_unsafe_step == outcome.first_unsafe_step
-    if first.first_unsafe_step is not None:
-        assert np.array_equal(first.alpha_feasible, outcome.alpha_feasible)
-    return outcome
 
 
 class TestVertexScreen:
@@ -360,7 +371,7 @@ class TestVertexScreen:
         f = np.array([rng.uniform(row.min(), row.max()) for row in lowest.T])
         if seed % 4 == 0:  # a bound exactly on one step's support value
             f[0] = lowest[int(rng.integers(len(lowest))), 0]
-        assert_screen_matches_reference(reach, UnsafeSpec(G, f, on_original_state=False))
+        assert_screen_is_sound(reach, UnsafeSpec(G, f, on_original_state=False))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_box_predicates_match_unscreened_scan(self, seed):
@@ -381,8 +392,8 @@ class TestVertexScreen:
         G = rng.normal(size=(1 + seed % 2, reach.lift.shape[0]))
         lowest = support.extrema(G @ reach.bases)[..., 0]  # (steps, q)
         f = np.array([rng.uniform(row.min(), row.max()) for row in lowest.T])
-        unsafe = UnsafeSpec(G, f, on_original_state=False)
-        assert assert_screen_matches_reference(reach, unsafe).support_method == "box"
+        _, outcome = assert_screen_is_sound(reach, UnsafeSpec(G, f, on_original_state=False))
+        assert outcome.support_method == "box"
 
     def test_unbounded_predicate_takes_the_lp_path(self):
         E = np.diag([1.0, 0.0])
@@ -391,11 +402,8 @@ class TestVertexScreen:
         reach = compute_reach(auto, star, ReachSettings(0.1, 5))
         assert reach.initial.vertices_within(len(reach.bases)) is None
         for G, f in (([[-1.0, 0.0]], [-5.0]), ([[1.0, 0.0]], [0.5])):
-            unsafe = UnsafeSpec(G, f)
-            outcome = verify(reach, unsafe, find_all=True)
-            assert outcome.screened_steps == 0
-            assert outcome.lp_calls == len(reach.bases)
-            assert_matches_reference(outcome, reach, unsafe)
+            _, outcome = assert_screen_is_sound(reach, UnsafeSpec(G, f))
+            assert (outcome.support_method, outcome.screened_steps) == ("lp", 0)
 
     def test_many_vertex_subsets_take_the_lp_path(self, rotating_masses_auto):
         # 12 constraints on 2 coefficients give C(12, 2) = 66 subsets, more
@@ -408,12 +416,8 @@ class TestVertexScreen:
         assert reach.initial.vertices_within(len(reach.bases)) is None
         assert reach.initial.vertices_within(66) is not None
         for f in (-0.45, -0.55):
-            unsafe = UnsafeSpec([[0, 0, 1, 0]], [f])
-            outcome = verify(reach, unsafe, find_all=True)
-            assert outcome.support_method == "lp"
-            assert outcome.screened_steps == 0
-            assert outcome.lp_calls == len(reach.bases)
-            assert_matches_reference(outcome, reach, unsafe)
+            _, outcome = assert_screen_is_sound(reach, UnsafeSpec([[0, 0, 1, 0]], [f]))
+            assert (outcome.support_method, outcome.screened_steps) == ("lp", 0)
 
     def test_counters_on_the_rotating_masses(self, benchmark_reach):
         unsafe = verify(benchmark_reach, UnsafeSpec([[0, 0, 1, 0]], [-0.9]))

@@ -8,7 +8,16 @@ from daereach import (
     UnboundedPredicateError,
 )
 
-from oracles import linprog_extrema, polytope_vertices, random_polytope, scrambled_box
+from oracles import (
+    linear_image,
+    linprog_extrema,
+    polytope_vertices,
+    random_polytope,
+    sample_coefficients,
+    sample_points,
+    scrambled_box,
+    unchecked_star,
+)
 
 
 def unit_box_star(n=2):
@@ -74,21 +83,21 @@ class TestConstruction:
 class TestLinearImage:
     def test_identity_map(self):
         star = unit_box_star()
-        image = star.linear_image(np.eye(2))
+        image = linear_image(star, np.eye(2))
         assert np.array_equal(image.V, star.V)
         assert image.C is star.C  # predicate shared untouched
 
     def test_zero_map_collapses_to_origin(self):
         star = unit_box_star()
-        image = star.linear_image(np.zeros((2, 2)))
+        image = linear_image(star, np.zeros((2, 2)))
         assert np.array_equal(image.V, np.zeros((2, 2)))
-        samples = image.sample_points(5, seed=0)
+        samples = sample_points(image, 5, seed=0)
         assert np.allclose(samples, 0.0)
 
     def test_sum_map_spans_expected_interval(self):
         # alpha in [0,1]^2 mapped through [1, 1]: the image is [0, 2]
         star = unit_box_star()
-        image = star.linear_image(np.array([[1.0, 1.0]]))
+        image = linear_image(star, np.array([[1.0, 1.0]]))
         vertices = polytope_vertices(image.C, image.d)
         values = vertices @ image.V.T
         assert values.min() == pytest.approx(0.0, abs=1e-12)
@@ -96,7 +105,7 @@ class TestLinearImage:
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
-            unit_box_star().linear_image(np.eye(3))
+            linear_image(unit_box_star(), np.eye(3))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_functoriality(self, seed):
@@ -104,8 +113,8 @@ class TestLinearImage:
         star = unit_box_star(3)
         T1 = rng.normal(size=(4, 3))
         T2 = rng.normal(size=(2, 4))
-        twice = star.linear_image(T1).linear_image(T2)
-        once = star.linear_image(T2 @ T1)
+        twice = linear_image(linear_image(star, T1), T2)
+        once = linear_image(star, T2 @ T1)
         assert np.allclose(twice.V, once.V, atol=1e-13)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -113,9 +122,9 @@ class TestLinearImage:
         rng = np.random.default_rng(40 + seed)
         star = unit_box_star(3)
         T = rng.normal(size=(2, 3))
-        image = star.linear_image(T)
-        before = star.sample_points(20, seed=seed)
-        after = image.sample_points(20, seed=seed)
+        image = linear_image(star, T)
+        before = sample_points(star, 20, seed=seed)
+        after = sample_points(image, 20, seed=seed)
         assert np.allclose(after, before @ T.T, atol=1e-12)
 
 
@@ -125,11 +134,11 @@ class TestSampling:
         C = np.array([[1.0], [-1.0]])
         d = np.zeros(2)  # alpha exactly 0
         star = StarSet(V, C, d)
-        points = star.sample_points(7, seed=1)
+        points = sample_points(star, 7, seed=1)
         assert np.allclose(points, 0.0, atol=1e-12)
 
     def test_samples_satisfy_predicate(self, rotating_masses_star):
-        alphas = rotating_masses_star.sample_coefficients(50, seed=2)
+        alphas = sample_coefficients(rotating_masses_star, 50, seed=2)
         assert np.all(alphas[:, 0] >= 0.1 - 1e-9)
         assert np.all(alphas[:, 0] <= 0.2 + 1e-9)
         assert np.all(alphas[:, 1] >= 1.0 - 1e-9)
@@ -143,19 +152,19 @@ class TestSampling:
         C = np.vstack([np.eye(2), -np.eye(2)])
         d = np.concatenate([highs, -lows])
         star = StarSet(rng.normal(size=(3, 2)), C, d)
-        alphas = star.sample_coefficients(200, seed=seed)
+        alphas = sample_coefficients(star, 200, seed=seed)
         assert np.all(alphas >= lows - 1e-9)
         assert np.all(alphas <= highs + 1e-9)
 
     def test_unbounded_predicate_rejected(self):
         star = StarSet(np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]]), np.ones(2))
         with pytest.raises(UnboundedPredicateError):
-            star.sample_points(3, seed=0)
+            sample_points(star, 3, seed=0)
 
     def test_reproducible(self):
         star = unit_box_star()
-        a = star.sample_points(10, seed=5)
-        b = star.sample_points(10, seed=5)
+        a = sample_points(star, 10, seed=5)
+        b = sample_points(star, 10, seed=5)
         assert np.array_equal(a, b)
 
 
@@ -176,7 +185,7 @@ class TestSupport:
         if seed % 3 == 0:  # a degenerate coefficient, l = u
             upper[0] = lower[0]
         C, d = scrambled_box(rng, lower, upper)
-        star = StarSet(rng.normal(size=(3, k)), C, d, check_feasible=False)
+        star = StarSet(rng.normal(size=(3, k)), C, d)
         found_lower, found_upper = star.box()
         np.testing.assert_allclose(found_lower, lower, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(found_upper, upper, rtol=1e-12, atol=1e-12)
@@ -202,7 +211,7 @@ class TestSupport:
         upper = lower + rng.uniform(0.2, 1.0, size=8)
         C = np.vstack([np.eye(8), -np.eye(8)])
         d = np.concatenate([upper, -lower])
-        star = StarSet(rng.normal(size=(10, 8)), C, d, check_feasible=False)
+        star = StarSet(rng.normal(size=(10, 8)), C, d)
         assert star.vertices_within(1001) is None  # C(16, 8) = 12870 subsets
         support = star.support(1001)
         assert support.method == "box"
@@ -278,15 +287,15 @@ class TestSupport:
         star = StarSet(np.eye(2), C, np.array([1.0, 0.0, 1.0, 3.0]))
         del lp_count[:]  # the constructor's feasibility LP
         with pytest.raises(UnboundedPredicateError, match="direction 1"):
-            star.sample_points(2, seed=0)
+            sample_points(star, 2, seed=0)
         assert len(lp_count) == 4
 
     @pytest.mark.parametrize("budget", [0, 10**5])
     def test_empty_predicate_built_unchecked_is_empty_on_the_lp_path(self, budget):
         # alpha >= 0 with alpha_0 + alpha_1 <= -1: no solution, and not a box
         C = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
-        star = StarSet(np.eye(2), C, np.array([0.0, 0.0, -1.0]), check_feasible=False)
+        star = unchecked_star(np.eye(2), C, [0.0, 0.0, -1.0])
         with pytest.raises(EmptyPredicateError):
             star.support(budget).extrema(np.eye(2)[None])
         with pytest.raises(EmptyPredicateError):
-            star.sample_points(2, seed=0)
+            sample_points(star, 2, seed=0)
