@@ -15,9 +15,10 @@ through it, its rank decision.  A chain matrix with exactly-zero rows, as
 those of a semi-explicit system such as Stokes, takes a closed form when
 it is a scaled column selection (Stokes ``E_0 = diag(I, 0)``), whose
 kernel basis is unit vectors, so both updates change only the kernel
-columns and take no product; it takes a certified QR of its nonzero rows
-otherwise (Stokes ``E_1``), and any other matrix takes an SVD.  The
-terminal matrix takes no factorization of its own when it can be
+columns and take no product; Gram factors from two small Choleskys when
+each nonzero row still owns a column (Stokes ``E_1 = [I | -G]``); a
+certified QR of its nonzero rows otherwise; and any other matrix takes an
+SVD.  The terminal matrix takes no factorization of its own when it can be
 certified nonsingular from the previous matrix's factors: in them
 ``E_{j+1}`` is block upper triangular, so one ``m x m`` LU gives its
 inverse and a bound on its condition number
@@ -108,8 +109,8 @@ class MatrixChain:
     certificate on the previous matrix's factors proved it nonsingular.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
-    :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"qr"`` or
-    ``"svd"``), or
+    :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
+    ``"qr"`` or ``"svd"``), or
     ``{"method": "certificate", "bound": ...}`` for a terminal matrix
     certified from the previous one's factors.  ``condition_bound`` is
     that certified bound on ``cond_2(E_mu)``, ``None`` when ``E_mu``'s own
@@ -352,13 +353,13 @@ def compute_index_and_chain(sys):
     :func:`~daereach.linalg.rank_update_inverse` with the previous matrix's
     factors; a certified one ends the chain with no factorization of its
     own and keeps its bound on ``condition_bound``.  Any other takes its
-    own :func:`~daereach.linalg.rank_factors` (a closed form, a certified
-    QR or an SVD), which decides its rank and, when it is singular, gives
-    its kernel basis.  The closed form and both certificates decide only
-    as the SVD would, so none changes an index.  ``decisions`` records, per
-    matrix, which one decided and by what margin.  Only what is read is
-    formed: ``E_{j+1} = E_j - (A_j K_j) K_j^T`` when its own factors
-    decide it and ``A_{j+1}`` likewise when ``E_{j+1}`` is singular, so a
+    own :func:`~daereach.linalg.rank_factors` (a closed form, Gram
+    factors, a certified QR or an SVD), which decides its rank and, when it
+    is singular, gives its kernel basis.  The closed form and the three
+    certificates decide only as the SVD would, so none changes an index.
+    ``decisions`` records, per matrix, which one decided and by what
+    margin.  Only what is read is formed: ``E_{j+1} = E_j - (A_j K_j)
+    K_j^T`` when its own factors decide it and ``A_{j+1}`` likewise when ``E_{j+1}`` is singular, so a
     certified terminal matrix is never formed, ``A_mu`` never is, and
     neither is the product ``A_mu Q_mu`` before it.  A closed-form kernel
     basis is the unit vectors of some columns: ``A_j K_j`` gathers them

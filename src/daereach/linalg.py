@@ -17,15 +17,19 @@ matrix is nonsingular), so a chain matrix's index step and its projector
 cannot disagree, and a nonsingular matrix's inverse is formed from the
 same factors, ``W diag(1/s) U^T``, with no LU solve.
 
-:func:`rank_factors` picks one of three factorizations.  A matrix of at
+:func:`rank_factors` picks one of four factorizations.  A matrix of at
 least ``_QR_MIN_N`` rows that has exactly-zero rows (the constraint rows
-of a semi-explicit DAE) and is a scaled column selection (one nonzero per
-nonzero row, no two in one column, as ``E = diag(I, 0)`` of Stokes) is
-factored in closed form: its singular values are the magnitudes of its
-nonzero entries, so the rank is decided with no arithmetic.  Another such
-matrix takes a complete QR of its nonzero rows, accepted only when a
-Frobenius-norm bound proves that the SVD would find the same rank; any
-other matrix takes an SVD.
+of a semi-explicit DAE) and whose every nonzero row owns a column, being
+its only nonzero, has nonzero rows ``M = [D | -X]`` up to row and column
+order, with ``D`` diagonal.  A scaled column selection (``X = 0``, as
+Stokes ``E = diag(I, 0)``) is factored in closed form: its singular values
+are the magnitudes of its nonzero entries, so the rank is decided with no
+arithmetic.  Otherwise (Stokes ``E_1 = [I | -G]``) its row space and
+kernel come from two small Cholesky factorizations of Gram matrices,
+accepted when ``||M||_F / min|d|`` proves that the SVD would find the same
+rank.  Any other such matrix, and one whose Gram matrices are too badly
+conditioned, takes a complete QR of its nonzero rows, accepted only when a
+Frobenius-norm bound proves the same; any other matrix takes an SVD.
 
 A chain matrix that differs from an already factored one by a product
 through the latter's kernel basis can skip its own factorization:
@@ -157,15 +161,15 @@ class Factors(NamedTuple):
     ``U`` and ``W`` are orthogonal, ``lead`` is a nonsingular ``rank x
     rank`` block and every entry of ``tail`` lies at or below the rank
     cutoff, so the trailing ``n - rank`` columns of ``W`` are the kernel
-    basis.  Three factorizations give this form:
+    basis.  Four factorizations give this form:
 
     * :func:`svd_factors`: ``left`` is ``U``, ``lead`` the vector of the
       singular values above the cutoff (a diagonal block), ``tail`` the
       rest and ``w`` is ``W``;
-    * the certified QR of :func:`rank_factors`: ``left`` is the row order
-      that stands for ``U`` (``U^T x = x[left]``), ``lead`` is the lower
-      triangular ``L``, ``lead_inv`` its inverse, ``tail`` is zero and
-      ``w`` is ``W``;
+    * the certified QR and the Gram factors of :func:`rank_factors`:
+      ``left`` is the row order that stands for ``U`` (``U^T x =
+      x[left]``), ``lead`` is the lower triangular ``L``, ``lead_inv`` its
+      inverse, ``tail`` is zero and ``w`` is ``W``;
     * the closed form of :func:`rank_factors` for a scaled column
       selection: ``left`` is the row order, ``lead`` the signed vector
       ``d`` of the nonzero entries (a diagonal block, ``Z[left[i], w[i]] =
@@ -173,13 +177,14 @@ class Factors(NamedTuple):
       for ``W`` (``W^T x = x[w]``), so the kernel basis is the unit vectors
       of the columns ``kernel_columns = w[rank:]``.
 
-    ``decision`` records which of the three decided the rank and its
+    ``decision`` records which of the four decided the rank and its
     margin: ``{"method": "svd", "kept": s_r / s_1, "dropped": s_{r+1} /
     s_1}`` (the smallest singular value kept and the largest dropped,
     relative to the largest; ``None`` where there is none), ``{"method":
     "diagonal", "kept": min|d| / max|d|, "dropped": 0.0}``, the same two
-    ratios of the same singular values, or ``{"method": "qr", "bound":
-    ||L||_F ||L^{-1}||_F}``.
+    ratios of the same singular values, ``{"method": "qr", "bound":
+    ||L||_F ||L^{-1}||_F}`` or ``{"method": "gram", "bound": ||M||_F /
+    min|d|}``; each bound is at least ``s_1 / s_rank``.
     """
 
     left: np.ndarray
@@ -237,13 +242,17 @@ _QR_MIN_N = 20
 
 def rank_factors(Z):
     """The :class:`Factors` that decide the rank of a square matrix: a
-    closed form or a certified QR where one applies, else
+    closed form, Gram factors or a certified QR where one applies, else
     :func:`svd_factors`.
 
-    When ``Z`` (``n >= _QR_MIN_N``) has ``n - p > 0`` exactly-zero rows and
-    each of its ``p`` nonzero rows has one nonzero ``d_i``, no two in one
-    column, ``Z`` is a scaled column selection: its singular values are
-    ``|d|`` and ``n - p`` zeros, and its kernel is spanned by the unit
+    The first three need ``n >= _QR_MIN_N`` and ``n - p > 0`` exactly-zero
+    rows, and the first two also that each of the ``p`` nonzero rows owns a
+    column in which it is the only nonzero, ``d_i`` its entry there: up to
+    row and column order the nonzero rows are ``M = [D | -X]`` with ``D =
+    diag(d)``.
+
+    When ``X = 0``, ``Z`` is a scaled column selection: its singular values
+    are ``|d|`` and ``n - p`` zeros, and its kernel is spanned by the unit
     vectors of the ``n - p`` columns it does not select (Golub & Van Loan,
     *Matrix Computations*, 4th ed., 2.4).  When ``min|d| > RANK_REL_TOL *
     max|d|`` that is the SVD's own rank decision, with no margin band, and
@@ -251,17 +260,18 @@ def rank_factors(Z):
     ``Z`` takes the SVD at once, since the QR's bound below is at least
     ``max|d| / min|d|`` and cannot certify.
 
-    Any other such ``Z`` factors its nonzero rows ``M`` as ``M^T = Q R`` (a
-    complete Householder QR): ``Z = Pi [[L, 0], [0, 0]] Q^T`` with ``L =
-    R^T`` and ``Pi`` the row order that puts the nonzero rows first, and
-    ``R^{-1}`` comes from :func:`triangular_inverse`.  The
-    nonzero singular values of ``Z`` are those of ``L``, so ``||L||_F
-    ||L^{-1}||_F`` bounds ``s_1 / s_p``; when that bound is below ``1 /
-    (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``s_p`` clears the cutoff and the
-    rest are exactly 0, so the SVD would also find rank ``p`` (Golub & Van
-    Loan, *Matrix Computations*, 4th ed., 5.4: complete orthogonal
-    decompositions).  A zero on the diagonal of ``R``, a bound in the
-    margin band, a matrix
+    When ``X != 0`` it takes the Gram factors of :func:`_gram_factors`
+    where they certify the rank and are accurate, and else, like any other
+    such ``Z``, factors its nonzero rows ``M`` as ``M^T = Q R`` (a complete
+    Householder QR): ``Z = Pi [[L, 0], [0, 0]] Q^T`` with ``L = R^T`` and
+    ``Pi`` the row order that puts the nonzero rows first, and ``R^{-1}``
+    comes from :func:`triangular_inverse`.  The nonzero singular values of
+    ``Z`` are those of ``L``, so ``||L||_F ||L^{-1}||_F`` bounds ``s_1 /
+    s_p``; when that bound is below ``1 / (CERTIFICATE_MARGIN *
+    RANK_REL_TOL)``, ``s_p`` clears the cutoff and the rest are exactly 0,
+    so the SVD would also find rank ``p`` (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., 5.4: complete orthogonal decompositions).  A
+    zero on the diagonal of ``R``, a bound in the margin band, a matrix
     with no zero row (or no nonzero one) and a small ``n`` take the SVD,
     which decides as always.
     """
@@ -274,19 +284,25 @@ def rank_factors(Z):
         if 0 < p < n:
             order = np.concatenate([np.flatnonzero(nonzero), np.flatnonzero(~nonzero)])
             rows = Z[order[:p]]
-            if np.count_nonzero(rows) == p:  # one nonzero per row
-                cols = (rows != 0.0).argmax(axis=1)
-                selected = np.zeros(n, dtype=bool)
-                selected[cols] = True
-                if np.count_nonzero(selected) == p:  # a scaled column selection
-                    d = rows[np.arange(p), cols]
+            mask = rows != 0.0
+            single = mask & (np.count_nonzero(mask, axis=0) == 1)
+            if single.any(axis=1).all():  # every row owns a column: M = [D | -X]
+                cols = single.argmax(axis=1)
+                rest = np.ones(n, dtype=bool)
+                rest[cols] = False
+                rest = np.flatnonzero(rest)
+                d = rows[np.arange(p), cols]
+                if np.count_nonzero(mask) == p:  # X = 0: a scaled column selection
                     low, top = np.abs(d).min(), np.abs(d).max()
                     if not low > RANK_REL_TOL * top:
                         # the QR's bound is at least top / low: it cannot certify
                         return svd_factors(Z)
                     decision = {"method": "diagonal", "kept": float(low / top), "dropped": 0.0}
-                    w = np.concatenate([cols, np.flatnonzero(~selected)])
+                    w = np.concatenate([cols, rest])
                     return Factors(order, d, np.zeros(n - p), w, p, decision)
+                factors = _gram_factors(order, rows, cols, rest, d)
+                if factors is not None:
+                    return factors
             q, r = np.linalg.qr(rows.T, mode="complete")
             r_inv = triangular_inverse(r[:p])
             if r_inv is not None:
@@ -298,6 +314,60 @@ def rank_factors(Z):
     return svd_factors(Z)
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _gram_factors(order, rows, cols, rest, d):
+    """QR-format :class:`Factors` of a matrix ``Z`` from two Cholesky
+    factorizations and no QR, or ``None`` when they cannot certify its rank
+    or would be inaccurate.
+
+    ``rows = Z[order[:p]]`` are the nonzero rows ``M`` of ``Z`` (the rest
+    of ``order`` its zero rows), row ``i`` is the only nonzero ``d_i`` of
+    column ``cols[i]``, and ``rest`` lists the other columns.  In the
+    column order ``[cols, rest]``, ``M = D [I | Y]`` with ``D = diag(d)``
+    and ``Y = D^{-1} M[:, rest]``.  Scaling rows keeps the row space, so
+    ``R_1^T R_1 = I + Y Y^T`` gives the orthonormal ``W_1 = [I; Y^T]
+    R_1^{-1}`` and ``M = L W_1^T`` with the lower triangular ``L = D
+    R_1^T``; the kernel of ``M`` is the range of ``[-Y; I]``, made
+    orthonormal the same way by ``R_2^T R_2 = I + Y^T Y``.  This is
+    CholeskyQR (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015)
+    of ``[I | Y]^T`` and of ``[-Y; I]``.  Because ``M M^T = D (I + Y Y^T)
+    D`` is at least ``D^2``, ``s_p >= min|d|``, and ``bound = ||M||_F /
+    min|d|`` bounds ``s_1 / s_p`` with no factorization; it must clear the
+    rank cutoff by ``CERTIFICATE_MARGIN``, as the QR's bound must.
+    CholeskyQR loses orthogonality like the unit roundoff times the
+    condition number of its Gram matrix, here ``1 + ||Y||_2^2`` for both,
+    so the unit roundoff times ``1 + ||Y||_F^2`` must also stay at or
+    below ``RANK_REL_TOL``.  A matrix that fails either test returns
+    ``None``, and the caller takes the QR.
+    """
+    p, m = rows.shape[0], rest.size
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow declines
+        Y = rows[:, rest] / d[:, None]
+        bound = float(np.linalg.norm(rows / np.abs(d).min()))
+        y_norm_sq = (Y**2).sum()
+    if not (
+        bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0
+        and (1.0 + y_norm_sq) * _UNIT_ROUNDOFF <= RANK_REL_TOL
+    ):
+        return None
+    gram = Y @ Y.T
+    gram.flat[:: p + 1] += 1.0
+    l1 = np.linalg.cholesky(gram)  # R_1^T
+    r1_inv = triangular_inverse(l1.T)
+    gram = Y.T @ Y
+    gram.flat[:: m + 1] += 1.0
+    r2_inv = triangular_inverse(np.linalg.cholesky(gram).T)
+    w = np.empty((p + m,) * 2)  # [W_1, kernel basis], its rows scattered to the columns
+    w[cols, :p] = r1_inv
+    w[rest, :p] = Y.T @ r1_inv
+    w[cols, p:] = -(Y @ r2_inv)
+    w[rest, p:] = r2_inv
+    decision = {"method": "gram", "bound": bound}
+    return Factors(order, d[:, None] * l1, np.zeros(m), w, p, decision, r1_inv.T / d)
+
+
 def kernel_basis_and_inverse(factors):
     """Orthonormal kernel basis of a square matrix and, when the kernel is
     trivial, its inverse, both from its :class:`Factors`.
@@ -307,8 +377,8 @@ def kernel_basis_and_inverse(factors):
     of ``W`` alive as long as the chain keeps the basis); for a column
     order ``w`` it is the unit vectors of ``kernel_columns``.  For a
     nonsingular matrix it has no columns and the inverse is ``W diag(1/s)
-    U^T``: only an SVD finds a matrix nonsingular, since the QR path and
-    the closed form need a zero row.  For a singular matrix the inverse is
+    U^T``: only an SVD finds a matrix nonsingular, since the other three
+    factorizations need a zero row.  For a singular matrix the inverse is
     ``None``.
     """
     w, rank = factors.w, factors.rank
@@ -336,9 +406,9 @@ def rank_update_inverse(factors, image):
     ``U^T image``.  One pivoted LU of the ``m x m`` block ``C``
     (:func:`general_inverse`) gives ``C^{-1}`` and through it ``T^{-1}``, and
     ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
-    Projector Based Analysis*, 2013); for QR factors ``U^T`` is a gather of
-    rows and ``W T^{-1} U^T`` a scatter of columns, and for closed-form
-    factors ``W`` is a scatter of rows too.  ``bound =
+    Projector Based Analysis*, 2013); for QR and Gram factors ``U^T`` is a
+    gather of rows and ``W T^{-1} U^T`` a scatter of columns, and for
+    closed-form factors ``W`` is a scatter of rows too.  ``bound =
     ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it is below ``1
     / (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD would also
     find it nonsingular at the cutoff, and the inverse is returned.  The

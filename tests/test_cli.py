@@ -311,7 +311,7 @@ class TestOtherModes:
         assert 0.0 <= verdict["consistency_residual"] <= CONSISTENCY_TOL
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
-    def test_stokes_reach_decides_the_chain_by_closed_form_and_qr(self, tmp_path):
+    def test_stokes_reach_decides_the_chain_by_closed_form_and_gram(self, tmp_path):
         from daereach import load_model, to_autonomous
         from oracles import box_star, reference_decoupled
 
@@ -332,7 +332,7 @@ class TestOtherModes:
         assert code == EXIT_OK
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["index"] == 2
-        assert_chain_decisions(verdict, ["diagonal", "qr", "certificate"])
+        assert_chain_decisions(verdict, ["diagonal", "gram", "certificate"])
 
     def test_bounds_with_directions(self, tmp_path, benchmark_files):
         init, unsafe = benchmark_files

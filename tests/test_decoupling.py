@@ -367,16 +367,17 @@ class TestFactorizationCounts:
         assert counts["full_svd"] == counts["svd"] == full_svds
         assert counts["solve"] <= solves
 
-    @pytest.mark.parametrize("k", [4, 8, 12])
-    def test_stokes_chain_takes_one_qr_and_no_svd(self, monkeypatch, k):
-        """The Stokes chain factors ``E_0`` in closed form, ``E_1`` by one
-        QR, and certifies ``E_2`` through one inverse of the ``m x m``
+    @pytest.mark.parametrize("k", [4, 8, 12, 16])
+    def test_stokes_chain_takes_no_qr_and_no_svd(self, monkeypatch, k):
+        """The Stokes chain factors ``E_0`` in closed form, ``E_1`` by the
+        Cholesky factors of its two Gram matrices (``p x p`` and ``m x m``,
+        no QR), and certifies ``E_2`` through one inverse of the ``m x m``
         block."""
         import daereach.linalg
         from daereach import load_model, to_autonomous
 
         auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
-        shapes = {"qr": [], "svd": [], "general_inverse": []}
+        shapes = {"qr": [], "svd": [], "cholesky": [], "general_inverse": []}
 
         def recording(name, fn):
             def wrapped(a, *args, **kwargs):
@@ -385,15 +386,16 @@ class TestFactorizationCounts:
 
             return wrapped
 
-        for name in ("qr", "svd"):
+        for name in ("qr", "svd", "cholesky"):
             monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
         inverse = recording("general_inverse", daereach.linalg.general_inverse)
         monkeypatch.setattr(daereach.linalg, "general_inverse", inverse)
         chain = compute_index_and_chain(auto)
-        assert [d["method"] for d in chain.decisions] == ["diagonal", "qr", "certificate"]
-        assert len(shapes["qr"]) == 1  # the transposed nonzero rows of E_1
-        assert shapes["svd"] == []
+        assert [d["method"] for d in chain.decisions] == ["diagonal", "gram", "certificate"]
+        assert shapes["qr"] == [] and shapes["svd"] == []
         m = chain.factors[1][0].shape[1]
+        p = auto.n - m  # the nonzero rows of E_1
+        assert shapes["cholesky"] == [(p, p), (m, m)]
         assert shapes["general_inverse"] == [(m, m)] and m < auto.n
 
     def test_exponential_is_taken_at_ode_rank(self, monkeypatch):
@@ -597,6 +599,44 @@ def test_certified_chain_matches_full_svd_chain_on_stokes(k):
     auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
     margin = _certified_margin(compute_index_and_chain(auto), auto)
     print(f"\nstokes k={k}: bound * rank_rel_tol {margin:.2e}")
+
+
+@pytest.mark.parametrize("k", [4, 8, 12, 16])
+def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
+    """The Stokes pipeline with ``E_1``'s Gram factors against the same
+    pipeline with the QR forced: the same index and terminal bound (to
+    1e-12 relative), and terminal inverses and reach bases within
+    ``condition_bound * 2^-53`` of their largest entry, the rounding a
+    change of ``E_1``'s orthonormal bases may move them by."""
+    import daereach.linalg
+    from daereach import ReachSettings, StarSet, compute_reach, load_model, to_autonomous
+
+    auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
+    settings = ReachSettings(1e-4, 20)
+
+    def run(star):
+        reach = compute_reach(auto, star, settings)
+        return reach.decoupled, reach.bases
+
+    lift = decouple(compute_index_and_chain(auto)).lift
+    V = lift @ np.random.default_rng(k).normal(size=(lift.shape[1], 2))  # a consistent star
+    star = StarSet(V, np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    gram, gram_bases = run(star)
+    with monkeypatch.context() as patch:
+        patch.setattr(daereach.linalg, "_gram_factors", lambda *args: None)
+        qr, qr_bases = run(star)
+    assert [d["method"] for d in gram.raw.decisions] == ["diagonal", "gram", "certificate"]
+    assert [d["method"] for d in qr.raw.decisions] == ["diagonal", "qr", "certificate"]
+    assert gram.mu == qr.mu == 2 and gram.ode_rank == qr.ode_rank
+    bound = gram.raw.condition_bound
+    assert bound == pytest.approx(qr.raw.condition_bound, rel=1e-12, abs=0.0)
+    pairs = {
+        "raw terminal inverse": (gram.raw.terminal_inverse, qr.raw.terminal_inverse),
+        "terminal inverse": (gram.terminal_inverse, qr.terminal_inverse),
+        "reach bases": (gram_bases, qr_bases),
+    }
+    errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
+    assert max(errors.values()) <= bound * 2.0**-53, errors
 
 
 def _row_masks_match_dense_products(monkeypatch, dec):

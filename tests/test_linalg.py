@@ -258,7 +258,7 @@ class TestRankUpdateInverse:
             inverse, bound = rank_update_inverse(factors, image)
         assert inverse is None and bound == np.inf
 
-    @pytest.mark.parametrize("kind", ["svd", "qr", "diagonal"])
+    @pytest.mark.parametrize("kind", ["svd", "qr", "diagonal", "gram"])
     @pytest.mark.parametrize("seed", range(3))
     def test_lu_matches_the_svd_of_the_block(self, kind, seed):
         rng = np.random.default_rng(60 + seed)
@@ -267,6 +267,8 @@ class TestRankUpdateInverse:
             Z = rng.normal(size=(n, n - m)) @ rng.normal(size=(n - m, n))
         elif kind == "qr":
             Z = _with_zero_rows(rng, n, m)
+        elif kind == "gram":
+            Z = _owned_columns(rng, n, m)
         else:
             Z = _scaled_selection(rng, n, m)
         factors = rank_factors(Z)
@@ -326,6 +328,21 @@ def _scaled_selection(rng, n, zero_rows):
     Z = np.zeros((n, n))
     Z[rng.permutation(n)[:p], rng.permutation(n)[:p]] = d
     return Z
+
+
+def _owned_columns(rng, n, zero_rows, coupling=1.0, scaled=True):
+    """A row- and column-permuted ``[D | X]`` above ``zero_rows`` zero
+    rows: signed ``d`` whose magnitudes spread over six orders, each
+    nonzero row the only nonzero of its ``D`` column, and ``X`` Gaussian
+    times ``coupling`` (``0`` gives a scaled column selection), its rows
+    also scaled by ``d`` when ``scaled``."""
+    p = n - zero_rows
+    d = rng.choice([-1.0, 1.0], size=p) * 10.0 ** rng.uniform(-3, 3, size=p)
+    X = coupling * rng.normal(size=(p, zero_rows))
+    Z = np.zeros((n, n))
+    Z[:p, :p] = np.diag(d)
+    Z[:p, p:] = d[:, None] * X if scaled else X
+    return Z[rng.permutation(n)][:, rng.permutation(n)]
 
 
 class TestRankFactors:
@@ -420,3 +437,81 @@ class TestRankFactors:
         factors = rank_factors(Z)
         assert factors.decision["method"] == "svd"
         assert factors.rank == numerical_rank(Z)
+
+
+class TestGramFactors:
+    """:func:`rank_factors` on ``[D | -X]``: Gram factors in the QR format,
+    checked against the SVD, and the paths it leaves to the others."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_the_svd(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        n = int(rng.integers(20, 201))
+        zero_rows = int(rng.integers(1, n // 2 + 1))
+        Z = _owned_columns(rng, n, zero_rows)
+        factors = rank_factors(Z)
+        p = n - zero_rows
+        assert factors.decision["method"] == "gram"
+        assert factors.rank == p == numerical_rank(Z)
+        s = np.linalg.svd(Z, compute_uv=False)
+        assert factors.decision["bound"] >= s[0] / s[p - 1]
+        assert factors.decision["bound"] * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0
+        W = factors.w
+        assert np.abs(W.T @ W - np.eye(n)).max() <= 1e-13
+        # U^T Z W = [[L, 0], [0, 0]] with U^T a gather of rows and L lower
+        # triangular
+        middle = np.zeros((n, n))
+        middle[:p, :p] = factors.lead
+        assert np.array_equal(np.tril(factors.lead), factors.lead)
+        assert np.abs(Z[factors.left] @ W - middle).max() <= 1e-14 * s[0]
+        assert not factors.tail.any() and not Z[factors.left[p:]].any()
+        assert np.abs(factors.lead_inv @ factors.lead - np.eye(p)).max() <= 1e-13
+        kernel, inverse = kernel_basis_and_inverse(factors)
+        assert inverse is None and kernel.shape == (n, zero_rows)
+        assert np.linalg.norm(Z @ kernel, 2) <= 1e-15 * s[0]
+
+    @pytest.mark.parametrize("case", ["x-zero", "row-without-an-own-column"])
+    def test_other_structures_keep_their_paths(self, case):
+        # x-zero: X = 0 is a scaled column selection; row-without-an-own-
+        # column: row i's D column gets a second nonzero from row j, and its
+        # X columns are shared by every row, so row i owns no column
+        rng = np.random.default_rng(82)
+        Z = _owned_columns(rng, 40, 7, coupling=0.0 if case == "x-zero" else 1.0)
+        if case != "x-zero":
+            rows, cols = np.nonzero(Z * (np.count_nonzero(Z, axis=0) == 1))
+            Z[rows[1], cols[0]] = 1.0
+        factors = rank_factors(Z)
+        assert factors.decision["method"] == ("diagonal" if case == "x-zero" else "qr")
+        assert factors.rank == 33 == numerical_rank(Z)
+
+    @pytest.mark.parametrize("side", [0.99, 1.01], ids=["inside", "outside"])
+    def test_guard_on_the_gram_condition(self, side):
+        # [I | t Y] with u (1 + t^2 ||Y||_F^2) just inside or outside
+        # RANK_REL_TOL: its bound sqrt(p + t^2 ||Y||_F^2) certifies either way
+        rng = np.random.default_rng(83)
+        n, p = 60, 45
+        Y = rng.normal(size=(p, n - p))
+        t = math.sqrt((side * RANK_REL_TOL / 2.0**-53 - 1.0) / (Y**2).sum())
+        Z = np.zeros((n, n))
+        Z[:p] = np.hstack([np.eye(p), t * Y])
+        factors = rank_factors(Z)
+        assert factors.decision["method"] == ("gram" if side < 1.0 else "qr")
+        assert factors.rank == p == numerical_rank(Z)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("case", ["unscaled-x", "row-below-cutoff"])
+    def test_failed_guard_decides_as_the_svd(self, case, seed):
+        # unscaled-x: a Gaussian X over d of six orders makes D^{-1} X large,
+        # so the guard fails; row-below-cutoff: one whole row scaled below
+        # the rank cutoff, so no bound can certify
+        rng = np.random.default_rng(90 + seed)
+        n = int(rng.integers(20, 201))
+        zero_rows = int(rng.integers(1, n // 2 + 1))
+        Z = _owned_columns(rng, n, zero_rows, scaled=case == "row-below-cutoff")
+        if case == "row-below-cutoff":
+            Z[np.flatnonzero(Z.any(axis=1))[0]] *= 1e-3 * RANK_REL_TOL
+        factors = rank_factors(Z)
+        assert factors.decision["method"] == ("qr" if case == "unscaled-x" else "svd")
+        assert factors.rank == numerical_rank(Z)
+        kernel, _ = kernel_basis_and_inverse(factors)
+        assert np.linalg.norm(Z @ kernel, 2) <= 1e-9 * np.linalg.norm(Z, 2)
