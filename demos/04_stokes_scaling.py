@@ -7,10 +7,15 @@ the columns of the lift psi W (its range is the consistent space), runs a
 100-step reachable-set computation, and checks a safety direction on the
 center-cell velocities, reporting the per-phase time breakdown:
 decoupling (D-T), reachable set computation (RSC-T), and checking safety
-(CS-T).
+(CS-T).  Two more columns show accuracy and memory without the benchmark:
+the corrected terminal inverse's residual max|E_mu' E_mu'^-1 - I| (the
+``terminal_inverse_residual`` of ``verdict.json``), and the peak of the
+arrays ``compute_reach`` allocates, traced by ``tracemalloc`` in a second,
+untimed run.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -29,7 +34,7 @@ from daereach import (
 
 rng = np.random.default_rng(0)
 print(f"{'k':>3} {'n':>6} {'index':>5} {'D-T [ms]':>10} {'RSC-T [ms]':>11} "
-      f"{'CS-T [ms]':>10} {'verdict':>8}")
+      f"{'CS-T [ms]':>10} {'verdict':>8} {'residual':>9} {'peak [MB]':>10}")
 
 for k in (2, 3, 4, 5, 6, 8, 10):
     system = build_stokes(k)
@@ -42,7 +47,12 @@ for k in (2, 3, 4, 5, 6, 8, 10):
     box = np.vstack([np.eye(2), -np.eye(2)])
     star = StarSet(basis, box, np.array([1.0, 1.0, 1.0, 1.0]))
 
-    reach = compute_reach(auto, star, ReachSettings(time_step=1e-4, num_steps=100))
+    settings = ReachSettings(time_step=1e-4, num_steps=100)
+    reach = compute_reach(auto, star, settings)
+    tracemalloc.start()
+    compute_reach(auto, star, settings)
+    peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
 
     u_row, v_row = stokes_center_velocity_rows(k)
     direction = np.zeros(auto.n)
@@ -58,7 +68,8 @@ for k in (2, 3, 4, 5, 6, 8, 10):
         f"{k:>3} {auto.n:>6} {dec.mu:>5} "
         f"{1e3 * reach.timings['decouple_s']:>10.2f} "
         f"{1e3 * reach.timings['reach_s']:>11.2f} "
-        f"{cs_ms:>10.2f} {outcome.status:>8}"
+        f"{cs_ms:>10.2f} {outcome.status:>8} "
+        f"{reach.decoupled.inverse_residual:>9.1e} {peak_mb:>10.2f}"
     )
 
 print(

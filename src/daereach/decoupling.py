@@ -29,7 +29,10 @@ decide as its SVD would.  The chain records every decision and its
 margin (:attr:`MatrixChain.decisions`).  The chain keeps only the
 matrices it factored, ``E_0 .. E_{mu-1}`` and ``A_0 .. A_{mu-1}``: the
 terminal ``E_mu``, and the product ``A_{mu-1} Q_{mu-1}`` it needs, are
-formed only when the certificate declines it, and ``A_mu`` never.
+formed only when the certificate declines it, and ``A_mu`` never.  A
+certified ``E_mu^{-1}`` is kept as the certificate's blocks
+(:class:`~daereach.linalg.InverseBlocks`) where its factors gather rows,
+and is scattered to a dense matrix only when read.
 
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
@@ -42,8 +45,10 @@ Projector Based Analysis*, 2013); at index 3 the intermediate ``E_2' -
 A_2' Q_2`` is ``E_3 (I - X)`` with ``X^2 = 0`` (see :func:`decouple`).
 So the corrected chain's kernels are the raw chain's and its terminal
 inverse is the raw one times corrections of rank ``m`` (every corrected
-projector is ``K_j R_j``); a residual ``max|E_mu' E_mu'^{-1} - I|``
-checks the result.
+projector is ``K_j R_j``); at index 2 from the certificate's blocks the
+correction is written over them in place.  A residual ``max|E_mu'
+E_mu'^{-1} - I|`` over all ``n^2`` entries checks the result, with
+``E_mu'`` formed a block of rows at a time.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
@@ -72,6 +77,7 @@ from .errors import (
 )
 from .linalg import (
     RANK_REL_TOL,
+    InverseBlocks,
     kernel_basis_and_inverse,
     rank_factors,
     rank_update_inverse,
@@ -105,8 +111,15 @@ class MatrixChain:
     ``kernel_columns[j]`` is ``E_j``'s
     :attr:`~daereach.linalg.Factors.kernel_columns`: the columns whose unit
     vectors are ``K_j`` when its closed form decided it, else ``None``.
-    ``terminal_inverse`` is ``E_mu^{-1}``; ``E_mu``'s own SVD or the
-    certificate on the previous matrix's factors proved it nonsingular.
+    ``inverse`` holds ``E_mu^{-1}`` as :class:`~daereach.linalg.InverseBlocks`:
+    the certificate's blocks ``W T^{-1}``, row order and ``C^{-1}`` when it
+    proved ``E_mu`` nonsingular from row-gather (QR, Gram or closed-form)
+    factors, else the dense inverse from the certificate on SVD factors or
+    from ``E_mu``'s own SVD.  At index 2, :func:`decouple` corrects those
+    blocks in place and records the corrected ``R_1`` on ``corrected``;
+    ``terminal_inverse`` is the dense ``E_mu^{-1}``, formed on read from the
+    blocks, or, once corrected, as ``(I - K_1 (K_1^T - R_1)) E_2'^{-1}``
+    (see :func:`decouple`).
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -123,12 +136,28 @@ class MatrixChain:
     kernel_images: list = field(repr=False)
     kernel_columns: tuple = field(repr=False)
     mu: int
-    terminal_inverse: np.ndarray = field(repr=False)
+    inverse: InverseBlocks = field(repr=False)
     decisions: tuple
+    corrected: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n(self):
         return self.E_seq[0].shape[0]
+
+    def raw_inverse(self):
+        """The blocks of ``E_mu^{-1}``: ``inverse``, or, once :func:`decouple`
+        has corrected them in place to ``E_mu'^{-1} = (I + X) E_mu^{-1}``
+        with ``X = K (K^T - R)``, new blocks ``(I - X)`` of them; ``R K =
+        I``, so ``X^2 = 0``."""
+        if not self.corrected:
+            return self.inverse
+        B, (K, _), R = self.inverse.B, self.factors[-1], self.corrected[0]
+        return self.inverse._replace(B=B - K @ (K.T @ B - R @ B))
+
+    @property
+    def terminal_inverse(self):
+        """The dense ``E_mu^{-1}``, formed on read."""
+        return self.raw_inverse().dense()
 
     @property
     def condition_bound(self):
@@ -156,13 +185,16 @@ class DecoupledSystem:
     are algebraic constraints.  Every coefficient is a word in the
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
-    holds only the corrected ``factors``, the ``terminal_inverse``
-    ``E_mu'^{-1}`` and the ``source`` ``A_mu'`` (``A_0``), with the ``raw``
-    chain they came from (the index ``mu`` is its) and the checked
-    ``inverse_residual`` ``max|E_mu' E_mu'^{-1} - I|``.  It applies the
-    one operator ``X -> {i: N_i X}``
-    to blocks right to left: ``S X = E_mu^{-1} (A_mu X)``, ``P_j X = X -
-    K_j (R_j X)``, ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs
+    holds only the corrected ``factors``, the ``inverse`` ``E_mu'^{-1}``
+    (:class:`~daereach.linalg.InverseBlocks`: at index 2 from row-gather
+    factors the blocks ``E_mu'^{-1} U`` and the row order, else dense) and
+    the ``source`` ``A_mu'`` (``A_0``), with the ``raw`` chain they came
+    from (the index ``mu`` is its) and the checked ``inverse_residual``
+    ``max|E_mu' E_mu'^{-1} - I|``; ``terminal_inverse`` is the dense
+    ``E_mu'^{-1}``, formed on read.  It applies the one operator ``X ->
+    {i: N_i X}`` to blocks right to left: ``S X = (E_mu'^{-1} U) (A_mu'
+    X)[left]``, ``P_j X = X - K_j (R_j X)``, ``Q_j X = K_j (R_j X)``.  An
+    ``n x c`` block costs
     ``O(n^2 c)``; no ``n x n x n`` product is taken.  Where ``K_j`` is the
     unit vectors of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``),
     ``Q_j X`` takes no product through it: it is ``R_j X`` scattered to
@@ -183,9 +215,14 @@ class DecoupledSystem:
 
     raw: MatrixChain = field(repr=False)
     factors: tuple = field(repr=False)
-    terminal_inverse: np.ndarray = field(repr=False)
+    inverse: InverseBlocks = field(repr=False)
     source: np.ndarray = field(repr=False)
     inverse_residual: float
+
+    @property
+    def terminal_inverse(self):
+        """The dense ``E_mu'^{-1}``, formed on read."""
+        return self.inverse.dense()
 
     @property
     def mu(self):
@@ -268,7 +305,7 @@ class DecoupledSystem:
         """``{i: N[i] X}``: ``S X = E_mu^{-1} (A_mu X)`` through every
         subsystem's front."""
         fronts = {i: w.ljust(self.mu, "P") for i, w in _PROJECTOR_WORDS[self.mu].items()}
-        return self._apply(fronts, self.terminal_inverse @ (self.source @ X))
+        return self._apply(fronts, self.inverse.apply(self.source @ X))
 
     def apply_maps(self, X, NX, M):
         """``{i: maps[i] X}`` for the reconstruction maps, given ``NX =
@@ -422,6 +459,47 @@ def compute_index_and_chain(sys):
     )
 
 
+# decouple forms E_mu', A_{mu-1} Q' and K_1 Z in this many blocks of rows;
+# 2 to 8 blocks timed within 10% of one another at Stokes k = 12, 16 and 24
+# (1 BLAS thread), and 4 hold decouple's traced peak near 2.2 n x n arrays.
+# A block has at least _MIN_BLOCK_ROWS rows: each costs a few microseconds
+# of numpy calls, which doubled decouple's time at n = 6
+_ROW_BLOCKS = 4
+_MIN_BLOCK_ROWS = 64
+
+
+def _row_blocks(n):
+    """Slices of ``range(n)``: ``_ROW_BLOCKS`` of them, or fewer of
+    ``_MIN_BLOCK_ROWS`` rows."""
+    step = max(-(-n // _ROW_BLOCKS), _MIN_BLOCK_ROWS)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _checked_source(E, A, image, R, inverse, corrected):
+    """``(residual, source)``: ``max|E' E'^{-1} - I|`` with ``E' = E -
+    image R`` and ``E'^{-1} = B U^T`` from ``inverse``, and the source ``A -
+    image R`` (``A`` itself unless ``corrected``).  Both are formed a block
+    of rows at a time from one block of ``image R``, so no ``n x n``
+    ``image R``, ``E'`` or residual exists; every one of the ``n^2``
+    entries is checked.  ``E' B U^T - I`` is ``E' B`` with its columns
+    scattered to ``left``, so row ``i`` of the identity has its one at the
+    column of ``E' B`` that ``left`` sends to ``i``."""
+    n = E.shape[0]
+    ones = np.arange(n) if inverse.left is None else np.argsort(inverse.left)
+    source = np.empty_like(A) if corrected else A
+    residual = 0.0
+    for rows in _row_blocks(n):
+        block = image[rows] @ R  # rows of A_{mu-1} Q'
+        if corrected:
+            np.subtract(A[rows], block, out=source[rows])
+        np.subtract(E[rows], block, out=block)  # rows of E_mu'
+        block = block @ inverse.B
+        block[np.arange(block.shape[0]), ones[rows]] -= 1.0
+        # np.maximum keeps a NaN, so a non-finite block fails the check
+        residual = np.maximum(residual, np.abs(block, out=block).max())
+    return float(residual), source
+
+
 def decouple(chain):
     """The decoupled system of a raw chain: its projectors corrected so that
     ``Q_j Q_i = 0`` for ``j > i``, its terminal inverse and its source
@@ -436,49 +514,69 @@ def decouple(chain):
     projects onto the kernel of its rebuilt chain matrix and has the form
     ``K_j R_j`` with the raw chain's orthonormal kernel basis ``K_j``, so
     the rebuilt chain reuses the raw chain's ``A_j K_j``, and of its
-    matrices only ``E_mu'`` (for the residual check) and ``A_mu'`` (the
-    source) are formed.  Index 1 feeds the original ``A_0`` through
-    ``E_1^{-1}`` instead: the two differ off the ODE subspace.
+    matrices only ``A_mu'`` (the source) is formed, and ``E_mu'`` a block
+    of rows at a time for the residual check.  Index 1 feeds the original
+    ``A_0`` through ``E_1^{-1}`` instead: the two differ off the ODE
+    subspace.
 
     No matrix is factored or solved: every inverse is the raw chain's
     ``E_mu^{-1}`` times rank-``m`` corrections.  The projector swap ``E' =
-    E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q') E^{-1}``.  At index 3,
-    ``(Q_1 - Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2
-    K_2`` and the intermediate ``E_2' - A_2' Q_2 = E_3 (I - X)`` with ``X =
-    P_2 (Q_1 - Q_1')`` and ``X^2 = 0``: it is nonsingular exactly when
-    ``E_3`` is, with inverse ``(I + X) E_3^{-1}`` (Lamour, Maerz &
-    Tischendorf, *DAEs: A Projector Based Analysis*, 2013).  The terminal
-    inverse is then checked: a residual ``max|E_mu' E_mu'^{-1} - I|`` above
-    ``sqrt(RANK_REL_TOL)`` raises :class:`SingularMatrixError`; the
-    residual is kept on ``inverse_residual``.
+    E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q') E^{-1}``.  At index 2
+    with ``E_2^{-1}`` in the certificate's blocks ``B = E_2^{-1} U``
+    (:class:`~daereach.linalg.InverseBlocks`), ``K^T E_2^{-1} = [0,
+    C^{-1}] U^T`` needs no product: ``R = -C^{-1} A_1[left[rank:]]`` and
+    ``E_2'^{-1} U = B + K ([0, C^{-1}] - R B)`` is written over ``B`` in
+    place, so the chain's blocks become the decoupled system's (see
+    :meth:`MatrixChain.raw_inverse`).  Other factors, and index 3, take
+    the dense inverse.  At index 3, ``(Q_1 - Q_1') Q_2 = 0``, so ``Ker
+    E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2`` and the intermediate ``E_2' -
+    A_2' Q_2 = E_3 (I - X)`` with ``X = P_2 (Q_1 - Q_1')`` and ``X^2 = 0``:
+    it is nonsingular exactly when ``E_3`` is, with inverse ``(I + X)
+    E_3^{-1}`` (Lamour, Maerz & Tischendorf, *DAEs: A Projector Based
+    Analysis*, 2013).  The terminal inverse is then checked, as a computed
+    inverse should be (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 14): a residual ``max|E_mu' E_mu'^{-1} - I|``
+    over all ``n^2`` entries above ``sqrt(RANK_REL_TOL)`` raises
+    :class:`SingularMatrixError`; the residual is kept on
+    ``inverse_residual``.
 
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
     beforehand, so there are no input coefficients.
     """
-    mu, inverse = chain.mu, chain.terminal_inverse
+    mu, inverse = chain.mu, chain.raw_inverse()
     factors, images = list(chain.factors), chain.kernel_images
     # Q_0 is never corrected, so below index 3 the raw E_{mu-1} and A_{mu-1}
     # are the rebuilt ones
     E, A = chain.E_seq[-1], chain.A_seq[-1]
-    if mu == 3:
-        (K1, _), (K2, _) = factors[1:]
-        R2 = -(K2.T @ inverse) @ A  # Q_2^* = K_2 R_2
-        R1 = -((K1.T - (K1.T @ K2) @ R2) @ inverse) @ chain.A_seq[1]  # Q_1' = K_1 R_1
-        factors[1] = (K1, R1)
-        AQ = images[1] @ R1
-        E, A = chain.E_seq[1] - AQ, chain.A_seq[1] - AQ  # E_2', A_2'
-        # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
-        inverse = inverse + (K1 - K2 @ (K2.T @ K1)) @ ((K1.T - R1) @ inverse)
     K, R = factors[-1]
-    if mu > 1:
+    if mu == 2 and inverse.c_inv is not None:
+        B, left, c_inv = inverse
+        rank = chain.n - c_inv.shape[0]
+        R = -c_inv @ A[left[rank:]]  # -(K^T E_2^{-1}) A_1
+        Z = R @ B
+        np.negative(Z, out=Z)
+        Z[:, rank:] += c_inv  # (K^T - R) E_2^{-1} U
+        for rows in _row_blocks(chain.n):  # (I + Q - Q') E_2^{-1} U
+            B[rows] += K[rows] @ Z
+        if inverse is chain.inverse:
+            chain.corrected.append(R)
+    elif mu > 1:
+        inverse = inverse.dense()
+        if mu == 3:
+            (K1, _), (K2, _) = factors[1:]
+            R2 = -(K2.T @ inverse) @ A  # Q_2^* = K_2 R_2
+            R1 = -((K1.T - (K1.T @ K2) @ R2) @ inverse) @ chain.A_seq[1]  # Q_1' = K_1 R_1
+            factors[1] = (K1, R1)
+            AQ = images[1] @ R1
+            E, A = chain.E_seq[1] - AQ, chain.A_seq[1] - AQ  # E_2', A_2'
+            # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
+            inverse = inverse + (K1 - K2 @ (K2.T @ K1)) @ ((K1.T - R1) @ inverse)
         R = -(K.T @ inverse) @ A  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
+        inverse = InverseBlocks(inverse + K @ ((K.T - R) @ inverse))  # (I + Q - Q') E_mu^{-1}
+    if mu > 1:
         factors[-1] = (K, R)
-        inverse = inverse + K @ ((K.T - R) @ inverse)  # (I + Q - Q') E_mu^{-1}
-    AQ = images[-1] @ R
 
-    residual = (E - AQ) @ inverse
-    residual.flat[:: chain.n + 1] -= 1.0
-    residual = float(np.abs(residual, out=residual).max())
+    residual, source = _checked_source(E, A, images[-1], R, inverse, mu > 1)
     if not residual <= np.sqrt(RANK_REL_TOL):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
@@ -487,8 +585,8 @@ def decouple(chain):
     return DecoupledSystem(
         raw=chain,
         factors=tuple(factors),
-        terminal_inverse=inverse,
-        source=A if mu == 1 else A - AQ,
+        inverse=inverse,
+        source=source,
         inverse_residual=residual,
     )
 

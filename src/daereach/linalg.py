@@ -15,7 +15,8 @@ The matrix chain factors each chain matrix at most once, into one
 kernel basis it yields also decides the rank (an empty basis means the
 matrix is nonsingular), so a chain matrix's index step and its projector
 cannot disagree, and a nonsingular matrix's inverse is formed from the
-same factors, ``W diag(1/s) U^T``, with no LU solve.
+same factors, ``W diag(1/s) U^T``, with no LU solve, and kept as an
+:class:`InverseBlocks`.
 
 :func:`rank_factors` picks one of four factorizations.  A matrix of at
 least ``_QR_MIN_N`` rows that has exactly-zero rows (the constraint rows
@@ -59,6 +60,7 @@ __all__ = [
     "svd_factors",
     "rank_factors",
     "kernel_basis_and_inverse",
+    "InverseBlocks",
     "rank_update_inverse",
     "triangular_inverse",
     "general_inverse",
@@ -368,6 +370,38 @@ def _gram_factors(order, rows, cols, rest, d):
     return Factors(order, d[:, None] * l1, np.zeros(m), w, p, decision, r1_inv.T / d)
 
 
+class InverseBlocks(NamedTuple):
+    """A nonsingular matrix's inverse as ``Z^{-1} = B U^T``.
+
+    ``left`` is the row order that stands for ``U`` (``U^T x = x[left]``),
+    so ``B = Z^{-1} U`` holds the columns of ``Z^{-1}`` in that order, or
+    ``None`` for ``U = I``: ``B`` is then the dense inverse itself.  When
+    :func:`rank_update_inverse` certified ``Z`` from row-gather factors
+    ``U [[lead, 0], [0, diag(tail)]] W^T`` with kernel basis ``K``, ``B =
+    W T^{-1}`` and ``c_inv`` is ``C^{-1}``, the trailing block of
+    ``T^{-1}``; ``T`` is block upper triangular, so ``K^T B = [0,
+    C^{-1}]`` and ``K^T Z^{-1} x = C^{-1} x[left[rank:]]``.  Otherwise
+    ``c_inv`` is ``None``.
+    """
+
+    B: np.ndarray
+    left: np.ndarray | None = None
+    c_inv: np.ndarray | None = None
+
+    def apply(self, X):
+        """``Z^{-1} X``: ``B`` times the gathered rows of ``X``."""
+        return self.B @ (X if self.left is None else X[self.left])
+
+    def dense(self):
+        """``Z^{-1}``: the columns of ``B`` scattered to ``left``; ``B``
+        itself for ``U = I``."""
+        if self.left is None:
+            return self.B
+        inverse = np.empty_like(self.B)
+        inverse[:, self.left] = self.B
+        return inverse
+
+
 def kernel_basis_and_inverse(factors):
     """Orthonormal kernel basis of a square matrix and, when the kernel is
     trivial, its inverse, both from its :class:`Factors`.
@@ -376,10 +410,10 @@ def kernel_basis_and_inverse(factors):
     ``(n, n - rank)`` array in ``W``'s memory order (a view would keep all
     of ``W`` alive as long as the chain keeps the basis); for a column
     order ``w`` it is the unit vectors of ``kernel_columns``.  For a
-    nonsingular matrix it has no columns and the inverse is ``W diag(1/s)
-    U^T``: only an SVD finds a matrix nonsingular, since the other three
-    factorizations need a zero row.  For a singular matrix the inverse is
-    ``None``.
+    nonsingular matrix it has no columns and the inverse is the dense
+    :class:`InverseBlocks` ``W diag(1/s) U^T``: only an SVD finds a matrix
+    nonsingular, since the other three factorizations need a zero row.  For
+    a singular matrix the inverse is ``None``.
     """
     w, rank = factors.w, factors.rank
     columns = factors.kernel_columns
@@ -387,13 +421,14 @@ def kernel_basis_and_inverse(factors):
         basis = np.zeros((w.size, columns.size))
         basis[columns, np.arange(columns.size)] = 1.0
         return basis, None
-    inverse = (w / factors.lead) @ factors.left.T if rank == w.shape[0] else None
+    inverse = InverseBlocks((w / factors.lead) @ factors.left.T) if rank == w.shape[0] else None
     return w[:, rank:].copy(order="K"), inverse
 
 
 def rank_update_inverse(factors, image):
     """``(inverse, bound)`` of ``Z' = Z - image @ K^T`` from the factors of
-    ``Z``, with ``inverse`` ``None`` unless ``Z'`` is certified nonsingular.
+    ``Z``, with ``inverse`` an :class:`InverseBlocks`, ``None`` unless
+    ``Z'`` is certified nonsingular.
 
     ``factors`` are the :class:`Factors` of ``Z = U [[lead, 0], [0,
     diag(tail)]] W^T``, ``K`` is its kernel basis (the trailing ``m``
@@ -406,17 +441,19 @@ def rank_update_inverse(factors, image):
     ``U^T image``.  One pivoted LU of the ``m x m`` block ``C``
     (:func:`general_inverse`) gives ``C^{-1}`` and through it ``T^{-1}``, and
     ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
-    Projector Based Analysis*, 2013); for QR and Gram factors ``U^T`` is a
-    gather of rows and ``W T^{-1} U^T`` a scatter of columns, and for
-    closed-form factors ``W`` is a scatter of rows too.  ``bound =
-    ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it is below ``1
-    / (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD would also
-    find it nonsingular at the cutoff, and the inverse is returned.  The
-    bound reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a computed
-    inverse from a pivoted LU is as accurate as one from an SVD (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14).
-    Otherwise, and when the LU meets an exactly zero pivot (``bound`` is
-    then infinite) or gives a non-finite inverse, only the bound is
+    Projector Based Analysis*, 2013).  For QR, Gram and closed-form factors
+    ``U^T`` is a gather of rows, so the inverse is kept as its blocks ``B =
+    W T^{-1}``, the row order and ``C^{-1}``, and scattered to a dense
+    matrix only when read; for closed-form factors ``W`` is a scatter of
+    rows too.  For SVD factors it is the dense ``W (T^{-1} U^T)``.
+    ``bound = ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it
+    is below ``1 / (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD
+    would also find it nonsingular at the cutoff, and the inverse is
+    returned.  The bound reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a
+    computed inverse from a pivoted LU is as accurate as one from an SVD
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch.
+    14).  Otherwise, and when the LU meets an exactly zero pivot (``bound``
+    is then infinite) or gives a non-finite inverse, only the bound is
     returned, and the caller decides from ``Z'``'s own factors.
     ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it already
     fails the test, ``C`` takes no LU and that lower bound is returned, so
@@ -444,25 +481,23 @@ def rank_update_inverse(factors, image):
         bound = math.sqrt(norm_sq * inv_norm_sq)
     if not bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
         return None, bound
-    if factors.w.ndim == 1:  # T^{-1}, its rows scattered to w, its columns to left
-        t_inv = np.zeros((factors.w.size,) * 2)
-        t_inv[:rank, :rank] = factors.lead_solve(np.eye(rank))
-        t_inv[:rank, rank:] = corner
-        t_inv[rank:, rank:] = c_inv
-        inverse = np.empty_like(t_inv)
-        inverse[np.ix_(factors.w, factors.left)] = t_inv
-        return inverse, bound
-    if factors.left.ndim == 1:  # W T^{-1}, its columns scattered to the row order
+    if factors.w.ndim == 1:  # W T^{-1}: the rows of T^{-1} scattered to w
+        blocks = np.zeros((factors.w.size,) * 2)
+        blocks[factors.w[:rank], :rank] = factors.lead_solve(np.eye(rank))
+        blocks[factors.w[:rank], rank:] = corner
+        blocks[factors.w[rank:], rank:] = c_inv
+        return InverseBlocks(blocks, factors.left, c_inv), bound
+    if factors.left.ndim == 1:  # W T^{-1}
         w_top, w_low = factors.w[:, :rank], factors.w[:, rank:]
-        inverse = np.empty_like(factors.w)
-        inverse[:, factors.left[:rank]] = w_top @ factors.lead_inv
-        inverse[:, factors.left[rank:]] = w_top @ corner + w_low @ c_inv
-        return inverse, bound
+        blocks = np.empty_like(factors.w)
+        blocks[:, :rank] = w_top @ factors.lead_inv
+        blocks[:, rank:] = w_top @ corner + w_low @ c_inv
+        return InverseBlocks(blocks, factors.left, c_inv), bound
     u_top, u_low = factors.left[:, :rank], factors.left[:, rank:]
     rows = np.empty_like(factors.left)  # T^{-1} U^T
     rows[:rank] = factors.lead_solve(u_top.T) + corner @ u_low.T
     rows[rank:] = c_inv @ u_low.T
-    return factors.w @ rows, bound
+    return InverseBlocks(factors.w @ rows), bound
 
 
 # Below this size an upper triangular inverse is one pivoted LU; above it

@@ -196,7 +196,10 @@ def load_model(path):
         a_u = _matrix_from_json(a_u, path, "A_u")
         if a_u.shape != (m, m):
             raise ParseError(f"A_u must be {m}x{m}, got {a_u.shape}", path=path, field="A_u")
+        a_u.flags.writeable = False
         inputs = InputModel(a_u)
+    # frozen, so DaeSystem keeps these arrays instead of copying them
+    E.flags.writeable = A.flags.writeable = B.flags.writeable = False
     return DaeSystem(E, A, B), inputs
 
 

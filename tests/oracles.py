@@ -536,6 +536,28 @@ def dense_decoupled(dec):
     return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dec.terminal_inverse, dec.source)
 
 
+def dense_correction(raw):
+    """``(R, inverse)``: the index-2 correction of a package raw chain
+    multiplied out densely from its on-read ``E_2^{-1}``, ``R = -(K^T
+    E_2^{-1}) A_1`` and the corrected inverse ``E_2^{-1} + K ((K^T - R)
+    E_2^{-1})``, with ``K`` the raw chain's kernel basis of ``E_1``."""
+    K = raw.factors[-1][0]
+    inverse = raw.terminal_inverse
+    R = -(K.T @ inverse) @ raw.A_seq[-1]
+    return R, inverse + K @ ((K.T - R) @ inverse)
+
+
+def dense_residual(E, X):
+    """``(max|E X - I|, bound)``: the residual of ``X`` as an inverse of
+    ``E`` from one dense product, and ``2 n u max(|E| |X|)``, twice the
+    rounding bound ``gamma_n |E| |X|`` of a computed product (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 3.5), within
+    which two evaluations of the residual may differ."""
+    n = E.shape[0]
+    residual = np.abs(E @ X - np.eye(n)).max()
+    return float(residual), 2.0 * n * 2.0**-53 * float((np.abs(E) @ np.abs(X)).max())
+
+
 def dense_apply(dec, words, X):
     """``DecoupledSystem._apply`` with the dense products ``Q_j Y = K_j (R_j
     Y)`` for every kernel basis, unit vectors included: the reference the

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from daereach import (
     IndexTooHighError,
     IrregularPencilError,
     NonsingularEError,
+    ReachSettings,
     compute_index_and_chain,
     decouple,
 )
@@ -15,6 +17,7 @@ from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
     RANK_REL_TOL,
+    InverseBlocks,
     rank_update_inverse,
     svd_factors,
 )
@@ -26,6 +29,8 @@ from oracles import (
     chain_projectors,
     dense_admissibility_residual,
     dense_apply,
+    dense_correction,
+    dense_residual,
     reference_chain,
     reference_decoupled,
     weierstrass_auto,
@@ -637,6 +642,151 @@ def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
     }
     errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
     assert max(errors.values()) <= bound * 2.0**-53, errors
+
+
+def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
+    """Decouple the index-2 chain ``raw`` of ``auto`` and check it against
+    the dense correction of :func:`oracles.dense_correction`, taken from the
+    raw chain's on-read inverse before :func:`decouple` corrects its blocks
+    in place.  ``R``, the corrected inverse, the reach bases of one consistent
+    star and the raw inverse read back after the correction must agree
+    within ``condition_bound * 2^-53`` of their largest entry, and the
+    consistency and safety verdicts must be the same.  The row-block
+    residual must equal the dense ``max|E_2' X - I|`` of the corrected
+    inverse ``X``, and be no larger than the oracle's, both within the
+    rounding bound of :func:`oracles.dense_residual`."""
+    import daereach.reachability
+    from daereach import StarSet, compute_reach, verify
+
+    assert raw.mu == 2
+    raw_inverse = raw.terminal_inverse
+    R_dense, X_dense = dense_correction(raw)
+    ours = decouple(raw)
+    K, R = ours.factors[1]
+    image = raw.kernel_images[1]
+    oracle = dataclasses.replace(
+        ours,
+        factors=(ours.factors[0], (K, R_dense)),
+        inverse=InverseBlocks(X_dense),
+        source=raw.A_seq[1] - image @ R_dense,
+    )
+    lift = ours.lift
+    V = lift @ np.random.default_rng(seed).normal(size=(lift.shape[1], 2))
+    star = StarSet(V, np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    runs = {}
+    for name, dec in (("fused", ours), ("dense", oracle)):
+        monkeypatch.setattr(daereach.reachability, "decouple_system", lambda _, dec=dec: dec)
+        reach = compute_reach(auto, star, settings)
+        runs[name] = (reach.certificate.consistent, verify(reach, unsafe).status), reach.bases
+    monkeypatch.undo()
+    assert runs["fused"][0] == runs["dense"][0]
+    pairs = {
+        "R": (R, R_dense),
+        "corrected inverse": (ours.terminal_inverse, X_dense),
+        "reach bases": (runs["fused"][1], runs["dense"][1]),
+        "raw inverse read back": (raw.terminal_inverse, raw_inverse),
+    }
+    errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
+    assert max(errors.values()) <= raw.condition_bound * 2.0**-53, errors
+    dense, rounding = dense_residual(raw.E_seq[1] - image @ R, ours.terminal_inverse)
+    assert abs(ours.inverse_residual - dense) <= rounding
+    oracle_residual, rounding = dense_residual(raw.E_seq[1] - image @ R_dense, X_dense)
+    assert ours.inverse_residual <= oracle_residual + rounding
+    return ours, oracle_residual
+
+
+@pytest.mark.parametrize(
+    "k, factors", [(4, "gram"), (8, "gram"), (8, "qr"), (12, "gram"), (16, "gram")]
+)
+def test_stokes_fused_correction_matches_the_dense_one(monkeypatch, k, factors):
+    """On Stokes, ``E_2^{-1}`` is kept as the certificate's blocks from
+    ``E_1``'s Gram factors (or, with the Gram path refused, its QR), and
+    :func:`decouple` corrects them in place with no ``K^T E_2^{-1}``
+    product; this matches the dense correction."""
+    import daereach.linalg
+    from daereach import UnsafeSpec, load_model, stokes_center_velocity_rows, to_autonomous
+
+    auto = to_autonomous(*load_model(f"builtin:stokes:{k}"))
+    direction = np.zeros((1, auto.n))
+    direction[0, list(stokes_center_velocity_rows(k))] = -1.0
+    unsafe = UnsafeSpec(direction, [-5.0], on_original_state=False)
+    if factors == "qr":
+        monkeypatch.setattr(daereach.linalg, "_gram_factors", lambda *args: None)
+    raw = compute_index_and_chain(auto)
+    assert [d["method"] for d in raw.decisions] == ["diagonal", factors, "certificate"]
+    assert raw.inverse.c_inv is not None  # row-gather blocks, not a dense inverse
+    ours, oracle_residual = _fused_against_dense(
+        monkeypatch, auto, raw, unsafe, ReachSettings(1e-4, 20), k
+    )
+    assert ours.inverse.B is raw.inverse.B  # corrected in place
+    print(f"\nstokes k={k} {factors}: residual {ours.inverse_residual:.1e}, "
+          f"dense {oracle_residual:.1e}")
+
+
+def test_semi_explicit_correction_matches_the_dense_one(monkeypatch):
+    """The 20 random semi-explicit index-2 systems (``E_0`` by QR, the
+    terminal matrix certified from ``E_1``'s SVD): :func:`decouple` takes
+    the dense correction, and matches the oracle's."""
+    from daereach import UnsafeSpec
+
+    for seed, _, auto, _ in semi_explicit_systems(2):
+        raw = compute_index_and_chain(auto)
+        assert [d["method"] for d in raw.decisions] == ["qr", "svd", "certificate"], seed
+        direction = np.zeros((1, auto.n))
+        direction[0, 0] = 1.0
+        unsafe = UnsafeSpec(direction, [0.0], on_original_state=False)
+        _fused_against_dense(monkeypatch, auto, raw, unsafe, ReachSettings(1e-3, 20), seed)
+
+
+def test_decouple_peak_memory_on_stokes_12():
+    """Above the chain, :func:`decouple` holds at most three ``n x n``
+    arrays at once: the source, and blocks of rows of ``E_2'``, ``A_1
+    Q_1'`` and ``K_1 Z`` (``tracemalloc``, which numpy reports to)."""
+    from daereach import load_model, to_autonomous
+
+    chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:12")))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        decouple(chain)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * chain.n**2)
+    print(f"\ndecouple peak above the chain: {arrays:.2f} n x n arrays")
+    assert arrays <= 3.0
+
+
+@pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:8"])
+def test_non_finite_terminal_inverse_fails_the_residual_check(model):
+    """A NaN in the chain's terminal inverse (dense, or the certificate's
+    blocks) makes every row block's residual NaN, and the check raises."""
+    from daereach import SingularMatrixError, load_model, to_autonomous
+
+    chain = compute_index_and_chain(to_autonomous(*load_model(model)))
+    chain.inverse.B[chain.n // 2, 1] = np.nan
+    with pytest.raises(SingularMatrixError, match="residual nan"):
+        decouple(chain)
+
+
+def test_second_decouple_of_a_chain_reads_the_raw_inverse_back():
+    """A chain whose blocks one :func:`decouple` corrected in place gives a
+    second one the raw inverse read back, and the same system."""
+    from daereach import load_model, to_autonomous
+
+    chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:8")))
+    raw_inverse = chain.terminal_inverse
+    first = decouple(chain)
+    first_inverse = first.terminal_inverse
+    second = decouple(chain)
+    assert second.inverse.B is not first.inverse.B
+    assert np.array_equal(first.terminal_inverse, first_inverse)
+    bound = chain.condition_bound * 2.0**-53
+    for ours, reference in (
+        (chain.terminal_inverse, raw_inverse),
+        (second.terminal_inverse, first_inverse),
+    ):
+        assert np.abs(ours - reference).max() <= bound * np.abs(reference).max()
 
 
 def _row_masks_match_dense_products(monkeypatch, dec):

@@ -234,6 +234,7 @@ class TestRankUpdateInverse:
         inverse, bound = rank_update_inverse(svd_factors(Z), image)
         updated = _updated(Z, image)
         assert inverse is not None
+        inverse = inverse.dense()
         assert np.abs(inverse - np.linalg.inv(updated)).max() <= 1e-10 * np.abs(inverse).max()
         assert np.linalg.cond(updated) <= bound
 
@@ -278,7 +279,7 @@ class TestRankUpdateInverse:
         reference, reference_bound = svd_certificate(factors, image, CERTIFICATE_MARGIN)
         assert inverse is not None and reference is not None
         assert abs(bound - reference_bound) <= 1e-12 * reference_bound
-        assert np.abs(inverse - reference).max() <= 1e-10 * np.abs(reference).max()
+        assert np.abs(inverse.dense() - reference).max() <= 1e-10 * np.abs(reference).max()
 
     @pytest.mark.parametrize(
         "eps, certified, nonsingular",
@@ -296,7 +297,7 @@ class TestRankUpdateInverse:
         assert (svd_factors(_updated(Z, image)).rank == 2) == nonsingular
         if certified:
             assert bound * CERTIFICATE_MARGIN * 1e-9 < 1.0
-            assert np.allclose(inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
+            assert np.allclose(inverse.dense(), np.diag([1.0, -1.0 / eps]), rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_never_certifies_a_singular_update(self, seed):
@@ -420,6 +421,7 @@ class TestRankFactors:
         kernel, _ = kernel_basis_and_inverse(factors)
         updated = Z - image @ kernel.T
         assert inverse is not None
+        inverse = inverse.dense()
         assert np.abs(inverse - np.linalg.inv(updated)).max() <= 1e-10 * np.abs(inverse).max()
         assert np.linalg.cond(updated) <= bound
 

@@ -60,6 +60,28 @@ class TestModelRoundTrip:
         assert np.array_equal(loaded.B, sys.B)
         assert np.array_equal(loaded_inputs.a_u, inputs.a_u)
 
+    def test_loaded_arrays_are_kept_not_copied(self, tmp_path, monkeypatch):
+        # the loader freezes what it builds, so DaeSystem and InputModel keep
+        # those arrays; arrays a caller passes in are still copied
+        import daereach.model
+
+        sys, inputs = build_rotating_masses()
+        path = tmp_path / "model.json"
+        write_json(path, n=sys.n, m=sys.m, E=sys.E, A=sys.A, B=sys.B, A_u=inputs.a_u)
+        received = []
+
+        def readonly(arr):
+            received.append(arr)
+            return daereach.linalg.readonly(arr)
+
+        monkeypatch.setattr(daereach.model, "readonly", readonly)
+        loaded, loaded_inputs = load_model(path)
+        kept = [loaded.E, loaded.A, loaded.B, loaded_inputs.a_u]
+        assert sorted(id(a) for a in received) == sorted(id(a) for a in kept)
+        assert not any(a.flags.writeable for a in kept)
+        E = np.array(sys.E)
+        assert daereach.model.DaeSystem(E, sys.A).E is not E
+
     def test_awkward_floats_survive(self, tmp_path):
         E = np.array([[0.1 + 0.2, 0.0], [0.0, 0.0]])
         A = np.array([[np.pi, 1e-300], [3.0, -1.0 / 3.0]])

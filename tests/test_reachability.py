@@ -406,8 +406,12 @@ def _square_arrays(value, n):
     return []
 
 
-@pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
-def test_reach_path_builds_nothing_dense(model):
+@pytest.mark.parametrize(
+    "model, inverses",
+    [("builtin:rotating-masses", 2), ("builtin:stokes:4", 1)],
+    ids=["builtin:rotating-masses", "builtin:stokes:4"],
+)
+def test_reach_path_builds_nothing_dense(model, inverses):
     from daereach import UnsafeSpec, load_model, to_autonomous, verify
 
     auto = to_autonomous(*load_model(model))
@@ -417,14 +421,16 @@ def test_reach_path_builds_nothing_dense(model):
     verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
     dec = reach.decoupled
     assert "lift" in vars(dec)  # the thin blocks were built
-    # the only n x n arrays held anywhere: the raw chain's factored matrices
-    # and terminal inverse, and the decoupled system's terminal inverse and
-    # source; neither keeps a terminal chain matrix
+    # the only n x n arrays held anywhere: the raw chain's factored matrices,
+    # the terminal inverses and the decoupled system's source; neither keeps
+    # a terminal chain matrix.  The SVD-certified rotating masses keep a raw
+    # and a corrected dense inverse; Stokes keeps one array of blocks, which
+    # decouple corrected in place
     raw = dec.raw
     assert len(raw.E_seq) == len(raw.A_seq) == raw.mu
-    held = [raw.E_seq, raw.A_seq, raw.terminal_inverse, dec.terminal_inverse, dec.source]
+    held = [raw.E_seq, raw.A_seq, raw.inverse, dec.inverse, dec.source]
     allowed = {id(a) for a in _square_arrays(held, dec.n)}
-    assert len(allowed) == 2 * raw.mu + 3
+    assert len(allowed) == 2 * raw.mu + 1 + inverses
     for owner in (dec, raw):
         for name, value in vars(owner).items():
             cached = [a for a in _square_arrays(value, dec.n) if id(a) not in allowed]
