@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrixError,
     UnboundedPredicateError,
 )
-from .linalg import DEFAULT_TOLERANCES, TolerancePolicy
+from .linalg import DEFAULT_TOLERANCES
 from .model import DaeSystem, to_autonomous
 from .modelio import load_directions, load_initial_star, load_model, load_unsafe
 from .reachability import ReachResult, ReachSettings, compute_reach, propagate_basis
@@ -55,7 +55,6 @@ __all__ = [
     "ReachSettings",
     "SingularMatrixError",
     "StarSet",
-    "TolerancePolicy",
     "UnboundedPredicateError",
     "UnsafeSpec",
     "DEFAULT_TOLERANCES",

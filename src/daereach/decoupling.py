@@ -37,18 +37,14 @@ and is scattered to a dense matrix only when read.
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
 so :func:`decouple` corrects them index-by-index (index 1 needs no
-correction) and decouples in the same step.  The correction factors
-nothing, at any index.  If ``Q`` and ``Q'`` project onto the same kernel
-``Ker E_j`` then ``E_j - A_j Q' = (E_j - A_j Q)(I - Q + Q')`` and ``(I -
-Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz & Tischendorf, *DAEs: A
-Projector Based Analysis*, 2013); at index 3 the intermediate ``E_2' -
-A_2' Q_2`` is ``E_3 (I - X)`` with ``X^2 = 0`` (see :func:`decouple`).
-So the corrected chain's kernels are the raw chain's and its terminal
-inverse is the raw one times corrections of rank ``m`` (every corrected
-projector is ``K_j R_j``); at index 2 from the certificate's blocks the
-correction is written over them in place.  A residual ``max|E_mu'
-E_mu'^{-1} - I|`` over all ``n^2`` entries checks the result, with
-``E_mu'`` formed a block of rows at a time.
+correction) and decouples in the same step, factoring nothing: if ``Q``
+and ``Q'`` project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' =
+(E_j - A_j Q)(I - Q + Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'``
+(Lamour, Maerz & Tischendorf, *DAEs: A Projector Based Analysis*, 2013).
+So the corrected chain's kernels are the raw chain's, and its terminal
+inverse is the raw one corrected in place by rank-``m`` updates (every
+corrected projector is ``K_j R_j``), at every index and for every factor
+format, then checked by its residual over all ``n^2`` entries.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
@@ -115,11 +111,11 @@ class MatrixChain:
     the certificate's blocks ``W T^{-1}``, row order and ``C^{-1}`` when it
     proved ``E_mu`` nonsingular from row-gather (QR, Gram or closed-form)
     factors, else the dense inverse from the certificate on SVD factors or
-    from ``E_mu``'s own SVD.  At index 2, :func:`decouple` corrects those
-    blocks in place and records the corrected ``R_1`` on ``corrected``;
-    ``terminal_inverse`` is the dense ``E_mu^{-1}``, formed on read from the
-    blocks, or, once corrected, as ``(I - K_1 (K_1^T - R_1)) E_2'^{-1}``
-    (see :func:`decouple`).
+    from ``E_mu``'s own SVD.  :func:`decouple` corrects those blocks in
+    place, whatever their form, and records each rank-``m`` correction on
+    ``corrected``; ``terminal_inverse`` is a new dense ``E_mu^{-1}``, formed
+    on read from the blocks, or, once corrected, from the blocks read back
+    (see :meth:`raw_inverse`).
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -146,17 +142,20 @@ class MatrixChain:
 
     def raw_inverse(self):
         """The blocks of ``E_mu^{-1}``: ``inverse``, or, once :func:`decouple`
-        has corrected them in place to ``E_mu'^{-1} = (I + X) E_mu^{-1}``
-        with ``X = K (K^T - R)``, new blocks ``(I - X)`` of them; ``R K =
-        I``, so ``X^2 = 0``."""
+        has corrected them in place by ``B += L (K^T - R) B`` for each ``(L,
+        K, R)`` of ``corrected`` in turn, new blocks with each correction
+        undone in reverse order: ``R K = I`` and ``(K^T - R) L = 0``, so
+        ``(I + L (K^T - R))^{-1} = I - L (K^T - R)``."""
         if not self.corrected:
             return self.inverse
-        B, (K, _), R = self.inverse.B, self.factors[-1], self.corrected[0]
-        return self.inverse._replace(B=B - K @ (K.T @ B - R @ B))
+        B = self.inverse.B
+        for L, K, R in reversed(self.corrected):
+            B = B - L @ (K.T @ B - R @ B)
+        return self.inverse._replace(B=B)
 
     @property
     def terminal_inverse(self):
-        """The dense ``E_mu^{-1}``, formed on read."""
+        """The dense ``E_mu^{-1}``, a new array formed on read."""
         return self.raw_inverse().dense()
 
     @property
@@ -186,16 +185,16 @@ class DecoupledSystem:
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
     holds only the corrected ``factors``, the ``inverse`` ``E_mu'^{-1}``
-    (:class:`~daereach.linalg.InverseBlocks`: at index 2 from row-gather
-    factors the blocks ``E_mu'^{-1} U`` and the row order, else dense) and
-    the ``source`` ``A_mu'`` (``A_0``), with the ``raw`` chain they came
-    from (the index ``mu`` is its) and the checked ``inverse_residual``
-    ``max|E_mu' E_mu'^{-1} - I|``; ``terminal_inverse`` is the dense
-    ``E_mu'^{-1}``, formed on read.  It applies the one operator ``X ->
-    {i: N_i X}`` to blocks right to left: ``S X = (E_mu'^{-1} U) (A_mu'
-    X)[left]``, ``P_j X = X - K_j (R_j X)``, ``Q_j X = K_j (R_j X)``.  An
-    ``n x c`` block costs
-    ``O(n^2 c)``; no ``n x n x n`` product is taken.  Where ``K_j`` is the
+    (:class:`~daereach.linalg.InverseBlocks` in the raw chain's form, its
+    blocks corrected in place: ``B = E_mu'^{-1} U`` and the row order, or
+    dense) and the ``source`` ``A_mu'`` (``A_0``), with the ``raw`` chain
+    they came from (the index ``mu`` is its) and the checked
+    ``inverse_residual`` ``max|E_mu' E_mu'^{-1} - I|``; ``terminal_inverse``
+    is a new dense ``E_mu'^{-1}``, formed on read.  It applies the one
+    operator ``X -> {i: N_i X}`` to blocks right to left: ``S X = (E_mu'^{-1}
+    U) (A_mu' X)[left]``, ``P_j X = X - K_j (R_j X)``, ``Q_j X = K_j (R_j
+    X)``.  An ``n x c`` block costs ``O(n^2 c)``; no ``n x n x n`` product
+    is taken.  Where ``K_j`` is the
     unit vectors of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``),
     ``Q_j X`` takes no product through it: it is ``R_j X`` scattered to
     those rows, and for an uncorrected ``R_j = K_j^T`` just ``X`` with
@@ -221,7 +220,7 @@ class DecoupledSystem:
 
     @property
     def terminal_inverse(self):
-        """The dense ``E_mu'^{-1}``, formed on read."""
+        """The dense ``E_mu'^{-1}``, a new array formed on read."""
         return self.inverse.dense()
 
     @property
@@ -459,7 +458,7 @@ def compute_index_and_chain(sys):
     )
 
 
-# decouple forms E_mu', A_{mu-1} Q' and K_1 Z in this many blocks of rows;
+# decouple forms E_mu', A_{mu-1} Q' and K Z in this many blocks of rows;
 # 2 to 8 blocks timed within 10% of one another at Stokes k = 12, 16 and 24
 # (1 BLAS thread), and 4 hold decouple's traced peak near 2.2 n x n arrays.
 # A block has at least _MIN_BLOCK_ROWS rows: each costs a few microseconds
@@ -475,21 +474,31 @@ def _row_blocks(n):
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def _checked_source(E, A, image, R, inverse, corrected):
-    """``(residual, source)``: ``max|E' E'^{-1} - I|`` with ``E' = E -
-    image R`` and ``E'^{-1} = B U^T`` from ``inverse``, and the source ``A -
-    image R`` (``A`` itself unless ``corrected``).  Both are formed a block
-    of rows at a time from one block of ``image R``, so no ``n x n``
-    ``image R``, ``E'`` or residual exists; every one of the ``n^2``
-    entries is checked.  ``E' B U^T - I`` is ``E' B`` with its columns
-    scattered to ``left``, so row ``i`` of the identity has its one at the
-    column of ``E' B`` that ``left`` sends to ``i``."""
+def _add_product(B, L, W):
+    """``B += L W``, a block of rows at a time, so that no ``n x n`` ``L W``
+    exists."""
+    for rows in _row_blocks(B.shape[0]):
+        B[rows] += L[rows] @ W
+
+
+def _checked_source(E, A, terms, inverse, corrected):
+    """``(residual, source)``: ``max|E' E'^{-1} - I|`` with ``E' = E - sum
+    image R`` over the ``(image, R)`` of ``terms`` and ``E'^{-1} = B U^T``
+    from ``inverse``, and the source ``A - sum image R`` (``A`` itself
+    unless ``corrected``).  Both are formed a block of rows at a time from
+    one block of the sum, so no ``n x n`` sum, ``E'`` or residual exists;
+    every one of the ``n^2`` entries is checked.  ``E' B U^T - I`` is ``E'
+    B`` with its columns scattered to ``left``, so row ``i`` of the identity
+    has its one at the column of ``E' B`` that ``left`` sends to ``i``."""
     n = E.shape[0]
     ones = np.arange(n) if inverse.left is None else np.argsort(inverse.left)
     source = np.empty_like(A) if corrected else A
+    (image, R), *rest = terms
     residual = 0.0
     for rows in _row_blocks(n):
-        block = image[rows] @ R  # rows of A_{mu-1} Q'
+        block = image[rows] @ R  # rows of sum_j A_j Q_j'
+        for image_j, R_j in rest:
+            block += image_j[rows] @ R_j
         if corrected:
             np.subtract(A[rows], block, out=source[rows])
         np.subtract(E[rows], block, out=block)  # rows of E_mu'
@@ -498,6 +507,12 @@ def _checked_source(E, A, image, R, inverse, corrected):
         # np.maximum keeps a NaN, so a non-finite block fails the check
         residual = np.maximum(residual, np.abs(block, out=block).max())
     return float(residual), source
+
+
+def _add_product(B, L, W):
+    """``B += L W`` a block of rows at a time: no ``n x n`` ``L W`` exists."""
+    for rows in _row_blocks(B.shape[0]):
+        B[rows] += L[rows] @ W
 
 
 def decouple(chain):
@@ -513,70 +528,68 @@ def decouple(chain):
     A_1``, ``Q_2^* = -Q_2 E_3^{-1} A_2``.  Each corrected projector still
     projects onto the kernel of its rebuilt chain matrix and has the form
     ``K_j R_j`` with the raw chain's orthonormal kernel basis ``K_j``, so
-    the rebuilt chain reuses the raw chain's ``A_j K_j``, and of its
-    matrices only ``A_mu'`` (the source) is formed, and ``E_mu'`` a block
-    of rows at a time for the residual check.  Index 1 feeds the original
-    ``A_0`` through ``E_1^{-1}`` instead: the two differ off the ODE
-    subspace.
+    the rebuilt chain reuses the raw chain's ``A_j K_j``: ``E_mu'`` and
+    ``A_mu'`` are ``E_1`` and ``A_1`` minus ``sum_j A_j K_j R_j`` over the
+    corrected ``j``.  Only ``A_mu'`` (the source) is formed, and ``E_mu'`` a
+    block of rows at a time for the residual check.  Index 1 feeds the
+    original ``A_0`` through ``E_1^{-1}`` instead: the two differ off the
+    ODE subspace.
 
-    No matrix is factored or solved: every inverse is the raw chain's
-    ``E_mu^{-1}`` times rank-``m`` corrections.  The projector swap ``E' =
-    E (I - Q + Q')`` gives ``E'^{-1} = (I + Q - Q') E^{-1}``.  At index 2
-    with ``E_2^{-1}`` in the certificate's blocks ``B = E_2^{-1} U``
-    (:class:`~daereach.linalg.InverseBlocks`), ``K^T E_2^{-1} = [0,
-    C^{-1}] U^T`` needs no product: ``R = -C^{-1} A_1[left[rank:]]`` and
-    ``E_2'^{-1} U = B + K ([0, C^{-1}] - R B)`` is written over ``B`` in
-    place, so the chain's blocks become the decoupled system's (see
-    :meth:`MatrixChain.raw_inverse`).  Other factors, and index 3, take
-    the dense inverse.  At index 3, ``(Q_1 - Q_1') Q_2 = 0``, so ``Ker
-    E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2`` and the intermediate ``E_2' -
-    A_2' Q_2 = E_3 (I - X)`` with ``X = P_2 (Q_1 - Q_1')`` and ``X^2 = 0``:
-    it is nonsingular exactly when ``E_3`` is, with inverse ``(I + X)
-    E_3^{-1}`` (Lamour, Maerz & Tischendorf, *DAEs: A Projector Based
-    Analysis*, 2013).  The terminal inverse is then checked, as a computed
-    inverse should be (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., ch. 14): a residual ``max|E_mu' E_mu'^{-1} - I|``
-    over all ``n^2`` entries above ``sqrt(RANK_REL_TOL)`` raises
-    :class:`SingularMatrixError`; the residual is kept on
-    ``inverse_residual``.
+    No matrix is factored or solved: the raw chain's ``E_mu^{-1} = B U^T``
+    (:class:`~daereach.linalg.InverseBlocks`, in either form) takes each
+    projector swap ``I + Q - Q'`` as ``B += K Z``, ``Z = (K^T - R) B``, in
+    place (see :meth:`MatrixChain.raw_inverse`); where the certificate kept
+    ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only the
+    rows ``left[rank:]`` and ``Z = [0, C^{-1}] - R B``.  At index 3, ``(Q_1
+    - Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2`` and
+    ``E_2' - A_2' Q_2 = E_3 (I - X)`` with ``X = P_2 (Q_1 - Q_1')``, ``X^2 =
+    0``: its inverse ``(I + X) E_3^{-1}`` is written over ``B`` first.  Then
+    ``Q_2' = Q_2^*``: ``K_2^T X = 0``, so ``K_2^T`` reads both inverses
+    alike, and ``E_3^{-1} A_1 Q_1 = -P_2 Q_1``, so ``K_2^T E_3^{-1}`` maps
+    ``A_2``, ``A_1`` and ``A_2' = A_1 - A_1 Q_1'`` alike.  The terminal
+    inverse is then checked, as a computed inverse should be (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14): a
+    residual ``max|E_mu' E_mu'^{-1} - I|`` over all ``n^2`` entries above
+    ``sqrt(RANK_REL_TOL)`` raises :class:`SingularMatrixError`; the residual
+    is kept on ``inverse_residual``.
 
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
     beforehand, so there are no input coefficients.
     """
     mu, inverse = chain.mu, chain.raw_inverse()
     factors, images = list(chain.factors), chain.kernel_images
-    # Q_0 is never corrected, so below index 3 the raw E_{mu-1} and A_{mu-1}
-    # are the rebuilt ones
-    E, A = chain.E_seq[-1], chain.A_seq[-1]
+    # Q_0 is never corrected: the raw E_1, A_1 (E_0, A_0 at index 1) are rebuilt ones
+    first = min(mu, 2) - 1
+    E, A = chain.E_seq[first], chain.A_seq[first]
     K, R = factors[-1]
-    if mu == 2 and inverse.c_inv is not None:
-        B, left, c_inv = inverse
-        rank = chain.n - c_inv.shape[0]
-        R = -c_inv @ A[left[rank:]]  # -(K^T E_2^{-1}) A_1
-        Z = R @ B
-        np.negative(Z, out=Z)
-        Z[:, rank:] += c_inv  # (K^T - R) E_2^{-1} U
-        for rows in _row_blocks(chain.n):  # (I + Q - Q') E_2^{-1} U
-            B[rows] += K[rows] @ Z
-        if inverse is chain.inverse:
-            chain.corrected.append(R)
-    elif mu > 1:
-        inverse = inverse.dense()
-        if mu == 3:
-            (K1, _), (K2, _) = factors[1:]
-            R2 = -(K2.T @ inverse) @ A  # Q_2^* = K_2 R_2
-            R1 = -((K1.T - (K1.T @ K2) @ R2) @ inverse) @ chain.A_seq[1]  # Q_1' = K_1 R_1
-            factors[1] = (K1, R1)
-            AQ = images[1] @ R1
-            E, A = chain.E_seq[1] - AQ, chain.A_seq[1] - AQ  # E_2', A_2'
-            # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
-            inverse = inverse + (K1 - K2 @ (K2.T @ K1)) @ ((K1.T - R1) @ inverse)
-        R = -(K.T @ inverse) @ A  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
-        inverse = InverseBlocks(inverse + K @ ((K.T - R) @ inverse))  # (I + Q - Q') E_mu^{-1}
     if mu > 1:
+        B, left, c_inv = inverse
+        # K^T E_mu^{-1} Y = KtE @ Y[tail], [0, C^{-1}] U^T where C^{-1} was kept
+        if c_inv is None:
+            KtE, tail = inverse.scatter(K.T @ B), slice(None)
+        else:
+            rank = chain.n - c_inv.shape[0]
+            KtE, tail = c_inv, left[rank:]
+        R = -(KtE @ chain.A_seq[-1][tail])  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
+        record = chain.corrected if inverse is chain.inverse else []
+        if mu == 3:
+            K1 = factors[1][0]
+            R1 = -inverse.scatter((K1.T - (K1.T @ K) @ R) @ B) @ A  # Q_1' = K_1 R_1
+            factors[1] = (K1, R1)
+            # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
+            record.append((K1 - K @ (K.T @ K1), K1, R1))
+            _add_product(B, record[-1][0], (K1.T - R1) @ B)
+        if c_inv is None:
+            Z = (K.T - R) @ B
+        else:
+            Z = R @ B
+            np.negative(Z, out=Z)
+            Z[:, rank:] += c_inv
+        _add_product(B, K, Z)  # (I + Q - Q') E_mu^{-1} U
+        record.append((K, K, R))
         factors[-1] = (K, R)
-
-    residual, source = _checked_source(E, A, images[-1], R, inverse, mu > 1)
+    terms = [(images[j], factors[j][1]) for j in range(first, mu)]  # the A_j Q_j'
+    residual, source = _checked_source(E, A, terms, inverse, mu > 1)
     if not residual <= np.sqrt(RANK_REL_TOL):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "

@@ -7,8 +7,8 @@ them.  All rank-like decisions go through one relative
 singular-value cutoff, :data:`RANK_REL_TOL`; the package's other two
 thresholds live beside it: :data:`CONSISTENCY_TOL` for the initial-star
 check and :data:`FEASIBILITY_TOL` for the LPs over star predicates.  Only
-the safety check takes its slack as an argument, a
-:class:`TolerancePolicy`.
+the safety check takes its slack as an argument, a float that defaults to
+:data:`DEFAULT_TOLERANCES`.
 
 The matrix chain factors each chain matrix at most once, into one
 :class:`Factors` format ``Z = U [[lead, 0], [0, diag(tail)]] W^T``: the
@@ -41,7 +41,6 @@ condition number clears the rank cutoff by :data:`CERTIFICATE_MARGIN`.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +50,6 @@ __all__ = [
     "CONSISTENCY_TOL",
     "FEASIBILITY_TOL",
     "CERTIFICATE_MARGIN",
-    "TolerancePolicy",
     "DEFAULT_TOLERANCES",
     "as_matrix",
     "as_vector",
@@ -81,29 +79,8 @@ FEASIBILITY_TOL = 1e-9
 CERTIFICATE_MARGIN = 2.0
 
 
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """The slack of a safety check (see :func:`~daereach.safety.verify`).
-
-    Attributes
-    ----------
-    feasibility_tol : float
-        Allowed constraint slack in the per-step feasibility problems; it
-        also sets the support screen's margin and the tolerance of the
-        witness check, which must agree with it.
-    """
-
-    feasibility_tol: float = FEASIBILITY_TOL
-
-    def __post_init__(self):
-        if not 0.0 < self.feasibility_tol < 1.0:
-            raise ValueError(
-                "feasibility_tol must lie strictly between 0 and 1, "
-                f"got {self.feasibility_tol!r}"
-            )
-
-
-DEFAULT_TOLERANCES = TolerancePolicy()
+# the default slack of a safety check (safety.verify)
+DEFAULT_TOLERANCES = FEASIBILITY_TOL
 
 
 def as_matrix(a, name="matrix", allow_empty_cols=False):
@@ -375,13 +352,14 @@ class InverseBlocks(NamedTuple):
 
     ``left`` is the row order that stands for ``U`` (``U^T x = x[left]``),
     so ``B = Z^{-1} U`` holds the columns of ``Z^{-1}`` in that order, or
-    ``None`` for ``U = I``: ``B`` is then the dense inverse itself.  When
+    ``None`` for ``U = I``: ``B`` is then the dense inverse.  When
     :func:`rank_update_inverse` certified ``Z`` from row-gather factors
     ``U [[lead, 0], [0, diag(tail)]] W^T`` with kernel basis ``K``, ``B =
     W T^{-1}`` and ``c_inv`` is ``C^{-1}``, the trailing block of
     ``T^{-1}``; ``T`` is block upper triangular, so ``K^T B = [0,
     C^{-1}]`` and ``K^T Z^{-1} x = C^{-1} x[left[rank:]]``.  Otherwise
-    ``c_inv`` is ``None``.
+    ``c_inv`` is ``None``.  :func:`~daereach.decoupling.decouple` corrects
+    ``B`` in place, so every dense form handed out is a new array.
     """
 
     B: np.ndarray
@@ -392,14 +370,18 @@ class InverseBlocks(NamedTuple):
         """``Z^{-1} X``: ``B`` times the gathered rows of ``X``."""
         return self.B @ (X if self.left is None else X[self.left])
 
-    def dense(self):
-        """``Z^{-1}``: the columns of ``B`` scattered to ``left``; ``B``
-        itself for ``U = I``."""
+    def scatter(self, Y):
+        """``Y U^T``: the columns of ``Y`` scattered to ``left``, ``Y``
+        itself for ``U = I``; for ``Y = M B`` it is ``M Z^{-1}``."""
         if self.left is None:
-            return self.B
-        inverse = np.empty_like(self.B)
-        inverse[:, self.left] = self.B
-        return inverse
+            return Y
+        out = np.empty_like(Y)
+        out[:, self.left] = Y
+        return out
+
+    def dense(self):
+        """``Z^{-1}``, a new array that shares no memory with ``B``."""
+        return self.B.copy() if self.left is None else self.scatter(self.B)
 
 
 def kernel_basis_and_inverse(factors):

@@ -49,10 +49,11 @@ class ReachSettings:
     num_steps: int
 
     def __post_init__(self):
-        if not self.time_step > 0.0:
-            raise ValueError(f"time_step must be positive, got {self.time_step!r}")
-        if self.num_steps < 1:
-            raise ValueError(f"num_steps must be at least 1, got {self.num_steps!r}")
+        if not 0.0 < self.time_step < np.inf:
+            raise ValueError(f"time_step must be positive and finite, got {self.time_step!r}")
+        steps = self.num_steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError(f"num_steps must be an integer of at least 1, got {steps!r}")
 
     @property
     def time_bound(self):

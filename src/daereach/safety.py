@@ -126,20 +126,20 @@ def feasibility_check(Gbar, fbar, tol=DEFAULT_TOLERANCES):
         raise DimensionMismatchError(
             f"Gbar has {Gbar.shape[0]} rows but fbar has {fbar.shape[0]} entries"
         )
-    return lp.find_feasible(Gbar, fbar, tol=tol.feasibility_tol)
+    return lp.find_feasible(Gbar, fbar, tol=tol)
 
 
 def _recheck(alpha, Gbar, fbar, tol, step):
     """Raise :class:`NumericalFailureError` unless ``Gbar @ alpha <= fbar``
-    holds within the kernel's slack, checked outside the solver.  Row
-    ``i`` may exceed ``fbar_i`` by ``100 * feasibility_tol`` times the
+    holds within the kernel's slack ``tol``, checked outside the solver.
+    Row ``i`` may exceed ``fbar_i`` by ``100 * tol`` times the
     scale of what it sums, ``max(1, |fbar_i|, sum_j |Gbar_ij| |alpha_j|)``,
     so a row whose terms are all small cannot pass on the size of an entry
     that ``alpha`` does not use (Neumaier & Shcherbina, "Safe bounds in
     linear and mixed-integer linear programming", Math. Prog. 99, 2004)."""
     scale = np.maximum(np.maximum(1.0, np.abs(fbar)), np.abs(Gbar) @ np.abs(alpha))
     violation = Gbar @ alpha - fbar
-    if np.any(violation > 100.0 * tol.feasibility_tol * scale):
+    if np.any(violation > 100.0 * tol * scale):
         raise NumericalFailureError(
             f"solver returned an infeasible witness at step {step}: "
             f"max violation {violation.max():.3e}"
@@ -150,14 +150,14 @@ def _screen(H, f, support, tol):
     """Steps not proven safe by the support function, in time order.
 
     ``H`` holds the pulled-back unsafe rows, shape ``(steps, q, k)``.  With
-    ``c = 100 * feasibility_tol``, a step is proven safe when some row's
+    ``c = 100 * tol``, a step is proven safe when some row's
     minimum of ``h @ alpha - c |h| @ |alpha|`` over the predicate exceeds
     ``f + c max(1, |f|)``: every ``alpha`` of the predicate then misses
     that row by more than the slack :func:`_recheck` allows it, ``c
     max(1, |f|, |h| @ |alpha|)``, so no step with a witness that passes the
     check is skipped.
     """
-    c = 100.0 * tol.feasibility_tol
+    c = 100.0 * tol
     lowest = support.slack_minimum(H, c)  # (steps, q)
     proven = np.any(lowest > f + c * np.maximum(1.0, np.abs(f)), axis=1)
     return np.flatnonzero(~proven).tolist()
@@ -174,15 +174,16 @@ def verify(reach, unsafe, tol=DEFAULT_TOLERANCES, kernel=None):
     ``kernel`` substitutes a different feasibility backend with the same
     call shape as :func:`feasibility_check`.
 
-    ``tol`` is a :class:`~daereach.linalg.TolerancePolicy` whose one field,
-    ``feasibility_tol``, governs the three decisions of the check, which
-    must agree: the slack the kernel may take (it is passed to ``kernel``),
-    the tolerance of the witness check, and the screen's margin, which
-    skips only steps where no coefficient vector of the predicate passes
-    that check.
+    ``tol``, the slack, lies strictly between 0 and 1 and governs the three
+    decisions of the check, which must agree: the slack the kernel may take
+    (it is passed to ``kernel``), the tolerance of the witness check, and
+    the screen's margin, which skips only steps where no coefficient vector
+    of the predicate passes that check.
     The predicate's own support function and vertices are found at
     :data:`~daereach.linalg.FEASIBILITY_TOL`, as everywhere else.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie strictly between 0 and 1, got {tol!r}")
     kernel = feasibility_check if kernel is None else kernel
     C, d = reach.initial.C, reach.initial.d
     G = unsafe.extended(reach.lift.shape[0], reach.n_orig)

@@ -494,20 +494,58 @@ def test_decoupling_matches_reference_path(index):
     for seed, rng, auto, ws in random_systems(index):
         ours = decouple(compute_index_and_chain(auto))
         worst_margin = max(worst_margin, _certified_margin(ours.raw, auto))
-        reference = reference_decoupled(auto)
-        assert ours.mu == reference.mu == index, seed
-        N, couplings, _ = dense_forms(ours)
-        pairs = [(N[i], reference.N[i]) for i in reference.N]
-        pairs += [(ours.projectors[i], reference.projectors[i]) for i in reference.projectors]
-        expected = {key: getattr(reference, key) for key in ("L3", "L4", "Z4")}
-        expected = {key: value for key, value in expected.items() if value is not None}
-        assert couplings.keys() == expected.keys(), seed
-        pairs += [(couplings[key], expected[key]) for key in expected]
-        assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, seed
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
-        assert max(frame_errors(ours, reference, V).values()) <= 1e-10, seed
-        assert ours.inverse_residual <= 1e-12, seed
+        _matches_reference(ours, auto, V, index, seed)
     print(f"\nindex {index}: worst bound * rank_rel_tol {worst_margin:.2e}")
+
+
+def _matches_reference(ours, auto, V, index, label):
+    """``ours`` against :func:`oracles.reference_decoupled` of ``auto``: the
+    index, the dense coefficients, projectors and couplings and the
+    reach-path blocks on ``V`` within 1e-10 relative, and a terminal
+    inverse residual of at most 1e-12."""
+    reference = reference_decoupled(auto)
+    assert ours.mu == reference.mu == index, label
+    N, couplings, _ = dense_forms(ours)
+    pairs = [(N[i], reference.N[i]) for i in reference.N]
+    pairs += [(ours.projectors[i], reference.projectors[i]) for i in reference.projectors]
+    expected = {key: getattr(reference, key) for key in ("L3", "L4", "Z4")}
+    expected = {key: value for key, value in expected.items() if value is not None}
+    assert couplings.keys() == expected.keys(), label
+    pairs += [(couplings[key], expected[key]) for key in expected]
+    assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, label
+    assert max(frame_errors(ours, reference, V).values()) <= 1e-10, label
+    assert ours.inverse_residual <= 1e-12, label
+
+
+def _nilpotent_auto(blocks):
+    """``blocks`` nilpotent ``N_3`` blocks with ``A = I`` beside a 2-state
+    oscillator: an index-3 system of ``n = 2 + 3 blocks`` whose chain
+    factors ``E_0`` in closed form, ``E_1`` by Gram factors and ``E_2`` by
+    QR, and certifies ``E_3`` from the QR's row-gather factors."""
+    n = 2 + 3 * blocks
+    E, A = np.eye(n), np.eye(n)
+    A[:2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+    for start in range(2, n, 3):
+        E[start : start + 3, start : start + 3] = np.diag([1.0, 1.0], 1)
+    return AutonomousDae(E, A)
+
+
+def test_index_3_from_row_gather_blocks():
+    """At index 3 from the certificate's row-gather blocks, :func:`decouple`
+    takes both corrections in place on the blocks and matches the dense
+    reference path; the raw inverse reads back."""
+    auto = _nilpotent_auto(7)
+    raw = compute_index_and_chain(auto)
+    assert auto.n == 23
+    assert [d["method"] for d in raw.decisions] == ["diagonal", "gram", "qr", "certificate"]
+    assert raw.inverse.c_inv is not None
+    ours = decouple(raw)
+    assert ours.inverse.left is not None and ours.inverse.B is raw.inverse.B
+    _certified_margin(raw, auto)
+    rng = np.random.default_rng(23)
+    V = np.column_stack([ours.lift @ rng.normal(size=ours.ode_rank), rng.normal(size=auto.n)])
+    _matches_reference(ours, auto, V, 3, "nilpotent")
 
 
 def _semi_explicit_auto(rng, dynamic_dim, blocks):
@@ -725,26 +763,27 @@ def test_stokes_fused_correction_matches_the_dense_one(monkeypatch, k, factors):
 
 def test_semi_explicit_correction_matches_the_dense_one(monkeypatch):
     """The 20 random semi-explicit index-2 systems (``E_0`` by QR, the
-    terminal matrix certified from ``E_1``'s SVD): :func:`decouple` takes
-    the dense correction, and matches the oracle's."""
+    terminal matrix certified from ``E_1``'s SVD, so its inverse is dense):
+    :func:`decouple` corrects the dense inverse in place through the
+    products ``K^T E_2^{-1}``, and matches the oracle's."""
     from daereach import UnsafeSpec
 
     for seed, _, auto, _ in semi_explicit_systems(2):
         raw = compute_index_and_chain(auto)
         assert [d["method"] for d in raw.decisions] == ["qr", "svd", "certificate"], seed
+        assert raw.inverse.left is None and raw.inverse.c_inv is None, seed
         direction = np.zeros((1, auto.n))
         direction[0, 0] = 1.0
         unsafe = UnsafeSpec(direction, [0.0], on_original_state=False)
-        _fused_against_dense(monkeypatch, auto, raw, unsafe, ReachSettings(1e-3, 20), seed)
+        ours, _ = _fused_against_dense(
+            monkeypatch, auto, raw, unsafe, ReachSettings(1e-3, 20), seed
+        )
+        assert ours.inverse.B is raw.inverse.B, seed  # corrected in place
 
 
-def test_decouple_peak_memory_on_stokes_12():
-    """Above the chain, :func:`decouple` holds at most three ``n x n``
-    arrays at once: the source, and blocks of rows of ``E_2'``, ``A_1
-    Q_1'`` and ``K_1 Z`` (``tracemalloc``, which numpy reports to)."""
-    from daereach import load_model, to_autonomous
-
-    chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:12")))
+def _decouple_peak(chain):
+    """``decouple(chain)``'s traced peak above the chain, in ``n x n``
+    arrays (``tracemalloc``, which numpy reports to)."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -752,9 +791,33 @@ def test_decouple_peak_memory_on_stokes_12():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    arrays = peak / (8 * chain.n**2)
+    return peak / (8 * chain.n**2)
+
+
+def test_decouple_peak_memory_on_stokes_12():
+    """Above the chain, :func:`decouple` holds at most three ``n x n``
+    arrays at once: the source, and blocks of rows of ``E_2'``, ``A_1
+    Q_1'`` and ``K_1 Z``."""
+    from daereach import load_model, to_autonomous
+
+    chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:12")))
+    arrays = _decouple_peak(chain)
     print(f"\ndecouple peak above the chain: {arrays:.2f} n x n arrays")
     assert arrays <= 3.0
+
+
+def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
+    """The in-place correction's traced peak stays below that of a
+    correction through a dense inverse and fresh ``n x n`` sums on the same
+    systems: 4.37 ``n x n`` arrays at worst over the SVD index-2
+    semi-explicit systems (small ``n``, where thin arrays weigh), and 6.50
+    at index 3 on 100 nilpotent blocks (``n = 302``)."""
+    worst = max(
+        _decouple_peak(compute_index_and_chain(auto)) for _, _, auto, _ in semi_explicit_systems(2)
+    )
+    index_3 = _decouple_peak(compute_index_and_chain(_nilpotent_auto(100)))
+    print(f"\ndecouple peak: SVD index 2 {worst:.2f}, index 3 {index_3:.2f} n x n arrays")
+    assert worst < 4.37 and index_3 < 6.50
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:8"])
@@ -767,6 +830,28 @@ def test_non_finite_terminal_inverse_fails_the_residual_check(model):
     chain.inverse.B[chain.n // 2, 1] = np.nan
     with pytest.raises(SingularMatrixError, match="residual nan"):
         decouple(chain)
+
+
+@pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
+def test_terminal_inverses_share_no_memory_with_the_blocks(model):
+    """``chain.terminal_inverse`` and ``dec.terminal_inverse`` are new
+    arrays: one read before :func:`decouple` corrects the blocks in place
+    keeps its values, and writing into both changes neither the
+    decoupled operator nor the raw inverse read back."""
+    from daereach import load_model, to_autonomous
+
+    chain = compute_index_and_chain(to_autonomous(*load_model(model)))
+    early = chain.terminal_inverse
+    kept = early.copy()
+    dec = decouple(chain)
+    assert np.array_equal(early, kept)
+    identity = np.eye(dec.n)
+    N = dec.apply_N(identity)
+    raw_inverse = chain.terminal_inverse
+    for returned in (chain.terminal_inverse, dec.terminal_inverse):
+        returned[...] = np.nan
+    assert all(np.array_equal(a, N[i]) for i, a in dec.apply_N(identity).items())
+    assert np.array_equal(chain.terminal_inverse, raw_inverse)
 
 
 def test_second_decouple_of_a_chain_reads_the_raw_inverse_back():

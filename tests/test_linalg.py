@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from daereach import DEFAULT_TOLERANCES, TolerancePolicy
+from daereach import DEFAULT_TOLERANCES
 from daereach.linalg import (
     CERTIFICATE_MARGIN,
     CONSISTENCY_TOL,
@@ -24,17 +23,10 @@ from daereach.linalg import (
 from oracles import expm_taylor, numerical_rank, svd_certificate
 
 
-class TestTolerancePolicy:
+class TestTolerances:
     def test_defaults(self):
         assert (RANK_REL_TOL, CONSISTENCY_TOL, FEASIBILITY_TOL) == (1e-9, 1e-8, 1e-9)
-        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == ["feasibility_tol"]
-        assert TolerancePolicy().feasibility_tol == FEASIBILITY_TOL
-        assert DEFAULT_TOLERANCES == TolerancePolicy()
-
-    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.0])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            TolerancePolicy(feasibility_tol=bad)
+        assert DEFAULT_TOLERANCES == FEASIBILITY_TOL
 
 
 class TestMatrixValidation:

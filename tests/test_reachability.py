@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -406,12 +407,8 @@ def _square_arrays(value, n):
     return []
 
 
-@pytest.mark.parametrize(
-    "model, inverses",
-    [("builtin:rotating-masses", 2), ("builtin:stokes:4", 1)],
-    ids=["builtin:rotating-masses", "builtin:stokes:4"],
-)
-def test_reach_path_builds_nothing_dense(model, inverses):
+@pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
+def test_reach_path_builds_nothing_dense(model):
     from daereach import UnsafeSpec, load_model, to_autonomous, verify
 
     auto = to_autonomous(*load_model(model))
@@ -422,15 +419,16 @@ def test_reach_path_builds_nothing_dense(model, inverses):
     dec = reach.decoupled
     assert "lift" in vars(dec)  # the thin blocks were built
     # the only n x n arrays held anywhere: the raw chain's factored matrices,
-    # the terminal inverses and the decoupled system's source; neither keeps
-    # a terminal chain matrix.  The SVD-certified rotating masses keep a raw
-    # and a corrected dense inverse; Stokes keeps one array of blocks, which
+    # the terminal inverse and the decoupled system's source; neither keeps
+    # a terminal chain matrix.  The terminal inverse is one array, the
+    # SVD-certified rotating masses' dense inverse or Stokes' blocks, which
     # decouple corrected in place
     raw = dec.raw
     assert len(raw.E_seq) == len(raw.A_seq) == raw.mu
+    assert dec.inverse.B is raw.inverse.B
     held = [raw.E_seq, raw.A_seq, raw.inverse, dec.inverse, dec.source]
     allowed = {id(a) for a in _square_arrays(held, dec.n)}
-    assert len(allowed) == 2 * raw.mu + 1 + inverses
+    assert len(allowed) == 2 * raw.mu + 2
     for owner in (dec, raw):
         for name, value in vars(owner).items():
             cached = [a for a in _square_arrays(value, dec.n) if id(a) not in allowed]
@@ -441,6 +439,26 @@ class TestSettingsValidation:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             ReachSettings(time_step=0.0, num_steps=1)
+
+    @pytest.mark.parametrize(
+        "time_step, num_steps",
+        [
+            (math.inf, 3),
+            (math.nan, 3),
+            (-math.inf, 3),
+            (0.1, 2.5),
+            (0.1, 3.0),
+            (0.1, True),
+            (0.1, False),
+            (0.1, 0),
+        ],
+    )
+    def test_rejects_non_finite_step_and_non_integer_count(self, time_step, num_steps):
+        with pytest.raises(ValueError):
+            ReachSettings(time_step, num_steps)
+
+    def test_accepts_numpy_integer_count(self):
+        assert ReachSettings(0.1, np.int64(3)).times.shape == (4,)
 
     def test_time_grid(self):
         settings = ReachSettings(time_step=0.5, num_steps=4)

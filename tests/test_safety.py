@@ -168,6 +168,11 @@ class TestVerify:
         assert default.status == scipy_backed.status == "unsafe"
         assert default.first_unsafe_step == scipy_backed.first_unsafe_step
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, 1.0, 2.0, float("nan")])
+    def test_rejects_out_of_range_tolerance(self, benchmark_reach, bad):
+        with pytest.raises(ValueError, match="tol must lie strictly between 0 and 1"):
+            verify(benchmark_reach, UnsafeSpec([[0, 0, 1, 0]], [-0.9]), bad)
+
     def test_witness_whose_row_terms_vanish_is_refused(self):
         # x1 = alpha e^{49 t} >= 0 never reaches x1 <= -1.  At t = 1 the kernel
         # accepts alpha = 0, whose unsafe row misses by 1: within the slack
