@@ -7,11 +7,14 @@ the columns of the lift psi W (its range is the consistent space), runs a
 100-step reachable-set computation, and checks a safety direction on the
 center-cell velocities, reporting the per-phase time breakdown:
 decoupling (D-T), reachable set computation (RSC-T), and checking safety
-(CS-T).  Two more columns show accuracy and memory without the benchmark:
+(CS-T).  More columns show accuracy and memory without the benchmark:
 the corrected terminal inverse's residual max|E_mu' E_mu'^-1 - I| (the
 ``terminal_inverse_residual`` of ``verdict.json``), and the peak of the
 arrays ``compute_reach`` allocates, traced by ``tracemalloc`` in a second,
-untimed run.
+untimed run, in MB and in n x n arrays of 8n^2 bytes.  Past the smallest
+grids, where fixed costs weigh, the peak stays near six such arrays: the
+chain keeps no chain matrix past the model's own E and A, and the frame
+keeps no N W blocks.
 """
 
 import time
@@ -34,9 +37,9 @@ from daereach import (
 
 rng = np.random.default_rng(0)
 print(f"{'k':>3} {'n':>6} {'index':>5} {'D-T [ms]':>10} {'RSC-T [ms]':>11} "
-      f"{'CS-T [ms]':>10} {'verdict':>8} {'residual':>9} {'peak [MB]':>10}")
+      f"{'CS-T [ms]':>10} {'verdict':>8} {'residual':>9} {'peak [MB]':>10} {'[n x n]':>8}")
 
-for k in (2, 3, 4, 5, 6, 8, 10):
+for k in (2, 3, 4, 5, 6, 8, 10, 12, 16):
     system = build_stokes(k)
     auto = to_autonomous(system)
 
@@ -51,7 +54,7 @@ for k in (2, 3, 4, 5, 6, 8, 10):
     reach = compute_reach(auto, star, settings)
     tracemalloc.start()
     compute_reach(auto, star, settings)
-    peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
     u_row, v_row = stokes_center_velocity_rows(k)
@@ -69,7 +72,8 @@ for k in (2, 3, 4, 5, 6, 8, 10):
         f"{1e3 * reach.timings['decouple_s']:>10.2f} "
         f"{1e3 * reach.timings['reach_s']:>11.2f} "
         f"{cs_ms:>10.2f} {outcome.status:>8} "
-        f"{reach.decoupled.inverse_residual:>9.1e} {peak_mb:>10.2f}"
+        f"{reach.decoupled.inverse_residual:>9.1e} {peak / 2**20:>10.2f} "
+        f"{peak / (8 * auto.n**2):>8.2f}"
     )
 
 print(

@@ -26,13 +26,16 @@ inverse and a bound on its condition number
 clear the rank cutoff with a margin, a singular block, and every
 singular chain matrix fall back to the matrix's own factors, which
 decide as its SVD would.  The chain records every decision and its
-margin (:attr:`MatrixChain.decisions`).  The chain keeps only the
-matrices it factored, ``E_0 .. E_{mu-1}`` and ``A_0 .. A_{mu-1}``: the
-terminal ``E_mu``, and the product ``A_{mu-1} Q_{mu-1}`` it needs, are
-formed only when the certificate declines it, and ``A_mu`` never.  A
-certified ``E_mu^{-1}`` is kept as the certificate's blocks
-(:class:`~daereach.linalg.InverseBlocks`) where its factors gather rows,
-and is scattered to a dense matrix only when read.
+margin (:attr:`MatrixChain.decisions`).  The chain keeps no chain matrix
+past ``E_0 = E`` and ``A_0 = A``, the system's own arrays: each step
+``X_{j+1} = X_j - (A_j K_j) K_j^T`` is recorded by its thin factors, ``E_j``
+and ``A_j`` (``j >= 1``) are formed from ``E_0`` and ``A_0`` through those
+steps only while ``E_j``'s own factors decide it and ``A_j K_j`` is taken,
+and are dropped then; the terminal ``E_mu`` is formed only when the
+certificate declines it, and ``A_mu`` never.  A certified ``E_mu^{-1}`` is
+kept as the certificate's blocks (:class:`~daereach.linalg.InverseBlocks`)
+where its factors gather rows, and is scattered to a dense matrix only when
+read.
 
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
@@ -61,7 +64,7 @@ supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -97,16 +100,21 @@ _FRAME_SEED = 0xF2A3E
 
 @dataclass(frozen=True)
 class MatrixChain:
-    """The raw chain: the matrices it factored and their orthogonal projectors.
+    """The raw chain: ``E_0 = E`` and ``A_0 = A``, the thin factors of its
+    steps and the terminal inverse.
 
-    ``E_seq`` and ``A_seq`` hold ``E_0 .. E_{mu-1}`` and ``A_0 ..
-    A_{mu-1}``, the singular chain matrices, so ``len(E_seq) == len(A_seq)
-    == len(factors) == mu``.  The projectors are kept in factored form:
-    ``factors[j] = (K_j, K_j^T)`` with ``Q_j = K_j K_j^T`` and ``K_j`` an
-    orthonormal basis of ``Ker E_j``, and ``kernel_images[j] = A_j K_j``.
-    ``kernel_columns[j]`` is ``E_j``'s
+    The projectors are kept in factored form: ``factors[j] = (K_j, K_j^T)``
+    with ``Q_j = K_j K_j^T`` and ``K_j`` an orthonormal basis of ``Ker E_j``,
+    and ``kernel_images[j] = A_j K_j``, for the ``mu`` singular chain
+    matrices ``E_0 .. E_{mu-1}``.  ``kernel_columns[j]`` is ``E_j``'s
     :attr:`~daereach.linalg.Factors.kernel_columns`: the columns whose unit
     vectors are ``K_j`` when its closed form decided it, else ``None``.
+    Those three make up the recorded ``steps``, ``X_{j+1} = X_j - (A_j K_j)
+    K_j^T`` for ``X = E`` and ``X = A``; no chain matrix past ``E`` and
+    ``A`` is kept.  ``E_seq`` and ``A_seq``, ``[E_0 .. E_{mu-1}]`` and
+    ``[A_0 .. A_{mu-1}]``, are rebuilt through the steps on read: past
+    ``E`` and ``A``, new arrays bit for bit those that
+    :func:`compute_index_and_chain` formed.
     ``inverse`` holds ``E_mu^{-1}`` as :class:`~daereach.linalg.InverseBlocks`:
     the certificate's blocks ``W T^{-1}``, row order and ``C^{-1}`` when it
     proved ``E_mu`` nonsingular from row-gather (QR, Gram or closed-form)
@@ -126,8 +134,8 @@ class MatrixChain:
     SVD decided.
     """
 
-    E_seq: list
-    A_seq: list
+    E: np.ndarray = field(repr=False)
+    A: np.ndarray = field(repr=False)
     factors: list
     kernel_images: list = field(repr=False)
     kernel_columns: tuple = field(repr=False)
@@ -138,7 +146,25 @@ class MatrixChain:
 
     @property
     def n(self):
-        return self.E_seq[0].shape[0]
+        return self.E.shape[0]
+
+    @property
+    def steps(self):
+        """``(A_j K_j, K_j^T, kernel_columns[j])`` for ``j < mu``."""
+        return [
+            (image, Kt, columns)
+            for image, (_, Kt), columns in zip(self.kernel_images, self.factors, self.kernel_columns)
+        ]
+
+    @property
+    def E_seq(self):
+        """``[E_0 .. E_{mu-1}]``: ``E`` itself, then new arrays rebuilt on read."""
+        return [self.E] + [_chain_rows(self.E, self.steps[:j]) for j in range(1, self.mu)]
+
+    @property
+    def A_seq(self):
+        """``[A_0 .. A_{mu-1}]``: ``A`` itself, then new arrays rebuilt on read."""
+        return [self.A] + [_chain_rows(self.A, self.steps[:j]) for j in range(1, self.mu)]
 
     def raw_inverse(self):
         """The blocks of ``E_mu^{-1}``: ``inverse``, or, once :func:`decouple`
@@ -176,6 +202,20 @@ _PROJECTOR_WORDS = {
 _COUPLING_WORDS = {1: {}, 2: {"L3": "QQ"}, 3: {"L3": "PQQ", "L4": "QQ", "Z4": "QPQ"}}
 
 
+@cache
+def _tails(words):
+    """``(children, roots)`` of projector ``words``: ``children[j, tail]``
+    is ``[P + tail, Q + tail]``, each of them ``""`` unless a word has it as
+    its tail from chain position ``j - 1`` on; ``roots`` are the words'
+    lengths, where their empty tails stand."""
+    children = {}
+    for word in words:
+        for j in range(len(word)):
+            pair = children.setdefault((j + 1, word[j + 1 :]), ["", ""])
+            pair[word[j] == "Q"] = word[j:]
+    return children, [j for j, tail in children if not tail]
+
+
 @dataclass(frozen=True)
 class DecoupledSystem:
     """The decoupled subsystems, kept in the factored form of their chain.
@@ -200,10 +240,14 @@ class DecoupledSystem:
     those rows, and for an uncorrected ``R_j = K_j^T`` just ``X`` with
     every other row zeroed, bit for bit the dense products.
 
-    The reach path needs only thin blocks: the ODE frame ``ode_basis``
-    ``W``, the reduced matrix ``ode_matrix`` ``W^T N[1] W`` and the
-    ``lift`` ``psi W``, the sum of the maps on the frame, whose range is
-    the consistent space.  A dense form is the operator applied to the
+    The reach path needs only thin blocks, and they are all that is cached:
+    the ODE frame ``ode_basis`` ``W``, the reduced matrix ``ode_matrix``
+    ``W^T N[1] W`` and the ``lift`` ``psi W``, the sum of the maps on the
+    frame, whose range is the consistent space.  ``ode_matrix`` and
+    ``lift`` are formed together from ``N W``, which is not kept, and the
+    projector words overwrite each product they no longer read (``P_j Y =
+    Y - Q_j Y`` over ``Y``) and drop each tail once its words are formed.
+    A dense form is the operator applied to the
     identity: ``apply_N(I)`` gives the coefficients ``N``,
     ``apply_couplings(I)`` the multipliers ``L3``/``L4``/``Z4`` of
     derivative terms of lower constraint subsystems, and
@@ -266,25 +310,27 @@ class DecoupledSystem:
         QY[columns] = Y[columns] if R is self.raw.factors[j][1] else R @ Y
         return QY
 
-    def _apply(self, words, X):
-        """``{key: word X}`` for projector words (see ``_PROJECTOR_WORDS``);
-        words sharing a tail share its products, and ``P_j Y = Y - Q_j Y``
-        reuses ``Q_j Y``."""
-        done = {}  # (j, tail): the tail, covering chain positions j.., applied to X
+    def _apply(self, words, X, owned=False):
+        """``{key: word X}`` for projector words (see ``_PROJECTOR_WORDS``).
+        Words sharing a tail share its products, and ``P_j Y = Y - Q_j Y``
+        reuses ``Q_j Y``; the tails are taken depth first, each dropped once
+        its children are formed, and ``P_j Y`` overwrites ``Y`` where ``Y``
+        is a product of its own, or the ``owned`` input of the only tail."""
+        children, roots = _tails(tuple(words.values()))
+        stack = [(j, "", X, owned and len(roots) == 1) for j in roots]
         products = {}
-        for key, word in words.items():
-            Y = X
-            for j in reversed(range(len(word))):
-                tail = word[j:]
-                if (j, tail) not in done:
-                    q_tail = (j, "Q" + tail[1:])
-                    if q_tail not in done:
-                        done[q_tail] = self._kernel_product(j, Y)
-                    if tail[0] == "P":
-                        done[j, tail] = Y - done[q_tail]
-                Y = done[j, tail]
-            products[key] = Y
-        return products
+        while stack:  # the Q child of a tail is popped first, then its P child
+            j, tail, Y, writable = stack.pop()
+            if not j:
+                products[tail] = Y
+                continue
+            p_tail, q_tail = children[j, tail]
+            QY = self._kernel_product(j - 1, Y)
+            if p_tail:
+                stack.append((j - 1, p_tail, np.subtract(Y, QY, out=Y) if writable else Y - QY, True))
+            if q_tail:
+                stack.append((j - 1, q_tail, QY, True))
+        return {key: products[word] for key, word in words.items()}
 
     def apply_projectors(self, X):
         """``{i: projectors[i] X}`` for an ``n x c`` block ``X``."""
@@ -304,7 +350,7 @@ class DecoupledSystem:
         """``{i: N[i] X}``: ``S X = E_mu^{-1} (A_mu X)`` through every
         subsystem's front."""
         fronts = {i: w.ljust(self.mu, "P") for i, w in _PROJECTOR_WORDS[self.mu].items()}
-        return self._apply(fronts, self.inverse.apply(self.source @ X))
+        return self._apply(fronts, self.inverse.apply(self.source @ X), owned=True)
 
     def apply_maps(self, X, NX, M):
         """``{i: maps[i] X}`` for the reconstruction maps, given ``NX =
@@ -324,15 +370,20 @@ class DecoupledSystem:
             blocks.append({i: blocks[-1][i] @ M for i in range(2, self.mu + 2 - p)})
         words = _COUPLING_WORDS[self.mu]
 
-        def couple(name, Y):
-            return self._apply({name: words[name]}, Y)[name]
+        def couple(name, Y, *terms):
+            """``word Y`` plus ``terms``, added in place to that new array:
+            ``a + b`` and ``b + a`` round alike."""
+            total = self._apply({name: words[name]}, Y)[name]
+            for term in terms:
+                total += term
+            return total
 
         maps = {1: X, 2: blocks[0][2]}
         if self.mu >= 2:
-            maps[3] = blocks[0][3] + couple("L3", blocks[1][2])
+            maps[3] = couple("L3", blocks[1][2], blocks[0][3])
         if self.mu == 3:
-            inner = blocks[1][3] + couple("L3", blocks[2][2])
-            maps[4] = blocks[0][4] + couple("L4", inner) + couple("Z4", blocks[1][2])
+            inner = couple("L3", blocks[2][2], blocks[1][3])
+            maps[4] = couple("L4", inner, blocks[0][4], couple("Z4", blocks[1][2]))
         return maps
 
     @cached_property
@@ -346,40 +397,67 @@ class DecoupledSystem:
         solves the ODE subsystem exactly when ``y' = ode_matrix y``.
         """
         omega = np.random.default_rng(_FRAME_SEED).standard_normal((self.n, self.ode_rank))
-        return np.linalg.qr(self.ode_component(omega))[0]
+        return np.linalg.qr(self._apply({1: "P" * self.mu}, omega, owned=True)[1])[0]
 
-    @cached_property
-    def _frame_blocks(self):
-        return self.apply_N(self.ode_basis)
+    def _frame(self, name):
+        """``ode_matrix`` or ``lift``: both are formed from ``N W`` and cached
+        together, and ``N W`` is dropped."""
+        W = self.ode_basis
+        NW = self.apply_N(W)
+        M = W.T @ NW.pop(1)  # the maps read N[1] W only through M
+        maps = self.apply_maps(W, NW, M)
+        del NW
+        lift = 0 + maps.pop(1)  # sum(maps.values()), adding in place
+        for term in maps.values():
+            lift += term
+        vars(self).update(ode_matrix=M, lift=lift)
+        return vars(self)[name]
 
     @cached_property
     def ode_matrix(self):
         """``W^T N[1] W``, the ODE subsystem in the coordinates of ``W``."""
-        return self.ode_basis.T @ self._frame_blocks[1]
+        return self._frame("ode_matrix")
 
     @cached_property
     def lift(self):
         """``psi W``: the sum of the reconstruction maps on the ODE frame,
         ``maps[i] W`` (``maps[1] W = W``); its range is the consistent
         space."""
-        return sum(self.apply_maps(self.ode_basis, self._frame_blocks, self.ode_matrix).values())
+        return self._frame("lift")
 
     @cached_property
     def projectors(self):
         return self.apply_projectors(np.eye(self.n))
 
 
-def _minus_kernel_product(X, image, columns, AQ):
-    """``X - A_j Q_j`` with ``A_j Q_j = image K_j^T``: ``X - AQ``, or, when
-    ``K_j`` is the unit vectors of ``columns``, ``X`` with ``image``
-    subtracted from those columns: the same matrix, since every other
-    column of ``image K_j^T`` is zero and each of those is a column of
-    ``image``, neither rounded."""
+def _chain_step(X, image, Kt, columns):
+    """``X - image K^T``, one chain step ``X_{j+1} = X_j - (A_j K_j) K_j^T``
+    (or rows of it), a new array.  When ``K`` is the unit vectors of
+    ``columns``, ``image`` is subtracted from those columns of a copy of
+    ``X``: the same matrix, since every other column of ``image K^T`` is
+    zero and each of those is a column of ``image``, neither rounded."""
     if columns is None:
-        return X - AQ
+        product = image @ Kt
+        return np.subtract(X, product, out=product)
     X = X.copy()
     X[:, columns] -= image
     return X
+
+
+def _chain_rows(X, steps, rows=slice(None)):
+    """Rows ``rows`` of ``X_j`` for ``X_0 = X``, through the ``j`` recorded
+    ``steps`` (see :attr:`MatrixChain.steps`): the rows of each step's
+    ``image`` and the same operations, in the same order, as the whole
+    matrices take."""
+    X = X[rows]
+    for image, Kt, columns in steps:
+        X = _chain_step(X, image[rows], Kt, columns)
+    return X
+
+
+def _kernel_image(A, K, columns):
+    """``A K``: a gather of ``columns`` for a unit-vector ``K``."""
+    return A @ K if columns is None else A[:, columns]
 
 
 def compute_index_and_chain(sys):
@@ -394,12 +472,15 @@ def compute_index_and_chain(sys):
     is singular, gives its kernel basis.  The closed form and the three
     certificates decide only as the SVD would, so none changes an index.
     ``decisions`` records, per matrix, which one decided and by what
-    margin.  Only what is read is formed: ``E_{j+1} = E_j - (A_j K_j)
-    K_j^T`` when its own factors decide it and ``A_{j+1}`` likewise when ``E_{j+1}`` is singular, so a
-    certified terminal matrix is never formed, ``A_mu`` never is, and
+    margin.  Only what is read is formed, and kept only while it is read:
+    ``E_{j+1}`` and ``A_{j+1}`` come from ``E`` and ``A`` through the
+    recorded steps (:func:`_chain_rows`), ``E_{j+1}`` only when its own
+    factors decide it and ``A_{j+1}`` only when ``E_{j+1}`` is singular, and
+    each is dropped once factored or once ``A_{j+1} K_{j+1}`` is taken.  So
+    a certified terminal matrix is never formed, ``A_mu`` never is, and
     neither is the product ``A_mu Q_mu`` before it.  A closed-form kernel
-    basis is the unit vectors of some columns: ``A_j K_j`` gathers them
-    and both updates subtract it from them, with no product.
+    basis is the unit vectors of some columns: ``A_j K_j`` gathers them and
+    both updates subtract it from them, with no product.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -413,19 +494,13 @@ def compute_index_and_chain(sys):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    E_seq, A_seq, factors, images, kernel_columns, decisions = [], [], [], [], [], []
-    E, A = sys.E, sys.A  # E_mu and A_mu once formed
+    steps, factors, decisions = [], [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = None
         if mu:
-            inverse, bound = rank_update_inverse(current, images[-1])
+            inverse, bound = rank_update_inverse(current, steps[-1][0])
         if inverse is None:  # the matrix's own factors decide
-            if mu:
-                # A_{mu-1} Q_{mu-1}, of rank m: formed only now, and not at
-                # all for a unit-vector kernel basis
-                AQ = images[-1] @ factors[-1][1] if columns is None else None
-                E = _minus_kernel_product(E_seq[-1], images[-1], columns, AQ)
-            current = rank_factors(E)
+            current = rank_factors(_chain_rows(sys.E, steps))
             decisions.append(current.decision)
             kernel_basis, inverse = kernel_basis_and_inverse(current)
         else:
@@ -435,18 +510,15 @@ def compute_index_and_chain(sys):
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
+            images, _, columns = zip(*steps)
             return MatrixChain(
-                E_seq, A_seq, factors, images, tuple(kernel_columns), mu, inverse, tuple(decisions)
+                sys.E, sys.A, factors, list(images), columns, mu, inverse, tuple(decisions)
             )
         if mu < MAX_SUPPORTED_INDEX:
-            if mu:
-                A = _minus_kernel_product(A_seq[-1], images[-1], columns, AQ)
-            E_seq.append(E)
-            A_seq.append(A)
-            factors.append((kernel_basis, kernel_basis.T))
             columns = current.kernel_columns
-            kernel_columns.append(columns)
-            images.append(A @ kernel_basis if columns is None else A[:, columns])
+            factors.append((kernel_basis, kernel_basis.T))
+            image = _kernel_image(_chain_rows(sys.A, steps), kernel_basis, columns)  # A_mu K_mu
+            steps.append((image, kernel_basis.T, columns))
     if not check_regularity(sys):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -467,52 +539,57 @@ _ROW_BLOCKS = 4
 _MIN_BLOCK_ROWS = 64
 
 
+@cache
 def _row_blocks(n):
     """Slices of ``range(n)``: ``_ROW_BLOCKS`` of them, or fewer of
     ``_MIN_BLOCK_ROWS`` rows."""
     step = max(-(-n // _ROW_BLOCKS), _MIN_BLOCK_ROWS)
-    return [slice(start, start + step) for start in range(0, n, step)]
+    return tuple(slice(start, start + step) for start in range(0, n, step))
 
 
-def _add_product(B, L, W):
-    """``B += L W``, a block of rows at a time, so that no ``n x n`` ``L W``
-    exists."""
-    for rows in _row_blocks(B.shape[0]):
-        B[rows] += L[rows] @ W
-
-
-def _checked_source(E, A, terms, inverse, corrected):
-    """``(residual, source)``: ``max|E' E'^{-1} - I|`` with ``E' = E - sum
-    image R`` over the ``(image, R)`` of ``terms`` and ``E'^{-1} = B U^T``
-    from ``inverse``, and the source ``A - sum image R`` (``A`` itself
-    unless ``corrected``).  Both are formed a block of rows at a time from
-    one block of the sum, so no ``n x n`` sum, ``E'`` or residual exists;
-    every one of the ``n^2`` entries is checked.  ``E' B U^T - I`` is ``E'
-    B`` with its columns scattered to ``left``, so row ``i`` of the identity
-    has its one at the column of ``E' B`` that ``left`` sends to ``i``."""
+def _checked_source(E, steps, terms, inverse, source):
+    """``max|E' E'^{-1} - I|``, with ``E'`` the rows of ``E`` taken through
+    the raw chain's ``steps`` less ``sum image R`` over the ``(image, R)`` of
+    ``terms``, and ``E'^{-1} = B U^T`` from ``inverse``; a ``source`` that is
+    not ``None`` becomes ``source - sum image R`` in place.  Both are formed a
+    block of rows at a time from one block of the sum, so no ``n x n`` sum,
+    ``E'`` or residual exists; every one of the ``n^2`` entries is checked.
+    ``E' B U^T - I`` is ``E' B`` with its columns scattered to ``left``, so
+    row ``i`` of the identity has its one at the column of ``E' B`` that
+    ``left`` sends to ``i``; for ``U = I``, on the diagonal."""
     n = E.shape[0]
-    ones = np.arange(n) if inverse.left is None else np.argsort(inverse.left)
-    source = np.empty_like(A) if corrected else A
+    ones = None if inverse.left is None else np.argsort(inverse.left)
     (image, R), *rest = terms
     residual = 0.0
     for rows in _row_blocks(n):
+        # at most two blocks of rows are alive at once: the rows of E_1 are
+        # formed first, and each block is dropped once it is read
+        rows_of_E = _chain_rows(E, steps, rows)
         block = image[rows] @ R  # rows of sum_j A_j Q_j'
         for image_j, R_j in rest:
             block += image_j[rows] @ R_j
-        if corrected:
-            np.subtract(A[rows], block, out=source[rows])
-        np.subtract(E[rows], block, out=block)  # rows of E_mu'
+        if source is not None:
+            rows_of_source = source[rows]
+            rows_of_source -= block
+        np.subtract(rows_of_E, block, out=block)  # rows of E_mu'
+        del rows_of_E
         block = block @ inverse.B
-        block[np.arange(block.shape[0]), ones[rows]] -= 1.0
-        # np.maximum keeps a NaN, so a non-finite block fails the check
-        residual = np.maximum(residual, np.abs(block, out=block).max())
-    return float(residual), source
+        if ones is None:
+            block.reshape(-1)[rows.start :: n + 1] -= 1.0
+        else:
+            block[np.arange(block.shape[0]), ones[rows]] -= 1.0
+        top = float(np.abs(block, out=block).max())
+        del block
+        if residual == residual and not top <= residual:  # a NaN is kept
+            residual = top
+    return residual
 
 
 def _add_product(B, L, W):
     """``B += L W`` a block of rows at a time: no ``n x n`` ``L W`` exists."""
     for rows in _row_blocks(B.shape[0]):
-        B[rows] += L[rows] @ W
+        block = B[rows]
+        block += L[rows] @ W
 
 
 def decouple(chain):
@@ -530,10 +607,14 @@ def decouple(chain):
     ``K_j R_j`` with the raw chain's orthonormal kernel basis ``K_j``, so
     the rebuilt chain reuses the raw chain's ``A_j K_j``: ``E_mu'`` and
     ``A_mu'`` are ``E_1`` and ``A_1`` minus ``sum_j A_j K_j R_j`` over the
-    corrected ``j``.  Only ``A_mu'`` (the source) is formed, and ``E_mu'`` a
-    block of rows at a time for the residual check.  Index 1 feeds the
-    original ``A_0`` through ``E_1^{-1}`` instead: the two differ off the
-    ODE subspace.
+    corrected ``j``.  The raw chain keeps neither ``E_1`` nor ``A_1``, so
+    each is formed from ``E_0`` and ``A_0`` through the chain's first step
+    in the order of operations of the chain itself: ``A_1`` whole, to be
+    turned into ``A_mu'`` (the source) in place, and ``A_{mu-1}`` only in
+    the rows that the correction reads; ``E_1`` and ``E_mu'`` a block of
+    rows at a time for the residual check.  Index 1 feeds the original
+    ``A_0`` through ``E_1^{-1}`` instead: the two differ off the ODE
+    subspace.
 
     No matrix is factored or solved: the raw chain's ``E_mu^{-1} = B U^T``
     (:class:`~daereach.linalg.InverseBlocks`, in either form) takes each
@@ -557,10 +638,11 @@ def decouple(chain):
     beforehand, so there are no input coefficients.
     """
     mu, inverse = chain.mu, chain.raw_inverse()
-    factors, images = list(chain.factors), chain.kernel_images
-    # Q_0 is never corrected: the raw E_1, A_1 (E_0, A_0 at index 1) are rebuilt ones
+    factors, steps = list(chain.factors), chain.steps
+    # Q_0 is never corrected: the raw E_1, A_1 (E_0, A_0 at index 1) are rebuilt
+    # ones, so from index 2 on A_1 is formed here, to become the source
     first = min(mu, 2) - 1
-    E, A = chain.E_seq[first], chain.A_seq[first]
+    A = chain.A if mu == 1 else _chain_step(chain.A, *steps[0])
     K, R = factors[-1]
     if mu > 1:
         B, left, c_inv = inverse
@@ -570,7 +652,8 @@ def decouple(chain):
         else:
             rank = chain.n - c_inv.shape[0]
             KtE, tail = c_inv, left[rank:]
-        R = -(KtE @ chain.A_seq[-1][tail])  # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}
+        # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
+        R = -(KtE @ _chain_rows(A, steps[1:-1], tail))
         record = chain.corrected if inverse is chain.inverse else []
         if mu == 3:
             K1 = factors[1][0]
@@ -588,8 +671,8 @@ def decouple(chain):
         _add_product(B, K, Z)  # (I + Q - Q') E_mu^{-1} U
         record.append((K, K, R))
         factors[-1] = (K, R)
-    terms = [(images[j], factors[j][1]) for j in range(first, mu)]  # the A_j Q_j'
-    residual, source = _checked_source(E, A, terms, inverse, mu > 1)
+    terms = [(steps[j][0], factors[j][1]) for j in range(first, mu)]  # the A_j Q_j'
+    residual = _checked_source(chain.E, steps[:first], terms, inverse, A if mu > 1 else None)
     if not residual <= np.sqrt(RANK_REL_TOL):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
@@ -599,7 +682,7 @@ def decouple(chain):
         raw=chain,
         factors=tuple(factors),
         inverse=inverse,
-        source=source,
+        source=A,
         inverse_residual=residual,
     )
 

@@ -16,6 +16,7 @@ them) loads bit-exactly.
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -73,6 +74,59 @@ def _reals(value, path, field, message):
     return array
 
 
+def _bad_triple(entry, rows, cols):
+    """Whether ``entry`` is not three numbers ``[row, col, value]`` with
+    integral 0-based indices inside the shape."""
+    try:
+        i, j, v = entry
+        # compare before int(): it would truncate 0.7 to row 0, numpy would
+        # wrap -2 to row 0, and nan, inf or a string fail here; float() and
+        # the comparisons would take a bool as 0 or 1
+        if isinstance(i, bool) or isinstance(j, bool) or isinstance(v, (bool, str)):
+            return True
+        float(v)
+        return not (0 <= i < rows and 0 <= j < cols and i == int(i) and j == int(j))
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
+def _sparse_matrix(rows, cols, triples, path, field):
+    """The ``rows x cols`` matrix of ``triples``, each ``[row, col, value]``;
+    a repeated index keeps the last triple's value.  The triples are checked
+    a column at a time: JSON numbers are exactly ints and floats, and a
+    column of them converts to floats in one call.  A column that holds
+    anything else, and a list that is not of triples, is searched for its
+    first triple that :func:`_bad_triple` refuses, which the error names."""
+    try:
+        matrix = np.zeros((rows, cols))
+    except (ValueError, MemoryError):
+        raise ParseError(f"shape [{rows}, {cols}] is too large", path=path, field=field)
+
+    def refused(entry):
+        return ParseError(
+            f"bad sparse triple {entry!r}: needs numbers [row, col, value] "
+            f"with 0-based indices inside the shape [{rows}, {cols}]",
+            path=path,
+            field=field,
+        )
+
+    try:
+        i, j, v = list(zip(*triples, strict=True)) if triples else [(), (), ()]
+        if not set(map(type, chain(i, j, v))) <= {int, float}:
+            raise TypeError("not a number")
+        i, j, v = (np.array(column, dtype=float) for column in (i, j, v))
+    except (TypeError, ValueError, OverflowError):
+        raise refused(next(entry for entry in triples if _bad_triple(entry, rows, cols)))
+    # nan fails every comparison, and inf the bound
+    good = (0 <= i) & (i < rows) & (i == np.trunc(i)) & (0 <= j) & (j < cols) & (j == np.trunc(j))
+    if not good.all():
+        raise refused(triples[int(np.argmin(good))])
+    flat = i.astype(np.intp) * cols + j.astype(np.intp)
+    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
+    matrix.reshape(-1)[flat[last]] = v[last]
+    return matrix
+
+
 def _matrix_from_json(value, path, field):
     if isinstance(value, dict):
         shape, triples = value.get("shape"), value.get("triples")
@@ -84,28 +138,7 @@ def _matrix_from_json(value, path, field):
             )
         rows = _size(shape[0], 1, path, f"{field} shape")
         cols = _size(shape[1], 0, path, f"{field} shape")
-        try:
-            matrix = np.zeros((rows, cols))
-        except (ValueError, MemoryError):
-            raise ParseError(f"shape [{rows}, {cols}] is too large", path=path, field=field)
-        for entry in triples:
-            try:
-                i, j, v = entry
-                # compare before int(): it would truncate 0.7 to row 0, numpy
-                # would wrap -2 to row 0, and nan, inf or a string fail here;
-                # float() and the comparisons would take a bool as 0 or 1
-                if isinstance(i, bool) or isinstance(j, bool) or isinstance(v, (bool, str)):
-                    raise TypeError("not a number")
-                if not (0 <= i < rows and 0 <= j < cols and i == int(i) and j == int(j)):
-                    raise ValueError("index outside the shape")
-                matrix[int(i), int(j)] = float(v)
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(
-                    f"bad sparse triple {entry!r}: needs numbers [row, col, value] "
-                    f"with 0-based indices inside the shape [{rows}, {cols}]",
-                    path=path,
-                    field=field,
-                )
+        matrix = _sparse_matrix(rows, cols, triples, path, field)
     else:
         matrix = _reals(value, path, field, "matrix must be a nested array of reals")
         if matrix.ndim != 2:

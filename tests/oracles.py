@@ -20,7 +20,9 @@ from an ordered QZ decomposition.  Two faster package paths keep the
 slower form they replaced as a reference: the decoupled operator with a
 dense product through every kernel basis, where the package gathers and
 scatters rows for a unit-vector basis, and the terminal certificate with
-an SVD of its small block, where the package takes an LU.
+an SVD of its small block, where the package takes an LU.  The chain that
+stored every chain matrix it formed is kept too, as the bytes the
+package's matrices rebuilt on read must equal.
 
 The helpers at the end are conveniences rather than oracles: a reference
 rank, star sampling and linear images over the package's own
@@ -529,6 +531,38 @@ def chain_matrices(raw, factors=None):
     return E, A
 
 
+def stored_chain(auto):
+    """``(E, A, images)``: the singular chain matrices ``E_0 .. E_{mu-1}``,
+    ``A_0 .. A_{mu-1}`` and the kernel images ``A_j K_j`` as a chain that
+    keeps every matrix forms them, each from the one before with the
+    package's own factorizations: ``E_{j+1} = E_j - A_j Q_j`` and ``A_{j+1}
+    = A_j - A_j Q_j`` with the one product ``A_j Q_j = (A_j K_j) K_j^T``
+    shared, or, for a unit-vector ``K_j``, ``A_j K_j`` subtracted from the
+    kernel columns of a copy."""
+    from daereach.linalg import kernel_basis_and_inverse, rank_factors, rank_update_inverse
+
+    E, A, images = [auto.E], [auto.A], []
+    factors = rank_factors(auto.E)
+    while True:
+        K, _ = kernel_basis_and_inverse(factors)
+        columns = factors.kernel_columns
+        images.append(A[-1] @ K if columns is None else A[-1][:, columns])
+        if rank_update_inverse(factors, images[-1])[0] is not None:
+            return E, A, images
+        if columns is None:
+            AQ = images[-1] @ K.T
+            E_next, A_next = E[-1] - AQ, A[-1] - AQ
+        else:
+            E_next, A_next = E[-1].copy(), A[-1].copy()
+            E_next[:, columns] -= images[-1]
+            A_next[:, columns] -= images[-1]
+        factors = rank_factors(E_next)
+        if kernel_basis_and_inverse(factors)[1] is not None:  # E_mu took its own SVD
+            return E, A, images
+        E.append(E_next)
+        A.append(A_next)
+
+
 def dense_decoupled(dec):
     """A :class:`ReferenceDecoupled` multiplied out from the dense projectors,
     terminal inverse and source of the package's own decoupled system: the
@@ -558,10 +592,11 @@ def dense_residual(E, X):
     return float(residual), 2.0 * n * 2.0**-53 * float((np.abs(E) @ np.abs(X)).max())
 
 
-def dense_apply(dec, words, X):
+def dense_apply(dec, words, X, owned=False):
     """``DecoupledSystem._apply`` with the dense products ``Q_j Y = K_j (R_j
     Y)`` for every kernel basis, unit vectors included: the reference the
-    package's row masks must match byte for byte."""
+    package's row masks must match byte for byte.  It forms every tail as a
+    new array, so it never overwrites an ``owned`` input."""
     done = {}
     products = {}
     for key, word in words.items():

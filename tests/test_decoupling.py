@@ -33,6 +33,7 @@ from oracles import (
     dense_residual,
     reference_chain,
     reference_decoupled,
+    stored_chain,
     weierstrass_auto,
 )
 
@@ -310,6 +311,40 @@ def test_certified_chain_keeps_only_the_matrices_it_factored(make_auto):
     chain = compute_index_and_chain(make_auto())
     assert chain.condition_bound is not None
     assert len(chain.E_seq) == len(chain.A_seq) == len(chain.factors) == chain.mu == 2
+
+
+def _stokes_k_auto(k):
+    from daereach import load_model, to_autonomous
+
+    return to_autonomous(*load_model(f"builtin:stokes:{k}"))
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        lambda: [_rotating_masses_auto()],
+        lambda: [_stokes_k_auto(k) for k in (4, 8, 12)],
+        lambda: [auto for _, _, auto, _ in semi_explicit_systems(2)],
+        lambda: [auto for _, _, auto, _ in semi_explicit_systems(3)],
+        lambda: [auto for _, _, auto, _ in random_systems(2)],
+        lambda: [auto for _, _, auto, _ in random_systems(3)],
+        lambda: [_nilpotent_auto(7)],
+    ],
+    ids=["rotating-masses", "stokes-4-8-12", "semi-2", "semi-3", "random-2", "random-3", "nilpotent-3"],
+)
+def test_chain_matrices_read_back_bit_equal_to_a_stored_chain(corpus):
+    """The chain keeps only ``E`` and ``A``; ``E_seq`` and ``A_seq`` rebuild
+    the singular chain matrices on read, and their bytes, with the kernel
+    images, are those of a chain that stored every matrix it formed
+    (:func:`oracles.stored_chain`)."""
+    for number, auto in enumerate(corpus()):
+        chain = compute_index_and_chain(auto)
+        E, A, images = stored_chain(auto)
+        assert chain.E is auto.E and chain.A is auto.A, number
+        assert chain.E_seq[0] is auto.E and chain.A_seq[0] is auto.A, number
+        for ours, theirs in ((chain.E_seq, E), (chain.A_seq, A), (chain.kernel_images, images)):
+            assert len(ours) == len(theirs) == chain.mu, number
+            assert [a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)] == [True] * chain.mu
 
 
 class TestFactorizationCounts:

@@ -192,6 +192,32 @@ class TestModelErrors:
         lines = capsys.readouterr().err.strip().splitlines()
         assert json.loads(lines[-1])["error"] == "parse"
 
+    def test_repeated_sparse_index_keeps_the_last_value(self, tmp_path):
+        doc = self.base_document()
+        doc["E"] = {
+            "shape": [2, 2],
+            "triples": [[0, 1, 5.0], [1, 0, 3.0], [0, 1, -0.0], [1, 0, 2.0], [0, 1, 7.0]],
+        }
+        system, _ = load_model(self.write(tmp_path, doc))
+        assert system.E.tolist() == [[0.0, 7.0], [2.0, 0.0]]
+        doc["E"]["triples"] = [[1, 1, 4.0], [1, 1, -0.0]]
+        system, _ = load_model(self.write(tmp_path, doc))
+        assert np.signbit(system.E[1, 1]) and system.E[1, 1] == 0.0
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, 2, 1.0], [0.5, 0, 1.0], [True, 0, 1.0], [0, 0, "1"], [0, 0], None, [0, 0, 10**400]],
+        ids=["index", "fraction", "bool", "string", "pair", "null", "huge-value"],
+    )
+    def test_error_names_the_first_bad_triple(self, tmp_path, bad):
+        doc = self.base_document()
+        later = [1, 5, 2.0]  # out of shape, after the first bad triple
+        doc["E"] = {"shape": [2, 2], "triples": [[0, 0, 1.0], bad, [1, 1, 1.0], later]}
+        with pytest.raises(ParseError, match="triple") as caught:
+            load_model(self.write(tmp_path, doc))
+        assert f"triple {bad!r}:" in str(caught.value)
+        assert caught.value.field == "E"
+
     def test_integral_floats_are_sizes(self, tmp_path):
         doc = self.base_document()
         doc["n"] = 2.0

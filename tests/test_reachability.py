@@ -418,21 +418,49 @@ def test_reach_path_builds_nothing_dense(model):
     verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
     dec = reach.decoupled
     assert "lift" in vars(dec)  # the thin blocks were built
-    # the only n x n arrays held anywhere: the raw chain's factored matrices,
-    # the terminal inverse and the decoupled system's source; neither keeps
-    # a terminal chain matrix.  The terminal inverse is one array, the
-    # SVD-certified rotating masses' dense inverse or Stokes' blocks, which
-    # decouple corrected in place
+    # the only n x n arrays held anywhere: the system's own E and A, which
+    # the raw chain keeps in place of its chain matrices, the terminal
+    # inverse and the decoupled system's source.  The terminal inverse is
+    # one array, the SVD-certified rotating masses' dense inverse or
+    # Stokes' blocks, which decouple corrected in place
     raw = dec.raw
-    assert len(raw.E_seq) == len(raw.A_seq) == raw.mu
+    assert raw.E is auto.E and raw.A is auto.A
     assert dec.inverse.B is raw.inverse.B
-    held = [raw.E_seq, raw.A_seq, raw.inverse, dec.inverse, dec.source]
+    held = [raw.E, raw.A, raw.inverse, dec.inverse, dec.source]
     allowed = {id(a) for a in _square_arrays(held, dec.n)}
-    assert len(allowed) == 2 * raw.mu + 2
+    assert len(allowed) == 4
     for owner in (dec, raw):
         for name, value in vars(owner).items():
             cached = [a for a in _square_arrays(value, dec.n) if id(a) not in allowed]
             assert not cached, (type(owner).__name__, name)
+
+
+def test_compute_reach_peak_memory_on_stokes_12():
+    """:func:`compute_reach` on Stokes ``k = 12`` holds at most 6 ``n x n``
+    arrays at once and keeps at most 5 once it returns, the result's
+    included (``tracemalloc``, which numpy reports to; the system's own
+    ``E`` and ``A`` were made before).  A chain that kept ``E_1`` and ``A_1``
+    and a frame that kept ``N W`` measured 8.3 and 7.6."""
+    import tracemalloc
+
+    from daereach import load_model, to_autonomous
+
+    auto = to_autonomous(*load_model("builtin:stokes:12"))
+    lift = decoupled(auto).lift
+    V = lift @ np.random.default_rng(12).normal(size=(lift.shape[1], 2))
+    star = StarSet(V, np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    settings = ReachSettings(1e-4, 100)
+    compute_reach(auto, star, settings)  # first-call imports and caches are not the run's
+    tracemalloc.start()
+    try:
+        reach = compute_reach(auto, star, settings)
+        alive, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = 8 * auto.n**2
+    print(f"\ncompute_reach: peak {peak / arrays:.2f}, kept {alive / arrays:.2f} n x n arrays")
+    assert reach.decoupled.mu == 2
+    assert peak <= 6.0 * arrays and alive <= 5.0 * arrays
 
 
 class TestSettingsValidation:
