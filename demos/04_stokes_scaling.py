@@ -10,11 +10,13 @@ decoupling (D-T), reachable set computation (RSC-T), and checking safety
 (CS-T).  More columns show accuracy and memory without the benchmark:
 the corrected terminal inverse's residual max|E_mu' E_mu'^-1 - I| (the
 ``terminal_inverse_residual`` of ``verdict.json``), and the peak of the
-arrays ``compute_reach`` allocates, traced by ``tracemalloc`` in a second,
-untimed run, in MB and in n x n arrays of 8n^2 bytes.  Past the smallest
-grids, where fixed costs weigh, the peak stays near six such arrays: the
-chain keeps no chain matrix past the model's own E and A, and the frame
-keeps no N W blocks.
+arrays ``compute_reach`` allocates and those its result keeps, traced by
+``tracemalloc`` in a second, untimed run, in MB and in n x n arrays of 8n^2
+bytes.  Past the smallest grids, where fixed costs weigh, the peak stays
+near six such arrays and under four are kept: the chain keeps no chain
+matrix past the model's own E and A, the decoupled system applies A_mu'
+from the chain's factors, so the one n x n array it adds is the corrected
+terminal inverse, and the frame keeps no N W blocks.
 """
 
 import time
@@ -37,7 +39,8 @@ from daereach import (
 
 rng = np.random.default_rng(0)
 print(f"{'k':>3} {'n':>6} {'index':>5} {'D-T [ms]':>10} {'RSC-T [ms]':>11} "
-      f"{'CS-T [ms]':>10} {'verdict':>8} {'residual':>9} {'peak [MB]':>10} {'[n x n]':>8}")
+      f"{'CS-T [ms]':>10} {'verdict':>8} {'residual':>9} {'peak [MB]':>10} {'[n x n]':>8} "
+      f"{'kept [n x n]':>12}")
 
 for k in (2, 3, 4, 5, 6, 8, 10, 12, 16):
     system = build_stokes(k)
@@ -53,9 +56,10 @@ for k in (2, 3, 4, 5, 6, 8, 10, 12, 16):
     settings = ReachSettings(time_step=1e-4, num_steps=100)
     reach = compute_reach(auto, star, settings)
     tracemalloc.start()
-    compute_reach(auto, star, settings)
-    peak = tracemalloc.get_traced_memory()[1]
+    traced = compute_reach(auto, star, settings)
+    kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
+    del traced
 
     u_row, v_row = stokes_center_velocity_rows(k)
     direction = np.zeros(auto.n)
@@ -73,7 +77,7 @@ for k in (2, 3, 4, 5, 6, 8, 10, 12, 16):
         f"{1e3 * reach.timings['reach_s']:>11.2f} "
         f"{cs_ms:>10.2f} {outcome.status:>8} "
         f"{reach.decoupled.inverse_residual:>9.1e} {peak / 2**20:>10.2f} "
-        f"{peak / (8 * auto.n**2):>8.2f}"
+        f"{peak / (8 * auto.n**2):>8.2f} {kept / (8 * auto.n**2):>12.2f}"
     )
 
 print(

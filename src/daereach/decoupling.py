@@ -45,17 +45,18 @@ and ``Q'`` project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' =
 (E_j - A_j Q)(I - Q + Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'``
 (Lamour, Maerz & Tischendorf, *DAEs: A Projector Based Analysis*, 2013).
 So the corrected chain's kernels are the raw chain's, and its terminal
-inverse is the raw one corrected in place by rank-``m`` updates (every
-corrected projector is ``K_j R_j``), at every index and for every factor
-format, then checked by its residual over all ``n^2`` entries.
+inverse is the raw one, taken from the chain and corrected in place by
+rank-``m`` updates (every corrected projector is ``K_j R_j``), then checked
+by its residual over all ``n^2`` entries.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
-each a word in the projectors times ``E_mu^{-1} A_mu``.  Since every
-projector is ``I - K_j R_j`` or ``K_j R_j``, :class:`DecoupledSystem` keeps
-those factors and applies the coefficients to ``n x c`` blocks right to
-left, at ``O(n^2 c)`` each; that operator is its only form, and a dense
-coefficient or projector is the operator applied to the identity.  The
+each a word in the projectors times ``E_mu'^{-1} A_mu'``.  Since every
+projector is ``I - K_j R_j`` or ``K_j R_j`` and ``A_mu' = A_0 - sum_j (A_j
+K_j) R_j``, :class:`DecoupledSystem` keeps those factors and applies the
+coefficients to ``n x c`` blocks right to left, at ``O(n^2 c)`` each; that
+operator is its only form, and a dense coefficient or projector is the
+operator applied to the identity.  The
 ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
 dimension ``r = n - sum_j rank Q_j``; :attr:`DecoupledSystem.ode_basis`
 gives ``r``-dimensional coordinates on it, and the reach path reads only
@@ -98,7 +99,7 @@ MAX_SUPPORTED_INDEX = 3
 _FRAME_SEED = 0xF2A3E
 
 
-@dataclass(frozen=True)
+@dataclass
 class MatrixChain:
     """The raw chain: ``E_0 = E`` and ``A_0 = A``, the thin factors of its
     steps and the terminal inverse.
@@ -119,11 +120,11 @@ class MatrixChain:
     the certificate's blocks ``W T^{-1}``, row order and ``C^{-1}`` when it
     proved ``E_mu`` nonsingular from row-gather (QR, Gram or closed-form)
     factors, else the dense inverse from the certificate on SVD factors or
-    from ``E_mu``'s own SVD.  :func:`decouple` corrects those blocks in
-    place, whatever their form, and records each rank-``m`` correction on
-    ``corrected``; ``terminal_inverse`` is a new dense ``E_mu^{-1}``, formed
-    on read from the blocks, or, once corrected, from the blocks read back
-    (see :meth:`raw_inverse`).
+    from ``E_mu``'s own SVD; ``terminal_inverse`` is a new dense
+    ``E_mu^{-1}``, formed on read from them.  A chain decouples once:
+    :func:`decouple` takes the blocks, corrects them in place and sets
+    ``inverse`` to ``None``, so a second :func:`decouple` or a later
+    ``terminal_inverse`` raises :class:`ValueError`.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -140,9 +141,8 @@ class MatrixChain:
     kernel_images: list = field(repr=False)
     kernel_columns: tuple = field(repr=False)
     mu: int
-    inverse: InverseBlocks = field(repr=False)
+    inverse: InverseBlocks | None = field(repr=False)
     decisions: tuple
-    corrected: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def n(self):
@@ -166,23 +166,16 @@ class MatrixChain:
         """``[A_0 .. A_{mu-1}]``: ``A`` itself, then new arrays rebuilt on read."""
         return [self.A] + [_chain_rows(self.A, self.steps[:j]) for j in range(1, self.mu)]
 
-    def raw_inverse(self):
-        """The blocks of ``E_mu^{-1}``: ``inverse``, or, once :func:`decouple`
-        has corrected them in place by ``B += L (K^T - R) B`` for each ``(L,
-        K, R)`` of ``corrected`` in turn, new blocks with each correction
-        undone in reverse order: ``R K = I`` and ``(K^T - R) L = 0``, so
-        ``(I + L (K^T - R))^{-1} = I - L (K^T - R)``."""
-        if not self.corrected:
-            return self.inverse
-        B = self.inverse.B
-        for L, K, R in reversed(self.corrected):
-            B = B - L @ (K.T @ B - R @ B)
-        return self.inverse._replace(B=B)
+    def _held_inverse(self):
+        """``inverse``, unless :func:`decouple` took it."""
+        if self.inverse is None:
+            raise ValueError("decouple took this chain's terminal inverse: a chain decouples once")
+        return self.inverse
 
     @property
     def terminal_inverse(self):
         """The dense ``E_mu^{-1}``, a new array formed on read."""
-        return self.raw_inverse().dense()
+        return self._held_inverse().dense()
 
     @property
     def condition_bound(self):
@@ -224,21 +217,22 @@ class DecoupledSystem:
     are algebraic constraints.  Every coefficient is a word in the
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
-    holds only the corrected ``factors``, the ``inverse`` ``E_mu'^{-1}``
-    (:class:`~daereach.linalg.InverseBlocks` in the raw chain's form, its
-    blocks corrected in place: ``B = E_mu'^{-1} U`` and the row order, or
-    dense) and the ``source`` ``A_mu'`` (``A_0``), with the ``raw`` chain
-    they came from (the index ``mu`` is its) and the checked
-    ``inverse_residual`` ``max|E_mu' E_mu'^{-1} - I|``; ``terminal_inverse``
-    is a new dense ``E_mu'^{-1}``, formed on read.  It applies the one
-    operator ``X -> {i: N_i X}`` to blocks right to left: ``S X = (E_mu'^{-1}
-    U) (A_mu' X)[left]``, ``P_j X = X - K_j (R_j X)``, ``Q_j X = K_j (R_j
-    X)``.  An ``n x c`` block costs ``O(n^2 c)``; no ``n x n x n`` product
-    is taken.  Where ``K_j`` is the
-    unit vectors of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``),
-    ``Q_j X`` takes no product through it: it is ``R_j X`` scattered to
-    those rows, and for an uncorrected ``R_j = K_j^T`` just ``X`` with
-    every other row zeroed, bit for bit the dense products.
+    holds only the corrected ``factors`` and the ``inverse`` ``E_mu'^{-1}``
+    (:class:`~daereach.linalg.InverseBlocks` in the raw chain's form, which
+    :func:`decouple` took from the chain and corrected in place: ``B =
+    E_mu'^{-1} U`` and the row order, or dense), with the ``raw`` chain
+    they came from (the index ``mu``, ``A_0 = A`` and the ``A_j K_j`` are
+    its) and the checked ``inverse_residual`` ``max|E_mu' E_mu'^{-1} -
+    I|``; ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on
+    read.  It applies the one operator ``X -> {i: N_i X}`` to blocks right
+    to left: ``S X = (E_mu'^{-1} U) (A_mu' X)[left]`` with ``A_mu' X = A X -
+    sum_j (A_j K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j
+    X)``, ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs ``O(n^2 c)``;
+    no ``n x n x n`` product is taken.  Where ``K_j`` is the unit vectors
+    of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``), ``R_j X`` is
+    those rows of ``X`` while ``R_j = K_j^T`` is uncorrected, and ``Q_j X``
+    takes no product through ``K_j``: it is ``R_j X`` scattered to those
+    rows; both are bit for bit the dense products.
 
     The reach path needs only thin blocks, and they are all that is cached:
     the ODE frame ``ode_basis`` ``W``, the reduced matrix ``ode_matrix``
@@ -259,7 +253,6 @@ class DecoupledSystem:
     raw: MatrixChain = field(repr=False)
     factors: tuple = field(repr=False)
     inverse: InverseBlocks = field(repr=False)
-    source: np.ndarray = field(repr=False)
     inverse_residual: float
 
     @property
@@ -273,7 +266,7 @@ class DecoupledSystem:
 
     @property
     def n(self):
-        return self.source.shape[0]
+        return self.raw.n
 
     @property
     def admissibility_residual(self):
@@ -296,18 +289,22 @@ class DecoupledSystem:
         directly to ``Ker Pi``, so this is the rank of ``Pi``."""
         return self.n - sum(K.shape[1] for K, _ in self.factors)
 
-    def _kernel_product(self, j, Y):
-        """``Q_j Y = K_j (R_j Y)``.  For a unit-vector ``K_j`` each entry of
-        the dense product is one entry of ``R_j Y`` times 1.0 plus exact
-        zeros, so scattering the rows of ``R_j Y`` to the kernel columns
-        gives the same bytes; and while ``R_j`` is still the raw chain's
-        ``K_j^T``, ``R_j Y`` is those rows of ``Y``."""
-        K, R = self.factors[j]
+    def _kernel_rows(self, j, Y):
+        """``R_j Y``: the rows ``kernel_columns[j]`` of ``Y`` while ``R_j`` is
+        the raw unit-vector ``K_j^T``, since each entry of the dense product
+        is one entry of ``Y`` times 1.0 plus exact zeros."""
+        R = self.factors[j][1]
         columns = self.raw.kernel_columns[j]
+        return Y[columns] if columns is not None and R is self.raw.factors[j][1] else R @ Y
+
+    def _kernel_product(self, j, Y):
+        """``Q_j Y = K_j (R_j Y)``: for a unit-vector ``K_j``, by the same
+        argument, ``R_j Y`` scattered to the kernel columns."""
+        RY, columns = self._kernel_rows(j, Y), self.raw.kernel_columns[j]
         if columns is None:
-            return K @ (R @ Y)
+            return self.factors[j][0] @ RY
         QY = np.zeros(np.shape(Y))
-        QY[columns] = Y[columns] if R is self.raw.factors[j][1] else R @ Y
+        QY[columns] = RY
         return QY
 
     def _apply(self, words, X, owned=False):
@@ -346,11 +343,20 @@ class DecoupledSystem:
         """``Pi X``, ``Pi = projectors[1]``."""
         return self._apply({1: "P" * self.mu}, X)[1]
 
+    def _apply_source(self, X):
+        """``A_mu' X = A X - sum_j (A_j K_j)(R_j X)`` over ``j < mu`` from the
+        raw chain's ``A`` and kernel images; ``A X`` at index 1."""
+        AX = self.raw.A @ X
+        if self.mu > 1:
+            for j, image in enumerate(self.raw.kernel_images):
+                AX -= image @ self._kernel_rows(j, X)
+        return AX
+
     def apply_N(self, X):
-        """``{i: N[i] X}``: ``S X = E_mu^{-1} (A_mu X)`` through every
+        """``{i: N[i] X}``: ``S X = E_mu'^{-1} (A_mu' X)`` through every
         subsystem's front."""
         fronts = {i: w.ljust(self.mu, "P") for i, w in _PROJECTOR_WORDS[self.mu].items()}
-        return self._apply(fronts, self.inverse.apply(self.source @ X), owned=True)
+        return self._apply(fronts, self.inverse.apply(self._apply_source(X)), owned=True)
 
     def apply_maps(self, X, NX, M):
         """``{i: maps[i] X}`` for the reconstruction maps, given ``NX =
@@ -532,7 +538,7 @@ def compute_index_and_chain(sys):
 
 # decouple forms E_mu', A_{mu-1} Q' and K Z in this many blocks of rows;
 # 2 to 8 blocks timed within 10% of one another at Stokes k = 12, 16 and 24
-# (1 BLAS thread), and 4 hold decouple's traced peak near 2.2 n x n arrays.
+# (1 BLAS thread), and 4 hold decouple's traced peak near 1.2 n x n arrays.
 # A block has at least _MIN_BLOCK_ROWS rows: each costs a few microseconds
 # of numpy calls, which doubled decouple's time at n = 6
 _ROW_BLOCKS = 4
@@ -547,13 +553,12 @@ def _row_blocks(n):
     return tuple(slice(start, start + step) for start in range(0, n, step))
 
 
-def _checked_source(E, steps, terms, inverse, source):
+def _inverse_residual(E, steps, terms, inverse):
     """``max|E' E'^{-1} - I|``, with ``E'`` the rows of ``E`` taken through
     the raw chain's ``steps`` less ``sum image R`` over the ``(image, R)`` of
-    ``terms``, and ``E'^{-1} = B U^T`` from ``inverse``; a ``source`` that is
-    not ``None`` becomes ``source - sum image R`` in place.  Both are formed a
-    block of rows at a time from one block of the sum, so no ``n x n`` sum,
-    ``E'`` or residual exists; every one of the ``n^2`` entries is checked.
+    ``terms``, and ``E'^{-1} = B U^T`` from ``inverse``.  ``E'`` is formed a
+    block of rows at a time, so no ``n x n`` sum, ``E'`` or residual exists;
+    every one of the ``n^2`` entries is checked.
     ``E' B U^T - I`` is ``E' B`` with its columns scattered to ``left``, so
     row ``i`` of the identity has its one at the column of ``E' B`` that
     ``left`` sends to ``i``; for ``U = I``, on the diagonal."""
@@ -568,9 +573,6 @@ def _checked_source(E, steps, terms, inverse, source):
         block = image[rows] @ R  # rows of sum_j A_j Q_j'
         for image_j, R_j in rest:
             block += image_j[rows] @ R_j
-        if source is not None:
-            rows_of_source = source[rows]
-            rows_of_source -= block
         np.subtract(rows_of_E, block, out=block)  # rows of E_mu'
         del rows_of_E
         block = block @ inverse.B
@@ -594,8 +596,8 @@ def _add_product(B, L, W):
 
 def decouple(chain):
     """The decoupled system of a raw chain: its projectors corrected so that
-    ``Q_j Q_i = 0`` for ``j > i``, its terminal inverse and its source
-    matrix, with every coefficient applied on demand.
+    ``Q_j Q_i = 0`` for ``j > i`` and its terminal inverse, with every
+    coefficient applied on demand.
 
     Index 1 keeps its projector (a single projector is trivially
     admissible).  At index ``mu >= 2`` the last projector is corrected to
@@ -606,23 +608,23 @@ def decouple(chain):
     projects onto the kernel of its rebuilt chain matrix and has the form
     ``K_j R_j`` with the raw chain's orthonormal kernel basis ``K_j``, so
     the rebuilt chain reuses the raw chain's ``A_j K_j``: ``E_mu'`` and
-    ``A_mu'`` are ``E_1`` and ``A_1`` minus ``sum_j A_j K_j R_j`` over the
-    corrected ``j``.  The raw chain keeps neither ``E_1`` nor ``A_1``, so
-    each is formed from ``E_0`` and ``A_0`` through the chain's first step
-    in the order of operations of the chain itself: ``A_1`` whole, to be
-    turned into ``A_mu'`` (the source) in place, and ``A_{mu-1}`` only in
-    the rows that the correction reads; ``E_1`` and ``E_mu'`` a block of
-    rows at a time for the residual check.  Index 1 feeds the original
-    ``A_0`` through ``E_1^{-1}`` instead: the two differ off the ODE
-    subspace.
+    ``A_mu'`` are ``E_0`` and ``A_0`` minus ``sum_j A_j K_j R_j``, with
+    ``R_0 = K_0^T``.  Neither is formed whole: :meth:`DecoupledSystem.apply_N`
+    applies ``A_mu'`` from those terms, or the original ``A_0`` at index 1
+    (the two differ off the ODE subspace), and what the correction reads is
+    formed from ``E_0`` and ``A_0`` through the chain's steps, in the chain's
+    own order of operations: the rows of ``A_{mu-1}`` it reads, at index 3
+    ``S A_1`` as ``S A_0 - (S A_0 K_0) K_0^T``, and ``E_1`` and ``E_mu'`` a
+    block of rows at a time for the residual check.
 
-    No matrix is factored or solved: the raw chain's ``E_mu^{-1} = B U^T``
-    (:class:`~daereach.linalg.InverseBlocks`, in either form) takes each
-    projector swap ``I + Q - Q'`` as ``B += K Z``, ``Z = (K^T - R) B``, in
-    place (see :meth:`MatrixChain.raw_inverse`); where the certificate kept
-    ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only the
-    rows ``left[rank:]`` and ``Z = [0, C^{-1}] - R B``.  At index 3, ``(Q_1
-    - Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2`` and
+    No matrix is factored or solved.  The chain's ``E_mu^{-1} = B U^T``
+    (:class:`~daereach.linalg.InverseBlocks`, in either form) is taken from
+    it, so the chain decouples once (see :class:`MatrixChain`), and each
+    projector swap ``I + Q - Q'`` is written over ``B`` as ``B += K Z``,
+    ``Z = (K^T - R) B``; where the certificate kept ``C^{-1}``, ``K^T
+    E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only the rows
+    ``left[rank:]`` and ``Z = [0, C^{-1}] - R B``.  At index 3, ``(Q_1 -
+    Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2`` and
     ``E_2' - A_2' Q_2 = E_3 (I - X)`` with ``X = P_2 (Q_1 - Q_1')``, ``X^2 =
     0``: its inverse ``(I + X) E_3^{-1}`` is written over ``B`` first.  Then
     ``Q_2' = Q_2^*``: ``K_2^T X = 0``, so ``K_2^T`` reads both inverses
@@ -637,12 +639,9 @@ def decouple(chain):
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
     beforehand, so there are no input coefficients.
     """
-    mu, inverse = chain.mu, chain.raw_inverse()
+    mu, inverse = chain.mu, chain._held_inverse()
+    chain.inverse = None
     factors, steps = list(chain.factors), chain.steps
-    # Q_0 is never corrected: the raw E_1, A_1 (E_0, A_0 at index 1) are rebuilt
-    # ones, so from index 2 on A_1 is formed here, to become the source
-    first = min(mu, 2) - 1
-    A = chain.A if mu == 1 else _chain_step(chain.A, *steps[0])
     K, R = factors[-1]
     if mu > 1:
         B, left, c_inv = inverse
@@ -653,15 +652,14 @@ def decouple(chain):
             rank = chain.n - c_inv.shape[0]
             KtE, tail = c_inv, left[rank:]
         # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
-        R = -(KtE @ _chain_rows(A, steps[1:-1], tail))
-        record = chain.corrected if inverse is chain.inverse else []
+        R = -(KtE @ _chain_rows(chain.A, steps[:-1], tail))
         if mu == 3:
             K1 = factors[1][0]
-            R1 = -inverse.scatter((K1.T - (K1.T @ K) @ R) @ B) @ A  # Q_1' = K_1 R_1
+            S = inverse.scatter((K1.T - (K1.T @ K) @ R) @ B)
+            R1 = -_chain_step(S @ chain.A, S @ steps[0][0], *steps[0][1:])  # Q_1' = K_1 R_1
             factors[1] = (K1, R1)
             # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
-            record.append((K1 - K @ (K.T @ K1), K1, R1))
-            _add_product(B, record[-1][0], (K1.T - R1) @ B)
+            _add_product(B, K1 - K @ (K.T @ K1), (K1.T - R1) @ B)
         if c_inv is None:
             Z = (K.T - R) @ B
         else:
@@ -669,21 +667,17 @@ def decouple(chain):
             np.negative(Z, out=Z)
             Z[:, rank:] += c_inv
         _add_product(B, K, Z)  # (I + Q - Q') E_mu^{-1} U
-        record.append((K, K, R))
         factors[-1] = (K, R)
-    terms = [(steps[j][0], factors[j][1]) for j in range(first, mu)]  # the A_j Q_j'
-    residual = _checked_source(chain.E, steps[:first], terms, inverse, A if mu > 1 else None)
+    first = min(mu, 2) - 1  # Q_0 is never corrected: E_mu' is the raw E_1 less the rest
+    terms = [(steps[j][0], factors[j][1]) for j in range(first, mu)]
+    residual = _inverse_residual(chain.E, steps[:first], terms, inverse)
     if not residual <= np.sqrt(RANK_REL_TOL):
         raise SingularMatrixError(
             f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
             "index classification is unreliable at this tolerance"
         )
     return DecoupledSystem(
-        raw=chain,
-        factors=tuple(factors),
-        inverse=inverse,
-        source=A,
-        inverse_residual=residual,
+        raw=chain, factors=tuple(factors), inverse=inverse, inverse_residual=residual
     )
 
 

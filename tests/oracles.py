@@ -563,11 +563,18 @@ def stored_chain(auto):
         A.append(A_next)
 
 
+def dense_source(dec):
+    """``A_mu'``, the source of a package decoupled system, multiplied out
+    densely: the rebuilt chain's ``A_mu`` of :func:`chain_matrices` with its
+    corrected projectors, or ``A_0`` at index 1."""
+    return dec.raw.A if dec.mu == 1 else chain_matrices(dec.raw, dec.factors)[1][dec.mu]
+
+
 def dense_decoupled(dec):
     """A :class:`ReferenceDecoupled` multiplied out from the dense projectors,
     terminal inverse and source of the package's own decoupled system: the
     closed forms alone, with the package's rounding shared."""
-    return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dec.terminal_inverse, dec.source)
+    return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dec.terminal_inverse, dense_source(dec))
 
 
 def dense_correction(raw):

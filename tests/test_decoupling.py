@@ -243,7 +243,8 @@ class TestChainProperties:
             total += E[j + 1] @ q
         scale = max(1.0, np.abs(A[dec.mu]).max())
         assert np.abs(total - A[dec.mu]).max() <= 1e-8 * scale
-        assert np.abs(dec.source - A[dec.mu]).max() <= 1e-12 * scale
+        source = dec._apply_source(np.eye(dec.n))  # A_mu', as apply_N applies it
+        assert np.abs(source - A[dec.mu]).max() <= 1e-12 * scale
 
 
 class TestDecouple:
@@ -256,7 +257,7 @@ class TestDecouple:
 
     def test_hand_checkable_index_1(self, index1_pair):
         dec = decouple(compute_index_and_chain(index1_pair))
-        assert dec.source is dec.raw.A_seq[0]
+        assert np.array_equal(dec._apply_source(np.eye(dec.n)), dec.raw.A_seq[0])
         N, couplings, _ = dense_forms(dec)
         assert np.allclose(N[1], np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(N[2], np.diag([0.0, -1.0]), atol=1e-14)
@@ -527,8 +528,9 @@ def test_decoupling_matches_reference_path(index):
     blocks) against the coefficients multiplied out densely."""
     worst_margin = 0.0
     for seed, rng, auto, ws in random_systems(index):
-        ours = decouple(compute_index_and_chain(auto))
-        worst_margin = max(worst_margin, _certified_margin(ours.raw, auto))
+        raw = compute_index_and_chain(auto)
+        worst_margin = max(worst_margin, _certified_margin(raw, auto))
+        ours = decouple(raw)
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
         _matches_reference(ours, auto, V, index, seed)
     print(f"\nindex {index}: worst bound * rank_rel_tol {worst_margin:.2e}")
@@ -569,15 +571,16 @@ def _nilpotent_auto(blocks):
 def test_index_3_from_row_gather_blocks():
     """At index 3 from the certificate's row-gather blocks, :func:`decouple`
     takes both corrections in place on the blocks and matches the dense
-    reference path; the raw inverse reads back."""
+    reference path."""
     auto = _nilpotent_auto(7)
     raw = compute_index_and_chain(auto)
     assert auto.n == 23
     assert [d["method"] for d in raw.decisions] == ["diagonal", "gram", "qr", "certificate"]
-    assert raw.inverse.c_inv is not None
-    ours = decouple(raw)
-    assert ours.inverse.left is not None and ours.inverse.B is raw.inverse.B
+    blocks = raw.inverse
+    assert blocks.c_inv is not None
     _certified_margin(raw, auto)
+    ours = decouple(raw)
+    assert raw.inverse is None and ours.inverse.left is not None and ours.inverse.B is blocks.B
     rng = np.random.default_rng(23)
     V = np.column_stack([ours.lift @ rng.normal(size=ours.ode_rank), rng.normal(size=auto.n)])
     _matches_reference(ours, auto, V, 3, "nilpotent")
@@ -693,23 +696,24 @@ def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
     settings = ReachSettings(1e-4, 20)
 
     def run(star):
+        raw_inverse = compute_index_and_chain(auto).terminal_inverse  # before decouple takes it
         reach = compute_reach(auto, star, settings)
-        return reach.decoupled, reach.bases
+        return reach.decoupled, raw_inverse, reach.bases
 
     lift = decouple(compute_index_and_chain(auto)).lift
     V = lift @ np.random.default_rng(k).normal(size=(lift.shape[1], 2))  # a consistent star
     star = StarSet(V, np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-    gram, gram_bases = run(star)
+    gram, gram_raw_inverse, gram_bases = run(star)
     with monkeypatch.context() as patch:
         patch.setattr(daereach.linalg, "_gram_factors", lambda *args: None)
-        qr, qr_bases = run(star)
+        qr, qr_raw_inverse, qr_bases = run(star)
     assert [d["method"] for d in gram.raw.decisions] == ["diagonal", "gram", "certificate"]
     assert [d["method"] for d in qr.raw.decisions] == ["diagonal", "qr", "certificate"]
     assert gram.mu == qr.mu == 2 and gram.ode_rank == qr.ode_rank
     bound = gram.raw.condition_bound
     assert bound == pytest.approx(qr.raw.condition_bound, rel=1e-12, abs=0.0)
     pairs = {
-        "raw terminal inverse": (gram.raw.terminal_inverse, qr.raw.terminal_inverse),
+        "raw terminal inverse": (gram_raw_inverse, qr_raw_inverse),
         "terminal inverse": (gram.terminal_inverse, qr.terminal_inverse),
         "reach bases": (gram_bases, qr_bases),
     }
@@ -720,11 +724,12 @@ def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
 def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
     """Decouple the index-2 chain ``raw`` of ``auto`` and check it against
     the dense correction of :func:`oracles.dense_correction`, taken from the
-    raw chain's on-read inverse before :func:`decouple` corrects its blocks
-    in place.  ``R``, the corrected inverse, the reach bases of one consistent
-    star and the raw inverse read back after the correction must agree
-    within ``condition_bound * 2^-53`` of their largest entry, and the
-    consistency and safety verdicts must be the same.  The row-block
+    raw chain's on-read inverse before :func:`decouple` takes its blocks and
+    corrects them in place; the oracle applies its ``A_2'`` from its own
+    ``R`` as the package does.  ``R``, the corrected inverse and the reach
+    bases of one consistent star must agree within
+    ``condition_bound * 2^-53`` of their largest entry, and the consistency
+    and safety verdicts must be the same.  The row-block
     residual must equal the dense ``max|E_2' X - I|`` of the corrected
     inverse ``X``, and be no larger than the oracle's, both within the
     rounding bound of :func:`oracles.dense_residual`."""
@@ -732,16 +737,12 @@ def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
     from daereach import StarSet, compute_reach, verify
 
     assert raw.mu == 2
-    raw_inverse = raw.terminal_inverse
     R_dense, X_dense = dense_correction(raw)
     ours = decouple(raw)
     K, R = ours.factors[1]
     image = raw.kernel_images[1]
     oracle = dataclasses.replace(
-        ours,
-        factors=(ours.factors[0], (K, R_dense)),
-        inverse=InverseBlocks(X_dense),
-        source=raw.A_seq[1] - image @ R_dense,
+        ours, factors=(ours.factors[0], (K, R_dense)), inverse=InverseBlocks(X_dense)
     )
     lift = ours.lift
     V = lift @ np.random.default_rng(seed).normal(size=(lift.shape[1], 2))
@@ -757,7 +758,6 @@ def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
         "R": (R, R_dense),
         "corrected inverse": (ours.terminal_inverse, X_dense),
         "reach bases": (runs["fused"][1], runs["dense"][1]),
-        "raw inverse read back": (raw.terminal_inverse, raw_inverse),
     }
     errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
     assert max(errors.values()) <= raw.condition_bound * 2.0**-53, errors
@@ -787,11 +787,12 @@ def test_stokes_fused_correction_matches_the_dense_one(monkeypatch, k, factors):
         monkeypatch.setattr(daereach.linalg, "_gram_factors", lambda *args: None)
     raw = compute_index_and_chain(auto)
     assert [d["method"] for d in raw.decisions] == ["diagonal", factors, "certificate"]
-    assert raw.inverse.c_inv is not None  # row-gather blocks, not a dense inverse
+    blocks = raw.inverse
+    assert blocks.c_inv is not None  # row-gather blocks, not a dense inverse
     ours, oracle_residual = _fused_against_dense(
         monkeypatch, auto, raw, unsafe, ReachSettings(1e-4, 20), k
     )
-    assert ours.inverse.B is raw.inverse.B  # corrected in place
+    assert raw.inverse is None and ours.inverse.B is blocks.B  # taken, corrected in place
     print(f"\nstokes k={k} {factors}: residual {ours.inverse_residual:.1e}, "
           f"dense {oracle_residual:.1e}")
 
@@ -806,14 +807,15 @@ def test_semi_explicit_correction_matches_the_dense_one(monkeypatch):
     for seed, _, auto, _ in semi_explicit_systems(2):
         raw = compute_index_and_chain(auto)
         assert [d["method"] for d in raw.decisions] == ["qr", "svd", "certificate"], seed
-        assert raw.inverse.left is None and raw.inverse.c_inv is None, seed
+        blocks = raw.inverse
+        assert blocks.left is None and blocks.c_inv is None, seed
         direction = np.zeros((1, auto.n))
         direction[0, 0] = 1.0
         unsafe = UnsafeSpec(direction, [0.0], on_original_state=False)
         ours, _ = _fused_against_dense(
             monkeypatch, auto, raw, unsafe, ReachSettings(1e-3, 20), seed
         )
-        assert ours.inverse.B is raw.inverse.B, seed  # corrected in place
+        assert raw.inverse is None and ours.inverse.B is blocks.B, seed  # corrected in place
 
 
 def _decouple_peak(chain):
@@ -830,29 +832,31 @@ def _decouple_peak(chain):
 
 
 def test_decouple_peak_memory_on_stokes_12():
-    """Above the chain, :func:`decouple` holds at most three ``n x n``
-    arrays at once: the source, and blocks of rows of ``E_2'``, ``A_1
-    Q_1'`` and ``K_1 Z``."""
+    """Above the chain, :func:`decouple` holds at most one and a half ``n x
+    n`` arrays at once: ``Z`` and blocks of rows of ``E_2'``, ``A_1 Q_1'``
+    and ``K_1 Z``; it forms no ``A_2'``.  Forming it as the source measured
+    2.21."""
     from daereach import load_model, to_autonomous
 
     chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:12")))
     arrays = _decouple_peak(chain)
     print(f"\ndecouple peak above the chain: {arrays:.2f} n x n arrays")
-    assert arrays <= 3.0
+    assert arrays <= 1.5
 
 
 def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
-    """The in-place correction's traced peak stays below that of a
-    correction through a dense inverse and fresh ``n x n`` sums on the same
-    systems: 4.37 ``n x n`` arrays at worst over the SVD index-2
-    semi-explicit systems (small ``n``, where thin arrays weigh), and 6.50
-    at index 3 on 100 nilpotent blocks (``n = 302``)."""
+    """The in-place correction with no ``A_mu'`` formed holds less than 3
+    ``n x n`` arrays at worst over the SVD index-2 semi-explicit systems
+    (small ``n``, where thin arrays weigh), and less than 2.5 at index 3 on
+    100 nilpotent blocks (``n = 302``).  A correction through a dense
+    inverse and fresh ``n x n`` sums measured 4.37 and 6.50, and one that
+    formed ``A_mu'`` as the source 3.58 and 3.09."""
     worst = max(
         _decouple_peak(compute_index_and_chain(auto)) for _, _, auto, _ in semi_explicit_systems(2)
     )
     index_3 = _decouple_peak(compute_index_and_chain(_nilpotent_auto(100)))
     print(f"\ndecouple peak: SVD index 2 {worst:.2f}, index 3 {index_3:.2f} n x n arrays")
-    assert worst < 4.37 and index_3 < 6.50
+    assert worst < 3.0 and index_3 < 2.5
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:8"])
@@ -871,8 +875,8 @@ def test_non_finite_terminal_inverse_fails_the_residual_check(model):
 def test_terminal_inverses_share_no_memory_with_the_blocks(model):
     """``chain.terminal_inverse`` and ``dec.terminal_inverse`` are new
     arrays: one read before :func:`decouple` corrects the blocks in place
-    keeps its values, and writing into both changes neither the
-    decoupled operator nor the raw inverse read back."""
+    keeps its values, and writing into the decoupled system's does not
+    change its operator."""
     from daereach import load_model, to_autonomous
 
     chain = compute_index_and_chain(to_autonomous(*load_model(model)))
@@ -882,38 +886,37 @@ def test_terminal_inverses_share_no_memory_with_the_blocks(model):
     assert np.array_equal(early, kept)
     identity = np.eye(dec.n)
     N = dec.apply_N(identity)
-    raw_inverse = chain.terminal_inverse
-    for returned in (chain.terminal_inverse, dec.terminal_inverse):
-        returned[...] = np.nan
+    dec.terminal_inverse[...] = np.nan
     assert all(np.array_equal(a, N[i]) for i, a in dec.apply_N(identity).items())
-    assert np.array_equal(chain.terminal_inverse, raw_inverse)
 
 
-def test_second_decouple_of_a_chain_reads_the_raw_inverse_back():
-    """A chain whose blocks one :func:`decouple` corrected in place gives a
-    second one the raw inverse read back, and the same system."""
+def test_a_chain_decouples_once():
+    """:func:`decouple` takes the chain's terminal inverse and corrects it in
+    place: an inverse read before keeps its values, and a second
+    :func:`decouple` or a later ``terminal_inverse`` raises, leaving the
+    decoupled system as it was."""
     from daereach import load_model, to_autonomous
 
     chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:8")))
-    raw_inverse = chain.terminal_inverse
-    first = decouple(chain)
-    first_inverse = first.terminal_inverse
-    second = decouple(chain)
-    assert second.inverse.B is not first.inverse.B
-    assert np.array_equal(first.terminal_inverse, first_inverse)
-    bound = chain.condition_bound * 2.0**-53
-    for ours, reference in (
-        (chain.terminal_inverse, raw_inverse),
-        (second.terminal_inverse, first_inverse),
-    ):
-        assert np.abs(ours - reference).max() <= bound * np.abs(reference).max()
+    early = chain.terminal_inverse
+    kept = early.copy()
+    dec = decouple(chain)
+    assert chain.inverse is None
+    assert np.array_equal(early, kept)
+    corrected = dec.terminal_inverse
+    with pytest.raises(ValueError, match="decouple took this chain's terminal inverse"):
+        decouple(chain)
+    with pytest.raises(ValueError, match="decouple took this chain's terminal inverse"):
+        chain.terminal_inverse
+    assert np.array_equal(dec.terminal_inverse, corrected)
 
 
 def _row_masks_match_dense_products(monkeypatch, dec):
     """The operator blocks, the frame's ``ode_matrix`` and ``lift`` and the
     admissibility residual of ``dec``, through its row masks, are the bytes
     that dense products through every kernel basis give on a copy that
-    shares its factors (:func:`oracles.dense_apply`)."""
+    shares its factors (:func:`oracles.dense_apply`, and ``A_mu'`` applied
+    through the dense ``R_j`` of every kernel basis)."""
     X = np.random.default_rng(8).normal(size=(dec.n, 5))
 
     def blocks(system):
@@ -928,6 +931,7 @@ def _row_masks_match_dense_products(monkeypatch, dec):
     ours = blocks(dec)
     dense_copy = dataclasses.replace(dec)  # the same factors, no cached frame
     monkeypatch.setattr(DecoupledSystem, "_apply", dense_apply)
+    monkeypatch.setattr(DecoupledSystem, "_kernel_rows", lambda self, j, Y: self.factors[j][1] @ Y)
     dense = blocks(dense_copy)
     assert ours.keys() == dense.keys()
     assert [key for key in ours if ours[key] != dense[key]] == []
@@ -1006,6 +1010,7 @@ def test_index_3_intermediate_is_the_raw_terminal_matrix_times_a_unipotent(syste
     ``E_2' - A_2' Q_2 = E_3 (I - X)`` has the inverse ``(I + X) E_3^{-1}``."""
     for seed, _, auto, _ in systems(3):
         raw = compute_index_and_chain(auto)
+        raw_inverse = raw.terminal_inverse  # before decouple takes it
         ours = decouple(raw)
         (K1, _), (K2, _) = raw.factors[1:]
         swap = K1 @ (K1.T - ours.factors[1][1])  # Q_1 - Q_1'
@@ -1017,5 +1022,5 @@ def test_index_3_intermediate_is_the_raw_terminal_matrix_times_a_unipotent(syste
         assert _relative_error(A[2] @ K2, raw.A_seq[2] @ K2) <= 1e-10, seed
         assert np.abs(X @ X).max() <= 1e-10 * max(1.0, np.abs(X).max() ** 2), seed
         intermediate = E2 - (A[2] @ K2) @ K2.T
-        inverse = raw.terminal_inverse + X @ raw.terminal_inverse
+        inverse = raw_inverse + X @ raw_inverse
         assert np.abs(intermediate @ inverse - np.eye(auto.n)).max() <= 1e-10, seed
