@@ -13,9 +13,10 @@ the corrected terminal inverse's residual max|E_mu' E_mu'^-1 - I| (the
 arrays ``compute_reach`` allocates and those its result keeps, traced by
 ``tracemalloc`` in a second, untimed run, in MB and in n x n arrays of 8n^2
 bytes.  Past the smallest grids, where fixed costs weigh, the peak stays
-near six such arrays and under four are kept: the chain keeps no chain
-matrix past the model's own E and A, the decoupled system applies A_mu'
-from the chain's factors, so the one n x n array it adds is the corrected
+under five such arrays and under four are kept: the chain keeps no chain
+matrix past the model's own E and A, its Gram factors of E_1 hold no
+n x n row-space basis, the decoupled system applies A_mu' from the
+chain's factors, so the one n x n array it adds is the corrected
 terminal inverse, and the frame keeps no N W blocks.
 """
 

@@ -15,7 +15,7 @@ through it, its rank decision.  A chain matrix with exactly-zero rows, as
 those of a semi-explicit system such as Stokes, takes a closed form when
 it is a scaled column selection (Stokes ``E_0 = diag(I, 0)``), whose
 kernel basis is unit vectors, so both updates change only the kernel
-columns and take no product; Gram factors from two small Choleskys when
+columns and take no product; Gram factors from one small Cholesky when
 each nonzero row still owns a column (Stokes ``E_1 = [I | -G]``); a
 certified QR of its nonzero rows otherwise; and any other matrix takes an
 SVD.  The terminal matrix takes no factorization of its own when it can be

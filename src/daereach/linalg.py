@@ -25,10 +25,10 @@ its only nonzero, has nonzero rows ``M = [D | -X]`` up to row and column
 order, with ``D`` diagonal.  A scaled column selection (``X = 0``, as
 Stokes ``E = diag(I, 0)``) is factored in closed form: its singular values
 are the magnitudes of its nonzero entries, so the rank is decided with no
-arithmetic.  Otherwise (Stokes ``E_1 = [I | -G]``) its row space and
-kernel come from two small Cholesky factorizations of Gram matrices,
+arithmetic.  Otherwise (Stokes ``E_1 = [I | -G]``) one small Cholesky
+factor gives its kernel and, by Woodbury, the right inverse of ``M``,
 accepted when ``||M||_F / min|d|`` proves that the SVD would find the same
-rank.  Any other such matrix, and one whose Gram matrices are too badly
+rank.  Any other such matrix, and one whose Gram matrix is too badly
 conditioned, takes a complete QR of its nonzero rows, accepted only when a
 Frobenius-norm bound proves the same; any other matrix takes an SVD.
 
@@ -145,10 +145,14 @@ class Factors(NamedTuple):
     * :func:`svd_factors`: ``left`` is ``U``, ``lead`` the vector of the
       singular values above the cutoff (a diagonal block), ``tail`` the
       rest and ``w`` is ``W``;
-    * the certified QR and the Gram factors of :func:`rank_factors`:
-      ``left`` is the row order that stands for ``U`` (``U^T x =
-      x[left]``), ``lead`` is the lower triangular ``L``, ``lead_inv`` its
-      inverse, ``tail`` is zero and ``w`` is ``W``;
+    * the certified QR of :func:`rank_factors`: ``left`` is the row order
+      for ``U`` (``U^T x = x[left]``), ``lead`` the lower triangular ``L``,
+      ``lead_inv`` its inverse, ``tail`` zero and ``w`` is ``W``;
+    * the Gram factors of :func:`_gram_factors`: ``left`` is the row order,
+      ``lead`` is ``d`` of the nonzero rows ``M = D [I | Y]``, ``tail`` is
+      zero, ``w`` the kernel basis alone and ``gram`` is ``(V, R_2^{-1},
+      cols, rest, ||M||_F^2)``; ``W_1`` and ``L`` are never formed, but
+      ``||L||_F = ||M||_F`` and ``W_1 L^{-1} = M^+``;
     * the closed form of :func:`rank_factors` for a scaled column
       selection: ``left`` is the row order, ``lead`` the signed vector
       ``d`` of the nonzero entries (a diagonal block, ``Z[left[i], w[i]] =
@@ -173,6 +177,7 @@ class Factors(NamedTuple):
     rank: int
     decision: dict
     lead_inv: np.ndarray | None = None
+    gram: tuple | None = None
 
     def left_t(self, X):
         """``U^T X``; a row order gathers the rows."""
@@ -190,8 +195,25 @@ class Factors(NamedTuple):
 
     @property
     def lead_inv_norm_sq(self):
-        """``||lead^{-1}||_F^2``."""
+        """``||lead^{-1}||_F^2``; ``||M^+||_F^2 = trace((M M^T)^{-1})`` for Gram."""
+        if self.gram is not None:
+            return ((1.0 - (self.gram[0] ** 2).sum(axis=1)) / self.lead**2).sum()
         return (self.lead**-2.0).sum() if self.lead.ndim == 1 else (self.lead_inv**2).sum()
+
+    def right_inverse(self, top=None, out=None):
+        """``M^+ top``, ``M^+`` for ``top=None``, into ``out`` or a new array,
+        for QR or Gram factors: ``M^+ = W_1 L^{-1}`` is ``M``'s right inverse,
+        ``[I - V V^T; R_2^{-1} V^T] D^{-1}`` (rows at ``[cols, rest]``) for Gram."""
+        if self.gram is None:
+            inv = self.lead_inv if top is None else self.lead_inv @ top
+            return np.matmul(self.w[:, : self.rank], inv, out=out)
+        V, r2_inv, cols, rest, _ = self.gram
+        t = np.diag(1.0 / self.lead) if top is None else top / self.lead[:, None]  # D^{-1} top
+        s = V.T / self.lead if top is None else V.T @ t  # V^T D^{-1} top, a scaling for D^{-1}
+        t -= V @ s
+        out = np.empty((self.w.shape[0], t.shape[1])) if out is None else out
+        out[cols], out[rest] = t, r2_inv @ s
+        return out
 
 
 def svd_factors(Z):
@@ -297,54 +319,47 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def _gram_factors(order, rows, cols, rest, d):
-    """QR-format :class:`Factors` of a matrix ``Z`` from two Cholesky
-    factorizations and no QR, or ``None`` when they cannot certify its rank
+    """Gram :class:`Factors` of a matrix ``Z`` from one ``m x m`` Cholesky
+    factorization and no QR, or ``None`` when they cannot certify its rank
     or would be inaccurate.
 
-    ``rows = Z[order[:p]]`` are the nonzero rows ``M`` of ``Z`` (the rest
-    of ``order`` its zero rows), row ``i`` is the only nonzero ``d_i`` of
-    column ``cols[i]``, and ``rest`` lists the other columns.  In the
+    ``rows = Z[order[:p]]`` are the nonzero rows ``M`` of ``Z`` (the rest of
+    ``order`` its zero rows), row ``i`` is the only nonzero ``d_i`` of
+    column ``cols[i]``, and ``rest`` lists the other ``m`` columns.  In the
     column order ``[cols, rest]``, ``M = D [I | Y]`` with ``D = diag(d)``
-    and ``Y = D^{-1} M[:, rest]``.  Scaling rows keeps the row space, so
-    ``R_1^T R_1 = I + Y Y^T`` gives the orthonormal ``W_1 = [I; Y^T]
-    R_1^{-1}`` and ``M = L W_1^T`` with the lower triangular ``L = D
-    R_1^T``; the kernel of ``M`` is the range of ``[-Y; I]``, made
-    orthonormal the same way by ``R_2^T R_2 = I + Y^T Y``.  This is
-    CholeskyQR (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44, 2015)
-    of ``[I | Y]^T`` and of ``[-Y; I]``.  Because ``M M^T = D (I + Y Y^T)
-    D`` is at least ``D^2``, ``s_p >= min|d|``, and ``bound = ||M||_F /
-    min|d|`` bounds ``s_1 / s_p`` with no factorization; it must clear the
+    and ``Y = D^{-1} M[:, rest]``.  The kernel of ``M`` is the range of
+    ``[-Y; I]``, made orthonormal by CholeskyQR (Yamamoto, Nakatsukasa,
+    Yanagisawa & Fukaya, ETNA 44, 2015): ``R_2^T R_2 = I + Y^T Y`` gives ``K
+    = [-V; R_2^{-1}]``, ``V = Y R_2^{-1}``, and by Woodbury ``(I + Y
+    Y^T)^{-1} = I - V V^T`` (Golub & Van Loan, *Matrix Computations*, 4th
+    ed., 2.1.4) the right inverse ``M^+`` (:meth:`Factors.right_inverse`).
+    ``M M^T = D (I + Y Y^T) D`` is at least ``D^2``, so ``s_p >= min|d|``
+    and ``bound = ||M||_F / min|d|`` bounds ``s_1 / s_p``; it must clear the
     rank cutoff by ``CERTIFICATE_MARGIN``, as the QR's bound must.
-    CholeskyQR loses orthogonality like the unit roundoff times the
-    condition number of its Gram matrix, here ``1 + ||Y||_2^2`` for both,
-    so the unit roundoff times ``1 + ||Y||_F^2`` must also stay at or
-    below ``RANK_REL_TOL``.  A matrix that fails either test returns
-    ``None``, and the caller takes the QR.
+    CholeskyQR loses orthogonality like the unit roundoff times ``1 +
+    ||Y||_2^2``, the Gram matrix's condition number, so ``2^-53 (1 +
+    ||Y||_F^2)`` must also stay at or below ``RANK_REL_TOL``; a matrix that
+    fails either test returns ``None``, and the caller takes the QR.
     """
-    p, m = rows.shape[0], rest.size
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow declines
         Y = rows[:, rest] / d[:, None]
-        bound = float(np.linalg.norm(rows / np.abs(d).min()))
+        m_norm = float(np.linalg.norm(rows))
+        bound = float(m_norm / np.abs(d).min())
         y_norm_sq = (Y**2).sum()
     if not (
         bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0
         and (1.0 + y_norm_sq) * _UNIT_ROUNDOFF <= RANK_REL_TOL
     ):
         return None
-    gram = Y @ Y.T
-    gram.flat[:: p + 1] += 1.0
-    l1 = np.linalg.cholesky(gram)  # R_1^T
-    r1_inv = triangular_inverse(l1.T)
     gram = Y.T @ Y
-    gram.flat[:: m + 1] += 1.0
+    gram.flat[:: rest.size + 1] += 1.0
     r2_inv = triangular_inverse(np.linalg.cholesky(gram).T)
-    w = np.empty((p + m,) * 2)  # [W_1, kernel basis], its rows scattered to the columns
-    w[cols, :p] = r1_inv
-    w[rest, :p] = Y.T @ r1_inv
-    w[cols, p:] = -(Y @ r2_inv)
-    w[rest, p:] = r2_inv
+    V = Y @ r2_inv
+    kernel = np.empty((rows.shape[1], rest.size))  # K, its rows scattered to the columns
+    kernel[cols], kernel[rest] = -V, r2_inv
     decision = {"method": "gram", "bound": bound}
-    return Factors(order, d[:, None] * l1, np.zeros(m), w, p, decision, r1_inv.T / d)
+    gram = (V, r2_inv, cols, rest, m_norm**2)
+    return Factors(order, d, np.zeros(rest.size), kernel, d.size, decision, None, gram)
 
 
 class InverseBlocks(NamedTuple):
@@ -390,12 +405,12 @@ def kernel_basis_and_inverse(factors):
 
     The basis is a copy of the trailing ``n - rank`` columns of ``W``, an
     ``(n, n - rank)`` array in ``W``'s memory order (a view would keep all
-    of ``W`` alive as long as the chain keeps the basis); for a column
-    order ``w`` it is the unit vectors of ``kernel_columns``.  For a
-    nonsingular matrix it has no columns and the inverse is the dense
-    :class:`InverseBlocks` ``W diag(1/s) U^T``: only an SVD finds a matrix
-    nonsingular, since the other three factorizations need a zero row.  For
-    a singular matrix the inverse is ``None``.
+    of ``W`` alive as long as the chain keeps the basis); for a column order
+    ``w`` it is the unit vectors of ``kernel_columns``, for Gram factors
+    ``w`` itself.  For a nonsingular matrix it has no columns and the
+    inverse is the dense :class:`InverseBlocks` ``W diag(1/s) U^T``: only an
+    SVD finds a matrix nonsingular, since the other three factorizations
+    need a zero row.  For a singular matrix the inverse is ``None``.
     """
     w, rank = factors.w, factors.rank
     columns = factors.kernel_columns
@@ -403,6 +418,8 @@ def kernel_basis_and_inverse(factors):
         basis = np.zeros((w.size, columns.size))
         basis[columns, np.arange(columns.size)] = 1.0
         return basis, None
+    if factors.gram is not None:  # w is the kernel basis alone
+        return w, None
     inverse = InverseBlocks((w / factors.lead) @ factors.left.T) if rank == w.shape[0] else None
     return w[:, rank:].copy(order="K"), inverse
 
@@ -421,33 +438,36 @@ def rank_update_inverse(factors, image):
 
     with ``top``/``low`` the leading ``rank`` and trailing ``m`` rows of
     ``U^T image``.  One pivoted LU of the ``m x m`` block ``C``
-    (:func:`general_inverse`) gives ``C^{-1}`` and through it ``T^{-1}``, and
-    ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
+    (:func:`general_inverse`) gives ``C^{-1}`` and through it ``T^{-1}``,
+    and ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
     Projector Based Analysis*, 2013).  For QR, Gram and closed-form factors
     ``U^T`` is a gather of rows, so the inverse is kept as its blocks ``B =
     W T^{-1}``, the row order and ``C^{-1}``, and scattered to a dense
-    matrix only when read; for closed-form factors ``W`` is a scatter of
-    rows too.  For SVD factors it is the dense ``W (T^{-1} U^T)``.
-    ``bound = ||T||_F ||T^{-1}||_F`` is at least ``cond_2(Z')``; when it
-    is below ``1 / (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD
-    would also find it nonsingular at the cutoff, and the inverse is
-    returned.  The bound reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a
-    computed inverse from a pivoted LU is as accurate as one from an SVD
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch.
-    14).  Otherwise, and when the LU meets an exactly zero pivot (``bound``
-    is then infinite) or gives a non-finite inverse, only the bound is
-    returned, and the caller decides from ``Z'``'s own factors.
-    ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it already
-    fails the test, ``C`` takes no LU and that lower bound is returned, so
-    a singular chain step (whose ``C`` is often near zero) declines for
-    the price of ``U^T image``.
+    matrix only when read: ``B = [M^+ | (M^+ top + K) C^{-1}]`` for QR and
+    Gram factors (:meth:`Factors.right_inverse`), the rows of ``T^{-1}``
+    scattered to ``w`` for closed-form ones.  For SVD factors it is the
+    dense ``W (T^{-1} U^T)``.  ``bound = ||T||_F ||T^{-1}||_F`` is at least
+    ``cond_2(Z')``, and ``||lead||_F = ||M||_F``, ``||lead^{-1} top
+    C^{-1}||_F = ||M^+ top C^{-1}||_F``; when it is below ``1 /
+    (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD would also find
+    it nonsingular at the cutoff, and the inverse is returned.  The bound
+    reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a computed inverse from
+    a pivoted LU is as accurate as one from an SVD (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 14).  Otherwise, and
+    when the LU meets an exactly zero pivot (``bound`` is then infinite) or
+    gives a non-finite inverse, only the bound is returned, and the caller
+    decides from ``Z'``'s own factors. ``||T||_F / ||C||_F`` is a lower
+    bound on ``bound``; when it already fails the test, ``C`` takes no LU
+    and that lower bound is returned, so a singular chain step (whose ``C``
+    is often near zero) declines for the price of ``U^T image``.
     """
     rank = factors.rank
     top, low = np.split(factors.left_t(image), [rank])
     C = np.diag(factors.tail) - low
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow declines
         c_norm_sq = (C**2).sum()
-        norm_sq = (factors.lead**2).sum() + (top**2).sum() + c_norm_sq
+        lead_sq = (factors.lead**2).sum() if factors.gram is None else factors.gram[-1]  # ||M||^2
+        norm_sq = lead_sq + (top**2).sum() + c_norm_sq
         # ||T^{-1}||_F >= ||C^{-1}||_F >= 1 / ||C||_F, so the bound is at
         # least ||T||_F / ||C||_F; when that already fails the test, skip
         # C's LU
@@ -457,8 +477,9 @@ def rank_update_inverse(factors, image):
     c_inv = general_inverse(C)
     if c_inv is None:  # an exactly zero pivot
         return None, math.inf
+    gather = factors.left.ndim == 1 and factors.w.ndim == 2  # QR or Gram factors
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular C declines
-        corner = factors.lead_solve(top) @ c_inv  # the upper right block of T^{-1}
+        corner = (factors.right_inverse(top) if gather else factors.lead_solve(top)) @ c_inv
         inv_norm_sq = factors.lead_inv_norm_sq + (corner**2).sum() + (c_inv**2).sum()
         bound = math.sqrt(norm_sq * inv_norm_sq)
     if not bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
@@ -469,11 +490,10 @@ def rank_update_inverse(factors, image):
         blocks[factors.w[:rank], rank:] = corner
         blocks[factors.w[rank:], rank:] = c_inv
         return InverseBlocks(blocks, factors.left, c_inv), bound
-    if factors.left.ndim == 1:  # W T^{-1}
-        w_top, w_low = factors.w[:, :rank], factors.w[:, rank:]
-        blocks = np.empty_like(factors.w)
-        blocks[:, :rank] = w_top @ factors.lead_inv
-        blocks[:, rank:] = w_top @ corner + w_low @ c_inv
+    if gather:  # W T^{-1} = [M^+ | (M^+ top + K) C^{-1}]
+        blocks = np.empty((image.shape[0],) * 2)
+        factors.right_inverse(out=blocks[:, :rank])
+        blocks[:, rank:] = corner + kernel_basis_and_inverse(factors)[0] @ c_inv
         return InverseBlocks(blocks, factors.left, c_inv), bound
     u_top, u_low = factors.left[:, :rank], factors.left[:, rank:]
     rows = np.empty_like(factors.left)  # T^{-1} U^T

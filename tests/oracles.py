@@ -634,21 +634,27 @@ def dense_admissibility_residual(dec):
     )
 
 
-def svd_certificate(factors, image, margin, rel_tol=1e-9):
-    """``(inverse, bound)`` of ``rank_update_inverse`` with ``C^{-1}`` and
-    ``||C^{-1}||_F`` from an SVD of ``C``, and ``T^{-1}`` assembled densely
-    as ``W T^{-1} U^T`` with ``U`` and ``W`` multiplied out; ``inverse`` is
-    ``None`` when the bound fails."""
+def svd_certificate(Z, factors, image, margin, rel_tol=1e-9):
+    """``(inverse, bound)`` of ``rank_update_inverse`` on ``Z`` from
+    references of its own: ``C^{-1}`` and ``||C^{-1}||_F`` from an SVD of
+    ``C``, and ``T^{-1}`` assembled densely as ``W T^{-1} U^T``.  ``U`` is
+    the factors' row order multiplied out (or their matrix), and ``W = [W_1,
+    K]`` joins the package's kernel basis ``K`` to ``W_1`` from a Householder
+    QR ``M^T = W_1 L^T`` of the nonzero rows ``M = (U^T Z)[:rank]``, so the
+    lead block ``L`` is triangular and inverted by back substitution; the
+    factors' ``w`` and ``lead`` are not read.  ``inverse`` is ``None`` when
+    the bound fails."""
+    from daereach.linalg import kernel_basis_and_inverse
+
     n, rank = image.shape[0], factors.rank
-    eye = np.eye(n)
-    U = eye[:, factors.left] if factors.left.ndim == 1 else factors.left
-    W = eye[:, factors.w] if factors.w.ndim == 1 else factors.w
-    lead = np.diag(factors.lead) if factors.lead.ndim == 1 else factors.lead
+    U = np.eye(n)[:, factors.left] if factors.left.ndim == 1 else factors.left
+    w1, r = np.linalg.qr((U.T @ Z)[:rank].T)
+    W = np.hstack([w1, kernel_basis_and_inverse(factors)[0]])
+    lead, lead_inv = r.T, scipy.linalg.solve_triangular(r, np.eye(rank)).T
     top, low = np.split(U.T @ image, [rank])
     C = np.diag(factors.tail) - low
     uc, c, vct = np.linalg.svd(C)
     c_inv = (vct.T / c) @ uc.T
-    lead_inv = np.linalg.inv(lead)
     T = np.block([[lead, -top], [np.zeros((n - rank, rank)), C]])
     T_inv = np.block([[lead_inv, lead_inv @ top @ c_inv], [np.zeros((n - rank, rank)), c_inv]])
     norm_sq = (T**2).sum()

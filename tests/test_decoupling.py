@@ -411,9 +411,9 @@ class TestFactorizationCounts:
     @pytest.mark.parametrize("k", [4, 8, 12, 16])
     def test_stokes_chain_takes_no_qr_and_no_svd(self, monkeypatch, k):
         """The Stokes chain factors ``E_0`` in closed form, ``E_1`` by the
-        Cholesky factors of its two Gram matrices (``p x p`` and ``m x m``,
-        no QR), and certifies ``E_2`` through one inverse of the ``m x m``
-        block."""
+        Cholesky factor of its ``m x m`` kernel Gram matrix (no QR, and no
+        ``p x p`` factorization: the row space comes from it by Woodbury),
+        and certifies ``E_2`` through one inverse of the ``m x m`` block."""
         import daereach.linalg
         from daereach import load_model, to_autonomous
 
@@ -435,8 +435,7 @@ class TestFactorizationCounts:
         assert [d["method"] for d in chain.decisions] == ["diagonal", "gram", "certificate"]
         assert shapes["qr"] == [] and shapes["svd"] == []
         m = chain.factors[1][0].shape[1]
-        p = auto.n - m  # the nonzero rows of E_1
-        assert shapes["cholesky"] == [(p, p), (m, m)]
+        assert shapes["cholesky"] == [(m, m)]
         assert shapes["general_inverse"] == [(m, m)] and m < auto.n
 
     def test_exponential_is_taken_at_ode_rank(self, monkeypatch):
@@ -829,6 +828,29 @@ def _decouple_peak(chain):
     finally:
         tracemalloc.stop()
     return peak / (8 * chain.n**2)
+
+
+def test_chain_peak_memory_on_stokes_12():
+    """:func:`compute_index_and_chain` on Stokes ``k = 12`` holds at most 5
+    ``n x n`` arrays at once (``tracemalloc``, which numpy reports to; the
+    system's own ``E`` and ``A`` were made before): the Gram factors of
+    ``E_1`` keep no ``n x n`` ``W`` and no ``p x p`` factor, so the
+    certificate's blocks are the one ``n x n`` array it adds to ``E_1`` or
+    ``A_1``.  Gram factors with the dense ``W`` measured 5.8."""
+    from daereach import load_model, to_autonomous
+
+    auto = to_autonomous(*load_model("builtin:stokes:12"))
+    compute_index_and_chain(auto)  # first-call imports and caches are not the run's
+    tracemalloc.start()
+    try:
+        chain = compute_index_and_chain(auto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = peak / (8 * auto.n**2)
+    print(f"\ncompute_index_and_chain peak: {arrays:.2f} n x n arrays")
+    assert chain.mu == 2
+    assert arrays <= 5.0
 
 
 def test_decouple_peak_memory_on_stokes_12():

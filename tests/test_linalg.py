@@ -268,7 +268,7 @@ class TestRankUpdateInverse:
         assert factors.decision["method"] == kind and factors.rank == n - m
         image = rng.normal(size=(n, m))
         inverse, bound = rank_update_inverse(factors, image)
-        reference, reference_bound = svd_certificate(factors, image, CERTIFICATE_MARGIN)
+        reference, reference_bound = svd_certificate(Z, factors, image, CERTIFICATE_MARGIN)
         assert inverse is not None and reference is not None
         assert abs(bound - reference_bound) <= 1e-12 * reference_bound
         assert np.abs(inverse.dense() - reference).max() <= 1e-10 * np.abs(reference).max()
@@ -450,19 +450,19 @@ class TestGramFactors:
         s = np.linalg.svd(Z, compute_uv=False)
         assert factors.decision["bound"] >= s[0] / s[p - 1]
         assert factors.decision["bound"] * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0
-        W = factors.w
-        assert np.abs(W.T @ W - np.eye(n)).max() <= 1e-13
-        # U^T Z W = [[L, 0], [0, 0]] with U^T a gather of rows and L lower
-        # triangular
-        middle = np.zeros((n, n))
-        middle[:p, :p] = factors.lead
-        assert np.array_equal(np.tril(factors.lead), factors.lead)
-        assert np.abs(Z[factors.left] @ W - middle).max() <= 1e-14 * s[0]
+        # U^T is a gather of rows: the nonzero rows M first, then zero rows
         assert not factors.tail.any() and not Z[factors.left[p:]].any()
-        assert np.abs(factors.lead_inv @ factors.lead - np.eye(p)).max() <= 1e-13
         kernel, inverse = kernel_basis_and_inverse(factors)
         assert inverse is None and kernel.shape == (n, zero_rows)
+        assert np.abs(kernel.T @ kernel - np.eye(zero_rows)).max() <= 1e-13
         assert np.linalg.norm(Z @ kernel, 2) <= 1e-15 * s[0]
+        # M M^+ = I with the rows of M and the columns of M^+ scaled by 1 / d
+        # and d (entry (i, j) of M M^+ - I is d_i / d_j times the rounding of
+        # [I | Y] M^+ D), and M^+ M + K K^T = I: M^+ M projects onto the row
+        # space, orthogonally to the kernel
+        M, d, right = Z[factors.left[:p]], factors.lead, factors.right_inverse()
+        assert np.abs((M / d[:, None]) @ (right * d) - np.eye(p)).max() <= 1e-13
+        assert np.abs(right @ M + kernel @ kernel.T - np.eye(n)).max() <= 1e-13
 
     @pytest.mark.parametrize("case", ["x-zero", "row-without-an-own-column"])
     def test_other_structures_keep_their_paths(self, case):
@@ -491,6 +491,30 @@ class TestGramFactors:
         factors = rank_factors(Z)
         assert factors.decision["method"] == ("gram" if side < 1.0 else "qr")
         assert factors.rank == p == numerical_rank(Z)
+
+    @pytest.mark.parametrize("side", [0.01, 0.3, 0.9, 0.99])
+    def test_certified_inverse_near_the_guard(self, side):
+        # [I | t Y], permuted, with u (1 + t^2 ||Y||_F^2) at this share of
+        # RANK_REL_TOL: the certified inverse of Z' = Z - image K^T is that
+        # of an LU of Z' to 1e-12 and leaves a residual below 1e-12, though
+        # a CholeskyQR basis of the row space would lose orthogonality here
+        # up to about RANK_REL_TOL
+        rng = np.random.default_rng(84)
+        n, p = 60, 45
+        Y = rng.normal(size=(p, n - p))
+        t = math.sqrt((side * RANK_REL_TOL / 2.0**-53 - 1.0) / (Y**2).sum())
+        Z = np.zeros((n, n))
+        Z[:p] = np.hstack([np.eye(p), t * Y])
+        Z = Z[rng.permutation(n)][:, rng.permutation(n)]
+        factors = rank_factors(Z)
+        assert factors.decision["method"] == "gram"
+        kernel, _ = kernel_basis_and_inverse(factors)
+        image = rng.normal(size=(n, n - p))
+        inverse, _ = rank_update_inverse(factors, image)
+        updated = Z - image @ kernel.T
+        reference, X = np.linalg.inv(updated), inverse.dense()
+        assert np.abs(X - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.abs(updated @ X - np.eye(n)).max() <= 1e-12
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("case", ["unscaled-x", "row-below-cutoff"])
