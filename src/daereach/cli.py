@@ -6,8 +6,8 @@ output directory:
 
 * ``verdict.json`` -- always; mode-specific fields plus ``timings`` in
   seconds: ``decouple_s`` (reach and verify: the chain, the admissible
-  correction and its residual check, the lazily built ``W``, ``N W`` and
-  lift, and the consistency check), ``reach_s`` (reach and verify: the
+  correction and its residual check, the lazily built ``W``, ``W^T N_1
+  W`` and lift, and the consistency check), ``reach_s`` (reach and verify: the
   expm and the propagation), ``safety_s`` (verify: the pull-back, the
   screen, the LPs and the trace) and ``total_s`` (the whole run)
 * ``trace.csv`` -- verify mode, when the verdict is unsafe

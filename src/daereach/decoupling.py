@@ -33,9 +33,9 @@ and ``A_j`` (``j >= 1``) are formed from ``E_0`` and ``A_0`` through those
 steps only while ``E_j``'s own factors decide it and ``A_j K_j`` is taken,
 and are dropped then; the terminal ``E_mu`` is formed only when the
 certificate declines it, and ``A_mu`` never.  A certified ``E_mu^{-1}`` is
-kept as the certificate's blocks (:class:`~daereach.linalg.InverseBlocks`)
-where its factors gather rows, and is scattered to a dense matrix only when
-read.
+kept as the certificate's small blocks with the factors
+(:class:`~daereach.linalg.InverseBlocks`) where these gather rows, and no
+``n x n`` inverse is formed until :func:`decouple` forms the corrected one.
 
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
@@ -45,9 +45,10 @@ and ``Q'`` project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' =
 (E_j - A_j Q)(I - Q + Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'``
 (Lamour, Maerz & Tischendorf, *DAEs: A Projector Based Analysis*, 2013).
 So the corrected chain's kernels are the raw chain's, and its terminal
-inverse is the raw one, taken from the chain and corrected in place by
-rank-``m`` updates (every corrected projector is ``K_j R_j``), then checked
-by its residual over all ``n^2`` entries.
+inverse is the raw one times rank-``m`` updates (every corrected
+projector is ``K_j R_j``), formed once from the chain's blocks, or
+written over its dense inverse, then checked by its residual over all
+``n^2`` entries.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
@@ -60,12 +61,14 @@ operator applied to the identity.  The
 ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
 dimension ``r = n - sum_j rank Q_j``; :attr:`DecoupledSystem.ode_basis`
 gives ``r``-dimensional coordinates on it, and the reach path reads only
-blocks of ``r`` or ``k`` columns.  Only indices 1 through 3 are
-supported; higher indices raise.
+blocks of ``r`` or ``k`` columns: admissibility makes each word of the
+lift one word of length ``mu``, applied once.  Only indices 1 through 3
+are supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import product
 
 import numpy as np
 
@@ -81,6 +84,7 @@ from .linalg import (
     kernel_basis_and_inverse,
     rank_factors,
     rank_update_inverse,
+    row_blocks,
 )
 from .model import check_regularity
 
@@ -117,14 +121,15 @@ class MatrixChain:
     ``E`` and ``A``, new arrays bit for bit those that
     :func:`compute_index_and_chain` formed.
     ``inverse`` holds ``E_mu^{-1}`` as :class:`~daereach.linalg.InverseBlocks`:
-    the certificate's blocks ``W T^{-1}``, row order and ``C^{-1}`` when it
-    proved ``E_mu`` nonsingular from row-gather (QR, Gram or closed-form)
-    factors, else the dense inverse from the certificate on SVD factors or
-    from ``E_mu``'s own SVD; ``terminal_inverse`` is a new dense
-    ``E_mu^{-1}``, formed on read from them.  A chain decouples once:
-    :func:`decouple` takes the blocks, corrects them in place and sets
-    ``inverse`` to ``None``, so a second :func:`decouple` or a later
-    ``terminal_inverse`` raises :class:`ValueError`.
+    the certificate's blocks ``C^{-1}`` and ``t = lead^{-1} top C^{-1}``
+    with ``E_{mu-1}``'s factors when it proved ``E_mu`` nonsingular from
+    row-gather (QR, Gram or closed-form) factors, else the dense inverse
+    from the certificate on SVD factors or from ``E_mu``'s own SVD;
+    ``terminal_inverse`` is a new dense ``E_mu^{-1}``, formed on read from
+    them.  A chain decouples once: :func:`decouple` takes the inverse,
+    forms the corrected one from the blocks or writes it over the dense
+    inverse, and sets ``inverse`` to ``None``, so a second :func:`decouple`
+    or a later ``terminal_inverse`` raises :class:`ValueError`.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -218,11 +223,10 @@ class DecoupledSystem:
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
     holds only the corrected ``factors`` and the ``inverse`` ``E_mu'^{-1}``
-    (:class:`~daereach.linalg.InverseBlocks` in the raw chain's form, which
-    :func:`decouple` took from the chain and corrected in place: ``B =
-    E_mu'^{-1} U`` and the row order, or dense), with the ``raw`` chain
-    they came from (the index ``mu``, ``A_0 = A`` and the ``A_j K_j`` are
-    its) and the checked ``inverse_residual`` ``max|E_mu' E_mu'^{-1} -
+    (:class:`~daereach.linalg.InverseBlocks` formed by :func:`decouple`:
+    ``B = E_mu'^{-1} U`` and the row order, or dense), with the ``raw``
+    chain they came from (the index ``mu``, ``A_0 = A`` and the ``A_j K_j``
+    are its) and the checked ``inverse_residual`` ``max|E_mu' E_mu'^{-1} -
     I|``; ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on
     read.  It applies the one operator ``X -> {i: N_i X}`` to blocks right
     to left: ``S X = (E_mu'^{-1} U) (A_mu' X)[left]`` with ``A_mu' X = A X -
@@ -237,15 +241,15 @@ class DecoupledSystem:
     The reach path needs only thin blocks, and they are all that is cached:
     the ODE frame ``ode_basis`` ``W``, the reduced matrix ``ode_matrix``
     ``W^T N[1] W`` and the ``lift`` ``psi W``, the sum of the maps on the
-    frame, whose range is the consistent space.  ``ode_matrix`` and
-    ``lift`` are formed together from ``N W``, which is not kept, and the
-    projector words overwrite each product they no longer read (``P_j Y =
-    Y - Q_j Y`` over ``Y``) and drop each tail once its words are formed.
-    A dense form is the operator applied to the
-    identity: ``apply_N(I)`` gives the coefficients ``N``,
-    ``apply_couplings(I)`` the multipliers ``L3``/``L4``/``Z4`` of
-    derivative terms of lower constraint subsystems, and
-    ``apply_projectors(I)`` the ``projectors``
+    frame, whose range is the consistent space.  Both are formed together
+    from the ``2^mu`` projector words of length ``mu`` applied once to ``S
+    W`` (see ``_frame``), which are not kept; the words
+    overwrite each product they no longer read (``P_j Y = Y - Q_j Y`` over
+    ``Y``) and drop each tail once its words are formed.  A dense form is
+    the operator applied to the identity: ``apply_N(I)`` gives the
+    coefficients ``N``, ``apply_couplings(I)`` the multipliers
+    ``L3``/``L4``/``Z4`` of derivative terms of lower constraint
+    subsystems, and ``apply_projectors(I)`` the ``projectors``
     (``projectors[i]`` extracts subsystem ``i``'s component; they sum to
     the identity), which :attr:`projectors` keeps.
     """
@@ -358,40 +362,6 @@ class DecoupledSystem:
         fronts = {i: w.ljust(self.mu, "P") for i, w in _PROJECTOR_WORDS[self.mu].items()}
         return self._apply(fronts, self.inverse.apply(self._apply_source(X)), owned=True)
 
-    def apply_maps(self, X, NX, M):
-        """``{i: maps[i] X}`` for the reconstruction maps, given ``NX =
-        apply_N(X)`` and ``M`` with ``N[1] X = X M`` (the ODE frame ``W``
-        with ``ode_matrix``, or ``X = I`` with ``M = N[1]``).
-
-        The derivative terms of the constraint subsystems are eliminated
-        through the ODE dynamics, so each component ``x_i(t)`` of a solution
-        is ``maps[i] x_1(t)`` and their sum is ``psi``.  ``maps[3] = N[3] +
-        L3 N[2] N[1]`` and ``maps[4] = N[4] + L4 (N[3] N[1] + L3 N[2]
-        N[1]^2) + Z4 N[2] N[1]`` need ``N[i]`` applied to ``X``, ``N[1] X``
-        and ``N[1]^2 X``, which are ``(N[i] X) M^p``, so the operator is
-        applied once.
-        """
-        blocks = [NX]  # blocks[p][i] = N_i N_1^p X; level p feeds N_2 .. N_{mu+1-p}
-        for p in range(1, self.mu):
-            blocks.append({i: blocks[-1][i] @ M for i in range(2, self.mu + 2 - p)})
-        words = _COUPLING_WORDS[self.mu]
-
-        def couple(name, Y, *terms):
-            """``word Y`` plus ``terms``, added in place to that new array:
-            ``a + b`` and ``b + a`` round alike."""
-            total = self._apply({name: words[name]}, Y)[name]
-            for term in terms:
-                total += term
-            return total
-
-        maps = {1: X, 2: blocks[0][2]}
-        if self.mu >= 2:
-            maps[3] = couple("L3", blocks[1][2], blocks[0][3])
-        if self.mu == 3:
-            inner = couple("L3", blocks[2][2], blocks[1][3])
-            maps[4] = couple("L4", inner, blocks[0][4], couple("Z4", blocks[1][2]))
-        return maps
-
     @cached_property
     def ode_basis(self):
         """``W``: coordinates on the ODE subspace ``range(Pi)``.
@@ -406,16 +376,26 @@ class DecoupledSystem:
         return np.linalg.qr(self._apply({1: "P" * self.mu}, omega, owned=True)[1])[0]
 
     def _frame(self, name):
-        """``ode_matrix`` or ``lift``: both are formed from ``N W`` and cached
-        together, and ``N W`` is dropped."""
-        W = self.ode_basis
-        NW = self.apply_N(W)
-        M = W.T @ NW.pop(1)  # the maps read N[1] W only through M
-        maps = self.apply_maps(W, NW, M)
-        del NW
-        lift = 0 + maps.pop(1)  # sum(maps.values()), adding in place
-        for term in maps.values():
-            lift += term
+        """``ode_matrix`` and ``lift`` from the ``2^mu`` words of length
+        ``mu`` applied once to ``S W``.  ``M = W^T (P..P) S W`` gives ``N[1]
+        W = W M``, so the maps' terms ``N_i N[1]^p W`` are ``(N_i W) M^p``,
+        and ``Q_j P_i = Q_j`` (``j > i``) collapses each coupling word times
+        ``N_i`` to one word (``L3 N[2] = Q_0 Q_1``): ``psi W = W + sum_q G_q
+        M^{q-1}`` by Horner, ``G_q`` the sum of the words with ``q`` letters
+        ``Q``.  ``A_mu' W`` keeps its terms ``(A_j K_j)(R_j W)``, which vanish
+        on ``range(Pi)`` only in exact arithmetic: ``M`` amplifies them."""
+        W, mu = self.ode_basis, self.mu
+        words = {word: word for word in map("".join, product("PQ", repeat=mu))}
+        blocks = self._apply(words, self.inverse.apply(self._apply_source(W)), owned=True)
+        M = W.T @ blocks.pop("P" * mu)
+        G = {}  # G[q]: the words with q letters Q, summed in place over the first
+        for word, block in blocks.items():
+            q = word.count("Q")
+            G[q] = np.add(G[q], block, out=G[q]) if q in G else block
+        lift = G[mu]
+        for q in range(mu - 1, 0, -1):
+            lift = np.add(lift @ M, G[q], out=G[q])
+        lift += W
         vars(self).update(ode_matrix=M, lift=lift)
         return vars(self)[name]
 
@@ -436,28 +416,22 @@ class DecoupledSystem:
         return self.apply_projectors(np.eye(self.n))
 
 
-def _chain_step(X, image, Kt, columns):
-    """``X - image K^T``, one chain step ``X_{j+1} = X_j - (A_j K_j) K_j^T``
-    (or rows of it), a new array.  When ``K`` is the unit vectors of
-    ``columns``, ``image`` is subtracted from those columns of a copy of
-    ``X``: the same matrix, since every other column of ``image K^T`` is
-    zero and each of those is a column of ``image``, neither rounded."""
-    if columns is None:
-        product = image @ Kt
-        return np.subtract(X, product, out=product)
-    X = X.copy()
-    X[:, columns] -= image
-    return X
-
-
 def _chain_rows(X, steps, rows=slice(None)):
     """Rows ``rows`` of ``X_j`` for ``X_0 = X``, through the ``j`` recorded
-    ``steps`` (see :attr:`MatrixChain.steps`): the rows of each step's
-    ``image`` and the same operations, in the same order, as the whole
-    matrices take."""
+    ``steps`` (see :attr:`MatrixChain.steps`), each ``X_{j+1} = X_j -
+    (A_j K_j) K_j^T`` taken on the rows of its ``image`` into a new array.
+    When ``K_j`` is the unit vectors of ``columns``, the rows of ``image``
+    are subtracted from those columns of a copy: the same matrix, since
+    every other column of ``image K^T`` is zero and each of those is a
+    column of ``image``, neither rounded."""
     X = X[rows]
     for image, Kt, columns in steps:
-        X = _chain_step(X, image[rows], Kt, columns)
+        if columns is None:
+            product = image[rows] @ Kt
+            X = np.subtract(X, product, out=product)
+        else:
+            X = X.copy()
+            X[:, columns] -= image[rows]
     return X
 
 
@@ -536,23 +510,6 @@ def compute_index_and_chain(sys):
     )
 
 
-# decouple forms E_mu', A_{mu-1} Q' and K Z in this many blocks of rows;
-# 2 to 8 blocks timed within 10% of one another at Stokes k = 12, 16 and 24
-# (1 BLAS thread), and 4 hold decouple's traced peak near 1.2 n x n arrays.
-# A block has at least _MIN_BLOCK_ROWS rows: each costs a few microseconds
-# of numpy calls, which doubled decouple's time at n = 6
-_ROW_BLOCKS = 4
-_MIN_BLOCK_ROWS = 64
-
-
-@cache
-def _row_blocks(n):
-    """Slices of ``range(n)``: ``_ROW_BLOCKS`` of them, or fewer of
-    ``_MIN_BLOCK_ROWS`` rows."""
-    step = max(-(-n // _ROW_BLOCKS), _MIN_BLOCK_ROWS)
-    return tuple(slice(start, start + step) for start in range(0, n, step))
-
-
 def _inverse_residual(E, steps, terms, inverse):
     """``max|E' E'^{-1} - I|``, with ``E'`` the rows of ``E`` taken through
     the raw chain's ``steps`` less ``sum image R`` over the ``(image, R)`` of
@@ -566,7 +523,7 @@ def _inverse_residual(E, steps, terms, inverse):
     ones = None if inverse.left is None else np.argsort(inverse.left)
     (image, R), *rest = terms
     residual = 0.0
-    for rows in _row_blocks(n):
+    for rows in row_blocks(n):
         # at most two blocks of rows are alive at once: the rows of E_1 are
         # formed first, and each block is dropped once it is read
         rows_of_E = _chain_rows(E, steps, rows)
@@ -585,13 +542,6 @@ def _inverse_residual(E, steps, terms, inverse):
         if residual == residual and not top <= residual:  # a NaN is kept
             residual = top
     return residual
-
-
-def _add_product(B, L, W):
-    """``B += L W`` a block of rows at a time: no ``n x n`` ``L W`` exists."""
-    for rows in _row_blocks(B.shape[0]):
-        block = B[rows]
-        block += L[rows] @ W
 
 
 def decouple(chain):
@@ -613,24 +563,24 @@ def decouple(chain):
     applies ``A_mu'`` from those terms, or the original ``A_0`` at index 1
     (the two differ off the ODE subspace), and what the correction reads is
     formed from ``E_0`` and ``A_0`` through the chain's steps, in the chain's
-    own order of operations: the rows of ``A_{mu-1}`` it reads, at index 3
-    ``S A_1`` as ``S A_0 - (S A_0 K_0) K_0^T``, and ``E_1`` and ``E_mu'`` a
-    block of rows at a time for the residual check.
+    own order of operations: the rows of ``A_{mu-1}`` it reads, and ``E_1``
+    and ``E_mu'`` a block of rows at a time for the residual check; at
+    index 3 ``S A_1`` is ``S A_0`` (see the comment there).
 
-    No matrix is factored or solved.  The chain's ``E_mu^{-1} = B U^T``
-    (:class:`~daereach.linalg.InverseBlocks`, in either form) is taken from
-    it, so the chain decouples once (see :class:`MatrixChain`), and each
-    projector swap ``I + Q - Q'`` is written over ``B`` as ``B += K Z``,
-    ``Z = (K^T - R) B``; where the certificate kept ``C^{-1}``, ``K^T
-    E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only the rows
-    ``left[rank:]`` and ``Z = [0, C^{-1}] - R B``.  At index 3, ``(Q_1 -
-    Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2`` and
-    ``E_2' - A_2' Q_2 = E_3 (I - X)`` with ``X = P_2 (Q_1 - Q_1')``, ``X^2 =
-    0``: its inverse ``(I + X) E_3^{-1}`` is written over ``B`` first.  Then
-    ``Q_2' = Q_2^*``: ``K_2^T X = 0``, so ``K_2^T`` reads both inverses
-    alike, and ``E_3^{-1} A_1 Q_1 = -P_2 Q_1``, so ``K_2^T E_3^{-1}`` maps
-    ``A_2``, ``A_1`` and ``A_2' = A_1 - A_1 Q_1'`` alike.  The terminal
-    inverse is then checked, as a computed inverse should be (Higham,
+    No matrix is factored or solved.  The chain's ``E_mu^{-1}`` is taken
+    from it, so the chain decouples once (see :class:`MatrixChain`), and
+    the swap ``I + Q - Q'`` (with index 3's ``I + X`` before it) is applied
+    once by :meth:`~daereach.linalg.InverseBlocks.corrected`: from the
+    certificate's blocks into one new array (one ``n x m x n`` product for
+    Gram factors), or over a dense inverse.  Where the certificate kept
+    ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only
+    the rows ``left[rank:]`` of ``A_{mu-1}``.  At index 3, ``(Q_1 - Q_1')
+    Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2``, and the
+    intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I - X)``, ``X = P_2 (Q_1 -
+    Q_1')``, ``X^2 = 0``, with inverse ``(I + X) E_3^{-1}``; ``Q_2' = Q_2^*``, since
+    ``K_2^T X = 0`` and ``E_3^{-1} A_1 Q_1 = -P_2 Q_1`` make ``K_2^T
+    E_3^{-1}`` map ``A_2``, ``A_1`` and ``A_2' = A_1 - A_1 Q_1'`` alike.  The
+    terminal inverse is then checked, as a computed inverse should be (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14): a
     residual ``max|E_mu' E_mu'^{-1} - I|`` over all ``n^2`` entries above
     ``sqrt(RANK_REL_TOL)`` raises :class:`SingularMatrixError`; the residual
@@ -643,31 +593,31 @@ def decouple(chain):
     chain.inverse = None
     factors, steps = list(chain.factors), chain.steps
     K, R = factors[-1]
+    index_3 = ()  # (J, Y) of the index-3 step
     if mu > 1:
-        B, left, c_inv = inverse
         # K^T E_mu^{-1} Y = KtE @ Y[tail], [0, C^{-1}] U^T where C^{-1} was kept
-        if c_inv is None:
-            KtE, tail = inverse.scatter(K.T @ B), slice(None)
+        if inverse.c_inv is None:
+            KtE, tail = inverse.scatter(K.T @ inverse.B), slice(None)
         else:
-            rank = chain.n - c_inv.shape[0]
-            KtE, tail = c_inv, left[rank:]
+            KtE, tail = inverse.c_inv, inverse.left[chain.n - inverse.c_inv.shape[0] :]
         # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
         R = -(KtE @ _chain_rows(chain.A, steps[:-1], tail))
         if mu == 3:
             K1 = factors[1][0]
-            S = inverse.scatter((K1.T - (K1.T @ K) @ R) @ B)
-            R1 = -_chain_step(S @ chain.A, S @ steps[0][0], *steps[0][1:])  # Q_1' = K_1 R_1
+            # Q_1' = K_1 R_1, R_1 = -S A_1, S = K_1^T (I - Q_2^*) E_3^{-1}; S A_1 = S A_0,
+            # as S A_0 Q_0 = 0 in the raw chain: E_3^{-1} A_0 Q_0 = -Q_0 + P_2 Q_1 Q_0 +
+            # Q_2 Q_0 and (I - Q_2^*) Q_2 = 0, so (I - Q_2^*) P_2 = I - Q_2^* and, with
+            # K_1^T P_1 = 0, S A_0 Q_0 = -K_1^T (I - Q_2^*) P_1 Q_0 = K_1^T Q_2^* P_1 Q_0,
+            # where Q_2^* P_1 Q_0 = -Q_2 E_3^{-1} A_1 P_1 Q_0 = Q_2 E_3^{-1} A_1 Q_1 Q_0 =
+            # -Q_2 P_2 Q_1 Q_0 = 0 by A_1 Q_0 = 0, E_3^{-1} A_1 Q_1 = -P_2 Q_1, Q_2 P_2 = 0
+            R1 = -(inverse.scatter(inverse.right_product(K1.T - (K1.T @ K) @ R)) @ chain.A)
             factors[1] = (K1, R1)
-            # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = (K_1 - K_2 K_2^T K_1)(K_1^T - R_1)
-            _add_product(B, K1 - K @ (K.T @ K1), (K1.T - R1) @ B)
-        if c_inv is None:
-            Z = (K.T - R) @ B
-        else:
-            Z = R @ B
-            np.negative(Z, out=Z)
-            Z[:, rank:] += c_inv
-        _add_product(B, K, Z)  # (I + Q - Q') E_mu^{-1} U
+            # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = J (K_1^T - R_1) and
+            # (K_1^T - R_1) K_2 = 0, so Y = (K_1^T - R_1) E_3^{-1} U reads F
+            index_3 = (K1 - K @ (K.T @ K1), inverse.right_product(K1.T - R1))
         factors[-1] = (K, R)
+    if mu > 1 or inverse.B is None:  # (I + Q - Q')(I + X) E_mu^{-1} U, formed once
+        inverse = inverse.corrected(K, R, *index_3)
     first = min(mu, 2) - 1  # Q_0 is never corrected: E_mu' is the raw E_1 less the rest
     terms = [(steps[j][0], factors[j][1]) for j in range(first, mu)]
     residual = _inverse_residual(chain.E, steps[:first], terms, inverse)

@@ -41,6 +41,7 @@ condition number clears the rank cutoff by :data:`CERTIFICATE_MARGIN`.
 """
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -150,9 +151,9 @@ class Factors(NamedTuple):
       ``lead_inv`` its inverse, ``tail`` zero and ``w`` is ``W``;
     * the Gram factors of :func:`_gram_factors`: ``left`` is the row order,
       ``lead`` is ``d`` of the nonzero rows ``M = D [I | Y]``, ``tail`` is
-      zero, ``w`` the kernel basis alone and ``gram`` is ``(V, R_2^{-1},
-      cols, rest, ||M||_F^2)``; ``W_1`` and ``L`` are never formed, but
-      ``||L||_F = ||M||_F`` and ``W_1 L^{-1} = M^+``;
+      zero, ``w`` the kernel basis alone and ``gram`` is ``(V, cols,
+      ||M||_F^2)``; ``W_1`` and ``L`` are never formed, but ``||L||_F =
+      ||M||_F`` and ``||L^{-1}||_F = ||M^+||_F``;
     * the closed form of :func:`rank_factors` for a scaled column
       selection: ``left`` is the row order, ``lead`` the signed vector
       ``d`` of the nonzero entries (a diagonal block, ``Z[left[i], w[i]] =
@@ -194,26 +195,18 @@ class Factors(NamedTuple):
         return self.w[self.rank :] if self.w.ndim == 1 else None
 
     @property
+    def owned_columns(self):
+        """``cols``, ``M[:, cols] = diag(lead)``, for Gram and closed form, else ``None``."""
+        if self.gram is not None:
+            return self.gram[1]
+        return self.w[: self.rank] if self.w.ndim == 1 else None
+
+    @property
     def lead_inv_norm_sq(self):
         """``||lead^{-1}||_F^2``; ``||M^+||_F^2 = trace((M M^T)^{-1})`` for Gram."""
         if self.gram is not None:
             return ((1.0 - (self.gram[0] ** 2).sum(axis=1)) / self.lead**2).sum()
         return (self.lead**-2.0).sum() if self.lead.ndim == 1 else (self.lead_inv**2).sum()
-
-    def right_inverse(self, top=None, out=None):
-        """``M^+ top``, ``M^+`` for ``top=None``, into ``out`` or a new array,
-        for QR or Gram factors: ``M^+ = W_1 L^{-1}`` is ``M``'s right inverse,
-        ``[I - V V^T; R_2^{-1} V^T] D^{-1}`` (rows at ``[cols, rest]``) for Gram."""
-        if self.gram is None:
-            inv = self.lead_inv if top is None else self.lead_inv @ top
-            return np.matmul(self.w[:, : self.rank], inv, out=out)
-        V, r2_inv, cols, rest, _ = self.gram
-        t = np.diag(1.0 / self.lead) if top is None else top / self.lead[:, None]  # D^{-1} top
-        s = V.T / self.lead if top is None else V.T @ t  # V^T D^{-1} top, a scaling for D^{-1}
-        t -= V @ s
-        out = np.empty((self.w.shape[0], t.shape[1])) if out is None else out
-        out[cols], out[rest] = t, r2_inv @ s
-        return out
 
 
 def svd_factors(Z):
@@ -332,7 +325,9 @@ def _gram_factors(order, rows, cols, rest, d):
     Yanagisawa & Fukaya, ETNA 44, 2015): ``R_2^T R_2 = I + Y^T Y`` gives ``K
     = [-V; R_2^{-1}]``, ``V = Y R_2^{-1}``, and by Woodbury ``(I + Y
     Y^T)^{-1} = I - V V^T`` (Golub & Van Loan, *Matrix Computations*, 4th
-    ed., 2.1.4) the right inverse ``M^+`` (:meth:`Factors.right_inverse`).
+    ed., 2.1.4) gives the norms of ``M``'s right inverse ``M^+`` that the
+    certificate reads: ``||M^+||_F^2 = sum_i (1 - ||V_i||^2) / d_i^2`` and
+    ``||M^+ D x||^2 = ||x||^2 - ||V^T x||^2``.
     ``M M^T = D (I + Y Y^T) D`` is at least ``D^2``, so ``s_p >= min|d|``
     and ``bound = ||M||_F / min|d|`` bounds ``s_1 / s_p``; it must clear the
     rank cutoff by ``CERTIFICATE_MARGIN``, as the QR's bound must.
@@ -358,44 +353,116 @@ def _gram_factors(order, rows, cols, rest, d):
     kernel = np.empty((rows.shape[1], rest.size))  # K, its rows scattered to the columns
     kernel[cols], kernel[rest] = -V, r2_inv
     decision = {"method": "gram", "bound": bound}
-    gram = (V, r2_inv, cols, rest, m_norm**2)
+    gram = (V, cols, m_norm**2)
     return Factors(order, d, np.zeros(rest.size), kernel, d.size, decision, None, gram)
 
 
+@cache
+def row_blocks(n):
+    """Slices of ``range(n)``: 4 of them, or fewer of 64 rows.  Products are
+    added to or formed in ``n x n`` arrays a block of rows at a time, so no
+    ``n x n`` product exists; 2 to 8 blocks timed alike at Stokes k = 12 to
+    24 (1 BLAS thread), and each block costs microseconds of numpy calls,
+    which doubled ``decouple``'s time at n = 6 without the 64-row floor."""
+    step = max(-(-n // 4), 64)
+    return tuple(slice(start, start + step) for start in range(0, n, step))
+
+
 class InverseBlocks(NamedTuple):
-    """A nonsingular matrix's inverse as ``Z^{-1} = B U^T``.
+    """A nonsingular matrix's inverse, formed as ``Z'^{-1} = B U^T`` or kept
+    as the blocks that form it.
 
     ``left`` is the row order that stands for ``U`` (``U^T x = x[left]``),
-    so ``B = Z^{-1} U`` holds the columns of ``Z^{-1}`` in that order, or
+    so ``B = Z'^{-1} U`` holds the columns of ``Z'^{-1}`` in that order, or
     ``None`` for ``U = I``: ``B`` is then the dense inverse.  When
-    :func:`rank_update_inverse` certified ``Z`` from row-gather factors
-    ``U [[lead, 0], [0, diag(tail)]] W^T`` with kernel basis ``K``, ``B =
-    W T^{-1}`` and ``c_inv`` is ``C^{-1}``, the trailing block of
-    ``T^{-1}``; ``T`` is block upper triangular, so ``K^T B = [0,
-    C^{-1}]`` and ``K^T Z^{-1} x = C^{-1} x[left[rank:]]``.  Otherwise
-    ``c_inv`` is ``None``.  :func:`~daereach.decoupling.decouple` corrects
-    ``B`` in place, so every dense form handed out is a new array.
+    :func:`rank_update_inverse` certified ``Z' = Z - image K^T`` from
+    row-gather (QR, Gram or closed-form) ``factors`` of ``Z``, ``B`` is
+    ``None`` and the blocks of ``T^{-1}`` are kept with them: ``c_inv =
+    C^{-1}`` and ``t = lead^{-1} top C^{-1}``.  Let ``N`` be ``W_1`` (QR)
+    or the unit vectors of the columns the nonzero rows ``M`` own, so that
+    ``M N = lead``: ``F = N [lead^{-1} | t]`` (``B`` when formed) differs
+    from ``Z'^{-1} U = W T^{-1}`` only in ``range K``, and ``K^T Z'^{-1} U
+    = [0 | C^{-1}]``, so for any ``R`` with ``R K = I``, ``(I - K R) F``
+    is ``(I - K R) Z'^{-1} U`` and :meth:`corrected` forms ``(I + K K^T -
+    K R) Z'^{-1} U`` from the blocks (``Z'^{-1} U`` itself for ``R =
+    K^T``).  Every dense form handed out is a new array.
     """
 
-    B: np.ndarray
+    B: np.ndarray | None
     left: np.ndarray | None = None
     c_inv: np.ndarray | None = None
+    t: np.ndarray | None = None
+    factors: Factors | None = None
 
     def apply(self, X):
-        """``Z^{-1} X``: ``B`` times the gathered rows of ``X``."""
+        """``Z'^{-1} X``: ``B`` times the gathered rows of ``X``."""
         return self.B @ (X if self.left is None else X[self.left])
 
     def scatter(self, Y):
         """``Y U^T``: the columns of ``Y`` scattered to ``left``, ``Y``
-        itself for ``U = I``; for ``Y = M B`` it is ``M Z^{-1}``."""
+        itself for ``U = I``; for ``Y = X B`` it is ``X Z'^{-1}``."""
         if self.left is None:
             return Y
         out = np.empty_like(Y)
         out[:, self.left] = Y
         return out
 
+    def right_product(self, X):
+        """``X F`` for an ``m x n`` block ``X``: ``X B``, or ``[X N lead^{-1}
+        | (X N) t]`` with ``X N`` a gather of columns for Gram and
+        closed-form factors."""
+        if self.B is not None:
+            return X @ self.B
+        f, cols = self.factors, self.factors.owned_columns
+        XN = X @ f.w[:, : f.rank] if cols is None else X[:, cols]
+        out = np.empty((X.shape[0], f.left.size))
+        out[:, : f.rank] = XN / f.lead if cols is not None else XN @ f.lead_inv
+        np.matmul(XN, self.t, out=out[:, f.rank :])
+        return out
+
+    def corrected(self, K, R, J=None, Y=None):
+        """``(I - K R)(Z'^{-1} U + J Y) + K K^T Z'^{-1} U`` for ``K^T J = 0``
+        (no ``J Y`` by default), as a formed :class:`InverseBlocks`: ``F + J
+        Y + K Z`` with ``Z = K^T Z'^{-1} U - R F - (R J) Y``, one ``m x n``
+        block, in which ``K^T Z'^{-1} U - R F`` is ``(K^T - R) B`` for a
+        formed ``B`` and ``[0 | C^{-1}] - R F`` for the blocks.  A formed
+        ``B`` is written over, as is a QR's ``W``, which holds ``W_1
+        [lead^{-1} | t]`` once each block of its rows is read; for Gram and
+        closed-form factors the first product is the one new ``n x n``
+        array, and ``[lead^{-1} | t]`` is added to its owned rows."""
+        f = self.factors
+        Z = self.right_product(R if self.B is None else K.T - R)
+        if self.B is None:  # -R F + [0 | C^{-1}]
+            np.negative(Z, out=Z)
+            Z[:, f.rank :] += self.c_inv
+        terms = [(K, Z)] if J is None else [(J, Y), (K, Z)]
+        if J is not None:
+            Z -= (R @ J) @ Y
+        B, cols = self.B, None if self.B is not None else f.owned_columns
+        if B is None and cols is None:
+            B = f.w
+            for rows in row_blocks(B.shape[0]):
+                W1 = B[rows, : f.rank]
+                B[rows, : f.rank], B[rows, f.rank :] = W1 @ f.lead_inv, W1 @ self.t
+        elif B is None:
+            (L, first), *terms = terms
+            B = L @ first
+        for L, Z in terms:
+            for rows in row_blocks(B.shape[0]):
+                B[rows] += L[rows] @ Z
+        if cols is not None:
+            B[cols, np.arange(f.rank)] += 1.0 / f.lead
+            B[cols, f.rank :] += self.t
+        return InverseBlocks(B, self.left)
+
     def dense(self):
-        """``Z^{-1}``, a new array that shares no memory with ``B``."""
+        """``Z'^{-1}``, a new array that shares no memory with ``B`` or the
+        blocks: these are corrected with ``R = K^T`` on a copy of a QR's
+        ``W``."""
+        if self.B is None:
+            f, K = self.factors, kernel_basis_and_inverse(self.factors)[0]
+            w = f.w if f.owned_columns is not None else f.w.copy()
+            return self._replace(factors=f._replace(w=w)).corrected(K, K.T).dense()
         return self.B.copy() if self.left is None else self.scatter(self.B)
 
 
@@ -438,28 +505,29 @@ def rank_update_inverse(factors, image):
 
     with ``top``/``low`` the leading ``rank`` and trailing ``m`` rows of
     ``U^T image``.  One pivoted LU of the ``m x m`` block ``C``
-    (:func:`general_inverse`) gives ``C^{-1}`` and through it ``T^{-1}``,
-    and ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
-    Projector Based Analysis*, 2013).  For QR, Gram and closed-form factors
-    ``U^T`` is a gather of rows, so the inverse is kept as its blocks ``B =
-    W T^{-1}``, the row order and ``C^{-1}``, and scattered to a dense
-    matrix only when read: ``B = [M^+ | (M^+ top + K) C^{-1}]`` for QR and
-    Gram factors (:meth:`Factors.right_inverse`), the rows of ``T^{-1}``
-    scattered to ``w`` for closed-form ones.  For SVD factors it is the
-    dense ``W (T^{-1} U^T)``.  ``bound = ||T||_F ||T^{-1}||_F`` is at least
-    ``cond_2(Z')``, and ``||lead||_F = ||M||_F``, ``||lead^{-1} top
-    C^{-1}||_F = ||M^+ top C^{-1}||_F``; when it is below ``1 /
-    (CERTIFICATE_MARGIN * RANK_REL_TOL)``, ``Z'``'s own SVD would also find
-    it nonsingular at the cutoff, and the inverse is returned.  The bound
-    reads only ``C^{-1}`` and ``||C^{-1}||_F``, and a computed inverse from
-    a pivoted LU is as accurate as one from an SVD (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 14).  Otherwise, and
-    when the LU meets an exactly zero pivot (``bound`` is then infinite) or
-    gives a non-finite inverse, only the bound is returned, and the caller
-    decides from ``Z'``'s own factors. ``||T||_F / ||C||_F`` is a lower
-    bound on ``bound``; when it already fails the test, ``C`` takes no LU
-    and that lower bound is returned, so a singular chain step (whose ``C``
-    is often near zero) declines for the price of ``U^T image``.
+    (:func:`general_inverse`) gives ``C^{-1}`` and through it ``T^{-1} =
+    [[lead^{-1}, t], [0, C^{-1}]]``, ``t = lead^{-1} top C^{-1}``, and
+    ``Z'^{-1} = W T^{-1} U^T`` (Lamour, Maerz & Tischendorf, *DAEs: A
+    Projector Based Analysis*, 2013).  ``bound = ||T||_F ||T^{-1}||_F`` is
+    at least ``cond_2(Z')``, and is decided from small blocks: ``||lead||_F
+    = ||M||_F``, ``||lead^{-1}||_F = ||M^+||_F`` and ``||W_1 t||_F^2``,
+    which is ``||t||_F^2``, less ``||V^T t||_F^2`` for Gram factors (see
+    :func:`_gram_factors`).  When it is below ``1 / (CERTIFICATE_MARGIN *
+    RANK_REL_TOL)``, ``Z'``'s own SVD would also find it nonsingular at the
+    cutoff, and the inverse is returned: for QR, Gram and closed-form
+    factors, whose ``U^T`` gathers rows, as the blocks ``C^{-1}`` and ``t``
+    with the factors, from which it is formed once
+    (:meth:`InverseBlocks.corrected`); for SVD factors as the dense ``W
+    (T^{-1} U^T)``.  The bound reads only ``C^{-1}`` and ``||C^{-1}||_F``,
+    and a computed inverse from a pivoted LU is as accurate as one from an
+    SVD (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    ch. 14).  Otherwise, and when the LU meets an exactly zero pivot
+    (``bound`` is then infinite) or gives a non-finite inverse, only the
+    bound is returned, and the caller decides from ``Z'``'s own factors.
+    ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it already
+    fails the test, ``C`` takes no LU and that lower bound is returned, so a
+    singular chain step (whose ``C`` is often near zero) declines for the
+    price of ``U^T image``.
     """
     rank = factors.rank
     top, low = np.split(factors.left_t(image), [rank])
@@ -477,27 +545,19 @@ def rank_update_inverse(factors, image):
     c_inv = general_inverse(C)
     if c_inv is None:  # an exactly zero pivot
         return None, math.inf
-    gather = factors.left.ndim == 1 and factors.w.ndim == 2  # QR or Gram factors
     with np.errstate(over="ignore", invalid="ignore"):  # a near-singular C declines
-        corner = (factors.right_inverse(top) if gather else factors.lead_solve(top)) @ c_inv
-        inv_norm_sq = factors.lead_inv_norm_sq + (corner**2).sum() + (c_inv**2).sum()
+        t = factors.lead_solve(top) @ c_inv
+        inv_norm_sq = factors.lead_inv_norm_sq + (t**2).sum() + (c_inv**2).sum()
+        if factors.gram is not None:  # ||W_1 t||_F^2 = ||t||_F^2 - ||V^T t||_F^2
+            inv_norm_sq -= ((factors.gram[0].T @ t) ** 2).sum()
         bound = math.sqrt(norm_sq * inv_norm_sq)
     if not bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
         return None, bound
-    if factors.w.ndim == 1:  # W T^{-1}: the rows of T^{-1} scattered to w
-        blocks = np.zeros((factors.w.size,) * 2)
-        blocks[factors.w[:rank], :rank] = factors.lead_solve(np.eye(rank))
-        blocks[factors.w[:rank], rank:] = corner
-        blocks[factors.w[rank:], rank:] = c_inv
-        return InverseBlocks(blocks, factors.left, c_inv), bound
-    if gather:  # W T^{-1} = [M^+ | (M^+ top + K) C^{-1}]
-        blocks = np.empty((image.shape[0],) * 2)
-        factors.right_inverse(out=blocks[:, :rank])
-        blocks[:, rank:] = corner + kernel_basis_and_inverse(factors)[0] @ c_inv
-        return InverseBlocks(blocks, factors.left, c_inv), bound
+    if factors.left.ndim == 1:
+        return InverseBlocks(None, factors.left, c_inv, t, factors), bound
     u_top, u_low = factors.left[:, :rank], factors.left[:, rank:]
     rows = np.empty_like(factors.left)  # T^{-1} U^T
-    rows[:rank] = factors.lead_solve(u_top.T) + corner @ u_low.T
+    rows[:rank] = factors.lead_solve(u_top.T) + t @ u_low.T
     rows[rank:] = c_inv @ u_low.T
     return InverseBlocks(factors.w @ rows), bound
 

@@ -465,20 +465,29 @@ class ReferenceDecoupled:
             projectors = {1: fronts[1], 2: fronts[2], 3: p0q1, 4: Q[0]}
             self.L3, self.L4, self.Z4 = p0q1 @ Q[2], Q[0] @ Q[1], q0p1 @ Q[2]
         self.projectors = projectors
-        N = self.N = {i: front @ into_state for i, front in fronts.items()}
-        n1 = N[1]
-        maps = self.maps = {1: np.eye(n), 2: N[2]}
-        if mu >= 2:
-            maps[3] = N[3] + self.L3 @ N[2] @ n1
-        if mu == 3:
-            maps[4] = (
-                N[4]
-                + self.L4 @ (N[3] @ n1 + self.L3 @ N[2] @ n1 @ n1)
-                + self.Z4 @ N[2] @ n1
-            )
+        self.N = {i: front @ into_state for i, front in fronts.items()}
+        couplings = {"L3": self.L3, "L4": self.L4, "Z4": self.Z4}
+        maps = self.maps = dense_maps(self.N, couplings)
         self.psi = sum(maps.values())
         pi = projectors[1]
         self.gamma = np.vstack([projectors[i] - maps[i] @ pi for i in sorted(maps)[1:]])
+
+
+def dense_maps(N, couplings):
+    """The reconstruction maps ``{i: maps[i]}`` multiplied out from dense
+    coefficients ``N`` (keyed ``1 .. mu + 1``) and derivative multipliers
+    ``couplings`` (``"L3"``, ``"L4"``, ``"Z4"`` as the index has them):
+    each constraint component of a solution is ``maps[i] x_1``, with the
+    derivative terms eliminated through the ODE dynamics ``x_1' = N[1]
+    x_1``; ``psi`` is their sum."""
+    mu, n1 = len(N) - 1, N[1]
+    maps = {1: np.eye(n1.shape[0]), 2: N[2]}
+    if mu >= 2:
+        maps[3] = N[3] + couplings["L3"] @ N[2] @ n1
+    if mu == 3:
+        L3, L4, Z4 = couplings["L3"], couplings["L4"], couplings["Z4"]
+        maps[4] = N[4] + L4 @ (N[3] @ n1 + L3 @ N[2] @ n1 @ n1) + Z4 @ N[2] @ n1
+    return maps
 
 
 def reference_decoupled(auto, rel_tol=1e-9):

@@ -456,13 +456,24 @@ class TestGramFactors:
         assert inverse is None and kernel.shape == (n, zero_rows)
         assert np.abs(kernel.T @ kernel - np.eye(zero_rows)).max() <= 1e-13
         assert np.linalg.norm(Z @ kernel, 2) <= 1e-15 * s[0]
-        # M M^+ = I with the rows of M and the columns of M^+ scaled by 1 / d
-        # and d (entry (i, j) of M M^+ - I is d_i / d_j times the rounding of
-        # [I | Y] M^+ D), and M^+ M + K K^T = I: M^+ M projects onto the row
-        # space, orthogonally to the kernel
-        M, d, right = Z[factors.left[:p]], factors.lead, factors.right_inverse()
+        # the nonzero rows M own the columns cols, M[:, cols] = D, so the
+        # right inverse M^+ = (I - K K^T)[:, cols] D^{-1}: M M^+ = I with the
+        # rows of M and the columns of M^+ scaled by 1 / d and d (entry (i, j)
+        # of M M^+ - I is d_i / d_j times the rounding of [I | Y] M^+ D), and
+        # M^+ M + K K^T = I: M^+ M projects onto the row space, orthogonally
+        # to the kernel
+        M, d, cols = Z[factors.left[:p]], factors.lead, factors.owned_columns
+        assert np.array_equal(M[:, cols], np.diag(d))
+        right = (np.eye(n) - kernel @ kernel.T)[:, cols] / d
         assert np.abs((M / d[:, None]) @ (right * d) - np.eye(p)).max() <= 1e-13
         assert np.abs(right @ M + kernel @ kernel.T - np.eye(n)).max() <= 1e-13
+        # the norms the certificate reads in place of M^+: ||M^+||_F^2 and
+        # ||M^+ D x||^2 = ||x||^2 - ||V^T x||^2
+        assert factors.lead_inv_norm_sq == pytest.approx((right**2).sum(), rel=1e-13)
+        x = rng.normal(size=(p, 3))
+        V = factors.gram[0]
+        expected = ((right @ (d[:, None] * x)) ** 2).sum()
+        assert (x**2).sum() - ((V.T @ x) ** 2).sum() == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("case", ["x-zero", "row-without-an-own-column"])
     def test_other_structures_keep_their_paths(self, case):

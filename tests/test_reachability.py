@@ -32,9 +32,10 @@ def decoupled(auto):
     return decouple(compute_index_and_chain(auto))
 
 
-def dense_psi(dec):
-    """``psi``: the sum of the reconstruction maps applied to the identity."""
-    return sum(dense_forms(dec)[2].values())
+def lift_against(dec, psi):
+    """``|dec.lift - psi W|`` at its largest, for a dense ``psi`` and the
+    ODE frame ``W``: the lift is ``psi`` on ``range(Pi)``."""
+    return np.abs(dec.lift - psi @ dec.ode_basis).max()
 
 
 def rc_style_pair():
@@ -49,39 +50,36 @@ def rc_style_pair():
 
 
 class TestBuildPsi:
-    """``psi`` from the package's reconstruction maps on the identity
-    against its closed forms in ``N`` and ``L3``/``L4``/``Z4``."""
+    """The package's lift ``psi W``, summed from the projector words on its
+    ODE frame ``W``, against the closed forms of ``psi`` in ``N`` and
+    ``L3``/``L4``/``Z4`` from the package's operators on the identity."""
 
     def test_index_1_formula(self, index1_pair):
         dec = decoupled(index1_pair)
-        psi = dense_psi(dec)
-        assert np.allclose(psi, np.eye(2) + dense_forms(dec)[0][2], atol=1e-14)
-        assert np.allclose(psi, np.diag([1.0, 0.0]), atol=1e-14)
+        assert lift_against(dec, np.eye(2) + dense_forms(dec)[0][2]) <= 1e-14
+        assert lift_against(dec, np.diag([1.0, 0.0])) <= 1e-14
 
     def test_rotating_masses_reduces_to_identity_plus_n3(
         self, rotating_masses_decoupled
     ):
         # N2 = 0 for this benchmark, so only the N3 term survives
-        psi = dense_psi(rotating_masses_decoupled)
-        assert np.allclose(psi, np.eye(6) + EXPECTED_N3, atol=1e-9)
+        assert lift_against(rotating_masses_decoupled, np.eye(6) + EXPECTED_N3) <= 1e-9
 
     @pytest.mark.parametrize("seed", range(5))
     def test_termwise_against_index_2_formula(self, seed):
         rng = np.random.default_rng(seed)
         ws = CanonicalDae(rng, 3, [2, 1])
         dec = decoupled(AutonomousDae(ws.E, ws.A))
-        psi = dense_psi(dec)
         N, couplings, _ = dense_forms(dec)
         n1, n2, n3 = N[1], N[2], N[3]
         expected = np.eye(dec.n) + n2 + n3 + couplings["L3"] @ n2 @ n1
-        assert np.allclose(psi, expected, atol=1e-12)
+        assert lift_against(dec, expected) <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_termwise_against_index_3_formula(self, seed):
         rng = np.random.default_rng(50 + seed)
         ws = CanonicalDae(rng, 2, [3])
         dec = decoupled(AutonomousDae(ws.E, ws.A))
-        psi = dense_psi(dec)
         N, couplings, _ = dense_forms(dec)
         n1, n2, n3, n4 = N[1], N[2], N[3], N[4]
         L3, L4, Z4 = couplings["L3"], couplings["L4"], couplings["Z4"]
@@ -95,7 +93,19 @@ class TestBuildPsi:
             + L4 @ L3 @ n2 @ n1 @ n1
             + Z4 @ n2 @ n1
         )
-        assert np.allclose(psi, expected, atol=1e-12)
+        assert lift_against(dec, expected) <= 1e-12
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_frame_against_the_reference_oracle(self, index):
+        # lift and ode_matrix against the dense ReferenceDecoupled of the
+        # same chain (its maps from oracles.dense_maps), at every index
+        rng = np.random.default_rng(60 + index)
+        ws = CanonicalDae(rng, 3, [index, 1])
+        dec = decoupled(AutonomousDae(ws.E, ws.A))
+        reference, W = dense_decoupled(dec), dec.ode_basis
+        assert dec.mu == index
+        assert lift_against(dec, reference.psi) <= 1e-12
+        assert np.abs(dec.ode_matrix - W.T @ reference.N[1] @ W).max() <= 1e-12
 
 
 def synthetic_dec(n1):
@@ -299,7 +309,7 @@ class TestReachInvariants:
         gamma = dense_decoupled(rotating_masses_decoupled).gamma
         settings = ReachSettings(time_step=0.01, num_steps=500)
         reach = compute_reach(rotating_masses_auto, rotating_masses_star, settings)
-        psi_norm = np.linalg.norm(dense_psi(reach.decoupled))
+        psi_norm = np.linalg.norm(dense_decoupled(reach.decoupled).psi)
         for j, basis in enumerate(reach.bases):
             bound = 1e-8 * (1.0 + psi_norm * np.exp(0.0) + j * 1e-3)
             assert np.abs(gamma @ basis).max() <= max(bound, 1e-10)
