@@ -3,15 +3,18 @@
 Refining the staggered grid produces index-2 DAEs of growing dimension
 (n = 3k^2 - 2k - 1 for a k-by-k grid).  For each size this script first
 times the three stages that build the decoupled system, each the median of
-three runs: the matrix chain (``compute_index_and_chain``), ``decouple``
-(the admissible correction, which forms the one n x n corrected terminal
-inverse from the chain's certificate blocks, and its residual check) and
-the ODE frame (``W``, the reduced matrix ``W^T N_1 W`` and the lift
-``psi W``).  It then builds a consistent initial star from random
-combinations of the columns of the lift (its range is the consistent
-space), runs a 100-step reachable-set computation, and checks a safety
-direction on the center-cell velocities, reporting the per-phase time
-breakdown: decoupling (D-T), reachable set computation (RSC-T), and
+three runs: the matrix chain (``compute_index_and_chain``, whose first step
+is the closed form of E = diag(I, 0), so A_1 K_1 is taken from the velocity
+columns of A alone), ``decouple`` (the admissible correction, which forms
+the one n x n corrected terminal inverse from the chain's certificate
+blocks, and its residual check) and the ODE frame (``W``, drawn and
+factored on the velocity rows, as the ODE subspace is exactly zero on the
+pressures, the reduced matrix ``W^T N_1 W`` and the lift ``psi W``).
+It then builds a consistent initial star from random combinations of the
+columns of the lift (its range is the consistent space), runs a 100-step
+reachable-set computation, and checks a safety direction on the
+center-cell velocities, reporting the per-phase time breakdown:
+decoupling (D-T), reachable set computation (RSC-T), and
 checking safety (CS-T).  More columns show accuracy and memory without the
 benchmark: the corrected terminal inverse's residual max|E_mu' E_mu'^-1 -
 I| (the ``terminal_inverse_residual`` of ``verdict.json``), and the peak

@@ -14,8 +14,11 @@ One factorization per singular chain matrix
 through it, its rank decision.  A chain matrix with exactly-zero rows, as
 those of a semi-explicit system such as Stokes, takes a closed form when
 it is a scaled column selection (Stokes ``E_0 = diag(I, 0)``), whose
-kernel basis is unit vectors, so both updates change only the kernel
-columns and take no product; Gram factors from one small Cholesky when
+kernel basis is the unit vectors of its zero columns ``c_j``, so both
+updates change only those columns and take no product: ``A_{j+1}[:, c_j]``
+is exactly zero and ``E_{j+1}[:, c_j] = -A_j[:, c_j]``, and while every
+step so far was such a one, ``A_j K_j`` is taken from the other columns of
+``A`` with no ``A_j`` formed; Gram factors from one small Cholesky when
 each nonzero row still owns a column (Stokes ``E_1 = [I | -G]``); a
 certified QR of its nonzero rows otherwise; and any other matrix takes an
 SVD.  The terminal matrix takes no factorization of its own when it can be
@@ -30,8 +33,8 @@ margin (:attr:`MatrixChain.decisions`).  The chain keeps no chain matrix
 past ``E_0 = E`` and ``A_0 = A``, the system's own arrays: each step
 ``X_{j+1} = X_j - (A_j K_j) K_j^T`` is recorded by its thin factors, ``E_j``
 and ``A_j`` (``j >= 1``) are formed from ``E_0`` and ``A_0`` through those
-steps only while ``E_j``'s own factors decide it and ``A_j K_j`` is taken,
-and are dropped then; the terminal ``E_mu`` is formed only when the
+steps only while ``E_j``'s own factors decide it and ``A_j K_j`` needs
+``A_j`` whole, and are dropped then; the terminal ``E_mu`` is formed only when the
 certificate declines it, and ``A_mu`` never.  A certified ``E_mu^{-1}`` is
 kept as the certificate's small blocks with the factors
 (:class:`~daereach.linalg.InverseBlocks`) where these gather rows, and no
@@ -62,8 +65,14 @@ ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
 dimension ``r = n - sum_j rank Q_j``; :attr:`DecoupledSystem.ode_basis`
 gives ``r``-dimensional coordinates on it, and the reach path reads only
 blocks of ``r`` or ``k`` columns: admissibility makes each word of the
-lift one word of length ``mu``, applied once.  Only indices 1 through 3
-are supported; higher indices raise.
+lift one word of length ``mu``, applied once.  After a closed-form first
+step, ``P_0`` is the last letter of ``Pi`` and ``Q_0`` is never
+corrected, so ``range(Pi)`` is exactly zero on the rows ``c_0`` (Stokes:
+the pressures): the frame is drawn and factored on the other rows, ``A_mu'
+W`` reads only the other columns of ``A`` and drops the exactly-zero term
+``(A_0 K_0)(W[c_0])``, and the residual check forms ``E_mu'`` from ``E``
+and ``A_0[:, c_0]`` with no ``E_1``; only products by exact zeros are
+skipped.  Only indices 1 through 3 are supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field
@@ -113,7 +122,10 @@ class MatrixChain:
     and ``kernel_images[j] = A_j K_j``, for the ``mu`` singular chain
     matrices ``E_0 .. E_{mu-1}``.  ``kernel_columns[j]`` is ``E_j``'s
     :attr:`~daereach.linalg.Factors.kernel_columns`: the columns whose unit
-    vectors are ``K_j`` when its closed form decided it, else ``None``.
+    vectors are ``K_j`` when its closed form decided it, else ``None``;
+    such a step leaves ``A_{j+1}[:, c_j]`` exactly zero, so while every
+    step before ``j`` was one, ``A_j K_j`` is formed from the other columns
+    of ``A`` (Stokes ``A_1 K_1 = A[:, v] K_1[v]``, ``v`` the velocities).
     Those three make up the recorded ``steps``, ``X_{j+1} = X_j - (A_j K_j)
     K_j^T`` for ``X = E`` and ``X = A``; no chain matrix past ``E`` and
     ``A`` is kept.  ``E_seq`` and ``A_seq``, ``[E_0 .. E_{mu-1}]`` and
@@ -236,7 +248,9 @@ class DecoupledSystem:
     of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``), ``R_j X`` is
     those rows of ``X`` while ``R_j = K_j^T`` is uncorrected, and ``Q_j X``
     takes no product through ``K_j``: it is ``R_j X`` scattered to those
-    rows; both are bit for bit the dense products.
+    rows; both are bit for bit the dense products.  While ``R_0`` is that
+    raw ``K_0^T``, ``range(Pi)`` is exactly zero on the rows ``c_0`` (see
+    ``_range_rows``), and the frame is formed and applied on the others.
 
     The reach path needs only thin blocks, and they are all that is cached:
     the ODE frame ``ode_basis`` ``W``, the reduced matrix ``ode_matrix``
@@ -347,13 +361,20 @@ class DecoupledSystem:
         """``Pi X``, ``Pi = projectors[1]``."""
         return self._apply({1: "P" * self.mu}, X)[1]
 
-    def _apply_source(self, X):
+    def _apply_source(self, X, on_range=False):
         """``A_mu' X = A X - sum_j (A_j K_j)(R_j X)`` over ``j < mu`` from the
-        raw chain's ``A`` and kernel images; ``A X`` at index 1."""
-        AX = self.raw.A @ X
+        raw chain's ``A`` and kernel images; ``A X`` at index 1.  A block
+        ``X`` ``on_range`` of ``Pi`` (the frame ``W``) is exactly zero off
+        ``_range_rows``, so ``A X`` is taken from those columns of ``A``
+        alone and the ``j = 0`` term, ``(A_0 K_0)`` times the zero rows
+        ``R_0 X = X[c_0]``, is exactly zero and not taken; every ``j >= 1``
+        term is kept."""
+        rows = self._range_rows if on_range else None
+        AX = self.raw.A @ X if rows is None else self.raw.A[:, rows] @ X[rows]
         if self.mu > 1:
             for j, image in enumerate(self.raw.kernel_images):
-                AX -= image @ self._kernel_rows(j, X)
+                if j or rows is None:
+                    AX -= image @ self._kernel_rows(j, X)
         return AX
 
     def apply_N(self, X):
@@ -363,6 +384,18 @@ class DecoupledSystem:
         return self._apply(fronts, self.inverse.apply(self._apply_source(X)), owned=True)
 
     @cached_property
+    def _range_rows(self):
+        """The rows on which ``range(Pi)`` may be nonzero: all but the
+        kernel columns ``c_0`` of a unit-vector ``K_0`` while ``R_0`` is the
+        raw ``K_0^T``, else ``None`` (every row).  ``P_0`` is the last letter
+        applied in ``Pi``, and ``P_0 Y = Y - Q_0 Y`` is then ``Y[c_0] -
+        Y[c_0]``, exactly zero, on rows ``c_0``."""
+        columns = self.raw.kernel_columns[0]
+        if columns is None or self.factors[0][1] is not self.raw.factors[0][1]:
+            return None
+        return _other_indices(self.n, [columns])
+
+    @cached_property
     def ode_basis(self):
         """``W``: coordinates on the ODE subspace ``range(Pi)``.
 
@@ -370,10 +403,21 @@ class DecoupledSystem:
         QR factor of ``Pi`` times a fixed-seed Gaussian ``n x r`` matrix, so
         that ``Pi = W W^T Pi``: the ODE component ``Pi v`` has coordinates
         ``W^T (Pi v)``.  ``N[1]`` maps into ``range(Pi)``, so ``x_1 = W y``
-        solves the ODE subsystem exactly when ``y' = ode_matrix y``.
+        solves the ODE subsystem exactly when ``y' = ode_matrix y``.  Where
+        ``range(Pi)`` is zero off ``_range_rows`` (Stokes: the velocities),
+        the Gaussian is drawn on those rows only and the thin QR factor of
+        those rows of ``Pi`` times it is written over them: the other rows
+        are ``P_0``'s exact zeros, whatever the factorization does.
         """
-        omega = np.random.default_rng(_FRAME_SEED).standard_normal((self.n, self.ode_rank))
-        return np.linalg.qr(self._apply({1: "P" * self.mu}, omega, owned=True)[1])[0]
+        shape, rows = (self.n, self.ode_rank), self._range_rows
+        draw = np.random.default_rng(_FRAME_SEED).standard_normal
+        if rows is None:
+            return np.linalg.qr(self._apply({1: "P" * self.mu}, draw(shape), owned=True)[1])[0]
+        omega = np.zeros(shape)
+        omega[rows] = draw(omega[rows].shape)
+        W = self._apply({1: "P" * self.mu}, omega, owned=True)[1]  # exactly zero off rows
+        W[rows] = np.linalg.qr(W[rows])[0]
+        return W
 
     def _frame(self, name):
         """``ode_matrix`` and ``lift`` from the ``2^mu`` words of length
@@ -383,10 +427,15 @@ class DecoupledSystem:
         ``N_i`` to one word (``L3 N[2] = Q_0 Q_1``): ``psi W = W + sum_q G_q
         M^{q-1}`` by Horner, ``G_q`` the sum of the words with ``q`` letters
         ``Q``.  ``A_mu' W`` keeps its terms ``(A_j K_j)(R_j W)``, which vanish
-        on ``range(Pi)`` only in exact arithmetic: ``M`` amplifies them."""
+        on ``range(Pi)`` only in exact arithmetic: ``M`` amplifies them.  Only
+        a unit-vector ``K_0``'s term is dropped, as ``W[c_0]`` is exactly
+        zero (see :meth:`_apply_source`)."""
         W, mu = self.ode_basis, self.mu
         words = {word: word for word in map("".join, product("PQ", repeat=mu))}
-        blocks = self._apply(words, self.inverse.apply(self._apply_source(W)), owned=True)
+        # S W is passed, not named, so that _apply drops it once read
+        blocks = self._apply(
+            words, self.inverse.apply(self._apply_source(W, on_range=True)), owned=True
+        )
         M = W.T @ blocks.pop("P" * mu)
         G = {}  # G[q]: the words with q letters Q, summed in place over the first
         for word, block in blocks.items():
@@ -435,9 +484,31 @@ def _chain_rows(X, steps, rows=slice(None)):
     return X
 
 
-def _kernel_image(A, K, columns):
-    """``A K``: a gather of ``columns`` for a unit-vector ``K``."""
-    return A @ K if columns is None else A[:, columns]
+def _other_indices(n, columns):
+    """The indices of ``range(n)`` in none of the index arrays ``columns``:
+    a slice when they are contiguous (Stokes: the velocities), so that the
+    columns or rows it takes are a view, else an index array."""
+    kept = np.ones(n, dtype=bool)
+    for c in columns:
+        kept[c] = False
+    kept = np.flatnonzero(kept)
+    if kept.size and kept[-1] - kept[0] == kept.size - 1:
+        return slice(int(kept[0]), int(kept[-1]) + 1)
+    return kept
+
+
+def _kernel_image(A, steps, K, columns):
+    """``A_mu K_mu``, ``A_mu`` taken from ``A`` through the recorded
+    ``steps``: a gather of ``columns`` for a unit-vector ``K``.  When every
+    step's kernel basis is the unit vectors of some columns, ``A_mu`` is
+    ``A`` with those columns exactly zero (each step subtracts a column from
+    itself), so a dense ``K`` meets only ``A``'s other columns and ``A_mu``
+    is not formed."""
+    if columns is None and steps and all(c is not None for _, _, c in steps):
+        kept = _other_indices(A.shape[1], [c for _, _, c in steps])
+        return A[:, kept] @ K[kept]
+    A_mu = _chain_rows(A, steps)
+    return A_mu @ K if columns is None else A_mu[:, columns]
 
 
 def compute_index_and_chain(sys):
@@ -455,12 +526,16 @@ def compute_index_and_chain(sys):
     margin.  Only what is read is formed, and kept only while it is read:
     ``E_{j+1}`` and ``A_{j+1}`` come from ``E`` and ``A`` through the
     recorded steps (:func:`_chain_rows`), ``E_{j+1}`` only when its own
-    factors decide it and ``A_{j+1}`` only when ``E_{j+1}`` is singular, and
-    each is dropped once factored or once ``A_{j+1} K_{j+1}`` is taken.  So
-    a certified terminal matrix is never formed, ``A_mu`` never is, and
-    neither is the product ``A_mu Q_mu`` before it.  A closed-form kernel
-    basis is the unit vectors of some columns: ``A_j K_j`` gathers them and
-    both updates subtract it from them, with no product.
+    factors decide it and ``A_{j+1}`` only when ``E_{j+1}`` is singular
+    after a step with a dense kernel basis, and each is dropped once
+    factored or once ``A_{j+1} K_{j+1}`` is taken.  So a certified terminal
+    matrix is never formed, ``A_mu`` never is, and neither is the product
+    ``A_mu Q_mu`` before it.  A closed-form kernel basis is the unit vectors
+    of some columns: ``A_j K_j`` gathers them and both updates subtract it
+    from them, with no product, which leaves those columns of ``A_{j+1}``
+    exactly zero; after only such steps ``A_{j+1} K_{j+1}`` is ``A``'s other
+    columns times those rows of ``K_{j+1}`` (:func:`_kernel_image`), and the
+    products by the zero columns are not taken.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -497,7 +572,7 @@ def compute_index_and_chain(sys):
         if mu < MAX_SUPPORTED_INDEX:
             columns = current.kernel_columns
             factors.append((kernel_basis, kernel_basis.T))
-            image = _kernel_image(_chain_rows(sys.A, steps), kernel_basis, columns)  # A_mu K_mu
+            image = _kernel_image(sys.A, steps, kernel_basis, columns)  # A_mu K_mu
             steps.append((image, kernel_basis.T, columns))
     if not check_regularity(sys):
         raise IrregularPencilError(
@@ -510,29 +585,44 @@ def compute_index_and_chain(sys):
     )
 
 
+def _terminal_rows(E, steps, terms, rows):
+    """Rows ``rows`` of ``E' = E_j - sum image R``, a new array: ``E_j`` is
+    ``E`` taken through the raw chain's ``steps`` (none or one) and the sum
+    runs over the ``(image, R)`` of ``terms``.  After one closed-form step,
+    ``E_1`` is ``E`` less ``A_0 K_0 = A[:, c_0]`` on the columns ``c_0``,
+    which are exactly zero in ``E``: the rows of ``E`` less the sum, less
+    that image on ``c_0``, round as ``(0 - a) - s`` and ``(0 - s) - a`` do,
+    alike, so the block is bit for bit the one taken through ``E_1``, and
+    ``E_1`` is not formed.  Otherwise at most two blocks of rows are alive
+    at once: those of ``E_j`` are formed first and dropped once read."""
+    (image, R), *rest = terms
+    closed_form = len(steps) == 1 and steps[0][2] is not None
+    rows_of_E = E[rows] if closed_form else _chain_rows(E, steps, rows)
+    block = image[rows] @ R  # rows of sum_j A_j Q_j'
+    for image_j, R_j in rest:
+        block += image_j[rows] @ R_j
+    np.subtract(rows_of_E, block, out=block)
+    if closed_form:
+        image_0, _, columns = steps[0]
+        block[:, columns] -= image_0[rows]
+    return block
+
+
 def _inverse_residual(E, steps, terms, inverse):
     """``max|E' E'^{-1} - I|``, with ``E'`` the rows of ``E`` taken through
     the raw chain's ``steps`` less ``sum image R`` over the ``(image, R)`` of
-    ``terms``, and ``E'^{-1} = B U^T`` from ``inverse``.  ``E'`` is formed a
-    block of rows at a time, so no ``n x n`` sum, ``E'`` or residual exists;
-    every one of the ``n^2`` entries is checked.
+    ``terms`` (:func:`_terminal_rows`), and ``E'^{-1} = B U^T`` from
+    ``inverse``.  ``E'`` is formed a block of rows at a time, so no ``n x
+    n`` sum, ``E'`` or residual exists; every one of the ``n^2`` entries is
+    checked.
     ``E' B U^T - I`` is ``E' B`` with its columns scattered to ``left``, so
     row ``i`` of the identity has its one at the column of ``E' B`` that
     ``left`` sends to ``i``; for ``U = I``, on the diagonal."""
     n = E.shape[0]
     ones = None if inverse.left is None else np.argsort(inverse.left)
-    (image, R), *rest = terms
     residual = 0.0
     for rows in row_blocks(n):
-        # at most two blocks of rows are alive at once: the rows of E_1 are
-        # formed first, and each block is dropped once it is read
-        rows_of_E = _chain_rows(E, steps, rows)
-        block = image[rows] @ R  # rows of sum_j A_j Q_j'
-        for image_j, R_j in rest:
-            block += image_j[rows] @ R_j
-        np.subtract(rows_of_E, block, out=block)  # rows of E_mu'
-        del rows_of_E
-        block = block @ inverse.B
+        block = _terminal_rows(E, steps, terms, rows) @ inverse.B
         if ones is None:
             block.reshape(-1)[rows.start :: n + 1] -= 1.0
         else:

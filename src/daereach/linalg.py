@@ -304,7 +304,10 @@ def rank_factors(Z):
                     bound = math.sqrt((r[:p] ** 2).sum() * (r_inv**2).sum())
                 if bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
                     decision = {"method": "qr", "bound": bound}
-                    return Factors(order, r[:p].T, np.zeros(n - p), q, p, decision, r_inv.T)
+                    # a copy of the p x p block, in its memory order: a view
+                    # would keep the whole n x p R alive with the factors
+                    lead = r[:p].T.copy(order="K")
+                    return Factors(order, lead, np.zeros(n - p), q, p, decision, r_inv.T)
     return svd_factors(Z)
 
 

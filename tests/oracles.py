@@ -547,15 +547,24 @@ def stored_chain(auto):
     package's own factorizations: ``E_{j+1} = E_j - A_j Q_j`` and ``A_{j+1}
     = A_j - A_j Q_j`` with the one product ``A_j Q_j = (A_j K_j) K_j^T``
     shared, or, for a unit-vector ``K_j``, ``A_j K_j`` subtracted from the
-    kernel columns of a copy."""
+    kernel columns of a copy.  While every earlier ``K_i`` was unit vectors,
+    a dense ``K_j`` takes ``A_j K_j`` from the columns of ``A`` none of them
+    selected, where ``A_j`` equals ``A``: it is zero on the others."""
     from daereach.linalg import kernel_basis_and_inverse, rank_factors, rank_update_inverse
 
     E, A, images = [auto.E], [auto.A], []
     factors = rank_factors(auto.E)
+    kept = np.ones(auto.n, dtype=bool)  # columns no unit-vector K_i selected
+    unit_vectors = True  # every earlier K_i was unit vectors
     while True:
         K, _ = kernel_basis_and_inverse(factors)
         columns = factors.kernel_columns
-        images.append(A[-1] @ K if columns is None else A[-1][:, columns])
+        if columns is not None:
+            images.append(A[-1][:, columns])
+            kept[columns] = False
+        else:
+            images.append(auto.A[:, kept] @ K[kept] if images and unit_vectors else A[-1] @ K)
+            unit_vectors = False
         if rank_update_inverse(factors, images[-1])[0] is not None:
             return E, A, images
         if columns is None:

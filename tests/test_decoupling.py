@@ -12,13 +12,14 @@ from daereach import (
     compute_index_and_chain,
     decouple,
 )
-from daereach.decoupling import DecoupledSystem
+from daereach.decoupling import DecoupledSystem, _chain_rows, _terminal_rows
 from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
     RANK_REL_TOL,
     InverseBlocks,
     rank_update_inverse,
+    row_blocks,
     svd_factors,
 )
 from daereach.model import AutonomousDae
@@ -821,6 +822,45 @@ def test_semi_explicit_correction_matches_the_dense_one(monkeypatch):
         assert raw.inverse is None and ours.inverse.B is blocks.B, seed  # corrected in place
 
 
+@pytest.mark.parametrize(
+    "make_auto",
+    [lambda: _stokes_k_auto(4), lambda: _stokes_k_auto(8), lambda: _stokes_k_auto(12),
+     lambda: _nilpotent_auto(7)],
+    ids=["stokes-4", "stokes-8", "stokes-12", "nilpotent-3"],
+)
+def test_closed_form_first_step_leaves_exact_zeros(make_auto):
+    """What the chain, the frame and the residual check skip after a
+    closed-form ``E_0`` with kernel columns ``c_0``: ``A_1[:, c_0]`` is
+    exactly zero and ``E_1[:, c_0]`` is ``0 - A_0[:, c_0]`` bit for bit, so
+    ``A_1 K_1`` reads only ``A``'s other columns; ``W[c_0]`` is exactly
+    zero, with ``W`` orthonormal and ``Pi W = W`` to rounding, so ``A_mu'
+    W`` drops ``(A_0 K_0)(W[c_0])``; and the rows of ``E_mu'`` formed from
+    ``E`` with ``A_0[:, c_0]`` subtracted last are the bytes of those formed
+    through ``E_1``."""
+    auto = make_auto()
+    chain = compute_index_and_chain(auto)
+    columns = chain.kernel_columns[0]
+    assert chain.decisions[0]["method"] == "diagonal" and chain.kernel_columns[1] is None
+    E_1, A_1 = chain.E_seq[1], chain.A_seq[1]
+    assert not A_1[:, columns].any()
+    assert E_1[:, columns].tobytes() == (0.0 - auto.A[:, columns]).tobytes()  # zeros are +0.0
+    steps = chain.steps
+    dec = decouple(chain)
+    W = dec.ode_basis
+    assert not W[columns].any()
+    assert np.abs(W.T @ W - np.eye(dec.ode_rank)).max() <= 1e-13
+    assert np.abs(dec.ode_component(W) - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
+    terms = [(steps[j][0], dec.factors[j][1]) for j in range(1, dec.mu)]
+    for rows in row_blocks(auto.n):
+        (image, R), *rest = terms
+        through_E_1 = _chain_rows(auto.E, steps[:1], rows)
+        expected = image[rows] @ R
+        for image_j, R_j in rest:
+            expected += image_j[rows] @ R_j
+        np.subtract(through_E_1, expected, out=expected)
+        assert _terminal_rows(auto.E, steps[:1], terms, rows).tobytes() == expected.tobytes()
+
+
 def _chain_and_decouple_peak(auto):
     """The traced peak of :func:`compute_index_and_chain` followed by
     :func:`decouple`, from before the chain, in ``n x n`` arrays
@@ -876,18 +916,51 @@ def test_decouple_peak_memory_on_stokes_12():
     assert arrays <= 4.5
 
 
+def _decouple_peak(auto):
+    """The traced peak of :func:`decouple` alone, from after the chain, in
+    ``n x n`` arrays: what it forms above the arrays the chain holds."""
+    decouple(compute_index_and_chain(auto))  # first-call imports and caches
+    chain = compute_index_and_chain(auto)
+    tracemalloc.start()
+    try:
+        decouple(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * auto.n**2)
+
+
+def large_semi_explicit_systems():
+    """Five random semi-explicit index-2 systems of ``n`` from 160 to 200,
+    whose ``E_0`` takes the certified QR and ``E_1`` the SVD: large enough
+    that one ``n x n`` array (about 0.2-0.3 MB) outweighs the interpreter's
+    objects in a traced peak."""
+    for seed in range(5):
+        rng = np.random.default_rng(2000 + seed)
+        dynamic_dim = int(rng.integers(100, 120))
+        blocks = [2] + list(rng.integers(1, 3, size=int(rng.integers(30, 60))))
+        yield _semi_explicit_auto(rng, dynamic_dim, blocks)[0]
+
+
 def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
     """The chain followed by :func:`decouple`, traced from before the chain,
-    holds no more than a chain that formed the uncorrected inverse and a
-    ``decouple`` that corrected it in place: 8.3184 ``n x n`` arrays at
-    worst over the SVD index-2 semi-explicit systems (small ``n``, where
-    thin arrays weigh; the peak is the chain's own SVDs), and 6.66 at index
-    3 on 100 nilpotent blocks (``n = 302``), where the corrected inverse is
-    written over the QR's ``W``."""
-    worst = max(_chain_and_decouple_peak(auto) for _, _, auto, _ in semi_explicit_systems(2))
+    on SVD-path index-2 semi-explicit systems of ``n`` about 200: at most
+    7.00 ``n x n`` arrays (the worst was 6.998, at the chain's own SVDs),
+    and ``decouple`` alone, from after the chain, at most 1.29 (worst
+    1.2861), so a ``decouple`` that keeps one more ``n x n`` array fails.
+    At index 3 on 100 nilpotent blocks (``n = 302``), at most 6.44 from
+    before the chain (6.326), where the corrected inverse is written over
+    the QR's ``W`` and the QR factors keep a copy of their ``p x p`` lead
+    block, not the ``n x p`` ``R`` behind it (6.547 with ``R``)."""
+    systems = list(large_semi_explicit_systems())
+    methods = [[d["method"] for d in compute_index_and_chain(auto).decisions] for auto in systems]
+    assert methods == [["qr", "svd", "certificate"]] * len(systems)
+    worst = max(_chain_and_decouple_peak(auto) for auto in systems)
+    own = max(_decouple_peak(auto) for auto in systems)
     index_3 = _chain_and_decouple_peak(_nilpotent_auto(100))
-    print(f"\nchain and decouple peak: SVD index 2 {worst:.4f}, index 3 {index_3:.2f} n x n arrays")
-    assert worst <= 8.3184 and index_3 <= 6.66
+    print(f"\nSVD index 2: chain and decouple {worst:.4f}, decouple {own:.4f}; "
+          f"index 3: chain and decouple {index_3:.3f} n x n arrays")
+    assert worst <= 7.00 and own <= 1.29 and index_3 <= 6.44
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:8"])
@@ -991,7 +1064,8 @@ def test_weierstrass_row_masks_match_dense_products(monkeypatch, blocks):
     ``E_1`` that is a scaled column selection would have a zero column of
     ``E`` and ``A`` alike: an irregular pencil), so the scatter of a
     corrected ``R_0 Y`` runs on a copy with ``Q_0`` swapped for an oblique
-    projector onto the same kernel."""
+    projector onto the same kernel.  Each frame spans ``range(Pi)``: the
+    copy's is not zero on the kernel rows, so its frame takes every row."""
     rng = np.random.default_rng(len(blocks))
     auto = AutonomousDae(*weierstrass_auto(rng, 14, blocks))
     dec = decouple(compute_index_and_chain(auto))
@@ -1005,6 +1079,11 @@ def test_weierstrass_row_masks_match_dense_products(monkeypatch, blocks):
     swapped = dataclasses.replace(dec, factors=((K0, oblique),) + dec.factors[1:])
     monkeypatch.undo()
     _row_masks_match_dense_products(monkeypatch, swapped)
+    monkeypatch.undo()
+    for system in (dec, swapped):  # the frame spans range(Pi), off c_0 only for the raw R_0
+        W = system.ode_basis
+        assert np.abs(system.ode_component(W) - W).max() <= 1e-12
+        assert np.abs(W.T @ W - np.eye(W.shape[1])).max() <= 1e-13
 
 
 @pytest.mark.parametrize(

@@ -445,13 +445,14 @@ def test_reach_path_builds_nothing_dense(model):
 
 
 def test_compute_reach_peak_memory_on_stokes_12():
-    """:func:`compute_reach` on Stokes ``k = 12`` holds at most 5 ``n x n``
-    arrays at once and keeps at most 4 once it returns, the result's
-    included (``tracemalloc``, which numpy reports to; the system's own
-    ``E`` and ``A`` were made before).  A chain that kept ``E_1`` and ``A_1``
-    and a frame that kept ``N W`` measured 8.3 and 7.6; a decoupled system
-    that kept ``A_2'`` as its source kept 4.7, and Gram factors that kept
-    ``E_1``'s dense ``W`` peaked at 5.8."""
+    """:func:`compute_reach` on Stokes ``k = 12`` holds at most 4.5 ``n x
+    n`` arrays at once (it read 4.36) and keeps at most 4 once it returns,
+    the result's included (``tracemalloc``, which numpy reports to; the
+    system's own ``E`` and ``A`` were made before).  A chain that kept
+    ``E_1`` and ``A_1`` and a frame that kept ``N W`` measured 8.3 and 7.6;
+    a decoupled system that kept ``A_2'`` as its source kept 4.7, Gram
+    factors that kept ``E_1``'s dense ``W`` peaked at 5.8, and a frame that
+    held its ``n x r`` block ``S W`` while the words were applied, 4.64."""
     import tracemalloc
 
     from daereach import load_model, to_autonomous
@@ -471,7 +472,7 @@ def test_compute_reach_peak_memory_on_stokes_12():
     arrays = 8 * auto.n**2
     print(f"\ncompute_reach: peak {peak / arrays:.2f}, kept {alive / arrays:.2f} n x n arrays")
     assert reach.decoupled.mu == 2
-    assert peak <= 5.0 * arrays and alive <= 4.0 * arrays
+    assert peak <= 4.5 * arrays and alive <= 4.0 * arrays
 
 
 class TestSettingsValidation:
