@@ -409,12 +409,10 @@ class DecoupledSystem:
         those rows of ``Pi`` times it is written over them: the other rows
         are ``P_0``'s exact zeros, whatever the factorization does.
         """
-        shape, rows = (self.n, self.ode_rank), self._range_rows
-        draw = np.random.default_rng(_FRAME_SEED).standard_normal
-        if rows is None:
-            return np.linalg.qr(self._apply({1: "P" * self.mu}, draw(shape), owned=True)[1])[0]
-        omega = np.zeros(shape)
-        omega[rows] = draw(omega[rows].shape)
+        rows = self._range_rows
+        rows = slice(None) if rows is None else rows
+        omega = np.zeros((self.n, self.ode_rank))
+        omega[rows] = np.random.default_rng(_FRAME_SEED).standard_normal(omega[rows].shape)
         W = self._apply({1: "P" * self.mu}, omega, owned=True)[1]  # exactly zero off rows
         W[rows] = np.linalg.qr(W[rows])[0]
         return W
