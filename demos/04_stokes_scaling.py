@@ -5,28 +5,30 @@ Refining the staggered grid produces index-2 DAEs of growing dimension
 times the three stages that build the decoupled system, each the median of
 three runs: the matrix chain (``compute_index_and_chain``, whose first step
 is the closed form of E = diag(I, 0), so A_1 K_1 is taken from the velocity
-columns of A alone), ``decouple`` (the admissible correction, which forms
-the one n x n corrected terminal inverse from the chain's certificate
-blocks, and its residual check) and the ODE frame (``W``, drawn and
+columns of A alone), ``decouple`` (the admissible correction, which keeps
+the corrected terminal inverse as the chain's certificate blocks and one
+m x n block, with no n x n array) and the ODE frame (``W``, drawn and
 factored on the velocity rows, as the ODE subspace is exactly zero on the
-pressures, the reduced matrix ``W^T N_1 W`` and the lift ``psi W``).
+pressures, the reduced matrix ``W^T N_1 W`` and the lift ``psi W``, and
+the check of the one solve E_mu'^-1 (A_mu' W) they take).
 It then builds a consistent initial star from random combinations of the
 columns of the lift (its range is the consistent space), runs a 100-step
 reachable-set computation, and checks a safety direction on the
 center-cell velocities, reporting the per-phase time breakdown:
 decoupling (D-T), reachable set computation (RSC-T), and
 checking safety (CS-T).  More columns show accuracy and memory without the
-benchmark: the corrected terminal inverse's residual max|E_mu' E_mu'^-1 -
-I| (the ``terminal_inverse_residual`` of ``verdict.json``), and the peak
-of the arrays ``compute_reach`` allocates and those its result keeps,
-traced by ``tracemalloc`` in a second, untimed run, in MB and in n x n
-arrays of 8n^2 bytes.  Past the smallest grids, where fixed costs weigh,
-the peak stays under five such arrays and under four are kept: the chain
-keeps no chain matrix past the model's own E and A and no n x n inverse
-(its Gram factors of E_1 and the certificate's small blocks), the
-decoupled system applies A_mu' from the chain's factors, so the one n x n
-array it adds is the corrected terminal inverse, and the frame keeps none
-of the projector words it applies to S W.
+benchmark: the relative residual max|E_mu' X - Y| / max|Y| of that solve,
+X = E_mu'^-1 Y for Y = A_mu' W (the ``solve_residual`` of
+``verdict.json``), and the peak of the arrays ``compute_reach`` allocates
+and those its result keeps, traced by ``tracemalloc`` in a second,
+untimed run, in MB and in n x n arrays of 8n^2 bytes.  Past the smallest
+grids, where fixed costs weigh, the peak stays under four such arrays and
+under three and a half are kept: the chain keeps no chain matrix past the
+model's own E and A and no n x n inverse (its Gram factors of E_1 and the
+certificate's small blocks), the decoupled system applies A_mu' from the
+chain's factors and E_mu'^-1 from the certificate's blocks, so it adds no
+n x n array, and the frame keeps none of the projector words it applies
+to S W.
 
 Grid sizes may be given on the command line, for example
 ``python demos/04_stokes_scaling.py 16 24 32``; the default is
@@ -71,7 +73,7 @@ def stage_times(auto, repeats=3):
 grids = [int(k) for k in sys.argv[1:]] or [2, 3, 4, 5, 6, 8, 10, 12, 16]
 rng = np.random.default_rng(0)
 print(f"{'k':>3} {'n':>6} {'index':>5} {'chain':>8} {'decouple':>8} {'frame':>8} "
-      f"{'D-T [ms]':>10} {'RSC-T [ms]':>11} {'CS-T [ms]':>10} {'verdict':>8} {'residual':>9} "
+      f"{'D-T [ms]':>10} {'RSC-T [ms]':>11} {'CS-T [ms]':>10} {'verdict':>8} {'solve res':>9} "
       f"{'peak [MB]':>10} {'[n x n]':>8} {'kept [n x n]':>12}")
 
 for k in grids:
@@ -108,7 +110,7 @@ for k in grids:
         f"{1e3 * reach.timings['decouple_s']:>10.2f} "
         f"{1e3 * reach.timings['reach_s']:>11.2f} "
         f"{cs_ms:>10.2f} {outcome.status:>8} "
-        f"{reach.decoupled.inverse_residual:>9.1e} {peak / 2**20:>10.2f} "
+        f"{reach.decoupled.solve_residual:>9.1e} {peak / 2**20:>10.2f} "
         f"{peak / (8 * auto.n**2):>8.2f} {kept / (8 * auto.n**2):>12.2f}"
     )
 

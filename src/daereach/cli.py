@@ -6,10 +6,11 @@ output directory:
 
 * ``verdict.json`` -- always; mode-specific fields plus ``timings`` in
   seconds: ``decouple_s`` (reach and verify: the chain, the admissible
-  correction and its residual check, the lazily built ``W``, ``W^T N_1
-  W`` and lift, and the consistency check), ``reach_s`` (reach and verify: the
-  expm and the propagation), ``safety_s`` (verify: the pull-back, the
-  screen, the LPs and the trace) and ``total_s`` (the whole run)
+  correction, the lazily built ``W``, ``W^T N_1 W`` and lift with the
+  check of the one solve they take, and the consistency check),
+  ``reach_s`` (reach and verify: the expm and the propagation),
+  ``safety_s`` (verify: the pull-back, the screen, the LPs and the trace)
+  and ``total_s`` (the whole run)
 * ``trace.csv`` -- verify mode, when the verdict is unsafe
 * ``reach.csv`` -- reach mode; per-step star basis entries
 * ``bounds.csv`` -- reach/verify modes when ``--directions`` is given;
@@ -29,8 +30,11 @@ from an earlier run in the same directory; an inconsistent initial set's
 also names the mode and model and carries the consistency certificate.
 Every completed run's verdict reports the health of the stages it ran:
 the chain's rank decisions and certified terminal bound, and past the
-index, the ODE rank and the corrected chain's residuals; it also states
-the ``tolerances`` the run decided by.
+index, the ODE rank and the corrected chain's residuals: the residual of
+the terminal solve the lift reads (``solve_residual``), or in decouple
+mode, which writes the dense coefficients, the full residual of the
+terminal inverse (``terminal_inverse_residual``); it also states the
+``tolerances`` the run decided by.
 """
 
 import argparse
@@ -209,11 +213,12 @@ def _write_bounds(out_dir, times, reach, directions):
     return support.method
 
 
-def _health(chain, decoupled=None):
+def _health(chain, decoupled=None, full_check=False):
     """The health fields of the stages a run took: the index, each raw
     chain matrix's rank decision and the certified terminal bound, and,
     given the :class:`~daereach.decoupling.DecoupledSystem`, the ODE rank,
-    the corrected terminal inverse's residual and the admissibility
+    the residual of the terminal solve the lift reads (with ``full_check``,
+    of the whole terminal inverse instead) and the admissibility
     residual."""
     health = {
         "index": chain.mu,
@@ -222,7 +227,10 @@ def _health(chain, decoupled=None):
     }
     if decoupled is not None:
         health["ode_rank"] = decoupled.ode_rank
-        health["terminal_inverse_residual"] = decoupled.inverse_residual
+        if full_check:
+            health["terminal_inverse_residual"] = decoupled.inverse_residual
+        else:
+            health["solve_residual"] = decoupled.solve_residual
         health["admissibility_residual"] = decoupled.admissibility_residual
     return health
 
@@ -276,6 +284,7 @@ def run_job(args):
         summary = f"index: {chain.mu}"
     elif args.mode == "decouple":
         dec = decouple_system(autonomous)
+        health = _health(dec.raw, dec, full_check=True)  # checked before anything is written
         identity = np.eye(dec.n)
         couplings = dec.apply_couplings(identity)
         document = {
@@ -285,7 +294,7 @@ def run_job(args):
         for key in ("L3", "L4", "Z4"):
             document[key] = couplings[key].tolist() if key in couplings else None
         _write_json(out_dir / "decoupled.json", document, indent=1)
-        payload.update(_health(dec.raw, dec))
+        payload.update(health)
         summary = f"index: {dec.mu}; wrote decoupled.json"
     elif args.mode == "check-consistency":
         dec = decouple_system(autonomous)

@@ -38,7 +38,8 @@ steps only while ``E_j``'s own factors decide it and ``A_j K_j`` needs
 certificate declines it, and ``A_mu`` never.  A certified ``E_mu^{-1}`` is
 kept as the certificate's small blocks with the factors
 (:class:`~daereach.linalg.InverseBlocks`) where these gather rows, and no
-``n x n`` inverse is formed until :func:`decouple` forms the corrected one.
+``n x n`` inverse is formed: :func:`decouple` keeps the corrected one as
+blocks too.
 
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
@@ -49,9 +50,12 @@ and ``Q'`` project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' =
 (Lamour, Maerz & Tischendorf, *DAEs: A Projector Based Analysis*, 2013).
 So the corrected chain's kernels are the raw chain's, and its terminal
 inverse is the raw one times rank-``m`` updates (every corrected
-projector is ``K_j R_j``), formed once from the chain's blocks, or
-written over its dense inverse, then checked by its residual over all
-``n^2`` entries.
+projector is ``K_j R_j``), kept as the chain's blocks and one ``m x n``
+block more, or written over its dense inverse.  It is checked where it
+is used: the frame's one solve ``E_mu'^{-1} (A_mu' W)`` is checked by its
+residual, taken from the factors, and ``--mode decouple``, which forms
+the dense inverse, checks all ``n^2`` entries of ``E_mu' E_mu'^{-1} -
+I``.
 
 Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
@@ -139,9 +143,9 @@ class MatrixChain:
     from the certificate on SVD factors or from ``E_mu``'s own SVD;
     ``terminal_inverse`` is a new dense ``E_mu^{-1}``, formed on read from
     them.  A chain decouples once: :func:`decouple` takes the inverse,
-    forms the corrected one from the blocks or writes it over the dense
-    inverse, and sets ``inverse`` to ``None``, so a second :func:`decouple`
-    or a later ``terminal_inverse`` raises :class:`ValueError`.
+    keeps the corrected one as blocks or writes it over the dense inverse,
+    and sets ``inverse`` to ``None``, so a second :func:`decouple` or a
+    later ``terminal_inverse`` raises :class:`ValueError`.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -235,16 +239,16 @@ class DecoupledSystem:
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
     holds only the corrected ``factors`` and the ``inverse`` ``E_mu'^{-1}``
-    (:class:`~daereach.linalg.InverseBlocks` formed by :func:`decouple`:
-    ``B = E_mu'^{-1} U`` and the row order, or dense), with the ``raw``
-    chain they came from (the index ``mu``, ``A_0 = A`` and the ``A_j K_j``
-    are its) and the checked ``inverse_residual`` ``max|E_mu' E_mu'^{-1} -
-    I|``; ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on
+    (:class:`~daereach.linalg.InverseBlocks` from :func:`decouple`: the
+    certificate's blocks and the ``m x n`` correction, with no ``n x n``
+    array, or dense on SVD factors), with the ``raw`` chain they came from
+    (the index ``mu``, ``A_0 = A``, ``E_0 = E`` and the ``A_j K_j`` are
+    its); ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on
     read.  It applies the one operator ``X -> {i: N_i X}`` to blocks right
-    to left: ``S X = (E_mu'^{-1} U) (A_mu' X)[left]`` with ``A_mu' X = A X -
-    sum_j (A_j K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j
-    X)``, ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs ``O(n^2 c)``;
-    no ``n x n x n`` product is taken.  Where ``K_j`` is the unit vectors
+    to left: ``S X = E_mu'^{-1} (A_mu' X)`` with ``A_mu' X = A X - sum_j
+    (A_j K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j X)``,
+    ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs ``O(n^2 c)``; no ``n
+    x n x n`` product is taken.  Where ``K_j`` is the unit vectors
     of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``), ``R_j X`` is
     those rows of ``X`` while ``R_j = K_j^T`` is uncorrected, and ``Q_j X``
     takes no product through ``K_j``: it is ``R_j X`` scattered to those
@@ -259,7 +263,13 @@ class DecoupledSystem:
     from the ``2^mu`` projector words of length ``mu`` applied once to ``S
     W`` (see ``_frame``), which are not kept; the words
     overwrite each product they no longer read (``P_j Y = Y - Q_j Y`` over
-    ``Y``) and drop each tail once its words are formed.  A dense form is
+    ``Y``) and drop each tail once its words are formed.  ``S W``, the one
+    solve the reach path takes, is checked when it is taken: its relative
+    residual ``solve_residual`` must not exceed ``sqrt(RANK_REL_TOL)`` (see
+    :meth:`_checked_solve`), or reading the frame raises
+    :class:`SingularMatrixError`.  ``inverse_residual`` is that check at
+    ``Y = I``, over all ``n^2`` entries of the dense inverse, taken only
+    when read (``--mode decouple`` and the tests).  A dense form is
     the operator applied to the identity: ``apply_N(I)`` gives the
     coefficients ``N``, ``apply_couplings(I)`` the multipliers
     ``L3``/``L4``/``Z4`` of derivative terms of lower constraint
@@ -271,7 +281,6 @@ class DecoupledSystem:
     raw: MatrixChain = field(repr=False)
     factors: tuple = field(repr=False)
     inverse: InverseBlocks = field(repr=False)
-    inverse_residual: float
 
     @property
     def terminal_inverse(self):
@@ -377,6 +386,58 @@ class DecoupledSystem:
                     AX -= image @ self._kernel_rows(j, X)
         return AX
 
+    def _checked_solve(self, Y):
+        """``(X, rho)``: ``X = E_mu'^{-1} Y`` and its relative residual ``rho
+        = max|E_mu' X - Y| / max|Y|`` (``max|E_mu' X - Y|`` for ``Y = 0``).
+        A ``rho`` above ``sqrt(RANK_REL_TOL)``, or NaN, raises
+        :class:`SingularMatrixError`.
+
+        ``E_mu' X`` is taken from the factors, a block of rows at a time, as
+        ``E X - (A_0 K_0)(K_0^T X) - sum_j (A_j K_j)(R_j X)`` over ``1 <= j <
+        mu``: :func:`decouple` never corrects ``Q_0``, so ``E_mu'`` is the raw
+        ``E_1 = E - (A_0 K_0) K_0^T`` less the corrected terms.  After a
+        closed-form first step, ``E``'s columns ``c_0`` are exactly zero:
+        ``E X`` is taken from the other columns when they are contiguous (a
+        copy of scattered ones would cost more than the zeros), and ``K_0^T
+        X`` is the rows ``c_0`` of ``X``.  No ``n x n`` array is formed for
+        an ``n x r`` ``Y``."""
+        X = self.inverse.apply(Y)
+        raw, columns = self.raw, self.raw.kernel_columns[0]
+        E, EX_rows = raw.E, X
+        if columns is None:
+            first = raw.factors[0][1] @ X
+        else:
+            first, kept = X[columns], _other_indices(self.n, [columns])
+            if isinstance(kept, slice):
+                E, EX_rows = E[:, kept], X[kept]
+        terms = [(raw.kernel_images[0], first)]
+        terms += [(raw.kernel_images[j], self._kernel_rows(j, X)) for j in range(1, self.mu)]
+        top = 0.0
+        for rows in row_blocks(self.n) if Y.size else ():
+            block = E[rows] @ EX_rows
+            for image, RX in terms:
+                block -= image[rows] @ RX
+            block -= Y[rows]
+            block_top = float(np.abs(block, out=block).max())
+            if top == top and not block_top <= top:  # a NaN is kept
+                top = block_top
+        scale = float(np.abs(Y).max()) if Y.size else 0.0
+        rho = top / scale if scale > 0.0 else top + scale  # a NaN in Y is kept
+        if not rho <= np.sqrt(RANK_REL_TOL):
+            raise SingularMatrixError(
+                f"the corrected chain's terminal solve has residual {rho:.3e}; the "
+                "index classification is unreliable at this tolerance"
+            )
+        return X, rho
+
+    @cached_property
+    def inverse_residual(self):
+        """``max|E_mu' E_mu'^{-1} - I|`` over all ``n^2`` entries: the solve
+        check of :meth:`_checked_solve` at ``Y = I``, which forms the dense
+        ``E_mu'^{-1}``; raises as that check does.  The reach path reads
+        only ``solve_residual``."""
+        return self._checked_solve(np.eye(self.n))[1]
+
     def apply_N(self, X):
         """``{i: N[i] X}``: ``S X = E_mu'^{-1} (A_mu' X)`` through every
         subsystem's front."""
@@ -430,10 +491,12 @@ class DecoupledSystem:
         zero (see :meth:`_apply_source`)."""
         W, mu = self.ode_basis, self.mu
         words = {word: word for word in map("".join, product("PQ", repeat=mu))}
-        # S W is passed, not named, so that _apply drops it once read
-        blocks = self._apply(
-            words, self.inverse.apply(self._apply_source(W, on_range=True)), owned=True
-        )
+        # A_mu' W is passed, not named, so that it is dropped once checked, and
+        # S W is let go once applied: the words overwrite it with P..P S W,
+        # which is dropped once M is formed
+        SW, residual = self._checked_solve(self._apply_source(W, on_range=True))
+        blocks = self._apply(words, SW, owned=True)
+        del SW
         M = W.T @ blocks.pop("P" * mu)
         G = {}  # G[q]: the words with q letters Q, summed in place over the first
         for word, block in blocks.items():
@@ -443,7 +506,7 @@ class DecoupledSystem:
         for q in range(mu - 1, 0, -1):
             lift = np.add(lift @ M, G[q], out=G[q])
         lift += W
-        vars(self).update(ode_matrix=M, lift=lift)
+        vars(self).update(ode_matrix=M, lift=lift, solve_residual=residual)
         return vars(self)[name]
 
     @cached_property
@@ -457,6 +520,13 @@ class DecoupledSystem:
         ``maps[i] W`` (``maps[1] W = W``); its range is the consistent
         space."""
         return self._frame("lift")
+
+    @cached_property
+    def solve_residual(self):
+        """The checked residual of the one solve the frame takes, ``S W =
+        E_mu'^{-1} (A_mu' W)``: ``max|E_mu' S W - A_mu' W| / max|A_mu' W|``
+        (see :meth:`_checked_solve`), formed with ``lift``."""
+        return self._frame("solve_residual")
 
     @cached_property
     def projectors(self):
@@ -583,55 +653,6 @@ def compute_index_and_chain(sys):
     )
 
 
-def _terminal_rows(E, steps, terms, rows):
-    """Rows ``rows`` of ``E' = E_j - sum image R``, a new array: ``E_j`` is
-    ``E`` taken through the raw chain's ``steps`` (none or one) and the sum
-    runs over the ``(image, R)`` of ``terms``.  After one closed-form step,
-    ``E_1`` is ``E`` less ``A_0 K_0 = A[:, c_0]`` on the columns ``c_0``,
-    which are exactly zero in ``E``: the rows of ``E`` less the sum, less
-    that image on ``c_0``, round as ``(0 - a) - s`` and ``(0 - s) - a`` do,
-    alike, so the block is bit for bit the one taken through ``E_1``, and
-    ``E_1`` is not formed.  Otherwise at most two blocks of rows are alive
-    at once: those of ``E_j`` are formed first and dropped once read."""
-    (image, R), *rest = terms
-    closed_form = len(steps) == 1 and steps[0][2] is not None
-    rows_of_E = E[rows] if closed_form else _chain_rows(E, steps, rows)
-    block = image[rows] @ R  # rows of sum_j A_j Q_j'
-    for image_j, R_j in rest:
-        block += image_j[rows] @ R_j
-    np.subtract(rows_of_E, block, out=block)
-    if closed_form:
-        image_0, _, columns = steps[0]
-        block[:, columns] -= image_0[rows]
-    return block
-
-
-def _inverse_residual(E, steps, terms, inverse):
-    """``max|E' E'^{-1} - I|``, with ``E'`` the rows of ``E`` taken through
-    the raw chain's ``steps`` less ``sum image R`` over the ``(image, R)`` of
-    ``terms`` (:func:`_terminal_rows`), and ``E'^{-1} = B U^T`` from
-    ``inverse``.  ``E'`` is formed a block of rows at a time, so no ``n x
-    n`` sum, ``E'`` or residual exists; every one of the ``n^2`` entries is
-    checked.
-    ``E' B U^T - I`` is ``E' B`` with its columns scattered to ``left``, so
-    row ``i`` of the identity has its one at the column of ``E' B`` that
-    ``left`` sends to ``i``; for ``U = I``, on the diagonal."""
-    n = E.shape[0]
-    ones = None if inverse.left is None else np.argsort(inverse.left)
-    residual = 0.0
-    for rows in row_blocks(n):
-        block = _terminal_rows(E, steps, terms, rows) @ inverse.B
-        if ones is None:
-            block.reshape(-1)[rows.start :: n + 1] -= 1.0
-        else:
-            block[np.arange(block.shape[0]), ones[rows]] -= 1.0
-        top = float(np.abs(block, out=block).max())
-        del block
-        if residual == residual and not top <= residual:  # a NaN is kept
-            residual = top
-    return residual
-
-
 def decouple(chain):
     """The decoupled system of a raw chain: its projectors corrected so that
     ``Q_j Q_i = 0`` for ``j > i`` and its terminal inverse, with every
@@ -651,41 +672,49 @@ def decouple(chain):
     applies ``A_mu'`` from those terms, or the original ``A_0`` at index 1
     (the two differ off the ODE subspace), and what the correction reads is
     formed from ``E_0`` and ``A_0`` through the chain's steps, in the chain's
-    own order of operations: the rows of ``A_{mu-1}`` it reads, and ``E_1``
-    and ``E_mu'`` a block of rows at a time for the residual check; at
-    index 3 ``S A_1`` is ``S A_0`` (see the comment there).
+    own order of operations: the rows of ``A_{mu-1}`` it reads; at index 3
+    ``S A_1`` is ``S A_0`` (see the comment there).
 
     No matrix is factored or solved.  The chain's ``E_mu^{-1}`` is taken
     from it, so the chain decouples once (see :class:`MatrixChain`), and
     the swap ``I + Q - Q'`` (with index 3's ``I + X`` before it) is applied
-    once by :meth:`~daereach.linalg.InverseBlocks.corrected`: from the
-    certificate's blocks into one new array (one ``n x m x n`` product for
-    Gram factors), or over a dense inverse.  Where the certificate kept
+    once by :meth:`~daereach.linalg.InverseBlocks.corrected`: kept with the
+    certificate's blocks as one ``m x n`` block ``Z`` (and index 3's ``J``
+    and ``Y``), so that no ``n x n`` array is formed, or written over a
+    dense inverse.  A QR's ``W_1`` is copied out of its ``n x n`` ``W``
+    first, and ``W`` dropped.  Where the certificate kept
     ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only
     the rows ``left[rank:]`` of ``A_{mu-1}``.  At index 3, ``(Q_1 - Q_1')
     Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2``, and the
     intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I - X)``, ``X = P_2 (Q_1 -
     Q_1')``, ``X^2 = 0``, with inverse ``(I + X) E_3^{-1}``; ``Q_2' = Q_2^*``, since
     ``K_2^T X = 0`` and ``E_3^{-1} A_1 Q_1 = -P_2 Q_1`` make ``K_2^T
-    E_3^{-1}`` map ``A_2``, ``A_1`` and ``A_2' = A_1 - A_1 Q_1'`` alike.  The
-    terminal inverse is then checked, as a computed inverse should be (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 14): a
-    residual ``max|E_mu' E_mu'^{-1} - I|`` over all ``n^2`` entries above
-    ``sqrt(RANK_REL_TOL)`` raises :class:`SingularMatrixError`; the residual
-    is kept on ``inverse_residual``.
+    E_3^{-1}`` map ``A_2``, ``A_1`` and ``A_2' = A_1 - A_1 Q_1'`` alike.
+
+    The terminal inverse is not checked here but where it is used, as a
+    computed solve should be (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., ch. 7 and 14; Rigal & Gaches, JACM 14, 1967): the
+    frame checks the residual of its one solve ``E_mu'^{-1} (A_mu' W)``, the
+    ``r`` columns the verdict rests on (:attr:`DecoupledSystem.solve_residual`),
+    and ``--mode decouple`` all ``n^2`` entries of ``E_mu' E_mu'^{-1} - I``
+    (:attr:`DecoupledSystem.inverse_residual`); either raises
+    :class:`SingularMatrixError` above ``sqrt(RANK_REL_TOL)``.
 
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
     beforehand, so there are no input coefficients.
     """
     mu, inverse = chain.mu, chain._held_inverse()
     chain.inverse = None
+    if inverse.B is None and inverse.N.ndim == 2:
+        # W_1 copied out of a QR's W, so that the n x n W is dropped now
+        inverse = inverse._replace(factors=None, N=inverse.N.copy())
     factors, steps = list(chain.factors), chain.steps
     K, R = factors[-1]
     index_3 = ()  # (J, Y) of the index-3 step
     if mu > 1:
         # K^T E_mu^{-1} Y = KtE @ Y[tail], [0, C^{-1}] U^T where C^{-1} was kept
         if inverse.c_inv is None:
-            KtE, tail = inverse.scatter(K.T @ inverse.B), slice(None)
+            KtE, tail = K.T @ inverse.B, slice(None)
         else:
             KtE, tail = inverse.c_inv, inverse.left[chain.n - inverse.c_inv.shape[0] :]
         # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
@@ -698,25 +727,15 @@ def decouple(chain):
             # K_1^T P_1 = 0, S A_0 Q_0 = -K_1^T (I - Q_2^*) P_1 Q_0 = K_1^T Q_2^* P_1 Q_0,
             # where Q_2^* P_1 Q_0 = -Q_2 E_3^{-1} A_1 P_1 Q_0 = Q_2 E_3^{-1} A_1 Q_1 Q_0 =
             # -Q_2 P_2 Q_1 Q_0 = 0 by A_1 Q_0 = 0, E_3^{-1} A_1 Q_1 = -P_2 Q_1, Q_2 P_2 = 0
-            R1 = -(inverse.scatter(inverse.right_product(K1.T - (K1.T @ K) @ R)) @ chain.A)
+            R1 = -(inverse.right_product(K1.T - (K1.T @ K) @ R) @ chain.A)
             factors[1] = (K1, R1)
             # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = J (K_1^T - R_1) and
-            # (K_1^T - R_1) K_2 = 0, so Y = (K_1^T - R_1) E_3^{-1} U reads F
+            # (K_1^T - R_1) K_2 = 0, so Y = (K_1^T - R_1) E_3^{-1} reads F U^T
             index_3 = (K1 - K @ (K.T @ K1), inverse.right_product(K1.T - R1))
         factors[-1] = (K, R)
-    if mu > 1 or inverse.B is None:  # (I + Q - Q')(I + X) E_mu^{-1} U, formed once
+    if mu > 1 or inverse.B is None:  # (I + Q - Q')(I + X) E_mu^{-1}
         inverse = inverse.corrected(K, R, *index_3)
-    first = min(mu, 2) - 1  # Q_0 is never corrected: E_mu' is the raw E_1 less the rest
-    terms = [(steps[j][0], factors[j][1]) for j in range(first, mu)]
-    residual = _inverse_residual(chain.E, steps[:first], terms, inverse)
-    if not residual <= np.sqrt(RANK_REL_TOL):
-        raise SingularMatrixError(
-            f"the corrected chain's terminal inverse has residual {residual:.3e}; the "
-            "index classification is unreliable at this tolerance"
-        )
-    return DecoupledSystem(
-        raw=chain, factors=tuple(factors), inverse=inverse, inverse_residual=residual
-    )
+    return DecoupledSystem(raw=chain, factors=tuple(factors), inverse=inverse)
 
 
 def decouple_system(sys):

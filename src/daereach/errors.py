@@ -44,8 +44,11 @@ class DimensionMismatchError(DaeError):
 class SingularMatrixError(DaeError):
     """A matrix that must be invertible is singular at the rank tolerance.
 
-    Raised only by :func:`~daereach.decoupling.decouple`, when the
-    corrected chain's terminal inverse fails its residual check: the
+    Raised only by the decoupled system's checks of its corrected terminal
+    inverse: when the ODE frame is formed, if the one solve it takes,
+    ``E_mu'^{-1} (A_mu' W)``, fails its residual check, and when
+    ``inverse_residual`` is read (``--mode decouple``), if the dense
+    inverse fails the same check over all ``n^2`` entries.  Either way the
     computed index disagrees with the numerical rank decisions.
     """
 

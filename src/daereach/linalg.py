@@ -372,23 +372,26 @@ def row_blocks(n):
 
 
 class InverseBlocks(NamedTuple):
-    """A nonsingular matrix's inverse, formed as ``Z'^{-1} = B U^T`` or kept
-    as the blocks that form it.
+    """A nonsingular matrix's inverse ``Z'^{-1}``, dense or kept as blocks.
 
-    ``left`` is the row order that stands for ``U`` (``U^T x = x[left]``),
-    so ``B = Z'^{-1} U`` holds the columns of ``Z'^{-1}`` in that order, or
-    ``None`` for ``U = I``: ``B`` is then the dense inverse.  When
+    ``B`` is the dense inverse, or ``None`` for blocks.  When
     :func:`rank_update_inverse` certified ``Z' = Z - image K^T`` from
-    row-gather (QR, Gram or closed-form) ``factors`` of ``Z``, ``B`` is
-    ``None`` and the blocks of ``T^{-1}`` are kept with them: ``c_inv =
-    C^{-1}`` and ``t = lead^{-1} top C^{-1}``.  Let ``N`` be ``W_1`` (QR)
-    or the unit vectors of the columns the nonzero rows ``M`` own, so that
-    ``M N = lead``: ``F = N [lead^{-1} | t]`` (``B`` when formed) differs
-    from ``Z'^{-1} U = W T^{-1}`` only in ``range K``, and ``K^T Z'^{-1} U
-    = [0 | C^{-1}]``, so for any ``R`` with ``R K = I``, ``(I - K R) F``
-    is ``(I - K R) Z'^{-1} U`` and :meth:`corrected` forms ``(I + K K^T -
-    K R) Z'^{-1} U`` from the blocks (``Z'^{-1} U`` itself for ``R =
-    K^T``).  Every dense form handed out is a new array.
+    row-gather (QR, Gram or closed-form) ``factors`` of ``Z``, ``left`` is
+    their row order, which stands for ``U`` (``U^T x = x[left]``), and the
+    blocks of ``T^{-1}`` are kept with them: ``c_inv = C^{-1}`` and ``t =
+    lead^{-1} top C^{-1}``.  ``N`` is ``W_1`` (QR) or the columns ``cols``
+    that the nonzero rows ``M`` own (Gram and closed form: the unit vectors
+    of ``cols`` stand for ``N``), so that ``M N = lead``; ``lead`` is the
+    vector ``d`` of a diagonal ``lead = diag(d)``, or for QR the matrix
+    ``lead^{-1}``.  ``F = N [lead^{-1} | t]`` differs from ``Z'^{-1} U = W
+    T^{-1}`` only in ``range K``, and ``K^T Z'^{-1} = [0 | C^{-1}] U^T``, so
+    for any ``R`` with ``R K = I``, ``(I - K R) F U^T`` is ``(I - K R)
+    Z'^{-1}``, and :meth:`corrected` keeps ``(I + K K^T - K R) Z'^{-1}`` as
+    ``F U^T + K Z`` with one ``m x n`` block ``Z`` in ``terms``
+    (``Z'^{-1}`` itself for ``R = K^T``).  Such corrected blocks keep only
+    what :meth:`apply` reads: ``left``, ``N``, ``lead``, ``t`` and the ``(L,
+    Z)`` pairs of ``terms``, no ``n x n`` array.  Every dense form handed out
+    is a new array.
     """
 
     B: np.ndarray | None
@@ -396,77 +399,82 @@ class InverseBlocks(NamedTuple):
     c_inv: np.ndarray | None = None
     t: np.ndarray | None = None
     factors: Factors | None = None
+    N: np.ndarray | None = None
+    lead: np.ndarray | None = None
+    terms: tuple = ()
 
     def apply(self, X):
-        """``Z'^{-1} X``: ``B`` times the gathered rows of ``X``."""
-        return self.B @ (X if self.left is None else X[self.left])
-
-    def scatter(self, Y):
-        """``Y U^T``: the columns of ``Y`` scattered to ``left``, ``Y``
-        itself for ``U = I``; for ``Y = X B`` it is ``X Z'^{-1}``."""
-        if self.left is None:
-            return Y
-        out = np.empty_like(Y)
-        out[:, self.left] = Y
+        """``Z'^{-1} X`` of a dense or corrected inverse: ``B X``, or ``sum L
+        (Z X)`` over the ``(L, Z)`` of ``terms`` plus ``N (lead^{-1} X_1 + t
+        X_2)``, ``X_1`` and ``X_2`` the rows ``left[:rank]`` and
+        ``left[rank:]`` of ``X``, which for Gram and closed-form factors is
+        added to the rows ``cols``; no ``n x n`` array is formed."""
+        if self.B is not None:
+            return self.B @ X
+        rank = self.t.shape[0]
+        top = self._lead_solve(X[self.left[:rank]])
+        top += self.t @ X[self.left[rank:]]
+        (K, Z), *rest = reversed(self.terms)
+        out = K @ (Z @ X)
+        for L, Y in rest:
+            out += L @ (Y @ X)
+        if self.N.ndim == 2:
+            out += self.N @ top
+        else:
+            out[self.N] += top
         return out
 
+    def _lead_solve(self, X):
+        """``lead^{-1} X``."""
+        return X / self.lead[:, None] if self.lead.ndim == 1 else self.lead @ X
+
     def right_product(self, X):
-        """``X F`` for an ``m x n`` block ``X``: ``X B``, or ``[X N lead^{-1}
-        | (X N) t]`` with ``X N`` a gather of columns for Gram and
+        """``X F U^T`` for an ``m x n`` block ``X`` (``X Z'^{-1}`` for a
+        dense ``B``): ``[X N lead^{-1} | (X N) t]`` with its columns
+        scattered to ``left``, ``X N`` a gather of columns for Gram and
         closed-form factors."""
         if self.B is not None:
             return X @ self.B
-        f, cols = self.factors, self.factors.owned_columns
-        XN = X @ f.w[:, : f.rank] if cols is None else X[:, cols]
-        out = np.empty((X.shape[0], f.left.size))
-        out[:, : f.rank] = XN / f.lead if cols is not None else XN @ f.lead_inv
-        np.matmul(XN, self.t, out=out[:, f.rank :])
+        rank = self.t.shape[0]
+        XN = X @ self.N if self.N.ndim == 2 else X[:, self.N]
+        out = np.empty((X.shape[0], self.left.size))
+        out[:, self.left[:rank]] = XN / self.lead if self.lead.ndim == 1 else XN @ self.lead
+        out[:, self.left[rank:]] = XN @ self.t
         return out
 
     def corrected(self, K, R, J=None, Y=None):
-        """``(I - K R)(Z'^{-1} U + J Y) + K K^T Z'^{-1} U`` for ``K^T J = 0``
-        (no ``J Y`` by default), as a formed :class:`InverseBlocks`: ``F + J
-        Y + K Z`` with ``Z = K^T Z'^{-1} U - R F - (R J) Y``, one ``m x n``
-        block, in which ``K^T Z'^{-1} U - R F`` is ``(K^T - R) B`` for a
-        formed ``B`` and ``[0 | C^{-1}] - R F`` for the blocks.  A formed
-        ``B`` is written over, as is a QR's ``W``, which holds ``W_1
-        [lead^{-1} | t]`` once each block of its rows is read; for Gram and
-        closed-form factors the first product is the one new ``n x n``
-        array, and ``[lead^{-1} | t]`` is added to its owned rows."""
-        f = self.factors
+        """``(I - K R)(Z'^{-1} + J Y) + K K^T Z'^{-1}`` for ``K^T J = 0`` (no
+        ``J Y`` by default): ``F U^T + J Y + K Z`` with ``Z = K^T Z'^{-1} - R
+        F U^T - (R J) Y``, one ``m x n`` block, in which ``K^T Z'^{-1} - R F
+        U^T`` is ``(K^T - R) B`` for a dense ``B`` and ``([0 | C^{-1}] - R F)
+        U^T`` for the blocks.  A dense ``B`` is written over, a block of rows
+        at a time; the blocks are kept as corrected blocks, with ``J Y`` and
+        ``K Z`` as ``terms``."""
         Z = self.right_product(R if self.B is None else K.T - R)
-        if self.B is None:  # -R F + [0 | C^{-1}]
+        if self.B is None:  # -R F U^T + [0 | C^{-1}] U^T
             np.negative(Z, out=Z)
-            Z[:, f.rank :] += self.c_inv
-        terms = [(K, Z)] if J is None else [(J, Y), (K, Z)]
+            Z[:, self.left[self.t.shape[0] :]] += self.c_inv
         if J is not None:
             Z -= (R @ J) @ Y
-        B, cols = self.B, None if self.B is not None else f.owned_columns
-        if B is None and cols is None:
-            B = f.w
-            for rows in row_blocks(B.shape[0]):
-                W1 = B[rows, : f.rank]
-                B[rows, : f.rank], B[rows, f.rank :] = W1 @ f.lead_inv, W1 @ self.t
-        elif B is None:
-            (L, first), *terms = terms
-            B = L @ first
+        terms = ((K, Z),) if J is None else ((J, Y), (K, Z))
+        if self.B is None:
+            return self._replace(c_inv=None, factors=None, terms=terms)
+        B = self.B
         for L, Z in terms:
             for rows in row_blocks(B.shape[0]):
                 B[rows] += L[rows] @ Z
-        if cols is not None:
-            B[cols, np.arange(f.rank)] += 1.0 / f.lead
-            B[cols, f.rank :] += self.t
-        return InverseBlocks(B, self.left)
+        return InverseBlocks(B)
 
     def dense(self):
-        """``Z'^{-1}``, a new array that shares no memory with ``B`` or the
-        blocks: these are corrected with ``R = K^T`` on a copy of a QR's
-        ``W``."""
-        if self.B is None:
-            f, K = self.factors, kernel_basis_and_inverse(self.factors)[0]
-            w = f.w if f.owned_columns is not None else f.w.copy()
-            return self._replace(factors=f._replace(w=w)).corrected(K, K.T).dense()
-        return self.B.copy() if self.left is None else self.scatter(self.B)
+        """``Z'^{-1}``, a new array: a copy of ``B``, or the blocks applied
+        to the identity, the certificate's blocks once corrected with ``R =
+        K^T``."""
+        if self.B is not None:
+            return self.B.copy()
+        if self.c_inv is not None:
+            K = kernel_basis_and_inverse(self.factors)[0]
+            return self.corrected(K, K.T).dense()
+        return self.apply(np.eye(self.left.size))
 
 
 def kernel_basis_and_inverse(factors):
@@ -519,7 +527,7 @@ def rank_update_inverse(factors, image):
     RANK_REL_TOL)``, ``Z'``'s own SVD would also find it nonsingular at the
     cutoff, and the inverse is returned: for QR, Gram and closed-form
     factors, whose ``U^T`` gathers rows, as the blocks ``C^{-1}`` and ``t``
-    with the factors, from which it is formed once
+    with the factors, which are corrected and applied as blocks
     (:meth:`InverseBlocks.corrected`); for SVD factors as the dense ``W
     (T^{-1} U^T)``.  The bound reads only ``C^{-1}`` and ``||C^{-1}||_F``,
     and a computed inverse from a pivoted LU is as accurate as one from an
@@ -557,7 +565,10 @@ def rank_update_inverse(factors, image):
     if not bound * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
         return None, bound
     if factors.left.ndim == 1:
-        return InverseBlocks(None, factors.left, c_inv, t, factors), bound
+        cols = factors.owned_columns
+        N = factors.w[:, :rank] if cols is None else cols
+        lead = factors.lead if factors.lead.ndim == 1 else factors.lead_inv
+        return InverseBlocks(None, factors.left, c_inv, t, factors, N, lead), bound
     u_top, u_low = factors.left[:, :rank], factors.left[:, rank:]
     rows = np.empty_like(factors.left)  # T^{-1} U^T
     rows[:rank] = factors.lead_solve(u_top.T) + t @ u_low.T

@@ -30,6 +30,7 @@ rank, star sampling and linear images over the package's own
 the one writer of JSON input files.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -776,3 +777,35 @@ def write_json(path, **fields):
         for key, value in fields.items()
     }
     Path(path).write_text(json.dumps(document))
+
+
+def square_arrays(value, n):
+    """The ``n x n`` arrays in ``value``, looking into dicts, lists and
+    tuples (named tuples included)."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.shape == (n, n) else []
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in square_arrays(item, n)]
+    return []
+
+
+def corrupt_solve_block(dec, reached, scale=1e-3, seed=0):
+    """A copy of the decoupled system ``dec`` whose corrected terminal
+    inverse ``F U^T + K Z`` (blocks of a row-gather certificate) has the
+    rank-one corruption ``u v^T`` added to its ``m x n`` block ``Z``, of
+    ``scale`` times ``max|Z|``.  ``v`` lies in the range of the block ``Y =
+    A_mu' W`` that the frame solves for when ``reached``, and is orthogonal
+    to it otherwise, so that ``v^T Y = 0`` up to rounding and the frame's
+    one solve does not see it."""
+    Y = dec._apply_source(dec.ode_basis, on_range=True)
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(Y)[0]
+    g = rng.normal(size=dec.n)
+    v = Q @ (Q.T @ g) if reached else g - Q @ (Q.T @ g)
+    *rest, (K, Z) = dec.inverse.terms
+    u = rng.normal(size=Z.shape[0])
+    uv = np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+    Z = Z + scale * np.abs(Z).max() * uv
+    return dataclasses.replace(dec, inverse=dec.inverse._replace(terms=(*rest, (K, Z))))

@@ -62,11 +62,14 @@ def read_verdict(out):
     return json.loads((Path(out) / "verdict.json").read_text())
 
 
-def assert_decoupled_health(verdict):
+def assert_decoupled_health(verdict, residual="solve_residual"):
     """The corrected chain's health fields of a run that decoupled the
-    rotating masses."""
+    rotating masses: the residual of the terminal solve the lift reads, or
+    with ``residual="terminal_inverse_residual"`` (decouple mode) the full
+    residual of the terminal inverse, and not the other."""
     assert verdict["ode_rank"] == 3
-    assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
+    other = {"solve_residual", "terminal_inverse_residual"} - {residual}
+    assert 0.0 <= verdict[residual] <= 1e-12 and not other & set(verdict)
     assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
 
@@ -99,7 +102,7 @@ class TestVerifyMode:
         assert verdict["support_method"] == "box"
         assert verdict["witness_violation"] <= 1e-7 * max(1.0, 0.9)
         assert verdict["ode_rank"] == 3
-        assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
+        assert 0.0 <= verdict["solve_residual"] <= 1e-12
         bound = verdict["terminal_condition_bound"]
         assert math.isfinite(bound)
         assert 1.0 <= bound <= 1.0 / RANK_REL_TOL
@@ -192,7 +195,7 @@ class TestOtherModes:
         assert np.abs(np.array(doc["N"]["2"])).max() <= 1e-12
         verdict = read_verdict(tmp_path)
         assert_chain_decisions(verdict, ["svd", "svd", "certificate"])
-        assert_decoupled_health(verdict)
+        assert_decoupled_health(verdict, "terminal_inverse_residual")
 
     def test_decouple_mode_at_index_3(self, tmp_path):
         from daereach import DaeSystem, to_autonomous
@@ -307,7 +310,7 @@ class TestOtherModes:
         assert len(lines) == 1 + 11
         verdict = json.loads((out / "verdict.json").read_text())
         assert verdict["ode_rank"] == 3
-        assert 0.0 <= verdict["terminal_inverse_residual"] <= 1e-12
+        assert 0.0 <= verdict["solve_residual"] <= 1e-12
         assert 0.0 <= verdict["consistency_residual"] <= CONSISTENCY_TOL
         assert 0.0 <= verdict["admissibility_residual"] <= 1e-12
 
@@ -772,7 +775,7 @@ class TestErrorPaths:
         assert last_error(capsys)["error"] == "numerical-failure"
 
     def test_singular_matrix_exit_code(self, tmp_path, capsys, monkeypatch, benchmark_files):
-        # only decouple's residual check raises it
+        # only the corrected chain's terminal solve check raises it
         import daereach.reachability
         from daereach import SingularMatrixError
 
@@ -788,6 +791,63 @@ class TestErrorPaths:
         verdict = json.loads((out / "verdict.json").read_text())
         assert set(verdict) == {"error", "message", "timings"}
         assert verdict["error"] == "singular-matrix"
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+
+    @staticmethod
+    def _corrupted_decoupling(monkeypatch, module, reached):
+        """Make ``module``'s ``decouple_system`` return the decoupled system
+        with its corrected inverse's block ``Z`` corrupted in a direction
+        the frame's solve reaches, or one it does not
+        (:func:`oracles.corrupt_solve_block`)."""
+        from daereach.decoupling import decouple_system
+        from oracles import corrupt_solve_block
+
+        def corrupted(sys):
+            return corrupt_solve_block(decouple_system(sys), reached)
+
+        monkeypatch.setattr(module, "decouple_system", corrupted)
+
+    def test_corrupted_solve_exits_6_with_an_error_verdict(self, tmp_path, capsys, monkeypatch):
+        # a terminal inverse wrong in the columns the lift reads fails the
+        # solve check on the reach path
+        import daereach.reachability
+
+        init, unsafe, _ = stokes_box_inputs(tmp_path, 4, 2, np.random.default_rng(4))
+        self._corrupted_decoupling(monkeypatch, daereach.reachability, reached=True)
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:stokes:4", "--init", str(init), "--unsafe", str(unsafe)]
+        argv += ["--time-step", "1e-4", "--time-bound", "0.001", "--out", str(out)]
+        assert run(argv) == EXIT_NUMERICAL
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "singular-matrix"
+        assert "terminal solve has residual" in error["message"]
+        verdict = read_verdict(out)
+        assert set(verdict) == {"error", "message", "timings"}
+        assert verdict["error"] == "singular-matrix"
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+
+    def test_corruption_off_the_solve_fails_only_decouple_mode(self, tmp_path, capsys, monkeypatch):
+        # the reach path checks the r columns its verdict rests on; decouple
+        # mode, which writes every coefficient, checks all n^2 entries
+        import daereach.cli
+        import daereach.reachability
+
+        init, unsafe, _ = stokes_box_inputs(tmp_path, 4, 2, np.random.default_rng(4))
+        self._corrupted_decoupling(monkeypatch, daereach.reachability, reached=False)
+        self._corrupted_decoupling(monkeypatch, daereach.cli, reached=False)
+        out = tmp_path / "verify"
+        argv = ["--model", "builtin:stokes:4", "--init", str(init), "--unsafe", str(unsafe)]
+        argv += ["--time-step", "1e-4", "--time-bound", "0.001", "--out", str(out)]
+        assert run(argv) == EXIT_OK
+        verdict = read_verdict(out)
+        assert verdict["status"] == "safe" and 0.0 <= verdict["solve_residual"] <= 1e-12
+        out = tmp_path / "decouple"
+        argv = ["--model", "builtin:stokes:4", "--mode", "decouple", "--out", str(out)]
+        assert run(argv) == EXIT_NUMERICAL
+        assert last_error(capsys)["error"] == "singular-matrix"
+        assert read_verdict(out)["error"] == "singular-matrix"
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
 

@@ -12,14 +12,13 @@ from daereach import (
     compute_index_and_chain,
     decouple,
 )
-from daereach.decoupling import DecoupledSystem, _chain_rows, _terminal_rows
+from daereach.decoupling import DecoupledSystem
 from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
     RANK_REL_TOL,
     InverseBlocks,
     rank_update_inverse,
-    row_blocks,
     svd_factors,
 )
 from daereach.model import AutonomousDae
@@ -28,6 +27,7 @@ from oracles import (
     CanonicalDae,
     chain_matrices,
     chain_projectors,
+    corrupt_solve_block,
     dense_admissibility_residual,
     dense_apply,
     dense_correction,
@@ -35,6 +35,7 @@ from oracles import (
     dense_residual,
     reference_chain,
     reference_decoupled,
+    square_arrays,
     stored_chain,
     weierstrass_auto,
 )
@@ -572,8 +573,8 @@ def _nilpotent_auto(blocks):
 
 def test_index_3_from_row_gather_blocks():
     """At index 3 from the certificate's row-gather blocks, :func:`decouple`
-    takes both corrections in place on the blocks and matches the dense
-    reference path."""
+    keeps both corrections as blocks, with no ``n x n`` array, and matches
+    the dense reference path."""
     auto = _nilpotent_auto(7)
     raw = compute_index_and_chain(auto)
     assert auto.n == 23
@@ -582,8 +583,9 @@ def test_index_3_from_row_gather_blocks():
     assert blocks.c_inv is not None and blocks.B is None
     _certified_margin(raw, auto)
     ours = decouple(raw)
-    # taken, and formed once from the blocks
-    assert raw.inverse is None and ours.inverse.left is blocks.left and ours.inverse.B is not None
+    # taken, and kept as corrected blocks: no n x n inverse is formed
+    assert raw.inverse is None and ours.inverse.left is blocks.left and ours.inverse.B is None
+    assert len(ours.inverse.terms) == 2 and not square_arrays(ours.inverse, auto.n)
     rng = np.random.default_rng(23)
     V = np.column_stack([ours.lift @ rng.normal(size=ours.ode_rank), rng.normal(size=auto.n)])
     _matches_reference(ours, auto, V, 3, "nilpotent")
@@ -777,8 +779,9 @@ def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
 def test_stokes_fused_correction_matches_the_dense_one(monkeypatch, k, factors):
     """On Stokes, ``E_2^{-1}`` is kept as the certificate's blocks from
     ``E_1``'s Gram factors (or, with the Gram path refused, its QR), and
-    :func:`decouple` forms the corrected inverse from them once, with no
-    ``K^T E_2^{-1}`` product; this matches the dense correction."""
+    :func:`decouple` keeps the corrected inverse as blocks, with no ``K^T
+    E_2^{-1}`` product and no ``n x n`` array; this matches the dense
+    correction."""
     import daereach.linalg
     from daereach import UnsafeSpec, load_model, stokes_center_velocity_rows, to_autonomous
 
@@ -795,10 +798,11 @@ def test_stokes_fused_correction_matches_the_dense_one(monkeypatch, k, factors):
     ours, oracle_residual = _fused_against_dense(
         monkeypatch, auto, raw, unsafe, ReachSettings(1e-4, 20), k
     )
-    # taken, and formed once from the blocks
-    assert raw.inverse is None and ours.inverse.left is blocks.left and ours.inverse.B is not None
+    # taken, and kept as corrected blocks: no n x n inverse is formed
+    assert raw.inverse is None and ours.inverse.left is blocks.left and ours.inverse.B is None
+    assert not square_arrays(ours.inverse, auto.n)
     print(f"\nstokes k={k} {factors}: residual {ours.inverse_residual:.1e}, "
-          f"dense {oracle_residual:.1e}")
+          f"dense {oracle_residual:.1e}, solve {ours.solve_residual:.1e}")
 
 
 def test_semi_explicit_correction_matches_the_dense_one(monkeypatch):
@@ -829,14 +833,15 @@ def test_semi_explicit_correction_matches_the_dense_one(monkeypatch):
     ids=["stokes-4", "stokes-8", "stokes-12", "nilpotent-3"],
 )
 def test_closed_form_first_step_leaves_exact_zeros(make_auto):
-    """What the chain, the frame and the residual check skip after a
+    """What the chain, the frame and the solve check skip after a
     closed-form ``E_0`` with kernel columns ``c_0``: ``A_1[:, c_0]`` is
     exactly zero and ``E_1[:, c_0]`` is ``0 - A_0[:, c_0]`` bit for bit, so
     ``A_1 K_1`` reads only ``A``'s other columns; ``W[c_0]`` is exactly
     zero, with ``W`` orthonormal and ``Pi W = W`` to rounding, so ``A_mu'
-    W`` drops ``(A_0 K_0)(W[c_0])``; and the rows of ``E_mu'`` formed from
-    ``E`` with ``A_0[:, c_0]`` subtracted last are the bytes of those formed
-    through ``E_1``."""
+    W`` drops ``(A_0 K_0)(W[c_0])``; and the solve check, which takes ``E
+    X`` from ``E``'s other columns (where they are contiguous) and ``K_0^T
+    X`` as the rows ``c_0`` of ``X``, gives the bytes of the residual taken
+    through every column of ``E`` and the dense ``K_0^T``."""
     auto = make_auto()
     chain = compute_index_and_chain(auto)
     columns = chain.kernel_columns[0]
@@ -844,21 +849,18 @@ def test_closed_form_first_step_leaves_exact_zeros(make_auto):
     E_1, A_1 = chain.E_seq[1], chain.A_seq[1]
     assert not A_1[:, columns].any()
     assert E_1[:, columns].tobytes() == (0.0 - auto.A[:, columns]).tobytes()  # zeros are +0.0
-    steps = chain.steps
     dec = decouple(chain)
     W = dec.ode_basis
     assert not W[columns].any()
     assert np.abs(W.T @ W - np.eye(dec.ode_rank)).max() <= 1e-13
     assert np.abs(dec.ode_component(W) - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
-    terms = [(steps[j][0], dec.factors[j][1]) for j in range(1, dec.mu)]
-    for rows in row_blocks(auto.n):
-        (image, R), *rest = terms
-        through_E_1 = _chain_rows(auto.E, steps[:1], rows)
-        expected = image[rows] @ R
-        for image_j, R_j in rest:
-            expected += image_j[rows] @ R_j
-        np.subtract(through_E_1, expected, out=expected)
-        assert _terminal_rows(auto.E, steps[:1], terms, rows).tobytes() == expected.tobytes()
+    # the same system with K_0 taken as a dense basis in the solve check
+    dense_raw = dataclasses.replace(chain, kernel_columns=(None,) + chain.kernel_columns[1:])
+    dense_dec = dataclasses.replace(dec, raw=dense_raw)
+    Y = np.column_stack([dec._apply_source(W), np.random.default_rng(4).normal(size=auto.n)])
+    ours, dense = dec._checked_solve(Y), dense_dec._checked_solve(Y)
+    assert ours[0].tobytes() == dense[0].tobytes()
+    assert ours[1] == dense[1] <= 1e-10
 
 
 def _chain_and_decouple_peak(auto):
@@ -902,18 +904,19 @@ def test_chain_peak_memory_on_stokes_12():
 
 
 def test_decouple_peak_memory_on_stokes_12():
-    """The chain followed by :func:`decouple` holds at most four and a half
-    ``n x n`` arrays at once, traced from before the chain: ``decouple``
-    forms the corrected inverse as its one ``n x n`` array from one ``m x
-    n`` coefficient block, and ``E_2'`` only a block of rows at a time for
-    the residual; it forms no ``A_2'``.  A chain that formed the
-    uncorrected ``B`` and a ``decouple`` that corrected it in place
-    measured 4.79."""
+    """The chain followed by :func:`decouple` holds at most 3.93 ``n x n``
+    arrays at once, traced from before the chain (it read 3.82, the chain's
+    own peak; ``decouple`` peaks at 3.21): ``decouple`` keeps the corrected
+    inverse as the certificate's blocks and one ``m x n`` coefficient block,
+    and forms no ``n x n`` array, no ``E_2'`` and no ``A_2'``.  A chain that
+    formed the uncorrected ``B`` and a ``decouple`` that corrected it in
+    place measured 4.79, and one that formed the corrected inverse from the
+    blocks and checked it a block of rows at a time, 3.93."""
     from daereach import load_model, to_autonomous
 
     arrays = _chain_and_decouple_peak(to_autonomous(*load_model("builtin:stokes:12")))
     print(f"\nchain and decouple peak: {arrays:.2f} n x n arrays")
-    assert arrays <= 4.5
+    assert arrays <= 3.93
 
 
 def _decouple_peak(auto):
@@ -948,10 +951,14 @@ def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
     7.00 ``n x n`` arrays (the worst was 6.998, at the chain's own SVDs),
     and ``decouple`` alone, from after the chain, at most 1.29 (worst
     1.2861), so a ``decouple`` that keeps one more ``n x n`` array fails.
-    At index 3 on 100 nilpotent blocks (``n = 302``), at most 6.44 from
-    before the chain (6.326), where the corrected inverse is written over
-    the QR's ``W`` and the QR factors keep a copy of their ``p x p`` lead
-    block, not the ``n x p`` ``R`` behind it (6.547 with ``R``)."""
+    At index 3 on 100 nilpotent blocks (``n = 302``), at most 6.08 from
+    before the chain (5.968, the chain's own peak), where ``decouple``
+    copies the QR's ``W_1`` out of its ``W`` and drops ``W`` before it
+    corrects, and keeps the corrected inverse as blocks; the QR factors
+    keep a copy of their ``p x p`` lead block, not the ``n x p`` ``R``
+    behind it (6.547 with ``R``).  A ``decouple`` that wrote the corrected
+    inverse over the QR's ``W`` read 6.326, and one that kept the blocks
+    but copied ``W_1`` only once they were corrected, 6.55."""
     systems = list(large_semi_explicit_systems())
     methods = [[d["method"] for d in compute_index_and_chain(auto).decisions] for auto in systems]
     assert methods == [["qr", "svd", "certificate"]] * len(systems)
@@ -960,21 +967,76 @@ def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
     index_3 = _chain_and_decouple_peak(_nilpotent_auto(100))
     print(f"\nSVD index 2: chain and decouple {worst:.4f}, decouple {own:.4f}; "
           f"index 3: chain and decouple {index_3:.3f} n x n arrays")
-    assert worst <= 7.00 and own <= 1.29 and index_3 <= 6.44
+    assert worst <= 7.00 and own <= 1.29 and index_3 <= 6.08
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:8"])
 def test_non_finite_terminal_inverse_fails_the_residual_check(model):
     """A NaN in the chain's terminal inverse (dense, or the certificate's
-    block ``C^{-1}``) makes every row block's residual NaN, and the check
-    raises."""
+    block ``C^{-1}``) makes the residual of the frame's solve NaN, and the
+    check raises when the lift is read, caching nothing; the full check at
+    ``Y = I`` raises too."""
     from daereach import SingularMatrixError, load_model, to_autonomous
 
     chain = compute_index_and_chain(to_autonomous(*load_model(model)))
     block = chain.inverse.c_inv if chain.inverse.B is None else chain.inverse.B
     block[block.shape[0] // 2, 1] = np.nan
+    dec = decouple(chain)
     with pytest.raises(SingularMatrixError, match="residual nan"):
-        decouple(chain)
+        dec.lift
+    assert not {"lift", "ode_matrix", "solve_residual"} & set(vars(dec))
+    with pytest.raises(SingularMatrixError, match="residual nan"):
+        dec.inverse_residual
+
+
+@pytest.mark.parametrize("k", [4, 8])
+@pytest.mark.parametrize("block", ["Z", "C^-1"])
+def test_corruption_the_solve_reads_fails_on_the_reach_path(monkeypatch, k, block):
+    """A rank-one corruption of the corrected inverse's block ``Z`` in a
+    direction that ``Y = A_mu' W`` reaches, or of the certificate's
+    ``C^{-1}`` by ``1e-3`` of its largest entry, fails the frame's solve
+    check: reading the lift or ``compute_reach`` raises."""
+    import daereach.reachability
+    from daereach import SingularMatrixError, StarSet, compute_reach
+
+    auto = _stokes_k_auto(k)
+    good = decouple(compute_index_and_chain(auto))
+    lift = good.lift
+    V = lift @ np.random.default_rng(k).normal(size=(lift.shape[1], 2))
+    star = StarSet(V, np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    if block == "Z":
+        bad = corrupt_solve_block(good, reached=True)
+    else:
+        chain = compute_index_and_chain(auto)
+        c_inv = chain.inverse.c_inv
+        rng = np.random.default_rng(k)
+        u, v = rng.normal(size=(2, c_inv.shape[0]))
+        c_inv += 1e-3 * np.abs(c_inv).max() * np.outer(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        bad = decouple(chain)
+    with pytest.raises(SingularMatrixError, match="terminal solve has residual"):
+        bad.lift
+    monkeypatch.setattr(daereach.reachability, "decouple_system", lambda _: dataclasses.replace(bad))
+    with pytest.raises(SingularMatrixError, match="terminal solve has residual"):
+        compute_reach(auto, star, ReachSettings(1e-4, 5))
+
+
+@pytest.mark.parametrize("k", [4, 8, 12])
+def test_corruption_the_solve_does_not_read_fails_only_the_full_check(k):
+    """The check reads only the ``r`` columns the verdict rests on: a
+    rank-one corruption ``u v^T`` of the block ``Z`` with ``v^T Y = 0``, ``Y
+    = A_mu' W``, leaves the frame's solve, its residual and the lift as
+    they were up to rounding, and fails only the full check of
+    ``inverse_residual`` at ``Y = I``, which ``--mode decouple`` reads."""
+    from daereach import SingularMatrixError
+
+    good = decouple(compute_index_and_chain(_stokes_k_auto(k)))
+    bad = corrupt_solve_block(good, reached=False)
+    assert bad.solve_residual <= 1e-12
+    bound = good.raw.condition_bound * 2.0**-53
+    assert np.abs(bad.lift - good.lift).max() <= bound * np.abs(good.lift).max()
+    assert good.inverse_residual <= 1e-10
+    with pytest.raises(SingularMatrixError, match="terminal solve has residual"):
+        bad.inverse_residual
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
