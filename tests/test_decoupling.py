@@ -542,8 +542,9 @@ def test_decoupling_matches_reference_path(index):
 def _matches_reference(ours, auto, V, index, label):
     """``ours`` against :func:`oracles.reference_decoupled` of ``auto``: the
     index, the dense coefficients, projectors and couplings and the
-    reach-path blocks on ``V`` within 1e-10 relative, and a terminal
-    inverse residual of at most 1e-12."""
+    reach-path blocks on ``V`` within 1e-10 relative, and residuals of the
+    frame's terminal solve and of the whole terminal inverse of at most
+    1e-12."""
     reference = reference_decoupled(auto)
     assert ours.mu == reference.mu == index, label
     N, couplings, _ = dense_forms(ours)
@@ -555,7 +556,7 @@ def _matches_reference(ours, auto, V, index, label):
     pairs += [(couplings[key], expected[key]) for key in expected]
     assert max(_relative_error(a, r) for a, r in pairs) <= 1e-10, label
     assert max(frame_errors(ours, reference, V).values()) <= 1e-10, label
-    assert ours.inverse_residual <= 1e-12, label
+    assert ours.solve_residual <= 1e-12 and ours.inverse_residual <= 1e-12, label
 
 
 def _nilpotent_auto(blocks):
