@@ -12,8 +12,9 @@ factored on the velocity rows, as the ODE subspace is exactly zero on the
 pressures, the reduced matrix ``W^T N_1 W`` and the lift ``psi W``, and
 the check of the one solve E_mu'^-1 (A_mu' W) they take).
 It then builds a consistent initial star from random combinations of the
-columns of the lift (its range is the consistent space), runs a 100-step
-reachable-set computation, and checks a safety direction on the
+columns of the lift (its range is the consistent space), runs a
+reachable-set computation of 1e-4 s steps (100 unless ``--steps`` says
+otherwise), and checks a safety direction on the
 center-cell velocities, reporting the per-phase time breakdown:
 decoupling (D-T), reachable set computation (RSC-T), and
 checking safety (CS-T).  More columns show accuracy and memory without the
@@ -22,8 +23,9 @@ X = E_mu'^-1 Y for Y = A_mu' W (the ``solve_residual`` of
 ``verdict.json``), and the peak of the arrays ``compute_reach`` allocates
 and those its result keeps, traced by ``tracemalloc`` in a second,
 untimed run, in MB and in n x n arrays of 8n^2 bytes.  Past the smallest
-grids, where fixed costs weigh, the peak stays under four such arrays and
-under three and a half are kept: the chain keeps no chain matrix past the
+grids, where fixed costs weigh, the peak at 100 steps stays under four
+such arrays and under three and a half are kept (the coordinates of more
+steps add to both): the chain keeps no chain matrix past the
 model's own E and A and no n x n inverse (its Gram factors of E_1 and the
 certificate's small blocks), the decoupled system applies A_mu' from the
 chain's factors and E_mu'^-1 from the certificate's blocks, so it adds no
@@ -32,10 +34,12 @@ to S W.
 
 Grid sizes may be given on the command line, for example
 ``python demos/04_stokes_scaling.py 16 24 32``; the default is
-2, 3, 4, 5, 6, 8, 10, 12 and 16.
+2, 3, 4, 5, 6, 8, 10, 12 and 16.  ``--steps N`` sets the number of time
+steps, for example ``python demos/04_stokes_scaling.py --steps 1000 24 32``
+for the propagation at large ``r``, where it marches in blocks of instants.
 """
 
-import sys
+import argparse
 import time
 import tracemalloc
 
@@ -70,7 +74,11 @@ def stage_times(auto, repeats=3):
     return 1e3 * np.median(times, axis=0), dec
 
 
-grids = [int(k) for k in sys.argv[1:]] or [2, 3, 4, 5, 6, 8, 10, 12, 16]
+parser = argparse.ArgumentParser(description="Scaling study on the Stokes family.")
+parser.add_argument("grids", nargs="*", type=int, metavar="k", help="grid sizes")
+parser.add_argument("--steps", type=int, default=100, help="time steps of 1e-4 s (default 100)")
+args = parser.parse_args()
+grids = args.grids or [2, 3, 4, 5, 6, 8, 10, 12, 16]
 rng = np.random.default_rng(0)
 print(f"{'k':>3} {'n':>6} {'index':>5} {'chain':>8} {'decouple':>8} {'frame':>8} "
       f"{'D-T [ms]':>10} {'RSC-T [ms]':>11} {'CS-T [ms]':>10} {'verdict':>8} {'solve res':>9} "
@@ -87,7 +95,7 @@ for k in grids:
     box = np.vstack([np.eye(2), -np.eye(2)])
     star = StarSet(basis, box, np.array([1.0, 1.0, 1.0, 1.0]))
 
-    settings = ReachSettings(time_step=1e-4, num_steps=100)
+    settings = ReachSettings(time_step=1e-4, num_steps=args.steps)
     reach = compute_reach(auto, star, settings)
     tracemalloc.start()
     traced = compute_reach(auto, star, settings)

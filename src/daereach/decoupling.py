@@ -324,22 +324,26 @@ class DecoupledSystem:
         columns = self.raw.kernel_columns[j]
         return Y[columns] if columns is not None and R is self.raw.factors[j][1] else R @ Y
 
-    def _kernel_product(self, j, Y):
-        """``Q_j Y = K_j (R_j Y)``: for a unit-vector ``K_j``, by the same
-        argument, ``R_j Y`` scattered to the kernel columns."""
-        RY, columns = self._kernel_rows(j, Y), self.raw.kernel_columns[j]
+    def _kernel_product(self, j, Y, RY=None):
+        """``Q_j Y = K_j (R_j Y)``, from ``RY = R_j Y`` when it is given: for a
+        unit-vector ``K_j``, by the same argument, ``R_j Y`` scattered to the
+        kernel columns."""
+        columns = self.raw.kernel_columns[j]
+        RY = self._kernel_rows(j, Y) if RY is None else RY
         if columns is None:
             return self.factors[j][0] @ RY
         QY = np.zeros(np.shape(Y))
         QY[columns] = RY
         return QY
 
-    def _apply(self, words, X, owned=False):
+    def _apply(self, words, X, owned=False, rows=None):
         """``{key: word X}`` for projector words (see ``_PROJECTOR_WORDS``).
         Words sharing a tail share its products, and ``P_j Y = Y - Q_j Y``
         reuses ``Q_j Y``; the tails are taken depth first, each dropped once
         its children are formed, and ``P_j Y`` overwrites ``Y`` where ``Y``
-        is a product of its own, or the ``owned`` input of the only tail."""
+        is a product of its own, or the ``owned`` input of the only tail.
+        ``rows``, when given, is ``R_{mu-1} X``, which the words of length
+        ``mu`` then take in place of their first product."""
         children, roots = _tails(tuple(words.values()))
         stack = [(j, "", X, owned and len(roots) == 1) for j in roots]
         products = {}
@@ -349,7 +353,7 @@ class DecoupledSystem:
                 products[tail] = Y
                 continue
             p_tail, q_tail = children[j, tail]
-            QY = self._kernel_product(j - 1, Y)
+            QY = self._kernel_product(j - 1, Y, rows if not tail and j == self.mu else None)
             if p_tail:
                 stack.append((j - 1, p_tail, np.subtract(Y, QY, out=Y) if writable else Y - QY, True))
             if q_tail:
@@ -387,8 +391,11 @@ class DecoupledSystem:
         return AX
 
     def _checked_solve(self, Y):
-        """``(X, rho)``: ``X = E_mu'^{-1} Y`` and its relative residual ``rho
-        = max|E_mu' X - Y| / max|Y|`` (``max|E_mu' X - Y|`` for ``Y = 0``).
+        """``(X, rho, RX)``: ``X = E_mu'^{-1} Y``, its relative residual
+        ``rho = max|E_mu' X - Y| / max|Y|`` (``max|E_mu' X - Y|`` for ``Y =
+        0``), and ``RX = R_{mu-1} X``, the check's last term, which is also
+        the first product of every projector word of length ``mu`` applied
+        to ``X`` (``None`` at index 1, where the check takes no such term).
         A ``rho`` above ``sqrt(RANK_REL_TOL)``, or NaN, raises
         :class:`SingularMatrixError`.
 
@@ -428,7 +435,7 @@ class DecoupledSystem:
                 f"the corrected chain's terminal solve has residual {rho:.3e}; the "
                 "index classification is unreliable at this tolerance"
             )
-        return X, rho
+        return X, rho, terms[-1][1] if self.mu > 1 else None
 
     @cached_property
     def inverse_residual(self):
@@ -488,15 +495,16 @@ class DecoupledSystem:
         ``Q``.  ``A_mu' W`` keeps its terms ``(A_j K_j)(R_j W)``, which vanish
         on ``range(Pi)`` only in exact arithmetic: ``M`` amplifies them.  Only
         a unit-vector ``K_0``'s term is dropped, as ``W[c_0]`` is exactly
-        zero (see :meth:`_apply_source`)."""
+        zero (see :meth:`_apply_source`).  The words' first product, ``R_{mu-1}
+        S W``, is the one the check of the solve took."""
         W, mu = self.ode_basis, self.mu
         words = {word: word for word in map("".join, product("PQ", repeat=mu))}
         # A_mu' W is passed, not named, so that it is dropped once checked, and
         # S W is let go once applied: the words overwrite it with P..P S W,
         # which is dropped once M is formed
-        SW, residual = self._checked_solve(self._apply_source(W, on_range=True))
-        blocks = self._apply(words, SW, owned=True)
-        del SW
+        SW, residual, rows = self._checked_solve(self._apply_source(W, on_range=True))
+        blocks = self._apply(words, SW, owned=True, rows=rows)
+        del SW, rows
         M = W.T @ blocks.pop("P" * mu)
         G = {}  # G[q]: the words with q letters Q, summed in place over the first
         for word, block in blocks.items():

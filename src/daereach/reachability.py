@@ -5,15 +5,20 @@ Only the ODE subsystem needs integrating, and it lives on the
 basis is pushed through time in the coordinates of the decoupled
 system's ODE basis ``W`` by powers of one ``r x r`` transition matrix,
 the exact flow of a linear time-invariant ODE up to rounding.  The
-powers are built by repeated squaring, so a grid of ``J`` steps takes
-``log2 J`` batched products instead of ``J`` single ones.  One fixed
+instants of the time grid are kept innermost: the ``k`` columns of every
+instant sit side by side in one ``r x (J+1)k`` block, so filling a run of
+instants is one wide product, the powers are built by repeated squaring
+until a cost rule in ``r`` and ``J`` says a squaring no longer pays, and
+the rest of the grid is marched in blocks of that width.  One fixed
 ``n x r`` matrix, the lift ``psi W``, sends every coordinate basis to a
-full DAE state basis.  The frame, the ``r x r`` ODE matrix and the lift
-come from the decoupled system's factored operator applied to the
-``n x r`` block ``W``; no ``n x n`` ``psi`` is formed.  The predicate
-never changes, so the reachable set at each step is a star sharing the
-initial star's constraint matrices, and the whole result is one array
-of ODE coordinates, the lift and that one predicate.
+full DAE state basis, and pulling rows back through it, tracing one
+coefficient vector and forming the state bases are each one product on
+the block.  The frame, the ``r x r`` ODE matrix and the lift come from
+the decoupled system's factored operator applied to the ``n x r`` block
+``W``; no ``n x n`` ``psi`` is formed.  The predicate never changes, so
+the reachable set at each step is a star sharing the initial star's
+constraint matrices, and the whole result is one array of ODE
+coordinates, the lift and that one predicate.
 """
 
 import time
@@ -76,6 +81,19 @@ def _grid_sized(settings):
         ) from exc
 
 
+def _side_by_side(coordinates):
+    """The ``r x (J+1)k`` block of ``(J+1, r, k)`` coordinates, instant
+    ``j`` in columns ``jk .. jk+k-1``: a view of the coordinates
+    :func:`propagate_basis` lays out, a copy of any other layout."""
+    steps, r, k = coordinates.shape
+    return coordinates.transpose(1, 0, 2).reshape(r, steps * k)
+
+
+def _per_instant(block, steps):
+    """The ``(steps, q, k)`` view of a ``q x steps k`` block."""
+    return block.reshape(len(block), steps, block.shape[1] // steps).transpose(1, 0, 2)
+
+
 @dataclass(frozen=True)
 class ReachResult:
     """Reachable set of an autonomous DAE over a fixed time grid.
@@ -83,11 +101,15 @@ class ReachResult:
     ``ode_coordinates[j]``, shape ``(r, k)``, is the ODE-subsystem basis at
     ``j * time_step`` in the coordinates of the decoupled system's ODE
     frame, and ``lift`` (``n x r``, ``psi @ W``) sends it to the state
-    basis ``bases[j] = lift @ ode_coordinates[j]``.  Every step shares the
-    predicate of ``initial``, the initial star.  The first ``n_orig``
-    state coordinates are the original model states, the rest are
-    stacked inputs.  An array sized by the time grid that numpy cannot
-    hold raises :class:`NumericalFailureError`.
+    basis ``bases[j] = lift @ ode_coordinates[j]``.  The coordinates are a
+    ``(J+1, r, k)`` view of one ``r x (J+1)k`` block with the instants side
+    by side (see :func:`propagate_basis`), and ``pull_back``, ``states``
+    and ``bases`` each take one product on that block; coordinates of any
+    other layout give the same values through a copy.  Every step shares
+    the predicate of ``initial``, the initial star.  The first ``n_orig``
+    state coordinates are the original model states, the rest are stacked
+    inputs.  An array sized by the time grid that numpy cannot hold raises
+    :class:`NumericalFailureError`.
     """
 
     ode_coordinates: np.ndarray
@@ -99,63 +121,91 @@ class ReachResult:
     certificate: object = field(repr=False, default=None)
     timings: dict = field(repr=False, default_factory=dict)
 
+    def _lifted(self, M):
+        """``M @ block`` as ``(J+1, q, k)``, for ``q`` rows ``M`` over the
+        ODE coordinates."""
+        steps = len(self.ode_coordinates)
+        with _grid_sized(self.settings):
+            return _per_instant(M @ _side_by_side(self.ode_coordinates), steps)
+
     @cached_property
     def bases(self):
         """The state bases, ``lift @ ode_coordinates``, shape
-        ``(num_steps + 1, n, k)``; built on first access and kept read-only."""
-        with _grid_sized(self.settings):
-            bases = self.lift @ self.ode_coordinates
+        ``(num_steps + 1, n, k)``, a view of one ``n x (J+1)k`` product;
+        built on first access and kept read-only."""
+        bases = self._lifted(self.lift)
         bases.flags.writeable = False
         return bases
 
     def pull_back(self, M):
         """``M @ bases[j]`` for every step, shape ``(num_steps + 1, q, k)``
-        for a ``(q, n)`` matrix ``M``, without forming the state bases.  A
-        product that overflows raises :class:`NumericalFailureError`."""
+        for a ``(q, n)`` matrix ``M``, without forming the state bases: a
+        view of ``(M @ lift) @ block``, ``q x (J+1)k``.  A product that
+        overflows raises :class:`NumericalFailureError`."""
         with np.errstate(over="ignore", invalid="ignore"):
-            projected = M @ self.lift
-            with _grid_sized(self.settings):
-                pulled = projected @ self.ode_coordinates
+            pulled = self._lifted(M @ self.lift)
         if not np.isfinite(pulled).all():
             raise NumericalFailureError("the pull-back of the reach sets overflows")
         return pulled
 
     def states(self, alpha):
         """The trajectory ``bases[j] @ alpha`` of one coefficient vector,
-        shape ``(num_steps + 1, n)``."""
+        shape ``(num_steps + 1, n)``: the block's rows times ``alpha``, an
+        ``r x (J+1)`` array, then the lift."""
+        steps, r, k = self.ode_coordinates.shape
         with _grid_sized(self.settings):
-            return (self.ode_coordinates @ alpha) @ self.lift.T
+            combined = _side_by_side(self.ode_coordinates).reshape(r * steps, k) @ alpha
+            return combined.reshape(r, steps).T @ self.lift.T
+
+
+# What reading one word of the r x r power costs a block product, in
+# multiply-adds: the cost rule of propagate_basis.  Timed with one BLAS
+# thread on the Stokes family at r = 121 to 961 over 100 and 1,000 steps
+# (expm included), 8 came within 20% of the best of 2, 4, 8 and 16 at
+# every size; with it, any r < 8 doubles to the end.
+_READ_COST = 8
 
 
 def propagate_basis(dec, theta0, settings):
     """Bases of the ODE subsystem at every time-grid instant in the
-    coordinates of ``dec.ode_basis``, shape ``(num_steps + 1, r, k)``.
+    coordinates of ``dec.ode_basis``, shape ``(num_steps + 1, r, k)``: a
+    view of one ``r x (J+1)k`` block, instant ``j`` in columns ``jk ..
+    jk+k-1``.
 
     Only the ODE component of ``theta0`` is propagated: its coordinates
     are ``W^T (Pi V)``, so a star already projected onto the ODE subsystem
     gives the same result.  Columns evolve independently under the linear
     time-invariant ``y' = W^T (N[1] W) y``, so the flow over ``j`` steps is
     ``phi^j`` with ``phi`` one ``r x r`` exponential of a step, exact up to
-    rounding.  The instants are filled in doubling blocks: with the first
-    ``c`` set, ``y[c:2c] = phi^c y[0:c]`` in one batched product, and
-    ``phi^c`` is squared for the next block.  ``W @ y`` is the basis in
-    state coordinates.
+    rounding.  The instants are filled ``b`` at a time, each run of them
+    one ``r x r x bk`` product ``Y[:, (j+b)k : (j+2b)k] = phi^b Y[:, jk :
+    (j+b)k]``.  ``b`` starts at 1 and doubles, ``phi^b`` squared along,
+    while the squaring costs less than the reads of the power it saves:
+    ``r^3`` multiply-adds against ``J / 2b`` fewer products that each read
+    the ``r^2`` words of the power, at ``_READ_COST`` multiply-adds a word.
+    The width ``k`` does not enter: the products' multiply-adds, ``J r^2
+    k`` in all, are the same for every ``b``.  Small ``r`` doubles to the
+    end, ``log2 J`` products (the rotating masses, ``r = 3``, at any
+    ``J``); large ``r`` stops at ``b`` between ``4 J / r`` and ``8 J / r``
+    and marches the rest of the grid in blocks of ``b`` instants.  ``W @
+    y`` is the basis in state coordinates.
     """
     W = dec.ode_basis
     y0 = W.T @ dec.ode_component(np.asarray(theta0.V, dtype=float))
-    coordinates = np.empty((settings.num_steps + 1,) + y0.shape)
-    coordinates[0] = y0
-    if not y0.size:  # r = 0: no ODE subsystem, nothing moves
-        return coordinates
-    power = matrix_exponential(dec.ode_matrix, settings.time_step)
-    filled, total = 1, len(coordinates)
-    while True:
-        count = min(filled, total - filled)
-        np.matmul(power, coordinates[:count], out=coordinates[filled : filled + count])
-        filled += count
-        if filled == total:
-            return coordinates
-        power = power @ power
+    (r, k), total = y0.shape, settings.num_steps + 1
+    block = np.empty((r, total * k))
+    block[:, :k] = y0
+    if y0.size:  # r = 0: no ODE subsystem, nothing moves
+        power = matrix_exponential(dec.ode_matrix, settings.time_step)
+        filled = width = 1
+        while filled < total:
+            count = min(width, total - filled)
+            source = block[:, (filled - width) * k : (filled - width + count) * k]
+            np.matmul(power, source, out=block[:, filled * k : (filled + count) * k])
+            filled += count
+            if filled < total and 2 * width * r < _READ_COST * settings.num_steps:
+                power, width = power @ power, filled
+    return _per_instant(block, total)
 
 
 def compute_reach(sys, theta0, settings):

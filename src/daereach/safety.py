@@ -3,9 +3,10 @@
 At each time step the unsafe condition ``G x <= f`` is pulled back through
 the star basis and stacked with the coefficient predicate; the step is
 unsafe iff the combined inequality system is feasible.  The pull-back is
-``(G @ lift) @ ode_coordinates[j]`` (:meth:`ReachResult.pull_back`), so
-the full state bases are never formed.  The support function of every
-pulled-back row at every step comes from the predicate's
+one product, ``(G @ lift) @ Y`` on the ODE coordinates ``Y`` with the
+instants side by side (:meth:`ReachResult.pull_back`), so the full state
+bases are never formed.  The support function of every pulled-back row
+at every step, taken along the instants, comes from the predicate's
 :meth:`StarSet.support` -- in closed form for a box, from the vertices
 of a bounded polytope with few of them -- and a step whose row minimum
 already exceeds ``f`` is skipped without an LP.  Any other predicate
@@ -155,10 +156,14 @@ def _screen(H, f, support, tol):
     ``f + c max(1, |f|)``: every ``alpha`` of the predicate then misses
     that row by more than the slack :func:`_recheck` allows it, ``c
     max(1, |f|, |h| @ |alpha|)``, so no step with a witness that passes the
-    check is skipped.
+    check is skipped.  The rows are copied once with the steps as the
+    contiguous axis, so that the support's elementwise work runs along the
+    instants, ``q k`` rows of ``J+1`` values rather than ``(J+1) q`` rows
+    of ``k``.
     """
     c = 100.0 * tol
-    lowest = support.slack_minimum(H, c)  # (steps, q)
+    along = np.ascontiguousarray(H.transpose(1, 2, 0))  # (q, k, steps)
+    lowest = support.slack_minimum(along.transpose(2, 0, 1), c)  # (steps, q)
     proven = np.any(lowest > f + c * np.maximum(1.0, np.abs(f)), axis=1)
     return np.flatnonzero(~proven).tolist()
 

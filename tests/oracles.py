@@ -618,11 +618,12 @@ def dense_residual(E, X):
     return float(residual), 2.0 * n * 2.0**-53 * float((np.abs(E) @ np.abs(X)).max())
 
 
-def dense_apply(dec, words, X, owned=False):
+def dense_apply(dec, words, X, owned=False, rows=None):
     """``DecoupledSystem._apply`` with the dense products ``Q_j Y = K_j (R_j
     Y)`` for every kernel basis, unit vectors included: the reference the
     package's row masks must match byte for byte.  It forms every tail as a
-    new array, so it never overwrites an ``owned`` input."""
+    new array, so it never overwrites an ``owned`` input, and it forms
+    ``R_{mu-1} X`` anew rather than take the ``rows`` it is handed."""
     done = {}
     products = {}
     for key, word in words.items():

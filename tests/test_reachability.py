@@ -154,7 +154,13 @@ class TestPropagateBasis:
 
     @pytest.mark.parametrize(
         "model, time_step, num_steps",
-        [("builtin:rotating-masses", 0.01, 10_000), ("builtin:stokes:4", 1e-3, 100)],
+        [
+            ("builtin:rotating-masses", 0.01, 10_000),
+            ("builtin:stokes:4", 1e-3, 100),
+            # r = 121 over 300 steps: doubling stops at blocks of 16 instants,
+            # which march the rest of the grid
+            ("builtin:stokes:12", 1e-4, 300),
+        ],
     )
     def test_squaring_matches_sequential_steps(self, model, time_step, num_steps):
         from daereach import load_model, propagate_basis, to_autonomous
@@ -165,6 +171,31 @@ class TestPropagateBasis:
         coordinates = propagate_basis(dec, star, ReachSettings(time_step, num_steps))
         expected = sequential_coordinates(dec, star.V, time_step, num_steps)
         assert np.abs(coordinates - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("num_steps", [1, 1000, 2000, 10_000])
+    def test_rotating_masses_keep_the_full_doubling(
+        self, rotating_masses_auto, rotating_masses_star, num_steps
+    ):
+        # at r = 3 the cost rule never stops squaring, so the side-by-side
+        # block holds the bits of one (r x r) @ (c, r, k) product per doubling
+        from daereach import propagate_basis
+        from daereach.linalg import matrix_exponential
+
+        dec = decoupled(rotating_masses_auto)
+        settings = ReachSettings(0.01, num_steps)
+        coordinates = propagate_basis(dec, rotating_masses_star, settings)
+        expected = np.empty((num_steps + 1, 3, 2))
+        expected[0] = dec.ode_basis.T @ dec.ode_component(rotating_masses_star.V)
+        power = matrix_exponential(dec.ode_matrix, 0.01)
+        filled = 1
+        while True:
+            count = min(filled, len(expected) - filled)
+            np.matmul(power, expected[:count], out=expected[filled : filled + count])
+            filled += count
+            if filled == len(expected):
+                break
+            power = power @ power
+        assert np.array_equal(coordinates, expected)
 
     def test_modes_agree(self, rotating_masses_auto, rotating_masses_star):
         # the reused transition matrix against the other mode of propagation,
@@ -214,6 +245,23 @@ class TestComputeReach:
         assert np.array_equal(reach.bases, reach.lift @ reach.ode_coordinates)
         for array in (reach.bases, reach.lift, reach.ode_coordinates):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
+    def test_products_do_not_depend_on_the_layout(self, model):
+        # the same coordinates stored (J+1, r, k) C-contiguous give the bytes
+        # of the side-by-side block compute_reach lays out
+        from daereach import load_model, to_autonomous
+
+        auto = to_autonomous(*load_model(model))
+        star = box_star(np.random.default_rng(5), dense_decoupled(decoupled(auto)).gamma, auto.n, 3)
+        reach = compute_reach(auto, star, ReachSettings(1e-3, 50))
+        stacked = replace(reach, ode_coordinates=np.ascontiguousarray(reach.ode_coordinates))
+        assert not reach.ode_coordinates.flags.c_contiguous
+        M = np.random.default_rng(6).normal(size=(2, auto.n))
+        alpha = np.array([0.3, -0.2, 0.9])
+        assert np.array_equal(stacked.bases, reach.bases)
+        assert np.array_equal(stacked.pull_back(M), reach.pull_back(M))
+        assert np.array_equal(stacked.states(alpha), reach.states(alpha))
 
     def test_zero_basis_stays_zero(self, rotating_masses_auto):
         star = StarSet(

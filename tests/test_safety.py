@@ -301,12 +301,16 @@ class TestSamplingOracleAgreement:
 
 def reference_verify(reach, unsafe):
     """The unscreened scan: one kernel call at every step, in time order,
-    on the rows ``verify`` pulls back, ``(G @ lift) @ ode_coordinates[j]``."""
+    on the rows ``verify`` pulls back, ``(G @ lift) @ Y`` for the ODE
+    coordinates ``Y`` laid out ``r x (J+1)k``, the instants side by side,
+    whose columns ``jk .. jk+k-1`` are step ``j``'s rows."""
     hits, alpha = [], None
     star = reach.initial
-    pulled_back = unsafe.extended(star.dim, reach.n_orig) @ reach.lift
-    for j, coordinates in enumerate(reach.ode_coordinates):
-        Gbar = np.vstack([pulled_back @ coordinates, star.C])
+    steps, r, k = reach.ode_coordinates.shape
+    side_by_side = reach.ode_coordinates.transpose(1, 0, 2).reshape(r, steps * k)
+    pulled_back = (unsafe.extended(star.dim, reach.n_orig) @ reach.lift) @ side_by_side
+    for j in range(steps):
+        Gbar = np.vstack([pulled_back[:, j * k : (j + 1) * k], star.C])
         fbar = np.concatenate([unsafe.f, star.d])
         candidate = feasibility_check(Gbar, fbar)
         if candidate is not None:
