@@ -342,8 +342,9 @@ class DecoupledSystem:
         reuses ``Q_j Y``; the tails are taken depth first, each dropped once
         its children are formed, and ``P_j Y`` overwrites ``Y`` where ``Y``
         is a product of its own, or the ``owned`` input of the only tail.
-        ``rows``, when given, is ``R_{mu-1} X``, which the words of length
-        ``mu`` then take in place of their first product."""
+        ``rows``, when given, is a list holding ``R_{mu-1} X``, which the
+        words of length ``mu`` then take in place of their first product;
+        it is popped there, so the block is dropped once used."""
         children, roots = _tails(tuple(words.values()))
         stack = [(j, "", X, owned and len(roots) == 1) for j in roots]
         products = {}
@@ -353,7 +354,8 @@ class DecoupledSystem:
                 products[tail] = Y
                 continue
             p_tail, q_tail = children[j, tail]
-            QY = self._kernel_product(j - 1, Y, rows if not tail and j == self.mu else None)
+            known = rows.pop() if rows and not tail and j == self.mu else None
+            QY = self._kernel_product(j - 1, Y, known)
             if p_tail:
                 stack.append((j - 1, p_tail, np.subtract(Y, QY, out=Y) if writable else Y - QY, True))
             if q_tail:
@@ -501,10 +503,11 @@ class DecoupledSystem:
         words = {word: word for word in map("".join, product("PQ", repeat=mu))}
         # A_mu' W is passed, not named, so that it is dropped once checked, and
         # S W is let go once applied: the words overwrite it with P..P S W,
-        # which is dropped once M is formed
-        SW, residual, rows = self._checked_solve(self._apply_source(W, on_range=True))
+        # which is dropped once M is formed; R_{mu-1} S W is handed over in a
+        # list the words empty, so that it is dropped once they have used it
+        SW, residual, *rows = self._checked_solve(self._apply_source(W, on_range=True))
         blocks = self._apply(words, SW, owned=True, rows=rows)
-        del SW, rows
+        del SW
         M = W.T @ blocks.pop("P" * mu)
         G = {}  # G[q]: the words with q letters Q, summed in place over the first
         for word, block in blocks.items():
