@@ -179,13 +179,13 @@ class MatrixChain:
 
     @property
     def E_seq(self):
-        """``[E_0 .. E_{mu-1}]``: ``E`` itself, then new arrays rebuilt on read."""
-        return [self.E] + [_chain_rows(self.E, self.steps[:j]) for j in range(1, self.mu)]
+        """``[E_0 .. E_{mu-1}]``, new dense arrays rebuilt on read."""
+        return [_chain_rows(self.E, self.steps[:j]).dense() for j in range(self.mu)]
 
     @property
     def A_seq(self):
-        """``[A_0 .. A_{mu-1}]``: ``A`` itself, then new arrays rebuilt on read."""
-        return [self.A] + [_chain_rows(self.A, self.steps[:j]) for j in range(1, self.mu)]
+        """``[A_0 .. A_{mu-1}]``, new dense arrays rebuilt on read."""
+        return [_chain_rows(self.A, self.steps[:j]).dense() for j in range(self.mu)]
 
     def _held_inverse(self):
         """``inverse``, unless :func:`decouple` took it."""
@@ -378,17 +378,16 @@ class DecoupledSystem:
 
     def _apply_source(self, X, on_range=False):
         """``A_mu' X = A X - sum_j (A_j K_j)(R_j X)`` over ``j < mu`` from the
-        raw chain's ``A`` and kernel images; ``A X`` at index 1.  A block
-        ``X`` ``on_range`` of ``Pi`` (the frame ``W``) is exactly zero off
-        ``_range_rows``, so ``A X`` is taken from those columns of ``A``
-        alone and the ``j = 0`` term, ``(A_0 K_0)`` times the zero rows
-        ``R_0 X = X[c_0]``, is exactly zero and not taken; every ``j >= 1``
-        term is kept."""
-        rows = self._range_rows if on_range else None
-        AX = self.raw.A @ X if rows is None else self.raw.A[:, rows] @ X[rows]
+        raw chain's ``A`` (sparse rows, so ``A X`` reads only its entries)
+        and kernel images; ``A X`` at index 1.  A block ``X`` ``on_range`` of
+        ``Pi`` (the frame ``W``) is exactly zero off ``_range_rows``, so the
+        ``j = 0`` term, ``(A_0 K_0)`` times the zero rows ``R_0 X = X[c_0]``,
+        is exactly zero and not taken; every ``j >= 1`` term is kept."""
+        skip_first = on_range and self._range_rows is not None
+        AX = self.raw.A @ X
         if self.mu > 1:
             for j, image in enumerate(self.raw.kernel_images):
-                if j or rows is None:
+                if j or not skip_first:
                     AX -= image @ self._kernel_rows(j, X)
         return AX
 
@@ -404,26 +403,19 @@ class DecoupledSystem:
         ``E_mu' X`` is taken from the factors, a block of rows at a time, as
         ``E X - (A_0 K_0)(K_0^T X) - sum_j (A_j K_j)(R_j X)`` over ``1 <= j <
         mu``: :func:`decouple` never corrects ``Q_0``, so ``E_mu'`` is the raw
-        ``E_1 = E - (A_0 K_0) K_0^T`` less the corrected terms.  After a
-        closed-form first step, ``E``'s columns ``c_0`` are exactly zero:
-        ``E X`` is taken from the other columns when they are contiguous (a
-        copy of scattered ones would cost more than the zeros), and ``K_0^T
-        X`` is the rows ``c_0`` of ``X``.  No ``n x n`` array is formed for
-        an ``n x r`` ``Y``."""
+        ``E_1 = E - (A_0 K_0) K_0^T`` less the corrected terms.  ``E`` is
+        sparse rows, so ``E X`` gathers the rows of ``X`` its entries name
+        (Stokes ``E = diag(I, 0)``: a copy of the velocity rows), and after a
+        closed-form first step ``K_0^T X`` is the rows ``c_0`` of ``X``.  No
+        ``n x n`` array is formed for an ``n x r`` ``Y``."""
         X = self.inverse.apply(Y)
         raw, columns = self.raw, self.raw.kernel_columns[0]
-        E, EX_rows = raw.E, X
-        if columns is None:
-            first = raw.factors[0][1] @ X
-        else:
-            first, kept = X[columns], _other_indices(self.n, [columns])
-            if isinstance(kept, slice):
-                E, EX_rows = E[:, kept], X[kept]
+        first = raw.factors[0][1] @ X if columns is None else X[columns]
         terms = [(raw.kernel_images[0], first)]
         terms += [(raw.kernel_images[j], self._kernel_rows(j, X)) for j in range(1, self.mu)]
         top = 0.0
         for rows in row_blocks(self.n) if Y.size else ():
-            block = E[rows] @ EX_rows
+            block = raw.E[rows] @ X
             for image, RX in terms:
                 block -= image[rows] @ RX
             block -= Y[rows]
@@ -463,7 +455,12 @@ class DecoupledSystem:
         columns = self.raw.kernel_columns[0]
         if columns is None or self.factors[0][1] is not self.raw.factors[0][1]:
             return None
-        return _other_indices(self.n, [columns])
+        kept = np.ones(self.n, dtype=bool)
+        kept[columns] = False
+        kept = np.flatnonzero(kept)
+        if kept.size and kept[-1] - kept[0] == kept.size - 1:  # contiguous: a view
+            return slice(int(kept[0]), int(kept[-1]) + 1)
+        return kept
 
     @cached_property
     def ode_basis(self):
@@ -544,50 +541,34 @@ class DecoupledSystem:
         return self.apply_projectors(np.eye(self.n))
 
 
-def _chain_rows(X, steps, rows=slice(None)):
-    """Rows ``rows`` of ``X_j`` for ``X_0 = X``, through the ``j`` recorded
-    ``steps`` (see :attr:`MatrixChain.steps`), each ``X_{j+1} = X_j -
-    (A_j K_j) K_j^T`` taken on the rows of its ``image`` into a new array.
-    When ``K_j`` is the unit vectors of ``columns``, the rows of ``image``
-    are subtracted from those columns of a copy: the same matrix, since
-    every other column of ``image K^T`` is zero and each of those is a
-    column of ``image``, neither rounded."""
-    X = X[rows]
+def _chain_rows(X, steps, rows=None):
+    """Rows ``rows`` (every row for ``None``) of ``X_j`` for ``X_0 = X``,
+    through the ``j`` recorded ``steps`` (see :attr:`MatrixChain.steps`),
+    each ``X_{j+1} = X_j -
+    (A_j K_j) K_j^T`` taken on the rows of its ``image``, as a new
+    :class:`~daereach.linalg.RowSparse`.  When ``K_j`` is the unit vectors
+    of ``columns``, the rows of ``image`` are subtracted from those columns
+    of the rows (:meth:`~daereach.linalg.RowSparse.minus_columns`): the same
+    matrix, since every other column of ``image K^T`` is zero and each of
+    those is a column of ``image``, neither rounded, and no dense ``n x n``
+    array is formed (Stokes ``E_1 = E`` with ``-A[:, c_0]`` merged in, and
+    ``A_1``, ``A`` with those columns exactly zero, which drops them).  A
+    dense ``K_j`` makes the step a dense product, stored as rows."""
+    if rows is not None:
+        X, steps = X[rows], [(image[rows], Kt, columns) for image, Kt, columns in steps]
     for image, Kt, columns in steps:
-        if columns is None:
-            product = image[rows] @ Kt
-            X = np.subtract(X, product, out=product)
-        else:
-            X = X.copy()
-            X[:, columns] -= image[rows]
+        X = X.minus(image @ Kt) if columns is None else X.minus_columns(columns, image)
     return X
-
-
-def _other_indices(n, columns):
-    """The indices of ``range(n)`` in none of the index arrays ``columns``:
-    a slice when they are contiguous (Stokes: the velocities), so that the
-    columns or rows it takes are a view, else an index array."""
-    kept = np.ones(n, dtype=bool)
-    for c in columns:
-        kept[c] = False
-    kept = np.flatnonzero(kept)
-    if kept.size and kept[-1] - kept[0] == kept.size - 1:
-        return slice(int(kept[0]), int(kept[-1]) + 1)
-    return kept
 
 
 def _kernel_image(A, steps, K, columns):
     """``A_mu K_mu``, ``A_mu`` taken from ``A`` through the recorded
-    ``steps``: a gather of ``columns`` for a unit-vector ``K``.  When every
-    step's kernel basis is the unit vectors of some columns, ``A_mu`` is
-    ``A`` with those columns exactly zero (each step subtracts a column from
-    itself), so a dense ``K`` meets only ``A``'s other columns and ``A_mu``
-    is not formed."""
-    if columns is None and steps and all(c is not None for _, _, c in steps):
-        kept = _other_indices(A.shape[1], [c for _, _, c in steps])
-        return A[:, kept] @ K[kept]
+    ``steps`` as rows (see :func:`_chain_rows`): a gather of ``columns`` for
+    a unit-vector ``K``, else a product that reads only ``A_mu``'s stored
+    entries, so that after closed-form steps a dense ``K`` meets only the
+    columns of ``A`` that they did not zero."""
     A_mu = _chain_rows(A, steps)
-    return A_mu @ K if columns is None else A_mu[:, columns]
+    return A_mu @ K if columns is None else A_mu.column_block(columns)
 
 
 def compute_index_and_chain(sys):
@@ -723,9 +704,10 @@ def decouple(chain):
     K, R = factors[-1]
     index_3 = ()  # (J, Y) of the index-3 step
     if mu > 1:
-        # K^T E_mu^{-1} Y = KtE @ Y[tail], [0, C^{-1}] U^T where C^{-1} was kept
+        # K^T E_mu^{-1} Y = KtE @ Y[tail] (every row for None), [0, C^{-1}] U^T
+        # where C^{-1} was kept
         if inverse.c_inv is None:
-            KtE, tail = K.T @ inverse.B, slice(None)
+            KtE, tail = K.T @ inverse.B, None
         else:
             KtE, tail = inverse.c_inv, inverse.left[chain.n - inverse.c_inv.shape[0] :]
         # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}

@@ -6,12 +6,17 @@ restricted to smooth signals generated by ``u'(t) = A_u u(t)``: stacking
 only form the downstream pipeline consumes.  Piecewise-constant inputs are
 deliberately inexpressible because their derivative jumps excite impulses
 in high-index systems.
+
+``E`` and ``A`` are kept as sparse rows
+(:class:`~daereach.linalg.RowSparse`) from the model file on: the pipeline
+reads their stored entries and takes products through them, and a dense
+form is built only where one is read whole (:func:`check_regularity`).
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import RANK_REL_TOL, as_matrix, readonly
+from .linalg import RANK_REL_TOL, RowSparse, as_matrix, as_rows, readonly
 
 __all__ = [
     "DaeSystem",
@@ -28,7 +33,10 @@ class DaeSystem:
     """A linear DAE ``E x' = A x + B u`` with square ``E``.
 
     ``B`` may be omitted for input-free systems, in which case it is the
-    empty n-by-0 matrix and ``m == 0``.  Only shapes are checked here; the
+    empty n-by-0 matrix and ``m == 0``.  ``E`` and ``A`` are kept as
+    :class:`~daereach.linalg.RowSparse` (a dense array is stored as one, a
+    :class:`~daereach.linalg.RowSparse` kept as it is), ``B`` dense.  Only
+    shapes and finiteness are checked here; the
     matrix chain's first SVD rejects a nonsingular ``E`` (an ODE, outside
     this package's scope) with :class:`~daereach.errors.NonsingularEError`.
     """
@@ -36,8 +44,8 @@ class DaeSystem:
     __slots__ = ("E", "A", "B")
 
     def __init__(self, E, A, B=None):
-        E = as_matrix(E, "E")
-        A = as_matrix(A, "A")
+        E = as_rows(E, "E")
+        A = as_rows(A, "A")
         n = E.shape[0]
         if E.shape[0] != E.shape[1]:
             raise DimensionMismatchError(f"E must be square, got shape {E.shape}")
@@ -51,8 +59,8 @@ class DaeSystem:
             B = as_matrix(B, "B", allow_empty_cols=True)
         if B.shape[0] != n:
             raise DimensionMismatchError(f"B must have {n} rows, got {B.shape[0]}")
-        self.E = readonly(E)
-        self.A = readonly(A)
+        self.E = E
+        self.A = A
         self.B = readonly(B)
 
     @property
@@ -104,14 +112,15 @@ class AutonomousDae:
 
     ``n_orig`` and ``m_orig`` record the split of the stacked state into
     original coordinates and input coordinates; the original state is
-    recovered as the first ``n_orig`` entries.
+    recovered as the first ``n_orig`` entries.  ``E`` and ``A`` are kept
+    as :class:`~daereach.linalg.RowSparse`, as in :class:`DaeSystem`.
     """
 
     __slots__ = ("E", "A", "n_orig", "m_orig")
 
     def __init__(self, E, A, n_orig=None, m_orig=0):
-        E = as_matrix(E, "E")
-        A = as_matrix(A, "A")
+        E = as_rows(E, "E")
+        A = as_rows(A, "A")
         if E.shape[0] != E.shape[1]:
             raise DimensionMismatchError(f"E must be square, got shape {E.shape}")
         if A.shape != E.shape:
@@ -125,8 +134,8 @@ class AutonomousDae:
             raise DimensionMismatchError(
                 f"n_orig + m_orig = {n_orig + m_orig} does not match size {n}"
             )
-        self.E = readonly(E)
-        self.A = readonly(A)
+        self.E = E
+        self.A = A
         self.n_orig = n_orig
         self.m_orig = m_orig
 
@@ -148,7 +157,9 @@ def to_autonomous(sys, inputs=None):
         [0 I ]               [0 A_u]
 
     With the no-input variant the system itself is returned in autonomous
-    form (``m_orig = 0``), since ``u = 0`` contributes nothing.
+    form (``m_orig = 0``), since ``u = 0`` contributes nothing.  The input
+    rows are stacked below the system's rows and ``B``'s entries merged into
+    them, so no dense ``(n + m) x (n + m)`` array is formed.
     """
     inputs = InputModel() if inputs is None else inputs
     if inputs.is_none:
@@ -159,13 +170,8 @@ def to_autonomous(sys, inputs=None):
             f"A_u is {m}x{m} but the system has {sys.m} inputs"
         )
     n = sys.n
-    e_bar = np.zeros((n + m, n + m))
-    e_bar[:n, :n] = sys.E
-    e_bar[n:, n:] = np.eye(m)
-    a_bar = np.zeros((n + m, n + m))
-    a_bar[:n, :n] = sys.A
-    a_bar[:n, n:] = sys.B
-    a_bar[n:, n:] = inputs.a_u
+    e_bar = RowSparse.block_upper(sys.E, np.zeros((n, m)), np.eye(m))
+    a_bar = RowSparse.block_upper(sys.A, sys.B, inputs.a_u)
     return AutonomousDae(e_bar, a_bar, n_orig=n, m_orig=m)
 
 
@@ -191,9 +197,10 @@ def check_regularity(sys):
     large the entries are; the scaling is exact wherever it does not
     underflow, and the relative cutoff does not see it.
     """
-    top = max(np.abs(sys.E).max(), np.abs(sys.A).max())
+    E, A = sys.E.dense(), sys.A.dense()
+    top = max(np.abs(E).max(), np.abs(A).max())
     scale = np.ldexp(1.0, -np.frexp(top)[1])
-    E, A = sys.E * scale, sys.A * scale
+    E, A = E * scale, A * scale
     samples = np.random.default_rng(_REGULARITY_SEED).uniform(-10.0, 10.0, size=5)
     sigmas = (np.linalg.svd(s * E - A, compute_uv=False) for s in samples)
     return any(sigma[-1] > RANK_REL_TOL * sigma[0] for sigma in sigmas)

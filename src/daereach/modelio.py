@@ -11,7 +11,10 @@ carry ``V``, ``C``, ``d`` and optionally ``U0``; unsafe files carry
 ``G``, ``f`` and optionally ``on_original_state``.
 
 A file whose floats were written with ``repr`` (as ``json.dumps`` writes
-them) loads bit-exactly.
+them) loads bit-exactly.  The model's ``E`` and ``A`` are built as sparse
+rows (:class:`~daereach.linalg.RowSparse`) straight from their triples, or
+from a dense nested array, so a sparse model file costs its entries, not
+``n^2``; every other matrix is dense.
 """
 
 import json
@@ -22,6 +25,7 @@ import numpy as np
 
 from .benchmarks import build_rotating_masses, build_stokes
 from .errors import DimensionMismatchError, EmptyPredicateError, ParseError
+from .linalg import RowSparse
 from .model import DaeSystem, InputModel
 from .safety import UnsafeSpec
 from .starset import StarSet
@@ -91,16 +95,13 @@ def _bad_triple(entry, rows, cols):
 
 
 def _sparse_matrix(rows, cols, triples, path, field):
-    """The ``rows x cols`` matrix of ``triples``, each ``[row, col, value]``;
-    a repeated index keeps the last triple's value.  The triples are checked
-    a column at a time: JSON numbers are exactly ints and floats, and a
-    column of them converts to floats in one call.  A column that holds
-    anything else, and a list that is not of triples, is searched for its
-    first triple that :func:`_bad_triple` refuses, which the error names."""
-    try:
-        matrix = np.zeros((rows, cols))
-    except (ValueError, MemoryError):
-        raise ParseError(f"shape [{rows}, {cols}] is too large", path=path, field=field)
+    """The ``rows x cols`` :class:`~daereach.linalg.RowSparse` of
+    ``triples``, each ``[row, col, value]``; a repeated index keeps the last
+    triple's value.  The triples are checked a column at a time: JSON
+    numbers are exactly ints and floats, and a column of them converts to
+    floats in one call.  A column that holds anything else, and a list that
+    is not of triples, is searched for its first triple that
+    :func:`_bad_triple` refuses, which the error names."""
 
     def refused(entry):
         return ParseError(
@@ -110,6 +111,9 @@ def _sparse_matrix(rows, cols, triples, path, field):
             field=field,
         )
 
+    too_large = ParseError(f"shape [{rows}, {cols}] is too large", path=path, field=field)
+    if max(rows, cols) > np.iinfo(np.intp).max:  # no index array could hold it
+        raise too_large
     try:
         i, j, v = list(zip(*triples, strict=True)) if triples else [(), (), ()]
         if not set(map(type, chain(i, j, v))) <= {int, float}:
@@ -121,13 +125,17 @@ def _sparse_matrix(rows, cols, triples, path, field):
     good = (0 <= i) & (i < rows) & (i == np.trunc(i)) & (0 <= j) & (j < cols) & (j == np.trunc(j))
     if not good.all():
         raise refused(triples[int(np.argmin(good))])
-    flat = i.astype(np.intp) * cols + j.astype(np.intp)
-    last = flat.size - 1 - np.unique(flat[::-1], return_index=True)[1]
-    matrix.reshape(-1)[flat[last]] = v[last]
-    return matrix
+    try:
+        return RowSparse.from_triples((rows, cols), i, j, v)
+    except (ValueError, MemoryError):
+        raise too_large
 
 
-def _matrix_from_json(value, path, field):
+def _matrix_from_json(value, path, field, rows=False):
+    """The matrix ``value`` holds, dense, or as a
+    :class:`~daereach.linalg.RowSparse` when ``rows``: its triples then
+    become one with no dense array formed, and only their stored values are
+    checked for finiteness."""
     if isinstance(value, dict):
         shape, triples = value.get("shape"), value.get("triples")
         if not (isinstance(shape, list) and len(shape) == 2 and isinstance(triples, list)):
@@ -136,16 +144,25 @@ def _matrix_from_json(value, path, field):
                 path=path,
                 field=field,
             )
-        rows = _size(shape[0], 1, path, f"{field} shape")
+        size = _size(shape[0], 1, path, f"{field} shape")
         cols = _size(shape[1], 0, path, f"{field} shape")
-        matrix = _sparse_matrix(rows, cols, triples, path, field)
+        matrix = _sparse_matrix(size, cols, triples, path, field)
+        finite = matrix.finite
+        if not rows:
+            try:
+                matrix = matrix.dense()
+            except (ValueError, MemoryError):
+                raise ParseError(f"shape [{size}, {cols}] is too large", path=path, field=field)
     else:
         matrix = _reals(value, path, field, "matrix must be a nested array of reals")
         if matrix.ndim != 2:
             raise ParseError(
                 f"matrix must be 2-D, got shape {matrix.shape}", path=path, field=field
             )
-    if not np.all(np.isfinite(matrix)):
+        finite = np.all(np.isfinite(matrix))
+        if rows:
+            matrix = RowSparse.from_dense(matrix, copy=False)
+    if not finite:
         raise ParseError("matrix contains non-finite entries", path=path, field=field)
     return matrix
 
@@ -206,8 +223,8 @@ def load_model(path):
     n = _size(_require(document, "n", path), 1, path, "n")
     m = _size(_require(document, "m", path), 0, path, "m")
 
-    E = _matrix_from_json(_require(document, "E", path), path, "E")
-    A = _matrix_from_json(_require(document, "A", path), path, "A")
+    E = _matrix_from_json(_require(document, "E", path), path, "E", rows=True)
+    A = _matrix_from_json(_require(document, "A", path), path, "A", rows=True)
     if E.shape != (n, n):
         raise ParseError(f"E must be {n}x{n}, got {E.shape}", path=path, field="E")
     if A.shape != (n, n):
@@ -231,8 +248,8 @@ def load_model(path):
             raise ParseError(f"A_u must be {m}x{m}, got {a_u.shape}", path=path, field="A_u")
         a_u.flags.writeable = False
         inputs = InputModel(a_u)
-    # frozen, so DaeSystem keeps these arrays instead of copying them
-    E.flags.writeable = A.flags.writeable = B.flags.writeable = False
+    # frozen, so DaeSystem keeps B instead of copying it; E and A are rows
+    B.flags.writeable = False
     return DaeSystem(E, A, B), inputs
 
 

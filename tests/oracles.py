@@ -40,6 +40,8 @@ import numpy as np
 import scipy.linalg
 from scipy.integrate import solve_ivp
 
+from daereach.linalg import RowSparse
+
 
 def expm_taylor(M, t, terms=40):
     """exp(M t) by scaled-and-squared Taylor summation."""
@@ -403,8 +405,8 @@ def finite_deflating_subspace(auto, cutoff=1e-3):
     value above the cutoff and ``infinite`` the largest at or below it
     (``0.0`` when there is none): the gap the decision relies on.
     """
-    A = auto.A / np.linalg.norm(auto.A, 2)
-    E = auto.E / np.linalg.norm(auto.E, 2)
+    A, E = auto.A.dense(), auto.E.dense()
+    A, E = A / np.linalg.norm(A, 2), E / np.linalg.norm(E, 2)
 
     def chordal(alpha, beta):
         return np.abs(beta) / np.hypot(np.abs(alpha), np.abs(beta))
@@ -432,7 +434,7 @@ def reference_chain(auto, rel_tol=1e-9):
     """``(E, A, Q, P, mu)`` of the raw chain of orthogonal kernel projectors,
     built to its first full-rank ``E_mu`` (``mu <= 3``) with a full SVD of
     every chain matrix, the terminal one included."""
-    E, A, Q, P = [auto.E], [auto.A], [], []
+    E, A, Q, P = [auto.E.dense()], [auto.A.dense()], [], []
     for mu in range(4):
         q, nonsingular = _orthogonal_kernel(E[-1], rel_tol)
         if nonsingular:
@@ -548,24 +550,23 @@ def stored_chain(auto):
     package's own factorizations: ``E_{j+1} = E_j - A_j Q_j`` and ``A_{j+1}
     = A_j - A_j Q_j`` with the one product ``A_j Q_j = (A_j K_j) K_j^T``
     shared, or, for a unit-vector ``K_j``, ``A_j K_j`` subtracted from the
-    kernel columns of a copy.  While every earlier ``K_i`` was unit vectors,
-    a dense ``K_j`` takes ``A_j K_j`` from the columns of ``A`` none of them
-    selected, where ``A_j`` equals ``A``: it is zero on the others."""
+    kernel columns of a copy.  A dense ``K_j`` meets ``A_j`` as the
+    package's does, through the stored entries of ``A_j`` as
+    :class:`~daereach.linalg.RowSparse`, so the products share its order of
+    operations; after unit-vector steps those are the entries of ``A`` in
+    the columns none of them selected (``A_j`` is exactly zero on the
+    others)."""
     from daereach.linalg import kernel_basis_and_inverse, rank_factors, rank_update_inverse
 
-    E, A, images = [auto.E], [auto.A], []
-    factors = rank_factors(auto.E)
-    kept = np.ones(auto.n, dtype=bool)  # columns no unit-vector K_i selected
-    unit_vectors = True  # every earlier K_i was unit vectors
+    E, A, images = [auto.E.dense()], [auto.A.dense()], []
+    factors = rank_factors(E[0])
     while True:
         K, _ = kernel_basis_and_inverse(factors)
         columns = factors.kernel_columns
         if columns is not None:
             images.append(A[-1][:, columns])
-            kept[columns] = False
         else:
-            images.append(auto.A[:, kept] @ K[kept] if images and unit_vectors else A[-1] @ K)
-            unit_vectors = False
+            images.append(RowSparse.from_dense(A[-1]) @ K)
         if rank_update_inverse(factors, images[-1])[0] is not None:
             return E, A, images
         if columns is None:
@@ -586,7 +587,7 @@ def dense_source(dec):
     """``A_mu'``, the source of a package decoupled system, multiplied out
     densely: the rebuilt chain's ``A_mu`` of :func:`chain_matrices` with its
     corrected projectors, or ``A_0`` at index 1."""
-    return dec.raw.A if dec.mu == 1 else chain_matrices(dec.raw, dec.factors)[1][dec.mu]
+    return dec.raw.A.dense() if dec.mu == 1 else chain_matrices(dec.raw, dec.factors)[1][dec.mu]
 
 
 def dense_decoupled(dec):
@@ -774,7 +775,7 @@ def write_json(path, **fields):
     """Write ``fields`` as one JSON document, numpy arrays as nested lists.
     ``json`` writes every float with ``repr``, so each loads back bit-exactly."""
     document = {
-        key: value.tolist() if isinstance(value, np.ndarray) else value
+        key: np.asarray(value).tolist() if isinstance(value, (np.ndarray, RowSparse)) else value
         for key, value in fields.items()
     }
     Path(path).write_text(json.dumps(document))
@@ -782,9 +783,13 @@ def write_json(path, **fields):
 
 def square_arrays(value, n):
     """The ``n x n`` arrays in ``value``, looking into dicts, lists and
-    tuples (named tuples included)."""
+    tuples (named tuples included) and into what a
+    :class:`~daereach.linalg.RowSparse` holds (its dense form when it is
+    kept dense)."""
     if isinstance(value, np.ndarray):
         return [value] if value.shape == (n, n) else []
+    if isinstance(value, RowSparse):
+        value = [value._dense, value._columns, value._values]
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):

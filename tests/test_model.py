@@ -42,7 +42,7 @@ class TestToAutonomous:
 
     def test_block_layout(self, rotating_masses_auto):
         system, inputs = build_rotating_masses()
-        E, A = rotating_masses_auto.E, rotating_masses_auto.A
+        E, A = rotating_masses_auto.E.dense(), rotating_masses_auto.A.dense()
         assert np.array_equal(E[:4, :4], system.E)
         assert np.array_equal(E[4:, 4:], np.eye(2))
         assert np.array_equal(E[:4, 4:], np.zeros((4, 2)))
@@ -73,8 +73,27 @@ class TestToAutonomous:
 
     def test_original_blocks_recovered_bit_exactly(self, rotating_masses_auto):
         system, _ = build_rotating_masses()
-        assert np.array_equal(rotating_masses_auto.E[:4, :4], system.E)
-        assert np.array_equal(rotating_masses_auto.A[:4, :4], system.A)
+        E, A = rotating_masses_auto.E.dense(), rotating_masses_auto.A.dense()
+        assert E[:4, :4].tobytes() == system.E.dense().tobytes()
+        assert A[:4, :4].tobytes() == system.A.dense().tobytes()
+
+    def test_large_blocks_stack_as_rows(self):
+        # past the dense size rule the stacked matrices are merged rows; they
+        # must equal the dense block assembly bit for bit, -0.0 included
+        rng = np.random.default_rng(5)
+        n, m = 30, 3
+        E = np.diag(rng.integers(0, 2, n).astype(float))
+        A = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.1)
+        B = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.5)
+        B[0, 0] = -0.0
+        a_u = rng.normal(size=(m, m))
+        auto = to_autonomous(DaeSystem(E, A, B), InputModel(a_u))
+        e_bar, a_bar = np.zeros((n + m, n + m)), np.zeros((n + m, n + m))
+        e_bar[:n, :n], e_bar[n:, n:] = E, np.eye(m)
+        a_bar[:n, :n], a_bar[:n, n:], a_bar[n:, n:] = A, B, a_u
+        assert auto.E.dense().tobytes() == e_bar.tobytes()
+        assert auto.A.dense().tobytes() == a_bar.tobytes()
+        assert len(auto.A.columns) < n
 
 
 class TestCheckRegularity:
@@ -90,7 +109,7 @@ class TestCheckRegularity:
 
     def test_rotating_masses_regular_exact_arithmetic(self, rotating_masses_auto):
         # the pencil entries are integers: evaluate det(1*E - A) exactly
-        pencil = rotating_masses_auto.E - rotating_masses_auto.A
+        pencil = rotating_masses_auto.E.dense() - rotating_masses_auto.A.dense()
         assert exact_int_det(pencil) != 0
 
     @pytest.mark.filterwarnings("error")

@@ -62,8 +62,10 @@ class TestModelRoundTrip:
 
     def test_loaded_arrays_are_kept_not_copied(self, tmp_path, monkeypatch):
         # the loader freezes what it builds, so DaeSystem and InputModel keep
-        # those arrays; arrays a caller passes in are still copied
+        # those arrays, and it builds E and A as rows, which DaeSystem keeps
+        # as they are; arrays a caller passes in are still copied
         import daereach.model
+        from daereach.linalg import RowSparse
 
         sys, inputs = build_rotating_masses()
         path = tmp_path / "model.json"
@@ -76,9 +78,11 @@ class TestModelRoundTrip:
 
         monkeypatch.setattr(daereach.model, "readonly", readonly)
         loaded, loaded_inputs = load_model(path)
-        kept = [loaded.E, loaded.A, loaded.B, loaded_inputs.a_u]
+        kept = [loaded.B, loaded_inputs.a_u]
         assert sorted(id(a) for a in received) == sorted(id(a) for a in kept)
         assert not any(a.flags.writeable for a in kept)
+        assert isinstance(loaded.E, RowSparse) and isinstance(loaded.A, RowSparse)
+        assert daereach.model.DaeSystem(loaded.E, loaded.A).E is loaded.E
         E = np.array(sys.E)
         assert daereach.model.DaeSystem(E, sys.A).E is not E
 
@@ -199,10 +203,18 @@ class TestModelErrors:
             "triples": [[0, 1, 5.0], [1, 0, 3.0], [0, 1, -0.0], [1, 0, 2.0], [0, 1, 7.0]],
         }
         system, _ = load_model(self.write(tmp_path, doc))
-        assert system.E.tolist() == [[0.0, 7.0], [2.0, 0.0]]
+        assert system.E.dense().tolist() == [[0.0, 7.0], [2.0, 0.0]]
         doc["E"]["triples"] = [[1, 1, 4.0], [1, 1, -0.0]]
         system, _ = load_model(self.write(tmp_path, doc))
         assert np.signbit(system.E[1, 1]) and system.E[1, 1] == 0.0
+        # past the dense size rule the triples are stored as rows, and a
+        # repeated index still keeps the last value
+        doc["n"] = 30
+        doc["E"] = {"shape": [30, 30], "triples": [[2, 3, 1.0], [2, 3, -0.0], [4, 1, 5.0]]}
+        doc["A"] = {"shape": [30, 30], "triples": [[0, 0, 1.0], [0, 0, 2.0], [0, 0, 3.0]]}
+        system, _ = load_model(self.write(tmp_path, doc))
+        assert np.signbit(system.E[2, 3]) and system.E[2, 3] == 0.0 and system.E[4, 1] == 5.0
+        assert system.A[0, 0] == 3.0 and np.count_nonzero(system.A.dense()) == 1
 
     @pytest.mark.parametrize(
         "bad",
@@ -223,7 +235,7 @@ class TestModelErrors:
         doc["n"] = 2.0
         doc["E"] = {"shape": [2.0, 2], "triples": [[1.0, 0, 3.0]]}
         system, _ = load_model(self.write(tmp_path, doc))
-        assert system.E.tolist() == [[0.0, 0.0], [3.0, 0.0]]
+        assert system.E.dense().tolist() == [[0.0, 0.0], [3.0, 0.0]]
 
     def test_nonsingular_e_propagates(self, tmp_path):
         from daereach import NonsingularEError, decouple_system, to_autonomous
@@ -346,13 +358,14 @@ def _documents():
     masses (n = 4, m = 2) that together make a completed verify run."""
     system, inputs = build_rotating_masses()
     star = rotating_masses_initial_star()
-    rows, cols = np.nonzero(system.A)
-    triples = [[int(i), int(j), float(system.A[i, j])] for i, j in zip(rows, cols)]
+    A = system.A.dense()
+    rows, cols = np.nonzero(A)
+    triples = [[int(i), int(j), float(A[i, j])] for i, j in zip(rows, cols)]
     return {
         "model": {
             "n": 4,
             "m": 2,
-            "E": system.E.tolist(),
+            "E": system.E.dense().tolist(),
             "A": {"shape": [4, 4], "triples": triples},
             "B": system.B.tolist(),
             "A_u": inputs.a_u.tolist(),

@@ -455,8 +455,10 @@ class TestAgainstReferencePath:
         assert max(independent.values()) <= 1e-8, independent
 
 
-@pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
-def test_reach_path_builds_nothing_dense(model):
+@pytest.mark.parametrize(
+    "model, dense_model", [("builtin:rotating-masses", 2), ("builtin:stokes:4", 1), ("builtin:stokes:12", 0)]
+)
+def test_reach_path_builds_nothing_dense(model, dense_model):
     from daereach import UnsafeSpec, load_model, to_autonomous, verify
 
     auto = to_autonomous(*load_model(model))
@@ -466,17 +468,20 @@ def test_reach_path_builds_nothing_dense(model):
     verify(reach, UnsafeSpec(np.ones((1, auto.n)), [0.0], on_original_state=False))
     dec = reach.decoupled
     assert "lift" in vars(dec)  # the thin blocks were built
-    # the only n x n arrays held anywhere: the system's own E and A, which
-    # the raw chain keeps in place of its chain matrices, and on the
+    # the only n x n arrays held anywhere: what the system's own E and A
+    # keep, which the raw chain keeps in place of its chain matrices (the
+    # rows keep both dense on the rotating masses, A, of up to 7 entries in
+    # a row of 39, at Stokes k = 4, and neither at k = 12), and on the
     # rotating masses the SVD-certified dense terminal inverse, which
     # decouple took from the chain and corrected in place; Stokes keeps its
     # corrected inverse as the certificate's blocks, with no n x n array
     raw = dec.raw
     assert raw.E is auto.E and raw.A is auto.A
     assert raw.inverse is None
+    assert len(square_arrays([raw.E, raw.A], dec.n)) == dense_model
     held = [raw.E, raw.A, dec.inverse]
     allowed = {id(a) for a in square_arrays(held, dec.n)}
-    assert len(allowed) == (3 if model == "builtin:rotating-masses" else 2)
+    assert len(allowed) == dense_model + (model == "builtin:rotating-masses")
     for owner in (dec, raw):
         for name, value in vars(owner).items():
             cached = [a for a in square_arrays(value, dec.n) if id(a) not in allowed]
