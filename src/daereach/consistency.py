@@ -42,10 +42,12 @@ class ConsistencyCertificate:
     worst_row_block: int | None = None
 
 
-def check_initial_star(dec, theta0):
+def check_initial_star(dec, theta0, coordinates=None):
     """Certificate for ``psi W W^T Pi V(0) == V(0)`` over the star's basis.
 
-    ``dec`` is the decoupled system.  The residual ``R = psi W W^T Pi V -
+    ``dec`` is the decoupled system; ``coordinates``, when given, is the
+    basis's ``W^T Pi V(0)`` (:meth:`~daereach.decoupling.DecoupledSystem.ode_coordinates`),
+    which the reach path forms once for this check and the propagation.  The residual ``R = psi W W^T Pi V -
     V`` of an inconsistent basis is located by its subsystem components
     ``projectors[i] R``, ``i = 2 .. mu + 1``: with admissible projectors
     ``projectors[i] R = maps[i] Pi V - projectors[i] V``, the condition
@@ -59,7 +61,9 @@ def check_initial_star(dec, theta0):
             f"dimension {theta0.dim}"
         )
     V = np.asarray(theta0.V, dtype=float)
-    residual = dec.lift @ (dec.ode_basis.T @ dec.ode_component(V)) - V
+    if coordinates is None:
+        coordinates = dec.ode_coordinates(V)
+    residual = dec.lift @ coordinates - V
     max_residual = float(np.abs(residual).max())
     consistent = max_residual <= CONSISTENCY_TOL
     worst_column = worst_block = None

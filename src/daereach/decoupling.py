@@ -376,6 +376,11 @@ class DecoupledSystem:
         """``Pi X``, ``Pi = projectors[1]``."""
         return self._apply({1: "P" * self.mu}, X)[1]
 
+    def ode_coordinates(self, X):
+        """``W^T Pi X``: the coordinates of the ODE component of an ``n x
+        c`` block ``X`` in the frame ``W = ode_basis``."""
+        return self.ode_basis.T @ self.ode_component(np.asarray(X, dtype=float))
+
     def _apply_source(self, X, on_range=False):
         """``A_mu' X = A X - sum_j (A_j K_j)(R_j X)`` over ``j < mu`` from the
         raw chain's ``A`` (sparse rows, so ``A X`` reads only its entries)

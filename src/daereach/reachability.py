@@ -166,15 +166,15 @@ class ReachResult:
 _READ_COST = 8
 
 
-def propagate_basis(dec, theta0, settings):
+def propagate_basis(dec, theta0, settings, coordinates=None):
     """Bases of the ODE subsystem at every time-grid instant in the
     coordinates of ``dec.ode_basis``, shape ``(num_steps + 1, r, k)``: a
     view of one ``r x (J+1)k`` block, instant ``j`` in columns ``jk ..
     jk+k-1``.
 
     Only the ODE component of ``theta0`` is propagated: its coordinates
-    are ``W^T (Pi V)``, so a star already projected onto the ODE subsystem
-    gives the same result.  Columns evolve independently under the linear
+    are ``W^T (Pi V)`` (``coordinates``, when given), so a star already
+    projected onto the ODE subsystem gives the same result.  Columns evolve independently under the linear
     time-invariant ``y' = W^T (N[1] W) y``, so the flow over ``j`` steps is
     ``phi^j`` with ``phi`` one ``r x r`` exponential of a step, exact up to
     rounding.  The instants are filled ``b`` at a time, each run of them
@@ -190,8 +190,7 @@ def propagate_basis(dec, theta0, settings):
     and marches the rest of the grid in blocks of ``b`` instants.  ``W @
     y`` is the basis in state coordinates.
     """
-    W = dec.ode_basis
-    y0 = W.T @ dec.ode_component(np.asarray(theta0.V, dtype=float))
+    y0 = dec.ode_coordinates(theta0.V) if coordinates is None else coordinates
     (r, k), total = y0.shape, settings.num_steps + 1
     block = np.empty((r, total * k))
     block[:, :k] = y0
@@ -214,7 +213,8 @@ def compute_reach(sys, theta0, settings):
     Pipeline: decouple (chain, admissible projectors, subsystem
     coefficients), verify that the initial star lies in the consistent
     space (raising :class:`InconsistentInitialSetError` with the
-    certificate otherwise), propagate the basis's ODE coordinates, and
+    certificate otherwise), propagate the basis's ODE coordinates ``W^T Pi
+    V``, formed once for both, and
     form the one lift ``psi @ W`` back to the full state; the state bases
     are built from it only when :attr:`ReachResult.bases` is read.  A time
     grid too long for numpy to hold, and ODE coordinates that overflow,
@@ -223,14 +223,16 @@ def compute_reach(sys, theta0, settings):
     """
     started = time.perf_counter()
     dec = decouple_system(sys)
-    certificate = check_initial_star(dec, theta0)
+    # W^T Pi V for the check and the propagation; the check names a mismatch
+    initial = dec.ode_coordinates(theta0.V) if dec.n == theta0.dim else None
+    certificate = check_initial_star(dec, theta0, initial)
     decouple_seconds = time.perf_counter() - started
     if not certificate.consistent:
         raise InconsistentInitialSetError(certificate)
 
     started = time.perf_counter()
     with _grid_sized(settings), np.errstate(over="ignore", invalid="ignore"):
-        coordinates = propagate_basis(dec, theta0, settings)
+        coordinates = propagate_basis(dec, theta0, settings, initial)
     if not np.isfinite(coordinates).all():
         step = int(np.argmin(np.isfinite(coordinates).all(axis=(1, 2))))
         raise NumericalFailureError(

@@ -220,12 +220,18 @@ class Support:
         """
         H = np.asarray(H, dtype=float)
         if self.method == "box":
-            lower, upper = self._points
-            at_lower, at_upper = H * lower, H * upper
+            # one copy with the axes reversed: each coefficient's bound scales
+            # one contiguous slab, the instants innermost, and the terms are
+            # summed slab by slab (below 9 coefficients numpy's order along a
+            # row too, so the values are the same bit for bit)
+            along = np.ascontiguousarray(H.T)
+            shape = (-1,) + (1,) * (along.ndim - 1)
+            lower, upper = (bound.reshape(shape) for bound in self._points)
+            at_lower, at_upper = along * lower, along * upper
             return np.stack(
                 [
-                    np.minimum(at_lower, at_upper).sum(axis=-1),
-                    np.maximum(at_lower, at_upper).sum(axis=-1),
+                    np.minimum(at_lower, at_upper).sum(axis=0).T,
+                    np.maximum(at_lower, at_upper).sum(axis=0).T,
                 ],
                 axis=-1,
             )
@@ -241,14 +247,20 @@ class Support:
 
         The function is concave, so its minimum lies at a vertex: for a box
         each term takes the smaller of its two values at the ends of its
-        interval."""
+        interval; for vertices the rows are copied once with the axes
+        reversed, the instants innermost, and each vertex takes one pass
+        over all of them, a row of one ``v x k`` by ``k x (J+1) q`` product,
+        not one small product per instant."""
         H = np.asarray(H, dtype=float)
-        slack = c * np.abs(H)
         if self.method == "box":
+            slack = c * np.abs(H)
             ends = [H * end - slack * np.abs(end) for end in self._points]
             return np.minimum(*ends).sum(axis=-1)
         vertices = self._points
-        return (H @ vertices.T - slack @ np.abs(vertices).T).min(axis=-1)
+        along = np.ascontiguousarray(H.T)
+        rows = along.reshape(len(along), -1)
+        values = vertices @ rows - np.abs(vertices) @ (c * np.abs(rows))
+        return values.min(axis=0).reshape(along.shape[1:]).T
 
     def _lp_extrema(self, H, times):
         C, d = self._star.C, self._star.d

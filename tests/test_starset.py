@@ -235,6 +235,31 @@ class TestSupport:
         radius = np.abs(star.vertices_within(10**5)).max()
         assert_extrema_close(extrema, linprog_extrema(C, d, H), H, radius, 1e-8)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vertex_slack_minimum_matches_the_per_instant_form(self, seed):
+        # one pass per vertex over the rows with the instants innermost gives
+        # the minimum of h @ alpha - c |h| @ |alpha| that one small product
+        # per instant gives, on a non-box predicate and on the view of
+        # instants-innermost rows that the safety screen hands over
+        rng = np.random.default_rng(700 + seed)
+        k = 2 + seed % 2
+        C, d = random_polytope(rng, k, cuts=1 + seed % 3)
+        support = StarSet(rng.normal(size=(4, k)), C, d).support(10**5)
+        assert support.method == "vertices"
+        vertices, c = support._points, 1e-7
+        steps, q = 301, 1 + seed % 3
+        for H in (
+            rng.normal(size=(steps, q, k)),
+            np.ascontiguousarray(rng.normal(size=(q, k, steps))).transpose(2, 0, 1),
+        ):
+            per_instant = np.stack(
+                [(h @ vertices.T - c * np.abs(h) @ np.abs(vertices).T).min(axis=-1) for h in H]
+            )
+            lowest = support.slack_minimum(H, c)
+            assert lowest.shape == (steps, q)
+            scale = np.abs(H).sum(axis=-1) * np.abs(vertices).max()
+            assert np.all(np.abs(lowest - per_instant) <= 4 * np.finfo(float).eps * scale)
+
     def test_bounded_polytope_beyond_the_budget_takes_lps(self):
         angles = np.linspace(0.0, 2.0 * np.pi, 12, endpoint=False)
         C = np.column_stack([np.cos(angles), np.sin(angles)])
