@@ -20,9 +20,14 @@ decoupling (D-T), reachable set computation (RSC-T), and
 checking safety (CS-T).  More columns show accuracy and memory without the
 benchmark: the relative residual max|E_mu' X - Y| / max|Y| of that solve,
 X = E_mu'^-1 Y for Y = A_mu' W (the ``solve_residual`` of
-``verdict.json``), and the peak of the arrays ``compute_reach`` allocates
-and those its result keeps, traced by ``tracemalloc`` in a second,
-untimed run, in MB and in n x n arrays of 8n^2 bytes.  Past the smallest
+``verdict.json``), and the peak of the arrays that loading the model
+file, ``to_autonomous`` and ``compute_reach`` allocate, the model's own
+``E`` and ``A`` built from the file's triples included, and of those the
+result keeps, traced by ``tracemalloc`` in a second, untimed run, in MB
+and in n x n arrays of 8n^2 bytes; the last column is the process's
+``ru_maxrss`` so far (run one grid size in a fresh process to read its
+own; the model file is written from ``build_stokes``, which forms dense
+arrays first).  Past the smallest
 grids, where fixed costs weigh, the peak at 100 steps stays under four
 such arrays and under three and a half are kept (the coordinates of more
 steps add to both): the chain keeps no chain matrix past the
@@ -40,8 +45,12 @@ for the propagation at large ``r``, where it marches in blocks of instants.
 """
 
 import argparse
+import json
+import resource
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -53,10 +62,32 @@ from daereach import (
     compute_index_and_chain,
     compute_reach,
     decouple,
+    load_model,
     stokes_center_velocity_rows,
     to_autonomous,
     verify,
 )
+
+
+def write_model(k, directory):
+    """The Stokes grid ``k`` as a model file of triples; returns its path."""
+    system = build_stokes(k)
+
+    def triples(matrix):
+        rows, cols, values = matrix.triples()
+        return {"shape": list(matrix.shape), "triples": [list(t) for t in zip(
+            rows.tolist(), cols.tolist(), values.tolist())]}
+
+    B = np.asarray(system.B)
+    rows, cols = np.nonzero(B)
+    document = {
+        "n": system.n, "m": system.m, "E": triples(system.E), "A": triples(system.A),
+        "B": {"shape": list(B.shape), "triples": [[int(i), int(j), float(B[i, j])]
+                                                  for i, j in zip(rows, cols)]},
+    }
+    path = Path(directory) / f"stokes-{k}.json"
+    path.write_text(json.dumps(document))
+    return path
 
 
 def stage_times(auto, repeats=3):
@@ -82,11 +113,12 @@ grids = args.grids or [2, 3, 4, 5, 6, 8, 10, 12, 16]
 rng = np.random.default_rng(0)
 print(f"{'k':>3} {'n':>6} {'index':>5} {'chain':>8} {'decouple':>8} {'frame':>8} "
       f"{'D-T [ms]':>10} {'RSC-T [ms]':>11} {'CS-T [ms]':>10} {'verdict':>8} {'solve res':>9} "
-      f"{'peak [MB]':>10} {'[n x n]':>8} {'kept [n x n]':>12}")
+      f"{'peak [MB]':>10} {'[n x n]':>8} {'kept [n x n]':>12} {'maxrss [MB]':>11}")
 
+directory = tempfile.TemporaryDirectory()
 for k in grids:
-    system = build_stokes(k)
-    auto = to_autonomous(system)
+    path = write_model(k, directory.name)
+    auto = to_autonomous(*load_model(path))
 
     (chain_ms, decouple_ms, frame_ms), dec = stage_times(auto)
 
@@ -98,10 +130,11 @@ for k in grids:
     settings = ReachSettings(time_step=1e-4, num_steps=args.steps)
     reach = compute_reach(auto, star, settings)
     tracemalloc.start()
-    traced = compute_reach(auto, star, settings)
+    traced = compute_reach(to_autonomous(*load_model(path)), star, settings)
     kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     del traced
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
 
     u_row, v_row = stokes_center_velocity_rows(k)
     direction = np.zeros(auto.n)
@@ -119,8 +152,9 @@ for k in grids:
         f"{1e3 * reach.timings['reach_s']:>11.2f} "
         f"{cs_ms:>10.2f} {outcome.status:>8} "
         f"{reach.decoupled.solve_residual:>9.1e} {peak / 2**20:>10.2f} "
-        f"{peak / (8 * auto.n**2):>8.2f} {kept / (8 * auto.n**2):>12.2f}"
+        f"{peak / (8 * auto.n**2):>8.2f} {kept / (8 * auto.n**2):>12.2f} {maxrss:>11.1f}"
     )
+directory.cleanup()
 
 print(
     "\nchain, decouple and frame are the medians of three runs in ms.  Decoupling\n"
