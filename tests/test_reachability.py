@@ -457,7 +457,9 @@ class TestAgainstReferencePath:
 
 
 @pytest.mark.parametrize(
-    "model, dense_model", [("builtin:rotating-masses", 2), ("builtin:stokes:4", 1), ("builtin:stokes:12", 0)]
+    "model, dense_model",
+    [pytest.param(model, count, id=model) for model, count in
+     (("builtin:rotating-masses", 2), ("builtin:stokes:4", 1), ("builtin:stokes:12", 0))],
 )
 def test_reach_path_builds_nothing_dense(model, dense_model):
     from daereach import UnsafeSpec, load_model, to_autonomous, verify
