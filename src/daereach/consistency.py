@@ -46,9 +46,11 @@ def check_initial_star(dec, theta0, coordinates=None):
     """Certificate for ``psi W W^T Pi V(0) == V(0)`` over the star's basis.
 
     ``dec`` is the decoupled system; ``coordinates``, when given, is the
-    basis's ``W^T Pi V(0)`` (:meth:`~daereach.decoupling.DecoupledSystem.ode_coordinates`),
-    which the reach path forms once for this check and the propagation.  The residual ``R = psi W W^T Pi V -
-    V`` of an inconsistent basis is located by its subsystem components
+    basis's ``W^T Pi V(0)``
+    (:meth:`~daereach.decoupling.DecoupledSystem.ode_coordinates`), which
+    the reach path forms once for this check and the propagation.  The
+    residual ``R = psi W W^T Pi V - V`` of an inconsistent basis is
+    located by its subsystem components
     ``projectors[i] R``, ``i = 2 .. mu + 1``: with admissible projectors
     ``projectors[i] R = maps[i] Pi V - projectors[i] V``, the condition
     that subsystem ``i`` of a solution is ``maps[i]`` applied to its ODE

@@ -549,8 +549,8 @@ class DecoupledSystem:
 def _chain_rows(X, steps, rows=None):
     """Rows ``rows`` (every row for ``None``) of ``X_j`` for ``X_0 = X``,
     through the ``j`` recorded ``steps`` (see :attr:`MatrixChain.steps`),
-    each ``X_{j+1} = X_j -
-    (A_j K_j) K_j^T`` taken on the rows of its ``image``, as a new
+    each ``X_{j+1} = X_j - (A_j K_j) K_j^T`` taken on the rows of its
+    ``image``, as a new
     :class:`~daereach.linalg.RowSparse`.  When ``K_j`` is the unit vectors
     of ``columns``, the rows of ``image`` are subtracted from those columns
     of the rows (:meth:`~daereach.linalg.RowSparse.minus_columns`): the same

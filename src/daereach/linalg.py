@@ -346,8 +346,9 @@ def _gram_factors(order, rows, cols, rest, d):
     nonzero ``d_i`` of column ``cols[i]``, and ``rest`` lists the other
     ``m`` columns.  In the column order ``[cols, rest]``, ``M = D [I | Y]``
     with ``D = diag(d)`` and ``Y = D^{-1} M[:, rest]``, the one dense ``p x
-    m`` block formed, scattered from the rows' entries in ``rest``.  The kernel of ``M`` is the range of
-    ``[-Y; I]``, made orthonormal by CholeskyQR (Yamamoto, Nakatsukasa,
+    m`` block formed, scattered from the rows' entries in ``rest``.  The
+    kernel of ``M`` is the range of ``[-Y; I]``, made orthonormal by
+    CholeskyQR (Yamamoto, Nakatsukasa,
     Yanagisawa & Fukaya, ETNA 44, 2015): ``R_2^T R_2 = I + Y^T Y`` gives ``K
     = [-V; R_2^{-1}]``, ``V = Y R_2^{-1}``, and by Woodbury ``(I + Y
     Y^T)^{-1} = I - V V^T`` (Golub & Van Loan, *Matrix Computations*, 4th

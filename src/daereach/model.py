@@ -36,8 +36,8 @@ class DaeSystem:
     empty n-by-0 matrix and ``m == 0``.  ``E`` and ``A`` are kept as
     :class:`~daereach.linalg.RowSparse` (a dense array is stored as one, a
     :class:`~daereach.linalg.RowSparse` kept as it is), ``B`` dense.  Only
-    shapes and finiteness are checked here; the
-    matrix chain's first SVD rejects a nonsingular ``E`` (an ODE, outside
+    shapes and finiteness are checked here; the matrix chain's
+    first SVD rejects a nonsingular ``E`` (an ODE, outside
     this package's scope) with :class:`~daereach.errors.NonsingularEError`.
     """
 

@@ -174,8 +174,9 @@ def propagate_basis(dec, theta0, settings, coordinates=None):
 
     Only the ODE component of ``theta0`` is propagated: its coordinates
     are ``W^T (Pi V)`` (``coordinates``, when given), so a star already
-    projected onto the ODE subsystem gives the same result.  Columns evolve independently under the linear
-    time-invariant ``y' = W^T (N[1] W) y``, so the flow over ``j`` steps is
+    projected onto the ODE subsystem gives the same result.  Columns evolve
+    independently under the linear time-invariant ``y' = W^T (N[1] W) y``,
+    so the flow over ``j`` steps is
     ``phi^j`` with ``phi`` one ``r x r`` exponential of a step, exact up to
     rounding.  The instants are filled ``b`` at a time, each run of them
     one ``r x r x bk`` product ``Y[:, (j+b)k : (j+2b)k] = phi^b Y[:, jk :
@@ -214,8 +215,8 @@ def compute_reach(sys, theta0, settings):
     coefficients), verify that the initial star lies in the consistent
     space (raising :class:`InconsistentInitialSetError` with the
     certificate otherwise), propagate the basis's ODE coordinates ``W^T Pi
-    V``, formed once for both, and
-    form the one lift ``psi @ W`` back to the full state; the state bases
+    V``, formed once for both, and form the one lift ``psi @ W`` back to
+    the full state; the state bases
     are built from it only when :attr:`ReachResult.bases` is read.  A time
     grid too long for numpy to hold, and ODE coordinates that overflow,
     raise :class:`NumericalFailureError`; the latter names the first step
