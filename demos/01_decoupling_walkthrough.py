@@ -25,22 +25,23 @@ print("\nautonomous lift: dimension", auto.n, "(states + inputs)")
 
 chain = compute_index_and_chain(auto)
 print("\ntractability index:", chain.mu)
-# the chain keeps the singular matrices it factored, and of the terminal
-# one only its inverse
-for j, E_j in enumerate(chain.E_seq):
-    print(f"  rank(E_{j}) = {np.linalg.matrix_rank(E_j)} of {chain.n}")
-rank = np.linalg.matrix_rank(chain.terminal_inverse)
-print(f"  rank(E_{chain.mu}) = {rank} of {chain.n} (nonsingular)")
+# the chain keeps one step per singular chain matrix E_j: its kernel basis
+# K_j and the product A_j K_j; of the terminal matrix only its inverse
+for j, (step, decision) in enumerate(zip(chain.steps, chain.decisions)):
+    margin = ", ".join(f"{key} {value:.3g}" for key, value in decision.items() if key != "method")
+    print(f"  E_{j}: kernel dimension {step.K.shape[1]} of {chain.n}, "
+          f"rank decided by {decision['method']} ({margin})")
+print(f"  E_{chain.mu}: nonsingular, certified with condition bound {chain.condition_bound:.3g}")
 
-# the chain keeps each projector factored as Q_j = K_j R_j
-Q = [K @ R for K, R in chain.factors]
+# each projector is kept factored as Q_j = K_j K_j^T
+Q = [step.K @ step.K.T for step in chain.steps]
 print("\nraw kernel projector Q0 (orthogonal):\n", Q[0])
 print("raw Q1 @ Q0 is nonzero -> not admissible:\n", Q[1] @ Q[0])
 
-# decoupling corrects the projectors to admissible ones and keeps them
-# factored the same way
+# decoupling corrects the projectors to admissible ones, Q_j = K_j R_j, and
+# keeps each R_j (None where Q_j is the chain's own)
 dec = decouple(chain)
-Q = [K @ R for K, R in dec.factors]
+Q = [step.K @ (step.K.T if R is None else R) for step, R in zip(chain.steps, dec.R)]
 print("\nafter correction, Q1 @ Q0 vanishes:")
 print("  max |Q1 @ Q0| =", np.abs(Q[1] @ Q[0]).max())
 print("corrected Q1 (oblique, fractions of thirds):\n", Q[1])

@@ -3,15 +3,16 @@
 Two fully specified generators ship with the package: a four-state
 interconnected rotating-masses model (tractability index 2 after the
 input lift) and a family of semidiscretized Stokes flows on staggered
-grids (index 2 at every grid size), assembled as Kronecker products of
-one-dimensional operators into matrices allocated up front, so a grid
-too large to hold fails before any work.  Everything else is expected to
-arrive through the model-file loader.
+grids (index 2 at every grid size), assembled as the triples of
+Kronecker products of one-dimensional operators and stored as sparse
+rows, so a grid too large to hold fails before any work.  Everything
+else is expected to arrive through the model-file loader.
 """
 
 import numpy as np
 
 from .model import DaeSystem, InputModel
+from .rows import RowSparse
 from .starset import StarSet
 
 __all__ = [
@@ -84,6 +85,15 @@ def _path(m):
     return np.eye(m, k=1, dtype=np.int8) + np.eye(m, k=-1, dtype=np.int8)
 
 
+def _kron(X, Y):
+    """``(rows, cols, values)`` of the nonzero entries of ``kron(X, Y)`` for
+    small integer ``X`` and ``Y``, from their own nonzeros only."""
+    (a, c), (b, d) = np.nonzero(X), np.nonzero(Y)
+    rows = (a[:, None] * Y.shape[0] + b).ravel()
+    cols = (c[:, None] * Y.shape[1] + d).ravel()
+    return rows, cols, (X[a, c][:, None] * Y[b, d]).ravel()
+
+
 def build_stokes(grid_n):
     """Semidiscretized incompressible Stokes flow on the unit square.
 
@@ -118,6 +128,12 @@ def build_stokes(grid_n):
     last bit for some ``k`` (5, 7 and 10 among them).  ``A12`` is the 1-D
     face difference ``(p_{c-1} - p_c) / h`` Kronecker-multiplied with the
     identity along the face, without the pinned cell's column.
+
+    ``E`` and ``A`` are assembled as the triples of their nonzero entries,
+    each Kronecker block from the nonzeros of its factors, and stored as
+    rows (:meth:`~daereach.linalg.RowSparse.from_triples`): no ``n x n``
+    array is formed, and a grid too large to hold fails at the allocation
+    of its triples, before any work.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
@@ -125,10 +141,7 @@ def build_stokes(grid_n):
     n_u = (k - 1) * k
     n_v = 2 * n_u
     n = n_v + k * k - 1
-    E = np.zeros((n, n))
-    A = np.zeros((n, n))
     velocities = np.arange(n_v)
-    E[velocities, velocities] = 1.0
 
     h = 1.0 / k
     inv_h2 = 1.0 / (h * h)
@@ -138,22 +151,29 @@ def build_stokes(grid_n):
     upper[-1] = 2.0 * inv_h2
     # both normal sides, then the lower and the upper tangential side
     diag = (-2.0 * inv_h2 - lower) - upper
-    # small integer factors: a float kron writes -0.0 where a -1 meets a zero
+    # the 1-D operators as small integers, whose products are exact
     ones_n, ones_t = np.eye(k - 1, dtype=np.int8), np.eye(k, dtype=np.int8)
-    A[:n_u, :n_u] = inv_h2 * (np.kron(_path(k - 1), ones_t) + np.kron(ones_n, _path(k)))
-    A[n_u:n_v, n_u:n_v] = inv_h2 * (np.kron(ones_t, _path(k - 1)) + np.kron(_path(k), ones_n))
-    A[velocities, velocities] = np.concatenate([np.tile(diag, k - 1), np.repeat(diag, k - 1)])
-
     # face c sits between cells c - 1 and c
     diff = np.eye(k - 1, k, dtype=np.int8) - np.eye(k - 1, k, 1, dtype=np.int8)
     inv_h = 1.0 / h
-    A[:n_u, n_v:] = inv_h * np.kron(diff, ones_t)[:, 1:]
-    A[n_u:n_v, n_v:] = inv_h * np.kron(ones_t, diff)[:, 1:]
-    A[n_v:, :n_v] = A[:n_v, n_v:].T
+    diag = np.concatenate([np.tile(diag, k - 1), np.repeat(diag, k - 1)])
+    blocks = [(velocities, velocities, diag)]
+    for offset, X, Y in (
+        (0, _path(k - 1), ones_t), (0, ones_n, _path(k)),  # u: normal, tangential
+        (n_u, ones_t, _path(k - 1)), (n_u, _path(k), ones_n),  # v: normal, tangential
+    ):
+        rows, cols, values = _kron(X, Y)
+        blocks.append((rows + offset, cols + offset, inv_h2 * values))
+    for offset, X, Y in ((0, diff, ones_t), (n_u, ones_t, diff)):
+        rows, cols, values = _kron(X, Y)
+        kept = cols > 0  # without the pinned cell (0, 0)
+        rows, cols, values = rows[kept] + offset, cols[kept] - 1 + n_v, inv_h * values[kept]
+        blocks += [(rows, cols, values), (cols, rows, values)]  # A12 and A12^T
+    A = RowSparse.from_triples((n, n), *(np.concatenate(part) for part in zip(*blocks)))
+    E = RowSparse.from_triples((n, n), velocities, velocities, np.ones(n_v))
 
     B = np.zeros((n, 1))
     B[(k // 2 - 1) * k + (k - 1) // 2, 0] = 1.0
-    E.flags.writeable = A.flags.writeable = False  # kept by DaeSystem, not copied
     return DaeSystem(E, A, B)
 
 

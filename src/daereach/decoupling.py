@@ -31,15 +31,15 @@ singular chain matrix fall back to the matrix's own factors, which
 decide as its SVD would.  The chain records every decision and its
 margin (:attr:`MatrixChain.decisions`).  The chain keeps no chain matrix
 past ``E_0 = E`` and ``A_0 = A``, the system's own arrays: each step
-``X_{j+1} = X_j - (A_j K_j) K_j^T`` is recorded by its thin factors, ``E_j``
-and ``A_j`` (``j >= 1``) are formed from ``E_0`` and ``A_0`` through those
-steps only while ``E_j``'s own factors decide it and ``A_j K_j`` needs
-``A_j`` whole, and are dropped then; the terminal ``E_mu`` is formed only when the
-certificate declines it, and ``A_mu`` never.  A certified ``E_mu^{-1}`` is
-kept as the certificate's small blocks with the factors
-(:class:`~daereach.linalg.InverseBlocks`) where these gather rows, and no
-``n x n`` inverse is formed: :func:`decouple` keeps the corrected one as
-blocks too.
+``X_{j+1} = X_j - (A_j K_j) K_j^T`` is recorded as one :class:`ChainStep`
+of its thin factors, ``E_j`` and ``A_j`` (``j >= 1``) are formed from
+``E_0`` and ``A_0`` through those steps only while ``E_j``'s own factors
+decide it and ``A_j K_j`` needs ``A_j`` whole, and are dropped then; the
+terminal ``E_mu`` is formed only when the certificate declines it, and
+``A_mu`` never.  A certified ``E_mu^{-1}`` is kept as the certificate's
+small blocks (:class:`~daereach.linalg.InverseBlocks`) where the factors
+gather rows, and no ``n x n`` inverse is formed: :func:`decouple` keeps the
+corrected one as blocks too.
 
 Plain orthogonal kernel projectors generally violate the admissibility
 property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
@@ -61,7 +61,8 @@ Decoupling then splits the system into one ODE subsystem and ``mu``
 algebraic-constraint subsystems with closed-form coefficient matrices,
 each a word in the projectors times ``E_mu'^{-1} A_mu'``.  Since every
 projector is ``I - K_j R_j`` or ``K_j R_j`` and ``A_mu' = A_0 - sum_j (A_j
-K_j) R_j``, :class:`DecoupledSystem` keeps those factors and applies the
+K_j) R_j``, :class:`DecoupledSystem` keeps the corrections ``R_j`` beside
+the chain's steps and applies the
 coefficients to ``n x c`` blocks right to left, at ``O(n^2 c)`` each; that
 operator is its only form, and a dense coefficient or projector is the
 operator applied to the identity.  The
@@ -82,6 +83,7 @@ skipped.  Only indices 1 through 3 are supported; higher indices raise.
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,36 +118,82 @@ MAX_SUPPORTED_INDEX = 3
 _FRAME_SEED = 0xF2A3E
 
 
+class ChainStep(NamedTuple):
+    """One step ``X_{j+1} = X_j - (A_j K_j) K_j^T`` of the chain: ``K`` an
+    orthonormal basis of ``Ker E_j``, ``image = A_j K_j`` and ``columns``,
+    whose unit vectors are ``K`` when ``E_j``'s closed form decided it
+    (:attr:`~daereach.linalg.Factors.kernel_columns`), else ``None``.  Each
+    product through ``K`` is a method that decides between the two forms:
+    for unit vectors each entry of the dense product is one entry times 1.0
+    plus exact zeros, so a gather or a scatter of ``columns`` gives its bits
+    with no product.
+    """
+
+    K: np.ndarray
+    image: np.ndarray
+    columns: np.ndarray | None
+
+    @classmethod
+    def taken(cls, A_j, K, columns):
+        """The step of kernel basis ``K`` on ``A_j``, given as rows: its
+        ``image`` ``A_j K`` is a gather of ``columns`` for unit vectors, else
+        a product that reads only ``A_j``'s stored entries."""
+        return cls(K, A_j @ K if columns is None else A_j.column_block(columns), columns)
+
+    def rows(self, Y, R=None):
+        """``R Y``, with ``R = K^T`` for ``None``: then the rows ``columns``
+        of ``Y`` for unit vectors."""
+        if R is not None:
+            return R @ Y
+        return self.K.T @ Y if self.columns is None else Y[self.columns]
+
+    def expand(self, Z):
+        """``K Z``: for unit vectors, ``Z`` scattered to the rows
+        ``columns`` of zeros."""
+        if self.columns is None:
+            return self.K @ Z
+        KZ = np.zeros(self.K.shape[:1] + np.shape(Z)[1:])
+        KZ[self.columns] = Z
+        return KZ
+
+    def times(self, R):
+        """``R K``: for unit vectors, the columns ``columns`` of ``R``."""
+        return R @ self.K if self.columns is None else R[:, self.columns]
+
+    def applied(self, X):
+        """``X - image K^T`` for rows ``X``, as new rows: for unit vectors
+        ``image`` subtracted from the columns ``columns``, the same matrix
+        with no dense ``n x n`` array, as every other column of ``image
+        K^T`` is zero and each of those is a column of ``image`` (Stokes
+        ``A_1`` is ``A`` with those columns exactly zero, which drops them),
+        else a dense product, stored as rows."""
+        if self.columns is None:
+            return X.minus(self.image @ self.K.T)
+        return X.minus_columns(self.columns, self.image)
+
+
 @dataclass
 class MatrixChain:
-    """The raw chain: ``E_0 = E`` and ``A_0 = A``, the thin factors of its
-    steps and the terminal inverse.
+    """The raw chain: ``E_0 = E`` and ``A_0 = A``, its ``steps`` and the
+    terminal inverse.
 
-    The projectors are kept in factored form: ``factors[j] = (K_j, K_j^T)``
-    with ``Q_j = K_j K_j^T`` and ``K_j`` an orthonormal basis of ``Ker E_j``,
-    and ``kernel_images[j] = A_j K_j``, for the ``mu`` singular chain
-    matrices ``E_0 .. E_{mu-1}``.  ``kernel_columns[j]`` is ``E_j``'s
-    :attr:`~daereach.linalg.Factors.kernel_columns`: the columns whose unit
-    vectors are ``K_j`` when its closed form decided it, else ``None``;
-    such a step leaves ``A_{j+1}[:, c_j]`` exactly zero, so while every
-    step before ``j`` was one, ``A_j K_j`` is formed from the other columns
-    of ``A`` (Stokes ``A_1 K_1 = A[:, v] K_1[v]``, ``v`` the velocities).
-    Those three make up the recorded ``steps``, ``X_{j+1} = X_j - (A_j K_j)
-    K_j^T`` for ``X = E`` and ``X = A``; no chain matrix past ``E`` and
-    ``A`` is kept.  ``E_seq`` and ``A_seq``, ``[E_0 .. E_{mu-1}]`` and
-    ``[A_0 .. A_{mu-1}]``, are rebuilt through the steps on read: past
-    ``E`` and ``A``, new arrays bit for bit those that
-    :func:`compute_index_and_chain` formed.
+    ``steps[j]`` is the :class:`ChainStep` of the singular chain matrix
+    ``E_j``, ``j < mu``: its orthonormal kernel basis ``K_j``, so that the
+    projector ``Q_j = K_j K_j^T`` is kept factored, the image ``A_j K_j``
+    and the kernel columns of a closed form.  No chain matrix past ``E``
+    and ``A`` is kept: ``E_j`` and ``A_j`` are ``E`` and ``A`` through the
+    first ``j`` steps.  ``mu``, the index, is the number of steps.
     ``inverse`` holds ``E_mu^{-1}`` as :class:`~daereach.linalg.InverseBlocks`:
     the certificate's blocks ``C^{-1}`` and ``t = lead^{-1} top C^{-1}``
-    with ``E_{mu-1}``'s factors when it proved ``E_mu`` nonsingular from
-    row-gather (QR, Gram or closed-form) factors, else the dense inverse
-    from the certificate on SVD factors or from ``E_mu``'s own SVD;
+    when it proved ``E_mu`` nonsingular from row-gather (QR, Gram or
+    closed-form) factors of ``E_{mu-1}``, else the dense inverse from the
+    certificate on SVD factors or from ``E_mu``'s own SVD;
     ``terminal_inverse`` is a new dense ``E_mu^{-1}``, formed on read from
-    them.  A chain decouples once: :func:`decouple` takes the inverse,
-    keeps the corrected one as blocks or writes it over the dense inverse,
-    and sets ``inverse`` to ``None``, so a second :func:`decouple` or a
-    later ``terminal_inverse`` raises :class:`ValueError`.
+    them and ``K_{mu-1}``.  A chain decouples once: :func:`decouple` takes
+    the inverse, keeps the corrected one as blocks or writes it over the
+    dense inverse, and sets ``inverse`` to ``None``, so a second
+    :func:`decouple` or a later ``terminal_inverse`` raises
+    :class:`ValueError`.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -158,34 +206,17 @@ class MatrixChain:
 
     E: np.ndarray = field(repr=False)
     A: np.ndarray = field(repr=False)
-    factors: list
-    kernel_images: list = field(repr=False)
-    kernel_columns: tuple = field(repr=False)
-    mu: int
+    steps: list = field(repr=False)
     inverse: InverseBlocks | None = field(repr=False)
     decisions: tuple
 
     @property
+    def mu(self):
+        return len(self.steps)
+
+    @property
     def n(self):
         return self.E.shape[0]
-
-    @property
-    def steps(self):
-        """``(A_j K_j, K_j^T, kernel_columns[j])`` for ``j < mu``."""
-        return [
-            (image, Kt, columns)
-            for image, (_, Kt), columns in zip(self.kernel_images, self.factors, self.kernel_columns)
-        ]
-
-    @property
-    def E_seq(self):
-        """``[E_0 .. E_{mu-1}]``, new dense arrays rebuilt on read."""
-        return [_chain_rows(self.E, self.steps[:j]).dense() for j in range(self.mu)]
-
-    @property
-    def A_seq(self):
-        """``[A_0 .. A_{mu-1}]``, new dense arrays rebuilt on read."""
-        return [_chain_rows(self.A, self.steps[:j]).dense() for j in range(self.mu)]
 
     def _held_inverse(self):
         """``inverse``, unless :func:`decouple` took it."""
@@ -195,8 +226,13 @@ class MatrixChain:
 
     @property
     def terminal_inverse(self):
-        """The dense ``E_mu^{-1}``, a new array formed on read."""
-        return self._held_inverse().dense()
+        """The dense ``E_mu^{-1}``, a new array formed on read: the
+        certificate's blocks are corrected with ``R = K^T`` first."""
+        inverse = self._held_inverse()
+        if inverse.c_inv is not None:
+            K = self.steps[-1].K
+            inverse = inverse.corrected(K, K.T)
+        return inverse.dense()
 
     @property
     def condition_bound(self):
@@ -238,23 +274,25 @@ class DecoupledSystem:
     are algebraic constraints.  Every coefficient is a word in the
     admissible projectors ``P_j = I - K_j R_j``, ``Q_j = K_j R_j`` times
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
-    holds only the corrected ``factors`` and the ``inverse`` ``E_mu'^{-1}``
-    (:class:`~daereach.linalg.InverseBlocks` from :func:`decouple`: the
-    certificate's blocks and the ``m x n`` correction, with no ``n x n``
-    array, or dense on SVD factors), with the ``raw`` chain they came from
-    (the index ``mu``, ``A_0 = A``, ``E_0 = E`` and the ``A_j K_j`` are
-    its); ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on
-    read.  It applies the one operator ``X -> {i: N_i X}`` to blocks right
-    to left: ``S X = E_mu'^{-1} (A_mu' X)`` with ``A_mu' X = A X - sum_j
-    (A_j K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j X)``,
-    ``Q_j X = K_j (R_j X)``.  An ``n x c`` block costs ``O(n^2 c)``; no ``n
-    x n x n`` product is taken.  Where ``K_j`` is the unit vectors
-    of the raw chain's ``kernel_columns[j]`` (Stokes ``K_0``), ``R_j X`` is
-    those rows of ``X`` while ``R_j = K_j^T`` is uncorrected, and ``Q_j X``
-    takes no product through ``K_j``: it is ``R_j X`` scattered to those
-    rows; both are bit for bit the dense products.  While ``R_0`` is that
-    raw ``K_0^T``, ``range(Pi)`` is exactly zero on the rows ``c_0`` (see
-    ``_range_rows``), and the frame is formed and applied on the others.
+    holds only the ``raw`` chain (the index ``mu``, ``A_0 = A``, ``E_0 = E``
+    and the steps' ``K_j`` and ``A_j K_j`` are its), the corrections ``R``,
+    one per step and ``None`` where ``Q_j`` is the raw ``K_j K_j^T``
+    (:func:`decouple` never corrects ``Q_0``), and the ``inverse``
+    ``E_mu'^{-1}`` (:class:`~daereach.linalg.InverseBlocks` from
+    :func:`decouple`: the certificate's blocks and the ``m x n``
+    correction, with no ``n x n`` array, or dense on SVD factors);
+    ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on read.  It
+    applies the one operator ``X -> {i: N_i X}`` to blocks right to left:
+    ``S X = E_mu'^{-1} (A_mu' X)`` with ``A_mu' X = A X - sum_j (A_j
+    K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j X)``, ``Q_j X
+    = K_j (R_j X)``, each product through ``K_j`` taken by its
+    :class:`ChainStep`.  An ``n x c`` block costs ``O(n^2 c)``; no ``n x n
+    x n`` product is taken.  Where ``K_j`` is unit vectors (Stokes
+    ``K_0``), ``R_j X`` is rows of ``X`` while ``R_j`` is the raw ``K_j^T``,
+    and ``Q_j X`` is ``R_j X`` scattered to those rows; both are bit for bit
+    the dense products.  While ``R_0`` is that raw ``K_0^T``, ``range(Pi)``
+    is exactly zero on the rows ``c_0`` (see ``_range_rows``), and the frame
+    is formed and applied on the others.
 
     The reach path needs only thin blocks, and they are all that is cached:
     the ODE frame ``ode_basis`` ``W``, the reduced matrix ``ode_matrix``
@@ -279,7 +317,7 @@ class DecoupledSystem:
     """
 
     raw: MatrixChain = field(repr=False)
-    factors: tuple = field(repr=False)
+    R: tuple = field(repr=False)
     inverse: InverseBlocks = field(repr=False)
 
     @property
@@ -299,13 +337,14 @@ class DecoupledSystem:
     def admissibility_residual(self):
         """``max ||Q_j Q_i||_F`` over ``j > i``, 0 at index 1.  ``K_j`` has
         orthonormal columns, so ``||Q_j Q_i||_F = ||(R_j K_i) R_i||_F``, an
-        ``m_j x n`` product; a unit-vector ``K_i`` makes ``R_j K_i`` a
-        gather of the columns of ``R_j``."""
+        ``m_j x n`` product."""
+        steps = self.raw.steps
+        R = [step.K.T if R_j is None else R_j for step, R_j in zip(steps, self.R)]
         return max(
             (
-                float(np.linalg.norm((R_j @ K_i if c is None else R_j[:, c]) @ R_i))
-                for j, (_, R_j) in enumerate(self.factors)
-                for (K_i, R_i), c in zip(self.factors[:j], self.raw.kernel_columns)
+                float(np.linalg.norm(steps[i].times(R[j]) @ R[i]))
+                for j in range(self.mu)
+                for i in range(j)
             ),
             default=0.0,
         )
@@ -314,27 +353,11 @@ class DecoupledSystem:
     def ode_rank(self):
         """``r = n - sum m_j``: the admissible projectors' kernels add up
         directly to ``Ker Pi``, so this is the rank of ``Pi``."""
-        return self.n - sum(K.shape[1] for K, _ in self.factors)
+        return self.n - sum(step.K.shape[1] for step in self.raw.steps)
 
     def _kernel_rows(self, j, Y):
-        """``R_j Y``: the rows ``kernel_columns[j]`` of ``Y`` while ``R_j`` is
-        the raw unit-vector ``K_j^T``, since each entry of the dense product
-        is one entry of ``Y`` times 1.0 plus exact zeros."""
-        R = self.factors[j][1]
-        columns = self.raw.kernel_columns[j]
-        return Y[columns] if columns is not None and R is self.raw.factors[j][1] else R @ Y
-
-    def _kernel_product(self, j, Y, RY=None):
-        """``Q_j Y = K_j (R_j Y)``, from ``RY = R_j Y`` when it is given: for a
-        unit-vector ``K_j``, by the same argument, ``R_j Y`` scattered to the
-        kernel columns."""
-        columns = self.raw.kernel_columns[j]
-        RY = self._kernel_rows(j, Y) if RY is None else RY
-        if columns is None:
-            return self.factors[j][0] @ RY
-        QY = np.zeros(np.shape(Y))
-        QY[columns] = RY
-        return QY
+        """``R_j Y``."""
+        return self.raw.steps[j].rows(Y, self.R[j])
 
     def _apply(self, words, X, owned=False, rows=None):
         """``{key: word X}`` for projector words (see ``_PROJECTOR_WORDS``).
@@ -354,8 +377,8 @@ class DecoupledSystem:
                 products[tail] = Y
                 continue
             p_tail, q_tail = children[j, tail]
-            known = rows.pop() if rows and not tail and j == self.mu else None
-            QY = self._kernel_product(j - 1, Y, known)
+            RY = rows.pop() if rows and not tail and j == self.mu else None
+            QY = self.raw.steps[j - 1].expand(self._kernel_rows(j - 1, Y) if RY is None else RY)
             if p_tail:
                 stack.append((j - 1, p_tail, np.subtract(Y, QY, out=Y) if writable else Y - QY, True))
             if q_tail:
@@ -384,16 +407,16 @@ class DecoupledSystem:
     def _apply_source(self, X, on_range=False):
         """``A_mu' X = A X - sum_j (A_j K_j)(R_j X)`` over ``j < mu`` from the
         raw chain's ``A`` (sparse rows, so ``A X`` reads only its entries)
-        and kernel images; ``A X`` at index 1.  A block ``X`` ``on_range`` of
-        ``Pi`` (the frame ``W``) is exactly zero off ``_range_rows``, so the
-        ``j = 0`` term, ``(A_0 K_0)`` times the zero rows ``R_0 X = X[c_0]``,
-        is exactly zero and not taken; every ``j >= 1`` term is kept."""
+        and steps; ``A X`` at index 1.  A block ``X`` ``on_range`` of ``Pi``
+        (the frame ``W``) is exactly zero off ``_range_rows``, so the ``j =
+        0`` term, ``(A_0 K_0)`` times the zero rows ``R_0 X = X[c_0]``, is
+        exactly zero and not taken; every ``j >= 1`` term is kept."""
         skip_first = on_range and self._range_rows is not None
         AX = self.raw.A @ X
         if self.mu > 1:
-            for j, image in enumerate(self.raw.kernel_images):
+            for j, step in enumerate(self.raw.steps):
                 if j or not skip_first:
-                    AX -= image @ self._kernel_rows(j, X)
+                    AX -= step.image @ self._kernel_rows(j, X)
         return AX
 
     def _checked_solve(self, Y):
@@ -406,21 +429,16 @@ class DecoupledSystem:
         :class:`SingularMatrixError`.
 
         ``E_mu' X`` is taken from the factors, a block of rows at a time, as
-        ``E X - (A_0 K_0)(K_0^T X) - sum_j (A_j K_j)(R_j X)`` over ``1 <= j <
-        mu``: :func:`decouple` never corrects ``Q_0``, so ``E_mu'`` is the raw
-        ``E_1 = E - (A_0 K_0) K_0^T`` less the corrected terms.  ``E`` is
-        sparse rows, so ``E X`` gathers the rows of ``X`` its entries name
-        (Stokes ``E = diag(I, 0)``: a copy of the velocity rows), and after a
-        closed-form first step ``K_0^T X`` is the rows ``c_0`` of ``X``.  No
-        ``n x n`` array is formed for an ``n x r`` ``Y``."""
+        ``E X - sum_j (A_j K_j)(R_j X)`` over ``j < mu``.  ``E`` is sparse
+        rows, so ``E X`` gathers the rows of ``X`` its entries name (Stokes
+        ``E = diag(I, 0)``: a copy of the velocity rows), and after a
+        closed-form first step ``R_0 X = K_0^T X`` is the rows ``c_0`` of
+        ``X``.  No ``n x n`` array is formed for an ``n x r`` ``Y``."""
         X = self.inverse.apply(Y)
-        raw, columns = self.raw, self.raw.kernel_columns[0]
-        first = raw.factors[0][1] @ X if columns is None else X[columns]
-        terms = [(raw.kernel_images[0], first)]
-        terms += [(raw.kernel_images[j], self._kernel_rows(j, X)) for j in range(1, self.mu)]
+        terms = [(step.image, self._kernel_rows(j, X)) for j, step in enumerate(self.raw.steps)]
         top = 0.0
         for rows in row_blocks(self.n) if Y.size else ():
-            block = raw.E[rows] @ X
+            block = self.raw.E[rows] @ X
             for image, RX in terms:
                 block -= image[rows] @ RX
             block -= Y[rows]
@@ -457,8 +475,8 @@ class DecoupledSystem:
         raw ``K_0^T``, else ``None`` (every row).  ``P_0`` is the last letter
         applied in ``Pi``, and ``P_0 Y = Y - Q_0 Y`` is then ``Y[c_0] -
         Y[c_0]``, exactly zero, on rows ``c_0``."""
-        columns = self.raw.kernel_columns[0]
-        if columns is None or self.factors[0][1] is not self.raw.factors[0][1]:
+        columns = self.raw.steps[0].columns
+        if columns is None or self.R[0] is not None:
             return None
         kept = np.ones(self.n, dtype=bool)
         kept[columns] = False
@@ -548,32 +566,14 @@ class DecoupledSystem:
 
 def _chain_rows(X, steps, rows=None):
     """Rows ``rows`` (every row for ``None``) of ``X_j`` for ``X_0 = X``,
-    through the ``j`` recorded ``steps`` (see :attr:`MatrixChain.steps`),
-    each ``X_{j+1} = X_j - (A_j K_j) K_j^T`` taken on the rows of its
-    ``image``, as a new
-    :class:`~daereach.linalg.RowSparse`.  When ``K_j`` is the unit vectors
-    of ``columns``, the rows of ``image`` are subtracted from those columns
-    of the rows (:meth:`~daereach.linalg.RowSparse.minus_columns`): the same
-    matrix, since every other column of ``image K^T`` is zero and each of
-    those is a column of ``image``, neither rounded, and no dense ``n x n``
-    array is formed (Stokes ``E_1 = E`` with ``-A[:, c_0]`` merged in, and
-    ``A_1``, ``A`` with those columns exactly zero, which drops them).  A
-    dense ``K_j`` makes the step a dense product, stored as rows."""
+    through the ``j`` :class:`ChainStep` ``steps``, each taken on the rows
+    of its ``image`` (:meth:`ChainStep.applied`), as a new
+    :class:`~daereach.linalg.RowSparse`."""
     if rows is not None:
-        X, steps = X[rows], [(image[rows], Kt, columns) for image, Kt, columns in steps]
-    for image, Kt, columns in steps:
-        X = X.minus(image @ Kt) if columns is None else X.minus_columns(columns, image)
+        X, steps = X[rows], [step._replace(image=step.image[rows]) for step in steps]
+    for step in steps:
+        X = step.applied(X)
     return X
-
-
-def _kernel_image(A, steps, K, columns):
-    """``A_mu K_mu``, ``A_mu`` taken from ``A`` through the recorded
-    ``steps`` as rows (see :func:`_chain_rows`): a gather of ``columns`` for
-    a unit-vector ``K``, else a product that reads only ``A_mu``'s stored
-    entries, so that after closed-form steps a dense ``K`` meets only the
-    columns of ``A`` that they did not zero."""
-    A_mu = _chain_rows(A, steps)
-    return A_mu @ K if columns is None else A_mu.column_block(columns)
 
 
 def compute_index_and_chain(sys):
@@ -599,8 +599,8 @@ def compute_index_and_chain(sys):
     of some columns: ``A_j K_j`` gathers them and both updates subtract it
     from them, with no product, which leaves those columns of ``A_{j+1}``
     exactly zero; after only such steps ``A_{j+1} K_{j+1}`` is ``A``'s other
-    columns times those rows of ``K_{j+1}`` (:func:`_kernel_image`), and the
-    products by the zero columns are not taken.
+    columns times those rows of ``K_{j+1}`` (:meth:`ChainStep.taken`), and
+    the products by the zero columns are not taken.
 
     A chain that ends proves the pencil regular: each step satisfies
     ``s E_{j+1} - A_{j+1} = (s E_j - A_j)(P_j + s Q_j)`` with
@@ -614,11 +614,11 @@ def compute_index_and_chain(sys):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    steps, factors, decisions = [], [], []
+    steps, decisions = [], []
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = None
         if mu:
-            inverse, bound = rank_update_inverse(current, steps[-1][0])
+            inverse, bound = rank_update_inverse(current, steps[-1].image)
         if inverse is None:  # the matrix's own factors decide
             current = rank_factors(_chain_rows(sys.E, steps))
             decisions.append(current.decision)
@@ -630,15 +630,11 @@ def compute_index_and_chain(sys):
                 raise NonsingularEError(
                     "E is nonsingular: the system is an ODE and needs no decoupling"
                 )
-            images, _, columns = zip(*steps)
-            return MatrixChain(
-                sys.E, sys.A, factors, list(images), columns, mu, inverse, tuple(decisions)
-            )
-        if mu < MAX_SUPPORTED_INDEX:
-            columns = current.kernel_columns
-            factors.append((kernel_basis, kernel_basis.T))
-            image = _kernel_image(sys.A, steps, kernel_basis, columns)  # A_mu K_mu
-            steps.append((image, kernel_basis.T, columns))
+            return MatrixChain(sys.E, sys.A, steps, inverse, tuple(decisions))
+        if mu < MAX_SUPPORTED_INDEX:  # A_mu K_mu; A_mu is not kept
+            A_mu = _chain_rows(sys.A, steps)
+            steps.append(ChainStep.taken(A_mu, kernel_basis, current.kernel_columns))
+            del A_mu
     if not check_regularity(sys):
         raise IrregularPencilError(
             "det(sE - A) vanished at every sample point; the pencil has no "
@@ -700,13 +696,13 @@ def decouple(chain):
     Inputs are stacked into the state by :func:`~daereach.model.to_autonomous`
     beforehand, so there are no input coefficients.
     """
-    mu, inverse = chain.mu, chain._held_inverse()
+    mu, steps, inverse = chain.mu, chain.steps, chain._held_inverse()
     chain.inverse = None
     if inverse.B is None and inverse.N.ndim == 2:
         # W_1 copied out of a QR's W, so that the n x n W is dropped now
-        inverse = inverse._replace(factors=None, N=inverse.N.copy())
-    factors, steps = list(chain.factors), chain.steps
-    K, R = factors[-1]
+        inverse = inverse._replace(N=inverse.N.copy())
+    R = [None] * mu
+    K = steps[-1].K
     index_3 = ()  # (J, Y) of the index-3 step
     if mu > 1:
         # K^T E_mu^{-1} Y = KtE @ Y[tail] (every row for None), [0, C^{-1}] U^T
@@ -716,24 +712,22 @@ def decouple(chain):
         else:
             KtE, tail = inverse.c_inv, inverse.left[chain.n - inverse.c_inv.shape[0] :]
         # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
-        R = -(KtE @ _chain_rows(chain.A, steps[:-1], tail))
+        R[-1] = -(KtE @ _chain_rows(chain.A, steps[:-1], tail))
         if mu == 3:
-            K1 = factors[1][0]
+            K1 = steps[1].K
             # Q_1' = K_1 R_1, R_1 = -S A_1, S = K_1^T (I - Q_2^*) E_3^{-1}; S A_1 = S A_0,
             # as S A_0 Q_0 = 0 in the raw chain: E_3^{-1} A_0 Q_0 = -Q_0 + P_2 Q_1 Q_0 +
             # Q_2 Q_0 and (I - Q_2^*) Q_2 = 0, so (I - Q_2^*) P_2 = I - Q_2^* and, with
             # K_1^T P_1 = 0, S A_0 Q_0 = -K_1^T (I - Q_2^*) P_1 Q_0 = K_1^T Q_2^* P_1 Q_0,
             # where Q_2^* P_1 Q_0 = -Q_2 E_3^{-1} A_1 P_1 Q_0 = Q_2 E_3^{-1} A_1 Q_1 Q_0 =
             # -Q_2 P_2 Q_1 Q_0 = 0 by A_1 Q_0 = 0, E_3^{-1} A_1 Q_1 = -P_2 Q_1, Q_2 P_2 = 0
-            R1 = -(inverse.right_product(K1.T - (K1.T @ K) @ R) @ chain.A)
-            factors[1] = (K1, R1)
+            R[1] = -(inverse.right_product(K1.T - (K1.T @ K) @ R[-1]) @ chain.A)
             # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = J (K_1^T - R_1) and
             # (K_1^T - R_1) K_2 = 0, so Y = (K_1^T - R_1) E_3^{-1} reads F U^T
-            index_3 = (K1 - K @ (K.T @ K1), inverse.right_product(K1.T - R1))
-        factors[-1] = (K, R)
+            index_3 = (K1 - K @ (K.T @ K1), inverse.right_product(K1.T - R[1]))
     if mu > 1 or inverse.B is None:  # (I + Q - Q')(I + X) E_mu^{-1}
-        inverse = inverse.corrected(K, R, *index_3)
-    return DecoupledSystem(raw=chain, factors=tuple(factors), inverse=inverse)
+        inverse = inverse.corrected(K, K.T if R[-1] is None else R[-1], *index_3)
+    return DecoupledSystem(raw=chain, R=tuple(R), inverse=inverse)
 
 
 def decouple_system(sys):

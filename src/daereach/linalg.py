@@ -401,10 +401,11 @@ class InverseBlocks(NamedTuple):
 
     ``B`` is the dense inverse, or ``None`` for blocks.  When
     :func:`rank_update_inverse` certified ``Z' = Z - image K^T`` from
-    row-gather (QR, Gram or closed-form) ``factors`` of ``Z``, ``left`` is
+    row-gather (QR, Gram or closed-form) factors of ``Z``, ``left`` is
     their row order, which stands for ``U`` (``U^T x = x[left]``), and the
-    blocks of ``T^{-1}`` are kept with them: ``c_inv = C^{-1}`` and ``t =
-    lead^{-1} top C^{-1}``.  ``N`` is ``W_1`` (QR) or the columns ``cols``
+    blocks of ``T^{-1}`` are kept: ``c_inv = C^{-1}`` and ``t = lead^{-1}
+    top C^{-1}``; the factors are not, so a caller keeps ``K``.  ``N`` is
+    ``W_1`` (QR) or the columns ``cols``
     that the nonzero rows ``M`` own (Gram and closed form: the unit vectors
     of ``cols`` stand for ``N``), so that ``M N = lead``; ``lead`` is the
     vector ``d`` of a diagonal ``lead = diag(d)``, or for QR the matrix
@@ -415,15 +416,14 @@ class InverseBlocks(NamedTuple):
     ``F U^T + K Z`` with one ``m x n`` block ``Z`` in ``terms``
     (``Z'^{-1}`` itself for ``R = K^T``).  Such corrected blocks keep only
     what :meth:`apply` reads: ``left``, ``N``, ``lead``, ``t`` and the ``(L,
-    Z)`` pairs of ``terms``, no ``n x n`` array.  Every dense form handed out
-    is a new array.
+    Z)`` pairs of ``terms``, no ``n x n`` array.  Only a dense or corrected
+    inverse is applied, and every dense form handed out is a new array.
     """
 
     B: np.ndarray | None
     left: np.ndarray | None = None
     c_inv: np.ndarray | None = None
     t: np.ndarray | None = None
-    factors: Factors | None = None
     N: np.ndarray | None = None
     lead: np.ndarray | None = None
     terms: tuple = ()
@@ -483,7 +483,7 @@ class InverseBlocks(NamedTuple):
             Z -= (R @ J) @ Y
         terms = ((K, Z),) if J is None else ((J, Y), (K, Z))
         if self.B is None:
-            return self._replace(c_inv=None, factors=None, terms=terms)
+            return self._replace(c_inv=None, terms=terms)
         B = self.B
         for L, Z in terms:
             for rows in row_blocks(B.shape[0]):
@@ -491,14 +491,10 @@ class InverseBlocks(NamedTuple):
         return InverseBlocks(B)
 
     def dense(self):
-        """``Z'^{-1}``, a new array: a copy of ``B``, or the blocks applied
-        to the identity, the certificate's blocks once corrected with ``R =
-        K^T``."""
+        """``Z'^{-1}``, a new array: a copy of ``B``, or the corrected blocks
+        applied to the identity."""
         if self.B is not None:
             return self.B.copy()
-        if self.c_inv is not None:
-            K = kernel_basis_and_inverse(self.factors)[0]
-            return self.corrected(K, K.T).dense()
         return self.apply(np.eye(self.left.size))
 
 
@@ -551,8 +547,8 @@ def rank_update_inverse(factors, image):
     :func:`_gram_factors`).  When it is below ``1 / (CERTIFICATE_MARGIN *
     RANK_REL_TOL)``, ``Z'``'s own SVD would also find it nonsingular at the
     cutoff, and the inverse is returned: for QR, Gram and closed-form
-    factors, whose ``U^T`` gathers rows, as the blocks ``C^{-1}`` and ``t``
-    with the factors, which are corrected and applied as blocks
+    factors, whose ``U^T`` gathers rows, as the blocks ``C^{-1}`` and ``t``,
+    which are corrected and applied as blocks
     (:meth:`InverseBlocks.corrected`); for SVD factors as the dense ``W
     (T^{-1} U^T)``.  The bound reads only ``C^{-1}`` and ``||C^{-1}||_F``,
     and a computed inverse from a pivoted LU is as accurate as one from an
@@ -593,7 +589,7 @@ def rank_update_inverse(factors, image):
         cols = factors.owned_columns
         N = factors.w[:, :rank] if cols is None else cols
         lead = factors.lead if factors.lead.ndim == 1 else factors.lead_inv
-        return InverseBlocks(None, factors.left, c_inv, t, factors, N, lead), bound
+        return InverseBlocks(None, factors.left, c_inv, t, N, lead), bound
     u_top, u_low = factors.left[:, :rank], factors.left[:, rank:]
     rows = np.empty_like(factors.left)  # T^{-1} U^T
     rows[:rank] = factors.lead_solve(u_top.T) + t @ u_low.T

@@ -189,8 +189,8 @@ def _require(document, key, path):
 def _parse_builtin(name):
     """The model named by a ``builtin:`` alias.  A grid size that is not an
     integer of at least 2 is a parse error, and so is a grid whose matrices
-    numpy cannot allocate: the builder allocates them first, so that error
-    comes at once, as for a sparse shape that is too large."""
+    numpy cannot allocate: the builder allocates their triples first, so
+    that error comes at once, as for a sparse shape that is too large."""
     spec = name[len(BUILTIN_PREFIX) :]
     if spec == "rotating-masses":
         return build_rotating_masses()

@@ -84,16 +84,17 @@ class RowSparse:
     that :func:`rank_factors` decides by.
 
     A small matrix, and one whose rows are too full for gathers to pay, is
-    kept dense (see ``_ROWS_MIN_N``): it takes its products by GEMM and
-    forms its slots only if they are read.  Which form is kept is decided
-    here alone; callers see one type.  Nothing held is writeable, and
+    kept dense (see ``_ROWS_MIN_N``): it takes its products by GEMM and has
+    no slots (``columns`` and ``values`` are ``None``).  Which form is kept
+    is decided here alone; callers see one type, which takes the same
+    shapes and indices in either form.  Nothing held is writeable, and
     :meth:`dense` hands out the kept dense array itself.  numpy converts
     ``S`` only through ``np.asarray`` (``__array_ufunc__ = None``: no ufunc
     or operator densifies it on the way, and ``ndarray @ S`` comes to
     ``__rmatmul__``).
     """
 
-    __slots__ = ("shape", "_columns", "_values", "_dense")
+    __slots__ = ("shape", "columns", "values", "_dense")
     __array_ufunc__ = None
 
     def __init__(self, shape, columns=None, values=None, dense=None):
@@ -106,7 +107,7 @@ class RowSparse:
         else:
             dense.flags.writeable = False
             self.shape = dense.shape
-        self._columns, self._values, self._dense = columns, values, dense
+        self.columns, self.values, self._dense = columns, values, dense
 
     @classmethod
     def _from_sorted(cls, shape, rows, cols, values):
@@ -167,26 +168,6 @@ class RowSparse:
         rows, cols, values = (np.concatenate(part) for part in zip(*blocks))
         return cls.from_triples(shape, rows, cols, values)
 
-    def _slot_arrays(self):
-        if self._columns is None:  # a dense matrix forms its slots when read
-            stored = _stored(self._dense)
-            rows, cols = np.nonzero(stored)
-            counts = np.count_nonzero(stored, axis=1)
-            columns, values = _slots(counts, rows, cols, self._dense[rows, cols])
-            columns.flags.writeable = values.flags.writeable = False
-            self._columns, self._values = columns, values
-        return self._columns, self._values
-
-    @property
-    def columns(self):
-        """The ``w x n`` column indices, slot-major."""
-        return self._slot_arrays()[0]
-
-    @property
-    def values(self):
-        """The ``w x n`` values, slot-major; 0.0 in a row's unused slots."""
-        return self._slot_arrays()[1]
-
     @property
     def finite(self):
         """Whether every entry is finite."""
@@ -221,10 +202,14 @@ class RowSparse:
         return np.array(dense, dtype=dtype) if copy else np.asarray(dense, dtype=dtype)
 
     def __matmul__(self, X):
-        """``S X`` for an ``n x c`` block or a vector ``X``."""
+        """``S X`` for an ``n x c`` block or a vector ``X``; raises
+        :class:`ValueError` when ``X`` does not have ``n`` rows, as numpy
+        does."""
         if self._dense is not None:
             return self._dense @ X
         X = np.ascontiguousarray(X, dtype=float)  # each gathered row one read
+        if X.ndim not in (1, 2) or X.shape[0] != self.shape[1]:
+            raise ValueError(f"matmul: {self.shape} matrix times a block of shape {X.shape}")
         columns, values = self.columns, self.values
         if X.ndim == 2:
             values = values[:, :, None]
@@ -254,12 +239,16 @@ class RowSparse:
 
     def __getitem__(self, key):
         """``S[i, j]``, one entry, or ``S[rows]``, the rows ``rows`` (a
-        slice or an index array) as a new :class:`RowSparse`."""
+        slice or an index array) as a new :class:`RowSparse`; negative
+        indices count from the end and others out of range raise
+        :class:`IndexError`, as numpy's do."""
         if isinstance(key, tuple):
             i, j = (operator.index(k) for k in key)
             if self._dense is not None:
                 return self._dense[i, j]
-            hits = np.flatnonzero(self.columns[:, i] == j)
+            if not -self.shape[1] <= j < self.shape[1]:
+                raise IndexError(f"column {j} is out of bounds for {self.shape[1]} columns")
+            hits = np.flatnonzero(self.columns[:, i] == j % self.shape[1])
             return self.values[hits[0], i] if hits.size else 0.0
         if self._dense is not None:
             rows = self._dense[key]
@@ -331,5 +320,5 @@ class RowSparse:
         return RowSparse(self.shape, dense=P)
 
     def __repr__(self):
-        form = "dense" if self._dense is not None else f"width={len(self._columns)}"
+        form = "dense" if self._dense is not None else f"width={len(self.columns)}"
         return f"RowSparse(shape={self.shape}, {form})"

@@ -522,25 +522,50 @@ def reference_decoupled(auto, rel_tol=1e-9):
     return ReferenceDecoupled(mu, Q, P, _lu_inverse(E[-1]), A[0] if mu == 1 else A[mu])
 
 
-def chain_projectors(chain):
+def kernel_factors(system):
+    """``[(K_j, R_j)]``: the kernel bases and the ``R_j`` of the projectors
+    ``Q_j = K_j R_j`` of a package raw chain (``R_j = K_j^T``) or decoupled
+    system (its corrections, and ``K_j^T`` where it keeps ``None``)."""
+    raw = getattr(system, "raw", system)
+    R = getattr(system, "R", (None,) * raw.mu)
+    return [(step.K, step.K.T if R_j is None else R_j) for step, R_j in zip(raw.steps, R)]
+
+
+def chain_projectors(system):
     """``(Q, P)``: the dense projectors ``Q_j = K_j R_j`` and ``P_j = I - Q_j``
-    multiplied out from the factors a package raw chain or decoupled system
-    keeps."""
-    Q = [K @ R for K, R in chain.factors]
-    return Q, [np.eye(chain.n) - q for q in Q]
+    of a package raw chain or decoupled system, multiplied out from its
+    factors (:func:`kernel_factors`)."""
+    Q = [K @ R for K, R in kernel_factors(system)]
+    return Q, [np.eye(system.n) - q for q in Q]
 
 
-def chain_matrices(raw, factors=None):
+def chain_matrices(system):
     """``(E, A)``: the dense chain matrices ``E_0 .. E_mu`` and ``A_0 .. A_mu``
     rebuilt from a package raw chain's ``E_0``, ``A_0`` and kernel images
-    ``A_j K_j``, with the projectors ``Q_j = K_j R_j`` of ``factors``: the
-    raw chain's own by default, or a decoupled system's corrected ones.
-    Each step subtracts ``(A_j K_j) R_j`` from both matrices."""
-    E, A = [raw.E_seq[0]], [raw.A_seq[0]]
-    for (_, R), image in zip(raw.factors if factors is None else factors, raw.kernel_images):
-        E.append(E[-1] - image @ R)
-        A.append(A[-1] - image @ R)
+    ``A_j K_j``, with the projectors ``Q_j = K_j R_j`` of ``system``: the
+    raw chain's own, or a decoupled system's corrected ones.  Each step
+    subtracts ``(A_j K_j) R_j`` from both matrices."""
+    raw = getattr(system, "raw", system)
+    E, A = [raw.E.dense()], [raw.A.dense()]
+    for step, (_, R) in zip(raw.steps, kernel_factors(system)):
+        E.append(E[-1] - step.image @ R)
+        A.append(A[-1] - step.image @ R)
     return E, A
+
+
+def chain_sequences(chain):
+    """``(E_seq, A_seq)``: the singular chain matrices ``[E_0 .. E_{mu-1}]``
+    and ``[A_0 .. A_{mu-1}]`` of a package raw chain as dense arrays,
+    replayed from its ``E`` and ``A`` through its steps, each ``X_{j+1} =
+    X_j - (A_j K_j) K_j^T`` taken as the chain takes it
+    (:meth:`~daereach.decoupling.ChainStep.applied`)."""
+    sequences = []
+    for X in (chain.E, chain.A):
+        seq = [X]
+        for step in chain.steps[:-1]:
+            seq.append(step.applied(seq[-1]))
+        sequences.append([x.dense() for x in seq])
+    return tuple(sequences)
 
 
 def stored_chain(auto):
@@ -587,7 +612,7 @@ def dense_source(dec):
     """``A_mu'``, the source of a package decoupled system, multiplied out
     densely: the rebuilt chain's ``A_mu`` of :func:`chain_matrices` with its
     corrected projectors, or ``A_0`` at index 1."""
-    return dec.raw.A.dense() if dec.mu == 1 else chain_matrices(dec.raw, dec.factors)[1][dec.mu]
+    return dec.raw.A.dense() if dec.mu == 1 else chain_matrices(dec)[1][dec.mu]
 
 
 def dense_decoupled(dec):
@@ -602,9 +627,9 @@ def dense_correction(raw):
     multiplied out densely from its on-read ``E_2^{-1}``, ``R = -(K^T
     E_2^{-1}) A_1`` and the corrected inverse ``E_2^{-1} + K ((K^T - R)
     E_2^{-1})``, with ``K`` the raw chain's kernel basis of ``E_1``."""
-    K = raw.factors[-1][0]
+    K = raw.steps[-1].K
     inverse = raw.terminal_inverse
-    R = -(K.T @ inverse) @ raw.A_seq[-1]
+    R = -(K.T @ inverse) @ chain_sequences(raw)[1][-1]
     return R, inverse + K @ ((K.T - R) @ inverse)
 
 
@@ -634,7 +659,7 @@ def dense_apply(dec, words, X, owned=False, rows=None):
             if (j, tail) not in done:
                 q_tail = (j, "Q" + tail[1:])
                 if q_tail not in done:
-                    K, R = dec.factors[j]
+                    K, R = kernel_factors(dec)[j]
                     done[q_tail] = K @ (R @ Y)
                 if tail[0] == "P":
                     done[j, tail] = Y - done[q_tail]
@@ -648,8 +673,8 @@ def dense_admissibility_residual(dec):
     return max(
         (
             float(np.linalg.norm((R_j @ K_i) @ R_i))
-            for j, (_, R_j) in enumerate(dec.factors)
-            for K_i, R_i in dec.factors[:j]
+            for j, (_, R_j) in enumerate(kernel_factors(dec))
+            for K_i, R_i in kernel_factors(dec)[:j]
         ),
         default=0.0,
     )
@@ -789,7 +814,7 @@ def square_arrays(value, n):
     if isinstance(value, np.ndarray):
         return [value] if value.shape == (n, n) else []
     if isinstance(value, RowSparse):
-        value = [value._dense, value._columns, value._values]
+        value = [value._dense, value.columns, value.values]
     if isinstance(value, dict):
         value = list(value.values())
     if isinstance(value, (list, tuple)):

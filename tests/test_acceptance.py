@@ -33,6 +33,7 @@ from oracles import (
     CanonicalDae,
     box_star,
     chain_matrices,
+    chain_sequences,
     chain_projectors,
     dense_decoupled,
     sample_coefficients,
@@ -121,15 +122,14 @@ def _property_suite(auto, tol=1e-8):
     n = raw.n
     eye = np.eye(n)
     # orthogonal projector conditions on the raw chain
-    for j, Q in enumerate(chain_projectors(raw)[0]):
-        Z = raw.E_seq[j]
+    for Z, Q in zip(chain_sequences(raw)[0], chain_projectors(raw)[0]):
         track(np.linalg.norm(Z @ Q), np.linalg.norm(Z))
         track(np.linalg.norm(Q - Q.T))
         track(np.linalg.norm(Q @ Q - Q))
     # chain step-down and telescoping identities on both projector sets
     for stage in (raw, dec):
         Q, P = chain_projectors(stage)
-        E, A = chain_matrices(raw, stage.factors)
+        E, A = chain_matrices(stage)
         acc = A[0].copy()
         for j in range(raw.mu):
             scale = scaled(E[j + 1]) * scaled(Q[j])
@@ -139,7 +139,7 @@ def _property_suite(auto, tol=1e-8):
         track(np.abs(acc - A[raw.mu]).max(), scaled(A[raw.mu]))
     # admissibility and the corrected projectors' defining identities
     Q, P = chain_projectors(dec)
-    E, _ = chain_matrices(raw, dec.factors)
+    E, _ = chain_matrices(dec)
     for j in range(dec.mu):
         Qj, Ej = Q[j], E[j]
         track(np.abs(Ej @ Qj).max(), scaled(Ej) * scaled(Qj))

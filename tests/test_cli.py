@@ -604,8 +604,9 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("grid", [3000, 20000])
     def test_builtin_grid_too_large_to_allocate_is_a_parse_error(self, tmp_path, capped_cli, grid):
-        # k = 3000 needs 5 PiB per matrix (MemoryError), k = 20000 more
-        # bytes than numpy can address (ValueError); both fail at allocation
+        # the model is assembled as triples: k = 3000 (n = 27 million) needs
+        # about 4 GiB of them, k = 20000 6 GiB for its first index array;
+        # both fail at allocation (MemoryError under the 1 GiB cap)
         out = tmp_path / "out"
         argv = ["--model", f"builtin:stokes:{grid}", "--mode", "index", "--out", str(out)]
         done = capped_cli(argv)

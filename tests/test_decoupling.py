@@ -12,7 +12,7 @@ from daereach import (
     compute_index_and_chain,
     decouple,
 )
-from daereach.decoupling import DecoupledSystem
+from daereach.decoupling import DecoupledSystem, _chain_rows
 from daereach.linalg import (
     _QR_MIN_N,
     CERTIFICATE_MARGIN,
@@ -27,12 +27,14 @@ from oracles import (
     CanonicalDae,
     chain_matrices,
     chain_projectors,
+    chain_sequences,
     corrupt_solve_block,
     dense_admissibility_residual,
     dense_apply,
     dense_correction,
     dense_maps,
     dense_residual,
+    kernel_factors,
     reference_chain,
     reference_decoupled,
     square_arrays,
@@ -143,8 +145,8 @@ class TestComputeIndexAndChain:
         chain = compute_index_and_chain(auto)
         assert chain.mu == reference_chain(auto)[4] == 1
         assert chain.condition_bound is None
-        # E_1 was formed for its own SVD, yet only the singular E_0 is kept
-        assert len(chain.E_seq) == len(chain.A_seq) == len(chain.factors) == chain.mu
+        # E_1 was formed for its own SVD, yet only the step of the singular E_0 is kept
+        assert [step.K.shape[1] for step in chain.steps] == [1]
         assert full_svds == [(2, 2), (2, 2)]
         assert np.allclose(chain.terminal_inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
 
@@ -179,7 +181,7 @@ class TestMakeAdmissible:
     def test_index_1_unchanged(self, index1_pair):
         chain = compute_index_and_chain(index1_pair)
         dec = decouple(chain)
-        assert dec.factors[0] is chain.factors[0]
+        assert dec.R == (None,)
         assert np.array_equal(chain_projectors(dec)[0][0], chain_projectors(chain)[0][0])
 
     def test_rotating_masses_matches_worked_values(self, rotating_masses_auto):
@@ -192,9 +194,9 @@ class TestMakeAdmissible:
         dec = decouple(raw)
         assert dec.raw is raw
         assert dec.mu == raw.mu == 2
-        # the raw chain keeps its orthogonal projectors
-        assert all(np.array_equal(R, K.T) for K, R in raw.factors)
-        assert not np.array_equal(dec.factors[1][1], raw.factors[1][1])
+        # the raw chain keeps its orthogonal projectors; only Q_1 is corrected
+        assert dec.R[0] is None
+        assert not np.array_equal(dec.R[1], raw.steps[1].K.T)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_admissibility_on_random_index_2(self, seed):
@@ -216,7 +218,7 @@ class TestMakeAdmissible:
     def test_corrected_projectors_still_project_onto_kernels(self, seed):
         auto, _ = canonical_auto(np.random.default_rng(200 + seed), 3, [3, 2])
         dec = decouple(compute_index_and_chain(auto))
-        E, _ = chain_matrices(dec.raw, dec.factors)
+        E, _ = chain_matrices(dec)
         for j, q in enumerate(chain_projectors(dec)[0]):
             scale = max(1.0, np.abs(E[j]).max())
             assert np.abs(E[j] @ q).max() <= 1e-8 * scale
@@ -230,7 +232,7 @@ class TestChainProperties:
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, blocks)
         dec = decouple(compute_index_and_chain(auto))
         Q, P = chain_projectors(dec)
-        E, A = chain_matrices(dec.raw, dec.factors)
+        E, A = chain_matrices(dec)
         for j in range(dec.mu):
             scale = max(1.0, np.abs(E[j + 1]).max())
             assert np.abs(E[j + 1] @ P[j] - E[j]).max() <= 1e-8 * scale
@@ -241,7 +243,7 @@ class TestChainProperties:
         # A_mu = A_0 + sum of E_{j+1} Q_j, and A_mu is the decoupled source
         auto, _ = canonical_auto(np.random.default_rng(seed), 3, blocks)
         dec = decouple(compute_index_and_chain(auto))
-        E, A = chain_matrices(dec.raw, dec.factors)
+        E, A = chain_matrices(dec)
         total = A[0].copy()
         for j, q in enumerate(chain_projectors(dec)[0]):
             total += E[j + 1] @ q
@@ -261,7 +263,7 @@ class TestDecouple:
 
     def test_hand_checkable_index_1(self, index1_pair):
         dec = decouple(compute_index_and_chain(index1_pair))
-        assert np.array_equal(dec._apply_source(np.eye(dec.n)), dec.raw.A_seq[0])
+        assert np.array_equal(dec._apply_source(np.eye(dec.n)), dec.raw.A.dense())
         N, couplings, _ = dense_forms(dec)
         assert np.allclose(N[1], np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(N[2], np.diag([0.0, -1.0]), atol=1e-14)
@@ -315,7 +317,8 @@ def _rotating_masses_auto():
 def test_certified_chain_keeps_only_the_matrices_it_factored(make_auto):
     chain = compute_index_and_chain(make_auto())
     assert chain.condition_bound is not None
-    assert len(chain.E_seq) == len(chain.A_seq) == len(chain.factors) == chain.mu == 2
+    E_seq, A_seq = chain_sequences(chain)
+    assert len(E_seq) == len(A_seq) == len(chain.steps) == chain.mu == 2
 
 
 def _stokes_k_auto(k):
@@ -338,17 +341,53 @@ def _stokes_k_auto(k):
     ids=["rotating-masses", "stokes-4-8-12", "semi-2", "semi-3", "random-2", "random-3", "nilpotent-3"],
 )
 def test_chain_matrices_read_back_bit_equal_to_a_stored_chain(corpus):
-    """The chain keeps only ``E`` and ``A``; ``E_seq`` and ``A_seq`` rebuild
-    the singular chain matrices on read as dense arrays, ``E`` and ``A``
-    included, and their bytes, with the kernel images, are those of a chain
-    that stored every matrix it formed (:func:`oracles.stored_chain`)."""
+    """The chain keeps only ``E``, ``A`` and its steps; the singular chain
+    matrices replayed from them as dense arrays, ``E`` and ``A`` included
+    (:func:`oracles.chain_sequences`), are bit for bit each matrix rebuilt
+    from ``E`` and ``A`` through the steps before it, as the chain forms
+    it (:func:`~daereach.decoupling._chain_rows`), and their bytes, with the
+    kernel images, are those of a chain that stored every matrix it formed
+    (:func:`oracles.stored_chain`)."""
     for number, auto in enumerate(corpus()):
         chain = compute_index_and_chain(auto)
         E, A, images = stored_chain(auto)
         assert chain.E is auto.E and chain.A is auto.A, number
-        for ours, theirs in ((chain.E_seq, E), (chain.A_seq, A), (chain.kernel_images, images)):
+        E_seq, A_seq = chain_sequences(chain)
+        rebuilt = [
+            [_chain_rows(X, chain.steps[:j]).dense() for j in range(chain.mu)]
+            for X in (chain.E, chain.A)
+        ]
+        ours_images = [step.image for step in chain.steps]
+        pairs = ((E_seq, E), (A_seq, A), (E_seq, rebuilt[0]), (A_seq, rebuilt[1]))
+        for ours, theirs in (*pairs, (ours_images, images)):
             assert len(ours) == len(theirs) == chain.mu, number
             assert [a.tobytes() == b.tobytes() for a, b in zip(ours, theirs)] == [True] * chain.mu
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        lambda: [auto for _, _, auto, _ in random_systems(1)],
+        lambda: [auto for _, _, auto, _ in random_systems(2)],
+        lambda: [auto for _, _, auto, _ in random_systems(3)],
+        lambda: [_stokes_k_auto(k) for k in (4, 8, 12)],
+        lambda: [_rotating_masses_auto()],
+        lambda: [auto for index in (1, 2, 3) for _, _, auto, _ in semi_explicit_systems(index)],
+        lambda: [_nilpotent_auto(7)],
+    ],
+    ids=["random-1", "random-2", "random-3", "stokes-4-8-12", "rotating-masses", "semi-1-2-3",
+         "nilpotent-3"],
+)
+def test_decouple_never_corrects_q0(corpus):
+    """:func:`decouple` keeps one correction per step and leaves ``R[0]``
+    ``None``, the raw ``Q_0``, on every corpus; each later step at index 2
+    and 3 takes a corrected ``m_j x n`` block ``R_j`` (index 1 corrects
+    nothing)."""
+    for number, auto in enumerate(corpus()):
+        dec = decouple(compute_index_and_chain(auto))
+        assert len(dec.R) == dec.mu and dec.R[0] is None, number
+        for step, R in zip(dec.raw.steps[1:], dec.R[1:]):
+            assert R.shape == (step.K.shape[1], dec.n), number
 
 
 class TestFactorizationCounts:
@@ -437,7 +476,7 @@ class TestFactorizationCounts:
         chain = compute_index_and_chain(auto)
         assert [d["method"] for d in chain.decisions] == ["diagonal", "gram", "certificate"]
         assert shapes["qr"] == [] and shapes["svd"] == []
-        m = chain.factors[1][0].shape[1]
+        m = chain.steps[1].K.shape[1]
         assert shapes["cholesky"] == [(m, m)]
         assert shapes["general_inverse"] == [(m, m)] and m < auto.n
 
@@ -475,8 +514,9 @@ def _certified_margin(raw, auto):
     E, _, _, _, mu = reference_chain(auto)
     assert raw.mu == mu
     assert raw.condition_bound is not None
+    E_seq = chain_sequences(raw)[0]
     for j in range(1, mu):  # E_j is singular: the certificate must decline it
-        inverse, _ = rank_update_inverse(svd_factors(raw.E_seq[j - 1]), raw.kernel_images[j - 1])
+        inverse, _ = rank_update_inverse(svd_factors(E_seq[j - 1]), raw.steps[j - 1].image)
         assert inverse is None, j
     reference = np.linalg.solve(E[mu], np.eye(auto.n))
     assert _relative_error(raw.terminal_inverse, reference) <= 1e-10
@@ -632,7 +672,7 @@ def test_index_1_system_with_diagonal_E_is_certified_from_the_closed_form():
     raw = compute_index_and_chain(auto)
     assert [x["method"] for x in raw.decisions] == ["diagonal", "certificate"]
     assert raw.mu == reference_chain(auto)[4] == 1
-    K = raw.factors[0][0]
+    K = raw.steps[0].K
     E1 = E - (auto.A @ K) @ K.T
     assert _relative_error(raw.terminal_inverse, np.linalg.inv(E1)) <= 1e-10
 
@@ -675,7 +715,7 @@ def test_bound_in_the_margin_band_takes_the_svd():
     cutoff = RANK_REL_TOL
     assert 1.0 / (CERTIFICATE_MARGIN * cutoff) <= bound
     raw = _svd_decides(auto)
-    assert raw.factors[0][0].shape[1] == auto.n - rows.size
+    assert raw.steps[0].K.shape[1] == auto.n - rows.size
     assert raw.decisions[0]["kept"] > cutoff
 
 
@@ -745,11 +785,8 @@ def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
     assert raw.mu == 2
     R_dense, X_dense = dense_correction(raw)
     ours = decouple(raw)
-    K, R = ours.factors[1]
-    image = raw.kernel_images[1]
-    oracle = dataclasses.replace(
-        ours, factors=(ours.factors[0], (K, R_dense)), inverse=InverseBlocks(X_dense)
-    )
+    R, image, E_1 = ours.R[1], raw.steps[1].image, chain_sequences(raw)[0][1]
+    oracle = dataclasses.replace(ours, R=(None, R_dense), inverse=InverseBlocks(X_dense))
     lift = ours.lift
     V = lift @ np.random.default_rng(seed).normal(size=(lift.shape[1], 2))
     star = StarSet(V, np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
@@ -767,9 +804,9 @@ def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
     }
     errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
     assert max(errors.values()) <= raw.condition_bound * 2.0**-53, errors
-    dense, rounding = dense_residual(raw.E_seq[1] - image @ R, ours.terminal_inverse)
+    dense, rounding = dense_residual(E_1 - image @ R, ours.terminal_inverse)
     assert abs(ours.inverse_residual - dense) <= rounding
-    oracle_residual, rounding = dense_residual(raw.E_seq[1] - image @ R_dense, X_dense)
+    oracle_residual, rounding = dense_residual(E_1 - image @ R_dense, X_dense)
     assert ours.inverse_residual <= oracle_residual + rounding
     return ours, oracle_residual
 
@@ -845,9 +882,10 @@ def test_closed_form_first_step_leaves_exact_zeros(make_auto):
     ``K_0^T``."""
     auto = make_auto()
     chain = compute_index_and_chain(auto)
-    columns = chain.kernel_columns[0]
-    assert chain.decisions[0]["method"] == "diagonal" and chain.kernel_columns[1] is None
-    E_1, A_1 = chain.E_seq[1], chain.A_seq[1]
+    columns = chain.steps[0].columns
+    assert chain.decisions[0]["method"] == "diagonal" and chain.steps[1].columns is None
+    E_seq, A_seq = chain_sequences(chain)
+    E_1, A_1 = E_seq[1], A_seq[1]
     assert not A_1[:, columns].any()
     assert E_1[:, columns].tobytes() == (0.0 - auto.A.dense()[:, columns]).tobytes()  # +0.0
     dec = decouple(chain)
@@ -856,7 +894,8 @@ def test_closed_form_first_step_leaves_exact_zeros(make_auto):
     assert np.abs(W.T @ W - np.eye(dec.ode_rank)).max() <= 1e-13
     assert np.abs(dec.ode_component(W) - W).max() <= 1e-12 * max(1.0, np.abs(W).max())
     # the same system with K_0 taken as a dense basis in the solve check
-    dense_raw = dataclasses.replace(chain, kernel_columns=(None,) + chain.kernel_columns[1:])
+    dense_steps = [chain.steps[0]._replace(columns=None), *chain.steps[1:]]
+    dense_raw = dataclasses.replace(chain, steps=dense_steps)
     dense_dec = dataclasses.replace(dec, raw=dense_raw)
     Y = np.column_stack([dec._apply_source(W), np.random.default_rng(4).normal(size=auto.n)])
     ours, dense = dec._checked_solve(Y), dense_dec._checked_solve(Y)
@@ -906,8 +945,10 @@ def test_chain_peak_memory_on_stokes_12():
 
 def test_decouple_peak_memory_on_stokes_12():
     """The chain followed by :func:`decouple` holds at most 3.93 ``n x n``
-    arrays at once, traced from before the chain (it read 3.82, the chain's
-    own peak; ``decouple`` peaks at 3.21): ``decouple`` keeps the corrected
+    arrays at once, traced from before the chain (it reads 2.98 at
+    ``decouple``, and read 3.21 while the certificate's blocks kept the Gram
+    factors, and their ``V``, alive until ``decouple``; the chain's own peak
+    is 2.72): ``decouple`` keeps the corrected
     inverse as the certificate's blocks and one ``m x n`` coefficient block,
     and forms no ``n x n`` array, no ``E_2'`` and no ``A_2'``.  A chain that
     formed the uncorrected ``B`` and a ``decouple`` that corrected it in
@@ -1100,7 +1141,10 @@ def _row_masks_match_dense_products(monkeypatch, dec):
     ours = blocks(dec)
     dense_copy = dataclasses.replace(dec)  # the same factors, no cached frame
     monkeypatch.setattr(DecoupledSystem, "_apply", dense_apply)
-    monkeypatch.setattr(DecoupledSystem, "_kernel_rows", lambda self, j, Y: self.factors[j][1] @ Y)
+    def dense_rows(self, j, Y):
+        return kernel_factors(self)[j][1] @ Y
+
+    monkeypatch.setattr(DecoupledSystem, "_kernel_rows", dense_rows)
     dense = blocks(dense_copy)
     assert ours.keys() == dense.keys()
     assert [key for key in ours if ours[key] != dense[key]] == []
@@ -1112,7 +1156,7 @@ def test_stokes_row_masks_match_dense_products(monkeypatch, k):
     from daereach import load_model, to_autonomous
 
     dec = decouple(compute_index_and_chain(to_autonomous(*load_model(f"builtin:stokes:{k}"))))
-    assert dec.raw.kernel_columns[0] is not None and dec.raw.kernel_columns[1] is None
+    assert dec.raw.steps[0].columns is not None and dec.raw.steps[1].columns is None
     _row_masks_match_dense_products(monkeypatch, dec)
 
 
@@ -1126,23 +1170,33 @@ def test_weierstrass_row_masks_match_dense_products(monkeypatch, blocks):
     whose kernel bases are dense (after a closed-form ``E_0``, a singular
     ``E_1`` that is a scaled column selection would have a zero column of
     ``E`` and ``A`` alike: an irregular pencil), so the scatter of a
-    corrected ``R_0 Y`` runs on a copy with ``Q_0`` swapped for an oblique
-    projector onto the same kernel.  Each frame spans ``range(Pi)``: the
-    copy's is not zero on the kernel rows, so its frame takes every row."""
+    corrected ``R_0 Y`` runs on a copy given an oblique ``R_0``, ``K_0 R_0``
+    a projector onto the same kernel, and the LU inverse of its own
+    ``E_mu'`` (the solve check reads ``R_0``).  That copy takes the dense
+    product ``R_0 Y`` and the frame on every row: its frame spans
+    ``range(Pi)``, which is not zero on the kernel rows."""
     rng = np.random.default_rng(len(blocks))
     auto = AutonomousDae(*weierstrass_auto(rng, 14, blocks))
     dec = decouple(compute_index_and_chain(auto))
     assert auto.n >= _QR_MIN_N and dec.mu == reference_chain(auto)[4] == max(blocks)
     assert dec.raw.decisions[0]["method"] == "diagonal"
+    assert dec.R[0] is None and dec._range_rows is not None
     _row_masks_match_dense_products(monkeypatch, dec)
-    K0, R0 = dec.factors[0]
+    step = dec.raw.steps[0]
+    K0, R0 = step.K, step.K.T
     G = rng.normal(size=R0.shape)
     oblique = R0 + G - (G @ K0) @ R0  # R K_0 = I: K_0 R projects onto Ker E_0
     assert np.abs(oblique @ K0 - np.eye(K0.shape[1])).max() <= 1e-12
-    swapped = dataclasses.replace(dec, factors=((K0, oblique),) + dec.factors[1:])
+    swapped = dataclasses.replace(dec, R=(oblique, *dec.R[1:]))
+    E = chain_matrices(swapped)[0][dec.mu]
+    swapped = dataclasses.replace(swapped, inverse=InverseBlocks(np.linalg.inv(E)))
+    Y = rng.normal(size=(auto.n, 3))
+    assert swapped._kernel_rows(0, Y).tobytes() == (oblique @ Y).tobytes()
+    assert swapped._range_rows is None
     monkeypatch.undo()
     _row_masks_match_dense_products(monkeypatch, swapped)
     monkeypatch.undo()
+    assert not dec.ode_basis[step.columns].any() and swapped.ode_basis[step.columns].any()
     for system in (dec, swapped):  # the frame spans range(Pi), off c_0 only for the raw R_0
         W = system.ode_basis
         assert np.abs(system.ode_component(W) - W).max() <= 1e-12
@@ -1187,14 +1241,14 @@ def test_index_3_intermediate_is_the_raw_terminal_matrix_times_a_unipotent(syste
         raw = compute_index_and_chain(auto)
         raw_inverse = raw.terminal_inverse  # before decouple takes it
         ours = decouple(raw)
-        (K1, _), (K2, _) = raw.factors[1:]
-        swap = K1 @ (K1.T - ours.factors[1][1])  # Q_1 - Q_1'
+        K1, K2 = raw.steps[1].K, raw.steps[2].K
+        swap = K1 @ (K1.T - ours.R[1])  # Q_1 - Q_1'
         X = swap - K2 @ (K2.T @ swap)
         assert np.abs(swap @ K2).max() <= 1e-10 * max(1.0, np.abs(swap).max()), seed
-        E, A = chain_matrices(raw, ours.factors)
+        E, A = chain_matrices(ours)
         E2 = E[2]
         assert np.abs(E2 @ K2).max() <= 1e-10 * max(1.0, np.abs(E2).max()), seed
-        assert _relative_error(A[2] @ K2, raw.A_seq[2] @ K2) <= 1e-10, seed
+        assert _relative_error(A[2] @ K2, chain_sequences(raw)[1][2] @ K2) <= 1e-10, seed
         assert np.abs(X @ X).max() <= 1e-10 * max(1.0, np.abs(X).max() ** 2), seed
         intermediate = E2 - (A[2] @ K2) @ K2.T
         inverse = raw_inverse + X @ raw_inverse
@@ -1209,14 +1263,13 @@ def _corrected_inverse_error(auto):
     largest entry, with the bound ``condition_bound * 2^-53`` (``cond_2``
     of ``E_mu'`` where its own SVD decided)."""
     raw = compute_index_and_chain(auto)
-    blocks = raw.inverse
-    if blocks.B is not None:
+    method = raw.decisions[-2]["method"]  # of E_{mu-1}, whose factors the blocks are from
+    if raw.inverse.B is not None:
         form = "dense"
     else:
-        factors = blocks.factors
-        form = "closed-form" if factors.w.ndim == 1 else "gram" if factors.gram else "qr"
+        form = "closed-form" if method == "diagonal" else method
     dec = decouple(raw)
-    E = chain_matrices(raw, dec.factors)[0][dec.mu]
+    E = chain_matrices(dec)[0][dec.mu]
     reference = np.linalg.inv(E)
     error = np.abs(dec.terminal_inverse - reference).max() / np.abs(reference).max()
     bound = raw.condition_bound if raw.condition_bound is not None else np.linalg.cond(E)

@@ -210,6 +210,16 @@ class TestTriangularInverse:
         assert triangular_inverse(R) is None
 
 
+def _dense_inverse(inverse, factors):
+    """The dense ``Z'^{-1}`` of a certified ``inverse``: the blocks of
+    row-gather ``factors`` are corrected with ``R = K^T`` first, as
+    ``MatrixChain.terminal_inverse`` does, since the blocks keep no ``K``."""
+    if inverse.c_inv is not None:
+        K = kernel_basis_and_inverse(factors)[0]
+        inverse = inverse.corrected(K, K.T)
+    return inverse.dense()
+
+
 def _updated(Z, image):
     """``Z - image @ K^T`` with ``K`` the kernel basis of ``Z``."""
     kernel_basis, _ = kernel_basis_and_inverse(svd_factors(Z))
@@ -271,7 +281,8 @@ class TestRankUpdateInverse:
         reference, reference_bound = svd_certificate(Z, factors, image, CERTIFICATE_MARGIN)
         assert inverse is not None and reference is not None
         assert abs(bound - reference_bound) <= 1e-12 * reference_bound
-        assert np.abs(inverse.dense() - reference).max() <= 1e-10 * np.abs(reference).max()
+        X = _dense_inverse(inverse, factors)
+        assert np.abs(X - reference).max() <= 1e-10 * np.abs(reference).max()
 
     @pytest.mark.parametrize(
         "eps, certified, nonsingular",
@@ -413,7 +424,7 @@ class TestRankFactors:
         kernel, _ = kernel_basis_and_inverse(factors)
         updated = Z - image @ kernel.T
         assert inverse is not None
-        inverse = inverse.dense()
+        inverse = _dense_inverse(inverse, factors)
         assert np.abs(inverse - np.linalg.inv(updated)).max() <= 1e-10 * np.abs(inverse).max()
         assert np.linalg.cond(updated) <= bound
 
@@ -523,7 +534,7 @@ class TestGramFactors:
         image = rng.normal(size=(n, n - p))
         inverse, _ = rank_update_inverse(factors, image)
         updated = Z - image @ kernel.T
-        reference, X = np.linalg.inv(updated), inverse.dense()
+        reference, X = np.linalg.inv(updated), _dense_inverse(inverse, factors)
         assert np.abs(X - reference).max() <= 1e-12 * np.abs(reference).max()
         assert np.abs(updated @ X - np.eye(n)).max() <= 1e-12
 

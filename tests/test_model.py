@@ -79,21 +79,38 @@ class TestToAutonomous:
 
     def test_large_blocks_stack_as_rows(self):
         # past the dense size rule the stacked matrices are merged rows; they
-        # must equal the dense block assembly bit for bit, -0.0 included
-        rng = np.random.default_rng(5)
-        n, m = 30, 3
-        E = np.diag(rng.integers(0, 2, n).astype(float))
-        A = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.1)
-        B = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.5)
-        B[0, 0] = -0.0
-        a_u = rng.normal(size=(m, m))
-        auto = to_autonomous(DaeSystem(E, A, B), InputModel(a_u))
-        e_bar, a_bar = np.zeros((n + m, n + m)), np.zeros((n + m, n + m))
-        e_bar[:n, :n], e_bar[n:, n:] = E, np.eye(m)
-        a_bar[:n, :n], a_bar[:n, n:], a_bar[n:, n:] = A, B, a_u
-        assert auto.E.dense().tobytes() == e_bar.tobytes()
-        assert auto.A.dense().tobytes() == a_bar.tobytes()
-        assert len(auto.A.columns) < n
+        # must equal the dense block assembly bit for bit, -0.0 included.
+        # A stores the -0.0 of each negative draw times False, so its rows
+        # fill more than 1/32 of the columns and it is kept dense
+        auto = _stacked_bit_for_bit(np.random.default_rng(5), 30, 0.1)
+        assert auto.E.columns is not None and auto.A.columns is None
+
+    def test_sparse_blocks_stack_as_slots(self):
+        # an A that stores only its drawn entries (-0.0 + 0.0 is +0.0, which
+        # is not stored) has short rows and is kept as slots
+        auto = _stacked_bit_for_bit(np.random.default_rng(5), 400, 0.005, signed_zeros=False)
+        assert auto.E.columns is not None and auto.A.columns is not None
+
+
+def _stacked_bit_for_bit(rng, n, fill, signed_zeros=True):
+    """The autonomous pair of a random ``n``-state system with 3 inputs and
+    an ``A`` of about ``fill`` of its entries drawn, checked bit for bit
+    against the dense block assembly."""
+    m = 3
+    E = np.diag(rng.integers(0, 2, n).astype(float))
+    A = rng.normal(size=(n, n)) * (rng.random((n, n)) < fill)
+    if not signed_zeros:
+        A += 0.0
+    B = rng.normal(size=(n, m)) * (rng.random((n, m)) < 0.5)
+    B[0, 0] = -0.0
+    a_u = rng.normal(size=(m, m))
+    auto = to_autonomous(DaeSystem(E, A, B), InputModel(a_u))
+    e_bar, a_bar = np.zeros((n + m, n + m)), np.zeros((n + m, n + m))
+    e_bar[:n, :n], e_bar[n:, n:] = E, np.eye(m)
+    a_bar[:n, :n], a_bar[:n, n:], a_bar[n:, n:] = A, B, a_u
+    assert auto.E.dense().tobytes() == e_bar.tobytes()
+    assert auto.A.dense().tobytes() == a_bar.tobytes()
+    return auto
 
 
 class TestCheckRegularity:
