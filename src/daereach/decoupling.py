@@ -184,16 +184,13 @@ class MatrixChain:
     and ``A`` is kept: ``E_j`` and ``A_j`` are ``E`` and ``A`` through the
     first ``j`` steps.  ``mu``, the index, is the number of steps.
     ``inverse`` holds ``E_mu^{-1}`` as :class:`~daereach.linalg.InverseBlocks`:
-    the certificate's blocks ``C^{-1}`` and ``t = lead^{-1} top C^{-1}``
-    when it proved ``E_mu`` nonsingular from row-gather (QR, Gram or
-    closed-form) factors of ``E_{mu-1}``, else the dense inverse from the
-    certificate on SVD factors or from ``E_mu``'s own SVD;
-    ``terminal_inverse`` is a new dense ``E_mu^{-1}``, formed on read from
-    them and ``K_{mu-1}``.  A chain decouples once: :func:`decouple` takes
-    the inverse, keeps the corrected one as blocks or writes it over the
-    dense inverse, and sets ``inverse`` to ``None``, so a second
-    :func:`decouple` or a later ``terminal_inverse`` raises
-    :class:`ValueError`.
+    the certificate's blocks when it proved ``E_mu`` nonsingular from
+    row-gather (QR, Gram or closed-form) factors of ``E_{mu-1}``, else the
+    dense inverse from the certificate on SVD factors or from ``E_mu``'s own
+    SVD; how it is stored is decided in :mod:`~daereach.linalg` alone, and
+    ``corrected(K_{mu-1})`` applied to the identity gives it dense.  A chain
+    decouples once: :func:`decouple` takes the inverse and sets ``inverse``
+    to ``None``, so a second :func:`decouple` raises :class:`ValueError`.
     ``decisions`` holds, for each chain matrix ``E_0 .. E_mu``, what
     decided its rank and by what margin: the ``decision`` of its own
     :class:`~daereach.linalg.Factors` (``"diagonal"``, ``"gram"``,
@@ -219,20 +216,12 @@ class MatrixChain:
         return self.E.shape[0]
 
     def _held_inverse(self):
-        """``inverse``, unless :func:`decouple` took it."""
+        """``inverse``, unless :func:`decouple` took it: a dense inverse is
+        corrected by writing over it in place, so a second :func:`decouple`
+        of the chain would read the corrected one as the raw one."""
         if self.inverse is None:
             raise ValueError("decouple took this chain's terminal inverse: a chain decouples once")
         return self.inverse
-
-    @property
-    def terminal_inverse(self):
-        """The dense ``E_mu^{-1}``, a new array formed on read: the
-        certificate's blocks are corrected with ``R = K^T`` first."""
-        inverse = self._held_inverse()
-        if inverse.c_inv is not None:
-            K = self.steps[-1].K
-            inverse = inverse.corrected(K, K.T)
-        return inverse.dense()
 
     @property
     def condition_bound(self):
@@ -280,9 +269,8 @@ class DecoupledSystem:
     (:func:`decouple` never corrects ``Q_0``), and the ``inverse``
     ``E_mu'^{-1}`` (:class:`~daereach.linalg.InverseBlocks` from
     :func:`decouple`: the certificate's blocks and the ``m x n``
-    correction, with no ``n x n`` array, or dense on SVD factors);
-    ``terminal_inverse`` is a new dense ``E_mu'^{-1}``, formed on read.  It
-    applies the one operator ``X -> {i: N_i X}`` to blocks right to left:
+    correction, with no ``n x n`` array, or dense on SVD factors), read only
+    through its ``apply``.  It applies the one operator ``X -> {i: N_i X}`` to blocks right to left:
     ``S X = E_mu'^{-1} (A_mu' X)`` with ``A_mu' X = A X - sum_j (A_j
     K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j X)``, ``Q_j X
     = K_j (R_j X)``, each product through ``K_j`` taken by its
@@ -319,11 +307,6 @@ class DecoupledSystem:
     raw: MatrixChain = field(repr=False)
     R: tuple = field(repr=False)
     inverse: InverseBlocks = field(repr=False)
-
-    @property
-    def terminal_inverse(self):
-        """The dense ``E_mu'^{-1}``, a new array formed on read."""
-        return self.inverse.dense()
 
     @property
     def mu(self):
@@ -674,15 +657,16 @@ def decouple(chain):
     once by :meth:`~daereach.linalg.InverseBlocks.corrected`: kept with the
     certificate's blocks as one ``m x n`` block ``Z`` (and index 3's ``J``
     and ``Y``), so that no ``n x n`` array is formed, or written over a
-    dense inverse.  A QR's ``W_1`` is copied out of its ``n x n`` ``W``
-    first, and ``W`` dropped.  Where the certificate kept
-    ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``, so ``R`` reads only
-    the rows ``left[rank:]`` of ``A_{mu-1}``.  At index 3, ``(Q_1 - Q_1')
-    Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2 = A_2 K_2``, and the
-    intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I - X)``, ``X = P_2 (Q_1 -
-    Q_1')``, ``X^2 = 0``, with inverse ``(I + X) E_3^{-1}``; ``Q_2' = Q_2^*``, since
-    ``K_2^T X = 0`` and ``E_3^{-1} A_1 Q_1 = -P_2 Q_1`` make ``K_2^T
-    E_3^{-1}`` map ``A_2``, ``A_1`` and ``A_2' = A_1 - A_1 Q_1'`` alike.
+    dense inverse; at index 1 it leaves a dense inverse as it is.  ``R``
+    reads only the rows of ``A_{mu-1}`` that ``K^T E_mu^{-1}`` reads
+    (:meth:`~daereach.linalg.InverseBlocks.kernel_map`: where the
+    certificate kept ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``).  At
+    index 3, ``(Q_1 - Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2
+    = A_2 K_2``, and the intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I -
+    X)``, ``X = P_2 (Q_1 - Q_1')``, ``X^2 = 0``, with inverse ``(I + X)
+    E_3^{-1}``; ``Q_2' = Q_2^*``, since ``K_2^T X = 0`` and ``E_3^{-1} A_1
+    Q_1 = -P_2 Q_1`` make ``K_2^T E_3^{-1}`` map ``A_2``, ``A_1`` and ``A_2'
+    = A_1 - A_1 Q_1'`` alike.
 
     The terminal inverse is not checked here but where it is used, as a
     computed solve should be (Higham, *Accuracy and Stability of Numerical
@@ -698,19 +682,12 @@ def decouple(chain):
     """
     mu, steps, inverse = chain.mu, chain.steps, chain._held_inverse()
     chain.inverse = None
-    if inverse.B is None and inverse.N.ndim == 2:
-        # W_1 copied out of a QR's W, so that the n x n W is dropped now
-        inverse = inverse._replace(N=inverse.N.copy())
     R = [None] * mu
     K = steps[-1].K
     index_3 = ()  # (J, Y) of the index-3 step
     if mu > 1:
-        # K^T E_mu^{-1} Y = KtE @ Y[tail] (every row for None), [0, C^{-1}] U^T
-        # where C^{-1} was kept
-        if inverse.c_inv is None:
-            KtE, tail = K.T @ inverse.B, None
-        else:
-            KtE, tail = inverse.c_inv, inverse.left[chain.n - inverse.c_inv.shape[0] :]
+        # K^T E_mu^{-1} Y = KtE @ Y[tail] (every row for None)
+        KtE, tail = inverse.kernel_map(K)
         # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
         R[-1] = -(KtE @ _chain_rows(chain.A, steps[:-1], tail))
         if mu == 3:
@@ -725,8 +702,9 @@ def decouple(chain):
             # (I + X) E_3^{-1}, X = P_2 (Q_1 - Q_1') = J (K_1^T - R_1) and
             # (K_1^T - R_1) K_2 = 0, so Y = (K_1^T - R_1) E_3^{-1} reads F U^T
             index_3 = (K1 - K @ (K.T @ K1), inverse.right_product(K1.T - R[1]))
-    if mu > 1 or inverse.B is None:  # (I + Q - Q')(I + X) E_mu^{-1}
-        inverse = inverse.corrected(K, K.T if R[-1] is None else R[-1], *index_3)
+    # (I + Q - Q')(I + X) E_mu^{-1}; at index 1 the raw inverse, as blocks
+    # corrected with K^T or dense as it is
+    inverse = inverse.corrected(K, R[-1], *index_3)
     return DecoupledSystem(raw=chain, R=tuple(R), inverse=inverse)
 
 

@@ -397,27 +397,28 @@ def row_blocks(n):
 
 
 class InverseBlocks(NamedTuple):
-    """A nonsingular matrix's inverse ``Z'^{-1}``, dense or kept as blocks.
+    """A nonsingular matrix's inverse ``Z'^{-1}``, dense or kept as blocks,
+    which only its methods read.
 
     ``B`` is the dense inverse, or ``None`` for blocks.  When
     :func:`rank_update_inverse` certified ``Z' = Z - image K^T`` from
     row-gather (QR, Gram or closed-form) factors of ``Z``, ``left`` is
     their row order, which stands for ``U`` (``U^T x = x[left]``), and the
     blocks of ``T^{-1}`` are kept: ``c_inv = C^{-1}`` and ``t = lead^{-1}
-    top C^{-1}``; the factors are not, so a caller keeps ``K``.  ``N`` is
-    ``W_1`` (QR) or the columns ``cols``
-    that the nonzero rows ``M`` own (Gram and closed form: the unit vectors
-    of ``cols`` stand for ``N``), so that ``M N = lead``; ``lead`` is the
-    vector ``d`` of a diagonal ``lead = diag(d)``, or for QR the matrix
-    ``lead^{-1}``.  ``F = N [lead^{-1} | t]`` differs from ``Z'^{-1} U = W
-    T^{-1}`` only in ``range K``, and ``K^T Z'^{-1} = [0 | C^{-1}] U^T``, so
+    top C^{-1}``; the factors are not, so a caller keeps ``K``.  ``N`` is a
+    copy of ``W_1`` (QR) or the columns ``cols`` that the nonzero rows ``M``
+    own (Gram and closed form: the unit vectors of ``cols`` stand for
+    ``N``), so that ``M N = lead``; ``lead`` is the vector ``d`` of a
+    diagonal ``lead = diag(d)``, or for QR the matrix ``lead^{-1}``.  ``F =
+    N [lead^{-1} | t]`` differs from ``Z'^{-1} U = W T^{-1}`` only in
+    ``range K``, and ``K^T Z'^{-1} = [0 | C^{-1}] U^T``, so
     for any ``R`` with ``R K = I``, ``(I - K R) F U^T`` is ``(I - K R)
     Z'^{-1}``, and :meth:`corrected` keeps ``(I + K K^T - K R) Z'^{-1}`` as
     ``F U^T + K Z`` with one ``m x n`` block ``Z`` in ``terms``
     (``Z'^{-1}`` itself for ``R = K^T``).  Such corrected blocks keep only
     what :meth:`apply` reads: ``left``, ``N``, ``lead``, ``t`` and the ``(L,
     Z)`` pairs of ``terms``, no ``n x n`` array.  Only a dense or corrected
-    inverse is applied, and every dense form handed out is a new array.
+    inverse is applied; its dense form is ``apply`` of the identity.
     """
 
     B: np.ndarray | None
@@ -453,6 +454,15 @@ class InverseBlocks(NamedTuple):
         """``lead^{-1} X``."""
         return X / self.lead[:, None] if self.lead.ndim == 1 else self.lead @ X
 
+    def kernel_map(self, K):
+        """``(S, rows)`` with ``K^T Z'^{-1} Y = S Y[rows]`` (every row for
+        ``None``) for an uncorrected inverse: ``(C^{-1}, left[rank:])`` where
+        ``C^{-1}`` was kept, as ``K^T Z'^{-1} = [0 | C^{-1}] U^T``, else
+        ``(K^T B, None)``."""
+        if self.B is not None:
+            return K.T @ self.B, None
+        return self.c_inv, self.left[self.t.shape[0] :]
+
     def right_product(self, X):
         """``X F U^T`` for an ``m x n`` block ``X`` (``X Z'^{-1}`` for a
         dense ``B``): ``[X N lead^{-1} | (X N) t]`` with its columns
@@ -467,14 +477,19 @@ class InverseBlocks(NamedTuple):
         out[:, self.left[rank:]] = XN @ self.t
         return out
 
-    def corrected(self, K, R, J=None, Y=None):
+    def corrected(self, K, R=None, J=None, Y=None):
         """``(I - K R)(Z'^{-1} + J Y) + K K^T Z'^{-1}`` for ``K^T J = 0`` (no
         ``J Y`` by default): ``F U^T + J Y + K Z`` with ``Z = K^T Z'^{-1} - R
         F U^T - (R J) Y``, one ``m x n`` block, in which ``K^T Z'^{-1} - R F
         U^T`` is ``(K^T - R) B`` for a dense ``B`` and ``([0 | C^{-1}] - R F)
-        U^T`` for the blocks.  A dense ``B`` is written over, a block of rows
-        at a time; the blocks are kept as corrected blocks, with ``J Y`` and
+        U^T`` for the blocks; ``R = None`` is ``K^T``, and returns a dense
+        inverse as it is.  A dense ``B`` is written over, a block of rows at
+        a time; the blocks are kept as corrected blocks, with ``J Y`` and
         ``K Z`` as ``terms``."""
+        if R is None:
+            if self.B is not None:
+                return self
+            R = K.T
         Z = self.right_product(R if self.B is None else K.T - R)
         if self.B is None:  # -R F U^T + [0 | C^{-1}] U^T
             np.negative(Z, out=Z)
@@ -489,13 +504,6 @@ class InverseBlocks(NamedTuple):
             for rows in row_blocks(B.shape[0]):
                 B[rows] += L[rows] @ Z
         return InverseBlocks(B)
-
-    def dense(self):
-        """``Z'^{-1}``, a new array: a copy of ``B``, or the corrected blocks
-        applied to the identity."""
-        if self.B is not None:
-            return self.B.copy()
-        return self.apply(np.eye(self.left.size))
 
 
 def kernel_basis_and_inverse(factors):
@@ -547,15 +555,17 @@ def rank_update_inverse(factors, image):
     :func:`_gram_factors`).  When it is below ``1 / (CERTIFICATE_MARGIN *
     RANK_REL_TOL)``, ``Z'``'s own SVD would also find it nonsingular at the
     cutoff, and the inverse is returned: for QR, Gram and closed-form
-    factors, whose ``U^T`` gathers rows, as the blocks ``C^{-1}`` and ``t``,
-    which are corrected and applied as blocks
+    factors, whose ``U^T`` gathers rows, as the blocks ``C^{-1}`` and ``t``
+    (and a copy of a QR's ``W_1``, so that no block views its ``n x n``
+    ``W``), which are corrected and applied as blocks
     (:meth:`InverseBlocks.corrected`); for SVD factors as the dense ``W
-    (T^{-1} U^T)``.  The bound reads only ``C^{-1}`` and ``||C^{-1}||_F``,
-    and a computed inverse from a pivoted LU is as accurate as one from an
-    SVD (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-    ch. 14).  Otherwise, and when the LU meets an exactly zero pivot
-    (``bound`` is then infinite) or gives a non-finite inverse, only the
-    bound is returned, and the caller decides from ``Z'``'s own factors.
+    (T^{-1} U^T)``, its blocks formed in place.  The bound reads only
+    ``C^{-1}`` and ``||C^{-1}||_F``, and a computed inverse from a pivoted LU
+    is as accurate as one from an SVD (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 14).  Otherwise, and when the LU
+    meets an exactly zero pivot (``bound`` is then infinite) or gives a
+    non-finite inverse, only the bound is returned, and the caller decides
+    from ``Z'``'s own factors.
     ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it already
     fails the test, ``C`` takes no LU and that lower bound is returned, so a
     singular chain step (whose ``C`` is often near zero) declines for the
@@ -587,13 +597,14 @@ def rank_update_inverse(factors, image):
         return None, bound
     if factors.left.ndim == 1:
         cols = factors.owned_columns
-        N = factors.w[:, :rank] if cols is None else cols
+        N = factors.w[:, :rank].copy() if cols is None else cols
         lead = factors.lead if factors.lead.ndim == 1 else factors.lead_inv
         return InverseBlocks(None, factors.left, c_inv, t, N, lead), bound
     u_top, u_low = factors.left[:, :rank], factors.left[:, rank:]
-    rows = np.empty_like(factors.left)  # T^{-1} U^T
-    rows[:rank] = factors.lead_solve(u_top.T) + t @ u_low.T
-    rows[rank:] = c_inv @ u_low.T
+    rows = np.empty_like(factors.left)  # T^{-1} U^T, each block formed in place
+    np.matmul(t, u_low.T, out=rows[:rank])
+    rows[:rank] += factors.lead_solve(u_top.T)
+    np.matmul(c_inv, u_low.T, out=rows[rank:])
     return InverseBlocks(factors.w @ rows), bound
 
 

@@ -188,9 +188,10 @@ def _require(document, key, path):
 
 def _parse_builtin(name):
     """The model named by a ``builtin:`` alias.  A grid size that is not an
-    integer of at least 2 is a parse error, and so is a grid whose matrices
-    numpy cannot allocate: the builder allocates their triples first, so
-    that error comes at once, as for a sparse shape that is too large."""
+    integer of at least 2 is a parse error, and so is a grid whose dense
+    ``n x n`` float64 array numpy cannot allocate, too large for the
+    pipeline's dense steps: one is reserved untouched and dropped before
+    any triples are built, so that error comes at once."""
     spec = name[len(BUILTIN_PREFIX) :]
     if spec == "rotating-masses":
         return build_rotating_masses()
@@ -202,6 +203,7 @@ def _parse_builtin(name):
         if grid_n < 2:
             raise ParseError(f"stokes grid size must be >= 2, got {grid_n}", path=name)
         try:
+            np.empty((3 * grid_n**2 - 2 * grid_n - 1,) * 2)  # n x n, n as in build_stokes
             model = build_stokes(grid_n)
         except (ValueError, MemoryError) as exc:
             raise ParseError(f"stokes grid {grid_n} is too large: {exc}", path=name)

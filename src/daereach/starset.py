@@ -44,11 +44,11 @@ class StarSet:
         with ``lower <= upper`` is, and anything else takes one
         feasibility LP.
 
-    The stored arrays are read-only; stars are immutable values and safe
-    to share between threads.
+    The stored arrays are read-only, the box bounds (:meth:`box`) among
+    them; stars are immutable values and safe to share between threads.
     """
 
-    __slots__ = ("V", "C", "d")
+    __slots__ = ("V", "C", "d", "_box")
 
     def __init__(self, V, C, d):
         V = as_matrix(V, "V")
@@ -65,7 +65,7 @@ class StarSet:
         self.V = readonly(V)
         self.C = readonly(C)
         self.d = readonly(d)
-        bounds = self.box()  # with lower <= upper it holds its midpoint
+        self._box = bounds = _box_bounds(self.C, self.d)  # lower <= upper holds the midpoint
         boxed = bounds is not None and np.all(bounds[0] <= bounds[1])
         if not boxed and lp.find_feasible(C, d, tol=FEASIBILITY_TOL) is None:
             raise EmptyPredicateError("the coefficient predicate C alpha <= d has no solution")
@@ -87,25 +87,8 @@ class StarSet:
         )
 
     def box(self):
-        """The predicate as coefficient bounds ``(lower, upper)``, or ``None``
-        when it is not a box.
-
-        It is a box when every row of ``C`` has exactly one nonzero and
-        every coefficient has at least one upper and one lower row; scaled,
-        duplicate and redundant rows are allowed, and the tightest
-        ``d_i / c_i`` on each side is the bound.  Such a predicate is
-        bounded by its structure, with no LP.
-        """
-        C, d = self.C, self.d
-        nonzero = C != 0.0
-        if not np.all(nonzero.sum(axis=1) == 1):
-            return None
-        bound = d[:, None] / np.where(nonzero, C, 1.0)
-        upper = np.where(C > 0.0, bound, np.inf).min(axis=0, initial=np.inf)
-        lower = np.where(C < 0.0, bound, -np.inf).max(axis=0, initial=-np.inf)
-        if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
-            return None
-        return lower, upper
+        """The predicate's box bounds (see :func:`_box_bounds`), derived once."""
+        return self._box
 
     def support(self, budget):
         """The support function of the coefficient polytope, by the cheapest
@@ -116,9 +99,8 @@ class StarSet:
         takes its vertices (:meth:`vertices_within`); everything else
         takes LPs.  Nonemptiness was proven when the star was built.
         """
-        bounds = self.box()
-        if bounds is not None:
-            return Support("box", self, bounds)
+        if self._box is not None:
+            return Support("box", self, self._box)
         vertices = self.vertices_within(budget)
         if vertices is not None:
             return Support("vertices", self, vertices)
@@ -173,11 +155,33 @@ class StarSet:
         if comb(p, k) > min(budget, _MAX_VERTEX_COMBINATIONS):
             return None
         try:
-            if self.box() is None:  # the LP extrema of +-e_i raise if unbounded
+            if self._box is None:  # the LP extrema of +-e_i raise if unbounded
                 Support("lp", self, None).extrema(np.eye(self.width)[None])
             return self.coefficient_vertices()
         except UnboundedPredicateError:  # unbounded, or no vertices at all
             return None
+
+
+def _box_bounds(C, d):
+    """The predicate ``C alpha <= d`` as read-only coefficient bounds
+    ``(lower, upper)``, or ``None`` when it is not a box.
+
+    It is a box when every row of ``C`` has exactly one nonzero and every
+    coefficient has at least one upper and one lower row; scaled,
+    duplicate and redundant rows are allowed, and the tightest ``d_i /
+    c_i`` on each side is the bound.  Such a predicate is bounded by its
+    structure, with no LP.
+    """
+    nonzero = C != 0.0
+    if not np.all(nonzero.sum(axis=1) == 1):
+        return None
+    bound = d[:, None] / np.where(nonzero, C, 1.0)
+    upper = np.where(C > 0.0, bound, np.inf).min(axis=0, initial=np.inf)
+    lower = np.where(C < 0.0, bound, -np.inf).max(axis=0, initial=-np.inf)
+    if not (np.all(np.isfinite(upper)) and np.all(np.isfinite(lower))):
+        return None
+    lower.flags.writeable = upper.flags.writeable = False
+    return lower, upper
 
 
 class Support:

@@ -51,7 +51,9 @@ def _argv(inputs, mode, out_dir):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(REPO / "src"), help="the daereach source tree")
-    parser.add_argument("--work", default=None, help="directory for inputs and outputs")
+    parser.add_argument(
+        "--work", default=None, help="directory for inputs and outputs, made if missing"
+    )
     args = parser.parse_args(argv)
     src = str(Path(args.src).resolve())
     work = None if args.work is None else str(Path(args.work).resolve())
@@ -60,21 +62,25 @@ def main(argv=None):
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=src)
     home = os.getcwd()
+    if work is not None:
+        os.makedirs(work, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=work) as work:
         os.chdir(work)  # the paths, which verdict.json records, are relative to it
-        for name, workload in WORKLOADS.items():
-            inputs = generate(workload, SEED, Path(name) / "inputs")
-            for path in sorted(inputs.directory.iterdir()):
-                print(f"{name} inputs - {path.name} {_digest(path)}")
-            for mode in MODES:
-                out_dir = Path(name) / mode
-                done = subprocess.run(
-                    [sys.executable, "-m", "daereach.cli", *_argv(inputs, mode, out_dir)],
-                    env=env, capture_output=True, text=True,
-                )
-                for path in sorted(out_dir.iterdir()):
-                    print(f"{name} {mode} exit={done.returncode} {path.name} {_digest(path)}")
-        os.chdir(home)
+        try:
+            for name, workload in WORKLOADS.items():
+                inputs = generate(workload, SEED, Path(name) / "inputs")
+                for path in sorted(inputs.directory.iterdir()):
+                    print(f"{name} inputs - {path.name} {_digest(path)}")
+                for mode in MODES:
+                    out_dir = Path(name) / mode
+                    done = subprocess.run(
+                        [sys.executable, "-m", "daereach.cli", *_argv(inputs, mode, out_dir)],
+                        env=env, capture_output=True, text=True,
+                    )
+                    for path in sorted(out_dir.iterdir()):
+                        print(f"{name} {mode} exit={done.returncode} {path.name} {_digest(path)}")
+        finally:
+            os.chdir(home)
     return 0
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +64,28 @@ def lp_count(monkeypatch):
     return calls
 
 
-# the child caps its own address space before it imports the package, so
-# no preexec hook runs in this (threaded) test process between fork and exec
+# The child caps its own address space before it imports the package, so
+# no preexec hook runs in this (threaded) test process between fork and
+# exec.  It then forks the CLI and reports the CLI's own peak resident set
+# (``os.wait4`` on it, in KiB) to the file named by its first argument: a
+# process started from the test process counts that process's resident set
+# in its ``ru_maxrss`` (fork copies it, and exec folds the old one in), and
+# ``RUSAGE_CHILDREN`` is the largest over every child; one forked from the
+# small launcher counts only the launcher's.  ``alarm`` ends a CLI that
+# runs past 60 s.
 _CAPPED_CLI = """
-import resource, runpy
+import os, resource, runpy, signal, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-runpy.run_module("daereach.cli", run_name="__main__", alter_sys=True)
+report = sys.argv.pop(1)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    runpy.run_module("daereach.cli", run_name="__main__", alter_sys=True)
+else:
+    _, status, usage = os.wait4(pid, 0)
+    with open(report, "w") as file:
+        file.write(str(usage.ru_maxrss))
+    sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
@@ -77,18 +94,23 @@ def capped_cli():
     """Runs ``python -m daereach.cli *argv`` in a child process whose address
     space is capped at 1 GiB, with one BLAS thread and a 60 s timeout: an
     input that makes the CLI allocate without bound fails in the child, not
-    on the host.  The runner returns the ``subprocess.CompletedProcess``."""
+    on the host.  The runner returns the ``subprocess.CompletedProcess``,
+    with the CLI process's own peak resident set in MiB as ``peak_rss_mb``."""
     src = str(Path(daereach.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
 
     def run(argv):
-        return subprocess.run(
-            [sys.executable, "-c", _CAPPED_CLI, *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        with tempfile.TemporaryDirectory() as scratch:
+            report = Path(scratch) / "peak_rss_kib"
+            done = subprocess.run(
+                [sys.executable, "-c", _CAPPED_CLI, str(report), *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            done.peak_rss_mb = int(report.read_text()) / 1024
+        return done
 
     return run

@@ -608,6 +608,19 @@ def stored_chain(auto):
         A.append(A_next)
 
 
+def dense_inverse(system):
+    """The dense terminal inverse of a package raw chain, ``E_mu^{-1}``, or
+    of a decoupled system, ``E_mu'^{-1}``: a new array, the inverse applied
+    to the identity, after a raw chain's is corrected with its own ``K^T``
+    (which leaves a dense one as it is)."""
+    from daereach.decoupling import MatrixChain
+
+    inverse = system.inverse
+    if isinstance(system, MatrixChain):
+        inverse = inverse.corrected(system.steps[-1].K)
+    return inverse.apply(np.eye(system.n))
+
+
 def dense_source(dec):
     """``A_mu'``, the source of a package decoupled system, multiplied out
     densely: the rebuilt chain's ``A_mu`` of :func:`chain_matrices` with its
@@ -619,16 +632,16 @@ def dense_decoupled(dec):
     """A :class:`ReferenceDecoupled` multiplied out from the dense projectors,
     terminal inverse and source of the package's own decoupled system: the
     closed forms alone, with the package's rounding shared."""
-    return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dec.terminal_inverse, dense_source(dec))
+    return ReferenceDecoupled(dec.mu, *chain_projectors(dec), dense_inverse(dec), dense_source(dec))
 
 
 def dense_correction(raw):
     """``(R, inverse)``: the index-2 correction of a package raw chain
-    multiplied out densely from its on-read ``E_2^{-1}``, ``R = -(K^T
-    E_2^{-1}) A_1`` and the corrected inverse ``E_2^{-1} + K ((K^T - R)
-    E_2^{-1})``, with ``K`` the raw chain's kernel basis of ``E_1``."""
+    multiplied out densely from its :func:`dense_inverse` ``E_2^{-1}``, ``R
+    = -(K^T E_2^{-1}) A_1`` and the corrected inverse ``E_2^{-1} + K ((K^T -
+    R) E_2^{-1})``, with ``K`` the raw chain's kernel basis of ``E_1``."""
     K = raw.steps[-1].K
-    inverse = raw.terminal_inverse
+    inverse = dense_inverse(raw)
     R = -(K.T @ inverse) @ chain_sequences(raw)[1][-1]
     return R, inverse + K @ ((K.T - R) @ inverse)
 
@@ -790,9 +803,11 @@ def unchecked_star(V, C, d):
     constructor, so an empty predicate is not refused."""
     from daereach import StarSet
     from daereach.linalg import readonly
+    from daereach.starset import _box_bounds
 
     star = object.__new__(StarSet)
     star.V, star.C, star.d = (readonly(np.asarray(a, dtype=float)) for a in (V, C, d))
+    star._box = _box_bounds(star.C, star.d)
     return star
 
 

@@ -602,15 +602,18 @@ class TestErrorPaths:
         assert json.loads((out / "verdict.json").read_text())["error"] == "nonsingular-e"
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
-    @pytest.mark.parametrize("grid", [3000, 20000])
+    @pytest.mark.parametrize("grid", [200, 3000, 20000])
     def test_builtin_grid_too_large_to_allocate_is_a_parse_error(self, tmp_path, capped_cli, grid):
-        # the model is assembled as triples: k = 3000 (n = 27 million) needs
-        # about 4 GiB of them, k = 20000 6 GiB for its first index array;
-        # both fail at allocation (MemoryError under the 1 GiB cap)
+        # a grid whose dense n x n array cannot be allocated (k = 200, n =
+        # 119,599: 107 GiB; k = 3000, n = 27 million: 5 PiB; k = 20000 beyond
+        # numpy's largest size) is refused before its triples are built, so
+        # the child's peak stays at the interpreter's; assembling the k =
+        # 3000 triples first peaks at 939 MB
         out = tmp_path / "out"
         argv = ["--model", f"builtin:stokes:{grid}", "--mode", "index", "--out", str(out)]
         done = capped_cli(argv)
         assert done.returncode == EXIT_PARSE, done.stderr
+        assert done.peak_rss_mb < 100.0
         error = json.loads(done.stderr.strip().splitlines()[-1])
         assert error["error"] == "parse"
         assert "too large" in error["message"]

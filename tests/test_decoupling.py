@@ -32,6 +32,7 @@ from oracles import (
     dense_admissibility_residual,
     dense_apply,
     dense_correction,
+    dense_inverse,
     dense_maps,
     dense_residual,
     kernel_factors,
@@ -148,7 +149,7 @@ class TestComputeIndexAndChain:
         # E_1 was formed for its own SVD, yet only the step of the singular E_0 is kept
         assert [step.K.shape[1] for step in chain.steps] == [1]
         assert full_svds == [(2, 2), (2, 2)]
-        assert np.allclose(chain.terminal_inverse, np.diag([1.0, -1.0 / eps]), rtol=1e-14)
+        assert np.allclose(dense_inverse(chain), np.diag([1.0, -1.0 / eps]), rtol=1e-14)
 
     def test_ended_chain_never_probes_the_pencil(self, monkeypatch, rotating_masses_auto):
         import daereach.decoupling
@@ -519,7 +520,7 @@ def _certified_margin(raw, auto):
         inverse, _ = rank_update_inverse(svd_factors(E_seq[j - 1]), raw.steps[j - 1].image)
         assert inverse is None, j
     reference = np.linalg.solve(E[mu], np.eye(auto.n))
-    assert _relative_error(raw.terminal_inverse, reference) <= 1e-10
+    assert _relative_error(dense_inverse(raw), reference) <= 1e-10
     return raw.condition_bound * RANK_REL_TOL
 
 
@@ -651,7 +652,7 @@ def test_semi_explicit_systems_factor_by_qr(index):
         ours = chain_projectors(raw)[0]
         assert max(_relative_error(mine, ref) for mine, ref in zip(ours, Q)) <= 1e-10, seed
         reference_inverse = np.linalg.solve(E[mu], np.eye(auto.n))
-        assert _relative_error(raw.terminal_inverse, reference_inverse) <= 1e-10, seed
+        assert _relative_error(dense_inverse(raw), reference_inverse) <= 1e-10, seed
         reference = reference_decoupled(auto)
         V = np.column_stack([ws.consistent_point(rng), rng.normal(size=auto.n)])
         errors = frame_errors(decouple(raw), reference, V)
@@ -674,7 +675,7 @@ def test_index_1_system_with_diagonal_E_is_certified_from_the_closed_form():
     assert raw.mu == reference_chain(auto)[4] == 1
     K = raw.steps[0].K
     E1 = E - (auto.A @ K) @ K.T
-    assert _relative_error(raw.terminal_inverse, np.linalg.inv(E1)) <= 1e-10
+    assert _relative_error(dense_inverse(raw), np.linalg.inv(E1)) <= 1e-10
 
 
 def _svd_decides(auto):
@@ -742,7 +743,7 @@ def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
     settings = ReachSettings(1e-4, 20)
 
     def run(star):
-        raw_inverse = compute_index_and_chain(auto).terminal_inverse  # before decouple takes it
+        raw_inverse = dense_inverse(compute_index_and_chain(auto))  # before decouple takes it
         reach = compute_reach(auto, star, settings)
         return reach.decoupled, raw_inverse, reach.bases
 
@@ -760,7 +761,7 @@ def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
     assert bound == pytest.approx(qr.raw.condition_bound, rel=1e-12, abs=0.0)
     pairs = {
         "raw terminal inverse": (gram_raw_inverse, qr_raw_inverse),
-        "terminal inverse": (gram.terminal_inverse, qr.terminal_inverse),
+        "terminal inverse": (dense_inverse(gram), dense_inverse(qr)),
         "reach bases": (gram_bases, qr_bases),
     }
     errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
@@ -770,8 +771,8 @@ def test_stokes_gram_factors_agree_with_the_qr(monkeypatch, k):
 def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
     """Decouple the index-2 chain ``raw`` of ``auto`` and check it against
     the dense correction of :func:`oracles.dense_correction`, taken from the
-    raw chain's on-read inverse before :func:`decouple` takes its blocks and
-    corrects them in place; the oracle applies its ``A_2'`` from its own
+    raw chain's :func:`oracles.dense_inverse` before :func:`decouple` takes
+    its inverse and corrects it; the oracle applies its ``A_2'`` from its own
     ``R`` as the package does.  ``R``, the corrected inverse and the reach
     bases of one consistent star must agree within
     ``condition_bound * 2^-53`` of their largest entry, and the consistency
@@ -799,12 +800,12 @@ def _fused_against_dense(monkeypatch, auto, raw, unsafe, settings, seed):
     assert runs["fused"][0] == runs["dense"][0]
     pairs = {
         "R": (R, R_dense),
-        "corrected inverse": (ours.terminal_inverse, X_dense),
+        "corrected inverse": (dense_inverse(ours), X_dense),
         "reach bases": (runs["fused"][1], runs["dense"][1]),
     }
     errors = {key: np.abs(a - b).max() / np.abs(b).max() for key, (a, b) in pairs.items()}
     assert max(errors.values()) <= raw.condition_bound * 2.0**-53, errors
-    dense, rounding = dense_residual(E_1 - image @ R, ours.terminal_inverse)
+    dense, rounding = dense_residual(E_1 - image @ R, dense_inverse(ours))
     assert abs(ours.inverse_residual - dense) <= rounding
     oracle_residual, rounding = dense_residual(E_1 - image @ R_dense, X_dense)
     assert ours.inverse_residual <= oracle_residual + rounding
@@ -990,17 +991,19 @@ def large_semi_explicit_systems():
 def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
     """The chain followed by :func:`decouple`, traced from before the chain,
     on SVD-path index-2 semi-explicit systems of ``n`` about 200: at most
-    7.00 ``n x n`` arrays (the worst was 6.998, at the chain's own SVDs),
-    and ``decouple`` alone, from after the chain, at most 1.29 (worst
-    1.2861), so a ``decouple`` that keeps one more ``n x n`` array fails.
-    At index 3 on 100 nilpotent blocks (``n = 302``), at most 6.08 from
-    before the chain (5.968, the chain's own peak), where ``decouple``
-    copies the QR's ``W_1`` out of its ``W`` and drops ``W`` before it
-    corrects, and keeps the corrected inverse as blocks; the QR factors
-    keep a copy of their ``p x p`` lead block, not the ``n x p`` ``R``
-    behind it (6.547 with ``R``).  A ``decouple`` that wrote the corrected
-    inverse over the QR's ``W`` read 6.326, and one that kept the blocks
-    but copied ``W_1`` only once they were corrected, 6.55."""
+    5.75 ``n x n`` arrays (the worst is 5.679, at the chain's own SVDs;
+    6.998 while the certificate's SVD branch formed the blocks of ``T^{-1}
+    U^T`` as temporaries before copying them into place), and ``decouple``
+    alone, from after the chain, at most 1.29 (worst 1.2858), so a
+    ``decouple`` that keeps one more ``n x n`` array fails.  At index 3 on
+    100 nilpotent blocks (``n = 302``), at most 6.08 from before the chain
+    (5.762), where the certificate copies the QR's ``W_1`` out of its ``W``,
+    so that ``W`` is dropped with the chain's factors, and ``decouple`` keeps
+    the corrected inverse as blocks; the QR factors keep a copy of their ``p
+    x p`` lead block, not the ``n x p`` ``R`` behind it (6.547 with ``R``).
+    A ``decouple`` that wrote the corrected inverse over the QR's ``W`` read
+    6.326, and one that kept the blocks but copied ``W_1`` only once they
+    were corrected, 6.55."""
     systems = list(large_semi_explicit_systems())
     methods = [[d["method"] for d in compute_index_and_chain(auto).decisions] for auto in systems]
     assert methods == [["qr", "svd", "certificate"]] * len(systems)
@@ -1009,7 +1012,7 @@ def test_decouple_peak_memory_on_svd_index_2_and_row_gather_index_3():
     index_3 = _chain_and_decouple_peak(_nilpotent_auto(100))
     print(f"\nSVD index 2: chain and decouple {worst:.4f}, decouple {own:.4f}; "
           f"index 3: chain and decouple {index_3:.3f} n x n arrays")
-    assert worst <= 7.00 and own <= 1.29 and index_3 <= 6.08
+    assert worst <= 5.75 and own <= 1.29 and index_3 <= 6.08
 
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:8"])
@@ -1083,42 +1086,39 @@ def test_corruption_the_solve_does_not_read_fails_only_the_full_check(k):
 
 @pytest.mark.parametrize("model", ["builtin:rotating-masses", "builtin:stokes:4"])
 def test_terminal_inverses_share_no_memory_with_the_blocks(model):
-    """``chain.terminal_inverse`` and ``dec.terminal_inverse`` are new
-    arrays: one read before :func:`decouple` corrects the blocks in place
-    keeps its values, and writing into the decoupled system's does not
-    change its operator."""
+    """The dense inverses of :func:`oracles.dense_inverse` are new arrays:
+    one read from the chain before :func:`decouple` corrects its inverse
+    (in place, where it is dense) keeps its values, and writing into the
+    decoupled system's does not change its operator."""
     from daereach import load_model, to_autonomous
 
     chain = compute_index_and_chain(to_autonomous(*load_model(model)))
-    early = chain.terminal_inverse
+    early = dense_inverse(chain)
     kept = early.copy()
     dec = decouple(chain)
     assert np.array_equal(early, kept)
     identity = np.eye(dec.n)
     N = dec.apply_N(identity)
-    dec.terminal_inverse[...] = np.nan
+    dense_inverse(dec)[...] = np.nan
     assert all(np.array_equal(a, N[i]) for i, a in dec.apply_N(identity).items())
 
 
 def test_a_chain_decouples_once():
-    """:func:`decouple` takes the chain's terminal inverse and corrects it in
-    place: an inverse read before keeps its values, and a second
-    :func:`decouple` or a later ``terminal_inverse`` raises, leaving the
-    decoupled system as it was."""
+    """:func:`decouple` takes the chain's terminal inverse and corrects it:
+    an inverse read before keeps its values, and a second :func:`decouple`
+    raises, leaving the decoupled system as it was."""
     from daereach import load_model, to_autonomous
 
     chain = compute_index_and_chain(to_autonomous(*load_model("builtin:stokes:8")))
-    early = chain.terminal_inverse
+    early = dense_inverse(chain)
     kept = early.copy()
     dec = decouple(chain)
     assert chain.inverse is None
     assert np.array_equal(early, kept)
-    corrected = dec.terminal_inverse
+    corrected = dense_inverse(dec)
     with pytest.raises(ValueError, match="decouple took this chain's terminal inverse"):
         decouple(chain)
-    with pytest.raises(ValueError, match="decouple took this chain's terminal inverse"):
-        chain.terminal_inverse
-    assert np.array_equal(dec.terminal_inverse, corrected)
+    assert np.array_equal(dense_inverse(dec), corrected)
 
 
 def _row_masks_match_dense_products(monkeypatch, dec):
@@ -1239,7 +1239,7 @@ def test_index_3_intermediate_is_the_raw_terminal_matrix_times_a_unipotent(syste
     ``E_2' - A_2' Q_2 = E_3 (I - X)`` has the inverse ``(I + X) E_3^{-1}``."""
     for seed, _, auto, _ in systems(3):
         raw = compute_index_and_chain(auto)
-        raw_inverse = raw.terminal_inverse  # before decouple takes it
+        raw_inverse = dense_inverse(raw)  # before decouple takes it
         ours = decouple(raw)
         K1, K2 = raw.steps[1].K, raw.steps[2].K
         swap = K1 @ (K1.T - ours.R[1])  # Q_1 - Q_1'
@@ -1271,7 +1271,7 @@ def _corrected_inverse_error(auto):
     dec = decouple(raw)
     E = chain_matrices(dec)[0][dec.mu]
     reference = np.linalg.inv(E)
-    error = np.abs(dec.terminal_inverse - reference).max() / np.abs(reference).max()
+    error = np.abs(dense_inverse(dec) - reference).max() / np.abs(reference).max()
     bound = raw.condition_bound if raw.condition_bound is not None else np.linalg.cond(E)
     return form, error, bound * 2.0**-53
 

@@ -211,13 +211,12 @@ class TestTriangularInverse:
 
 
 def _dense_inverse(inverse, factors):
-    """The dense ``Z'^{-1}`` of a certified ``inverse``: the blocks of
-    row-gather ``factors`` are corrected with ``R = K^T`` first, as
-    ``MatrixChain.terminal_inverse`` does, since the blocks keep no ``K``."""
-    if inverse.c_inv is not None:
-        K = kernel_basis_and_inverse(factors)[0]
-        inverse = inverse.corrected(K, K.T)
-    return inverse.dense()
+    """The dense ``Z'^{-1}`` of a certified ``inverse``, applied to the
+    identity after :meth:`InverseBlocks.corrected` with the kernel basis of
+    ``factors`` and ``R = K^T``, as :func:`oracles.dense_inverse` reads a
+    chain's: the blocks keep no ``K``, and a dense inverse is kept as it is."""
+    K = kernel_basis_and_inverse(factors)[0]
+    return inverse.corrected(K).apply(np.eye(K.shape[0]))
 
 
 def _updated(Z, image):
@@ -236,7 +235,7 @@ class TestRankUpdateInverse:
         inverse, bound = rank_update_inverse(svd_factors(Z), image)
         updated = _updated(Z, image)
         assert inverse is not None
-        inverse = inverse.dense()
+        inverse = inverse.apply(np.eye(n))
         assert np.abs(inverse - np.linalg.inv(updated)).max() <= 1e-10 * np.abs(inverse).max()
         assert np.linalg.cond(updated) <= bound
 
@@ -284,6 +283,27 @@ class TestRankUpdateInverse:
         X = _dense_inverse(inverse, factors)
         assert np.abs(X - reference).max() <= 1e-10 * np.abs(reference).max()
 
+    def test_qr_blocks_hold_no_view_of_the_factors(self):
+        # W_1 is copied out of the QR's n x n W, which the chain then drops
+        rng = np.random.default_rng(61)
+        n, m = 30, 4
+        factors = rank_factors(_with_zero_rows(rng, n, m))
+        assert factors.decision["method"] == "qr" and factors.w.shape == (n, n)
+        inverse, _ = rank_update_inverse(factors, rng.normal(size=(n, m)))
+        assert inverse.N.shape == (n, n - m)
+        assert inverse.N.base is None or inverse.N.base.shape != (n, n)
+        assert not np.shares_memory(inverse.N, factors.w)
+
+    def test_correcting_a_dense_inverse_with_its_own_kernel_keeps_it(self):
+        # R = K^T leaves Z'^{-1} itself: the same dense inverse, unwritten
+        rng = np.random.default_rng(62)
+        Z = rng.normal(size=(6, 4)) @ rng.normal(size=(4, 6))
+        factors = svd_factors(Z)
+        inverse, _ = rank_update_inverse(factors, rng.normal(size=(6, 2)))
+        kept = inverse.B.copy()
+        assert inverse.corrected(kernel_basis_and_inverse(factors)[0]) is inverse
+        assert np.array_equal(inverse.B, kept)
+
     @pytest.mark.parametrize(
         "eps, certified, nonsingular",
         [(1e-3, True, True), (1.5e-9, False, True), (5e-10, False, False)],
@@ -300,7 +320,7 @@ class TestRankUpdateInverse:
         assert (svd_factors(_updated(Z, image)).rank == 2) == nonsingular
         if certified:
             assert bound * CERTIFICATE_MARGIN * 1e-9 < 1.0
-            assert np.allclose(inverse.dense(), np.diag([1.0, -1.0 / eps]), rtol=1e-14)
+            assert np.allclose(inverse.apply(np.eye(2)), np.diag([1.0, -1.0 / eps]), rtol=1e-14)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_never_certifies_a_singular_update(self, seed):

@@ -176,6 +176,21 @@ def assert_extrema_close(extrema, expected, H, radius, rel):
 
 
 class TestSupport:
+    def test_box_is_derived_once_and_read_only(self, monkeypatch):
+        import daereach.starset
+
+        star = StarSet(np.eye(2), np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+        bounds = star.box()
+
+        def derive(*args):
+            raise AssertionError("the box is derived again")
+
+        monkeypatch.setattr(daereach.starset, "_box_bounds", derive)
+        assert star.box() is bounds
+        assert all(not bound.flags.writeable for bound in bounds)
+        assert star.support(budget=1).method == "box"
+        assert star.vertices_within(budget=10).shape == (4, 2)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_scrambled_box_takes_the_closed_form(self, seed, lp_count):
         rng = np.random.default_rng(500 + seed)
