@@ -19,6 +19,9 @@ output directory:
   for a box, the vertices of a bounded polytope with few of them, and two
   LPs per direction and step otherwise
 
+The CSV values are the bytes of ``"%.17g" % v``
+(:func:`~daereach.csvtext.write_csv`).
+
 Exit codes: 0 for a completed run (either verdict), 2 parse/model errors,
 3 inconsistent initial set, 4 index above 3, 5 irregular pencil,
 6 numerical failure or a singular matrix.  Every failure prints one JSON
@@ -47,6 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .consistency import check_initial_star
+from .csvtext import write_csv as _write_csv
 from .decoupling import compute_index_and_chain, decouple_system
 from .errors import (
     DaeError,
@@ -153,24 +157,6 @@ def _reach_settings(args):
             field="--time-bound",
         )
     return ReachSettings(time_step=args.time_step, num_steps=num_steps)
-
-
-# values formatted per string operation in _write_csv; bounds its memory
-_CSV_BLOCK_VALUES = 4096
-
-
-def _write_csv(path, header, rows):
-    """``rows`` as ``%.17g`` comma-separated lines under one header line,
-    the bytes of ``np.savetxt(..., fmt="%.17g", delimiter=",")``, formatted
-    a block of rows per ``%`` operation instead of one row at a time."""
-    count, cols = rows.shape
-    block = max(1, _CSV_BLOCK_VALUES // max(cols, 1))
-    line = ",".join(["%.17g"] * cols) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, count, block):
-            chunk = rows[start : start + block]
-            handle.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_json(path, document, indent):

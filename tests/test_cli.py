@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -990,6 +991,100 @@ class TestCsvRoundTrip:
             parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
             assert parsed.shape == table.shape, name
             assert parsed.tobytes() == table.tobytes(), name
+
+
+def _percent_17g(header, rows):
+    """The reference bytes of ``_write_csv``: Python's ``"%.17g" % v``."""
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in rows.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _written(tmp_path, rows):
+    from daereach.cli import _write_csv
+
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    _write_csv(tmp_path / "ours.csv", header, rows)
+    return (tmp_path / "ours.csv").read_bytes(), _percent_17g(header, rows)
+
+
+def _edge_values():
+    """Values where a ``%.17g`` kernel can go wrong, with both signs:
+    specials and the least subnormal; ``10^k`` and its two neighbours for
+    ``k`` in -25..25; exact ties at the 18th digit, which ``%`` rounds half
+    to even (``...56.25`` down, ``...56.75`` up); both sides of the switch
+    to the exponent form at ``E = -5/-4`` and ``E = 16/17``; and 3-digit
+    exponents, the kernel's range limits included."""
+    values = [0.0, np.inf, np.nan, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    for k in range(-25, 26):
+        power = float(f"1e{k}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    values += [1234567890123456.75, 1234567890123456.25, 4503599627370496.5, 0.5, 2.5, 0.125]
+    values += [9.9999999999999991e-6, 1.2345e-5, 9.9999999999999991e-5, 1.2345e-4, 0.00012]
+    values += [9999999999999998.0, 12345678901234568.0, 99999999999999984.0, 1.2345e17]
+    values += [1e100, 1.5e-100, 3.3e-300, 7e299, 1e-280, 1e290, np.nextafter(1e290, 0.0)]
+    return np.array(values + [-v for v in values])
+
+
+class TestCsvWriterBytes:
+    """``_write_csv`` writes Python's ``"%.17g" % v`` byte for byte, its
+    numpy kernel and the values it leaves to ``%`` alike."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.floats(), min_size=1, max_size=40),
+        st.sampled_from(["no-rows", "one-column", "blocks"]),
+    )
+    def test_matches_percent_17g_on_drawn_floats(self, values, shape):
+        from daereach.csvtext import _BLOCK_VALUES
+
+        if shape == "no-rows":
+            rows = np.empty((0, len(values)))
+        elif shape == "one-column":
+            rows = np.array(values)[:, None]
+        else:  # more than two blocks of 7 columns, the values repeated
+            rows = np.resize(np.array(values), (2 * _BLOCK_VALUES // 7 + 5, 7))
+        with tempfile.TemporaryDirectory() as scratch:
+            ours, reference = _written(Path(scratch), rows)
+        assert ours == reference
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_matches_percent_17g_on_edge_values(self, tmp_path, columns):
+        values = _edge_values()
+        values = values[: values.size // columns * columns]
+        ours, reference = _written(tmp_path, values.reshape(-1, columns))
+        assert ours == reference
+
+    def test_edge_values_fail_a_writer_that_rounds_ties_half_up(self, tmp_path, monkeypatch):
+        """With no band around 1/2 the kernel decides the exact ties itself,
+        half up (``floor(lo + 1/2)``): the edge values catch it."""
+        import daereach.csvtext
+
+        monkeypatch.setattr(daereach.csvtext, "_TIE_BAND", 0.0)
+        ours, reference = _written(tmp_path, _edge_values()[:, None])
+        differ = [a for a, b in zip(ours.split(b"\n"), reference.split(b"\n")) if a != b]
+        assert differ == [b"1234567890123456.3", b"-1234567890123456.3"]
+
+    def test_memory_peak_does_not_grow_with_the_rows(self, tmp_path):
+        """Writing 100,001 x 7 values peaks below 2 MB traced
+        (``tracemalloc``, which numpy reports to), as 1,001 x 7 does: the
+        kernel holds one block of ``_BLOCK_VALUES`` values, where
+        formatting every value at once would hold 48-byte slots for 700,007
+        values, 34 MB."""
+        from daereach.cli import _write_csv
+
+        rows = np.random.default_rng(8).normal(size=(100_001, 7))
+        header = [f"c{i}" for i in range(7)]
+        _write_csv(tmp_path / "warm.csv", header, rows[:10])  # the tables, built once
+        peaks = []
+        for count in (1_001, 100_001):
+            tracemalloc.start()
+            try:
+                _write_csv(tmp_path / "big.csv", header, rows[:count])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        print(f"\n_write_csv traced peaks: {peaks[0] / 1e6:.3f} and {peaks[1] / 1e6:.3f} MB")
+        assert max(peaks) < 2e6
 
 
 def _write_inputs(directory):
