@@ -42,6 +42,10 @@ Grid sizes may be given on the command line, for example
 2, 3, 4, 5, 6, 8, 10, 12 and 16.  ``--steps N`` sets the number of time
 steps, for example ``python demos/04_stokes_scaling.py --steps 1000 24 32``
 for the propagation at large ``r``, where it marches in blocks of instants.
+``--json PATH`` also writes the printed rows to ``PATH`` as one JSON
+object, ``{"steps": N, "rows": [...]}``, one row per grid with the keys
+of ``ROW_KEYS`` (times in ms, peak and kept in n x n arrays, ``ru_maxrss``
+in MB).
 """
 
 import argparse
@@ -90,6 +94,12 @@ def write_model(k, directory):
     return path
 
 
+ROW_KEYS = (
+    "k", "n", "index", "chain_ms", "decouple_ms", "frame_ms", "d_t_ms", "rsc_t_ms", "cs_t_ms",
+    "verdict", "solve_residual", "peak_mb", "peak_nxn", "kept_nxn", "maxrss_mb",
+)
+
+
 def stage_times(auto, repeats=3):
     """Medians over ``repeats`` runs of the chain, ``decouple`` and the
     frame, in ms, and the last decoupled system."""
@@ -108,6 +118,7 @@ def stage_times(auto, repeats=3):
 parser = argparse.ArgumentParser(description="Scaling study on the Stokes family.")
 parser.add_argument("grids", nargs="*", type=int, metavar="k", help="grid sizes")
 parser.add_argument("--steps", type=int, default=100, help="time steps of 1e-4 s (default 100)")
+parser.add_argument("--json", metavar="PATH", help="also write the rows to PATH as JSON")
 args = parser.parse_args()
 grids = args.grids or [2, 3, 4, 5, 6, 8, 10, 12, 16]
 rng = np.random.default_rng(0)
@@ -116,6 +127,7 @@ print(f"{'k':>3} {'n':>6} {'index':>5} {'chain':>8} {'decouple':>8} {'frame':>8}
       f"{'peak [MB]':>10} {'[n x n]':>8} {'kept [n x n]':>12} {'maxrss [MB]':>11}")
 
 directory = tempfile.TemporaryDirectory()
+rows = []
 for k in grids:
     path = write_model(k, directory.name)
     auto = to_autonomous(*load_model(path))
@@ -146,15 +158,22 @@ for k in grids:
     outcome = verify(reach, unsafe)
     cs_ms = 1e3 * (time.perf_counter() - check_started)
 
+    row = dict(zip(ROW_KEYS, (
+        k, auto.n, dec.mu, chain_ms, decouple_ms, frame_ms,
+        1e3 * reach.timings["decouple_s"], 1e3 * reach.timings["reach_s"], cs_ms,
+        outcome.status, reach.decoupled.solve_residual, peak / 2**20,
+        peak / (8 * auto.n**2), kept / (8 * auto.n**2), maxrss,
+    )))
+    rows.append({key: value.item() if isinstance(value, np.generic) else value
+                 for key, value in row.items()})
     print(
-        f"{k:>3} {auto.n:>6} {dec.mu:>5} {chain_ms:>8.2f} {decouple_ms:>8.2f} {frame_ms:>8.2f} "
-        f"{1e3 * reach.timings['decouple_s']:>10.2f} "
-        f"{1e3 * reach.timings['reach_s']:>11.2f} "
-        f"{cs_ms:>10.2f} {outcome.status:>8} "
-        f"{reach.decoupled.solve_residual:>9.1e} {peak / 2**20:>10.2f} "
-        f"{peak / (8 * auto.n**2):>8.2f} {kept / (8 * auto.n**2):>12.2f} {maxrss:>11.1f}"
+        "{k:>3} {n:>6} {index:>5} {chain_ms:>8.2f} {decouple_ms:>8.2f} {frame_ms:>8.2f} "
+        "{d_t_ms:>10.2f} {rsc_t_ms:>11.2f} {cs_t_ms:>10.2f} {verdict:>8} {solve_residual:>9.1e} "
+        "{peak_mb:>10.2f} {peak_nxn:>8.2f} {kept_nxn:>12.2f} {maxrss_mb:>11.1f}".format(**row)
     )
 directory.cleanup()
+if args.json:
+    Path(args.json).write_text(json.dumps({"steps": args.steps, "rows": rows}, indent=1) + "\n")
 
 print(
     "\nchain, decouple and frame are the medians of three runs in ms.  Decoupling\n"

@@ -10,74 +10,56 @@ terminates at the first nonsingular ``E_mu``; ``mu`` is the tractability
 index.  With ``Q_j = K_j K_j^T`` for an orthonormal kernel basis ``K_j``,
 both updates subtract the one rank-``m`` product ``(A_j K_j) K_j^T``.
 One factorization per singular chain matrix
-(:func:`~daereach.linalg.rank_factors`) gives its kernel basis and,
-through it, its rank decision.  A chain matrix with exactly-zero rows, as
-those of a semi-explicit system such as Stokes, takes a closed form when
-it is a scaled column selection (Stokes ``E_0 = diag(I, 0)``), whose
-kernel basis is the unit vectors of its zero columns ``c_j``, so both
-updates change only those columns and take no product: ``A_{j+1}[:, c_j]``
-is exactly zero and ``E_{j+1}[:, c_j] = -A_j[:, c_j]``, and while every
-step so far was such a one, ``A_j K_j`` is taken from the other columns of
-``A`` with no ``A_j`` formed; Gram factors from one small Cholesky when
-each nonzero row still owns a column (Stokes ``E_1 = [I | -G]``); a
-certified QR of its nonzero rows otherwise; and any other matrix takes an
-SVD.  The terminal matrix takes no factorization of its own when it can be
-certified nonsingular from the previous matrix's factors: in them
-``E_{j+1}`` is block upper triangular, so one ``m x m`` LU gives its
-inverse and a bound on its condition number
-(:func:`~daereach.linalg.rank_update_inverse`).  A bound that does not
-clear the rank cutoff with a margin, a singular block, and every
-singular chain matrix fall back to the matrix's own factors, which
-decide as its SVD would.  The chain records every decision and its
-margin (:attr:`MatrixChain.decisions`).  The chain keeps no chain matrix
-past ``E_0 = E`` and ``A_0 = A``, the system's own arrays: each step
-``X_{j+1} = X_j - (A_j K_j) K_j^T`` is recorded as one :class:`ChainStep`
-of its thin factors, ``E_j`` and ``A_j`` (``j >= 1``) are formed from
-``E_0`` and ``A_0`` through those steps only while ``E_j``'s own factors
-decide it and ``A_j K_j`` needs ``A_j`` whole, and are dropped then; the
-terminal ``E_mu`` is formed only when the certificate declines it, and
-``A_mu`` never.  A certified ``E_mu^{-1}`` is kept as the certificate's
-small blocks (:class:`~daereach.linalg.InverseBlocks`) where the factors
-gather rows, and no ``n x n`` inverse is formed: :func:`decouple` keeps the
-corrected one as blocks too.
+(:func:`~daereach.linalg.rank_factors`) gives its kernel basis and its
+rank decision: a closed form for a scaled column selection (Stokes ``E_0
+= diag(I, 0)``), whose kernel basis is the unit vectors of its zero
+columns ``c_j``; Gram factors from one small Cholesky when each nonzero
+row owns a column (Stokes ``E_1 = [I | -G]``); a certified QR of the
+nonzero rows; else an SVD.  The terminal matrix is first offered to a
+certificate from the previous matrix's factors, in which it is block upper
+triangular, so one ``m x m`` LU gives its inverse and a condition bound
+(:func:`~daereach.linalg.rank_update_inverse`); a bound without margin
+falls back to the matrix's own factors, which decide as its SVD would.
+Every decision and its margin is recorded (:attr:`MatrixChain.decisions`).
+
+Storage.  The chain keeps no chain matrix past ``E_0 = E`` and ``A_0 =
+A``, the model's sparse rows: each step is one :class:`ChainStep` of
+thin factors, and ``E_j``, ``A_j`` are replayed from ``E_0``, ``A_0``
+only while read.  A closed-form step keeps ``K_j`` as ``columns`` alone
+and ``A_j K_j = A_j[:, c_j]`` as sparse rows, and its replay subtracts
+them from the columns ``c_j`` entry by entry, bit for bit the dense
+update (``A_{j+1}[:, c_j]`` is exactly zero); any other step keeps dense
+``n x m`` ``K_j`` and ``A_j K_j``.  Where the factors gather rows,
+``E_mu^{-1}`` is kept as the certificate's small blocks
+(:class:`~daereach.linalg.InverseBlocks`), and :func:`decouple` keeps the
+last correction ``R_{mu-1} = -C^{-1} A_{mu-1}[tail]`` as that ``m x m``
+block and ``m`` sparse rows (:class:`~daereach.linalg.RowProduct`), so
+no ``n x n`` array and no ``m x n`` correction is formed; SVD factors
+keep every one of them dense.
 
 Plain orthogonal kernel projectors generally violate the admissibility
-property ``Q_j Q_i = 0`` for ``j > i`` that the decoupled forms rely on,
-so :func:`decouple` corrects them index-by-index (index 1 needs no
-correction) and decouples in the same step, factoring nothing: if ``Q``
-and ``Q'`` project onto the same kernel ``Ker E_j`` then ``E_j - A_j Q' =
-(E_j - A_j Q)(I - Q + Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'``
-(Lamour, Maerz & Tischendorf, *DAEs: A Projector Based Analysis*, 2013).
-So the corrected chain's kernels are the raw chain's, and its terminal
-inverse is the raw one times rank-``m`` updates (every corrected
-projector is ``K_j R_j``), kept as the chain's blocks and one ``m x n``
-block more, or written over its dense inverse.  It is checked where it
-is used: the frame's one solve ``E_mu'^{-1} (A_mu' W)`` is checked by its
-residual, taken from the factors, and ``--mode decouple``, which forms
-the dense inverse, checks all ``n^2`` entries of ``E_mu' E_mu'^{-1} -
-I``.
+property ``Q_j Q_i = 0`` for ``j > i``, so :func:`decouple` corrects them
+(index 1 needs no correction), factoring nothing: if ``Q`` and ``Q'``
+project onto the same kernel then ``E_j - A_j Q' = (E_j - A_j Q)(I - Q +
+Q')`` and ``(I - Q + Q')^{-1} = I + Q - Q'`` (Lamour, Maerz &
+Tischendorf, *DAEs: A Projector Based Analysis*, 2013).  So the corrected
+kernels are the raw ones, every corrected projector is ``K_j R_j``, and
+the terminal inverse is the raw one times rank-``m`` updates.  It is
+checked where it is used: the frame's one solve ``E_mu'^{-1} (A_mu' W)``
+by its residual, ``--mode decouple`` over all ``n^2`` entries.
 
-Decoupling then splits the system into one ODE subsystem and ``mu``
-algebraic-constraint subsystems with closed-form coefficient matrices,
-each a word in the projectors times ``E_mu'^{-1} A_mu'``.  Since every
-projector is ``I - K_j R_j`` or ``K_j R_j`` and ``A_mu' = A_0 - sum_j (A_j
-K_j) R_j``, :class:`DecoupledSystem` keeps the corrections ``R_j`` beside
-the chain's steps and applies the
-coefficients to ``n x c`` blocks right to left, at ``O(n^2 c)`` each; that
-operator is its only form, and a dense coefficient or projector is the
-operator applied to the identity.  The
-ODE subsystem lives on ``range(Pi)``, ``Pi = projectors[1]``, of
-dimension ``r = n - sum_j rank Q_j``; :attr:`DecoupledSystem.ode_basis`
-gives ``r``-dimensional coordinates on it, and the reach path reads only
-blocks of ``r`` or ``k`` columns: admissibility makes each word of the
-lift one word of length ``mu``, applied once.  After a closed-form first
-step, ``P_0`` is the last letter of ``Pi`` and ``Q_0`` is never
-corrected, so ``range(Pi)`` is exactly zero on the rows ``c_0`` (Stokes:
-the pressures): the frame is drawn and factored on the other rows, ``A_mu'
-W`` reads only the other columns of ``A`` and drops the exactly-zero term
-``(A_0 K_0)(W[c_0])``, and the residual check forms ``E_mu'`` from ``E``
-and ``A_0[:, c_0]`` with no ``E_1``; only products by exact zeros are
-skipped.  Only indices 1 through 3 are supported; higher indices raise.
+Decoupling splits the system into one ODE subsystem and ``mu``
+algebraic-constraint subsystems, each coefficient a word in the
+projectors times ``E_mu'^{-1} A_mu'``, ``A_mu' = A_0 - sum_j (A_j K_j)
+R_j``: :class:`DecoupledSystem` applies them to ``n x c`` blocks right to
+left, at ``O(n^2 c)``; a dense coefficient is the operator applied to the
+identity.  The ODE subsystem lives on ``range(Pi)``, of dimension ``r``;
+:attr:`DecoupledSystem.ode_basis` gives coordinates on it, and the reach
+path reads only blocks of ``r`` or ``k`` columns.  After a closed-form
+first step ``range(Pi)`` is exactly zero on the rows ``c_0`` (Stokes: the
+pressures), so the frame is drawn and factored on the other rows and the
+products by those exact zeros are skipped.  Only indices 1 through 3 are
+supported; higher indices raise.
 """
 
 from dataclasses import dataclass, field
@@ -96,6 +78,7 @@ from .errors import (
 from .linalg import (
     RANK_REL_TOL,
     InverseBlocks,
+    RowSparse,
     kernel_basis_and_inverse,
     rank_factors,
     rank_update_inverse,
@@ -118,57 +101,85 @@ MAX_SUPPORTED_INDEX = 3
 _FRAME_SEED = 0xF2A3E
 
 
+def _frame_draw(shape):
+    """The ODE frame's Gaussian test matrix of ``shape``."""
+    return np.random.default_rng(_FRAME_SEED).standard_normal(shape)
+
+
 class ChainStep(NamedTuple):
-    """One step ``X_{j+1} = X_j - (A_j K_j) K_j^T`` of the chain: ``K`` an
-    orthonormal basis of ``Ker E_j``, ``image = A_j K_j`` and ``columns``,
-    whose unit vectors are ``K`` when ``E_j``'s closed form decided it
-    (:attr:`~daereach.linalg.Factors.kernel_columns`), else ``None``.  Each
-    product through ``K`` is a method that decides between the two forms:
-    for unit vectors each entry of the dense product is one entry times 1.0
-    plus exact zeros, so a gather or a scatter of ``columns`` gives its bits
-    with no product.
+    """One step ``X_{j+1} = X_j - (A_j K_j) K_j^T`` of the chain, ``K_j`` an
+    orthonormal basis of ``Ker E_j``, ``m`` wide.  Where ``E_j``'s closed
+    form decided it (:attr:`~daereach.linalg.Factors.kernel_columns`),
+    ``K_j`` is the unit vectors of ``columns`` and kept as them alone
+    (``basis`` is ``None``), and ``image = A_j K_j`` is those columns of
+    ``A_j`` as :class:`~daereach.linalg.RowSparse`; else ``basis`` is the
+    dense ``n x m`` ``K_j``, ``columns`` is ``None`` and ``image`` is
+    dense.  Each product through ``K_j`` is a method that decides between
+    the two forms: for unit vectors each entry of the dense product is one
+    entry times 1.0 plus exact zeros, so a gather or a scatter of
+    ``columns`` gives its bits with no product.
     """
 
-    K: np.ndarray
-    image: np.ndarray
+    basis: np.ndarray | None
+    image: np.ndarray | RowSparse
     columns: np.ndarray | None
 
     @classmethod
-    def taken(cls, A_j, K, columns):
-        """The step of kernel basis ``K`` on ``A_j``, given as rows: its
-        ``image`` ``A_j K`` is a gather of ``columns`` for unit vectors, else
-        a product that reads only ``A_j``'s stored entries."""
-        return cls(K, A_j @ K if columns is None else A_j.column_block(columns), columns)
+    def taken(cls, A_j, basis, columns):
+        """The step of kernel basis ``basis`` or ``columns`` on ``A_j``,
+        given as rows: its ``image`` ``A_j K_j`` is the columns ``columns``
+        of ``A_j`` for unit vectors, else a product that reads only
+        ``A_j``'s stored entries."""
+        return cls(basis, A_j @ basis if columns is None else A_j[:, columns], columns)
+
+    @property
+    def K(self):
+        """``K_j`` dense: ``basis``, or the unit vectors of ``columns`` formed
+        on each read (:func:`decouple` reads the last step's and index 3's
+        ``K_1``)."""
+        return self.basis if self.columns is None else self.expand(np.eye(self.columns.size))
 
     def rows(self, Y, R=None):
         """``R Y``, with ``R = K^T`` for ``None``: then the rows ``columns``
         of ``Y`` for unit vectors."""
         if R is not None:
             return R @ Y
-        return self.K.T @ Y if self.columns is None else Y[self.columns]
+        return self.basis.T @ Y if self.columns is None else Y[self.columns]
+
+    def right(self, Z, R=None):
+        """``Z R``, with ``R = K^T`` for ``None``: then, for unit vectors,
+        ``Z`` scattered to the columns ``columns`` of zeros."""
+        if R is not None:
+            return Z @ R
+        if self.columns is None:
+            return Z @ self.basis.T
+        ZR = np.zeros((Z.shape[0], self.image.shape[0]))
+        ZR[:, self.columns] = Z
+        return ZR
 
     def expand(self, Z):
         """``K Z``: for unit vectors, ``Z`` scattered to the rows
         ``columns`` of zeros."""
         if self.columns is None:
-            return self.K @ Z
-        KZ = np.zeros(self.K.shape[:1] + np.shape(Z)[1:])
+            return self.basis @ Z
+        KZ = np.zeros(self.image.shape[:1] + np.shape(Z)[1:])
         KZ[self.columns] = Z
         return KZ
 
     def times(self, R):
         """``R K``: for unit vectors, the columns ``columns`` of ``R``."""
-        return R @ self.K if self.columns is None else R[:, self.columns]
+        return R @ self.basis if self.columns is None else R[:, self.columns]
 
     def applied(self, X):
         """``X - image K^T`` for rows ``X``, as new rows: for unit vectors
-        ``image`` subtracted from the columns ``columns``, the same matrix
-        with no dense ``n x n`` array, as every other column of ``image
-        K^T`` is zero and each of those is a column of ``image`` (Stokes
-        ``A_1`` is ``A`` with those columns exactly zero, which drops them),
-        else a dense product, stored as rows."""
+        ``image`` subtracted from the columns ``columns`` entry by entry
+        (:meth:`~daereach.linalg.RowSparse.minus_columns`), the same matrix
+        with no dense array, as every other column of ``image K^T`` is zero
+        and each of those is a column of ``image`` (Stokes ``A_1`` is ``A``
+        with those columns exactly zero, which drops them), else a dense
+        product, stored as rows."""
         if self.columns is None:
-            return X.minus(self.image @ self.K.T)
+            return X.minus(self.image @ self.basis.T)
         return X.minus_columns(self.columns, self.image)
 
 
@@ -265,22 +276,23 @@ class DecoupledSystem:
     ``S = E_mu'^{-1} A_mu'`` (``E_1^{-1} A_0`` at index 1), so the class
     holds only the ``raw`` chain (the index ``mu``, ``A_0 = A``, ``E_0 = E``
     and the steps' ``K_j`` and ``A_j K_j`` are its), the corrections ``R``,
-    one per step and ``None`` where ``Q_j`` is the raw ``K_j K_j^T``
-    (:func:`decouple` never corrects ``Q_0``), and the ``inverse``
-    ``E_mu'^{-1}`` (:class:`~daereach.linalg.InverseBlocks` from
-    :func:`decouple`: the certificate's blocks and the ``m x n``
-    correction, with no ``n x n`` array, or dense on SVD factors), read only
-    through its ``apply``.  It applies the one operator ``X -> {i: N_i X}`` to blocks right to left:
+    one ``m_j x n`` matrix per step, ``None`` where ``Q_j`` is the raw ``K_j
+    K_j^T`` (always ``Q_0``), ``R_{mu-1}`` a
+    :class:`~daereach.linalg.RowProduct` of ``-C^{-1}`` and ``m`` sparse
+    rows of ``A_{mu-1}`` where the certificate kept ``C^{-1}``, and every
+    other one dense; and the ``inverse`` ``E_mu'^{-1}``
+    (:class:`~daereach.linalg.InverseBlocks`: the certificate's blocks and
+    one ``m x n`` block, or dense on SVD factors), read only through its
+    ``apply``.  It applies ``X -> {i: N_i X}`` to blocks right to left:
     ``S X = E_mu'^{-1} (A_mu' X)`` with ``A_mu' X = A X - sum_j (A_j
     K_j)(R_j X)`` (``A X`` at index 1), ``P_j X = X - K_j (R_j X)``, ``Q_j X
     = K_j (R_j X)``, each product through ``K_j`` taken by its
     :class:`ChainStep`.  An ``n x c`` block costs ``O(n^2 c)``; no ``n x n
-    x n`` product is taken.  Where ``K_j`` is unit vectors (Stokes
-    ``K_0``), ``R_j X`` is rows of ``X`` while ``R_j`` is the raw ``K_j^T``,
-    and ``Q_j X`` is ``R_j X`` scattered to those rows; both are bit for bit
-    the dense products.  While ``R_0`` is that raw ``K_0^T``, ``range(Pi)``
-    is exactly zero on the rows ``c_0`` (see ``_range_rows``), and the frame
-    is formed and applied on the others.
+    x n`` product is taken, and ``R_{mu-1} X`` is a sparse product and an
+    ``m x m`` GEMM where it is a :class:`~daereach.linalg.RowProduct`.
+    While ``R_0`` is the raw ``K_0^T`` of unit vectors, ``range(Pi)`` is
+    exactly zero on the rows ``c_0`` (see ``_range_rows``), and the frame is
+    formed and applied on the others.
 
     The reach path needs only thin blocks, and they are all that is cached:
     the ODE frame ``ode_basis`` ``W``, the reduced matrix ``ode_matrix``
@@ -320,13 +332,13 @@ class DecoupledSystem:
     def admissibility_residual(self):
         """``max ||Q_j Q_i||_F`` over ``j > i``, 0 at index 1.  ``K_j`` has
         orthonormal columns, so ``||Q_j Q_i||_F = ||(R_j K_i) R_i||_F``, an
-        ``m_j x n`` product."""
-        steps = self.raw.steps
-        R = [step.K.T if R_j is None else R_j for step, R_j in zip(steps, self.R)]
+        ``m_j x n`` array (every ``R_j``, ``j >= 1``, is a correction);
+        each product through ``K_i`` is taken by its :class:`ChainStep`."""
+        steps, R = self.raw.steps, self.R
         return max(
             (
-                float(np.linalg.norm(steps[i].times(R[j]) @ R[i]))
-                for j in range(self.mu)
+                float(np.linalg.norm(steps[i].right(steps[i].times(R[j]), R[i])))
+                for j in range(1, self.mu)
                 for i in range(j)
             ),
             default=0.0,
@@ -336,7 +348,7 @@ class DecoupledSystem:
     def ode_rank(self):
         """``r = n - sum m_j``: the admissible projectors' kernels add up
         directly to ``Ker Pi``, so this is the rank of ``Pi``."""
-        return self.n - sum(step.K.shape[1] for step in self.raw.steps)
+        return self.n - sum(step.image.shape[1] for step in self.raw.steps)
 
     def _kernel_rows(self, j, Y):
         """``R_j Y``."""
@@ -480,14 +492,23 @@ class DecoupledSystem:
         ``range(Pi)`` is zero off ``_range_rows`` (Stokes: the velocities),
         the Gaussian is drawn on those rows only and the thin QR factor of
         those rows of ``Pi`` times it is written over them: the other rows
-        are ``P_0``'s exact zeros, whatever the factorization does.
+        are ``P_0``'s exact zeros, whatever the factorization does.  A QR
+        factor ``R`` with ``min|R_ii| <= RANK_REL_TOL max|R_ii|`` would give a
+        frame that misses part of ``range(Pi)``, and raises
+        :class:`SingularMatrixError` (a NaN is left to the solve check).
         """
         rows = self._range_rows
         rows = slice(None) if rows is None else rows
         omega = np.zeros((self.n, self.ode_rank))
-        omega[rows] = np.random.default_rng(_FRAME_SEED).standard_normal(omega[rows].shape)
+        omega[rows] = _frame_draw(omega[rows].shape)
         W = self._apply({1: "P" * self.mu}, omega, owned=True)[1]  # exactly zero off rows
-        W[rows] = np.linalg.qr(W[rows])[0]
+        W[rows], top = np.linalg.qr(W[rows])
+        diagonal = np.abs(np.diagonal(top))
+        if diagonal.size and diagonal.min() <= RANK_REL_TOL * diagonal.max():
+            raise SingularMatrixError(
+                f"the ODE frame has rank below {self.ode_rank}: Pi times the test matrix "
+                f"has min|R_ii| / max|R_ii| = {diagonal.min() / diagonal.max():.3e}"
+            )
         return W
 
     def _frame(self, name):
@@ -511,7 +532,8 @@ class DecoupledSystem:
         SW, residual, *rows = self._checked_solve(self._apply_source(W, on_range=True))
         blocks = self._apply(words, SW, owned=True, rows=rows)
         del SW
-        M = W.T @ blocks.pop("P" * mu)
+        on = slice(None) if self._range_rows is None else self._range_rows
+        M = W[on].T @ blocks.pop("P" * mu)[on]  # both exactly zero off the rows on
         G = {}  # G[q]: the words with q letters Q, summed in place over the first
         for word, block in blocks.items():
             q = word.count("Q")
@@ -597,11 +619,12 @@ def compute_index_and_chain(sys):
     :class:`IrregularPencilError` if the regularity probe fails and
     :class:`IndexTooHighError` otherwise.
     """
-    steps, decisions = [], []
+    steps, decisions, current = [], [], None
     for mu in range(MAX_SUPPORTED_INDEX + 1):
         inverse = None
         if mu:
             inverse, bound = rank_update_inverse(current, steps[-1].image)
+            current = None  # read no more: dropped before the next factors
         if inverse is None:  # the matrix's own factors decide
             current = rank_factors(_chain_rows(sys.E, steps))
             decisions.append(current.decision)
@@ -658,9 +681,9 @@ def decouple(chain):
     certificate's blocks as one ``m x n`` block ``Z`` (and index 3's ``J``
     and ``Y``), so that no ``n x n`` array is formed, or written over a
     dense inverse; at index 1 it leaves a dense inverse as it is.  ``R``
-    reads only the rows of ``A_{mu-1}`` that ``K^T E_mu^{-1}`` reads
-    (:meth:`~daereach.linalg.InverseBlocks.kernel_map`: where the
-    certificate kept ``C^{-1}``, ``K^T E_mu^{-1} = [0, C^{-1}] U^T``).  At
+    reads only the rows of ``A_{mu-1}`` that ``K^T E_mu^{-1}`` reads, and
+    keeps them as rows where ``K^T E_mu^{-1} = [0, C^{-1}] U^T``
+    (:meth:`~daereach.linalg.InverseBlocks.kernel_product`).  At
     index 3, ``(Q_1 - Q_1') Q_2 = 0``, so ``Ker E_2' = Ker E_2``, ``A_2' K_2
     = A_2 K_2``, and the intermediate ``E_2' - A_2' Q_2`` is ``E_3 (I -
     X)``, ``X = P_2 (Q_1 - Q_1')``, ``X^2 = 0``, with inverse ``(I + X)
@@ -686,10 +709,9 @@ def decouple(chain):
     K = steps[-1].K
     index_3 = ()  # (J, Y) of the index-3 step
     if mu > 1:
-        # K^T E_mu^{-1} Y = KtE @ Y[tail] (every row for None)
-        KtE, tail = inverse.kernel_map(K)
-        # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows tail of A_{mu-1}
-        R[-1] = -(KtE @ _chain_rows(chain.A, steps[:-1], tail))
+        # Q_{mu-1}' = -Q_{mu-1} E_mu^{-1} A_{mu-1}, from the rows of A_{mu-1}
+        # that K^T E_mu^{-1} reads
+        R[-1] = inverse.kernel_product(K, lambda rows: _chain_rows(chain.A, steps[:-1], rows))
         if mu == 3:
             K1 = steps[1].K
             # Q_1' = K_1 R_1, R_1 = -S A_1, S = K_1^T (I - Q_2^*) E_3^{-1}; S A_1 = S A_0,

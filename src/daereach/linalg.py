@@ -63,6 +63,7 @@ __all__ = [
     "svd_factors",
     "rank_factors",
     "kernel_basis_and_inverse",
+    "RowProduct",
     "InverseBlocks",
     "rank_update_inverse",
     "triangular_inverse",
@@ -346,7 +347,7 @@ def _gram_factors(order, rows, cols, rest, d):
     nonzero ``d_i`` of column ``cols[i]``, and ``rest`` lists the other
     ``m`` columns.  In the column order ``[cols, rest]``, ``M = D [I | Y]``
     with ``D = diag(d)`` and ``Y = D^{-1} M[:, rest]``, the one dense ``p x
-    m`` block formed, scattered from the rows' entries in ``rest``.  The
+    m`` block formed, from the rows' entries in ``rest``.  The
     kernel of ``M`` is the range of ``[-Y; I]``, made orthonormal by
     CholeskyQR (Yamamoto, Nakatsukasa,
     Yanagisawa & Fukaya, ETNA 44, 2015): ``R_2^T R_2 = I + Y^T Y`` gives ``K
@@ -364,8 +365,7 @@ def _gram_factors(order, rows, cols, rest, d):
     fails either test returns ``None``, and the caller takes the QR.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow declines
-        Y = rows.column_block(rest)
-        Y /= d[:, None]
+        Y = rows[:, rest].dense() / d[:, None]
         m_norm = rows.norm()
         bound = float(m_norm / np.abs(d).min())
         y_norm_sq = (Y**2).sum()
@@ -394,6 +394,39 @@ def row_blocks(n):
     which doubled ``decouple``'s time at n = 6 without the 64-row floor."""
     step = max(-(-n // 4), 64)
     return tuple(slice(start, start + step) for start in range(0, n, step))
+
+
+class RowProduct:
+    """An ``m x n`` matrix kept as the product ``S M`` of a dense ``m x q``
+    ``S`` and ``q x n`` :class:`RowSparse` rows ``M``, read as a dense array
+    is read: ``P @ Y`` is ``S (M Y)``, a sparse product and an ``m x q x
+    c`` GEMM for an ``n x c`` block ``Y``; ``L @ P`` is ``(L S) M`` and
+    ``P[:, cols]`` is ``S M[:, cols]``, both dense; ``np.asarray(P)`` is
+    ``S M``.  No ``m x n`` array is kept (``__array_ufunc__ = None``: numpy
+    converts it only through ``np.asarray``)."""
+
+    __slots__ = ("S", "M")
+    __array_ufunc__ = None
+
+    def __init__(self, S, M):
+        self.S, self.M = S, M
+
+    @property
+    def shape(self):
+        return self.S.shape[0], self.M.shape[1]
+
+    def __matmul__(self, Y):
+        return self.S @ (self.M @ Y)
+
+    def __rmatmul__(self, L):
+        return (L @ self.S) @ self.M
+
+    def __getitem__(self, key):
+        rows, cols = key
+        return self.S[rows] @ self.M[:, cols]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.S @ self.M, dtype=dtype)
 
 
 class InverseBlocks(NamedTuple):
@@ -454,14 +487,16 @@ class InverseBlocks(NamedTuple):
         """``lead^{-1} X``."""
         return X / self.lead[:, None] if self.lead.ndim == 1 else self.lead @ X
 
-    def kernel_map(self, K):
-        """``(S, rows)`` with ``K^T Z'^{-1} Y = S Y[rows]`` (every row for
-        ``None``) for an uncorrected inverse: ``(C^{-1}, left[rank:])`` where
-        ``C^{-1}`` was kept, as ``K^T Z'^{-1} = [0 | C^{-1}] U^T``, else
-        ``(K^T B, None)``."""
+    def kernel_product(self, K, rows_of):
+        """``-K^T Z'^{-1} X`` for an uncorrected inverse and an ``n x n`` ``X``
+        that ``rows_of(rows)`` gives as the :class:`RowSparse` rows ``rows``
+        (every row for ``None``): where ``C^{-1}`` was kept, ``K^T Z'^{-1} =
+        [0 | C^{-1}] U^T`` reads only the rows ``left[rank:]`` of ``X``, and
+        the product is kept as the :class:`RowProduct` of ``-C^{-1}`` and
+        those rows; else it is the dense ``-(K^T B) X``."""
         if self.B is not None:
-            return K.T @ self.B, None
-        return self.c_inv, self.left[self.t.shape[0] :]
+            return -((K.T @ self.B) @ rows_of(None))
+        return RowProduct(-self.c_inv, rows_of(self.left[self.t.shape[0] :]))
 
     def right_product(self, X):
         """``X F U^T`` for an ``m x n`` block ``X`` (``X Z'^{-1}`` for a
@@ -512,19 +547,17 @@ def kernel_basis_and_inverse(factors):
 
     The basis is a copy of the trailing ``n - rank`` columns of ``W``, an
     ``(n, n - rank)`` array in ``W``'s memory order (a view would keep all
-    of ``W`` alive as long as the chain keeps the basis); for a column order
-    ``w`` it is the unit vectors of ``kernel_columns``, for Gram factors
-    ``w`` itself.  For a nonsingular matrix it has no columns and the
-    inverse is the dense :class:`InverseBlocks` ``W diag(1/s) U^T``: only an
-    SVD finds a matrix nonsingular, since the other three factorizations
-    need a zero row.  For a singular matrix the inverse is ``None``.
+    of ``W`` alive as long as the chain keeps the basis); for Gram factors
+    ``w`` itself; for a column order ``w`` it is ``None``, the unit vectors
+    of ``kernel_columns`` standing for it.  For a nonsingular matrix it has
+    no columns and the inverse is the dense :class:`InverseBlocks` ``W
+    diag(1/s) U^T``: only an SVD finds a matrix nonsingular, since the other
+    three factorizations need a zero row.  For a singular matrix the inverse
+    is ``None``.
     """
     w, rank = factors.w, factors.rank
-    columns = factors.kernel_columns
-    if columns is not None:
-        basis = np.zeros((w.size, columns.size))
-        basis[columns, np.arange(columns.size)] = 1.0
-        return basis, None
+    if factors.kernel_columns is not None:  # the unit vectors stand for it
+        return None, None
     if factors.gram is not None:  # w is the kernel basis alone
         return w, None
     inverse = InverseBlocks((w / factors.lead) @ factors.left.T) if rank == w.shape[0] else None
@@ -538,8 +571,9 @@ def rank_update_inverse(factors, image):
 
     ``factors`` are the :class:`Factors` of ``Z = U [[lead, 0], [0,
     diag(tail)]] W^T``, ``K`` is its kernel basis (the trailing ``m``
-    columns of ``W``) and ``image`` an ``(n, m)`` array.  Because ``K^T W =
-    [0, I]``, ``T = U^T Z' W`` is block upper triangular::
+    columns of ``W``) and ``image`` an ``(n, m)`` array, or
+    :class:`RowSparse` for factors whose ``U^T`` gathers rows.  Because
+    ``K^T W = [0, I]``, ``T = U^T Z' W`` is block upper triangular::
 
         T = [[lead, -top], [0, C]],   C = diag(tail) - low,
 
@@ -569,19 +603,23 @@ def rank_update_inverse(factors, image):
     ``||T||_F / ||C||_F`` is a lower bound on ``bound``; when it already
     fails the test, ``C`` takes no LU and that lower bound is returned, so a
     singular chain step (whose ``C`` is often near zero) declines for the
-    price of ``U^T image``.
+    price of ``U^T image``, and for that of ``C`` alone when ``C`` is zero
+    (Stokes ``E_1``).
     """
     rank = factors.rank
-    top, low = np.split(factors.left_t(image), [rank])
-    C = np.diag(factors.tail) - low
+    image = factors.left_t(image)
+    C = np.diag(factors.tail) - np.asarray(image[rank:])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow declines
         c_norm_sq = (C**2).sum()
+        if not c_norm_sq > 0.0:  # the bound is infinite: top is not read
+            return None, math.inf
+        top = np.asarray(image[:rank])
         lead_sq = (factors.lead**2).sum() if factors.gram is None else factors.gram[-1]  # ||M||^2
         norm_sq = lead_sq + (top**2).sum() + c_norm_sq
         # ||T^{-1}||_F >= ||C^{-1}||_F >= 1 / ||C||_F, so the bound is at
         # least ||T||_F / ||C||_F; when that already fails the test, skip
         # C's LU
-        floor = math.sqrt(norm_sq / c_norm_sq) if c_norm_sq > 0.0 else math.inf
+        floor = math.sqrt(norm_sq / c_norm_sq)
     if not floor * CERTIFICATE_MARGIN * RANK_REL_TOL < 1.0:
         return None, floor
     c_inv = general_inverse(C)

@@ -78,10 +78,10 @@ class RowSparse:
     entry of the product sums its row's stored terms in column order, and a
     shorter row adds 0.0 times row 0 of ``X`` for each unused slot.  ``X @
     S`` is the transposed product ``(S^T X^T)^T``.  ``S[rows]`` gathers rows
-    and ``S[i, j]`` reads one entry; :meth:`column_block`,
-    :meth:`minus_columns` and :meth:`minus` read a block of columns and
-    subtract from the matrix, and :meth:`row_owners` reads the structure
-    that :func:`rank_factors` decides by.
+    and ``S[:, cols]`` gathers columns, and ``S[i, j]`` reads one entry;
+    :meth:`minus_columns` and :meth:`minus` subtract from the matrix, and
+    :meth:`row_owners` reads the structure that :func:`rank_factors` decides
+    by.
 
     A small matrix, and one whose rows are too full for gathers to pay, is
     kept dense (see ``_ROWS_MIN_N``): it takes its products by GEMM and has
@@ -238,12 +238,16 @@ class RowSparse:
         return RowSparse._from_sorted(self.shape[::-1], cols[order], rows[order], values[order])
 
     def __getitem__(self, key):
-        """``S[i, j]``, one entry, or ``S[rows]``, the rows ``rows`` (a
-        slice or an index array) as a new :class:`RowSparse`; negative
-        indices count from the end and others out of range raise
-        :class:`IndexError`, as numpy's do."""
+        """``S[i, j]``, one entry; ``S[rows]``, the rows ``rows`` (a slice or
+        an index array), or ``S[:, cols]``, the columns ``cols`` (distinct
+        indices), each as a new :class:`RowSparse`; negative indices count
+        from the end and others out of range raise :class:`IndexError`, as
+        numpy's do."""
         if isinstance(key, tuple):
-            i, j = (operator.index(k) for k in key)
+            i, j = key
+            if isinstance(i, slice) and i == slice(None):
+                return self._columns(np.asarray(j, dtype=np.intp))
+            i, j = operator.index(i), operator.index(j)
             if self._dense is not None:
                 return self._dense[i, j]
             if not -self.shape[1] <= j < self.shape[1]:
@@ -255,6 +259,19 @@ class RowSparse:
             return RowSparse(rows.shape, dense=rows)
         columns, values = self.columns[:, key], self.values[:, key]
         return RowSparse((columns.shape[1], self.shape[1]), columns, values)
+
+    def _columns(self, cols):
+        """``S[:, cols]``: the stored entries in ``cols``, renumbered."""
+        shape = (self.shape[0], cols.size)
+        if self._dense is not None:
+            return RowSparse(shape, dense=np.take(self._dense, cols, axis=1))
+        rows, taken, values = self.triples()
+        at = np.full(self.shape[1], -1)
+        at[cols] = np.arange(cols.size)
+        hit = at[taken] >= 0
+        rows, taken, values = rows[hit], at[taken[hit]], values[hit]
+        order = np.lexsort((taken, rows))
+        return RowSparse._from_sorted(shape, rows[order], taken[order], values[order])
 
     def row_owners(self):
         """``(count, owner, entry)``: each row's number of nonzero entries,
@@ -273,38 +290,29 @@ class RowSparse:
         owner = np.where(single.any(axis=0), columns[slot, rows], -1)
         return mask.sum(axis=0), owner, values[slot, rows]
 
-    def column_block(self, cols):
-        """``S[:, cols]`` as a new dense ``n x len(cols)`` array."""
-        if self._dense is not None:
-            return np.take(self._dense, cols, axis=1)
-        at = np.full(self.shape[1], -1)
-        at[cols] = np.arange(len(cols))
-        rows, taken, values = self.triples()
-        out = np.zeros((self.shape[0], len(cols)))
-        hit = at[taken] >= 0
-        out[rows[hit], at[taken[hit]]] = values[hit]
-        return out
-
     def minus_columns(self, cols, block):
-        """``S`` with ``S[:, cols] - block`` in the columns ``cols``, as a new
-        :class:`RowSparse`: bit for bit the dense ``S[:, cols] -= block``,
-        with only the ``n x len(cols)`` block formed dense."""
+        """``S`` with ``S[:, cols] - block`` in the columns ``cols``, for
+        ``n x len(cols)`` rows ``block``, as a new :class:`RowSparse`: bit for
+        bit the dense ``S[:, cols] -= block``, merged entry by entry (``a +
+        (-b)`` is ``a - b``, and an entry missing from either side is +0.0),
+        so no dense block is formed."""
         if self._dense is not None:
             dense = self._dense.copy()
-            dense[:, cols] -= block
+            dense[:, cols] -= np.asarray(block)
             return RowSparse.from_dense(dense, copy=False)
-        new = self.column_block(cols)
-        new -= block
-        at = np.zeros(self.shape[1], dtype=bool)
-        at[cols] = True
-        rows, taken, values = self.triples()
-        kept = ~at[taken]
-        new_rows, new_at = np.nonzero(_stored(new))
-        rows = np.concatenate([rows[kept], new_rows])
-        taken = np.concatenate([taken[kept], np.asarray(cols)[new_at]])
-        values = np.concatenate([values[kept], new[new_rows, new_at]])
-        order = np.lexsort((taken, rows))
-        return RowSparse._from_sorted(self.shape, rows[order], taken[order], values[order])
+        ours, theirs = self.triples(), block.triples()
+        rows = np.concatenate([ours[0], theirs[0]])
+        taken = np.concatenate([ours[1], np.asarray(cols)[theirs[1]]])
+        values = np.concatenate([ours[2], -theirs[2]])
+        order = np.lexsort((taken, rows))  # stable: our entry before theirs
+        rows, taken, values = rows[order], taken[order], values[order]
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (taken[1:] != taken[:-1])
+        first = np.flatnonzero(first)
+        values = np.add.reduceat(values, first)
+        kept = _stored(values)
+        first = first[kept]
+        return RowSparse._from_sorted(self.shape, rows[first], taken[first], values[kept])
 
     def minus(self, P):
         """``S - P`` for a dense ``P`` of the same shape, written over ``P``

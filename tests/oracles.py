@@ -586,7 +586,7 @@ def stored_chain(auto):
     E, A, images = [auto.E.dense()], [auto.A.dense()], []
     factors = rank_factors(E[0])
     while True:
-        K, _ = kernel_basis_and_inverse(factors)
+        K = kernel_basis(factors)
         columns = factors.kernel_columns
         if columns is not None:
             images.append(A[-1][:, columns])
@@ -693,6 +693,18 @@ def dense_admissibility_residual(dec):
     )
 
 
+def kernel_basis(factors):
+    """The dense orthonormal kernel basis of a singular matrix's
+    :class:`~daereach.linalg.Factors`: the package's own, or the unit vectors
+    of ``kernel_columns`` where they stand for it."""
+    from daereach.linalg import kernel_basis_and_inverse
+
+    columns = factors.kernel_columns
+    if columns is None:
+        return kernel_basis_and_inverse(factors)[0]
+    return np.eye(factors.w.size)[:, columns]
+
+
 def svd_certificate(Z, factors, image, margin, rel_tol=1e-9):
     """``(inverse, bound)`` of ``rank_update_inverse`` on ``Z`` from
     references of its own: ``C^{-1}`` and ``||C^{-1}||_F`` from an SVD of
@@ -703,12 +715,10 @@ def svd_certificate(Z, factors, image, margin, rel_tol=1e-9):
     lead block ``L`` is triangular and inverted by back substitution; the
     factors' ``w`` and ``lead`` are not read.  ``inverse`` is ``None`` when
     the bound fails."""
-    from daereach.linalg import kernel_basis_and_inverse
-
     n, rank = image.shape[0], factors.rank
     U = np.eye(n)[:, factors.left] if factors.left.ndim == 1 else factors.left
     w1, r = np.linalg.qr((U.T @ Z)[:rank].T)
-    W = np.hstack([w1, kernel_basis_and_inverse(factors)[0]])
+    W = np.hstack([w1, kernel_basis(factors)])
     lead, lead_inv = r.T, scipy.linalg.solve_triangular(r, np.eye(rank)).T
     top, low = np.split(U.T @ image, [rank])
     C = np.diag(factors.tail) - low

@@ -798,6 +798,22 @@ class TestErrorPaths:
         assert verdict["error"] == "singular-matrix"
         assert [p.name for p in out.iterdir()] == ["verdict.json"]
 
+    def test_rank_deficient_frame_exit_code(self, tmp_path, capsys, monkeypatch, benchmark_files):
+        # a test matrix of equal columns leaves the frame short of range(Pi)
+        import daereach.decoupling
+
+        monkeypatch.setattr(daereach.decoupling, "_frame_draw", lambda shape: np.ones(shape))
+        init, unsafe = benchmark_files
+        out = tmp_path / "out"
+        argv = ["--model", "builtin:rotating-masses", "--init", str(init)]
+        assert run(argv + ["--unsafe", str(unsafe), "--out", str(out)]) == EXIT_NUMERICAL
+        error = last_error(capsys)
+        assert error["error"] == "singular-matrix" and "frame has rank below" in error["message"]
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert set(verdict) == {"error", "message", "timings"}
+        assert verdict["error"] == "singular-matrix"
+        assert [p.name for p in out.iterdir()] == ["verdict.json"]
+
     @staticmethod
     def _corrupted_decoupling(monkeypatch, module, reached):
         """Make ``module``'s ``decouple_system`` return the decoupled system

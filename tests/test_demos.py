@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the library in ``src``."""
 
+import json
 import os
 import re
 import subprocess
@@ -32,6 +33,26 @@ def test_demo_runs_cleanly(tmp_path, script):
     result = run_python([str(script)], tmp_path)
     assert result.returncode == 0, result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_scaling_demo_writes_its_rows_as_json(tmp_path):
+    """``demos/04_stokes_scaling.py --json PATH`` writes one row per grid
+    with every key of its table."""
+    script = ROOT / "demos" / "04_stokes_scaling.py"
+    out = tmp_path / "rows.json"
+    result = run_python([str(script), "--steps", "5", "--json", str(out), "2", "4"], tmp_path)
+    assert result.returncode == 0, result.stderr
+    document = json.loads(out.read_text())
+    keys = {
+        "k", "n", "index", "chain_ms", "decouple_ms", "frame_ms", "d_t_ms", "rsc_t_ms",
+        "cs_t_ms", "verdict", "solve_residual", "peak_mb", "peak_nxn", "kept_nxn", "maxrss_mb",
+    }
+    assert document["steps"] == 5 and [row["k"] for row in document["rows"]] == [2, 4]
+    for row in document["rows"]:
+        assert set(row) == keys, set(row) ^ keys
+        assert row["index"] == 2 and row["verdict"] == "safe"
+        assert row["n"] == 3 * row["k"] ** 2 - 2 * row["k"] - 1
+        assert row["kept_nxn"] <= row["peak_nxn"] and row["maxrss_mb"] > 0.0
 
 
 README = (ROOT / "README.md").read_text()
